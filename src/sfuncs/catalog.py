@@ -3,8 +3,9 @@
 Generators: cyclotomic (abelian) coefficient sequences a_k = sum_i c_i zeta^(ik)
 with an optional exact descent into a subfield, series with prescribed
 delta^(s-1) V = -log Q(z), and the framed-polylog multiplicity table obtained
-by exact reversion plus Moebius inversion.  Also the binomial congruence
-checker binom(pkf, pk) = binom(kf, k) mod p^(3(ord_p(k)+1)) for p > 3.
+by exact Lagrange-Buermann coefficient extraction (no reversion) plus Moebius
+inversion.  Also the binomial congruence checker
+binom(pkf, pk) = binom(kf, k) mod p^(3(ord_p(k)+1)) for p > 3.
 """
 from __future__ import annotations
 
@@ -21,9 +22,10 @@ from .errors import (
     NotPrime,
     SmallPrime,
 )
+from .framing import _lagrange_coeffs
 from .intutil import divisors, is_prime, moebius, ord_p
 from .numfield import FieldElem, NumberField, make_field, rationals
-from .series import Series, dint, log_series, power, revert, shift_down, shift_up
+from .series import Series, dint, log_series
 
 
 def _int_poly_divide(num: list[int], den: list[int]) -> list[int]:
@@ -254,23 +256,14 @@ class FramedPolylogTable:
 
 
 def _framed_log_column(f: int, dmax: int) -> list[Fraction]:
-    """Coefficients of log Y_f to order dmax, from exact reversion.
+    """Coefficients of log Y_f to order dmax, by Lagrange-Buermann extraction.
 
-    Y_f solves z = (-1)**f * w * Y_f(w) under w = z / (z-1)**f.
+    Y_f solves z = (-1)**f * w * Y_f(w) under w = z / (z-1)**f = z / phi(z),
+    phi = (-1)**f (1-z)**f.  So log Y_f(w) = H(z(w)) with H = f log(1-z), and
+    [w**k] log Y_f = (1/k) [z**k] (delta H) * phi**k, where delta H and
+    delta log(phi/(-1)**f) have every coefficient -f.
     """
-    field = rationals()
-    one_minus = Series(
-        field, dmax, field.one(), (field.elem(-1),) + (field.zero(),) * (dmax - 1)
-    )
-    zf = shift_up(power(one_minus, -f))
-    if f % 2:
-        zf = -zf
-    g = revert(zf)
-    y = shift_down(g)
-    if f % 2:
-        y = -y
-    ly = log_series(y)
-    return [ly.coeff(k).coords[0] for k in range(1, dmax + 1)]
+    return _lagrange_coeffs([-f] * dmax, [-f] * dmax, -1 if f % 2 else 1)
 
 
 def polylog_frame_table(f_range, d_range) -> FramedPolylogTable:

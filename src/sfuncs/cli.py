@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -110,20 +109,6 @@ def _cmd_dwork(args) -> int:
     return 0 if not bad_cells else 1
 
 
-def _rational_entries(obj) -> list[Fraction]:
-    if not isinstance(obj, list):
-        raise SfuncError("expected a JSON array of rationals")
-    out = []
-    for x in obj:
-        if isinstance(x, list) and len(x) == 2 and not isinstance(x[0], list):
-            out.append(Fraction(int(x[0]), int(x[1])))
-        elif isinstance(x, (str, int)):
-            out.append(Fraction(x))
-        else:
-            raise SfuncError(f"cannot read {x!r} as a rational")
-    return out
-
-
 def _cmd_gen_abelian(args) -> int:
     raw = _load_json(args.coeffs)
     if not isinstance(raw, dict):
@@ -201,8 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("verify", _cmd_verify, "check the congruences of a series file")
     p.add_argument("--series", required=True, help="series JSON file")
     p.add_argument("--s", required=True, type=int, help="congruence strength")
-    p.add_argument("--jobs", type=int, default=os.cpu_count(),
-                   help="parallel congruence checks (default: all cores)")
+    p.add_argument("--jobs", type=int, default=None,
+                   help="accepted and ignored: checks always run in one process")
     p.add_argument("--primes-extra", default="",
                    help="also report (never fail) these primes, e.g. '7' or '2,7'")
 

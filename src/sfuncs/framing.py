@@ -1,17 +1,18 @@
 """Framing transformations of s-function data.
 
-The elementary framing of W (constant term zero) substitutes the coordinate
-zt = -z * Y with Y = exp(-delta W), and has closed-form output coefficients
+A univariate framing changes coordinate to w = z / phi(z), phi(0) = +-1, and
+rewrites some H(z) in w.  Lagrange-Buermann inversion reads the output
+coefficients off directly, with no reversion and no composition:
 
-    atil_k = (-1)**(k-1) * [z**k] Y**(-k),
+    [w**k] H(z(w)) = (1/k) [z**k] (delta H) * phi**k.
 
-the Lagrange constant-term extraction.  The same answer comes from full
-reversion of zt followed by W~ = dint(-log Y~); both paths are exposed and
-must agree exactly.
-
-The integer family frame_f substitutes z_f = z * (-Y)**f and returns
-(W - (f/2) (delta W)**2) in the new coordinate; f = 0 is the identity and
-the elementary framing is -frame_f(., 1).
+frame_f substitutes z_f = z * (-Y)**f with Y = exp(-delta W) and returns
+(W - (f/2) (delta W)**2) in the new coordinate, so phi = (-1)**f exp(f delta W);
+f = 0 is the identity.  The elementary framing, in zt = -z * Y, is
+-frame_f(., 1) with output coefficients atil_k / k**2,
+atil_k = (-1)**(k-1) * [z**k] Y**(-k).  frame_elementary(w, via_reversion=True)
+reaches the same series by full reversion of zt followed by
+W~ = dint(-log Y~), an independent path; both must agree exactly.
 
 frame_multi is the several-variable version driven by a symmetric integer
 matrix kappa: coordinate i picks up exp(-sum_k kappa_ik delta_k W) and the
@@ -28,12 +29,10 @@ from .errors import ConstantTermNonzero, DimensionMismatch, NotSymmetric
 from .mseries import MSeries, delta_i, exp_m, invert_map, mul_monomial
 from .series import (
     Series,
-    compose,
     delta,
     dint,
     exp_series,
     log_series,
-    power,
     revert,
     shift_down,
     shift_up,
@@ -94,44 +93,70 @@ def _require_no_constant(w) -> None:
         raise ConstantTermNonzero("framing input must have zero constant term")
 
 
+def _lagrange_coeffs(dh, dlog_phi, sign: int) -> list:
+    """Coefficients of z**1..z**n of H(z(w)), w = z / phi(z), phi(0) = sign.
+
+    dh and dlog_phi hold the coefficients of z**1..z**n of delta H and of
+    delta log(phi/sign); entries may be field elements or rationals.  Degrees
+    below k of phi**k = sign**k exp(k L), L = log(phi/sign), come from the
+    truncated recurrence m e_m = k sum_j (j L_j) e_(m-j), e_0 = 1: about
+    n**3/6 products in all.
+    """
+    n = len(dh)
+    dh = (None, *dh)  # index j holds the coefficient of z**j
+    dl = (None, *dlog_phi)
+    support = [j for j in range(1, n) if dl[j]]
+    out = []
+    for k in range(1, n + 1):
+        e = [None]  # e_0 = 1 stays implicit
+        for m in range(1, k):
+            s = dl[m]
+            for j in support:
+                if j >= m:
+                    break
+                s = s + dl[j] * e[m - j]
+            e.append(s * Fraction(k, m))
+        acc = dh[k]
+        for m in range(1, k):
+            acc = acc + e[m] * dh[k - m]
+        out.append(acc * Fraction(sign**k, k))
+    return out
+
+
 def frame_elementary(w: Series, via_reversion: bool = False) -> Series:
     """Elementary framing: output coefficients atil_k / k**2 in zt = -z Y.
 
-    via_reversion selects the independent computation through revert; the
-    default is the Lagrange coefficient extraction.
+    The default is -frame_f(w, 1); via_reversion selects the independent
+    computation through revert.
     """
     _require_no_constant(w)
-    field, n = w.field, w.order
+    if not via_reversion:
+        return -frame_f(w, 1)
     y = exp_series(-delta(w))
-    if via_reversion:
-        zt = -shift_up(y)  # -z*Y, exact to order n+1
-        g = revert(zt)
-        ytil = -shift_down(g)  # g = -zt * Ytil(zt)
-        return dint(-log_series(ytil))
-    yinv = power(y, -1)
-    acc = yinv
-    coeffs = []
-    for k in range(1, n + 1):
-        sign = 1 if k % 2 else -1
-        coeffs.append(acc.coeff(k) * Fraction(sign, k * k))
-        if k < n:
-            acc = acc * yinv
-    return Series(field, n, field.zero(), tuple(coeffs))
+    zt = -shift_up(y)  # -z*Y, exact to order w.order + 1
+    g = revert(zt)
+    ytil = -shift_down(g)  # g = -zt * Ytil(zt)
+    return dint(-log_series(ytil))
 
 
 def frame_f(w: Series, f: int) -> Series:
-    """Integer framing: (W - (f/2)(delta W)**2) in the coordinate z_f = z(-Y)**f."""
+    """Integer framing: (W - (f/2)(delta W)**2) in the coordinate z_f = z(-Y)**f.
+
+    With B = W - (f/2)(delta W)**2 and phi = (-Y)**(-f) = (-1)**f exp(f delta W),
+    the output coefficients are c_k = (1/k) [z**k] (delta B) * phi**k.
+
+    >>> from sfuncs.catalog import polylog
+    >>> w = polylog(2, 6)
+    >>> frame_f(w, 1) == -frame_elementary(w, via_reversion=True)
+    True
+    >>> [frame_f(w, 1).coeff(k) * k * k for k in range(1, 7)]
+    [-1, 3, -10, 35, -126, 462]
+    """
     _require_no_constant(w)
-    n = w.order
-    y = exp_series(-delta(w))
-    yf = power(y, f)
-    if f % 2:
-        yf = -yf
-    zf = shift_up(yf)  # z * (-Y)**f, exact to order n+1
-    back = revert(zf)
     dw = delta(w)
-    body = w - dw * dw * Fraction(f, 2)
-    return compose(body, back)
+    db = delta(w - dw * dw * Fraction(f, 2))
+    coeffs = _lagrange_coeffs(db.coeffs, delta(dw * f).coeffs, -1 if f % 2 else 1)
+    return Series(w.field, w.order, w.field.zero(), tuple(coeffs))
 
 
 def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:

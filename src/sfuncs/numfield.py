@@ -332,13 +332,6 @@ class FieldElem:
         return " + ".join(terms) if terms else "0"
 
 
-def multiply(a: FieldElem, b: FieldElem) -> FieldElem:
-    """Product in the field; operands must share the field."""
-    if not isinstance(b, FieldElem) or not isinstance(a, FieldElem):
-        raise TypeError("multiply takes two field elements")
-    return a * b
-
-
 def _poly_degree(p: list[Fraction]) -> int:
     for i in range(len(p) - 1, -1, -1):
         if p[i] != 0:

@@ -27,11 +27,10 @@ representative with coordinates in [0, k**s).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .errors import ConstantTermNonzero, NotIntegral
+from .errors import ConstantTermNonzero, NotIntegral, SfuncError
 from .intutil import crt, divisors, ord_p, prime_factors, primes_up_to
 from .mseries import MSeries
 from .numfield import FieldElem, NumberField, denominator_support
@@ -141,18 +140,6 @@ def _congruence(
     return Check(index, p, required, achieved, achieved >= required, "congruence")
 
 
-def _run_task(args) -> Check:
-    return _congruence(*args)
-
-
-def _evaluate(tasks: list[tuple], jobs: int | None) -> list[Check]:
-    if jobs and jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunk = max(1, len(tasks) // (4 * jobs))
-            return list(pool.map(_run_task, tasks, chunksize=chunk))
-    return [_congruence(*t) for t in tasks]
-
-
 def _extra_prime_report(field, pairs, q, bad: bool) -> dict:
     """Best-effort congruence data at a prime outside the good set."""
     entry: dict = {"p": q, "bad": bad, "frobenius_defined": True, "checks": []}
@@ -161,7 +148,8 @@ def _extra_prime_report(field, pairs, q, bad: bool) -> dict:
             c = _congruence(
                 field, prev, cur, index, q, required, scale, _ring_unchecked
             )
-        except Exception as exc:  # non-unit derivative, non-integral input
+        except (SfuncError, ArithmeticError) as exc:
+            # non-unit derivative, non-integral input
             entry["frobenius_defined"] = False
             entry["error"] = f"{type(exc).__name__}: {exc}"
             break
@@ -188,13 +176,15 @@ def check_sfunction(
     is the overall verdict.  Bad primes (dividing the field discriminant)
     found in coefficient denominators are listed as skipped, and primes in
     extra_primes get informational records that never affect the verdict.
+    jobs is accepted and ignored: the checks run in this process, because a
+    process pool measured no faster than serial checking and cost more CPU.
     """
     if isinstance(v, MSeries):
-        return _check_multi(v, s, jobs, extra_primes)
-    return _check_uni(v, s, jobs, extra_primes)
+        return _check_multi(v, s, extra_primes)
+    return _check_uni(v, s, extra_primes)
 
 
-def _check_uni(v: Series, s: int, jobs, extra_primes) -> SReport:
+def _check_uni(v: Series, s: int, extra_primes) -> SReport:
     if not v.const.is_zero():
         raise ConstantTermNonzero("s-function data must have zero constant term")
     field = v.field
@@ -216,7 +206,7 @@ def _check_uni(v: Series, s: int, jobs, extra_primes) -> SReport:
             if disc % p == 0:
                 continue
             tasks.append((field, a[k // p], a[k], k, p, s * ord_p(k, p)))
-    checks.extend(_evaluate(tasks, jobs))
+    checks.extend(_congruence(*t) for t in tasks)
     checks.sort(key=lambda c: (c.index, c.p))
     extra = tuple(
         _extra_prime_report(
@@ -234,7 +224,7 @@ def _check_uni(v: Series, s: int, jobs, extra_primes) -> SReport:
     return SReport(s, n, tuple(checks), tuple(sorted(skipped)), extra)
 
 
-def _check_multi(v: MSeries, s: int, jobs, extra_primes) -> SReport:
+def _check_multi(v: MSeries, s: int, extra_primes) -> SReport:
     if not v.constant_term.is_zero():
         raise ConstantTermNonzero("s-function data must have zero constant term")
     field = v.field
@@ -271,7 +261,7 @@ def _check_multi(v: MSeries, s: int, jobs, extra_primes) -> SReport:
             for p in primes_up_to(t // deg):
                 if disc % p != 0:
                     queue(tuple(k * p for k in key), p)
-    checks.extend(_evaluate(tasks, jobs))
+    checks.extend(_congruence(*t) for t in tasks)
     checks.sort(key=lambda c: (c.index, c.p))
     extra = tuple(
         _extra_prime_report(

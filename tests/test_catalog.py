@@ -183,6 +183,15 @@ def test_log_column_closed_form():
             assert col[k - 1] == Fraction(sign * comb(f * k, k), k), (f, k)
 
 
+def test_log_column_binomial_form_to_order_30():
+    # an engine-free closed form: -(f/k) (-1)**(fk+k-1) binom(fk-1, k-1)
+    for f in range(1, 7):
+        col = _framed_log_column(f, 30)
+        for k in range(1, 31):
+            sign = -1 if (f * k + k - 1) % 2 else 1
+            assert col[k - 1] == -Fraction(f, k) * sign * comb(f * k - 1, k - 1), (f, k)
+
+
 def test_table_csv_layout():
     t = polylog_frame_table(range(2, 6), range(1, 8))
     lines = t.to_csv().splitlines()

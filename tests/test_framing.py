@@ -4,8 +4,9 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sfuncs.catalog import polylog
+from sfuncs.catalog import from_log_poly, polylog
 from sfuncs.errors import ConstantTermNonzero, DimensionMismatch, NotSymmetric
 from sfuncs.framing import Kappa, frame_elementary, frame_f, frame_multi
 from sfuncs.mseries import MSeries
@@ -15,6 +16,7 @@ from sfuncs.sfunc import check_sfunction
 
 Q = rationals()
 F = make_field([1, 1, 1])  # x^2 + x + 1
+CUBIC = make_field([-1, -2, 1, 1])  # disc 49
 
 
 def _field_series(order=7):
@@ -63,6 +65,48 @@ def test_frame_f_independent_expansion_oracle():
     dw = delta(w)
     direct = compose(w - dw * dw, back)
     assert frame_f(w, 2) == direct
+
+
+def _frame_f_by_reversion(w, f):
+    # the reversion path: invert z_f = z (-Y)**f, substitute into the body
+    y = exp_series(-delta(w))
+    minus_y_f = -(y**f) if f % 2 else y**f  # (-Y)**f; power() wants constant 1
+    back = revert(shift_up(minus_y_f))
+    dw = delta(w)
+    return compose(w - dw * dw * Fraction(f, 2), back)
+
+
+def _generic_series(field, order):
+    # non-integral coefficients with every basis coordinate in play
+    x = field.gen()
+    coeffs = [(x * k + 1 - x * x) * Fraction(1, k * k) for k in range(1, order + 1)]
+    return Series.from_coeffs(field, order, coeffs)
+
+
+@pytest.mark.parametrize("f", range(-3, 4))
+@pytest.mark.parametrize("order", [1, 2, 7, 12])
+def test_frame_f_matches_reversion_framing(f, order):
+    cubic_w = from_log_poly(CUBIC, [1, -CUBIC.gen(), 1], 2, order)
+    for w in (
+        polylog(2, order),
+        _generic_series(Q, order),
+        cubic_w,
+        _generic_series(CUBIC, order),
+        _generic_series(F, order),
+    ):
+        assert frame_f(w, f) == _frame_f_by_reversion(w, f)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=1, max_size=9
+    ),
+    st.integers(-3, 3),
+)
+def test_frame_f_matches_reversion_framing_random_integral(coords, f):
+    w = Series.from_coeffs(F, len(coords), [F.elem(list(c)) for c in coords])
+    assert frame_f(w, f) == _frame_f_by_reversion(w, f)
 
 
 def test_elementary_framing_is_an_involution():
