@@ -24,21 +24,15 @@ from .errors import (
 )
 from .framing import _lagrange_coeffs
 from .intutil import divisors, is_prime, moebius, ord_p
-from .numfield import FieldElem, NumberField, make_field, rationals
+from .numfield import FieldElem, NumberField, _poly_divmod, make_field, rationals
 from .series import Series, dint, log_series
 
 
 def _int_poly_divide(num: list[int], den: list[int]) -> list[int]:
-    """Exact division of integer polynomials (low to high), remainder zero."""
-    out = [0] * (len(num) - len(den) + 1)
-    rem = list(num)
-    for i in range(len(out) - 1, -1, -1):
-        q, r = divmod(rem[i + len(den) - 1], den[-1])
-        assert r == 0, "non-exact cyclotomic division"
-        out[i] = q
-        for j, d in enumerate(den):
-            rem[i + j] -= q * d
-    assert all(c == 0 for c in rem), "nonzero remainder in cyclotomic division"
+    """Exact division of integer polynomials (low to high) by a monic divisor."""
+    assert den[-1] == 1, "non-exact cyclotomic division: divisor not monic"
+    out, rem = _poly_divmod(num, den, lambda c: c)  # 1 is its own inverse
+    assert not any(rem), "nonzero remainder in cyclotomic division"
     return out
 
 

@@ -77,7 +77,7 @@ class NonUnitLinearTerm(SfuncError):
 
 
 class NonUnitConstant(SfuncError):
-    """Negative powers need constant term 1."""
+    """Negative powers need an invertible constant term."""
 
 
 class BadLinearPart(SfuncError):

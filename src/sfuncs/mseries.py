@@ -4,6 +4,15 @@ Terms are kept as a sorted tuple of (exponent vector, coefficient) pairs so
 instances are canonical, hashable and cheap to compare.  Binary operations
 truncate to the smaller total-degree order.  The zero exponent vector (a
 constant term) is representable; verification code insists it vanishes.
+
+exp_m, log_m and the inverse behind power_m grade a series by total degree
+and run the recurrences of the series module on the homogeneous parts.  The
+Euler operator E = sum_i z_i d/dz_i multiplies the degree-j part by j and is
+a derivation, so y = exp(v) satisfies E y = (E v) y, that is
+k*y_k = sum_j (j*v_j)*y_(k-j) on homogeneous parts y_k, v_j: the
+one-variable recurrence word for word.  log solves the same relation for
+v_k, and the inverse w of y solves sum_j y_j*w_(k-j) = 0 for k > 0.  Each
+costs about one full product instead of a sum of order-many powers.
 """
 from __future__ import annotations
 
@@ -19,10 +28,16 @@ from .errors import (
     DimensionMismatch,
     FieldMismatch,
     InnerHasConstant,
-    NonUnitConstant,
 )
-from .numfield import FieldElem, NumberField, invert
-from .series import Series
+from .numfield import FieldElem, NumberField
+from .series import (
+    Series,
+    _exp_grades,
+    _inverse_grades,
+    _invert_constant,
+    _log_grades,
+    _square_and_multiply,
+)
 
 Coeff = Union[int, Fraction, FieldElem]
 ExpVec = tuple[int, ...]
@@ -278,72 +293,49 @@ def delta_i(v: MSeries, i: int) -> MSeries:
     )
 
 
-def _unit_inverse_m(y: MSeries) -> MSeries:
-    # 1/(c(1+s)) = (1/c) sum (-s)**r  with s the zero-constant part of y/c
-    c = invert(y.constant_term)
-    neg_s = (y.constant_term - y) * c
-    one = MSeries.from_dict(y.field, y.nvars, y.order, {(0,) * y.nvars: 1})
-    acc = one
-    cur = one
-    for _ in range(y.order):
-        cur = cur * neg_s
-        if cur.is_zero():
-            break
-        acc = acc + cur
-    return acc * c
+def _one(v: MSeries) -> MSeries:
+    return MSeries.from_dict(v.field, v.nvars, v.order, {(0,) * v.nvars: 1})
+
+
+def _grades(v: MSeries) -> list[MSeries]:
+    """Homogeneous parts of v, by total degree 0..order."""
+    parts: list[list] = [[] for _ in range(v.order + 1)]
+    for term in v.terms:
+        parts[sum(term[0])].append(term)
+    return [MSeries(v.field, v.nvars, v.order, tuple(p)) for p in parts]
+
+
+def _from_grades(v: MSeries, grades: list[MSeries]) -> MSeries:
+    """Reassemble homogeneous parts, with v's field, variables and order."""
+    terms = sorted((t for g in grades for t in g.terms), key=lambda t: t[0])
+    return MSeries(v.field, v.nvars, v.order, tuple(terms))
 
 
 def power_m(y: MSeries, e: int) -> MSeries:
-    """Integer power; negative e requires constant term 1."""
-    one = MSeries.from_dict(y.field, y.nvars, y.order, {(0,) * y.nvars: 1})
+    """Integer power; negative e needs an invertible constant term."""
+    one = _one(y)
     if e == 0:
         return one
     if e < 0:
-        if y.constant_term != y.field.one():
-            raise NonUnitConstant("negative powers need constant term 1")
-        y = _unit_inverse_m(y)
-        e = -e
-    result = None
-    base = y
-    while e:
-        if e & 1:
-            result = base if result is None else result * base
-        e >>= 1
-        if e:
-            base = base * base
-    return result
+        c = _invert_constant(y.constant_term)
+        y, e = _from_grades(y, _inverse_grades(_grades(y), one, c)), -e
+    return _square_and_multiply(y, e)
 
 
 def exp_m(v: MSeries) -> MSeries:
-    """exp of a series with zero constant term: sum of v**r / r!."""
+    """exp of a series with zero constant term, by the graded recurrence
+    k*y_k = sum_j (j*v_j)*y_(k-j) on homogeneous parts (E y = (E v) y)."""
     if not v.constant_term.is_zero():
         raise BadConstantTerm("exp needs a vanishing constant term")
-    one = MSeries.from_dict(v.field, v.nvars, v.order, {(0,) * v.nvars: 1})
-    acc = one
-    cur = one
-    fact = 1
-    for r in range(1, v.order + 1):
-        cur = cur * v
-        if cur.is_zero():
-            break
-        fact *= r
-        acc = acc + cur * Fraction(1, fact)
-    return acc
+    return _from_grades(v, _exp_grades(_grades(v), _one(v)))
 
 
 def log_m(y: MSeries) -> MSeries:
-    """log of a series with constant term 1."""
+    """log of a series with constant term 1: E y = (E v) y on homogeneous
+    parts solved for v_k, k*v_k = k*y_k - sum_{j<k} (j*v_j)*y_(k-j)."""
     if y.constant_term != y.field.one():
         raise BadConstantTerm("log needs constant term 1")
-    t = y - y.field.one()
-    acc = MSeries.zero(y.field, y.nvars, y.order)
-    cur = None
-    for r in range(1, y.order + 1):
-        cur = t if cur is None else cur * t
-        if cur.is_zero():
-            break
-        acc = acc + cur * Fraction((-1) ** (r + 1), r)
-    return acc
+    return _from_grades(y, _log_grades(_grades(y)))
 
 
 def invert_map(maps: Sequence[MSeries]) -> tuple[MSeries, ...]:

@@ -274,22 +274,8 @@ class FieldElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        d = self.field.degree
-        conv = [0] * (2 * d - 1)
-        for i, a in enumerate(self.nums):
-            if a:
-                for j, b in enumerate(o.nums):
-                    if b:
-                        conv[i + j] += a * b
-        if d > 1:
-            red = self.field._reduction
-            for j in range(2 * d - 2, d - 1, -1):
-                c = conv[j]
-                if c:
-                    row = red[j - d]
-                    for t in range(d):
-                        conv[t] += c * row[t]
-        return FieldElem(self.field, tuple(conv[:d]), self.den * o.den)
+        nums = _mul_fold(self.nums, o.nums, self.field._reduction)
+        return FieldElem(self.field, nums, self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -332,27 +318,80 @@ class FieldElem:
         return " + ".join(terms) if terms else "0"
 
 
-def _poly_degree(p: list[Fraction]) -> int:
+def _mul_fold(
+    a: Sequence[int], b: Sequence[int], reduction: Sequence[Sequence[int]]
+) -> tuple[int, ...]:
+    """Product of two coordinate vectors of length d, folded back to d
+    coordinates with the rows of x**d..x**(2d-2) in reduction."""
+    d = len(a)
+    conv = [0] * (2 * d - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    conv[i + j] += x * y
+    for j in range(2 * d - 2, d - 1, -1):
+        c = conv[j]
+        if c:
+            row = reduction[j - d]
+            for t in range(d):
+                conv[t] += c * row[t]
+    return tuple(conv[:d])
+
+
+def _poly_degree(p: Sequence) -> int:
     for i in range(len(p) - 1, -1, -1):
         if p[i] != 0:
             return i
     return -1
 
 
-def _poly_divmod(
-    a: list[Fraction], b: list[Fraction]
-) -> tuple[list[Fraction], list[Fraction]]:
+def _same(c):
+    return c
+
+
+def _poly_divmod(a: Sequence, b: Sequence, inv, red=_same) -> tuple[list, list]:
+    """Quotient and remainder of polynomials a by b (coefficients low to high).
+
+    inv inverts the leading coefficient of b and red reduces a coefficient
+    (the identity over Q, c % p over Z/p).  The remainder has deg(b) entries.
+    """
     da, db = _poly_degree(a), _poly_degree(b)
-    q = [Fraction(0)] * (max(da - db, 0) + 1)
+    q = [0] * (max(da - db, 0) + 1)
     r = list(a)
-    inv_lead = 1 / b[db]
+    inv_lead = inv(b[db])
     for i in range(da - db, -1, -1):
-        c = r[i + db] * inv_lead
+        c = red(r[i + db] * inv_lead)
         if c:
             q[i] = c
             for j in range(db + 1):
-                r[i + j] -= c * b[j]
+                r[i + j] = red(r[i + j] - c * b[j])
     return q, r[:db]
+
+
+def _poly_inverse(a: Sequence, m: Sequence, inv, red=_same) -> list | None:
+    """Coordinates u with u*a = 1 modulo m, by the extended Euclidean
+    algorithm with the coefficient operations of _poly_divmod; None when
+    a and m share a factor (a = 0 included).  u has deg(m) entries."""
+    r0, u0 = list(m), [0]
+    r1, u1 = list(a), [1]
+    while _poly_degree(r1) > 0:
+        q, rem = _poly_divmod(r0, r1, inv, red)
+        prod = [0] * (len(q) + len(u1))
+        for i, qc in enumerate(q):
+            if qc:
+                for j, uc in enumerate(u1):
+                    prod[i + j] += qc * uc
+        nxt = [
+            red((u0[i] if i < len(u0) else 0) - prod[i])
+            for i in range(max(len(u0), len(prod)))
+        ]
+        r0, u0, r1, u1 = r1, u1, rem, nxt
+    if _poly_degree(r1) < 0:
+        return None
+    c = inv(r1[0])
+    d = len(m) - 1
+    return [red(x * c) for x in (u1 + [0] * d)[:d]]
 
 
 def invert(a: FieldElem) -> FieldElem:
@@ -368,34 +407,14 @@ def invert(a: FieldElem) -> FieldElem:
     """
     if a.is_zero():
         raise Zero("cannot invert 0")
-    field = a.field
-    r0 = [Fraction(c) for c in field.minpoly]
-    u0 = [Fraction(0)]
-    r1 = [Fraction(n, a.den) for n in a.nums]
-    u1 = [Fraction(1)]
-    while _poly_degree(r1) > 0:
-        q, rem = _poly_divmod(r0, r1)
-        r0, r1 = r1, rem
-        # u_next = u0 - q*u1
-        prod = [Fraction(0)] * (len(q) + len(u1))
-        for i, qc in enumerate(q):
-            if qc:
-                for j, uc in enumerate(u1):
-                    prod[i + j] += qc * uc
-        nxt = [
-            (u0[i] if i < len(u0) else Fraction(0)) - prod[i]
-            for i in range(max(len(u0), len(prod)))
-        ]
-        u0, u1 = u1, nxt
-        if _poly_degree(r1) < 0:
-            raise ZeroDivisor(
-                "element shares a factor with the defining polynomial"
-            )
-    c = r1[0]
-    coords = [Fraction(0)] * field.degree
-    for i in range(min(len(u1), field.degree)):
-        coords[i] = u1[i] / c
-    return field.elem(coords)
+    coords = _poly_inverse(
+        [Fraction(n, a.den) for n in a.nums],
+        [Fraction(c) for c in a.field.minpoly],
+        lambda c: 1 / c,
+    )
+    if coords is None:
+        raise ZeroDivisor("element shares a factor with the defining polynomial")
+    return a.field.elem(coords)
 
 
 def denominator_support(a: FieldElem) -> set[int]:

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .errors import BadPrime, LiftFailed, NotPIntegral, NotPrime, RingMismatch
 from .intutil import is_prime, ord_p
-from .numfield import FieldElem, NumberField
+from .numfield import FieldElem, NumberField, _mul_fold, _poly_inverse
 
 
 @dataclass(frozen=True)
@@ -29,12 +29,6 @@ class ResidueRing:
     p: int
     n: int
     modulus: int
-
-    @cached_property
-    def _reduction(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            tuple(c % self.modulus for c in row) for row in self.field._reduction
-        )
 
     def elem(self, coords) -> "ResidueElem":
         return ResidueElem(self, tuple(int(c) % self.modulus for c in coords))
@@ -111,23 +105,9 @@ class ResidueElem:
         if o is None:
             return NotImplemented
         ring = self.ring
-        d = ring.field.degree
         m = ring.modulus
-        conv = [0] * (2 * d - 1)
-        for i, a in enumerate(self.coords):
-            if a:
-                for j, b in enumerate(o.coords):
-                    if b:
-                        conv[i + j] += a * b
-        if d > 1:
-            red = ring._reduction
-            for j in range(2 * d - 2, d - 1, -1):
-                c = conv[j] % m
-                if c:
-                    row = red[j - d]
-                    for t in range(d):
-                        conv[t] += c * row[t]
-        return ResidueElem(ring, tuple(c % m for c in conv[:d]))
+        nums = _mul_fold(self.coords, o.coords, ring.field._reduction)
+        return ResidueElem(ring, tuple(c % m for c in nums))
 
     __rmul__ = __mul__
 
@@ -195,58 +175,18 @@ def _eval_int_poly(coeffs, xi: ResidueElem) -> ResidueElem:
     return acc
 
 
-def _gf_inverse(a: list[int], modpoly: list[int], p: int) -> list[int] | None:
-    """Inverse of a modulo modpoly over Z/p, or None when not coprime."""
-
-    def deg(f):
-        for i in range(len(f) - 1, -1, -1):
-            if f[i] % p:
-                return i
-        return -1
-
-    r0, u0 = list(modpoly), [0]
-    r1, u1 = list(a), [1]
-    if deg(r1) < 0:
-        return None
-    while deg(r1) > 0:
-        dr0, dr1 = deg(r0), deg(r1)
-        inv_lead = pow(r1[dr1], -1, p)
-        q = [0] * (dr0 - dr1 + 1)
-        rem = list(r0)
-        for i in range(dr0 - dr1, -1, -1):
-            c = rem[i + dr1] * inv_lead % p
-            if c:
-                q[i] = c
-                for j in range(dr1 + 1):
-                    rem[i + j] = (rem[i + j] - c * r1[j]) % p
-        prod = [0] * (len(q) + len(u1))
-        for i, qc in enumerate(q):
-            if qc:
-                for j, uc in enumerate(u1):
-                    prod[i + j] = (prod[i + j] + qc * uc) % p
-        nxt = [
-            ((u0[i] if i < len(u0) else 0) - prod[i]) % p
-            for i in range(max(len(u0), len(prod)))
-        ]
-        r0, u0 = r1, u1
-        r1, u1 = rem, nxt
-        if deg(r1) < 0:
-            return None
-    c_inv = pow(r1[0] % p, -1, p)
-    return [u * c_inv % p for u in u1]
-
-
 def _invert_unit(a: ResidueElem) -> ResidueElem:
     """Inverse of a unit: inverse mod p by extended Euclid, then Hensel doubling."""
     ring = a.ring
     p, n = ring.p, ring.n
-    d = ring.field.degree
-    inv_p = _gf_inverse(
-        [c % p for c in a.coords], [c % p for c in ring.field.minpoly], p
+    inv_p = _poly_inverse(
+        [c % p for c in a.coords],
+        [c % p for c in ring.field.minpoly],
+        lambda c: pow(c, -1, p),
+        lambda c: c % p,
     )
     if inv_p is None:
         raise LiftFailed(f"non-unit encountered mod {p}")
-    inv_p = (inv_p + [0] * d)[:d]
     inv = ring.elem(inv_p)
     prec = 1
     while prec < n:

@@ -20,7 +20,8 @@ from .errors import (
     NonUnitConstant,
     NonUnitLinearTerm,
     NonzeroConstant,
-    SfuncError,
+    Zero,
+    ZeroDivisor,
 )
 from .numfield import FieldElem, NumberField, invert
 
@@ -193,40 +194,92 @@ def dint(v: Series) -> Series:
     )
 
 
+# Graded recurrences.  A series is handled as its list of grades g[0..n]:
+# the coefficients of a Series, or the homogeneous parts of each total degree
+# of an MSeries.  A grade needs only +, *, a scalar * and is_zero().  The
+# Euler operator E = sum_i z_i d/dz_i multiplies grade j by j and is a
+# derivation, so E exp(v) = (E v) exp(v) and E log(y) = (E y) / y hold grade
+# by grade, in one variable or in several: these are the recurrences below
+# (Brent & Kung 1978).
+
+
+def _dot(a: list, b: list, k: int, zero):
+    """sum_{j=1..k} a_j * b_(k-j), skipping zero grades."""
+    s = zero
+    for j in range(1, k + 1):
+        if not a[j].is_zero() and not b[k - j].is_zero():
+            s = s + a[j] * b[k - j]
+    return s
+
+
+def _exp_grades(v: list, one) -> list:
+    """Grades of exp(v), v_0 = 0: k*y_k = sum_{j=1..k} (j*v_j)*y_(k-j), y_0 = one."""
+    zero = one * 0
+    dv = [g * j for j, g in enumerate(v)]
+    y = [one]
+    for k in range(1, len(v)):
+        y.append(_dot(dv, y, k, zero) * Fraction(1, k))
+    return y
+
+
+def _log_grades(y: list) -> list:
+    """Grades of log(y), y_0 = 1: k*v_k = k*y_k - sum_{j=1..k-1} y_j*((k-j)*v_(k-j))."""
+    zero = y[0] * 0
+    v = [zero]
+    dv = [zero]
+    for k in range(1, len(y)):
+        v.append(y[k] + _dot(y, dv, k, zero) * Fraction(-1, k))
+        dv.append(v[k] * k)
+    return v
+
+
+def _inverse_grades(y: list, one, c) -> list:
+    """Grades of 1/y, where the scalar c inverts y_0:
+    w_0 = c*one, w_k = -c * sum_{j=1..k} y_j*w_(k-j)."""
+    zero = one * 0
+    w = [one * c]
+    for k in range(1, len(y)):
+        w.append(_dot(y, w, k, zero) * -c)
+    return w
+
+
+def _invert_constant(c: FieldElem) -> FieldElem:
+    try:
+        return invert(c)
+    except (Zero, ZeroDivisor) as exc:
+        raise NonUnitConstant("constant term is not invertible") from exc
+
+
+def _square_and_multiply(base, e: int):
+    """base**e for e >= 1, for any type with *."""
+    result = None
+    while e:
+        if e & 1:
+            result = base if result is None else result * base
+        e >>= 1
+        if e:
+            base = base * base
+    return result
+
+
+def _from_grades(field: NumberField, g: list) -> Series:
+    return Series(field, len(g) - 1, g[0], tuple(g[1:]))
+
+
 def exp_series(v: Series) -> Series:
-    """exp of a series with zero constant term, by the recurrence
-    k*y_k = sum_j j*v_j*y_{k-j}."""
+    """exp of a series with zero constant term, by the graded recurrence
+    k*y_k = sum_j j*v_j*y_{k-j} (E y = (E v) y with E = z d/dz)."""
     if not v.const.is_zero():
         raise BadConstantTerm("exp needs a vanishing constant term")
-    field, n = v.field, v.order
-    dv = [field.zero()] + [c * k for k, c in enumerate(v.coeffs, start=1)]
-    y = [field.one()]
-    for k in range(1, n + 1):
-        s = field.zero()
-        for j in range(1, k + 1):
-            if not dv[j].is_zero() and not y[k - j].is_zero():
-                s = s + dv[j] * y[k - j]
-        y.append(s / k)
-    return Series(field, n, y[0], tuple(y[1:]))
+    return _from_grades(v.field, _exp_grades([v.const, *v.coeffs], v.field.one()))
 
 
 def log_series(y: Series) -> Series:
-    """log of a series with constant term 1, inverse of exp_series."""
-    field, n = y.field, y.order
-    if y.const != field.one():
+    """log of a series with constant term 1, inverse of exp_series: E y = (E v) y
+    solved for v_k, k*v_k = k*y_k - sum_{j<k} j*v_j*y_{k-j}."""
+    if y.const != y.field.one():
         raise BadConstantTerm("log needs constant term 1")
-    yc = [field.one()] + list(y.coeffs)
-    v = [field.zero()]
-    dv = [field.zero()]
-    for k in range(1, n + 1):
-        s = field.zero()
-        for j in range(1, k):
-            if not dv[j].is_zero() and not yc[k - j].is_zero():
-                s = s + dv[j] * yc[k - j]
-        vk = yc[k] - s / k
-        v.append(vk)
-        dv.append(vk * k)
-    return Series(field, n, v[0], tuple(v[1:]))
+    return _from_grades(y.field, _log_grades([y.const, *y.coeffs]))
 
 
 def compose(outer: Series, inner: Series) -> Series:
@@ -245,39 +298,15 @@ def compose(outer: Series, inner: Series) -> Series:
     return acc
 
 
-def _unit_inverse(y: Series) -> Series:
-    """1/y for invertible constant term."""
-    field, n = y.field, y.order
-    c = invert(y.const)
-    w = [c]
-    for k in range(1, n + 1):
-        s = field.zero()
-        for j in range(1, k + 1):
-            yj = y.coeffs[j - 1]
-            if not yj.is_zero() and not w[k - j].is_zero():
-                s = s + yj * w[k - j]
-        w.append(-(c * s))
-    return Series(field, n, w[0], tuple(w[1:]))
-
-
 def power(y: Series, e: int) -> Series:
-    """Integer power of a series; negative e requires constant term 1."""
+    """Integer power of a series; negative e needs an invertible constant term."""
     if e == 0:
         return Series.from_coeffs(y.field, y.order, const=1)
     if e < 0:
-        if y.const != y.field.one():
-            raise NonUnitConstant("negative powers need constant term 1")
-        y = _unit_inverse(y)
-        e = -e
-    result = None
-    base = y
-    while e:
-        if e & 1:
-            result = base if result is None else result * base
-        e >>= 1
-        if e:
-            base = base * base
-    return result
+        g = [y.const, *y.coeffs]
+        inv = _inverse_grades(g, y.field.one(), _invert_constant(y.const))
+        y, e = _from_grades(y.field, inv), -e
+    return _square_and_multiply(y, e)
 
 
 def revert(f: Series) -> Series:
@@ -293,8 +322,8 @@ def revert(f: Series) -> Series:
     field, n = f.field, f.order
     h = shift_down(f)  # f/z, constant term f_1
     try:
-        w = _unit_inverse(h)
-    except SfuncError as exc:
+        w = power(h, -1)
+    except NonUnitConstant as exc:
         raise NonUnitLinearTerm("linear coefficient is not invertible") from exc
     g = []
     wk = w

@@ -175,7 +175,8 @@ def test_table_f_zero_vanishes():
 
 
 def test_log_column_closed_form():
-    # reversion is ground truth; the closed form carries the corrected sign
+    # the closed form, with its corrected sign, is the reference for the
+    # column, which comes from Lagrange-Buermann extraction (no reversion)
     for f in range(0, 6):
         col = _framed_log_column(f, 12)
         for k in range(1, 13):

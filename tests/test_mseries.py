@@ -5,10 +5,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sfuncs.errors import BadLinearPart, DimensionMismatch, InnerHasConstant
+from sfuncs.errors import (
+    BadLinearPart,
+    DimensionMismatch,
+    InnerHasConstant,
+    NonUnitConstant,
+)
 from sfuncs.mseries import MSeries, delta_i, exp_m, invert_map, log_m, power_m
-from sfuncs.numfield import make_field, rationals
-from sfuncs.series import Series
+from sfuncs.numfield import invert, make_field, rationals
+from sfuncs.series import Series, exp_series, log_series, power
 
 Q = rationals()
 
@@ -151,3 +156,106 @@ def test_invert_map_components_divisible_by_own_variable():
     z2 = _m({(0, 1): 1})
     with pytest.raises(BadLinearPart):
         invert_map((z1, z2 - z1 * z1))
+
+
+def test_negative_power_m_of_any_invertible_constant():
+    y = exp_m(_m({(1, 0): -1, (0, 1): 2, (1, 1): Fraction(1, 4)}, order=5))
+    one = _m({(0, 0): 1}, order=5)
+    assert power_m(-y, -3) * (-y) ** 3 == one
+    v = _m({(0, 0): Fraction(-2, 3), (1, 0): 1, (1, 1): 5}, order=5)
+    assert power_m(v, -1) * v == one
+
+
+def test_negative_power_m_needs_a_unit_constant():
+    with pytest.raises(NonUnitConstant):
+        power_m(_m({(1, 0): 1}), -1)
+    ring = make_field([-1, 0, 1])  # x^2 - 1: x - 1 is a zero divisor
+    v = _m({(0, 0): ring.gen() - 1, (0, 1): 1}, field=ring)
+    with pytest.raises(NonUnitConstant):
+        power_m(v, -2)
+
+
+# --- the graded core against the sum-of-powers bodies it replaced
+
+F = make_field([1, 1, 1])  # x^2 + x + 1
+
+
+def _one_m(v):
+    return MSeries.from_dict(v.field, v.nvars, v.order, {(0,) * v.nvars: 1})
+
+
+def _exp_oracle(v):
+    # sum of v**r / r!
+    acc = cur = _one_m(v)
+    fact = 1
+    for r in range(1, v.order + 1):
+        cur = cur * v
+        if cur.is_zero():
+            break
+        fact *= r
+        acc = acc + cur * Fraction(1, fact)
+    return acc
+
+
+def _log_oracle(y):
+    # sum of (-1)**(r+1) t**r / r with t = y - 1
+    t = y - y.field.one()
+    acc = MSeries.zero(y.field, y.nvars, y.order)
+    cur = None
+    for r in range(1, y.order + 1):
+        cur = t if cur is None else cur * t
+        if cur.is_zero():
+            break
+        acc = acc + cur * Fraction((-1) ** (r + 1), r)
+    return acc
+
+
+def _inverse_oracle(y):
+    # 1/(c(1+s)) = (1/c) sum (-s)**r with s the zero-constant part of y/c
+    c = invert(y.constant_term)
+    neg_s = (y.constant_term - y) * c
+    acc = cur = _one_m(y)
+    for _ in range(y.order):
+        cur = cur * neg_s
+        if cur.is_zero():
+            break
+        acc = acc + cur
+    return acc * c
+
+
+@st.composite
+def _zero_constant_series(draw, nvars_range=(1, 2)):
+    field = draw(st.sampled_from([Q, F]))
+    nvars = draw(st.integers(*nvars_range))
+    order = draw(st.integers(0, 6))
+    coords = st.lists(
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+        min_size=field.degree,
+        max_size=field.degree,
+    )
+    terms = draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 4)] * nvars), coords, max_size=8))
+    d = {k: field.elem(c) for k, c in terms.items() if any(k)}
+    return MSeries.from_dict(field, nvars, order, d)
+
+
+_unit_constants = st.sampled_from([1, -1, 2, Fraction(-3, 5)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_zero_constant_series(), _unit_constants)
+def test_graded_core_matches_sum_of_powers(v, c):
+    assert exp_m(v) == _exp_oracle(v)
+    assert log_m(v + 1) == _log_oracle(v + 1)
+    assert power_m(v + c, -1) == _inverse_oracle(v + c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_zero_constant_series(nvars_range=(1, 1)), _unit_constants)
+def test_one_variable_wrappers_match_series(w, c):
+    v = w.to_univariate()
+    m = MSeries.from_univariate(v)
+    assert exp_m(m).to_univariate() == exp_series(v)
+    assert log_m(m + 1).to_univariate() == log_series(v + 1)
+    for e in (-2, -1, 3):
+        assert power_m(m + c, e).to_univariate() == power(v + c, e)

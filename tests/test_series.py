@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sfuncs.errors import NonUnitLinearTerm, NonzeroConstant
+from sfuncs.catalog import polylog
+from sfuncs.errors import NonUnitConstant, NonUnitLinearTerm, NonzeroConstant
 from sfuncs.numfield import invert, make_field, rationals
 from sfuncs.series import (
     Series,
@@ -122,6 +123,22 @@ def test_power_and_inverse():
     assert power(v, -2) * v * v == _ser([0, 0, 0], const=1)
     assert power(v, 0) == _ser([0, 0, 0], const=1)
 
+
+
+def test_negative_power_of_any_invertible_constant():
+    y = exp_series(-delta(polylog(2, 6)))
+    assert power(-y, -3) * (-y) ** 3 == _ser([0] * 6, const=1)
+    v = _ser([1, 2, 3], const=Fraction(2, 3))
+    assert power(v, -1) * v == _ser([0, 0, 0], const=1)
+
+
+def test_negative_power_needs_a_unit_constant():
+    with pytest.raises(NonUnitConstant):
+        power(_ser([1, 2, 3]), -1)
+    ring = make_field([-1, 0, 1])  # x^2 - 1: x - 1 is a zero divisor
+    v = Series.from_coeffs(ring, 3, [1, 2, 3], const=ring.gen() - 1)
+    with pytest.raises(NonUnitConstant):
+        power(v, -2)
 
 def test_revert_signed_catalan():
     n = 8
