@@ -14,19 +14,26 @@ atil_k = (-1)**(k-1) * [z**k] Y**(-k).  frame_elementary(w, via_reversion=True)
 reaches the same series by full reversion of zt followed by
 W~ = dint(-log Y~), an independent path; both must agree exactly.
 
-frame_multi is the several-variable version driven by a symmetric integer
-matrix kappa: coordinate i picks up exp(-sum_k kappa_ik delta_k W) and the
-sign (-1)**kappa_ii, and the output is
-(W - 1/2 sum_jk kappa_jk delta_j W delta_k W) in the inverted coordinates.
+frame_multi is the several-variable version for a symmetric integer matrix
+kappa: y_i = z_i / phi_i(z), phi_i = sigma_i exp(sum_p kappa_ip delta_p W),
+sigma_i = (-1)**kappa_ii, and B = W - 1/2 sum_jk kappa_jk delta_j W delta_k W
+is rewritten in y.  With S_jk = delta_j delta_k W, Lagrange-Good inversion
+(Good 1960) again reads the output off with nothing inverted or composed:
+
+    [y**k] B(z(y)) = sigma**k [z**k] B det(I - kappa S) exp(<kappa k, delta W>).
+
 Framings compose additively in kappa.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
+from operator import le, mul, sub
 
 from .errors import ConstantTermNonzero, DimensionMismatch, NotSymmetric
-from .mseries import MSeries, delta_i, exp_m, invert_map, mul_monomial
+from .mseries import MSeries, delta_i, power_m
+from .numfield import FieldElem, _add_product
 from .series import (
     Series,
     delta,
@@ -160,27 +167,84 @@ def frame_f(w: Series, f: int) -> Series:
 
 
 def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
-    """Framing of a multivariate series by a symmetric integer matrix."""
+    """Framing of a multivariate series by a symmetric integer matrix kappa.
+
+    With y, sigma, B and S as in the module docstring, Lagrange-Good inversion
+    gives the output coefficients, 0 < |k| <= order, as
+
+        c_k = sigma**k [z**k] D exp(<kappa k, delta W>),  D = B det(I - kappa S).
+
+    D is built once; the exp runs for each k on the box {m <= k} only.
+
+    >>> from sfuncs.numfield import rationals
+    >>> w = MSeries.from_dict(rationals(), 2, 2, {(1, 0): 1, (0, 1): 1})
+    >>> [(k, str(c)) for k, c in frame_multi(w, Kappa.parse("1,1;1,0")).terms]
+    [((0, 1), '1'), ((1, 0), '-1'), ((1, 1), '-1'), ((2, 0), '1/2')]
+    >>> a, b = Kappa.parse("1,0;0,0"), Kappa.parse("0,1;1,-2")
+    >>> frame_multi(frame_multi(w, a), b) == frame_multi(w, a + b)
+    True
+    """
     _require_no_constant(w)
     if kappa.n != w.nvars:
         raise DimensionMismatch(
             f"framing matrix is {kappa.n}x{kappa.n}, series has {w.nvars} variables"
         )
-    n = w.nvars
-    d = [delta_i(w, i) for i in range(n)]
-    comps = []
-    for i in range(n):
-        expo = MSeries.zero(w.field, n, w.order)
-        for k in range(n):
-            if kappa.entries[i][k]:
-                expo = expo + d[k] * (-kappa.entries[i][k])
-        unit = exp_m(expo)
-        ei = tuple(1 if j == i else 0 for j in range(n))
-        comps.append(mul_monomial(unit, ei, kappa.sigma(i)))
-    back = invert_map(comps)
-    body = w
+    n, field, kap = w.nvars, w.field, kappa.entries
+    dw = [delta_i(w, i) for i in range(n)]
+    body, s = w, {}
     for j in range(n):
-        for k in range(n):
-            if kappa.entries[j][k]:
-                body = body - d[j] * d[k] * Fraction(kappa.entries[j][k], 2)
-    return body.substitute(back)
+        for k in range(j, n):
+            if kap[j][k]:
+                body = body - dw[j] * dw[k] * Fraction(kap[j][k], 1 if j < k else 2)
+            s[j, k] = s[k, j] = delta_i(dw[k], j)
+    one = MSeries.from_dict(field, n, w.order, {(0,) * n: 1})
+    d = body * _unit_det([
+        [sum((s[p, j] * -kap[i][p] for p in range(n) if kap[i][p]), one * int(i == j))
+         for j in range(n)]
+        for i in range(n)
+    ])
+    # <kappa k, j> = <k, kappa j>: keep |j| W_j and the vector kappa j per term
+    wterms = [
+        (j, c * sum(j), [sum(map(mul, row, j)) for row in kap]) for j, c in w.terms
+    ]
+    out = {}
+    for k in product(range(w.order + 1), repeat=n):
+        if not 0 < sum(k) <= w.order:
+            continue
+        ts = [(j, a * dot) for j, a, kj in wterms
+              if all(map(le, j, k)) and (dot := sum(map(mul, k, kj)))]
+        # |m| E_m = sum_j |j| <kappa k, j> W_j E_(m-j) on the box below k
+        e = {(0,) * n: field.one()}
+        for m in product(*(range(ki + 1) for ki in k)):
+            if 0 < sum(m) < sum(k) and (c := _convolve_at(e, ts, m, sum(m))):
+                e[m] = c
+        sign = (-1) ** sum(ki for i, ki in enumerate(k) if kappa.sigma(i) < 0)
+        if c := _convolve_at(e, d.terms, k, sign):
+            out[k] = c
+    return MSeries.from_dict(field, n, w.order, out)
+
+
+def _unit_det(rows: list[list[MSeries]]) -> MSeries:
+    """Determinant by elimination, overwriting rows.  Every pivot must have
+    constant term 1, as when the diagonal has constant term 1 and the rest 0."""
+    det = None
+    for c, pivot in enumerate(rows):
+        det = pivot[c] if det is None else det * pivot[c]
+        inv = power_m(pivot[c], -1) if c + 1 < len(rows) else None
+        for r in rows[c + 1:]:
+            f = r[c] * inv
+            for j in range(c + 1, len(rows)):
+                r[j] = r[j] - f * pivot[j]
+    return det
+
+
+def _convolve_at(e: dict, terms, k: tuple, scale: int) -> FieldElem | None:
+    """sum c * e[k - j] over the pairs (j, c) of terms, divided by scale and
+    normalized once; None when no k - j is a key of e."""
+    acc = None
+    for j, c in terms:
+        prev = e.get(tuple(map(sub, k, j)))
+        if prev is not None:
+            acc = _add_product(acc, c, prev)
+    if acc is not None:
+        return FieldElem(c.field, tuple(acc[0]), acc[1] * scale)

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
 from typing import Mapping, Sequence, Union
 
 from .errors import (
@@ -29,15 +28,8 @@ from .errors import (
     FieldMismatch,
     InnerHasConstant,
 )
-from .numfield import FieldElem, NumberField
-from .series import (
-    Series,
-    _exp_grades,
-    _inverse_grades,
-    _invert_constant,
-    _log_grades,
-    _square_and_multiply,
-)
+from .numfield import FieldElem, NumberField, _add_product, _square_and_multiply
+from .series import Series, _exp_grades, _inverse_grades, _invert_constant, _log_grades
 
 Coeff = Union[int, Fraction, FieldElem]
 ExpVec = tuple[int, ...]
@@ -174,21 +166,7 @@ class MSeries:
                 if d1 + sum(k2) > order:
                     continue
                 key = tuple(a + b for a, b in zip(k1, k2))
-                prod = c1 * c2
-                cur = acc.get(key)
-                if cur is None:
-                    acc[key] = (list(prod.nums), prod.den)
-                elif cur[1] == prod.den:
-                    nums = cur[0]
-                    for i, n in enumerate(prod.nums):
-                        nums[i] += n
-                else:
-                    nums, den = cur
-                    g = gcd(den, prod.den)
-                    scale_old, scale_new = prod.den // g, den // g
-                    for i, n in enumerate(prod.nums):
-                        nums[i] = nums[i] * scale_old + n * scale_new
-                    acc[key] = (nums, den * scale_old)
+                acc[key] = _add_product(acc.get(key), c1, c2)
         out = {
             k: FieldElem(self.field, tuple(nums), den)
             for k, (nums, den) in acc.items()

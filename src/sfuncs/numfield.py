@@ -295,14 +295,7 @@ class FieldElem:
     def __pow__(self, e: int) -> "FieldElem":
         if e < 0:
             return invert(self) ** (-e)
-        result = self.field.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _square_and_multiply(self, e) if e else self.field.one()
 
     def __repr__(self) -> str:
         terms = []
@@ -337,6 +330,38 @@ def _mul_fold(
             for t in range(d):
                 conv[t] += c * row[t]
     return tuple(conv[:d])
+
+
+def _add_product(acc: tuple[list[int], int] | None, x: FieldElem, y: FieldElem):
+    """acc + x*y on raw coordinates (nums, den), None meaning zero.  Nothing
+    is normalized, so a sum of products pays for one gcd, when the caller
+    builds its FieldElem; acc's nums list is updated in place."""
+    xy = _mul_fold(x.nums, y.nums, x.field._reduction)
+    den = x.den * y.den
+    if acc is None:
+        return list(xy), den
+    nums, acc_den = acc
+    if acc_den == den:
+        for i, n in enumerate(xy):
+            nums[i] += n
+        return acc
+    g = math.gcd(acc_den, den)
+    scale_old, scale_new = den // g, acc_den // g
+    for i, n in enumerate(xy):
+        nums[i] = nums[i] * scale_old + n * scale_new
+    return nums, acc_den * scale_old
+
+
+def _square_and_multiply(base, e: int):
+    """base**e for e >= 1, for any type with *; e = 1 multiplies nothing."""
+    result = None
+    while e:
+        if e & 1:
+            result = base if result is None else result * base
+        e >>= 1
+        if e:
+            base = base * base
+    return result
 
 
 def _poly_degree(p: Sequence) -> int:

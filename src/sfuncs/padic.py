@@ -18,7 +18,9 @@ from functools import lru_cache
 
 from .errors import BadPrime, LiftFailed, NotPIntegral, NotPrime, RingMismatch
 from .intutil import is_prime, ord_p
-from .numfield import FieldElem, NumberField, _mul_fold, _poly_inverse
+from .numfield import (
+    FieldElem, NumberField, _mul_fold, _poly_inverse, _square_and_multiply,
+)
 
 
 @dataclass(frozen=True)
@@ -114,14 +116,7 @@ class ResidueElem:
     def __pow__(self, e: int) -> "ResidueElem":
         if e < 0:
             raise ValueError("negative powers are not defined here")
-        result = self.ring.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _square_and_multiply(self, e) if e else self.ring.one()
 
     def __repr__(self) -> str:
         return f"ResidueElem({list(self.coords)} mod {self.ring.modulus})"

@@ -23,7 +23,7 @@ from .errors import (
     Zero,
     ZeroDivisor,
 )
-from .numfield import FieldElem, NumberField, invert
+from .numfield import FieldElem, NumberField, _square_and_multiply, invert
 
 Coeff = Union[int, Fraction, FieldElem]
 
@@ -248,18 +248,6 @@ def _invert_constant(c: FieldElem) -> FieldElem:
         return invert(c)
     except (Zero, ZeroDivisor) as exc:
         raise NonUnitConstant("constant term is not invertible") from exc
-
-
-def _square_and_multiply(base, e: int):
-    """base**e for e >= 1, for any type with *."""
-    result = None
-    while e:
-        if e & 1:
-            result = base if result is None else result * base
-        e >>= 1
-        if e:
-            base = base * base
-    return result
 
 
 def _from_grades(field: NumberField, g: list) -> Series:

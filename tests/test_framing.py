@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import comb
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from sfuncs.catalog import from_log_poly, polylog
 from sfuncs.errors import ConstantTermNonzero, DimensionMismatch, NotSymmetric
 from sfuncs.framing import Kappa, frame_elementary, frame_f, frame_multi
-from sfuncs.mseries import MSeries
+from sfuncs.mseries import MSeries, delta_i, exp_m, invert_map, mul_monomial
 from sfuncs.numfield import make_field, rationals
 from sfuncs.series import Series, compose, delta, dint, exp_series, revert, shift_up
 from sfuncs.sfunc import check_sfunction
@@ -190,3 +191,123 @@ def test_frame_multi_preserves_two_function_property():
     w = _dilog_monomial((1, 0), 8) + _dilog_monomial((1, 1), 8)
     out = frame_multi(w, Kappa.parse("1,1;1,0"))
     assert check_sfunction(out, 2).passed
+
+
+def _frame_multi_by_inversion(w, kappa):
+    # the inversion path: build the coordinate map, invert it, substitute
+    n = w.nvars
+    d = [delta_i(w, i) for i in range(n)]
+    comps = []
+    for i in range(n):
+        expo = MSeries.zero(w.field, n, w.order)
+        for k in range(n):
+            if kappa.entries[i][k]:
+                expo = expo + d[k] * (-kappa.entries[i][k])
+        unit = exp_m(expo)
+        ei = tuple(1 if j == i else 0 for j in range(n))
+        comps.append(mul_monomial(unit, ei, kappa.sigma(i)))
+    back = invert_map(comps)
+    body = w
+    for j in range(n):
+        for k in range(n):
+            if kappa.entries[j][k]:
+                body = body - d[j] * d[k] * Fraction(kappa.entries[j][k], 2)
+    return body.substitute(back)
+
+
+def _symmetric_kappa(upper, n):
+    # upper lists the entries (i, j), i <= j, row by row
+    it = iter(upper)
+    ent = {(i, j): next(it) for i in range(n) for j in range(i, n)}
+    return Kappa(tuple(
+        tuple(ent[min(i, j), max(i, j)] for j in range(n)) for i in range(n)
+    ))
+
+
+@st.composite
+def _multi_framing_case(draw):
+    n = draw(st.integers(1, 3))
+    order = draw(st.integers(1, 6))
+    field = draw(st.sampled_from([Q, F]))
+    key = st.tuples(*[st.integers(0, order)] * n).filter(
+        lambda k: 0 < sum(k) <= order
+    )
+    coord = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    coords = st.lists(coord, min_size=field.degree, max_size=field.degree)
+    terms = draw(st.dictionaries(key, coords, min_size=1, max_size=6))
+    w = MSeries.from_dict(
+        field, n, order, {k: field.elem(c) for k, c in terms.items()}
+    )
+    upper = draw(st.lists(st.integers(-2, 2), min_size=n * (n + 1) // 2,
+                          max_size=n * (n + 1) // 2))
+    return w, _symmetric_kappa(upper, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_multi_framing_case())
+def test_frame_multi_matches_inversion_framing_random(case):
+    w, kappa = case
+    assert frame_multi(w, kappa) == _frame_multi_by_inversion(w, kappa)
+
+
+def _criterion_4_series(order):
+    # the first W of acceptance criterion 4, at another order
+    rng = random.Random(20240)
+    w = MSeries.zero(Q, 2, order)
+    for e in ((1, 0), (0, 1), (1, 1), (2, 1), (1, 2)):
+        c = rng.randint(-3, 3) or 1
+        w = w + _dilog_monomial(e, order, c)
+    return w
+
+
+def test_frame_multi_matches_inversion_framing_on_criterion_4_kappas():
+    gens = [Kappa.parse("1,0;0,0"), Kappa.parse("0,0;0,1"), Kappa.parse("0,1;1,0")]
+    kappas = gens + [a + b for i, a in enumerate(gens) for b in gens[i:]]
+    assert len(set(kappas)) == 9
+    w = _criterion_4_series(8)
+    for kappa in kappas:
+        assert frame_multi(w, kappa) == _frame_multi_by_inversion(w, kappa), kappa
+
+
+def test_frame_multi_zero_kappa_returns_w_exactly():
+    x = F.gen()
+    terms = {(1, 0, 0): x, (0, 2, 1): 1 - x, (1, 1, 1): Fraction(3, 4), (0, 0, 5): 2}
+    w = MSeries.from_dict(F, 3, 5, terms)
+    assert frame_multi(w, _symmetric_kappa([0] * 6, 3)) == w
+
+
+def test_frame_multi_of_zero_is_zero():
+    zero = MSeries.zero(F, 2, 5)
+    for kappa in (Kappa.parse("1,2;2,-1"), Kappa.parse("-3,0;0,2")):
+        assert frame_multi(zero, kappa) == zero
+
+
+def test_frame_multi_order_one_only_signs_the_linear_part():
+    w = MSeries.from_dict(Q, 3, 1, {(1, 0, 0): 2, (0, 1, 0): -3, (0, 0, 1): 5})
+    kappa = _symmetric_kappa([1, 2, -2, 0, 1, 3], 3)  # sigma = (-1, 1, -1)
+    expect = MSeries.from_dict(Q, 3, 1, {(1, 0, 0): -2, (0, 1, 0): -3, (0, 0, 1): -5})
+    assert frame_multi(w, kappa) == expect
+    assert _frame_multi_by_inversion(w, kappa) == expect
+
+
+def test_frame_multi_with_a_variable_absent_from_w():
+    # W lacks z_2, so y_1 = z_1 / phi_1(z_1) and the output is frame_f in z_1
+    v = polylog(2, 7)
+    w = MSeries.from_dict(Q, 2, 7, {(k, 0): v.coeff(k) for k in range(1, 8)})
+    kappa = Kappa.parse("2,1;1,-1")
+    out = frame_multi(w, kappa)
+    assert out == _frame_multi_by_inversion(w, kappa)
+    framed = frame_f(v, 2).coeffs
+    assert out.as_dict == {(k, 0): c for k, c in enumerate(framed, 1) if c}
+
+
+def test_frame_multi_odd_negative_diagonal():
+    v = _generic_series(F, 6)
+    mv = MSeries.from_univariate(v)
+    for entry in (-1, -3):
+        assert frame_multi(mv, Kappa(((entry,),))).to_univariate() == frame_f(v, entry)
+    w = _criterion_4_series(6)
+    for text in ("-1,0;0,0", "-3,1;1,2", "-1,-2;-2,-1"):
+        kappa = Kappa.parse(text)
+        assert kappa.sigma(0) == -1
+        assert frame_multi(w, kappa) == _frame_multi_by_inversion(w, kappa), kappa

@@ -150,3 +150,14 @@ def test_power_matches_repeated_product(a):
     for k in range(5):
         assert u**k == acc
         acc = acc * u
+
+
+def test_power_matches_repeated_product_to_nine_and_inverts_below_zero():
+    u = CUBIC.elem([Fraction(2, 3), -1, 5])
+    acc = CUBIC.one()
+    for e in range(10):
+        assert u**e == acc
+        acc = acc * u
+    assert u**1 is u  # no multiplication at all
+    assert u**-3 == invert(u) ** 3
+    assert u**-3 * u**3 == 1

@@ -237,3 +237,15 @@ def test_homomorphism_and_power_law():
                 # reduction of frob(a) - a^p is divisible by p
                 diff = frob(a) - a**p
                 assert all(c % p == 0 for c in diff.coords)
+
+
+def test_residue_power_matches_repeated_product_to_nine():
+    r = make_residue_ring(CBRT5, 7, 3)
+    u = r.elem([3, -1, 4])
+    acc = r.one()
+    for e in range(10):
+        assert u**e == acc
+        acc = acc * u
+    assert u**1 is u  # no multiplication at all
+    with pytest.raises(ValueError):
+        u ** -1
