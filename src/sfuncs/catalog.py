@@ -2,9 +2,9 @@
 
 Generators: cyclotomic (abelian) coefficient sequences a_k = sum_i c_i zeta^(ik)
 with an optional exact descent into a subfield, series with prescribed
-delta^(s-1) V = -log Q(z), and the framed-polylog multiplicity table obtained
-by exact Lagrange-Buermann coefficient extraction (no reversion) plus Moebius
-inversion.  Also the binomial congruence checker
+delta^(s-1) V = -log Q(z), and the framed-polylog multiplicity table read off
+the framed dilogarithm frame_f(Li2, -f), the 1x1 case of frame_multi, plus
+Moebius inversion.  Also the binomial congruence checker
 binom(pkf, pk) = binom(kf, k) mod p^(3(ord_p(k)+1)) for p > 3.
 """
 from __future__ import annotations
@@ -22,10 +22,10 @@ from .errors import (
     NotPrime,
     SmallPrime,
 )
-from .framing import _lagrange_coeffs
+from .framing import frame_f
 from .intutil import divisors, is_prime, moebius, ord_p
 from .numfield import FieldElem, NumberField, _poly_divmod, make_field, rationals
-from .series import Series, dint, log_series
+from .series import Series, delta, dint, log_series
 
 
 def _int_poly_divide(num: list[int], den: list[int]) -> list[int]:
@@ -250,14 +250,15 @@ class FramedPolylogTable:
 
 
 def _framed_log_column(f: int, dmax: int) -> list[Fraction]:
-    """Coefficients of log Y_f to order dmax, by Lagrange-Buermann extraction.
+    """Coefficients of log Y_f to order dmax, read off the framed dilogarithm.
 
-    Y_f solves z = (-1)**f * w * Y_f(w) under w = z / (z-1)**f = z / phi(z),
-    phi = (-1)**f (1-z)**f.  So log Y_f(w) = H(z(w)) with H = f log(1-z), and
-    [w**k] log Y_f = (1/k) [z**k] (delta H) * phi**k, where delta H and
-    delta log(phi/(-1)**f) have every coefficient -f.
+    Y_f solves z = (-1)**f * w * Y_f(w) under w = z / (z-1)**f, the coordinate
+    z_(-f) of frame_f(Li2, -f), so log Y_f = f log(1-z) = -f delta Li2 in z.
+    Framing keeps delta W (delta in w of the framed series is delta W at
+    z(w)), hence log Y_f = -f delta frame_f(Li2, -f).
     """
-    return _lagrange_coeffs([-f] * dmax, [-f] * dmax, -1 if f % 2 else 1)
+    col = delta(frame_f(polylog(2, dmax), -f)) * -f
+    return [c.coords[0] for c in col.coeffs]
 
 
 def polylog_frame_table(f_range, d_range) -> FramedPolylogTable:

@@ -1,28 +1,25 @@
 """Framing transformations of s-function data.
 
-A univariate framing changes coordinate to w = z / phi(z), phi(0) = +-1, and
-rewrites some H(z) in w.  Lagrange-Buermann inversion reads the output
-coefficients off directly, with no reversion and no composition:
-
-    [w**k] H(z(w)) = (1/k) [z**k] (delta H) * phi**k.
-
-frame_f substitutes z_f = z * (-Y)**f with Y = exp(-delta W) and returns
-(W - (f/2) (delta W)**2) in the new coordinate, so phi = (-1)**f exp(f delta W);
-f = 0 is the identity.  The elementary framing, in zt = -z * Y, is
--frame_f(., 1) with output coefficients atil_k / k**2,
-atil_k = (-1)**(k-1) * [z**k] Y**(-k).  frame_elementary(w, via_reversion=True)
-reaches the same series by full reversion of zt followed by
-W~ = dint(-log Y~), an independent path; both must agree exactly.
-
-frame_multi is the several-variable version for a symmetric integer matrix
+frame_multi frames a series in n variables by a symmetric integer matrix
 kappa: y_i = z_i / phi_i(z), phi_i = sigma_i exp(sum_p kappa_ip delta_p W),
 sigma_i = (-1)**kappa_ii, and B = W - 1/2 sum_jk kappa_jk delta_j W delta_k W
 is rewritten in y.  With S_jk = delta_j delta_k W, Lagrange-Good inversion
-(Good 1960) again reads the output off with nothing inverted or composed:
+(Good 1960) reads the output coefficients off, with nothing inverted or
+composed:
 
     [y**k] B(z(y)) = sigma**k [z**k] B det(I - kappa S) exp(<kappa k, delta W>).
 
-Framings compose additively in kappa.
+Framings compose additively in kappa.  frame_multi is the one framing engine:
+
+* frame_f(w, f) is its 1x1 case kappa = (f).  It substitutes z_f = z (-Y)**f
+  with Y = exp(-delta W) and returns W - (f/2) (delta W)**2 in the new
+  coordinate, c_k = sigma**k [z**k] B (1 - f delta**2 W) exp(k f delta W);
+  f = 0 is the identity.
+* The elementary framing, in zt = -z * Y, is -frame_f(., 1), with output
+  coefficients atil_k / k**2, atil_k = (-1)**(k-1) * [z**k] Y**(-k).
+  frame_elementary(w, via_reversion=True) reaches the same series by full
+  reversion of zt followed by W~ = dint(-log Y~), an independent path; both
+  must agree exactly.
 """
 from __future__ import annotations
 
@@ -100,36 +97,6 @@ def _require_no_constant(w) -> None:
         raise ConstantTermNonzero("framing input must have zero constant term")
 
 
-def _lagrange_coeffs(dh, dlog_phi, sign: int) -> list:
-    """Coefficients of z**1..z**n of H(z(w)), w = z / phi(z), phi(0) = sign.
-
-    dh and dlog_phi hold the coefficients of z**1..z**n of delta H and of
-    delta log(phi/sign); entries may be field elements or rationals.  Degrees
-    below k of phi**k = sign**k exp(k L), L = log(phi/sign), come from the
-    truncated recurrence m e_m = k sum_j (j L_j) e_(m-j), e_0 = 1: about
-    n**3/6 products in all.
-    """
-    n = len(dh)
-    dh = (None, *dh)  # index j holds the coefficient of z**j
-    dl = (None, *dlog_phi)
-    support = [j for j in range(1, n) if dl[j]]
-    out = []
-    for k in range(1, n + 1):
-        e = [None]  # e_0 = 1 stays implicit
-        for m in range(1, k):
-            s = dl[m]
-            for j in support:
-                if j >= m:
-                    break
-                s = s + dl[j] * e[m - j]
-            e.append(s * Fraction(k, m))
-        acc = dh[k]
-        for m in range(1, k):
-            acc = acc + e[m] * dh[k - m]
-        out.append(acc * Fraction(sign**k, k))
-    return out
-
-
 def frame_elementary(w: Series, via_reversion: bool = False) -> Series:
     """Elementary framing: output coefficients atil_k / k**2 in zt = -z Y.
 
@@ -149,8 +116,9 @@ def frame_elementary(w: Series, via_reversion: bool = False) -> Series:
 def frame_f(w: Series, f: int) -> Series:
     """Integer framing: (W - (f/2)(delta W)**2) in the coordinate z_f = z(-Y)**f.
 
-    With B = W - (f/2)(delta W)**2 and phi = (-Y)**(-f) = (-1)**f exp(f delta W),
-    the output coefficients are c_k = (1/k) [z**k] (delta B) * phi**k.
+    This is frame_multi with the 1x1 matrix kappa = (f): with
+    B = W - (f/2)(delta W)**2 and sigma = (-1)**f, the output coefficients are
+    c_k = sigma**k [z**k] B (1 - f delta**2 W) exp(k f delta W).
 
     >>> from sfuncs.catalog import polylog
     >>> w = polylog(2, 6)
@@ -159,11 +127,7 @@ def frame_f(w: Series, f: int) -> Series:
     >>> [frame_f(w, 1).coeff(k) * k * k for k in range(1, 7)]
     [-1, 3, -10, 35, -126, 462]
     """
-    _require_no_constant(w)
-    dw = delta(w)
-    db = delta(w - dw * dw * Fraction(f, 2))
-    coeffs = _lagrange_coeffs(db.coeffs, delta(dw * f).coeffs, -1 if f % 2 else 1)
-    return Series(w.field, w.order, w.field.zero(), tuple(coeffs))
+    return frame_multi(MSeries.from_univariate(w), Kappa(((f,),))).to_univariate()
 
 
 def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:

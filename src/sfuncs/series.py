@@ -23,7 +23,7 @@ from .errors import (
     Zero,
     ZeroDivisor,
 )
-from .numfield import FieldElem, NumberField, _square_and_multiply, invert
+from .numfield import FieldElem, NumberField, _add_product, _square_and_multiply, invert
 
 Coeff = Union[int, Fraction, FieldElem]
 
@@ -141,15 +141,17 @@ class Series:
         n = min(self.order, other.order)
         a = [self.const] + list(self.coeffs[:n])
         b = [other.const] + list(other.coeffs[:n])
-        zero = self.field.zero()
-        out = [zero] * (n + 1)
+        # accumulate raw coordinates; one normalization per output coefficient
+        acc = [None] * (n + 1)
         for i, ai in enumerate(a):
             if ai.is_zero():
                 continue
-            for j in range(0, n + 1 - i):
-                bj = b[j]
-                if not bj.is_zero():
-                    out[i + j] = out[i + j] + ai * bj
+            for j in range(n + 1 - i):
+                if not b[j].is_zero():
+                    acc[i + j] = _add_product(acc[i + j], ai, b[j])
+        zero = self.field.zero()
+        out = [zero if s is None else FieldElem(self.field, tuple(s[0]), s[1])
+               for s in acc]
         return Series(self.field, n, out[0], tuple(out[1:]))
 
     __rmul__ = __mul__

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, inf
+from math import comb, factorial, inf
 
 import pytest
 
@@ -174,14 +174,22 @@ def test_table_f_zero_vanishes():
     assert all(t.entry(d, 0) == 0 for d in range(1, 5))
 
 
+def _binomial(n: int, k: int) -> int:
+    # generalized binomial n(n-1)...(n-k+1)/k!, for any integer n
+    num = 1
+    for i in range(k):
+        num *= n - i
+    return num // factorial(k)
+
+
 def test_log_column_closed_form():
     # the closed form, with its corrected sign, is the reference for the
-    # column, which comes from Lagrange-Buermann extraction (no reversion)
-    for f in range(0, 6):
+    # column, which is read off the framed dilogarithm frame_f(Li2, -f)
+    for f in range(-5, 6):
         col = _framed_log_column(f, 12)
         for k in range(1, 13):
             sign = -1 if ((f + 1) * k) % 2 else 1
-            assert col[k - 1] == Fraction(sign * comb(f * k, k), k), (f, k)
+            assert col[k - 1] == Fraction(sign * _binomial(f * k, k), k), (f, k)
 
 
 def test_log_column_binomial_form_to_order_30():

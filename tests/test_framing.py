@@ -168,6 +168,7 @@ def test_single_variable_matrix_framing_matches_frame_f():
     for entry in (1, -2):
         out = frame_multi(mv, Kappa(((entry,),)))
         assert out.to_univariate() == frame_f(v, entry)
+        assert out.to_univariate() == _frame_f_by_reversion(v, entry)
 
 
 def test_matrix_framings_compose_additively():
@@ -299,13 +300,17 @@ def test_frame_multi_with_a_variable_absent_from_w():
     assert out == _frame_multi_by_inversion(w, kappa)
     framed = frame_f(v, 2).coeffs
     assert out.as_dict == {(k, 0): c for k, c in enumerate(framed, 1) if c}
+    framed = _frame_f_by_reversion(v, 2).coeffs
+    assert out.as_dict == {(k, 0): c for k, c in enumerate(framed, 1) if c}
 
 
 def test_frame_multi_odd_negative_diagonal():
     v = _generic_series(F, 6)
     mv = MSeries.from_univariate(v)
     for entry in (-1, -3):
-        assert frame_multi(mv, Kappa(((entry,),))).to_univariate() == frame_f(v, entry)
+        out = frame_multi(mv, Kappa(((entry,),))).to_univariate()
+        assert out == frame_f(v, entry)
+        assert out == _frame_f_by_reversion(v, entry)
     w = _criterion_4_series(6)
     for text in ("-1,0;0,0", "-3,1;1,2", "-1,-2;-2,-1"):
         kappa = Kappa.parse(text)
