@@ -25,7 +25,7 @@ from .catalog import (
 )
 from .errors import *  # noqa: F401,F403 -- small, curated exception set
 from .framing import Kappa, frame_elementary, frame_f, frame_multi
-from .mseries import MSeries, delta_i, exp_m, invert_map, log_m, power_m
+from .mseries import MSeries, delta_i, exp_m, log_m, power_m
 from .numfield import (
     FieldElem,
     NumberField,

@@ -24,10 +24,13 @@ from .catalog import (
 from .errors import SfuncError
 from .framing import Kappa, frame_f, frame_multi
 from .mseries import MSeries
-from .numfield import FieldElem, denominator_support
+from .numfield import denominator_support
 from .serialize import (
+    _rational,
     dump_obj,
     elem_from_obj,
+    elem_to_obj,
+    field_to_obj,
     load_field,
     load_series,
     mseries_to_obj,
@@ -99,9 +102,9 @@ def _cmd_dwork(args) -> int:
             if field.discriminant % q != 0:
                 bad_cells.append([d, q])
     obj = {
-        "field": {"minpoly": [str(c) for c in field.minpoly]},
+        "field": field_to_obj(field),
         "order": v.order,
-        "b": [[[str(c.numerator), str(c.denominator)] for c in bd.coords] for bd in b],
+        "b": [elem_to_obj(bd) for bd in b],
         "integral_at_good_primes": not bad_cells,
         "nonintegral": bad_cells,
     }
@@ -137,16 +140,12 @@ def _cmd_from_log(args) -> int:
     raw = _load_json(args.coeffs)
     if not isinstance(raw, list):
         raise SfuncError("--coeffs file must be an array of polynomial coefficients")
-    q: list[FieldElem] = []
-    for x in raw:
-        if isinstance(x, list) and x and isinstance(x[0], list):
-            q.append(elem_from_obj(field, x))
-        elif isinstance(x, list) and len(x) == 2:
-            q.append(field.elem(Fraction(int(x[0]), int(x[1]))))
-        elif isinstance(x, (str, int)):
-            q.append(field.elem(Fraction(x)))
-        else:
-            raise SfuncError(f"cannot read {x!r} as a polynomial coefficient")
+    q = [
+        elem_from_obj(field, x)
+        if isinstance(x, list) and x and isinstance(x[0], list)
+        else field.elem(_rational(x))
+        for x in raw
+    ]
     _emit_series(from_log_poly(field, q, args.s, args.order), args.out)
     return 0
 

@@ -80,10 +80,6 @@ class NonUnitConstant(SfuncError):
     """Negative powers need an invertible constant term."""
 
 
-class BadLinearPart(SfuncError):
-    """Coordinate map component i must be (+-1) * z_i * (unit series)."""
-
-
 class DimensionMismatch(SfuncError):
     """Variable counts of multivariate operands disagree."""
 

@@ -21,13 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence, Union
 
-from .errors import (
-    BadConstantTerm,
-    BadLinearPart,
-    DimensionMismatch,
-    FieldMismatch,
-    InnerHasConstant,
-)
+from .errors import BadConstantTerm, DimensionMismatch, FieldMismatch
 from .numfield import FieldElem, NumberField, _add_product, _square_and_multiply
 from .series import Series, _exp_grades, _inverse_grades, _invert_constant, _log_grades
 
@@ -178,54 +172,6 @@ class MSeries:
     def __pow__(self, e: int) -> "MSeries":
         return power_m(self, e)
 
-    def substitute(self, args: Sequence["MSeries"]) -> "MSeries":
-        """Evaluate at z_i = args[i]; every argument needs zero constant term."""
-        if len(args) != self.nvars:
-            raise DimensionMismatch(
-                f"need {self.nvars} substitution arguments, got {len(args)}"
-            )
-        order = self.order
-        for arg in args:
-            self._check_sub(arg)
-            if not arg.constant_term.is_zero():
-                raise InnerHasConstant("substitution argument has a constant term")
-            order = min(order, arg.order)
-        if not args:
-            return self
-        nvars_out = args[0].nvars
-        field = self.field
-        # powers of each argument, up to the largest exponent that appears
-        maxexp = [0] * self.nvars
-        for k, _ in self.terms:
-            for i, e in enumerate(k):
-                maxexp[i] = max(maxexp[i], e)
-        pows: list[list[MSeries]] = []
-        one = MSeries.from_dict(field, nvars_out, order, {(0,) * nvars_out: 1})
-        for i, arg in enumerate(args):
-            row = [one]
-            cur = one
-            for _ in range(maxexp[i]):
-                cur = cur * arg
-                row.append(cur)
-            pows.append(row)
-        acc = MSeries.zero(field, nvars_out, order)
-        for k, c in self.terms:
-            if sum(k) > order:
-                continue
-            term = None
-            for i, e in enumerate(k):
-                if e:
-                    term = pows[i][e] if term is None else term * pows[i][e]
-            if term is None:
-                acc = acc + c
-            else:
-                acc = acc + term * c
-        return acc
-
-    def _check_sub(self, arg: "MSeries") -> None:
-        if arg.field != self.field:
-            raise FieldMismatch("series over different fields")
-
     def to_univariate(self) -> Series:
         """View a one-variable MSeries as a Series."""
         if self.nvars != 1:
@@ -248,18 +194,6 @@ class MSeries:
         parts = [f"({c})*z^{list(k)}" for k, c in self.terms]
         body = " + ".join(parts) if parts else "0"
         return f"MSeries[{body}; order {self.order}]"
-
-
-def mul_monomial(v: MSeries, expvec: Sequence[int], scalar: Coeff = 1) -> MSeries:
-    """v * scalar * z**expvec, truncated to v's order."""
-    expvec = tuple(int(e) for e in expvec)
-    c = scalar if isinstance(scalar, FieldElem) else v.field.elem(scalar)
-    acc = {}
-    for k, val in v.terms:
-        key = tuple(a + b for a, b in zip(k, expvec))
-        if sum(key) <= v.order:
-            acc[key] = val * c
-    return MSeries.from_dict(v.field, v.nvars, v.order, acc)
 
 
 def delta_i(v: MSeries, i: int) -> MSeries:
@@ -314,59 +248,3 @@ def log_m(y: MSeries) -> MSeries:
     if y.constant_term != y.field.one():
         raise BadConstantTerm("log needs constant term 1")
     return _from_grades(y, _log_grades(_grades(y)))
-
-
-def invert_map(maps: Sequence[MSeries]) -> tuple[MSeries, ...]:
-    """Inverse of the coordinate change z -> (maps_i(z)).
-
-    Each component must be sigma_i * z_i * (series with constant term 1),
-    sigma_i = +-1.  The inverse is found by the graded fixed point
-    G_i = sigma_i * y_i / u_i(G), which gains one exact total degree per pass.
-    """
-    n = len(maps)
-    if n == 0:
-        raise DimensionMismatch("empty coordinate map")
-    field = maps[0].field
-    order = min(m.order for m in maps)
-    sigmas: list[int] = []
-    units: list[MSeries] = []
-    one = field.one()
-    for i, comp in enumerate(maps):
-        if comp.nvars != n:
-            raise DimensionMismatch(
-                f"component {i} is in {comp.nvars} variables, expected {n}"
-            )
-        ei = tuple(1 if j == i else 0 for j in range(n))
-        lin = comp.as_dict.get(ei)
-        if lin is None or (lin != one and lin != -one):
-            raise BadLinearPart(
-                f"component {i} must have coefficient +-1 at z_{i}"
-            )
-        sigma = 1 if lin == one else -1
-        shifted = {}
-        for k, c in comp.terms:
-            if k[i] < 1:
-                raise BadLinearPart(
-                    f"component {i} contains a term not divisible by z_{i}"
-                )
-            key = tuple(a - b for a, b in zip(k, ei))
-            if sum(key) <= order:
-                shifted[key] = c * sigma
-        u = MSeries.from_dict(field, n, order, shifted)
-        sigmas.append(sigma)
-        units.append(u)
-    g = [
-        MSeries.var(field, n, order, i) * sigmas[i] for i in range(n)
-    ]
-    # pass at working order w trusts degrees < w, so early passes stay small
-    for w in range(2, order + 1):
-        gw = [MSeries.from_dict(field, n, w, dict(c.as_dict)) for c in g]
-        g = [
-            mul_monomial(
-                power_m(units[i].substitute(gw), -1),
-                tuple(1 if j == i else 0 for j in range(n)),
-                sigmas[i],
-            )
-            for i in range(n)
-        ]
-    return tuple(g)

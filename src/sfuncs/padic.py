@@ -241,6 +241,11 @@ def valuation(a: FieldElem, p: int) -> int | float:
     """
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
+    return _valuation(a, p)
+
+
+def _valuation(a: FieldElem, p: int) -> int | float:
+    """valuation(a, p) for a p already known to be prime."""
     if a.is_zero():
         return math.inf
     t = ord_p(a.den, p) if a.den % p == 0 else 0

@@ -7,7 +7,8 @@ coeffs[k-1] is the coefficient of z**k, each coefficient a list of
 [numerator, denominator] string pairs, one per power-basis coordinate.
 Multivariate series add "nvars" and key their coefficients by exponent
 vectors "k1,k2,...".  Native JSON numbers are never used for values that
-can exceed machine width.
+can exceed machine width.  Integers of any length round-trip: past CPython's
+int/str digit limit they are converted in pieces split by powers of ten.
 """
 from __future__ import annotations
 
@@ -25,20 +26,50 @@ class BadFile(SfuncError):
     """Input file missing required structure."""
 
 
+_LEAF = 600  # decimal digits that int() and str() convert under any limit
+
+
+def _int_to_str(n: int) -> str:
+    """str(n) for an integer of any length."""
+    if n.bit_length() < 1990:  # 2**1990 < 10**600
+        return str(n)
+    if n < 0:
+        return "-" + _int_to_str(-n)
+    k = n.bit_length() * 3 // 20  # about half the digits, so hi > 0
+    hi, lo = divmod(n, 10**k)
+    return _int_to_str(hi) + _int_to_str(lo).zfill(k)
+
+
+def _int(x) -> int:
+    """int(x), also for decimal strings of any length."""
+    text = x.strip() if isinstance(x, str) else ""
+    if len(text) <= _LEAF:
+        return int(x)
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal integer: {text[:40]!r}...")
+    k = len(digits) // 2
+    n = _int(digits[:-k]) * 10**k + _int(digits[-k:])
+    return -n if text[0] == "-" else n
+
+
 def _rational(x) -> Fraction:
     if isinstance(x, (list, tuple)):
         if len(x) != 2:
             raise BadFile(f"rational pair must have two entries, got {x!r}")
-        return Fraction(int(x[0]), int(x[1]))
+        return Fraction(_int(x[0]), _int(x[1]))
     if isinstance(x, str):
-        return Fraction(x)
+        if len(x) <= _LEAF:
+            return Fraction(x)
+        num, _, den = x.partition("/")
+        return Fraction(_int(num), _int(den or "1"))
     if isinstance(x, int):
         return Fraction(x)
     raise BadFile(f"cannot read {x!r} as a rational")
 
 
 def field_to_obj(field: NumberField) -> dict:
-    return {"minpoly": [str(c) for c in field.minpoly]}
+    return {"minpoly": [_int_to_str(c) for c in field.minpoly]}
 
 
 def field_from_obj(obj) -> NumberField:
@@ -48,11 +79,11 @@ def field_from_obj(obj) -> NumberField:
         obj = obj["minpoly"]
     if not isinstance(obj, list):
         raise BadFile("field spec must be a list of coefficients")
-    return make_field([int(c) for c in obj])
+    return make_field([_int(c) for c in obj])
 
 
 def elem_to_obj(e: FieldElem) -> list:
-    return [[str(c.numerator), str(c.denominator)] for c in e.coords]
+    return [[_int_to_str(c.numerator), _int_to_str(c.denominator)] for c in e.coords]
 
 
 def elem_from_obj(field: NumberField, obj) -> FieldElem:

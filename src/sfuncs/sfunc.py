@@ -30,17 +30,17 @@ import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .errors import ConstantTermNonzero, NotIntegral, SfuncError
-from .intutil import crt, divisors, ord_p, prime_factors, primes_up_to
+from .errors import ConstantTermNonzero, NotIntegral, NotPrime, SfuncError
+from .intutil import crt, divisors, is_prime, ord_p, prime_factors, primes_up_to
 from .mseries import MSeries
 from .numfield import FieldElem, NumberField, denominator_support
 from .padic import (
     _ring_unchecked,
+    _valuation,
     frobenius_lift,
     make_residue_ring,
     reduce,
     residue_valuation,
-    valuation,
 )
 from .series import Series
 
@@ -127,8 +127,8 @@ def _congruence(
     if required <= 0:
         return Check(index, p, max(required, 0), 0, True, "congruence")
     m = max(
-        _finite_floor(valuation(prev, p)),
-        _finite_floor(valuation(cur, p) + scale_cur),
+        _finite_floor(_valuation(prev, p)),
+        _finite_floor(_valuation(cur, p) + scale_cur),
     )
     prec = required + m
     ring = ring_factory(field, p, prec)
@@ -175,10 +175,15 @@ def check_sfunction(
     Returns a report with one record per checked condition; report.passed
     is the overall verdict.  Bad primes (dividing the field discriminant)
     found in coefficient denominators are listed as skipped, and primes in
-    extra_primes get informational records that never affect the verdict.
+    extra_primes get informational records that never affect the verdict;
+    an entry of extra_primes that is not prime raises NotPrime.  Every
+    prime that reaches a check is thus known to be prime.
     jobs is accepted and ignored: the checks run in this process, because a
     process pool measured no faster than serial checking and cost more CPU.
     """
+    for q in extra_primes:
+        if not is_prime(q):
+            raise NotPrime(f"{q} is not prime")
     if isinstance(v, MSeries):
         return _check_multi(v, s, extra_primes)
     return _check_uni(v, s, extra_primes)
@@ -200,7 +205,7 @@ def _check_uni(v: Series, s: int, extra_primes) -> SReport:
                 skipped.add(q)
             elif k % q != 0:
                 checks.append(
-                    Check(k, q, 0, valuation(a[k], q), False, "integrality")
+                    Check(k, q, 0, _valuation(a[k], q), False, "integrality")
                 )
         for p in prime_factors(k):
             if disc % p == 0:
@@ -250,7 +255,7 @@ def _check_multi(v: MSeries, s: int, extra_primes) -> SReport:
                 skipped.add(q)
             elif g % q != 0:
                 checks.append(
-                    Check(key, q, 0, valuation(c, q), False, "integrality")
+                    Check(key, q, 0, _valuation(c, q), False, "integrality")
                 )
         for p in prime_factors(g):
             if disc % p == 0:

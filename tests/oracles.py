@@ -1,0 +1,210 @@
+"""Slow reference paths that the fast paths in ``src/sfuncs`` are checked against.
+
+Each function here computes, by an older and independent route, an object the
+package computes faster: framings by inverting the coordinate map and
+substituting into the body, exp/log/inverse by sums of powers, reversion by
+fixed-point iteration.  None of this is part of the package; tests import it
+as ``from oracles import ...``.
+"""
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Sequence
+
+from sfuncs.errors import (
+    DimensionMismatch,
+    FieldMismatch,
+    InnerHasConstant,
+    SfuncError,
+)
+from sfuncs.mseries import MSeries, delta_i, exp_m, power_m
+from sfuncs.numfield import FieldElem, invert
+from sfuncs.series import Series, compose, delta, exp_series, revert, shift_up
+
+
+class BadLinearPart(SfuncError):
+    """Coordinate map component i must be (+-1) * z_i * (unit series)."""
+
+
+# --- substitution and coordinate-map inversion in several variables
+
+
+def substitute(v: MSeries, args: Sequence[MSeries]) -> MSeries:
+    """v evaluated at z_i = args[i]; every argument needs zero constant term."""
+    if len(args) != v.nvars:
+        raise DimensionMismatch(
+            f"need {v.nvars} substitution arguments, got {len(args)}"
+        )
+    order = v.order
+    for arg in args:
+        if arg.field != v.field:
+            raise FieldMismatch("series over different fields")
+        if not arg.constant_term.is_zero():
+            raise InnerHasConstant("substitution argument has a constant term")
+        order = min(order, arg.order)
+    nvars_out = args[0].nvars
+    # powers of each argument, up to the largest exponent that appears
+    maxexp = [max((k[i] for k, _ in v.terms), default=0) for i in range(v.nvars)]
+    one = MSeries.from_dict(v.field, nvars_out, order, {(0,) * nvars_out: 1})
+    pows = []
+    for i, arg in enumerate(args):
+        row = [one]
+        for _ in range(maxexp[i]):
+            row.append(row[-1] * arg)
+        pows.append(row)
+    acc = MSeries.zero(v.field, nvars_out, order)
+    for k, c in v.terms:
+        if sum(k) > order:
+            continue
+        term = None
+        for i, e in enumerate(k):
+            if e:
+                term = pows[i][e] if term is None else term * pows[i][e]
+        acc = acc + (c if term is None else term * c)
+    return acc
+
+
+def mul_monomial(v: MSeries, expvec: Sequence[int], scalar=1) -> MSeries:
+    """v * scalar * z**expvec, truncated to v's order."""
+    c = scalar if isinstance(scalar, FieldElem) else v.field.elem(scalar)
+    acc = {}
+    for k, val in v.terms:
+        key = tuple(a + int(b) for a, b in zip(k, expvec))
+        if sum(key) <= v.order:
+            acc[key] = val * c
+    return MSeries.from_dict(v.field, v.nvars, v.order, acc)
+
+
+def invert_map(maps: Sequence[MSeries]) -> tuple[MSeries, ...]:
+    """Inverse of the coordinate change z -> (maps_i(z)).
+
+    Each component must be sigma_i * z_i * (series with constant term 1),
+    sigma_i = +-1.  The inverse is found by the graded fixed point
+    G_i = sigma_i * y_i / u_i(G), which gains one exact total degree per pass.
+    """
+    n = len(maps)
+    if n == 0:
+        raise DimensionMismatch("empty coordinate map")
+    field = maps[0].field
+    order = min(m.order for m in maps)
+    one = field.one()
+    units: list[tuple[int, tuple[int, ...], MSeries]] = []
+    for i, comp in enumerate(maps):
+        if comp.nvars != n:
+            raise DimensionMismatch(
+                f"component {i} is in {comp.nvars} variables, expected {n}"
+            )
+        ei = tuple(1 if j == i else 0 for j in range(n))
+        lin = comp.as_dict.get(ei)
+        if lin is None or (lin != one and lin != -one):
+            raise BadLinearPart(f"component {i} must have coefficient +-1 at z_{i}")
+        sigma = 1 if lin == one else -1
+        shifted = {}
+        for k, c in comp.terms:
+            if k[i] < 1:
+                raise BadLinearPart(
+                    f"component {i} contains a term not divisible by z_{i}"
+                )
+            shifted[tuple(a - b for a, b in zip(k, ei))] = c * sigma
+        units.append((sigma, ei, MSeries.from_dict(field, n, order, shifted)))
+    g = [MSeries.var(field, n, order, i) * units[i][0] for i in range(n)]
+    # pass at working order w trusts degrees < w, so early passes stay small
+    for w in range(2, order + 1):
+        gw = [MSeries.from_dict(field, n, w, dict(c.as_dict)) for c in g]
+        g = [
+            mul_monomial(power_m(substitute(u, gw), -1), ei, sigma)
+            for sigma, ei, u in units
+        ]
+    return tuple(g)
+
+
+# --- framings by inversion and substitution
+
+
+def frame_f_by_reversion(w: Series, f: int) -> Series:
+    """frame_f(w, f): revert z_f = z (-Y)**f, substitute into W - (f/2)(delta W)**2."""
+    y = exp_series(-delta(w))
+    minus_y_f = -(y**f) if f % 2 else y**f  # (-Y)**f; power() wants constant 1
+    back = revert(shift_up(minus_y_f))
+    dw = delta(w)
+    return compose(w - dw * dw * Fraction(f, 2), back)
+
+
+def frame_multi_by_inversion(w: MSeries, kappa) -> MSeries:
+    """frame_multi(w, kappa): build the coordinate map, invert it, substitute."""
+    n = w.nvars
+    d = [delta_i(w, i) for i in range(n)]
+    comps = []
+    for i in range(n):
+        expo = MSeries.zero(w.field, n, w.order)
+        for k in range(n):
+            if kappa.entries[i][k]:
+                expo = expo + d[k] * (-kappa.entries[i][k])
+        ei = tuple(1 if j == i else 0 for j in range(n))
+        comps.append(mul_monomial(exp_m(expo), ei, kappa.sigma(i)))
+    back = invert_map(comps)
+    body = w
+    for j in range(n):
+        for k in range(n):
+            if kappa.entries[j][k]:
+                body = body - d[j] * d[k] * Fraction(kappa.entries[j][k], 2)
+    return substitute(body, back)
+
+
+# --- exp, log and inverse as sums of powers; reversion by fixed point
+
+
+def _one_m(v: MSeries) -> MSeries:
+    return MSeries.from_dict(v.field, v.nvars, v.order, {(0,) * v.nvars: 1})
+
+
+def exp_by_powers(v: MSeries) -> MSeries:
+    """exp_m(v) as the sum of v**r / r!."""
+    acc = cur = _one_m(v)
+    fact = 1
+    for r in range(1, v.order + 1):
+        cur = cur * v
+        if cur.is_zero():
+            break
+        fact *= r
+        acc = acc + cur * Fraction(1, fact)
+    return acc
+
+
+def log_by_powers(y: MSeries) -> MSeries:
+    """log_m(y) as the sum of (-1)**(r+1) t**r / r with t = y - 1."""
+    t = y - y.field.one()
+    acc = MSeries.zero(y.field, y.nvars, y.order)
+    cur = None
+    for r in range(1, y.order + 1):
+        cur = t if cur is None else cur * t
+        if cur.is_zero():
+            break
+        acc = acc + cur * Fraction((-1) ** (r + 1), r)
+    return acc
+
+
+def inverse_by_powers(y: MSeries) -> MSeries:
+    """power_m(y, -1) as 1/(c(1+s)) = (1/c) sum (-s)**r, s the zero-constant
+    part of y/c."""
+    c = invert(y.constant_term)
+    neg_s = (y.constant_term - y) * c
+    acc = cur = _one_m(y)
+    for _ in range(y.order):
+        cur = cur * neg_s
+        if cur.is_zero():
+            break
+        acc = acc + cur
+    return acc * c
+
+
+def revert_by_fixed_point(f: Series) -> Series:
+    """revert(f) by iterating g <- (z - tail(f) o g) / f1."""
+    n = f.order
+    f1 = f.coeff(1)
+    z = Series.var(f.field, n)
+    tail = f - z * f1
+    g = z
+    for _ in range(n):
+        g = (z - compose(tail, g)) * invert(f1)
+    return g

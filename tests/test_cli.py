@@ -70,6 +70,18 @@ def test_verify_with_extra_primes(tmp_path):
     assert extra[7]["bad"] is True
 
 
+@pytest.mark.parametrize("extra", ["1", "0", "4", "3,-3"])
+def test_verify_rejects_extra_primes_that_are_not_prime(li2_path, extra):
+    # ord_p(k, 1) never ends and ord_p(k, 0) divides by zero, so neither may
+    # reach a check
+    r = run_cli("verify", "--series", str(li2_path), "--s", "2",
+                "--primes-extra", extra, timeout=2)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: NotPrime: ")
+    assert len(r.stderr.splitlines()) == 1
+
+
 def test_verify_missing_file_exits_two(tmp_path):
     r = run_cli("verify", "--series", str(tmp_path / "nope.json"), "--s", "2")
     assert r.returncode == 2

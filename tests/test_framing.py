@@ -10,10 +10,12 @@ from hypothesis import given, settings, strategies as st
 from sfuncs.catalog import from_log_poly, polylog
 from sfuncs.errors import ConstantTermNonzero, DimensionMismatch, NotSymmetric
 from sfuncs.framing import Kappa, frame_elementary, frame_f, frame_multi
-from sfuncs.mseries import MSeries, delta_i, exp_m, invert_map, mul_monomial
+from sfuncs.mseries import MSeries
 from sfuncs.numfield import make_field, rationals
 from sfuncs.series import Series, compose, delta, dint, exp_series, revert, shift_up
 from sfuncs.sfunc import check_sfunction
+
+from oracles import frame_f_by_reversion, frame_multi_by_inversion
 
 Q = rationals()
 F = make_field([1, 1, 1])  # x^2 + x + 1
@@ -68,15 +70,6 @@ def test_frame_f_independent_expansion_oracle():
     assert frame_f(w, 2) == direct
 
 
-def _frame_f_by_reversion(w, f):
-    # the reversion path: invert z_f = z (-Y)**f, substitute into the body
-    y = exp_series(-delta(w))
-    minus_y_f = -(y**f) if f % 2 else y**f  # (-Y)**f; power() wants constant 1
-    back = revert(shift_up(minus_y_f))
-    dw = delta(w)
-    return compose(w - dw * dw * Fraction(f, 2), back)
-
-
 def _generic_series(field, order):
     # non-integral coefficients with every basis coordinate in play
     x = field.gen()
@@ -95,7 +88,7 @@ def test_frame_f_matches_reversion_framing(f, order):
         _generic_series(CUBIC, order),
         _generic_series(F, order),
     ):
-        assert frame_f(w, f) == _frame_f_by_reversion(w, f)
+        assert frame_f(w, f) == frame_f_by_reversion(w, f)
 
 
 @settings(max_examples=30, deadline=None)
@@ -107,7 +100,7 @@ def test_frame_f_matches_reversion_framing(f, order):
 )
 def test_frame_f_matches_reversion_framing_random_integral(coords, f):
     w = Series.from_coeffs(F, len(coords), [F.elem(list(c)) for c in coords])
-    assert frame_f(w, f) == _frame_f_by_reversion(w, f)
+    assert frame_f(w, f) == frame_f_by_reversion(w, f)
 
 
 def test_elementary_framing_is_an_involution():
@@ -168,7 +161,7 @@ def test_single_variable_matrix_framing_matches_frame_f():
     for entry in (1, -2):
         out = frame_multi(mv, Kappa(((entry,),)))
         assert out.to_univariate() == frame_f(v, entry)
-        assert out.to_univariate() == _frame_f_by_reversion(v, entry)
+        assert out.to_univariate() == frame_f_by_reversion(v, entry)
 
 
 def test_matrix_framings_compose_additively():
@@ -192,28 +185,6 @@ def test_frame_multi_preserves_two_function_property():
     w = _dilog_monomial((1, 0), 8) + _dilog_monomial((1, 1), 8)
     out = frame_multi(w, Kappa.parse("1,1;1,0"))
     assert check_sfunction(out, 2).passed
-
-
-def _frame_multi_by_inversion(w, kappa):
-    # the inversion path: build the coordinate map, invert it, substitute
-    n = w.nvars
-    d = [delta_i(w, i) for i in range(n)]
-    comps = []
-    for i in range(n):
-        expo = MSeries.zero(w.field, n, w.order)
-        for k in range(n):
-            if kappa.entries[i][k]:
-                expo = expo + d[k] * (-kappa.entries[i][k])
-        unit = exp_m(expo)
-        ei = tuple(1 if j == i else 0 for j in range(n))
-        comps.append(mul_monomial(unit, ei, kappa.sigma(i)))
-    back = invert_map(comps)
-    body = w
-    for j in range(n):
-        for k in range(n):
-            if kappa.entries[j][k]:
-                body = body - d[j] * d[k] * Fraction(kappa.entries[j][k], 2)
-    return body.substitute(back)
 
 
 def _symmetric_kappa(upper, n):
@@ -248,7 +219,7 @@ def _multi_framing_case(draw):
 @given(_multi_framing_case())
 def test_frame_multi_matches_inversion_framing_random(case):
     w, kappa = case
-    assert frame_multi(w, kappa) == _frame_multi_by_inversion(w, kappa)
+    assert frame_multi(w, kappa) == frame_multi_by_inversion(w, kappa)
 
 
 def _criterion_4_series(order):
@@ -267,7 +238,7 @@ def test_frame_multi_matches_inversion_framing_on_criterion_4_kappas():
     assert len(set(kappas)) == 9
     w = _criterion_4_series(8)
     for kappa in kappas:
-        assert frame_multi(w, kappa) == _frame_multi_by_inversion(w, kappa), kappa
+        assert frame_multi(w, kappa) == frame_multi_by_inversion(w, kappa), kappa
 
 
 def test_frame_multi_zero_kappa_returns_w_exactly():
@@ -288,7 +259,7 @@ def test_frame_multi_order_one_only_signs_the_linear_part():
     kappa = _symmetric_kappa([1, 2, -2, 0, 1, 3], 3)  # sigma = (-1, 1, -1)
     expect = MSeries.from_dict(Q, 3, 1, {(1, 0, 0): -2, (0, 1, 0): -3, (0, 0, 1): -5})
     assert frame_multi(w, kappa) == expect
-    assert _frame_multi_by_inversion(w, kappa) == expect
+    assert frame_multi_by_inversion(w, kappa) == expect
 
 
 def test_frame_multi_with_a_variable_absent_from_w():
@@ -297,10 +268,10 @@ def test_frame_multi_with_a_variable_absent_from_w():
     w = MSeries.from_dict(Q, 2, 7, {(k, 0): v.coeff(k) for k in range(1, 8)})
     kappa = Kappa.parse("2,1;1,-1")
     out = frame_multi(w, kappa)
-    assert out == _frame_multi_by_inversion(w, kappa)
+    assert out == frame_multi_by_inversion(w, kappa)
     framed = frame_f(v, 2).coeffs
     assert out.as_dict == {(k, 0): c for k, c in enumerate(framed, 1) if c}
-    framed = _frame_f_by_reversion(v, 2).coeffs
+    framed = frame_f_by_reversion(v, 2).coeffs
     assert out.as_dict == {(k, 0): c for k, c in enumerate(framed, 1) if c}
 
 
@@ -310,9 +281,9 @@ def test_frame_multi_odd_negative_diagonal():
     for entry in (-1, -3):
         out = frame_multi(mv, Kappa(((entry,),))).to_univariate()
         assert out == frame_f(v, entry)
-        assert out == _frame_f_by_reversion(v, entry)
+        assert out == frame_f_by_reversion(v, entry)
     w = _criterion_4_series(6)
     for text in ("-1,0;0,0", "-3,1;1,2", "-1,-2;-2,-1"):
         kappa = Kappa.parse(text)
         assert kappa.sigma(0) == -1
-        assert frame_multi(w, kappa) == _frame_multi_by_inversion(w, kappa), kappa
+        assert frame_multi(w, kappa) == frame_multi_by_inversion(w, kappa), kappa

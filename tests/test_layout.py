@@ -1,0 +1,53 @@
+"""Guards on the shape of the package rather than on its results."""
+from __future__ import annotations
+
+import ast
+import importlib
+import pkgutil
+import sys
+from pathlib import Path
+
+import sfuncs
+from sfuncs.mseries import MSeries
+
+PACKAGE = Path(sfuncs.__file__).parent
+ORACLES = Path(__file__).with_name("oracles.py")
+
+
+def _absolute_imports(path: Path) -> set[str]:
+    roots = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.split(".")[0])
+    return roots
+
+
+def test_package_imports_only_the_standard_library():
+    for path in sorted(PACKAGE.glob("*.py")):
+        outside = _absolute_imports(path) - set(sys.stdlib_module_names)
+        assert not outside, f"{path.name} imports {sorted(outside)}"
+
+
+def _public_names(path: Path) -> set[str]:
+    names = set()
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return {n for n in names if not n.startswith("_")}
+
+
+def test_oracles_live_only_in_the_tests():
+    modules = [sfuncs] + [
+        importlib.import_module(f"sfuncs.{info.name}")
+        for info in pkgutil.iter_modules(sfuncs.__path__)
+    ]
+    names = _public_names(ORACLES)
+    assert {"invert_map", "substitute", "mul_monomial", "BadLinearPart"} <= names
+    for mod in modules:
+        shipped = sorted(n for n in names if hasattr(mod, n))
+        assert not shipped, f"{mod.__name__} ships oracle names {shipped}"
+    assert not hasattr(MSeries, "substitute")

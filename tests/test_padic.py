@@ -33,6 +33,14 @@ def test_ring_construction_guards():
         make_residue_ring(QI3, 5, 0)
 
 
+def test_valuation_rejects_composite_p():
+    a = QI3.elem([Fraction(1, 2), 3])
+    for p in (6, 1, 0, -5):
+        with pytest.raises(NotPrime):
+            valuation(a, p)
+    assert valuation(a, 2) == -1
+
+
 def test_reduce_and_valuation():
     r = make_residue_ring(QI3, 5, 2)
     a = QI3.elem([Fraction(1, 2), 3])

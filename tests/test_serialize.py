@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -129,3 +130,31 @@ def test_dump_obj_is_stable():
     text = dump_obj({"b": 1, "a": [2]})
     assert text == '{\n  "a": [\n    2\n  ],\n  "b": 1\n}\n'
     assert json.loads(text) == {"a": [2], "b": 1}
+
+
+@pytest.mark.parametrize("field", [rationals(), CUBIC], ids=["Q", "cubic"])
+def test_integers_past_the_interpreter_digit_limit_roundtrip(field):
+    # CPython converts at most 4300 digits between int and str by default
+    big = 10**5000
+    x = field.gen()
+    a = field.elem(Fraction(big + 1, big - 1))
+    b = x * Fraction(-big, 7) + Fraction(3, big + 7)
+    v = Series.from_coeffs(field, 3, [a, b, field.one()])
+    m = MSeries.from_dict(field, 2, 3, {(1, 0): a, (1, 2): b})
+    start = time.perf_counter()
+    assert series_from_obj(json.loads(dump_obj(series_to_obj(v)))) == v
+    assert mseries_from_obj(json.loads(dump_obj(mseries_to_obj(m)))) == m
+    assert time.perf_counter() - start < 1.0
+    assert elem_to_obj(a)[0] == ["1" + "0" * 4999 + "1", "9" * 5000]
+
+
+def test_big_integer_strings_parse_exactly():
+    big, text = 3 * 10**5000 + 7, "3" + "0" * 4999 + "7"
+    assert field_from_obj({"minpoly": ["-" + text, "0", "1"]}).minpoly == (-big, 0, 1)
+    q = rationals()
+    assert elem_from_obj(q, ["+" + text + "/" + text[:-1] + "9"]) == q.elem(
+        Fraction(big, big + 2)
+    )
+    assert elem_from_obj(q, [["-" + text, "2"]]).coords == (Fraction(-big, 2),)
+    with pytest.raises(ValueError):
+        elem_from_obj(q, [["1" * 3000 + "x" + "1" * 3000, "1"]])

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from sfuncs.catalog import polylog
 from sfuncs.errors import NonUnitConstant, NonUnitLinearTerm, NonzeroConstant
-from sfuncs.numfield import invert, make_field, rationals
+from sfuncs.numfield import make_field, rationals
 from sfuncs.series import (
     Series,
     compose,
@@ -21,6 +21,8 @@ from sfuncs.series import (
     shift_sh,
     shift_up,
 )
+
+from oracles import revert_by_fixed_point
 
 Q = rationals()
 
@@ -165,23 +167,12 @@ def test_revert_needs_unit_linear_term():
     assert compose(v, revert(v)) == Series.var(Q, 3)
 
 
-def _revert_fixed_point(f):
-    """Brute-force oracle: iterate g <- (z - tail(f) o g) / f1."""
-    n = f.order
-    f1 = f.coeff(1)
-    tail = f - Series.var(f.field, n) * f1
-    g = Series.var(f.field, n)
-    for _ in range(n):
-        g = (Series.var(f.field, n) - compose(tail, g)) * invert(f1)
-    return g
-
-
 @settings(max_examples=20, deadline=None)
 @given(st.lists(st.integers(min_value=-4, max_value=4), min_size=5, max_size=5),
        st.sampled_from([1, -1, 2]))
 def test_revert_matches_fixed_point_oracle(tail, lead):
     f = _ser([lead] + tail)
-    assert revert(f) == _revert_fixed_point(f)
+    assert revert(f) == revert_by_fixed_point(f)
 
 
 def test_revert_over_number_field():

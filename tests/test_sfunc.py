@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from sfuncs.catalog import polylog
-from sfuncs.errors import ConstantTermNonzero, NotIntegral
+from sfuncs.errors import ConstantTermNonzero, NotIntegral, NotPrime
 from sfuncs.mseries import MSeries
 from sfuncs.numfield import denominator_support, make_field, rationals
 from sfuncs.series import Series, delta, dint, shift_sh
@@ -242,3 +242,14 @@ def test_extra_primes_good_prime_checks():
     extra = rep.to_obj()["extra_primes"]
     assert extra[0]["frobenius_defined"] is True
     assert all(c["ok"] for c in extra[0]["checks"])
+
+
+@pytest.mark.parametrize("q", [0, 1, 4, -3])
+def test_extra_primes_must_be_prime(q):
+    # ord_p(k, 1) never ends and ord_p(k, 0) divides by zero, so every
+    # non-prime is refused before any check runs
+    univariate = polylog(2, 8)
+    multivariate = MSeries.from_dict(Q, 2, 4, {(1, 0): 1, (2, 2): Fraction(1, 4)})
+    for v in (univariate, multivariate):
+        with pytest.raises(NotPrime):
+            check_sfunction(v, 2, extra_primes=(3, q))
