@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .catalog import (
     CyclotomicSpec,
@@ -116,7 +115,7 @@ def _cmd_gen_abelian(args) -> int:
     raw = _load_json(args.coeffs)
     if not isinstance(raw, dict):
         raise SfuncError("--coeffs file must map index to rational")
-    coeffs = {int(i): Fraction(c) for i, c in raw.items()}
+    coeffs = {int(i): _rational(c) for i, c in raw.items()}
     spec = CyclotomicSpec(args.conductor, tuple(sorted(coeffs.items())), args.s)
     subfield = x_expr = None
     if args.field or args.x:

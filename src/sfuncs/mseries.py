@@ -187,8 +187,8 @@ class MSeries:
 
     @classmethod
     def from_univariate(cls, v: Series) -> "MSeries":
-        terms = {(k,): c for k, c in enumerate([v.const] + list(v.coeffs))}
-        return cls.from_dict(v.field, 1, v.order, terms)
+        terms = enumerate((v.const, *v.coeffs))
+        return cls(v.field, 1, v.order, tuple(((k,), c) for k, c in terms if c))
 
     def __repr__(self) -> str:
         parts = [f"({c})*z^{list(k)}" for k, c in self.terms]

@@ -122,6 +122,8 @@ def series_from_obj(obj, base_dir: str | None = None) -> Series:
     field = _resolve_field(obj["field"], base_dir)
     order = int(obj["order"])
     coeffs = obj["coeffs"]
+    if not isinstance(coeffs, list):
+        raise BadFile("series 'coeffs' must be a list, one entry per power of z")
     if len(coeffs) != order:
         raise BadFile(f"series lists {len(coeffs)} coefficients for order {order}")
     return Series.from_coeffs(field, order, [elem_from_obj(field, c) for c in coeffs])
@@ -146,6 +148,8 @@ def mseries_from_obj(obj, base_dir: str | None = None) -> MSeries:
     field = _resolve_field(obj["field"], base_dir)
     nvars = int(obj["nvars"])
     order = int(obj["order"])
+    if not isinstance(obj["coeffs"], dict):
+        raise BadFile("multivariate 'coeffs' must map exponent keys to coefficients")
     terms = {}
     for key, c in obj["coeffs"].items():
         expo = tuple(int(e) for e in key.split(","))

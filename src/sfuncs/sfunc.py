@@ -11,10 +11,12 @@ where frob_p is the canonical Frobenius lift.  For p > order the congruence
 degenerates to p-integrality, which is read off denominators, so a truncated
 series gets certified at all good primes, not just the small ones.
 
-The multivariate version checks, for every exponent vector k,
-
-    frob_p(c_{k/p}) - p**s c_k  has valuation >= s   when p divides all of k,
-    c_k is p-integral                                otherwise.
+In several variables k is an exponent vector and g = gcd(k) takes the place
+of k: a_k = g**s * c_k, p divides k when p divides g, and the modulus is
+p**(s * ord_p(g)).  One variable is the case g = k, and a Series is checked
+as the one-variable MSeries.  When a_k is absent no residue ring is needed:
+at a good prime frob_p is an automorphism of the power-basis lattice, so the
+defect frob_p(a_{k/p}) has the valuation of a_{k/p}.
 
 dwork_factor writes V (with s = 1 normalization) as
 -sum_d log(1 - b_d z**d); V is a 1-function exactly when every b_d is
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .errors import ConstantTermNonzero, NotIntegral, NotPrime, SfuncError
-from .intutil import crt, divisors, is_prime, ord_p, prime_factors, primes_up_to
+from .intutil import crt, divisors, is_prime, prime_factors, primes_up_to
 from .mseries import MSeries
 from .numfield import FieldElem, NumberField, denominator_support
 from .padic import (
@@ -76,30 +78,26 @@ class SReport:
         return [c for c in self.checks if not c.ok]
 
     def to_obj(self) -> dict:
-        def val(v):
-            return "inf" if v == math.inf else v
-
-        def idx(i):
-            return list(i) if isinstance(i, tuple) else i
-
         obj = {
             "s": self.s,
             "order": self.order,
             "pass": self.passed,
-            "violations": [
-                {
-                    "k": idx(c.index),
-                    "p": c.p,
-                    "required": c.required,
-                    "valuation": val(c.valuation),
-                }
-                for c in self.violations
-            ],
+            "violations": [_check_obj(c, p=c.p) for c in self.violations],
             "skipped_primes": list(self.skipped_primes),
         }
         if self.extra:
             obj["extra_primes"] = list(self.extra)
         return obj
+
+
+def _check_obj(c: Check, **more) -> dict:
+    """c as JSON: a tuple index becomes a list, an infinite valuation "inf"."""
+    return {
+        "k": list(c.index) if isinstance(c.index, tuple) else c.index,
+        "required": c.required,
+        "valuation": "inf" if c.valuation == math.inf else c.valuation,
+        **more,
+    }
 
 
 def _finite_floor(v) -> int:
@@ -116,51 +114,36 @@ def _congruence(
     index: Index,
     p: int,
     required: int,
-    scale_cur: int = 0,
     ring_factory=make_residue_ring,
 ) -> Check:
-    """Valuation of frob_p(prev) - p**scale_cur * cur, against required.
+    """Valuation of frob_p(prev) - cur, against required.
 
     Elements with denominators at p are shifted by a common power p**m so the
     residue ring applies; the reported valuation is shifted back.
     """
     if required <= 0:
         return Check(index, p, max(required, 0), 0, True, "congruence")
-    m = max(
-        _finite_floor(_valuation(prev, p)),
-        _finite_floor(_valuation(cur, p) + scale_cur),
-    )
-    prec = required + m
-    ring = ring_factory(field, p, prec)
-    frob = frobenius_lift(ring)
-    u = reduce(prev * p**m, ring)
-    t = reduce(cur * p ** (m + scale_cur), ring)
-    diff = frob(u) - t
+    m = max(_finite_floor(_valuation(prev, p)), _finite_floor(_valuation(cur, p)))
+    if m:
+        prev, cur = prev * p**m, cur * p**m
+    ring = ring_factory(field, p, required + m)
+    diff = frobenius_lift(ring)(reduce(prev, ring)) - reduce(cur, ring)
     achieved = residue_valuation(diff) - m
     return Check(index, p, required, achieved, achieved >= required, "congruence")
 
 
-def _extra_prime_report(field, pairs, q, bad: bool) -> dict:
+def _extra_prime_report(judge, pairs, q: int, bad: bool) -> dict:
     """Best-effort congruence data at a prime outside the good set."""
     entry: dict = {"p": q, "bad": bad, "frobenius_defined": True, "checks": []}
-    for index, prev, cur, required, scale in pairs:
+    for pair in pairs:
         try:
-            c = _congruence(
-                field, prev, cur, index, q, required, scale, _ring_unchecked
-            )
+            c = judge(pair, _ring_unchecked)
         except (SfuncError, ArithmeticError) as exc:
             # non-unit derivative, non-integral input
             entry["frobenius_defined"] = False
             entry["error"] = f"{type(exc).__name__}: {exc}"
             break
-        entry["checks"].append(
-            {
-                "k": list(index) if isinstance(index, tuple) else index,
-                "required": c.required,
-                "valuation": "inf" if c.valuation == math.inf else c.valuation,
-                "ok": c.ok,
-            }
-        )
+        entry["checks"].append(_check_obj(c, ok=c.ok))
     return entry
 
 
@@ -172,116 +155,88 @@ def check_sfunction(
 ) -> SReport:
     """Verify the s-function congruences at every good prime.
 
+    A Series is checked as MSeries.from_univariate(v); its report keeps int
+    indices.  Each term k, with g = gcd(k), is normalized to
+    a_k = g**s * c_k, which must be q-integral at every good q not dividing
+    g.  Each pair (k, p) states frob_p(a_{k/p}) = a_k mod p**(s * ord_p(g)),
+    so required = s * ord_p(g) in one variable and in several.  The pairs
+    are built once each from the terms present: (k, p) for every p | g, and
+    (p*k, p) for every p with p*|k| <= order when p*k is not a term.  A pair
+    whose two coefficients both vanish holds trivially and is not recorded.
+
     Returns a report with one record per checked condition; report.passed
     is the overall verdict.  Bad primes (dividing the field discriminant)
-    found in coefficient denominators are listed as skipped, and primes in
-    extra_primes get informational records that never affect the verdict;
-    an entry of extra_primes that is not prime raises NotPrime.  Every
-    prime that reaches a check is thus known to be prime.
+    found in normalized denominators are listed as skipped, and primes in
+    extra_primes get informational records, over the same pairs, that never
+    affect the verdict; an entry of extra_primes that is not prime raises
+    NotPrime.  Every prime that reaches a check is thus known to be prime.
     jobs is accepted and ignored: the checks run in this process, because a
     process pool measured no faster than serial checking and cost more CPU.
     """
     for q in extra_primes:
         if not is_prime(q):
             raise NotPrime(f"{q} is not prime")
-    if isinstance(v, MSeries):
-        return _check_multi(v, s, extra_primes)
-    return _check_uni(v, s, extra_primes)
-
-
-def _check_uni(v: Series, s: int, extra_primes) -> SReport:
-    if not v.const.is_zero():
+    univariate = not isinstance(v, MSeries)
+    w = MSeries.from_univariate(v) if univariate else v
+    if not w.constant_term.is_zero():
         raise ConstantTermNonzero("s-function data must have zero constant term")
-    field = v.field
+    field, order = w.field, w.order
     disc = abs(field.discriminant)
-    n = v.order
-    a = [field.zero()] + [v.coeff(k) * k**s for k in range(1, n + 1)]
-    checks: list[Check] = []
-    tasks: list[tuple] = []
-    skipped: set[int] = set()
-    for k in range(1, n + 1):
-        for q in sorted(denominator_support(a[k])):
-            if disc % q == 0:
-                skipped.add(q)
-            elif k % q != 0:
-                checks.append(
-                    Check(k, q, 0, _valuation(a[k], q), False, "integrality")
-                )
-        for p in prime_factors(k):
-            if disc % p == 0:
-                continue
-            tasks.append((field, a[k // p], a[k], k, p, s * ord_p(k, p)))
-    checks.extend(_congruence(*t) for t in tasks)
-    checks.sort(key=lambda c: (c.index, c.p))
-    extra = tuple(
-        _extra_prime_report(
-            field,
-            [
-                (k, a[k // q], a[k], s * ord_p(k, q), 0)
-                for k in range(1, n + 1)
-                if k % q == 0
-            ],
-            q,
-            disc % q == 0,
-        )
-        for q in extra_primes
-    )
-    return SReport(s, n, tuple(checks), tuple(sorted(skipped)), extra)
+    zero = field.zero()
 
+    def ix(key: tuple[int, ...]) -> Index:
+        return key[0] if univariate else key
 
-def _check_multi(v: MSeries, s: int, extra_primes) -> SReport:
-    if not v.constant_term.is_zero():
-        raise ConstantTermNonzero("s-function data must have zero constant term")
-    field = v.field
-    disc = abs(field.discriminant)
-    t = v.order
+    a = {key: c * math.gcd(*key) ** s for key, c in w.terms}
     checks: list[Check] = []
     skipped: set[int] = set()
-    seen: set[tuple[tuple[int, ...], int]] = set()
-    tasks: list[tuple] = []
-
-    def queue(key: tuple[int, ...], p: int) -> None:
-        if (key, p) in seen:
-            return
-        seen.add((key, p))
-        prev = v.coeff(tuple(k // p for k in key))
-        cur = v.coeff(key)
-        tasks.append((field, prev, cur, key, p, s, s))
-
-    for key, c in v.terms:
+    for key, ak in a.items():
         g = math.gcd(*key)
-        for q in sorted(denominator_support(c)):
+        for q in sorted(denominator_support(ak)):
             if disc % q == 0:
                 skipped.add(q)
             elif g % q != 0:
                 checks.append(
-                    Check(key, q, 0, _valuation(c, q), False, "integrality")
+                    Check(ix(key), q, 0, _valuation(ak, q), False, "integrality")
                 )
-        for p in prime_factors(g):
-            if disc % p == 0:
-                continue
-            queue(key, p)
-        deg = sum(key)
-        if deg > 0:
-            for p in primes_up_to(t // deg):
-                if disc % p != 0:
-                    queue(tuple(k * p for k in key), p)
-    checks.extend(_congruence(*t) for t in tasks)
+    primes = primes_up_to(order)
+
+    def pairs():
+        """(k, p, a_{k/p}, a_k, required) for every pair, each once; an
+        absent coefficient is the object zero itself."""
+        for key, ak in a.items():
+            ords = prime_factors(math.gcd(*key))
+            for p, e in ords.items():
+                yield key, p, a.get(tuple([k // p for k in key]), zero), ak, s * e
+            deg = sum(key)
+            for p in primes:
+                if p * deg > order:
+                    break
+                up = tuple([k * p for k in key])
+                if up not in a:
+                    yield up, p, ak, zero, s * (ords.get(p, 0) + 1)
+
+    def judge(pair, ring_factory=make_residue_ring) -> Check:
+        key, p, prev, cur, required = pair
+        if cur is zero and required > 0 and disc % p != 0:
+            # a_k is absent and frob_p keeps valuations at a good p; min() is
+            # the ring path's cap at its precision
+            got = min(_valuation(prev, p), required)
+            return Check(ix(key), p, required, got, got >= required, "congruence")
+        return _congruence(field, prev, cur, ix(key), p, required, ring_factory)
+
+    checks.extend(judge(t) for t in pairs() if disc % t[1] != 0)
     checks.sort(key=lambda c: (c.index, c.p))
     extra = tuple(
         _extra_prime_report(
-            field,
-            [
-                (key, v.coeff(tuple(k // q for k in key)), v.coeff(key), s, s)
-                for key, _ in v.terms
-                if math.gcd(*key) % q == 0
-            ],
+            judge,
+            sorted((t for t in pairs() if t[1] == q), key=lambda t: t[0]),
             q,
             disc % q == 0,
         )
         for q in extra_primes
     )
-    return SReport(s, t, tuple(checks), tuple(sorted(skipped)), extra)
+    return SReport(s, order, tuple(checks), tuple(sorted(skipped)), extra)
 
 
 def dwork_factor(v: Series) -> list[FieldElem]:

@@ -3,7 +3,8 @@
 Each function here computes, by an older and independent route, an object the
 package computes faster: framings by inverting the coordinate map and
 substituting into the body, exp/log/inverse by sums of powers, reversion by
-fixed-point iteration.  None of this is part of the package; tests import it
+fixed-point iteration, the one-variable congruence check by a dense scan of
+every index.  None of this is part of the package; tests import it
 as ``from oracles import ...``.
 """
 from __future__ import annotations
@@ -12,14 +13,18 @@ from fractions import Fraction
 from typing import Sequence
 
 from sfuncs.errors import (
+    ConstantTermNonzero,
     DimensionMismatch,
     FieldMismatch,
     InnerHasConstant,
     SfuncError,
 )
+from sfuncs.intutil import ord_p, prime_factors
 from sfuncs.mseries import MSeries, delta_i, exp_m, power_m
-from sfuncs.numfield import FieldElem, invert
+from sfuncs.numfield import FieldElem, denominator_support, invert
+from sfuncs.padic import _valuation
 from sfuncs.series import Series, compose, delta, exp_series, revert, shift_up
+from sfuncs.sfunc import Check, SReport, _congruence
 
 
 class BadLinearPart(SfuncError):
@@ -208,3 +213,35 @@ def revert_by_fixed_point(f: Series) -> Series:
     for _ in range(n):
         g = (z - compose(tail, g)) * invert(f1)
     return g
+
+
+# --- the one-variable congruence check by a dense scan
+
+
+def check_uni_by_dense_scan(v: Series, s: int) -> SReport:
+    """check_sfunction(v, s) for a Series, without extra primes, by scanning
+    every index k <= order: each good p | k goes through the residue ring,
+    also where a_(k/p) and a_k both vanish."""
+    if not v.const.is_zero():
+        raise ConstantTermNonzero("s-function data must have zero constant term")
+    field = v.field
+    disc = abs(field.discriminant)
+    n = v.order
+    a = [field.zero()] + [v.coeff(k) * k**s for k in range(1, n + 1)]
+    checks: list[Check] = []
+    skipped: set[int] = set()
+    for k in range(1, n + 1):
+        for q in sorted(denominator_support(a[k])):
+            if disc % q == 0:
+                skipped.add(q)
+            elif k % q != 0:
+                checks.append(
+                    Check(k, q, 0, _valuation(a[k], q), False, "integrality")
+                )
+        for p in prime_factors(k):
+            if disc % p != 0:
+                checks.append(
+                    _congruence(field, a[k // p], a[k], k, p, s * ord_p(k, p))
+                )
+    checks.sort(key=lambda c: (c.index, c.p))
+    return SReport(s, n, tuple(checks), tuple(sorted(skipped)))

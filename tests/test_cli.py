@@ -88,6 +88,20 @@ def test_verify_missing_file_exits_two(tmp_path):
     assert r.stderr.startswith("error:")
 
 
+@pytest.mark.parametrize("obj", [
+    {"field": [0, 1], "nvars": 2, "order": 3, "coeffs": []},
+    {"field": [0, 1], "order": 3, "coeffs": 5},
+])
+def test_verify_malformed_coeffs_exits_two(tmp_path, obj):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(obj))
+    r = run_cli("verify", "--series", str(p), "--s", "2")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: BadFile: ")
+    assert len(r.stderr.splitlines()) == 1
+
+
 def test_unknown_flag_exits_two(li2_path):
     r = run_cli("verify", "--series", str(li2_path), "--s", "2", "--bogus")
     assert r.returncode == 2
@@ -189,6 +203,22 @@ def test_gen_abelian_with_descent(tmp_path):
     assert v.field == CUBIC
     assert v.coeff(2) * 4 == CUBIC.gen() ** 2 - 2
     assert run_cli("verify", "--series", str(out), "--s", "2").returncode == 0
+
+
+def test_gen_abelian_reads_coefficients_exactly(tmp_path):
+    def gen(text):
+        (tmp_path / "c.json").write_text(text)
+        return run_cli("gen-abelian", "--conductor", "3", "--coeffs",
+                       str(tmp_path / "c.json"), "--s", "2", "--order", "2")
+
+    # a JSON float is a binary fraction, not the decimal it was written as
+    r = gen('{"1": 0.1}')
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: BadFile: ")
+    r = gen('{"1": "1/10"}')
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["coeffs"][0] == [["0", "1"], ["1", "10"]]
+    assert gen('{"1": 1, "2": -1}').returncode == 0
 
 
 def test_from_log_matches_polylog(tmp_path):

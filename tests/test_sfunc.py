@@ -1,20 +1,35 @@
 from __future__ import annotations
 
+import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from sfuncs.catalog import polylog
 from sfuncs.errors import ConstantTermNonzero, NotIntegral, NotPrime
+from sfuncs.intutil import ord_p, primes_up_to
 from sfuncs.mseries import MSeries
 from sfuncs.numfield import denominator_support, make_field, rationals
+from sfuncs.serialize import load_series
 from sfuncs.series import Series, delta, dint, shift_sh
-from sfuncs.sfunc import check_sfunction, dwork_assemble, dwork_factor, generate_crt
+from sfuncs.sfunc import (
+    _congruence,
+    check_sfunction,
+    dwork_assemble,
+    dwork_factor,
+    generate_crt,
+)
+
+from oracles import check_uni_by_dense_scan
 
 Q = rationals()
 QI3 = make_field([3, 0, 1])
+EISENSTEIN = make_field([1, 1, 1])  # x^2 + x + 1, discriminant -3
 CUBIC = make_field([-1, -2, 1, 1])
+FIELDS = (Q, EISENSTEIN, CUBIC)
 
 
 def _series(coeffs, field=Q):
@@ -253,3 +268,143 @@ def test_extra_primes_must_be_prime(q):
     for v in (univariate, multivariate):
         with pytest.raises(NotPrime):
             check_sfunction(v, 2, extra_primes=(3, q))
+
+
+# --- one checker: a Series is checked as its one-variable MSeries
+
+
+_small_fraction = st.builds(
+    Fraction, st.integers(-6, 6), st.sampled_from((1, 1, 2, 3, 4, 5, 7, 8, 9))
+)
+
+
+@st.composite
+def one_variable_data(draw):
+    """(v, s): a random, perturbed or sparse one-variable series."""
+    field = draw(st.sampled_from(FIELDS))
+    order = draw(st.integers(1, 24))
+    s = draw(st.integers(1, 3))
+
+    def coords(entries):
+        return draw(st.lists(entries, min_size=field.degree, max_size=field.degree))
+
+    if draw(st.booleans()):
+        tower = generate_crt(field, field.elem(coords(st.integers(-5, 5))), s, order)
+        coeffs = [tower.coeff(k) for k in range(1, order + 1)]
+        for k in draw(st.lists(st.integers(1, order), max_size=3)):
+            coeffs[k - 1] = coeffs[k - 1] + field.elem(coords(_small_fraction)) / k**s
+    else:
+        coeffs = [field.elem(coords(_small_fraction)) for _ in range(order)]
+    for k in draw(st.lists(st.integers(1, order), max_size=order)):
+        coeffs[k - 1] = field.zero()
+    return Series.from_coeffs(field, order, coeffs), s
+
+
+@settings(max_examples=80, deadline=None)
+@given(one_variable_data())
+def test_one_variable_reports_match_the_dense_scan(data):
+    v, s = data
+    got = check_sfunction(v, s)
+    want = check_uni_by_dense_scan(v, s)
+    assert got.to_obj() == want.to_obj()
+    # the scan also records pairs whose two coefficients vanish; the checker
+    # skips them and agrees with the scan on every other record
+    absent = [v.coeff(k).is_zero() for k in range(v.order + 1)]
+    assert got.checks == tuple(
+        c for c in want.checks
+        if c.kind == "integrality" or not (absent[c.index] and absent[c.index // c.p])
+    )
+
+
+def _as_one_variable(obj):
+    """A two-variable report read with one-entry indices as ints."""
+    def fix(entry):
+        return {**entry, "k": entry["k"][0]}
+
+    out = {**obj, "violations": [fix(e) for e in obj["violations"]]}
+    if "extra_primes" in obj:
+        out["extra_primes"] = [
+            {**e, "checks": [fix(c) for c in e["checks"]]} for e in obj["extra_primes"]
+        ]
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(one_variable_data())
+def test_series_and_its_one_variable_mseries_report_alike(data):
+    v, s = data
+    w = MSeries.from_univariate(v)
+    got = check_sfunction(w, s, extra_primes=(2, 3, 7))
+    want = check_sfunction(v, s, extra_primes=(2, 3, 7))
+    assert _as_one_variable(got.to_obj()) == want.to_obj()
+    assert [(c.index[0], c.p, c.required, c.valuation) for c in got.checks] == [
+        (c.index, c.p, c.required, c.valuation) for c in want.checks
+    ]
+
+
+def test_square_prime_violation_reads_as_in_one_variable():
+    # c_4 gains 1/2, so a_4 = 16 c_4 = 9 against frob_2(a_2) = 1: the defect
+    # -8 has valuation 3 where 4 = s * ord_2(4) is required.  The diagonal
+    # copy in two variables normalizes by g = gcd(4, 4) = 4 and reports the
+    # same numbers.
+    bump = Fraction(1, 2)
+    uni = Series.from_coeffs(
+        Q, 4, [Fraction(1, k * k) + (bump if k == 4 else 0) for k in range(1, 5)]
+    )
+    two = _dilog_monomial(1, 1, 8) + MSeries.from_dict(Q, 2, 8, {(4, 4): bump})
+    spots = [
+        [(c.index, c.p, c.required, c.valuation) for c in rep.violations]
+        for rep in (check_sfunction(uni, 2), check_sfunction(two, 2))
+    ]
+    assert spots == [[(4, 2, 4, 3)], [((4, 4), 2, 4, 3)]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(FIELDS),
+    st.sampled_from((2, 3, 5, 7, 11)),
+    st.integers(1, 3),
+    st.integers(1, 6),
+    st.integers(1, 3),
+    st.integers(0, 5),
+    st.data(),
+)
+def test_absent_coefficient_check_equals_the_ring_path(field, p, s, k, m, j, data):
+    # only c_k is present, so the pair (p*k, p) has cur = 0 and is judged by
+    # valuation alone; it must equal the residue-ring check, cap included
+    assume(field.discriminant % p != 0)
+    nums = data.draw(
+        st.lists(st.integers(-40, 40), min_size=field.degree, max_size=field.degree)
+        .filter(any)
+    )
+    x = field.elem([Fraction(c * p**j, p**m) for c in nums])
+    order = p * k
+    v = Series.from_coeffs(
+        field, order, [x if i == k else field.zero() for i in range(1, order + 1)]
+    )
+    got = [
+        c for c in check_sfunction(v, s).checks
+        if (c.index, c.p, c.kind) == (order, p, "congruence")
+    ]
+    required = s * (ord_p(k, p) + 1)
+    assert got == [_congruence(field, x * k**s, field.zero(), order, p, required)]
+
+
+def test_declared_order_does_not_drive_the_cost(tmp_path):
+    # one term z1 at declared order 10**5: every prime p <= order pairs it
+    # with the absent z1**p, and none of those pairs needs a residue ring
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({
+        "field": {"minpoly": ["0", "1"]},
+        "nvars": 2,
+        "order": 100000,
+        "coeffs": {"1,0": [["1", "1"]]},
+    }))
+    w = load_series(str(path))
+    t0 = time.perf_counter()
+    rep = check_sfunction(w, 2)
+    elapsed = time.perf_counter() - t0
+    assert elapsed <= 2.0
+    assert [(c.index, c.p, c.required, c.valuation) for c in rep.violations] == [
+        ((p, 0), p, 2, 0) for p in primes_up_to(100000)
+    ]
