@@ -8,13 +8,15 @@ iteration with doubling precision; applying Frobenius evaluates coordinate
 polynomials at xi and fixes Z/p**n pointwise.
 
 Only primes not dividing the field discriminant are accepted: for those,
-P stays separable mod p and xi exists and is unique.
+P stays separable mod p and xi exists and is unique.  The checker applies
+Frobenius to integer rows by its matrix (FrobeniusMap.rows), one per
+(field, p); ResidueElem remains for building lifts and the public API.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import BadPrime, LiftFailed, NotPIntegral, NotPrime, RingMismatch
 from .intutil import is_prime, ord_p
@@ -33,13 +35,11 @@ class ResidueRing:
     modulus: int
 
     def elem(self, coords) -> "ResidueElem":
-        return ResidueElem(self, tuple(int(c) % self.modulus for c in coords))
+        m = self.modulus
+        return ResidueElem(self, tuple([int(c) % m for c in coords]))
 
     def from_int(self, c: int) -> "ResidueElem":
         return self.elem([c] + [0] * (self.field.degree - 1))
-
-    def zero(self) -> "ResidueElem":
-        return self.from_int(0)
 
     def one(self) -> "ResidueElem":
         return self.from_int(1)
@@ -65,7 +65,7 @@ class ResidueElem:
 
     def _coerce(self, other) -> "ResidueElem | None":
         if isinstance(other, ResidueElem):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise RingMismatch("operands come from different residue rings")
             return other
         if isinstance(other, int):
@@ -76,40 +76,28 @@ class ResidueElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        m = self.ring.modulus
-        return ResidueElem(
-            self.ring, tuple((a + b) % m for a, b in zip(self.coords, o.coords))
-        )
+        return self.ring.elem([a + b for a, b in zip(self.coords, o.coords)])
 
     __radd__ = __add__
 
     def __neg__(self) -> "ResidueElem":
-        m = self.ring.modulus
-        return ResidueElem(self.ring, tuple(-c % m for c in self.coords))
+        return self * -1
 
     def __sub__(self, other) -> "ResidueElem":
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        m = self.ring.modulus
-        return ResidueElem(
-            self.ring, tuple((a - b) % m for a, b in zip(self.coords, o.coords))
-        )
+        return NotImplemented if o is None else self + (-o)
 
     def __rsub__(self, other) -> "ResidueElem":
         return (-self) + other
 
     def __mul__(self, other) -> "ResidueElem":
         if isinstance(other, int):
-            m = self.ring.modulus
-            return ResidueElem(self.ring, tuple(c * other % m for c in self.coords))
+            return self.ring.elem([c * other for c in self.coords])
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         ring = self.ring
-        m = ring.modulus
-        nums = _mul_fold(self.coords, o.coords, ring.field._reduction)
-        return ResidueElem(ring, tuple(c % m for c in nums))
+        return ring.elem(_mul_fold(self.coords, o.coords, ring.field._reduction))
 
     __rmul__ = __mul__
 
@@ -126,7 +114,7 @@ def _ring_unchecked(field: NumberField, p: int, n: int) -> ResidueRing:
     return ResidueRing(field=field, p=p, n=n, modulus=p**n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def make_residue_ring(field: NumberField, p: int, n: int) -> ResidueRing:
     """Residue ring at a good prime p to precision p**n.
 
@@ -149,31 +137,31 @@ def reduce(a: FieldElem, ring: ResidueRing) -> ResidueElem:
     """
     if a.field != ring.field:
         raise RingMismatch("element does not belong to the ring's field")
-    p, m = ring.p, ring.modulus
-    den, nums = a.den, a.nums
-    t = ord_p(den, p) if den % p == 0 else 0
-    if t:
-        q = p**t
-        if any(n % q for n in nums):
-            raise NotPIntegral(f"element has {p} in a denominator")
-        nums = tuple(n // q for n in nums)
-        den //= q
-    inv = pow(den % m, -1, m) if den % m != 1 else 1
-    return ring.elem([n * inv for n in nums])
+    if a.den % ring.p == 0:
+        raise NotPIntegral(f"element has {ring.p} in a denominator")
+    return ResidueElem(ring, tuple(_scaled_row(a, ring.p, 0, ring.modulus)))
+
+
+def _scaled_row(a: FieldElem, p: int, m: int, mod: int) -> list[int]:
+    """Integer coordinates of p**m * a mod `mod`, for p**m * a p-integral."""
+    t = ord_p(a.den, p) if a.den % p == 0 else 0
+    c = p ** (m - t) * pow(a.den // p**t, -1, mod) % mod
+    return [x * c % mod for x in a.nums]
 
 
 def _eval_int_poly(coeffs, xi: ResidueElem) -> ResidueElem:
-    """coeffs(xi), Horner with integer coefficients."""
-    acc = xi.ring.zero()
+    """coeffs(xi), Horner with integer coefficients on the coordinates."""
+    ring = xi.ring
+    m, acc = ring.modulus, [0] * ring.field.degree
     for c in reversed(coeffs):
-        acc = acc * xi + c
-    return acc
+        acc = [v % m for v in _mul_fold(acc, xi.coords, ring.field._reduction)]
+        acc[0] += c
+    return ring.elem(acc)
 
 
 def _invert_unit(a: ResidueElem) -> ResidueElem:
     """Inverse of a unit: inverse mod p by extended Euclid, then Hensel doubling."""
-    ring = a.ring
-    p, n = ring.p, ring.n
+    ring, p = a.ring, a.ring.p
     inv_p = _poly_inverse(
         [c % p for c in a.coords],
         [c % p for c in ring.field.minpoly],
@@ -183,14 +171,12 @@ def _invert_unit(a: ResidueElem) -> ResidueElem:
     if inv_p is None:
         raise LiftFailed(f"non-unit encountered mod {p}")
     inv = ring.elem(inv_p)
-    prec = 1
-    while prec < n:
+    for _ in range((ring.n - 1).bit_length()):  # precision 1, 2, 4, ... >= n
         inv = inv * (2 - a * inv)
-        prec *= 2
     return inv
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def frobenius_lift(ring: ResidueRing) -> "FrobeniusMap":
     """The canonical Frobenius on the ring: the root xi of P with xi = x**p mod p.
 
@@ -200,16 +186,12 @@ def frobenius_lift(ring: ResidueRing) -> "FrobeniusMap":
     field, p, n = ring.field, ring.p, ring.n
     minpoly = field.minpoly
     deriv = tuple(i * c for i, c in enumerate(minpoly) if i > 0)
-    cur = _ring_unchecked(field, p, 1)
-    xi = cur.gen() ** p
+    xi = _ring_unchecked(field, p, 1).gen() ** p
     prec = 1
     while prec < n:
         prec = min(2 * prec, n)
-        cur = _ring_unchecked(field, p, prec)
-        xi = cur.elem(xi.coords)
-        fx = _eval_int_poly(minpoly, xi)
-        dfx = _eval_int_poly(deriv, xi)
-        xi = xi - fx * _invert_unit(dfx)
+        xi = _ring_unchecked(field, p, prec).elem(xi.coords)
+        xi = xi - _eval_int_poly(minpoly, xi) * _invert_unit(_eval_int_poly(deriv, xi))
     xi = ring.elem(xi.coords)
     if not _eval_int_poly(minpoly, xi).is_zero():
         raise LiftFailed(f"Newton iteration did not converge at p={p}, n={n}")
@@ -225,6 +207,45 @@ class FrobeniusMap:
 
     def __call__(self, a: ResidueElem) -> ResidueElem:
         return frobenius_apply(self, a)
+
+    @cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The matrix of the map: row i holds the coordinates of xi**i."""
+        rows, pw = [], self.ring.one()
+        for _ in range(self.ring.field.degree):
+            rows.append(pw.coords)
+            pw = pw * self.xi
+        return tuple(rows)
+
+
+@lru_cache(maxsize=4096)
+def _rows_cell(field: NumberField, p: int) -> list:
+    """[N, rows]: the largest precision built so far at (field, p)."""
+    return [0, ((1,),)]
+
+
+def _frobenius_rows(field: NumberField, p: int, n: int) -> tuple:
+    """FrobeniusMap.rows mod p**N, N >= n: one lift per (field, p), rebuilt
+    at max(n, 2N) when more is asked for, as at a good p the lift mod p**N
+    reduces to the unique one mod p**n.  At a bad p, where a lift need not
+    exist nor reduce so, it is built at p**n.  Over Q no lift is built."""
+    if field.discriminant % p == 0:
+        return frobenius_lift(_ring_unchecked(field, p, n)).rows
+    cell = _rows_cell(field, p)
+    if cell[0] < n and field.degree > 1:
+        cell[0] = max(n, 2 * cell[0])
+        cell[1] = frobenius_lift(make_residue_ring(field, p, cell[0])).rows
+    return cell[1]
+
+
+def _apply_rows(rows, coords, mod: int) -> list[int]:
+    """coords times the matrix rows, mod `mod`: the coordinates of frob(a)."""
+    out = [0] * len(coords)
+    for c, row in zip(coords, rows):
+        if c:
+            for j, r in enumerate(row):
+                out[j] += c * r
+    return [c % mod for c in out]
 
 
 def frobenius_apply(frob: FrobeniusMap, a: ResidueElem) -> ResidueElem:
@@ -254,11 +275,4 @@ def _valuation(a: FieldElem, p: int) -> int | float:
 
 def residue_valuation(e: ResidueElem) -> int:
     """min over coordinates of ord_p, capped at the ring precision n."""
-    ring = e.ring
-    best = ring.n
-    for c in e.coords:
-        if c:
-            v = ord_p(c, ring.p)
-            if v < best:
-                best = v
-    return best
+    return min((ord_p(c, e.ring.p) for c in e.coords if c), default=e.ring.n)

@@ -14,9 +14,10 @@ series gets certified at all good primes, not just the small ones.
 In several variables k is an exponent vector and g = gcd(k) takes the place
 of k: a_k = g**s * c_k, p divides k when p divides g, and the modulus is
 p**(s * ord_p(g)).  One variable is the case g = k, and a Series is checked
-as the one-variable MSeries.  When a_k is absent no residue ring is needed:
-at a good prime frob_p is an automorphism of the power-basis lattice, so the
-defect frob_p(a_{k/p}) has the valuation of a_{k/p}.
+as the one-variable MSeries.  When a_k is absent no Frobenius is needed: at
+a good prime frob_p is an automorphism of the power-basis lattice, so the
+defect frob_p(a_{k/p}) has the valuation of a_{k/p}.  Congruences run on
+integer coordinate rows mod p**n, frob_p as one matrix per (field, p).
 
 dwork_factor writes V (with s = 1 normalization) as
 -sum_d log(1 - b_d z**d); V is a 1-function exactly when every b_d is
@@ -33,17 +34,10 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .errors import ConstantTermNonzero, NotIntegral, NotPrime, SfuncError
-from .intutil import crt, divisors, is_prime, prime_factors, primes_up_to
+from .intutil import crt, divisors, is_prime, ord_p, prime_factors, primes_up_to
 from .mseries import MSeries
 from .numfield import FieldElem, NumberField, denominator_support
-from .padic import (
-    _ring_unchecked,
-    _valuation,
-    frobenius_lift,
-    make_residue_ring,
-    reduce,
-    residue_valuation,
-)
+from .padic import _apply_rows, _frobenius_rows, _scaled_row, _valuation
 from .series import Series
 
 Index = Union[int, tuple[int, ...]]
@@ -56,7 +50,7 @@ class Check:
     index: Index
     p: int
     required: int
-    valuation: int | float
+    valuation: int  # capped at required, so an exact zero reads required
     ok: bool
     kind: str  # "congruence" or "integrality"
 
@@ -91,20 +85,13 @@ class SReport:
 
 
 def _check_obj(c: Check, **more) -> dict:
-    """c as JSON: a tuple index becomes a list, an infinite valuation "inf"."""
+    """c as JSON, a tuple index as a list."""
     return {
         "k": list(c.index) if isinstance(c.index, tuple) else c.index,
         "required": c.required,
-        "valuation": "inf" if c.valuation == math.inf else c.valuation,
+        "valuation": c.valuation,
         **more,
     }
-
-
-def _finite_floor(v) -> int:
-    """max(0, -v) for a possibly infinite valuation."""
-    if v == math.inf:
-        return 0
-    return max(0, -int(v))
 
 
 def _congruence(
@@ -114,21 +101,20 @@ def _congruence(
     index: Index,
     p: int,
     required: int,
-    ring_factory=make_residue_ring,
 ) -> Check:
-    """Valuation of frob_p(prev) - cur, against required.
+    """Valuation of frob_p(prev) - cur, against required, on integer rows.
 
-    Elements with denominators at p are shifted by a common power p**m so the
-    residue ring applies; the reported valuation is shifted back.
+    Both are scaled by p**m, m the larger power of p in their denominators,
+    and reduced mod p**n, n = required + m.  The valuation of the difference,
+    capped at n, is shifted back by m.
     """
-    if required <= 0:
-        return Check(index, p, max(required, 0), 0, True, "congruence")
-    m = max(_finite_floor(_valuation(prev, p)), _finite_floor(_valuation(cur, p)))
-    if m:
-        prev, cur = prev * p**m, cur * p**m
-    ring = ring_factory(field, p, required + m)
-    diff = frobenius_lift(ring)(reduce(prev, ring)) - reduce(cur, ring)
-    achieved = residue_valuation(diff) - m
+    m = max(ord_p(x.den, p) if x.den % p == 0 else 0 for x in (prev, cur))
+    n = required + m
+    mod = p**n
+    rows = _frobenius_rows(field, p, n)
+    image = _apply_rows(rows, _scaled_row(prev, p, m, mod), mod)
+    diff = [x - y for x, y in zip(image, _scaled_row(cur, p, m, mod))]
+    achieved = min((ord_p(c, p) for c in diff if c), default=n) - m
     return Check(index, p, required, achieved, achieved >= required, "congruence")
 
 
@@ -137,9 +123,9 @@ def _extra_prime_report(judge, pairs, q: int, bad: bool) -> dict:
     entry: dict = {"p": q, "bad": bad, "frobenius_defined": True, "checks": []}
     for pair in pairs:
         try:
-            c = judge(pair, _ring_unchecked)
+            c = judge(pair)
         except (SfuncError, ArithmeticError) as exc:
-            # non-unit derivative, non-integral input
+            # LiftFailed: a bad prime need not have a lift
             entry["frobenius_defined"] = False
             entry["error"] = f"{type(exc).__name__}: {exc}"
             break
@@ -165,14 +151,18 @@ def check_sfunction(
     whose two coefficients both vanish holds trivially and is not recorded.
 
     Returns a report with one record per checked condition; report.passed
-    is the overall verdict.  Bad primes (dividing the field discriminant)
-    found in normalized denominators are listed as skipped, and primes in
-    extra_primes get informational records, over the same pairs, that never
-    affect the verdict; an entry of extra_primes that is not prime raises
-    NotPrime.  Every prime that reaches a check is thus known to be prime.
+    is the overall verdict.  A congruence valuation is capped at required,
+    so an exactly-zero defect reads required.  Bad primes (dividing the
+    field discriminant) found in normalized denominators are listed as
+    skipped, and primes in extra_primes get informational records, over the
+    same pairs, that never affect the verdict; an entry of extra_primes that
+    is not prime raises NotPrime.  Every prime that reaches a check is thus
+    known to be prime.  s < 1 raises ValueError.
     jobs is accepted and ignored: the checks run in this process, because a
     process pool measured no faster than serial checking and cost more CPU.
     """
+    if s < 1:
+        raise ValueError("need s >= 1")
     for q in extra_primes:
         if not is_prime(q):
             raise NotPrime(f"{q} is not prime")
@@ -216,14 +206,14 @@ def check_sfunction(
                 if up not in a:
                     yield up, p, ak, zero, s * (ords.get(p, 0) + 1)
 
-    def judge(pair, ring_factory=make_residue_ring) -> Check:
+    def judge(pair) -> Check:
         key, p, prev, cur, required = pair
-        if cur is zero and required > 0 and disc % p != 0:
+        if cur is zero and disc % p != 0:
             # a_k is absent and frob_p keeps valuations at a good p; min() is
-            # the ring path's cap at its precision
+            # the row path's cap at its precision
             got = min(_valuation(prev, p), required)
             return Check(ix(key), p, required, got, got >= required, "congruence")
-        return _congruence(field, prev, cur, ix(key), p, required, ring_factory)
+        return _congruence(field, prev, cur, ix(key), p, required)
 
     checks.extend(judge(t) for t in pairs() if disc % t[1] != 0)
     checks.sort(key=lambda c: (c.index, c.p))
@@ -280,7 +270,7 @@ def generate_crt(field: NumberField, x: FieldElem, s: int, order: int) -> Series
     a_k for k > 1 is the canonical representative (coordinates in [0, k**s))
     of the system a_k = frob_p(a_{k/p}) mod p**(s ord_p(k)) over the primes
     p dividing k; indices sharing a factor with the discriminant get a_k = 0.
-    The seed must be integral.
+    The tower is kept as integer coordinate rows.  The seed must be integral.
     """
     if x.field != field:
         raise NotIntegral("seed element must belong to the field")
@@ -289,22 +279,18 @@ def generate_crt(field: NumberField, x: FieldElem, s: int, order: int) -> Series
     if s < 1 or order < 1:
         raise ValueError("need s >= 1 and order >= 1")
     disc = abs(field.discriminant)
-    a: list[FieldElem] = [field.zero(), x]
+    zero = (0,) * field.degree
+    a: list[tuple[int, ...]] = [zero, x.nums]
     for k in range(2, order + 1):
         if math.gcd(k, disc) != 1:
-            a.append(field.zero())
+            a.append(zero)
             continue
-        residues: list[tuple[int, ...]] = []
-        moduli: list[int] = []
-        for p, alpha in prime_factors(k).items():
-            e = s * alpha
-            ring = make_residue_ring(field, p, e)
-            frob = frobenius_lift(ring)
-            residues.append(frob(reduce(a[k // p], ring)).coords)
-            moduli.append(p**e)
-        coords = [
-            crt([r[i] for r in residues], moduli) for i in range(field.degree)
+        ords = prime_factors(k).items()
+        moduli = [p ** (s * e) for p, e in ords]
+        residues = [
+            _apply_rows(_frobenius_rows(field, p, s * e), a[k // p], q)
+            for (p, e), q in zip(ords, moduli)
         ]
-        a.append(field.elem(coords))
-    coeffs = tuple(a[k] / k**s for k in range(1, order + 1))
+        a.append(tuple(crt(col, moduli) for col in zip(*residues)))
+    coeffs = tuple(FieldElem(field, a[k], k**s) for k in range(1, order + 1))
     return Series(field, order, field.zero(), coeffs)

@@ -3,9 +3,9 @@
 Each function here computes, by an older and independent route, an object the
 package computes faster: framings by inverting the coordinate map and
 substituting into the body, exp/log/inverse by sums of powers, reversion by
-fixed-point iteration, the one-variable congruence check by a dense scan of
-every index.  None of this is part of the package; tests import it
-as ``from oracles import ...``.
+fixed-point iteration, one congruence through the residue ring, and the
+one-variable congruence check by a dense scan of every index.  None of this
+is part of the package; tests import it as ``from oracles import ...``.
 """
 from __future__ import annotations
 
@@ -22,9 +22,15 @@ from sfuncs.errors import (
 from sfuncs.intutil import ord_p, prime_factors
 from sfuncs.mseries import MSeries, delta_i, exp_m, power_m
 from sfuncs.numfield import FieldElem, denominator_support, invert
-from sfuncs.padic import _valuation
+from sfuncs.padic import (
+    _valuation,
+    frobenius_lift,
+    make_residue_ring,
+    reduce,
+    residue_valuation,
+)
 from sfuncs.series import Series, compose, delta, exp_series, revert, shift_up
-from sfuncs.sfunc import Check, SReport, _congruence
+from sfuncs.sfunc import Check, SReport
 
 
 class BadLinearPart(SfuncError):
@@ -215,7 +221,26 @@ def revert_by_fixed_point(f: Series) -> Series:
     return g
 
 
-# --- the one-variable congruence check by a dense scan
+# --- one congruence through the residue ring, and the one-variable check by
+# a dense scan
+
+
+def congruence_by_residue_ring(
+    field, prev, cur, index, p, required, ring_factory=make_residue_ring
+) -> Check:
+    """sfunc._congruence by ResidueElem arithmetic: reduce both elements
+    into (Z/p**n)[x]/(P) and evaluate prev's coordinate polynomial at the
+    Frobenius lift there.  Elements with denominators at p are shifted by a
+    common power p**m first; the reported valuation is shifted back."""
+    if required <= 0:
+        return Check(index, p, max(required, 0), 0, True, "congruence")
+    m = max(max(0, -_valuation(x, p)) for x in (prev, cur))
+    if m:
+        prev, cur = prev * p**m, cur * p**m
+    ring = ring_factory(field, p, required + m)
+    diff = frobenius_lift(ring)(reduce(prev, ring)) - reduce(cur, ring)
+    achieved = residue_valuation(diff) - m
+    return Check(index, p, required, achieved, achieved >= required, "congruence")
 
 
 def check_uni_by_dense_scan(v: Series, s: int) -> SReport:
@@ -241,7 +266,9 @@ def check_uni_by_dense_scan(v: Series, s: int) -> SReport:
         for p in prime_factors(k):
             if disc % p != 0:
                 checks.append(
-                    _congruence(field, a[k // p], a[k], k, p, s * ord_p(k, p))
+                    congruence_by_residue_ring(
+                        field, a[k // p], a[k], k, p, s * ord_p(k, p)
+                    )
                 )
     checks.sort(key=lambda c: (c.index, c.p))
     return SReport(s, n, tuple(checks), tuple(sorted(skipped)))

@@ -82,6 +82,17 @@ def test_verify_rejects_extra_primes_that_are_not_prime(li2_path, extra):
     assert len(r.stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize("s", ["0", "-1"])
+def test_verify_refuses_strength_below_one(li2_path, s):
+    # s = -1 used to die in g**s with a TypeError traceback and exit 1, and
+    # s = 0 passed while checking nothing
+    r = run_cli("verify", "--series", str(li2_path), "--s", s, timeout=10)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: ValueError: ")
+    assert len(r.stderr.splitlines()) == 1
+
+
 def test_verify_missing_file_exits_two(tmp_path):
     r = run_cli("verify", "--series", str(tmp_path / "nope.json"), "--s", "2")
     assert r.returncode == 2

@@ -6,10 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from sfuncs.errors import BadPrime, NotPIntegral, NotPrime, RingMismatch
+from sfuncs.errors import BadPrime, LiftFailed, NotPIntegral, NotPrime, RingMismatch
 from sfuncs.intutil import primes_up_to
 from sfuncs.numfield import make_field, rationals
 from sfuncs.padic import (
+    _frobenius_rows,
+    _ring_unchecked,
+    _rows_cell,
     frobenius_lift,
     make_residue_ring,
     reduce,
@@ -257,3 +260,46 @@ def test_residue_power_matches_repeated_product_to_nine():
     assert u**1 is u  # no multiplication at all
     with pytest.raises(ValueError):
         u ** -1
+
+
+def test_frobenius_matrix_rows_are_powers_of_the_lift():
+    ring = make_residue_ring(CBRT5, 7, 2)
+    frob = frobenius_lift(ring)
+    assert frob.rows == ((1, 0, 0), (0, 18, 0), (0, 0, 18 * 18 % 49))
+    for i, row in enumerate(frob.rows):
+        assert ring.elem(row) == frob(ring.gen() ** i)
+
+
+def test_one_lift_per_field_and_prime_serves_lower_precisions():
+    # the matrix kept at (CUBIC, 5) is built at the largest precision asked
+    # for; lower precisions reuse it, and reduced they equal the lift built
+    # at their own precision
+    _rows_cell.cache_clear()
+    high = _frobenius_rows(CUBIC, 5, 9)
+    lookups = sum(frobenius_lift.cache_info()[:2])
+    assert all(_frobenius_rows(CUBIC, 5, n) is high for n in (1, 3, 9))
+    assert sum(frobenius_lift.cache_info()[:2]) == lookups  # no lift looked up
+    for n in (1, 3, 9):
+        exact = frobenius_lift(make_residue_ring(CUBIC, 5, n)).rows
+        assert [tuple(c % 5**n for c in row) for row in high] == list(exact)
+    # more precision rebuilds at max(n, 2N); over Q no lift is built at all
+    assert _rows_cell(CUBIC, 5)[0] == 9
+    _frobenius_rows(CUBIC, 5, 10)
+    assert _rows_cell(CUBIC, 5)[0] == 18
+    before = frobenius_lift.cache_info().misses
+    assert _frobenius_rows(rationals(), 5, 40) == ((1,),)
+    assert frobenius_lift.cache_info().misses == before
+
+
+def test_lift_caches_are_bounded():
+    for cache in (make_residue_ring, frobenius_lift, _rows_cell):
+        assert cache.cache_info().maxsize is not None
+
+
+def test_bad_prime_rows_are_built_at_the_asked_precision():
+    # x^3 - 5 ramifies at 5: x**5 is a root mod 5, but there is no lift mod 25
+    rows = _frobenius_rows(CBRT5, 5, 1)
+    assert rows == frobenius_lift(_ring_unchecked(CBRT5, 5, 1)).rows
+    with pytest.raises(LiftFailed):
+        _frobenius_rows(CBRT5, 5, 2)
+    assert _frobenius_rows(CBRT5, 5, 1) == rows

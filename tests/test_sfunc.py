@@ -8,14 +8,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from sfuncs.catalog import polylog
+from sfuncs.catalog import cyclotomic_field, polylog
 from sfuncs.errors import ConstantTermNonzero, NotIntegral, NotPrime
 from sfuncs.intutil import ord_p, primes_up_to
 from sfuncs.mseries import MSeries
 from sfuncs.numfield import denominator_support, make_field, rationals
+from sfuncs.padic import _ring_unchecked, frobenius_lift, make_residue_ring, reduce
 from sfuncs.serialize import load_series
 from sfuncs.series import Series, delta, dint, shift_sh
 from sfuncs.sfunc import (
+    _check_obj,
     _congruence,
     check_sfunction,
     dwork_assemble,
@@ -23,7 +25,7 @@ from sfuncs.sfunc import (
     generate_crt,
 )
 
-from oracles import check_uni_by_dense_scan
+from oracles import check_uni_by_dense_scan, congruence_by_residue_ring
 
 Q = rationals()
 QI3 = make_field([3, 0, 1])
@@ -408,3 +410,122 @@ def test_declared_order_does_not_drive_the_cost(tmp_path):
     assert [(c.index, c.p, c.required, c.valuation) for c in rep.violations] == [
         ((p, 0), p, 2, 0) for p in primes_up_to(100000)
     ]
+
+
+# --- the congruence on integer rows against the residue-ring oracle
+
+
+ROW_FIELDS = (Q, EISENSTEIN, CUBIC, cyclotomic_field(7))
+
+
+@st.composite
+def congruence_data(draw):
+    """(field, prev, cur, p, required): prev and cur with up to p**4 in their
+    denominators; cur is zero, random, or frob_p(prev) plus a multiple of
+    p**j, so valuations near required come up."""
+    field = draw(st.sampled_from(ROW_FIELDS))
+    p = draw(st.sampled_from([q for q in (2, 3, 5, 7, 11, 13)
+                              if field.discriminant % q]))
+    required = draw(st.integers(1, 12))
+
+    def elem(shift):
+        nums = draw(st.lists(st.integers(-10**6, 10**6),
+                             min_size=field.degree, max_size=field.degree))
+        unit = draw(st.sampled_from((1, 2, 3, 5, 7, 11, 13)))
+        unit += unit % p == 0  # a denominator prime to p
+        return field.elem([Fraction(c, p**shift * unit) for c in nums])
+
+    m_prev = draw(st.integers(0, 4))
+    prev = field.zero() if draw(st.integers(0, 5)) == 0 else elem(m_prev)
+    kind = draw(st.sampled_from(("zero", "random", "near")))
+    if kind == "zero":
+        cur = field.zero()
+    elif kind == "random":
+        cur = elem(draw(st.integers(0, 4)))
+    else:
+        ring = make_residue_ring(field, p, required + m_prev + 2)
+        image = frobenius_lift(ring)(reduce(prev * p**m_prev, ring))
+        j = draw(st.integers(0, required + 2))
+        cur = field.elem(list(image.coords)) / p**m_prev + elem(0) * p**j
+    return field, prev, cur, p, required
+
+
+@settings(max_examples=200, deadline=None)
+@given(congruence_data(), st.integers(1, 40))
+def test_row_congruence_equals_the_residue_ring(data, index):
+    field, prev, cur, p, required = data
+    want = congruence_by_residue_ring(field, prev, cur, index, p, required)
+    assert _congruence(field, prev, cur, index, p, required) == want
+
+
+@pytest.mark.parametrize("field", ROW_FIELDS)
+def test_row_congruence_with_zero_coefficients(field):
+    x = field.gen() + Fraction(1, 4)
+    zero = field.zero()
+    for prev, cur in ((zero, x), (x, zero), (zero, zero)):
+        for p in (3, 5, 11):
+            if field.discriminant % p:
+                for required in (1, 4):
+                    got = _congruence(field, prev, cur, p, p, required)
+                    assert got == congruence_by_residue_ring(
+                        field, prev, cur, p, p, required
+                    )
+
+
+def test_exact_zero_defect_reads_required():
+    # frob_p fixes rationals, so 5 against 5 leaves an exactly-zero defect
+    five = CUBIC.elem(5)
+    for required in (1, 7):
+        c = _congruence(CUBIC, five, five, 9, 3, required)
+        assert (c.valuation, c.ok) == (required, True)
+        assert _check_obj(c)["valuation"] == required
+    rep = check_sfunction(polylog(2, 12), 2)
+    assert all(c.valuation == c.required for c in rep.checks)
+
+
+@pytest.mark.parametrize("s", [0, -1])
+def test_strength_below_one_is_refused(s):
+    for v in (polylog(2, 6), MSeries.from_dict(Q, 2, 4, {(1, 0): 1, (2, 2): 1})):
+        with pytest.raises(ValueError):
+            check_sfunction(v, s)
+
+
+def test_extra_bad_prime_entries_build_each_lift_at_its_precision():
+    # at a bad prime a lift mod p may exist where none mod p**2 does, so no
+    # lift is reused across precisions.  The entries are the ones the
+    # residue-ring checker reported before the row path.
+    cubic = [CUBIC.elem(Fraction(1, k * k)) for k in range(1, 15)]
+    rep = check_sfunction(Series.from_coeffs(CUBIC, 14, cubic), 2, extra_primes=(7,))
+    assert rep.to_obj()["extra_primes"] == [{
+        "p": 7, "bad": True, "frobenius_defined": False, "checks": [],
+        "error": "LiftFailed: non-unit encountered mod 7",
+    }]
+    field = make_field([-2, 0, 0, 1])  # x^3 - 2, discriminant -108
+    x = field.gen()
+    lifted_2 = {"k": 2, "required": 1, "valuation": 1, "ok": True}
+    for order, defined in ((8, True), (9, False)):
+        coeffs = [
+            x**k / k + (Fraction(1, 3) if k == 6 else 0) + (x if k == 3 else 0)
+            for k in range(1, order + 1)
+        ]
+        v = Series.from_coeffs(field, order, coeffs)
+        at_3 = {
+            "p": 3, "bad": True, "frobenius_defined": defined,
+            "checks": [
+                {"k": 3, "required": 1, "valuation": 1, "ok": True},
+                {"k": 6, "required": 1, "valuation": 0, "ok": False},
+            ],
+        }
+        if not defined:  # k = 9 needs the lift mod 9, which does not exist
+            at_3["error"] = "LiftFailed: non-unit encountered mod 3"
+        rep = check_sfunction(v, 1, extra_primes=(2, 3))
+        assert rep.to_obj()["extra_primes"] == [
+            {"p": 2, "bad": True, "frobenius_defined": False, "checks": [lifted_2],
+             "error": "LiftFailed: non-unit encountered mod 2"},
+            at_3,
+        ]
+    # the oracle on the unchecked ring agrees where the lift mod 3 exists
+    a3 = x**3 + 3 * x
+    assert _congruence(field, x, a3, 3, 3, 1) == (
+        congruence_by_residue_ring(field, x, a3, 3, 3, 1, _ring_unchecked)
+    )
