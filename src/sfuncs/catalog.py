@@ -2,10 +2,10 @@
 
 Generators: cyclotomic (abelian) coefficient sequences a_k = sum_i c_i zeta^(ik)
 with an optional exact descent into a subfield, series with prescribed
-delta^(s-1) V = -log Q(z), and the framed-polylog multiplicity table read off
-the framed dilogarithm frame_f(Li2, -f), the 1x1 case of frame_multi, plus
-Moebius inversion.  Also the binomial congruence checker
-binom(pkf, pk) = binom(kf, k) mod p^(3(ord_p(k)+1)) for p > 3.
+delta^(s-1) V = -log Q(z), and the framed-polylog multiplicity table, Moebius
+inversion of the closed form k [z^k] log Y_f = (-1)^((f+1)k) binom(fk, k); the
+framing engine's frame_f(Li2, -f) is its test oracle.  Also the binomial
+congruence checker binom(pkf, pk) = binom(kf, k) mod p^(3(ord_p(k)+1)), p > 3.
 """
 from __future__ import annotations
 
@@ -22,10 +22,9 @@ from .errors import (
     NotPrime,
     SmallPrime,
 )
-from .framing import frame_f
 from .intutil import divisors, is_prime, moebius, ord_p
 from .numfield import FieldElem, NumberField, _poly_divmod, make_field, rationals
-from .series import Series, delta, dint, log_series
+from .series import Series, dint, log_series
 
 
 def _int_poly_divide(num: list[int], den: list[int]) -> list[int]:
@@ -36,7 +35,7 @@ def _int_poly_divide(num: list[int], den: list[int]) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of the n-th cyclotomic polynomial, low to high.
 
@@ -56,7 +55,7 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(num)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def cyclotomic_field(n: int) -> NumberField:
     """The field presented by the n-th cyclotomic polynomial."""
     return make_field(cyclotomic_polynomial(n))
@@ -249,46 +248,43 @@ class FramedPolylogTable:
         return "\n".join(lines) + "\n"
 
 
-def _framed_log_column(f: int, dmax: int) -> list[Fraction]:
-    """Coefficients of log Y_f to order dmax, read off the framed dilogarithm.
+def _framed_log_h(f: int, k: int) -> int:
+    """k [z^k] log Y_f = (-1)**((f+1)k) binom(fk, k), with the generalized
+    binomial binom(n, k) = (-1)**k binom(k-n-1, k) for n < 0."""
+    n = f * k
+    c = math.comb(n, k) if n >= 0 else (-1) ** k * math.comb(k - n - 1, k)
+    return -c if (f + 1) * k % 2 else c
 
-    Y_f solves z = (-1)**f * w * Y_f(w) under w = z / (z-1)**f, the coordinate
-    z_(-f) of frame_f(Li2, -f), so log Y_f = f log(1-z) = -f delta Li2 in z.
-    Framing keeps delta W (delta in w of the framed series is delta W at
-    z(w)), hence log Y_f = -f delta frame_f(Li2, -f).
-    """
-    col = delta(frame_f(polylog(2, dmax), -f)) * -f
-    return [c.coords[0] for c in col.coeffs]
+
+def _framed_log_column(f: int, dmax: int) -> list[Fraction]:
+    """Coefficients of log Y_f to order dmax, (-1)**((f+1)k) binom(fk, k) / k:
+    Lagrange inversion of log Y_f = -f delta frame_f(Li2, -f), the framing
+    route that the oracle in tests/oracles.py takes."""
+    return [Fraction(_framed_log_h(f, k), k) for k in range(1, dmax + 1)]
 
 
 def polylog_frame_table(f_range, d_range) -> FramedPolylogTable:
     """Table of N_d^(f) for d in d_range, f in f_range.
 
     For each f the coefficients g_k of dint(dint(log Y_f)) decompose as
-    k**3 * g_k = sum_{d|k} N_d * d**3, and Moebius inversion extracts N_d.
+    k**3 * g_k = sum_{d|k} N_d * d**3, and Moebius inversion extracts N_d;
+    k**3 * g_k is the integer _framed_log_h(f, k), so only cells divide.
     """
     d_values = tuple(d_range)
     f_values = tuple(f_range)
     if not d_values or min(d_values) < 1:
         raise ValueError("d range must contain positive integers")
     dmax = max(d_values)
-    columns = {}
+    mu = [0] + [moebius(k) for k in range(1, dmax + 1)]
+    divs = {d: divisors(d) for d in d_values}
+    sums = {}  # d**3 * N_d^(f)
     for f in f_values:
-        lcol = _framed_log_column(f, dmax)
-        h = [k * lcol[k - 1] for k in range(1, dmax + 1)]  # k**3 * g_k
-        columns[f] = {
-            k: sum(moebius(k // d) * h[d - 1] for d in divisors(k)) / k**3
-            for k in d_values
-        }
-    cells = tuple(
-        tuple(columns[f][d] for f in f_values) for d in d_values
-    )
-    bad = tuple(
-        (d, f)
-        for d in d_values
-        for f in f_values
-        if f and (6 * columns[f][d] / f).denominator != 1
-    )
+        h = [0] + [_framed_log_h(f, k) for k in range(1, dmax + 1)]
+        for d in d_values:
+            sums[d, f] = sum(mu[d // e] * h[e] for e in divs[d])
+    cells = tuple(tuple(Fraction(sums[d, f], d**3) for f in f_values) for d in d_values)
+    bad = tuple((d, f) for d in d_values for f in f_values
+                if f and 6 * sums[d, f] % (f * d**3))
     return FramedPolylogTable(d_values, f_values, cells, bad)
 
 

@@ -224,7 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("polylog-table", _cmd_polylog_table, "framed-polylog multiplicity table")
     p.add_argument("--d", required=True, help="row range, e.g. 1..7")
-    p.add_argument("--f", required=True, help="column range, e.g. 2..5")
+    p.add_argument("--f", required=True,
+                   help="column range, e.g. 2..5; write negative ones as --f=-7..7")
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = add("jk-check", _cmd_jk_check, "binomial congruence sweep at a prime")
@@ -239,10 +240,7 @@ def run(argv) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except SfuncError as e:
-        sys.stderr.write(f"error: {type(e).__name__}: {e}\n")
-        return 2
-    except (OSError, ValueError, json.JSONDecodeError) as e:
+    except (SfuncError, OSError, ValueError) as e:  # JSONDecodeError is a ValueError
         sys.stderr.write(f"error: {type(e).__name__}: {e}\n")
         return 2
 

@@ -149,7 +149,7 @@ def crt(residues: list[int], moduli: list[int]) -> int:
     return r % m
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def primes_up_to(n: int) -> tuple[int, ...]:
     """All primes <= n, by sieve."""
     if n < 2:

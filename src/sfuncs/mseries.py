@@ -176,14 +176,10 @@ class MSeries:
         """View a one-variable MSeries as a Series."""
         if self.nvars != 1:
             raise DimensionMismatch("only one-variable series convert")
-        coeffs = [self.field.zero()] * self.order
-        const = self.field.zero()
+        coeffs = [self.field.zero()] * (self.order + 1)
         for (k,), c in self.terms:
-            if k == 0:
-                const = c
-            else:
-                coeffs[k - 1] = c
-        return Series(self.field, self.order, const, tuple(coeffs))
+            coeffs[k] = c
+        return Series(self.field, self.order, coeffs[0], tuple(coeffs[1:]))
 
     @classmethod
     def from_univariate(cls, v: Series) -> "MSeries":

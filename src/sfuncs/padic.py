@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .errors import BadPrime, LiftFailed, NotPIntegral, NotPrime, RingMismatch
 from .intutil import is_prime, ord_p
 from .numfield import (
-    FieldElem, NumberField, _mul_fold, _poly_inverse, _square_and_multiply,
+    FieldElem, NumberField, _derivative, _mul_fold, _poly_inverse, _square_and_multiply,
 )
 
 
@@ -35,8 +36,18 @@ class ResidueRing:
     modulus: int
 
     def elem(self, coords) -> "ResidueElem":
+        """Residues of int or Fraction coordinates; floats are refused."""
         m = self.modulus
-        return ResidueElem(self, tuple([int(c) % m for c in coords]))
+        row = [c % m if isinstance(c, int) else self._ratio(c) for c in coords]
+        return ResidueElem(self, tuple(row))
+
+    def _ratio(self, c: Fraction) -> int:
+        """c mod p**n for a Fraction c whose denominator is prime to p."""
+        if not isinstance(c, Fraction):
+            raise TypeError(f"residue coordinates must be exact, got {c!r}")
+        if c.denominator % self.p == 0:
+            raise NotPIntegral(f"coordinate {c} has {self.p} in its denominator")
+        return c.numerator * pow(c.denominator, -1, self.modulus) % self.modulus
 
     def from_int(self, c: int) -> "ResidueElem":
         return self.elem([c] + [0] * (self.field.degree - 1))
@@ -45,11 +56,7 @@ class ResidueRing:
         return self.from_int(1)
 
     def gen(self) -> "ResidueElem":
-        if self.field.degree == 1:
-            return self.from_int(-self.field.minpoly[0])
-        coords = [0] * self.field.degree
-        coords[1] = 1
-        return self.elem(coords)
+        return self.elem(self.field.gen().nums)
 
     def __repr__(self) -> str:
         return f"ResidueRing(p={self.p}, n={self.n}, P={list(self.field.minpoly)})"
@@ -137,9 +144,7 @@ def reduce(a: FieldElem, ring: ResidueRing) -> ResidueElem:
     """
     if a.field != ring.field:
         raise RingMismatch("element does not belong to the ring's field")
-    if a.den % ring.p == 0:
-        raise NotPIntegral(f"element has {ring.p} in a denominator")
-    return ResidueElem(ring, tuple(_scaled_row(a, ring.p, 0, ring.modulus)))
+    return ring.elem(a.coords)
 
 
 def _scaled_row(a: FieldElem, p: int, m: int, mod: int) -> list[int]:
@@ -184,8 +189,7 @@ def frobenius_lift(ring: ResidueRing) -> "FrobeniusMap":
     doubling 1, 2, 4, ... up to n.
     """
     field, p, n = ring.field, ring.p, ring.n
-    minpoly = field.minpoly
-    deriv = tuple(i * c for i, c in enumerate(minpoly) if i > 0)
+    minpoly, deriv = field.minpoly, _derivative(field.minpoly)
     xi = _ring_unchecked(field, p, 1).gen() ** p
     prec = 1
     while prec < n:

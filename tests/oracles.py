@@ -2,9 +2,10 @@
 
 Each function here computes, by an older and independent route, an object the
 package computes faster: framings by inverting the coordinate map and
-substituting into the body, exp/log/inverse by sums of powers, reversion by
-fixed-point iteration, one congruence through the residue ring, and the
-one-variable congruence check by a dense scan of every index.  None of this
+substituting into the body, the framed-polylog column through the framing
+engine, exp/log/inverse by sums of powers, reversion by fixed-point
+iteration, one congruence through the residue ring, and the one-variable
+congruence check by a dense scan of every index.  None of this
 is part of the package; tests import it as ``from oracles import ...``.
 """
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+from sfuncs.catalog import polylog
 from sfuncs.errors import (
     ConstantTermNonzero,
     DimensionMismatch,
@@ -19,6 +21,7 @@ from sfuncs.errors import (
     InnerHasConstant,
     SfuncError,
 )
+from sfuncs.framing import frame_f
 from sfuncs.intutil import ord_p, prime_factors
 from sfuncs.mseries import MSeries, delta_i, exp_m, power_m
 from sfuncs.numfield import FieldElem, denominator_support, invert
@@ -160,6 +163,17 @@ def frame_multi_by_inversion(w: MSeries, kappa) -> MSeries:
             if kappa.entries[j][k]:
                 body = body - d[j] * d[k] * Fraction(kappa.entries[j][k], 2)
     return substitute(body, back)
+
+
+def framed_log_column_by_framing(f: int, dmax: int) -> list[Fraction]:
+    """catalog._framed_log_column: log Y_f = -f delta frame_f(Li2, -f).
+
+    Y_f solves z = (-1)**f * w * Y_f(w) under w = z / (z-1)**f, the coordinate
+    of frame_f(Li2, -f), so log Y_f = f log(1-z) = -f delta Li2 in z; framing
+    keeps delta W (delta in w of the framed series is delta W at z(w)).
+    """
+    col = delta(frame_f(polylog(2, dmax), -f)) * -f
+    return [c.coords[0] for c in col.coeffs]
 
 
 # --- exp, log and inverse as sums of powers; reversion by fixed point

@@ -17,8 +17,11 @@ from sfuncs.catalog import (
     polylog_frame_table,
 )
 from sfuncs.errors import BadConductor, BadConstant, DescentFailed, NotPrime, SmallPrime
+from sfuncs.intutil import divisors, moebius
 from sfuncs.numfield import make_field, rationals
 from sfuncs.sfunc import check_sfunction
+
+from oracles import framed_log_column_by_framing
 
 Q = rationals()
 CUBIC = make_field([-1, -2, 1, 1])
@@ -199,6 +202,29 @@ def test_log_column_binomial_form_to_order_30():
         for k in range(1, 31):
             sign = -1 if (f * k + k - 1) % 2 else 1
             assert col[k - 1] == -Fraction(f, k) * sign * comb(f * k - 1, k - 1), (f, k)
+
+
+def test_log_column_matches_the_framing_engine():
+    # the closed form against log Y_f = -f delta frame_f(Li2, -f)
+    for f in range(-7, 8):
+        assert _framed_log_column(f, 30) == framed_log_column_by_framing(f, 30), f
+
+
+def test_table_matches_moebius_over_the_engine_column():
+    # the table as it was built from the engine column, in Fractions
+    t = polylog_frame_table(range(-4, 5), range(1, 13))
+    for f in range(-4, 5):
+        col = framed_log_column_by_framing(f, 12)
+        for d in range(1, 13):
+            h = sum(moebius(d // e) * e * col[e - 1] for e in divisors(d))
+            assert t.entry(d, f) == h / d**3, (d, f)
+
+
+def test_six_n_over_f_integral_past_the_papers_range():
+    # a measurement, not a theorem: 4,000 cells with f != 0
+    t = polylog_frame_table(range(-10, 11), range(1, 201))
+    assert t.nonintegral == ()
+    assert t.entry(1, -10) == 10 and t.entry(200, 0) == 0
 
 
 def test_table_csv_layout():

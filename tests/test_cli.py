@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from sfuncs.catalog import polylog
+from sfuncs.catalog import polylog, polylog_frame_table
 from sfuncs.numfield import make_field
 from sfuncs.serialize import dump_obj, field_to_obj, load_series, series_to_obj
 from sfuncs.series import Series
@@ -263,6 +263,15 @@ def test_polylog_table_csv():
     assert lines[0] == "d,f=2,f=3,f=4,f=5"
     assert lines[2] == "2,1,3/2,4,5"
     assert lines[7] == "7,-10,339,-3452,19605"
+
+
+def test_polylog_table_negative_columns():
+    # argparse reads "--f -2..2" as a missing value; the = form passes it
+    r = run_cli("polylog-table", "--d", "1..7", "--f=-2..2")
+    assert r.returncode == 0, r.stderr
+    want = polylog_frame_table(range(-2, 3), range(1, 8)).to_obj()
+    assert json.loads(r.stdout) == json.loads(dump_obj(want))
+    assert run_cli("polylog-table", "--d", "1..7", "--f", "-2..2").returncode == 2
 
 
 def test_jk_check_passes():

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import ast
+import functools
 import importlib
 import pkgutil
 import sys
@@ -51,3 +52,17 @@ def test_oracles_live_only_in_the_tests():
         shipped = sorted(n for n in names if hasattr(mod, n))
         assert not shipped, f"{mod.__name__} ships oracle names {shipped}"
     assert not hasattr(MSeries, "substitute")
+
+
+def test_every_cache_in_the_package_is_bounded():
+    caches = {}
+    for info in pkgutil.iter_modules(sfuncs.__path__):
+        mod = importlib.import_module(f"sfuncs.{info.name}")
+        for name, obj in vars(mod).items():
+            members = vars(obj).items() if isinstance(obj, type) else ()
+            for qual, fn in [(name, obj)] + [(f"{name}.{m}", v) for m, v in members]:
+                if isinstance(fn, functools._lru_cache_wrapper):
+                    caches[f"{info.name}.{qual}"] = fn.cache_parameters()["maxsize"]
+    assert {"catalog.cyclotomic_polynomial", "intutil.primes_up_to"} <= set(caches)
+    unbounded = sorted(k for k, size in caches.items() if size is None)
+    assert not unbounded, f"unbounded caches: {unbounded}"

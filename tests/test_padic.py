@@ -303,3 +303,13 @@ def test_bad_prime_rows_are_built_at_the_asked_precision():
     with pytest.raises(LiftFailed):
         _frobenius_rows(CBRT5, 5, 2)
     assert _frobenius_rows(CBRT5, 5, 1) == rows
+
+
+def test_elem_reads_fraction_coordinates_exactly():
+    ring = make_residue_ring(make_field([3, 0, 1]), 5, 2)
+    assert ring.elem([Fraction(1, 2), Fraction(7, 3)]).coords == (13, 19)
+    assert ring.elem([-1, 27]).coords == (24, 2)
+    with pytest.raises(NotPIntegral):
+        ring.elem([Fraction(1, 5), 0])
+    with pytest.raises(TypeError):
+        ring.elem([0.5, 0])
