@@ -257,9 +257,9 @@ def _framed_log_h(f: int, k: int) -> int:
 
 
 def _framed_log_column(f: int, dmax: int) -> list[Fraction]:
-    """Coefficients of log Y_f to order dmax, (-1)**((f+1)k) binom(fk, k) / k:
-    Lagrange inversion of log Y_f = -f delta frame_f(Li2, -f), the framing
-    route that the oracle in tests/oracles.py takes."""
+    """Coefficients (-1)**((f+1)k) binom(fk, k) / k of log Y_f to order dmax, by
+    Lagrange inversion of -f delta frame_f(Li2, -f) (tests/oracles.py); the
+    table reads the integers _framed_log_h, only the closed-form tests this."""
     return [Fraction(_framed_log_h(f, k), k) for k in range(1, dmax + 1)]
 
 

@@ -240,7 +240,10 @@ def run(argv) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (SfuncError, OSError, ValueError) as e:  # JSONDecodeError is a ValueError
+    except SfuncError as e:
+        sys.stderr.write(f"error: {type(e).__name__}: {e}\n")
+        return 2
+    except (OSError, ValueError, json.JSONDecodeError) as e:
         sys.stderr.write(f"error: {type(e).__name__}: {e}\n")
         return 2
 

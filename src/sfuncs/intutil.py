@@ -84,9 +84,7 @@ def prime_factors(n: int) -> dict[int, int]:
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
-        if is_prime(m):
+        if m < f * f or is_prime(m):  # m has no prime factor below f
             out[m] = out.get(m, 0) + 1
             continue
         d = _pollard_rho(m)

@@ -176,10 +176,14 @@ class MSeries:
         """View a one-variable MSeries as a Series."""
         if self.nvars != 1:
             raise DimensionMismatch("only one-variable series convert")
-        coeffs = [self.field.zero()] * (self.order + 1)
+        coeffs = [self.field.zero()] * self.order
+        const = self.field.zero()
         for (k,), c in self.terms:
-            coeffs[k] = c
-        return Series(self.field, self.order, coeffs[0], tuple(coeffs[1:]))
+            if k == 0:
+                const = c
+            else:
+                coeffs[k - 1] = c
+        return Series(self.field, self.order, const, tuple(coeffs))
 
     @classmethod
     def from_univariate(cls, v: Series) -> "MSeries":

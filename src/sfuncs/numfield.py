@@ -41,12 +41,16 @@ def _sylvester_resultant(p: Sequence[int], q: Sequence[int]) -> int:
     if size == 0:
         return 1
     rows: list[list[int]] = []
-    for count, poly in ((n, p), (m, q)):
-        for i in range(count):
-            row = [0] * size
-            for j, c in enumerate(reversed(poly)):
-                row[i + j] = c
-            rows.append(row)
+    for i in range(n):
+        row = [0] * size
+        for j, c in enumerate(reversed(p)):
+            row[i + j] = c
+        rows.append(row)
+    for i in range(m):
+        row = [0] * size
+        for j, c in enumerate(reversed(q)):
+            row[i + j] = c
+        rows.append(row)
     sign = 1
     prev = 1
     for k in range(size - 1):

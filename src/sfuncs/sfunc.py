@@ -191,21 +191,11 @@ def check_sfunction(
                 )
     primes = primes_up_to(order)
 
-    def factor(g: int) -> dict[int, int]:
-        """ord_p(g) at p | g; g <= order, so a cofactor past sqrt(g) is prime."""
-        out: dict[int, int] = {}
-        for p in primes:
-            if p * p > g:
-                break
-            while g % p == 0:
-                out[p], g = out.get(p, 0) + 1, g // p
-        return {**out, g: 1} if g > 1 else out
-
     def pairs():
         """(k, p, a_{k/p}, a_k, required) for every pair, each once; an
         absent coefficient is the object zero itself."""
         for key, ak in a.items():
-            ords = factor(math.gcd(*key))
+            ords = prime_factors(math.gcd(*key))
             for p, e in ords.items():
                 yield key, p, a.get(tuple([k // p for k in key]), zero), ak, s * e
             deg = sum(key)

@@ -8,6 +8,7 @@ import pytest
 from sfuncs.catalog import (
     CyclotomicSpec,
     _framed_log_column,
+    _framed_log_h,
     abelian_generator,
     cyclotomic_field,
     cyclotomic_polynomial,
@@ -205,9 +206,13 @@ def test_log_column_binomial_form_to_order_30():
 
 
 def test_log_column_matches_the_framing_engine():
-    # the closed form against log Y_f = -f delta frame_f(Li2, -f)
+    # the integers the table reads, k [z^k] log Y_f, against
+    # log Y_f = -f delta frame_f(Li2, -f)
     for f in range(-7, 8):
-        assert _framed_log_column(f, 30) == framed_log_column_by_framing(f, 30), f
+        col = framed_log_column_by_framing(f, 30)
+        assert [_framed_log_h(f, k) for k in range(1, 31)] == [
+            k * c for k, c in enumerate(col, 1)
+        ], f
 
 
 def test_table_matches_moebius_over_the_engine_column():

@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from sfuncs import intutil
 from sfuncs.intutil import (
     crt,
     divisors,
@@ -35,6 +36,23 @@ def test_prime_factors_examples():
     assert prime_factors(2**20 + 7) == {1048583: 1}
     big = (2**31 - 1) * (2**61 - 1)
     assert prime_factors(big) == {2**31 - 1: 1, 2**61 - 1: 1}
+
+
+def test_prime_factors_below_2_40_needs_no_primality_test(monkeypatch):
+    # trial division past sqrt(n) proves the cofactor prime
+    def refuse(m):
+        raise AssertionError(f"is_prime({m}) called")
+
+    monkeypatch.setattr(intutil, "is_prime", refuse)
+    sieve = set(primes_up_to(3000))
+    for n in range(1, 3001):
+        f = prime_factors(n)
+        assert math.prod(p**e for p, e in f.items()) == n
+        assert set(f) <= sieve, n
+    assert prime_factors(1048573 * 1048571) == {1048571: 1, 1048573: 1}
+    # past the trial-division range a cofactor is tested, not assumed prime
+    monkeypatch.undo()
+    assert prime_factors(1048583 * 1048589) == {1048583: 1, 1048589: 1}
 
 
 @given(st.integers(min_value=1, max_value=10**6))
