@@ -23,7 +23,9 @@ from .errors import (
     SmallPrime,
 )
 from .intutil import divisors, is_prime, moebius, ord_p
-from .numfield import FieldElem, NumberField, _poly_divmod, make_field, rationals
+from .numfield import (
+    FieldElem, NumberField, _exact, _poly_divmod, make_field, rationals,
+)
 from .series import Series, dint, log_series
 
 
@@ -98,7 +100,7 @@ class CyclotomicSpec:
         norm = []
         for i, c in sorted(items):
             i = int(i)
-            c = Fraction(c)
+            c = _exact(c)
             if not 0 <= i < self.conductor:
                 raise BadConductor(
                     f"coefficient index {i} outside [0, {self.conductor})"
@@ -254,13 +256,6 @@ def _framed_log_h(f: int, k: int) -> int:
     n = f * k
     c = math.comb(n, k) if n >= 0 else (-1) ** k * math.comb(k - n - 1, k)
     return -c if (f + 1) * k % 2 else c
-
-
-def _framed_log_column(f: int, dmax: int) -> list[Fraction]:
-    """Coefficients (-1)**((f+1)k) binom(fk, k) / k of log Y_f to order dmax, by
-    Lagrange inversion of -f delta frame_f(Li2, -f) (tests/oracles.py); the
-    table reads the integers _framed_log_h, only the closed-form tests this."""
-    return [Fraction(_framed_log_h(f, k), k) for k in range(1, dmax + 1)]
 
 
 def polylog_frame_table(f_range, d_range) -> FramedPolylogTable:

@@ -68,7 +68,7 @@ def _load_json(path: str):
 def _cmd_verify(args) -> int:
     v = load_series(args.series)
     extra = tuple(_parse_range(args.primes_extra)) if args.primes_extra else ()
-    report = check_sfunction(v, args.s, jobs=args.jobs, extra_primes=extra)
+    report = check_sfunction(v, args.s, extra_primes=extra)
     _emit(dump_obj(report.to_obj()), args.out)
     return 0 if report.passed else 1
 

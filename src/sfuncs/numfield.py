@@ -30,45 +30,12 @@ from .intutil import prime_factors
 Scalar = Union[int, Fraction]
 
 
-def _sylvester_resultant(p: Sequence[int], q: Sequence[int]) -> int:
-    """Resultant of two integer polynomials (coefficients low to high).
-
-    Computed as the determinant of the Sylvester matrix by fraction-free
-    (Bareiss) elimination, so the result is an exact integer.
-    """
-    m, n = len(p) - 1, len(q) - 1
-    size = m + n
-    if size == 0:
-        return 1
-    rows: list[list[int]] = []
-    for i in range(n):
-        row = [0] * size
-        for j, c in enumerate(reversed(p)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(m):
-        row = [0] * size
-        for j, c in enumerate(reversed(q)):
-            row[i + j] = c
-        rows.append(row)
-    sign = 1
-    prev = 1
-    for k in range(size - 1):
-        if rows[k][k] == 0:
-            for r in range(k + 1, size):
-                if rows[r][k] != 0:
-                    rows[k], rows[r] = rows[r], rows[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = rows[k][k]
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                rows[i][j] = (rows[i][j] * pivot - rows[i][k] * rows[k][j]) // prev
-            rows[i][k] = 0
-        prev = pivot
-    return sign * rows[size - 1][size - 1]
+def _exact(value: Scalar) -> Fraction:
+    """value as a Fraction; anything but an int or a Fraction raises TypeError,
+    so a float is never read as its binary value."""
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"need an int or a Fraction, got {value!r}")
+    return Fraction(value)
 
 
 def _derivative(p: Sequence[int]) -> tuple[int, ...]:
@@ -78,8 +45,21 @@ def _derivative(p: Sequence[int]) -> tuple[int, ...]:
 def discriminant(minpoly: Sequence[int]) -> int:
     """Discriminant of a monic integer polynomial: (-1)**(d(d-1)/2) res(P, P')."""
     d = len(minpoly) - 1
-    res = _sylvester_resultant(minpoly, _derivative(minpoly))
-    return (-1) ** (d * (d - 1) // 2) * res
+    return (-1) ** (d * (d - 1) // 2) * int(_resultant(minpoly, _derivative(minpoly)))
+
+
+def _resultant(a: Sequence, b: Sequence) -> Fraction:
+    """Resultant of two polynomials over Q (coefficients low to high), by
+    Euclid: res(a, b) = (-1)**(deg a deg b) lc(b)**(deg a - deg r) res(b, r)
+    with r = a mod b, down to res(a, c) = c**deg a for a constant c."""
+    a, b = [Fraction(c) for c in a], [Fraction(c) for c in b]
+    res = Fraction(1)
+    while (db := _poly_degree(b)) > 0:
+        da = _poly_degree(a)
+        r = _poly_divmod(a, b, lambda c: 1 / c)[1]
+        res *= (-1) ** (da * db) * b[db] ** (da - _poly_degree(r))
+        a, b = b, r
+    return res * b[0] ** _poly_degree(a) if db == 0 else Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -108,15 +88,16 @@ class NumberField:
         return tuple(rows)
 
     def elem(self, value: Scalar | Sequence[Scalar]) -> "FieldElem":
-        """Element from a rational scalar or a coordinate sequence.
+        """Element from a rational scalar or a coordinate sequence; a value
+        that is not an int or a Fraction, a float included, raises TypeError.
 
         >>> k = make_field([3, 0, 1])
         >>> k.elem([Fraction(1, 2), 3]).coords
         (Fraction(1, 2), Fraction(3, 1))
         """
-        if isinstance(value, (int, Fraction)):
+        if isinstance(value, (int, Fraction)) or not isinstance(value, Iterable):
             value = [value] + [0] * (self.degree - 1)
-        fracs = [Fraction(v) for v in value]
+        fracs = [_exact(v) for v in value]
         if len(fracs) != self.degree:
             raise ValueError(
                 f"need {self.degree} coordinates, got {len(fracs)}"

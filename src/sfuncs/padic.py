@@ -7,10 +7,12 @@ lift is the unique root xi of P with xi = x**p mod p, found by Newton
 iteration with doubling precision; applying Frobenius evaluates coordinate
 polynomials at xi and fixes Z/p**n pointwise.
 
-Only primes not dividing the field discriminant are accepted: for those,
-P stays separable mod p and xi exists and is unique.  The checker applies
-Frobenius to integer rows by its matrix (FrobeniusMap.rows), one per
-(field, p); ResidueElem remains for building lifts and the public API.
+make_residue_ring accepts only primes not dividing the field discriminant:
+for those, P stays separable mod p and xi exists and is unique.  One lift
+is kept per (field, p), at the largest precision asked for, and grown by
+Newton from the kept xi; frobenius_lift reduces it to a ring's precision,
+and the checker applies it to integer rows by its matrix (FrobeniusMap.rows).
+ResidueElem remains for building lifts and the public API.
 """
 from __future__ import annotations
 
@@ -121,7 +123,6 @@ def _ring_unchecked(field: NumberField, p: int, n: int) -> ResidueRing:
     return ResidueRing(field=field, p=p, n=n, modulus=p**n)
 
 
-@lru_cache(maxsize=4096)
 def make_residue_ring(field: NumberField, p: int, n: int) -> ResidueRing:
     """Residue ring at a good prime p to precision p**n.
 
@@ -181,27 +182,6 @@ def _invert_unit(a: ResidueElem) -> ResidueElem:
     return inv
 
 
-@lru_cache(maxsize=4096)
-def frobenius_lift(ring: ResidueRing) -> "FrobeniusMap":
-    """The canonical Frobenius on the ring: the root xi of P with xi = x**p mod p.
-
-    Newton iteration xi <- xi - P(xi)/P'(xi) from xi = x**p, with precision
-    doubling 1, 2, 4, ... up to n.
-    """
-    field, p, n = ring.field, ring.p, ring.n
-    minpoly, deriv = field.minpoly, _derivative(field.minpoly)
-    xi = _ring_unchecked(field, p, 1).gen() ** p
-    prec = 1
-    while prec < n:
-        prec = min(2 * prec, n)
-        xi = _ring_unchecked(field, p, prec).elem(xi.coords)
-        xi = xi - _eval_int_poly(minpoly, xi) * _invert_unit(_eval_int_poly(deriv, xi))
-    xi = ring.elem(xi.coords)
-    if not _eval_int_poly(minpoly, xi).is_zero():
-        raise LiftFailed(f"Newton iteration did not converge at p={p}, n={n}")
-    return FrobeniusMap(ring=ring, xi=xi)
-
-
 @dataclass(frozen=True)
 class FrobeniusMap:
     """Ring endomorphism sending the class of x to xi and fixing Z/p**n."""
@@ -223,23 +203,53 @@ class FrobeniusMap:
 
 
 @lru_cache(maxsize=4096)
-def _rows_cell(field: NumberField, p: int) -> list:
-    """[N, rows]: the largest precision built so far at (field, p)."""
-    return [0, ((1,),)]
+def _lift_cell(field: NumberField, p: int) -> list:
+    """[frob]: the lift at (field, p) to the largest precision built so far,
+    starting from xi = x**p mod p."""
+    xi = _ring_unchecked(field, p, 1).gen() ** p
+    return [FrobeniusMap(ring=xi.ring, xi=xi)]
+
+
+def _lift(field: NumberField, p: int, n: int) -> FrobeniusMap:
+    """The kept lift at (field, p), mod p**N with N >= n.
+
+    When n exceeds N, Newton iteration xi <- xi - P(xi)/P'(xi) continues
+    from the kept xi, doubling the precision up to max(n, 2N); the lift
+    mod p**N reduces to the unique one mod p**n.  At a p dividing the
+    discriminant P'(xi) is never a unit, so past n = 1 this raises LiftFailed
+    and the cell keeps its lift mod p.
+    """
+    cell = _lift_cell(field, p)
+    frob = cell[0]
+    if frob.ring.n >= n:
+        return frob
+    minpoly, deriv = field.minpoly, _derivative(field.minpoly)
+    xi, prec, top = frob.xi, frob.ring.n, max(n, 2 * frob.ring.n)
+    while prec < top:
+        prec = min(2 * prec, top)
+        xi = _ring_unchecked(field, p, prec).elem(xi.coords)
+        xi = xi - _eval_int_poly(minpoly, xi) * _invert_unit(_eval_int_poly(deriv, xi))
+    if not _eval_int_poly(minpoly, xi).is_zero():
+        raise LiftFailed(f"Newton iteration did not converge at p={p}, n={top}")
+    cell[0] = FrobeniusMap(ring=xi.ring, xi=xi)
+    return cell[0]
+
+
+def frobenius_lift(ring: ResidueRing) -> FrobeniusMap:
+    """The canonical Frobenius on the ring: the root xi of P with xi = x**p mod p.
+
+    The kept lift at (field, p), reduced to the ring's precision.
+    """
+    frob = _lift(ring.field, ring.p, ring.n)
+    if frob.ring == ring:
+        return frob
+    return FrobeniusMap(ring=ring, xi=ring.elem(frob.xi.coords))
 
 
 def _frobenius_rows(field: NumberField, p: int, n: int) -> tuple:
-    """FrobeniusMap.rows mod p**N, N >= n: one lift per (field, p), rebuilt
-    at max(n, 2N) when more is asked for, as at a good p the lift mod p**N
-    reduces to the unique one mod p**n.  At a bad p, where a lift need not
-    exist nor reduce so, it is built at p**n.  Over Q no lift is built."""
-    if field.discriminant % p == 0:
-        return frobenius_lift(_ring_unchecked(field, p, n)).rows
-    cell = _rows_cell(field, p)
-    if cell[0] < n and field.degree > 1:
-        cell[0] = max(n, 2 * cell[0])
-        cell[1] = frobenius_lift(make_residue_ring(field, p, cell[0])).rows
-    return cell[1]
+    """FrobeniusMap.rows mod p**N, N >= n, of the kept lift at (field, p).
+    Over Q no lift is built."""
+    return _lift(field, p, n).rows if field.degree > 1 else ((1,),)
 
 
 def _apply_rows(rows, coords, mod: int) -> list[int]:

@@ -136,7 +136,6 @@ def _extra_prime_report(judge, pairs, q: int, bad: bool) -> dict:
 def check_sfunction(
     v: Series | MSeries,
     s: int,
-    jobs: int | None = None,
     extra_primes: Sequence[int] = (),
 ) -> SReport:
     """Verify the s-function congruences at every good prime.
@@ -157,9 +156,8 @@ def check_sfunction(
     skipped, and primes in extra_primes get informational records, over the
     same pairs, that never affect the verdict; an entry of extra_primes that
     is not prime raises NotPrime.  Every prime that reaches a check is thus
-    known to be prime.  s < 1 raises ValueError.
-    jobs is accepted and ignored: the checks run in this process, because a
-    process pool measured no faster than serial checking and cost more CPU.
+    known to be prime.  s < 1 raises ValueError.  The checks run in this
+    process: a process pool measured no faster and cost more CPU.
     """
     if s < 1:
         raise ValueError("need s >= 1")

@@ -4,8 +4,9 @@ Each function here computes, by an older and independent route, an object the
 package computes faster: framings by inverting the coordinate map and
 substituting into the body, the framed-polylog column through the framing
 engine, exp/log/inverse by sums of powers, reversion by fixed-point
-iteration, one congruence through the residue ring, and the one-variable
-congruence check by a dense scan of every index.  None of this
+iteration, one congruence through the residue ring, the one-variable
+congruence check by a dense scan of every index, and the resultant as the
+determinant of the Sylvester matrix.  None of this
 is part of the package; tests import it as ``from oracles import ...``.
 """
 from __future__ import annotations
@@ -166,7 +167,8 @@ def frame_multi_by_inversion(w: MSeries, kappa) -> MSeries:
 
 
 def framed_log_column_by_framing(f: int, dmax: int) -> list[Fraction]:
-    """catalog._framed_log_column: log Y_f = -f delta frame_f(Li2, -f).
+    """[z^k] log Y_f = catalog._framed_log_h(f, k) / k for k <= dmax, through
+    the framing engine: log Y_f = -f delta frame_f(Li2, -f).
 
     Y_f solves z = (-1)**f * w * Y_f(w) under w = z / (z-1)**f, the coordinate
     of frame_f(Li2, -f), so log Y_f = f log(1-z) = -f delta Li2 in z; framing
@@ -286,3 +288,46 @@ def check_uni_by_dense_scan(v: Series, s: int) -> SReport:
                 )
     checks.sort(key=lambda c: (c.index, c.p))
     return SReport(s, n, tuple(checks), tuple(sorted(skipped)))
+
+
+# --- the resultant by fraction-free elimination
+
+
+def resultant_by_sylvester(p: Sequence[int], q: Sequence[int]) -> int:
+    """numfield._resultant of two integer polynomials (coefficients low to
+    high), computed as the determinant of the Sylvester matrix by fraction-free
+    (Bareiss) elimination, so the result is an exact integer.
+    """
+    m, n = len(p) - 1, len(q) - 1
+    size = m + n
+    if size == 0:
+        return 1
+    rows: list[list[int]] = []
+    for i in range(n):
+        row = [0] * size
+        for j, c in enumerate(reversed(p)):
+            row[i + j] = c
+        rows.append(row)
+    for i in range(m):
+        row = [0] * size
+        for j, c in enumerate(reversed(q)):
+            row[i + j] = c
+        rows.append(row)
+    sign = 1
+    prev = 1
+    for k in range(size - 1):
+        if rows[k][k] == 0:
+            for r in range(k + 1, size):
+                if rows[r][k] != 0:
+                    rows[k], rows[r] = rows[r], rows[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = rows[k][k]
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                rows[i][j] = (rows[i][j] * pivot - rows[i][k] * rows[k][j]) // prev
+            rows[i][k] = 0
+        prev = pivot
+    return sign * rows[size - 1][size - 1]

@@ -6,6 +6,7 @@ import functools
 import importlib
 import pkgutil
 import sys
+from collections import Counter
 from pathlib import Path
 
 import sfuncs
@@ -66,3 +67,27 @@ def test_every_cache_in_the_package_is_bounded():
     assert {"catalog.cyclotomic_polynomial", "intutil.primes_up_to"} <= set(caches)
     unbounded = sorted(k for k, size in caches.items() if size is None)
     assert not unbounded, f"unbounded caches: {unbounded}"
+
+
+def _names_used(node: ast.AST) -> Counter:
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        or isinstance(n, ast.Attribute)
+    )
+
+
+def test_every_private_definition_has_a_caller_in_the_package():
+    # a private helper that only the tests reach is dead code in the package
+    trees = [ast.parse(p.read_text(), str(p)) for p in sorted(PACKAGE.glob("*.py"))]
+    used = sum((_names_used(tree) for tree in trees), Counter())
+    uncalled = sorted(
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and used[node.name] == _names_used(node)[node.name]
+    )
+    assert not uncalled, f"private names with no caller in the package: {uncalled}"

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import resultant_by_sylvester
+from sfuncs.catalog import cyclotomic_polynomial
 from sfuncs.errors import FieldMismatch, NotMonic, NotSquarefree, Zero, ZeroDivisor
 from sfuncs.numfield import (
+    _derivative,
+    _resultant,
     denominator_support,
     discriminant,
     invert,
@@ -73,6 +78,16 @@ def test_make_field_rejects():
         make_field([1, -2, 1])  # (x-1)^2
     with pytest.raises(NotSquarefree):
         make_field([0, 0, 1])  # x^2
+
+
+def test_elem_refuses_floats():
+    # 0.1 would be read as 3602879701896397/36028797018963968
+    for value in ([0.1], 0.1, "1"):
+        with pytest.raises(TypeError):
+            rationals().elem(value)
+    with pytest.raises(TypeError):
+        CUBIC.elem([1, 2.0, 0])
+    assert CUBIC.elem([True, Fraction(1, 2), 0]) == CUBIC.elem([1, Fraction(1, 2), 0])
 
 
 def test_reduction_examples():
@@ -161,3 +176,23 @@ def test_power_matches_repeated_product_to_nine_and_inverts_below_zero():
     assert u**1 is u  # no multiplication at all
     assert u**-3 == invert(u) ** 3
     assert u**-3 * u**3 == 1
+
+
+def _resultant_pairs():
+    rng = random.Random(9)
+    for _ in range(300):
+        d = rng.randint(1, 9)
+        poly = [rng.randint(-20, 20) for _ in range(d)] + [1]
+        other = [rng.randint(-20, 20) for _ in range(rng.randint(0, 8))]
+        yield poly, _derivative(poly)
+        yield poly, other + [rng.choice((-3, -1, 1, 2, 5))]
+    for n in range(1, 80):
+        poly = cyclotomic_polynomial(n)
+        yield poly, _derivative(poly)
+
+
+def test_euclidean_resultant_matches_sylvester():
+    # random monic P of degree <= 9 against P' and a random Q, and the
+    # cyclotomic polynomials below 80 against their derivatives
+    for a, b in _resultant_pairs():
+        assert _resultant(a, b) == resultant_by_sylvester(a, b), (a, b)

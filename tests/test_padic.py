@@ -1,18 +1,21 @@
 from __future__ import annotations
 
+import functools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from sfuncs import padic
+from sfuncs.catalog import cyclotomic_field
 from sfuncs.errors import BadPrime, LiftFailed, NotPIntegral, NotPrime, RingMismatch
 from sfuncs.intutil import primes_up_to
 from sfuncs.numfield import make_field, rationals
 from sfuncs.padic import (
     _frobenius_rows,
+    _lift_cell,
     _ring_unchecked,
-    _rows_cell,
     frobenius_lift,
     make_residue_ring,
     reduce,
@@ -270,30 +273,73 @@ def test_frobenius_matrix_rows_are_powers_of_the_lift():
         assert ring.elem(row) == frob(ring.gen() ** i)
 
 
-def test_one_lift_per_field_and_prime_serves_lower_precisions():
-    # the matrix kept at (CUBIC, 5) is built at the largest precision asked
+def test_one_lift_per_field_and_prime_serves_lower_precisions(monkeypatch):
+    # the lift kept at (CUBIC, 5) is built at the largest precision asked
     # for; lower precisions reuse it, and reduced they equal the lift built
-    # at their own precision
-    _rows_cell.cache_clear()
+    # from x**p mod p at their own precision
+    _lift_cell.cache_clear()
     high = _frobenius_rows(CUBIC, 5, 9)
-    lookups = sum(frobenius_lift.cache_info()[:2])
+    kept = _lift_cell(CUBIC, 5)[0]
+    assert kept.ring.n == 9 and kept.rows is high
     assert all(_frobenius_rows(CUBIC, 5, n) is high for n in (1, 3, 9))
-    assert sum(frobenius_lift.cache_info()[:2]) == lookups  # no lift looked up
+    assert all(frobenius_lift(make_residue_ring(CUBIC, 5, n)).xi.coords
+               == tuple(c % 5**n for c in kept.xi.coords) for n in (1, 3, 9))
+    assert _lift_cell(CUBIC, 5)[0] is kept  # nothing was rebuilt
     for n in (1, 3, 9):
+        _lift_cell.cache_clear()
         exact = frobenius_lift(make_residue_ring(CUBIC, 5, n)).rows
         assert [tuple(c % 5**n for c in row) for row in high] == list(exact)
-    # more precision rebuilds at max(n, 2N); over Q no lift is built at all
-    assert _rows_cell(CUBIC, 5)[0] == 9
+    # more precision continues Newton from the kept xi up to max(n, 2N):
+    # one step from 9 to 18, where x**p mod p would take five
+    _lift_cell.cache_clear()
+    _frobenius_rows(CUBIC, 5, 9)
+    steps, invert_unit = [], padic._invert_unit
+    monkeypatch.setattr(
+        padic, "_invert_unit", lambda a: steps.append(a) or invert_unit(a)
+    )
     _frobenius_rows(CUBIC, 5, 10)
-    assert _rows_cell(CUBIC, 5)[0] == 18
-    before = frobenius_lift.cache_info().misses
+    grown = _lift_cell(CUBIC, 5)[0]
+    assert grown.ring.n == 18 and len(steps) == 1
+    assert tuple(c % 5**9 for c in grown.xi.coords) == kept.xi.coords
+    _frobenius_rows(CUBIC, 5, 50)
+    assert _lift_cell(CUBIC, 5)[0].ring.n == 50
+    # over Q no lift is built at all
+    misses = _lift_cell.cache_info().misses
     assert _frobenius_rows(rationals(), 5, 40) == ((1,),)
-    assert frobenius_lift.cache_info().misses == before
+    assert _lift_cell.cache_info().misses == misses
 
 
 def test_lift_caches_are_bounded():
-    for cache in (make_residue_ring, frobenius_lift, _rows_cell):
-        assert cache.cache_info().maxsize is not None
+    # padic keeps one cache, the lift cell, and it is bounded
+    caches = [obj for obj in vars(padic).values()
+              if isinstance(obj, functools._lru_cache_wrapper)]
+    assert caches == [_lift_cell]
+    assert _lift_cell.cache_info().maxsize is not None
+
+
+@pytest.mark.parametrize("field", [
+    rationals(), make_field([1, 1, 1]), CUBIC, cyclotomic_field(7),
+], ids=["Q", "x2+x+1", "disc49", "zeta7"])
+def test_lift_is_the_root_over_x_to_the_p_in_any_order(field):
+    # checked on the ring alone: xi = x**p mod p and P(xi) = 0 mod p**n,
+    # with precisions asked in shuffled order so the kept lift both grows
+    # and serves lower precisions
+    rng = random.Random(field.degree)
+    for p in primes_up_to(13):
+        if field.discriminant % p == 0:
+            continue
+        precisions = list(range(1, 13))
+        rng.shuffle(precisions)
+        base = make_residue_ring(field, p, 1)
+        for n in precisions:
+            ring = make_residue_ring(field, p, n)
+            xi = frobenius_lift(ring).xi
+            assert xi.ring == ring
+            assert base.elem(xi.coords) == base.gen() ** p, (p, n)
+            value = ring.from_int(0)
+            for c in reversed(field.minpoly):
+                value = value * xi + c
+            assert value.is_zero(), (p, n)
 
 
 def test_bad_prime_rows_are_built_at_the_asked_precision():

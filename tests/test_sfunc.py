@@ -118,14 +118,6 @@ def test_bad_primes_skipped_and_reported():
     assert rep.violations == []
 
 
-def test_jobs_parameter_is_pure_parallelism():
-    v = polylog(2, 24)
-    seq = check_sfunction(v, 2, jobs=1)
-    par = check_sfunction(v, 2, jobs=3)
-    assert seq.checks == par.checks
-    assert seq.skipped_primes == par.skipped_primes
-
-
 # --- dwork factorization
 
 
