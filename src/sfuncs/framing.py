@@ -30,7 +30,7 @@ from operator import le, mul, sub
 
 from .errors import ConstantTermNonzero, DimensionMismatch, NotSymmetric
 from .mseries import MSeries, delta_i, power_m
-from .numfield import FieldElem, _add_product
+from .numfield import FieldElem, NumberField, _sum_products
 from .series import (
     Series,
     delta,
@@ -138,7 +138,9 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
 
         c_k = sigma**k [z**k] D exp(<kappa k, delta W>),  D = B det(I - kappa S).
 
-    D is built once; the exp runs for each k on the box {m <= k} only.
+    D is built once.  A z_i absent from W has delta_i W = 0, so D and the exp
+    do not involve it and k_i = 0: k, and the box {m <= k} on which the exp
+    runs for each k, range over the variables that appear in W only.
 
     >>> from sfuncs.numfield import rationals
     >>> w = MSeries.from_dict(rationals(), 2, 2, {(1, 0): 1, (0, 1): 1})
@@ -171,8 +173,10 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
     wterms = [
         (j, c * sum(j), [sum(map(mul, row, j)) for row in kap]) for j, c in w.terms
     ]
+    # delta_i W = 0 for a z_i absent from W, so every key below has k_i = 0
+    live = {i for j, _ in w.terms for i, ji in enumerate(j) if ji}
     out = {}
-    for k in product(range(w.order + 1), repeat=n):
+    for k in product(*(range(w.order + 1) if i in live else (0,) for i in range(n))):
         if not 0 < sum(k) <= w.order:
             continue
         ts = [(j, a * dot) for j, a, kj in wterms
@@ -180,10 +184,10 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
         # |m| E_m = sum_j |j| <kappa k, j> W_j E_(m-j) on the box below k
         e = {(0,) * n: field.one()}
         for m in product(*(range(ki + 1) for ki in k)):
-            if 0 < sum(m) < sum(k) and (c := _convolve_at(e, ts, m, sum(m))):
+            if 0 < sum(m) < sum(k) and (c := _convolve_at(field, e, ts, m, sum(m))):
                 e[m] = c
         sign = (-1) ** sum(ki for i, ki in enumerate(k) if kappa.sigma(i) < 0)
-        if c := _convolve_at(e, d.terms, k, sign):
+        if c := _convolve_at(field, e, d.terms, k, sign):
             out[k] = c
     return MSeries.from_dict(field, n, w.order, out)
 
@@ -202,13 +206,14 @@ def _unit_det(rows: list[list[MSeries]]) -> MSeries:
     return det
 
 
-def _convolve_at(e: dict, terms, k: tuple, scale: int) -> FieldElem | None:
-    """sum c * e[k - j] over the pairs (j, c) of terms, divided by scale and
-    normalized once; None when no k - j is a key of e."""
-    acc = None
+def _convolve_at(
+    field: NumberField, e: dict, terms, k: tuple, scale: int
+) -> FieldElem | None:
+    """sum c * e[k - j] over the pairs (j, c) of terms, divided by scale;
+    None when no k - j is a key of e."""
+    pairs = []
     for j, c in terms:
         prev = e.get(tuple(map(sub, k, j)))
         if prev is not None:
-            acc = _add_product(acc, c, prev)
-    if acc is not None:
-        return FieldElem(c.field, tuple(acc[0]), acc[1] * scale)
+            pairs.append((c, prev))
+    return _sum_products(field, pairs, scale)

@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import Mapping, Sequence, Union
 
 from .errors import BadConstantTerm, DimensionMismatch, FieldMismatch
-from .numfield import FieldElem, NumberField, _add_product, _square_and_multiply
+from .numfield import FieldElem, NumberField, _square_and_multiply, _sum_products
 from .series import Series, _exp_grades, _inverse_grades, _invert_constant, _log_grades
 
 Coeff = Union[int, Fraction, FieldElem]
@@ -150,8 +150,9 @@ class MSeries:
             return NotImplemented
         self._check(other)
         order = min(self.order, other.order)
-        # accumulate raw coordinates; one normalization per output term
-        acc: dict[ExpVec, tuple[list[int], int]] = {}
+        # gather the products of each output key; _sum_products folds and
+        # normalizes each key's sum once
+        pairs: dict[ExpVec, list[tuple[FieldElem, FieldElem]]] = {}
         for k1, c1 in self.terms:
             d1 = sum(k1)
             if d1 > order:
@@ -160,11 +161,8 @@ class MSeries:
                 if d1 + sum(k2) > order:
                     continue
                 key = tuple(a + b for a, b in zip(k1, k2))
-                acc[key] = _add_product(acc.get(key), c1, c2)
-        out = {
-            k: FieldElem(self.field, tuple(nums), den)
-            for k, (nums, den) in acc.items()
-        }
+                pairs.setdefault(key, []).append((c1, c2))
+        out = {k: _sum_products(self.field, kp) for k, kp in pairs.items()}
         return MSeries.from_dict(self.field, self.nvars, order, out)
 
     __rmul__ = __mul__

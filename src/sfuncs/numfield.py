@@ -5,6 +5,9 @@ Elements are stored as an integer coordinate vector in the power basis
 gcd-normalized.  That keeps ring operations in plain integer arithmetic
 (one gcd per result) instead of per-coordinate fraction bookkeeping, which
 matters once series of these things get multiplied a few million times.
+A sum of products, the coefficient of a series product or of a framing, is
+one result: _sum_products adds the unreduced products over a common
+denominator, then folds mod P and normalizes once.
 
 P is required to be squarefree (nonzero discriminant) but not irreducible;
 when P factors, K is a product ring and inversion of a zero divisor raises.
@@ -297,13 +300,26 @@ def _mul_fold(
 ) -> tuple[int, ...]:
     """Product of two coordinate vectors of length d, folded back to d
     coordinates with the rows of x**d..x**(2d-2) in reduction."""
-    d = len(a)
-    conv = [0] * (2 * d - 1)
+    conv = [0] * (2 * len(a) - 1)
+    _convolve_into(conv, a, b)
+    return _fold(conv, reduction)
+
+
+def _convolve_into(
+    conv: list[int], a: Sequence[int], b: Sequence[int], m: int = 1
+) -> None:
+    """Add m times the unreduced product of coordinate vectors a and b to conv."""
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
-                if y:
-                    conv[i + j] += x * y
+            x *= m
+            for j, y in enumerate(b, i):
+                conv[j] += x * y
+
+
+def _fold(conv: list[int], reduction: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """The 2d-1 coefficients of a product in x, folded in place back to d
+    coordinates with the rows of x**d..x**(2d-2) in reduction."""
+    d = (len(conv) + 1) // 2
     for j in range(2 * d - 2, d - 1, -1):
         c = conv[j]
         if c:
@@ -313,24 +329,34 @@ def _mul_fold(
     return tuple(conv[:d])
 
 
-def _add_product(acc: tuple[list[int], int] | None, x: FieldElem, y: FieldElem):
-    """acc + x*y on raw coordinates (nums, den), None meaning zero.  Nothing
-    is normalized, so a sum of products pays for one gcd, when the caller
-    builds its FieldElem; acc's nums list is updated in place."""
-    xy = _mul_fold(x.nums, y.nums, x.field._reduction)
-    den = x.den * y.den
-    if acc is None:
-        return list(xy), den
-    nums, acc_den = acc
-    if acc_den == den:
-        for i, n in enumerate(xy):
-            nums[i] += n
-        return acc
-    g = math.gcd(acc_den, den)
-    scale_old, scale_new = den // g, acc_den // g
-    for i, n in enumerate(xy):
-        nums[i] = nums[i] * scale_old + n * scale_new
-    return nums, acc_den * scale_old
+def _sum_products(
+    field: NumberField, pairs: Iterable[tuple[FieldElem, FieldElem]], scale: int = 1
+) -> FieldElem | None:
+    """The sum of x*y over the pairs (x, y), divided by scale; None when there
+    are no pairs.
+
+    The unreduced products are summed over a running common denominator,
+    which grows, and rescales the sum, only when a pair brings a new factor.
+    The sum is folded and normalized once, so it pays for one gcd.
+    """
+    conv = None
+    for x, y in pairs:
+        den = x.den * y.den
+        if conv is None:
+            conv, acc_den, m = [0] * (2 * field.degree - 1), den, 1
+        elif den == acc_den:
+            m = 1
+        else:
+            m, r = divmod(acc_den, den)
+            if r:
+                grow = den // math.gcd(acc_den, den)
+                conv = [c * grow for c in conv]
+                acc_den *= grow
+                m = acc_den // den
+        _convolve_into(conv, x.nums, y.nums, m)
+    if conv is None:
+        return None
+    return FieldElem(field, _fold(conv, field._reduction), acc_den * scale)
 
 
 def _square_and_multiply(base, e: int):

@@ -23,7 +23,7 @@ from .errors import (
     Zero,
     ZeroDivisor,
 )
-from .numfield import FieldElem, NumberField, _add_product, _square_and_multiply, invert
+from .numfield import FieldElem, NumberField, _square_and_multiply, _sum_products, invert
 
 Coeff = Union[int, Fraction, FieldElem]
 
@@ -139,19 +139,17 @@ class Series:
             return NotImplemented
         self._check_field(other)
         n = min(self.order, other.order)
-        a = [self.const] + list(self.coeffs[:n])
-        b = [other.const] + list(other.coeffs[:n])
-        # accumulate raw coordinates; one normalization per output coefficient
-        acc = [None] * (n + 1)
-        for i, ai in enumerate(a):
-            if ai.is_zero():
-                continue
-            for j in range(n + 1 - i):
-                if not b[j].is_zero():
-                    acc[i + j] = _add_product(acc[i + j], ai, b[j])
+        a = [(i, c) for i, c in enumerate([self.const, *self.coeffs[:n]]) if c]
+        b = {j: c for j, c in enumerate([other.const, *other.coeffs[:n]]) if c}
+        # the nonzero products a_i b_(k-i) of each k go to _sum_products
+        # together, so each coefficient is folded and normalized once; no
+        # product (None) reads as zero
         zero = self.field.zero()
-        out = [zero if s is None else FieldElem(self.field, tuple(s[0]), s[1])
-               for s in acc]
+        out = [
+            _sum_products(self.field, [(c, b[k - i]) for i, c in a if k - i in b])
+            or zero
+            for k in range(n + 1)
+        ]
         return Series(self.field, n, out[0], tuple(out[1:]))
 
     __rmul__ = __mul__

@@ -5,14 +5,15 @@ package computes faster: framings by inverting the coordinate map and
 substituting into the body, the framed-polylog column through the framing
 engine, exp/log/inverse by sums of powers, reversion by fixed-point
 iteration, one congruence through the residue ring, the one-variable
-congruence check by a dense scan of every index, and the resultant as the
-determinant of the Sylvester matrix.  None of this
+congruence check by a dense scan of every index, the resultant as the
+determinant of the Sylvester matrix, and a sum of field products on Fraction
+coordinates, each reduced mod P by long division.  None of this
 is part of the package; tests import it as ``from oracles import ...``.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from sfuncs.catalog import polylog
 from sfuncs.errors import (
@@ -25,7 +26,7 @@ from sfuncs.errors import (
 from sfuncs.framing import frame_f
 from sfuncs.intutil import ord_p, prime_factors
 from sfuncs.mseries import MSeries, delta_i, exp_m, power_m
-from sfuncs.numfield import FieldElem, denominator_support, invert
+from sfuncs.numfield import FieldElem, NumberField, denominator_support, invert
 from sfuncs.padic import (
     _valuation,
     frobenius_lift,
@@ -331,3 +332,32 @@ def resultant_by_sylvester(p: Sequence[int], q: Sequence[int]) -> int:
             rows[i][k] = 0
         prev = pivot
     return sign * rows[size - 1][size - 1]
+
+
+# --- a sum of field products on Fraction coordinates
+
+
+def sum_products_by_fractions(
+    field: NumberField, pairs: Iterable[tuple[FieldElem, FieldElem]], scale: int = 1
+) -> FieldElem | None:
+    """numfield._sum_products on Fraction coordinates: each x*y is multiplied
+    out as a polynomial in x, reduced mod P by long division, and added to the
+    sum, which is divided by scale at the end; None when there are no pairs.
+    """
+    pairs = list(pairs)
+    if not pairs:
+        return None
+    p, d = field.minpoly, field.degree
+    total = [Fraction(0)] * d
+    for x, y in pairs:
+        prod = [Fraction(0)] * (2 * d - 1)
+        for i, a in enumerate(x.coords):
+            for j, b in enumerate(y.coords):
+                prod[i + j] += a * b
+        for top in range(2 * d - 2, d - 1, -1):
+            # x**d = -(p[0] + p[1] x + ... + p[d-1] x**(d-1)) mod P, P monic
+            c, prod[top] = prod[top], Fraction(0)
+            for t in range(d):
+                prod[top - d + t] -= c * p[t]
+        total = [s + c for s, c in zip(total, prod)]
+    return field.elem([c / scale for c in total])

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -152,6 +153,21 @@ def test_frame_multi_roundtrip(tmp_path):
     back = run_cli("frame-multi", "--series", str(out), "--kappa=-1,0;0,-1")
     assert back.returncode == 0
     assert json.loads(back.stdout)["coeffs"] == obj["coeffs"]
+
+
+def test_frame_multi_of_one_variable_among_seven_returns_w(tmp_path):
+    # a 7-variable file with W = z1 at order 12: only z1 is walked
+    q = make_field([0, 1])
+    obj = {"field": field_to_obj(q), "nvars": 7, "order": 12,
+           "coeffs": {"1,0,0,0,0,0,0": [["1", "1"]]}}
+    src = tmp_path / "w.json"
+    dump_obj(obj, str(src))
+    t0 = time.monotonic()
+    r = run_cli("frame-multi", "--series", str(src), "--kappa",
+                ";".join(["0,0,0,0,0,0,0"] * 7), timeout=30)
+    assert time.monotonic() - t0 < 2
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout) == json.loads(src.read_text())
 
 
 def test_frame_multi_rejects_asymmetric(tmp_path):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 from math import comb
 
@@ -273,6 +274,16 @@ def test_frame_multi_with_a_variable_absent_from_w():
     assert out.as_dict == {(k, 0): c for k, c in enumerate(framed, 1) if c}
     framed = frame_f_by_reversion(v, 2).coeffs
     assert out.as_dict == {(k, 0): c for k, c in enumerate(framed, 1) if c}
+
+
+def test_frame_multi_walks_only_the_variables_of_w():
+    # W = z1 in 7 variables with kappa = 0: the keys of z2..z7 are never
+    # walked, so order 12 frames at once instead of walking 13**7 keys
+    w = MSeries.from_dict(Q, 7, 12, {(1,) + (0,) * 6: 1})
+    t0 = time.monotonic()
+    out = frame_multi(w, Kappa(((0,) * 7,) * 7))
+    assert time.monotonic() - t0 < 2
+    assert out == w
 
 
 def test_frame_multi_odd_negative_diagonal():

@@ -6,12 +6,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import resultant_by_sylvester
+from oracles import resultant_by_sylvester, sum_products_by_fractions
 from sfuncs.catalog import cyclotomic_polynomial
 from sfuncs.errors import FieldMismatch, NotMonic, NotSquarefree, Zero, ZeroDivisor
 from sfuncs.numfield import (
+    FieldElem,
     _derivative,
     _resultant,
+    _sum_products,
     denominator_support,
     discriminant,
     invert,
@@ -196,3 +198,55 @@ def test_euclidean_resultant_matches_sylvester():
     # cyclotomic polynomials below 80 against their derivatives
     for a, b in _resultant_pairs():
         assert _resultant(a, b) == resultant_by_sylvester(a, b), (a, b)
+
+
+# Q, x^2+x+1, the disc-49 cubic and Q(zeta7)
+SUM_FIELDS = [rationals(), make_field([1, 1, 1]), CUBIC, make_field([1] * 7)]
+
+
+@st.composite
+def _summand(draw, field):
+    """An element with one denominator for all coordinates: equal (2, 2),
+    dividing (2, 4, 12) and coprime (5, 7, 9) denominators all occur, and so
+    does zero."""
+    den = draw(st.sampled_from([1, 2, 4, 12, 5, 7, 9, 35]))
+    nums = draw(st.lists(st.integers(-40, 40), min_size=field.degree,
+                         max_size=field.degree))
+    if draw(st.integers(0, 5)) == 0:
+        nums = [0] * field.degree
+    return FieldElem(field, tuple(nums), den)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_sum_products_matches_the_fraction_oracle(data):
+    field = data.draw(st.sampled_from(SUM_FIELDS))
+    pairs = data.draw(st.lists(st.tuples(_summand(field), _summand(field)), max_size=7))
+    scale = data.draw(st.sampled_from([1, -1, 2, -6, 35]))
+    want = sum_products_by_fractions(field, pairs, scale)
+    assert _sum_products(field, pairs, scale) == want
+    assert _sum_products(field, iter(pairs), scale) == want
+
+
+def test_sum_products_denominator_cases():
+    for field in SUM_FIELDS:
+        d = field.degree
+        assert _sum_products(field, []) is None
+        assert _sum_products(field, iter(()), 7) is None
+        x = FieldElem(field, tuple(range(1, d + 1)), 1)
+        one = field.one()
+
+        def over(den):
+            return FieldElem(field, tuple(range(-2, d - 2)), den)
+
+        cases = [
+            [(over(2), x), (over(2), one)],  # equal denominators
+            [(over(2), x), (over(4), x), (over(2), one)],  # grows, then divides
+            [(over(5), x), (over(7), over(9)), (over(35), x)],  # coprime
+            [(field.zero(), over(9)), (over(3), x), (x, field.zero())],  # zeros
+            [(field.zero(), field.zero())],  # only zero
+        ]
+        for pairs in cases:
+            for scale in (1, -6):
+                want = sum_products_by_fractions(field, pairs, scale)
+                assert _sum_products(field, pairs, scale) == want, (pairs, scale)
