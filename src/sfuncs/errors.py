@@ -88,6 +88,10 @@ class NotSymmetric(SfuncError):
     """Framing matrix must be symmetric."""
 
 
+class FramingTooLarge(SfuncError):
+    """The framing's Lagrange-Good walk is above framing.MAX_WALK pairs."""
+
+
 # s-function checks and generators
 
 class NotIntegral(SfuncError):

@@ -6,8 +6,10 @@ gcd-normalized.  That keeps ring operations in plain integer arithmetic
 (one gcd per result) instead of per-coordinate fraction bookkeeping, which
 matters once series of these things get multiplied a few million times.
 A sum of products, the coefficient of a series product or of a framing, is
-one result: _sum_products adds the unreduced products over a common
-denominator, then folds mod P and normalizes once.
+one result: _sum_rows takes it as integer rows (coordinates, denominators
+and an integer weight per product), aligns them to one lcm of the row
+denominators, adds the weighted unreduced products, then folds mod P and
+normalizes once.  _sum_products is the same for pairs of elements.
 
 P is required to be squarefree (nonzero discriminant) but not irreducible;
 when P factors, K is a product ring and inversion of a zero divisor raises.
@@ -168,19 +170,13 @@ class FieldElem:
     den: int = 1
 
     def __post_init__(self) -> None:
-        nums = tuple(int(n) for n in self.nums)
+        nums = [int(n) for n in self.nums]
         den = int(self.den)
         if len(nums) != self.field.degree:
             raise ValueError("coordinate count does not match the field degree")
         if den == 0:
             raise ZeroDivisionError("zero denominator")
-        if den < 0:
-            nums = tuple(-n for n in nums)
-            den = -den
-        g = math.gcd(den, *nums)
-        if g > 1:
-            nums = tuple(n // g for n in nums)
-            den //= g
+        nums, den = _normalize(nums, den)
         object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "den", den)
 
@@ -329,34 +325,52 @@ def _fold(conv: list[int], reduction: Sequence[Sequence[int]]) -> tuple[int, ...
     return tuple(conv[:d])
 
 
+def _normalize(nums: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
+    """nums / den with den > 0 and the gcd of den and every num divided out."""
+    if den < 0:
+        nums, den = [-n for n in nums], -den
+    g = math.gcd(den, *nums)
+    if g > 1:
+        return tuple(n // g for n in nums), den // g
+    return tuple(nums), den
+
+
+Row = tuple[Sequence[int], int, Sequence[int], int, int]
+
+
+def _sum_rows(
+    field: NumberField, rows: Iterable[Row], scale: int = 1
+) -> tuple[tuple[int, ...], int] | None:
+    """The sum of w * (a / a_den) * (b / b_den) over the rows
+    (a, a_den, b, b_den, w), divided by scale, as normalized (nums, den);
+    None when there are no rows.
+
+    a and b are integer coordinate vectors and w an integer weight.  The
+    rows are aligned to one common denominator, the lcm of their
+    a_den * b_den, so each row's product is added with the one multiplier
+    lcm // (a_den * b_den) * w.  The sum is folded and normalized once.
+    """
+    rows = list(rows)
+    if not rows:
+        return None
+    dens = [ad * bd for _, ad, _, bd, _ in rows]
+    den = math.lcm(*dens)
+    conv = [0] * (2 * field.degree - 1)
+    for (a, _, b, _, w), rd in zip(rows, dens):
+        if w:
+            _convolve_into(conv, a, b, den // rd * w)
+    return _normalize(_fold(conv, field._reduction), den * scale)
+
+
 def _sum_products(
     field: NumberField, pairs: Iterable[tuple[FieldElem, FieldElem]], scale: int = 1
 ) -> FieldElem | None:
     """The sum of x*y over the pairs (x, y), divided by scale; None when there
-    are no pairs.
-
-    The unreduced products are summed over a running common denominator,
-    which grows, and rescales the sum, only when a pair brings a new factor.
-    The sum is folded and normalized once, so it pays for one gcd.
+    are no pairs.  _sum_rows with weight 1: one lcm aligns the products, and
+    the sum is folded and normalized once.
     """
-    conv = None
-    for x, y in pairs:
-        den = x.den * y.den
-        if conv is None:
-            conv, acc_den, m = [0] * (2 * field.degree - 1), den, 1
-        elif den == acc_den:
-            m = 1
-        else:
-            m, r = divmod(acc_den, den)
-            if r:
-                grow = den // math.gcd(acc_den, den)
-                conv = [c * grow for c in conv]
-                acc_den *= grow
-                m = acc_den // den
-        _convolve_into(conv, x.nums, y.nums, m)
-    if conv is None:
-        return None
-    return FieldElem(field, _fold(conv, field._reduction), acc_den * scale)
+    res = _sum_rows(field, [(x.nums, x.den, y.nums, y.den, 1) for x, y in pairs], scale)
+    return None if res is None else FieldElem(field, *res)
 
 
 def _square_and_multiply(base, e: int):

@@ -338,18 +338,25 @@ def resultant_by_sylvester(p: Sequence[int], q: Sequence[int]) -> int:
 
 
 def sum_products_by_fractions(
-    field: NumberField, pairs: Iterable[tuple[FieldElem, FieldElem]], scale: int = 1
+    field: NumberField,
+    pairs: Iterable[tuple[FieldElem, FieldElem]],
+    scale: int = 1,
+    weights: Sequence[int] | None = None,
 ) -> FieldElem | None:
-    """numfield._sum_products on Fraction coordinates: each x*y is multiplied
-    out as a polynomial in x, reduced mod P by long division, and added to the
-    sum, which is divided by scale at the end; None when there are no pairs.
+    """numfield._sum_products (numfield._sum_rows with weights) on Fraction
+    coordinates: each x*y is multiplied out as a polynomial in x, reduced mod
+    P by long division, multiplied by its pair's weight (1 without weights)
+    and added to the sum, which is divided by scale at the end; None when
+    there are no pairs.
     """
     pairs = list(pairs)
     if not pairs:
         return None
+    if weights is None:
+        weights = [1] * len(pairs)
     p, d = field.minpoly, field.degree
     total = [Fraction(0)] * d
-    for x, y in pairs:
+    for (x, y), wt in zip(pairs, weights, strict=True):
         prod = [Fraction(0)] * (2 * d - 1)
         for i, a in enumerate(x.coords):
             for j, b in enumerate(y.coords):
@@ -359,5 +366,5 @@ def sum_products_by_fractions(
             c, prod[top] = prod[top], Fraction(0)
             for t in range(d):
                 prod[top - d + t] -= c * p[t]
-        total = [s + c for s, c in zip(total, prod)]
+        total = [s + wt * c for s, c in zip(total, prod)]
     return field.elem([c / scale for c in total])

@@ -170,6 +170,38 @@ def test_frame_multi_of_one_variable_among_seven_returns_w(tmp_path):
     assert json.loads(r.stdout) == json.loads(src.read_text())
 
 
+def _sum_of_variables_file(tmp_path, nvars, order):
+    q = make_field([0, 1])
+    keys = [",".join(str(int(i == j)) for j in range(nvars)) for i in range(nvars)]
+    obj = {"field": field_to_obj(q), "nvars": nvars, "order": order,
+           "coeffs": {k: [["1", "1"]] for k in keys}}
+    src = tmp_path / "w.json"
+    src.write_text(json.dumps(obj))
+    return src
+
+
+def test_frame_multi_of_sixteen_variables_walks_the_simplex(tmp_path):
+    # W = z1 + ... + z16 at order 2 in under 1 kB: the walk is over the
+    # simplex |k| <= 2, not the box {0, 1, 2}**16
+    src = _sum_of_variables_file(tmp_path, 16, 2)
+    assert len(src.read_bytes()) < 1024
+    t0 = time.monotonic()
+    r = run_cli("frame-multi", "--series", str(src), "--kappa",
+                ";".join([",".join("0" * 16)] * 16), timeout=30)
+    assert time.monotonic() - t0 < 2
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout) == json.loads(src.read_text())
+
+
+def test_frame_multi_refuses_a_walk_above_the_cap(tmp_path):
+    src = _sum_of_variables_file(tmp_path, 16, 4)
+    r = run_cli("frame-multi", "--series", str(src), "--kappa",
+                ";".join([",".join("0" * 16)] * 16), timeout=30)
+    assert r.returncode == 2
+    assert "FramingTooLarge" in r.stderr
+    assert r.stdout == ""
+
+
 def test_frame_multi_rejects_asymmetric(tmp_path):
     q = make_field([0, 1])
     obj = {"field": field_to_obj(q), "nvars": 2, "order": 3,

@@ -9,8 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sfuncs.catalog import from_log_poly, polylog
-from sfuncs.errors import ConstantTermNonzero, DimensionMismatch, NotSymmetric
-from sfuncs.framing import Kappa, frame_elementary, frame_f, frame_multi
+from sfuncs.errors import (
+    ConstantTermNonzero,
+    DimensionMismatch,
+    FramingTooLarge,
+    NotSymmetric,
+)
+from sfuncs.framing import MAX_WALK, Kappa, frame_elementary, frame_f, frame_multi
 from sfuncs.mseries import MSeries
 from sfuncs.numfield import make_field, rationals
 from sfuncs.series import Series, compose, delta, dint, exp_series, revert, shift_up
@@ -201,11 +206,13 @@ def _symmetric_kappa(upper, n):
 def _multi_framing_case(draw):
     n = draw(st.integers(1, 3))
     order = draw(st.integers(1, 6))
-    field = draw(st.sampled_from([Q, F]))
+    field = draw(st.sampled_from([Q, F, CUBIC]))
     key = st.tuples(*[st.integers(0, order)] * n).filter(
         lambda k: 0 < sum(k) <= order
     )
-    coord = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    # equal, dividing and coprime denominators, so that the rows of
+    # frame_multi are aligned to a common lcm
+    coord = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 4, 5, 7, 9, 12]))
     coords = st.lists(coord, min_size=field.degree, max_size=field.degree)
     terms = draw(st.dictionaries(key, coords, min_size=1, max_size=6))
     w = MSeries.from_dict(
@@ -284,6 +291,33 @@ def test_frame_multi_walks_only_the_variables_of_w():
     out = frame_multi(w, Kappa(((0,) * 7,) * 7))
     assert time.monotonic() - t0 < 2
     assert out == w
+
+
+def test_frame_multi_walks_the_simplex_of_sixteen_variables():
+    # W = z1 + ... + z16 at order 2 with kappa = 0: 152 output keys, where
+    # the box walk visited 3**16
+    w = MSeries.from_dict(
+        Q, 16, 2, {tuple(int(i == j) for j in range(16)): 1 for i in range(16)})
+    t0 = time.monotonic()
+    out = frame_multi(w, Kappa(((0,) * 16,) * 16))
+    assert time.monotonic() - t0 < 2
+    assert out == w
+
+
+def test_frame_multi_refuses_a_walk_above_the_cap():
+    # C(order + 2n, 2n) pairs for the n variables of W: W = z1 + ... + z16
+    # at order 4 walks C(36, 4) = 58,905; Li2 walks C(141, 2) = 9,870 at
+    # order 139 and C(142, 2) = 10,011 at order 140
+    assert comb(36, 4) > MAX_WALK >= comb(141, 2) and comb(142, 2) > MAX_WALK
+    w = MSeries.from_dict(
+        Q, 16, 4, {tuple(int(i == j) for j in range(16)): 1 for i in range(16)})
+    with pytest.raises(FramingTooLarge):
+        frame_multi(w, Kappa(((0,) * 16,) * 16))
+    with pytest.raises(FramingTooLarge):
+        frame_f(polylog(2, 140), 1)
+    # a variable absent from W does not count
+    w = MSeries.from_dict(Q, 2, 139, {(1, 0): 1})
+    assert frame_multi(w, Kappa.parse("1,0;0,1")).as_dict[(1, 0)] == -1
 
 
 def test_frame_multi_odd_negative_diagonal():

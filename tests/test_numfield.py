@@ -14,6 +14,7 @@ from sfuncs.numfield import (
     _derivative,
     _resultant,
     _sum_products,
+    _sum_rows,
     denominator_support,
     discriminant,
     invert,
@@ -250,3 +251,44 @@ def test_sum_products_denominator_cases():
             for scale in (1, -6):
                 want = sum_products_by_fractions(field, pairs, scale)
                 assert _sum_products(field, pairs, scale) == want, (pairs, scale)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_sum_rows_matches_the_weighted_fraction_oracle(data):
+    # weights -3..3 (0 included) over the denominators of _summand; the
+    # result is the normalized (nums, den) of the oracle's element
+    field = data.draw(st.sampled_from(SUM_FIELDS))
+    triples = data.draw(st.lists(
+        st.tuples(_summand(field), _summand(field), st.integers(-3, 3)), max_size=7))
+    scale = data.draw(st.sampled_from([1, -1, -6, 35]))
+    rows = [(x.nums, x.den, y.nums, y.den, w) for x, y, w in triples]
+    got = _sum_rows(field, rows, scale)
+    want = sum_products_by_fractions(
+        field, [(x, y) for x, y, _ in triples], scale, [w for _, _, w in triples])
+    if not rows:
+        assert got is None and want is None
+    else:
+        assert got == (want.nums, want.den)
+
+
+def test_sum_rows_weights_and_denominators():
+    for field in SUM_FIELDS:
+        d = field.degree
+        assert _sum_rows(field, []) is None
+        assert _sum_rows(field, iter(()), -6) is None
+        a = tuple(range(1, d + 1))
+        b = tuple(range(-2, d - 2))
+        cases = [
+            [(a, 2, b, 3, 1), (b, 6, a, 1, -2)],  # equal denominators
+            [(a, 2, b, 1, 3), (b, 4, b, 3, 1), (a, 1, a, 1, 0)],  # dividing, a 0
+            [(a, 5, b, 7, -3), (b, 9, a, 1, 2)],  # coprime
+            [(a, 5, a, 1, 0)],  # only weight 0
+        ]
+        for rows in cases:
+            pairs = [(FieldElem(field, x, xd), FieldElem(field, y, yd))
+                     for x, xd, y, yd, _ in rows]
+            for scale in (1, -1, -6, 35):
+                want = sum_products_by_fractions(
+                    field, pairs, scale, [w for *_, w in rows])
+                assert _sum_rows(field, rows, scale) == (want.nums, want.den), rows
