@@ -139,7 +139,7 @@ def frame_f(w: Series, f: int) -> Series:
 
 
 # Most (m <= k) pairs that frame_multi's exp walk may visit, C(order + 2n, 2n)
-# for the n variables of W; one variable reaches it at order 139.
+# for the n variables of W; in one variable the largest order under it is 139.
 MAX_WALK = 10_000
 
 
