@@ -89,7 +89,7 @@ class NotSymmetric(SfuncError):
 
 
 class FramingTooLarge(SfuncError):
-    """The framing's Lagrange-Good walk is above framing.MAX_WALK pairs."""
+    """The framing's work is above framing.MAX_WORK units."""
 
 
 # s-function checks and generators

@@ -23,6 +23,7 @@ Framings compose additively in kappa.  frame_multi is the one framing engine:
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -124,9 +125,9 @@ def frame_f(w: Series, f: int) -> Series:
 
     This is frame_multi with the 1x1 matrix kappa = (f): with
     B = W - (f/2)(delta W)**2 and sigma = (-1)**f, the output coefficients are
-    c_k = sigma**k [z**k] B (1 - f delta**2 W) exp(k f delta W).  Above
-    order 139 the framing is refused with FramingTooLarge (frame_multi's
-    MAX_WALK).
+    c_k = sigma**k [z**k] B (1 - f delta**2 W) exp(k f delta W).  A W with
+    a term at every degree is refused with FramingTooLarge above order 225
+    over Q (frame_multi's MAX_WORK; lower over a larger field).
 
     >>> from sfuncs.catalog import polylog
     >>> w = polylog(2, 6)
@@ -138,9 +139,11 @@ def frame_f(w: Series, f: int) -> Series:
     return frame_multi(MSeries.from_univariate(w), Kappa(((f,),))).to_univariate()
 
 
-# Most (m <= k) pairs that frame_multi's exp walk may visit, C(order + 2n, 2n)
-# for the n variables of W; in one variable the largest order under it is 139.
-MAX_WALK = 10_000
+# Most work units one frame_multi call may cost.  Per field dimension, a
+# pair (m <= k) of the walk costs 10 units, a term of W probed for it 4, and
+# a pair of terms in a series product while D is built 1; the weights and
+# the cap come from timings (see the frame_multi docstring).
+MAX_WORK = 8_000_000
 
 
 def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
@@ -151,22 +154,34 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
 
         c_k = sigma**k [z**k] D exp(<kappa k, delta W>),  D = B det(I - kappa S).
 
-    D is built once.  A z_i absent from W has delta_i W = 0, so D and the exp
-    do not involve it and k_i = 0: k ranges over the simplex 0 < |k| <= order
-    in the variables that appear in W only, and for each k the exp runs on
-    the box {m <= k}.  The terms j of W (as |j| W_j with the vector kappa j)
-    and of D are integer rows sorted by (|j|, j), built once; for each k a
-    term of W enters the exp recurrence with the integer weight
-    <k, kappa j>, and the walk over the terms of each m stops at the first
-    |j| > |m|.  Each exp coefficient is a numfield._sum_rows result, and
-    the one FieldElem built per k is the output coefficient.
+    A z_i absent from W has delta_i W = 0, so D and the exp do not involve
+    it and k_i = 0: k ranges over the simplex 0 < |k| <= order in the n
+    variables that appear in W only, and det(I - kappa S) is taken over
+    them.  With u = kappa delta W, B = W - 1/2 sum_i delta_i W u_i and
+    (kappa S)_ij = delta_j u_i, so D costs n series products and one
+    elimination.  For each k the exp runs on the box {m <= k}.  The terms j
+    of W (as |j| W_j with the vector kappa j) and of D are integer rows
+    sorted by (|j|, j), built once; a term of W enters the exp recurrence
+    with the integer weight <k, kappa j>, and the walk over the terms of
+    each m stops at the first |j| > |m|.  The output coefficient sums
+    D_j E_m over j + m = k, read from the shorter of D and the exp table.
+    Each coefficient is a numfield._sum_rows result, and the one FieldElem
+    built per k is the output coefficient.
 
-    The exp walk visits C(order + 2n, 2n) pairs (m <= k) for the n
-    variables of W.  Above MAX_WALK = 10,000 pairs FramingTooLarge is raised
-    before any work.  Measured near the cap on a 2-core x86-64 KVM guest
-    with CPython 3.11: frame_f of Li2 at order 139 (9,870 pairs) takes
-    about 1.2 s, and W = sum z_i + sum z_i z_j / (2 + i + j) with kappa all
-    ones, n = 2..8, at most 0.3 s.
+    The work is counted in units (see MAX_WORK and _walk_cost): the walk is
+    charged before it starts, and each series product while D is built
+    before it is made.  Past MAX_WORK = 8,000,000 units FramingTooLarge is
+    raised.  Timed on a 2-core x86-64 KVM guest with CPython 3.11.7, a unit
+    took 0.3-0.65 us, and the most expensive input under the cap took
+    4.9 s: frame_f of Li2 at order 224 (7.9 M units; order 226 is refused
+    before any work).  Over Q: W = z1 + z2 with kappa = I takes 2.3 s at
+    order 48 (4.9 M units) and 4.4 s at 54 (7.6 M), and order 55 (8.2 M)
+    is refused; a dense two-variable W with kappa all ones 0.9 s at order
+    19 (2.0 M) and 2.4 s at 24 (6.7 M), and order 25 (8.1 M) is refused;
+    W = z1 + ... + z16 with kappa all ones 1.2 s at order 3 (1.9 M), and
+    order 4 is refused in the elimination.  Over the disc-49 cubic,
+    frame_f(w, 3) of w = from_log_poly(F, [1, -g, 1], 2, N) takes 2.3 s
+    at N = 144 (6.5 M).
 
     >>> from sfuncs.numfield import rationals
     >>> w = MSeries.from_dict(rationals(), 2, 2, {(1, 0): 1, (0, 1): 1})
@@ -184,31 +199,30 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
     n, field, kap = w.nvars, w.field, kappa.entries
     # delta_i W = 0 for a z_i absent from W, so every key below has k_i = 0
     live = sorted({i for j, _ in w.terms for i, ji in enumerate(j) if ji})
-    walk = comb(w.order + 2 * len(live), 2 * len(live))
-    if walk > MAX_WALK:
-        raise FramingTooLarge(
-            f"order {w.order} in {len(live)} variables walks {walk} pairs, "
-            f"above {MAX_WALK}"
-        )
-    dw = [delta_i(w, i) for i in range(n)]
-    body, s = w, {}
-    for j in range(n):
-        for k in range(j, n):
-            if kap[j][k]:
-                body = body - dw[j] * dw[k] * Fraction(kap[j][k], 1 if j < k else 2)
-            s[j, k] = s[k, j] = delta_i(dw[k], j)
+    # <kappa k, j> = <k, kappa j>: a term j of W with kappa j = 0 is in
+    # neither u = kappa delta W nor the exp
+    kterms = [(j, c, kj) for j, c in sorted(w.terms, key=_by_degree)
+              if any(kj := [sum(map(mul, row, j)) for row in kap])]
+    wrows = [(j, sum(j), (jw := c * sum(j)).nums, jw.den, kj) for j, c, kj in kterms]
+    budget = _Budget(field, w.order, len(live))
+    budget.spend(_walk_cost(field, w.order, len(live), [t[1] for t in wrows]))
+    # u_i = sum_p kappa_ip delta_p W, so B = W - 1/2 sum_i delta_i W u_i and
+    # (kappa S)_ij = delta_j u_i
+    u = {i: MSeries.from_dict(field, n, w.order, {j: c * kj[i] for j, c, kj in kterms})
+         for i in live}
+    body = w
+    for i in live:
+        if u[i].terms:
+            body = body - budget.mul(delta_i(w, i), u[i]) * Fraction(1, 2)
+    # a column of I - kappa S outside live is a unit vector, so the
+    # determinant is the one of the live rows and columns
     one = MSeries.from_dict(field, n, w.order, {(0,) * n: 1})
-    d = body * _unit_det([
-        [sum((s[p, j] * -kap[i][p] for p in range(n) if kap[i][p]), one * int(i == j))
-         for j in range(n)]
-        for i in range(n)
-    ])
-    # <kappa k, j> = <k, kappa j>: keep |j| W_j and the vector kappa j per term
-    wrows = []
-    for j, c in sorted(w.terms, key=_by_degree):
-        jw = c * sum(j)
-        wrows.append((j, sum(j), jw.nums, jw.den, [sum(map(mul, row, j)) for row in kap]))
+    d = budget.mul(body, _unit_det(
+        [[one * int(i == j) - delta_i(u[i], j) for j in live] for i in live], budget
+    )) if live else body
     drows = [(j, sum(j), c.nums, c.den, 1) for j, c in sorted(d.terms, key=_by_degree)]
+    dmap = {j: (a, ad) for j, _, a, ad, _ in drows}
+    ddeg = [sj for _, sj, _, _, _ in drows]
     odd = [i for i in range(n) if kappa.sigma(i) < 0]
     unit = ((1,) + (0,) * (field.degree - 1), 1)
     out = {}
@@ -218,16 +232,42 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
               if all(map(le, j, k)) and (dot := sum(map(mul, k, kj)))]
         # |m| E_m = sum_j |j| <kappa k, j> W_j E_(m-j) on the box below k
         e = {(0,) * n: unit}
-        for m in product(*(range(ki + 1) for ki in k)):
+        for m in product(*(range(ki + 1) for ki in k)) if ts else ():
             sm = sum(m)
             if 0 < sm < sk and (c := _sum_rows(field, _rows_at(e, ts, m, sm), sm)):
                 if any(c[0]):
                     e[m] = c
+        # the pairs D_j E_m with j + m = k, read from the shorter of e and D
+        if len(e) < bisect_right(ddeg, sk):
+            rows = [(*dj, *em, 1) for m, em in e.items()
+                    if (dj := dmap.get(tuple(map(sub, k, m))))]
+        else:
+            rows = _rows_at(e, drows, k, sk)
         sign = (-1) ** sum(k[i] for i in odd)
-        if c := _sum_rows(field, _rows_at(e, drows, k, sk), sign):
+        if c := _sum_rows(field, rows, sign):
             if any(c[0]):
                 out[k] = FieldElem(field, *c)
     return MSeries.from_dict(field, n, w.order, out)
+
+
+def _walk_cost(field, order: int, n: int, degrees: list[int]) -> int:
+    """Work units of frame_multi's walk, known before it: the field degree
+    times the sum, over the pairs (m <= k) with |k| <= order in the n
+    variables of W, of 10 for the pair (a visit to m and at most one term of
+    D) and 4 for each of the given sorted degrees (of the terms of W with
+    kappa j != 0) that is at most |m| (a probe of e).  With one variable and
+    a term at every degree this is 10 C(order + 2, 2) + 4 C(order + 2, 3)."""
+    if not n:
+        return 0
+    if not degrees:  # the exp is 1: no box is walked, one term of D per key
+        return field.degree * 10 * comb(order + n, n)
+    pairs = comb(order + 2 * n, 2 * n)
+    if pairs > MAX_WORK:
+        return pairs  # a lower bound, and already above the cap
+    return field.degree * sum(
+        comb(s + n - 1, n - 1) * comb(order - s + n, n) * (10 + 4 * bisect_right(degrees, s))
+        for s in range(order + 1)
+    )
 
 
 def _by_degree(term):
@@ -247,27 +287,64 @@ def _rows_at(e: dict, terms: list, m: tuple, sm: int) -> list:
     return rows
 
 
-def _simplex(n: int, live: list[int], order: int) -> list[tuple[int, ...]]:
+def _simplex(n: int, live: list[int], order: int):
     """The keys k in n variables with 0 < |k| <= order and k_i = 0 for every
-    i not in live."""
-    keys = [(0,) * n]
-    for i in live:
-        keys = [
-            k[:i] + (c,) + k[i + 1:] for k in keys for c in range(order - sum(k) + 1)
-        ]
-    return keys[1:]
+    i not in live, one at a time: an odometer on the live coordinates."""
+    k, total = [0] * n, 0
+    while True:
+        for i in reversed(live):
+            if total < order:
+                k[i] += 1
+                total += 1
+                yield tuple(k)
+                break
+            total -= k[i]
+            k[i] = 0
+        else:
+            return
 
 
-def _unit_det(rows: list[list[MSeries]]) -> MSeries:
-    """Determinant by elimination, overwriting rows.  Every pivot must have
-    constant term 1, as when the diagonal has constant term 1 and the rest 0."""
+class _Budget:
+    """The work units left to one frame_multi call, out of MAX_WORK: the
+    walk is charged before it starts, and each series product of the
+    set-up before it is made.  Spending past MAX_WORK raises
+    FramingTooLarge."""
+
+    def __init__(self, field, order: int, n: int) -> None:
+        self.left, self.degree, self.order, self.n = MAX_WORK, field.degree, order, n
+
+    def spend(self, units: int) -> None:
+        self.left -= units
+        if self.left < 0:
+            raise FramingTooLarge(
+                f"framing at order {self.order} in {self.n} variables is above "
+                f"{MAX_WORK} work units"
+            )
+
+    def mul(self, a: MSeries, b: MSeries) -> MSeries:
+        """a * b, charged one unit per pair of terms and field dimension."""
+        self.spend(self.degree * len(a.terms) * len(b.terms))
+        return a * b
+
+    def inverse(self, a: MSeries) -> MSeries:
+        """1 / a, charged as a product of a by a series with every monomial
+        of degree <= order in the variables of a."""
+        v = sum(1 for i in range(a.nvars) if any(j[i] for j, _ in a.terms))
+        self.spend(self.degree * len(a.terms) * comb(a.order + v, v))
+        return power_m(a, -1)
+
+
+def _unit_det(rows: list[list[MSeries]], budget: _Budget) -> MSeries:
+    """Determinant by elimination, overwriting rows, each product charged to
+    budget.  Every pivot must have constant term 1, as when the diagonal has
+    constant term 1 and the rest 0."""
     det = None
     for c, pivot in enumerate(rows):
-        det = pivot[c] if det is None else det * pivot[c]
-        inv = power_m(pivot[c], -1) if c + 1 < len(rows) else None
-        for r in rows[c + 1:]:
-            f = r[c] * inv
+        det = pivot[c] if det is None else budget.mul(det, pivot[c])
+        below = [r for r in rows[c + 1:] if r[c].terms]
+        inv = budget.inverse(pivot[c]) if below else None
+        for r in below:
+            f = budget.mul(r[c], inv)
             for j in range(c + 1, len(rows)):
-                r[j] = r[j] - f * pivot[j]
+                r[j] = r[j] - budget.mul(f, pivot[j])
     return det
-

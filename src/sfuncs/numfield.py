@@ -357,8 +357,7 @@ def _sum_rows(
     den = math.lcm(*dens)
     conv = [0] * (2 * field.degree - 1)
     for (a, _, b, _, w), rd in zip(rows, dens):
-        if w:
-            _convolve_into(conv, a, b, den // rd * w)
+        _convolve_into(conv, a, b, den // rd * w)
     return _normalize(_fold(conv, field._reduction), den * scale)
 
 

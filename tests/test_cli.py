@@ -194,9 +194,20 @@ def test_frame_multi_of_sixteen_variables_walks_the_simplex(tmp_path):
 
 
 def test_frame_multi_refuses_a_walk_above_the_cap(tmp_path):
-    src = _sum_of_variables_file(tmp_path, 16, 4)
+    src = _sum_of_variables_file(tmp_path, 16, 5)
     r = run_cli("frame-multi", "--series", str(src), "--kappa",
-                ";".join([",".join("0" * 16)] * 16), timeout=30)
+                ";".join([",".join("1" * 16)] * 16), timeout=30)
+    assert r.returncode == 2
+    assert "FramingTooLarge" in r.stderr
+    assert r.stdout == ""
+
+
+def test_frame_refuses_a_walk_above_the_cap(tmp_path):
+    # Li2 at order 226 walks 10 C(228, 2) + 4 C(228, 3) work units, above
+    # framing.MAX_WORK
+    src = tmp_path / "li2.json"
+    dump_obj(series_to_obj(polylog(2, 226)), str(src))
+    r = run_cli("frame", "--series", str(src), "--f", "2", timeout=30)
     assert r.returncode == 2
     assert "FramingTooLarge" in r.stderr
     assert r.stdout == ""

@@ -15,7 +15,8 @@ from sfuncs.errors import (
     FramingTooLarge,
     NotSymmetric,
 )
-from sfuncs.framing import MAX_WALK, Kappa, frame_elementary, frame_f, frame_multi
+from sfuncs import framing
+from sfuncs.framing import MAX_WORK, Kappa, frame_elementary, frame_f, frame_multi
 from sfuncs.mseries import MSeries
 from sfuncs.numfield import make_field, rationals
 from sfuncs.series import Series, compose, delta, dint, exp_series, revert, shift_up
@@ -293,11 +294,15 @@ def test_frame_multi_walks_only_the_variables_of_w():
     assert out == w
 
 
+def _sum_of_variables(nvars, order):
+    return MSeries.from_dict(
+        Q, nvars, order, {tuple(int(i == j) for j in range(nvars)): 1 for i in range(nvars)})
+
+
 def test_frame_multi_walks_the_simplex_of_sixteen_variables():
     # W = z1 + ... + z16 at order 2 with kappa = 0: 152 output keys, where
     # the box walk visited 3**16
-    w = MSeries.from_dict(
-        Q, 16, 2, {tuple(int(i == j) for j in range(16)): 1 for i in range(16)})
+    w = _sum_of_variables(16, 2)
     t0 = time.monotonic()
     out = frame_multi(w, Kappa(((0,) * 16,) * 16))
     assert time.monotonic() - t0 < 2
@@ -305,19 +310,37 @@ def test_frame_multi_walks_the_simplex_of_sixteen_variables():
 
 
 def test_frame_multi_refuses_a_walk_above_the_cap():
-    # C(order + 2n, 2n) pairs for the n variables of W: W = z1 + ... + z16
-    # at order 4 walks C(36, 4) = 58,905; Li2 walks C(141, 2) = 9,870 at
-    # order 139 and C(142, 2) = 10,011 at order 140
-    assert comb(36, 4) > MAX_WALK >= comb(141, 2) and comb(142, 2) > MAX_WALK
-    w = MSeries.from_dict(
-        Q, 16, 4, {tuple(int(i == j) for j in range(16)): 1 for i in range(16)})
+    ones = Kappa(((1,) * 16,) * 16)
+    t0 = time.monotonic()
     with pytest.raises(FramingTooLarge):
-        frame_multi(w, Kappa(((0,) * 16,) * 16))
+        frame_multi(_sum_of_variables(16, 5), ones)
+    # one variable: the walk of Li2 at order N costs 10 C(N + 2, 2) +
+    # 4 C(N + 2, 3) units, above the cap from N = 226 on
+    assert 10 * comb(227, 2) + 4 * comb(227, 3) < MAX_WORK
+    assert 10 * comb(228, 2) + 4 * comb(228, 3) > MAX_WORK
     with pytest.raises(FramingTooLarge):
-        frame_f(polylog(2, 140), 1)
+        frame_f(polylog(2, 226), 1)
+    assert time.monotonic() - t0 < 1  # refused before any series work
     # a variable absent from W does not count
-    w = MSeries.from_dict(Q, 2, 139, {(1, 0): 1})
+    w = MSeries.from_dict(Q, 2, 150, {(1, 0): 1})
     assert frame_multi(w, Kappa.parse("1,0;0,1")).as_dict[(1, 0)] == -1
+
+
+def test_frame_multi_charges_the_determinant_to_the_cap(monkeypatch):
+    # W = z1 + ... + z16 at order 3, kappa all ones: the walk costs about
+    # 0.42 M units and the elimination of det(I - kappa S) about 1.5 M
+    assert framing._walk_cost(Q, 3, 16, [1] * 16) < 500_000
+    monkeypatch.setattr(framing, "MAX_WORK", 500_000)
+    with pytest.raises(FramingTooLarge):
+        frame_multi(_sum_of_variables(16, 3), Kappa(((1,) * 16,) * 16))
+
+
+def test_frame_multi_keeps_the_scaling_inputs_under_the_cap():
+    # the walks of frame_f(w, 3) over the cubic at order 144 and of
+    # W = z1 + z2 with kappa = I at order 48 (2.5 s and 2.9 s when timed)
+    assert framing._walk_cost(CUBIC, 144, 1, list(range(1, 145))) < 0.9 * MAX_WORK
+    assert framing._walk_cost(Q, 48, 2, [1, 1]) < 0.9 * MAX_WORK
+
 
 
 def test_frame_multi_odd_negative_diagonal():
