@@ -178,7 +178,7 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
     order 48 (4.9 M units) and 4.4 s at 54 (7.6 M), and order 55 (8.2 M)
     is refused; a dense two-variable W with kappa all ones 0.9 s at order
     19 (2.0 M) and 2.4 s at 24 (6.7 M), and order 25 (8.1 M) is refused;
-    W = z1 + ... + z16 with kappa all ones 1.2 s at order 3 (1.9 M), and
+    W = z1 + ... + z16 with kappa all ones 0.94 s at order 3 (1.9 M), and
     order 4 is refused in the elimination.  Over the disc-49 cubic,
     frame_f(w, 3) of w = from_log_poly(F, [1, -g, 1], 2, N) takes 2.3 s
     at N = 144 (6.5 M).
