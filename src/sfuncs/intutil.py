@@ -2,7 +2,9 @@
 
 Everything here is exact and deterministic.  The Miller-Rabin witness set is
 the standard one that is provably correct for numbers below 3.3 * 10**24,
-far beyond anything this package touches.
+far beyond anything this package touches.  prime_factors trial-divides below
+2**40 to the square root, so no Miller-Rabin runs there; at or above 2**40 it
+stops at 2**10 and splits the rest by Brent's variant of Pollard rho.
 """
 from __future__ import annotations
 
@@ -42,19 +44,31 @@ def is_prime(n: int) -> bool:
 
 
 def _pollard_rho(n: int) -> int:
-    """One nontrivial factor of an odd composite n."""
-    if n % 2 == 0:
-        return 2
+    """One nontrivial factor of an odd composite n, by Brent's variant of
+    Pollard rho: one gcd per 128 steps of the product of the differences,
+    retracing one step at a time when a block's gcd is n itself."""
     for c in range(1, 100):
-        x = y = 2
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the block overshot: retrace it from ys
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
     raise ArithmeticError(f"failed to factor {n}")
 
 
@@ -73,9 +87,10 @@ def prime_factors(n: int) -> dict[int, int]:
             out[p] = out.get(p, 0) + 1
             n //= p
     f = 7
-    # trial division with a 2,4 wheel up to 2**20, Pollard rho beyond
+    # 2,4-wheel trial division: to sqrt(n) while n < 2**40, proving the
+    # cofactor prime; at or above 2**40 to 2**10, then Brent's rho
     step = 4
-    while f * f <= n and f < 1 << 20:
+    while f * f <= n and (n < 1 << 40 or f < 1 << 10):
         while n % f == 0:
             out[f] = out.get(f, 0) + 1
             n //= f

@@ -114,7 +114,9 @@ class MSeries:
         for k, c in other.terms:
             if sum(k) <= order:
                 acc[k] = acc[k] + c if k in acc else c
-        return MSeries.from_dict(self.field, self.nvars, order, acc)
+        # keys and values come from checked series: no from_dict
+        terms = tuple(sorted(t for t in acc.items() if t[1]))
+        return MSeries(self.field, self.nvars, order, terms)
 
     __radd__ = __add__
 
@@ -140,12 +142,8 @@ class MSeries:
     def __mul__(self, other) -> "MSeries":
         if isinstance(other, (int, Fraction, FieldElem)):
             c = other if isinstance(other, FieldElem) else self.field.elem(other)
-            return MSeries.from_dict(
-                self.field,
-                self.nvars,
-                self.order,
-                {k: v * c for k, v in self.terms},
-            )
+            terms = tuple(t for t in [(k, v * c) for k, v in self.terms] if t[1])
+            return MSeries(self.field, self.nvars, self.order, terms)
         if not isinstance(other, MSeries):
             return NotImplemented
         self._check(other)
@@ -162,8 +160,9 @@ class MSeries:
                     continue
                 key = tuple(a + b for a, b in zip(k1, k2))
                 pairs.setdefault(key, []).append((c1, c2))
-        out = {k: _sum_products(self.field, kp) for k, kp in pairs.items()}
-        return MSeries.from_dict(self.field, self.nvars, order, out)
+        out = ((k, _sum_products(self.field, kp)) for k, kp in pairs.items())
+        terms = tuple(sorted(t for t in out if t[1]))
+        return MSeries(self.field, self.nvars, order, terms)
 
     __rmul__ = __mul__
 

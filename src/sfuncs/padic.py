@@ -148,13 +148,6 @@ def reduce(a: FieldElem, ring: ResidueRing) -> ResidueElem:
     return ring.elem(a.coords)
 
 
-def _scaled_row(a: FieldElem, p: int, m: int, mod: int) -> list[int]:
-    """Integer coordinates of p**m * a mod `mod`, for p**m * a p-integral."""
-    t = ord_p(a.den, p) if a.den % p == 0 else 0
-    c = p ** (m - t) * pow(a.den // p**t, -1, mod) % mod
-    return [x * c % mod for x in a.nums]
-
-
 def _eval_int_poly(coeffs, xi: ResidueElem) -> ResidueElem:
     """coeffs(xi), Horner with integer coefficients on the coordinates."""
     ring = xi.ring

@@ -9,10 +9,14 @@ Multivariate series add "nvars" and key their coefficients by exponent
 vectors "k1,k2,...".  Native JSON numbers are never used for values that
 can exceed machine width.  Integers of any length round-trip: past CPython's
 int/str digit limit they are converted in pieces split by powers of ten.
+A coordinate may also be read from a JSON integer or an "a" or "a/b" string,
+as one integer pair.  A float, a bool or a zero denominator raises BadFile,
+also inside a pair or a minpoly; a string such as "1.5" raises ValueError.
 """
 from __future__ import annotations
 
 import json
+import math
 import os
 from fractions import Fraction
 
@@ -41,7 +45,10 @@ def _int_to_str(n: int) -> str:
 
 
 def _int(x) -> int:
-    """int(x), also for decimal strings of any length."""
+    """x as an int: a non-bool int, or a decimal string of any length.
+    Anything else, a float or a bool included, raises BadFile."""
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
+        raise BadFile(f"cannot read {x!r} as an integer")
     text = x.strip() if isinstance(x, str) else ""
     if len(text) <= _LEAF:
         return int(x)
@@ -53,19 +60,25 @@ def _int(x) -> int:
     return -n if text[0] == "-" else n
 
 
-def _rational(x) -> Fraction:
+def _pair(x) -> tuple[int, int]:
+    """(numerator, denominator) of a rational written as a [num, den] pair,
+    an integer, or an "a" or "a/b" string; a zero denominator raises BadFile."""
     if isinstance(x, (list, tuple)):
         if len(x) != 2:
             raise BadFile(f"rational pair must have two entries, got {x!r}")
-        return Fraction(_int(x[0]), _int(x[1]))
-    if isinstance(x, str):
-        if len(x) <= _LEAF:
-            return Fraction(x)
-        num, _, den = x.partition("/")
-        return Fraction(_int(num), _int(den or "1"))
-    if isinstance(x, int):
-        return Fraction(x)
-    raise BadFile(f"cannot read {x!r} as a rational")
+        num, den = _int(x[0]), _int(x[1])
+    elif isinstance(x, str):
+        num, slash, den = x.partition("/")
+        num, den = _int(num), _int(den) if slash else 1
+    else:
+        num, den = _int(x), 1
+    if den == 0:
+        raise BadFile(f"zero denominator in {x!r}")
+    return num, den
+
+
+def _rational(x) -> Fraction:
+    return Fraction(*_pair(x))
 
 
 def field_to_obj(field: NumberField) -> dict:
@@ -91,12 +104,13 @@ def elem_from_obj(field: NumberField, obj) -> FieldElem:
         obj = obj["coords"]
     if not isinstance(obj, list):
         raise BadFile("element must be a list of coordinates")
-    coords = [_rational(c) for c in obj]
-    if len(coords) != field.degree:
+    pairs = [_pair(c) for c in obj]
+    if len(pairs) != field.degree:
         raise BadFile(
-            f"element has {len(coords)} coordinates, field degree is {field.degree}"
+            f"element has {len(pairs)} coordinates, field degree is {field.degree}"
         )
-    return field.elem(coords)
+    den = math.lcm(*(d for _, d in pairs))
+    return FieldElem(field, tuple(n * (den // d) for n, d in pairs), den)
 
 
 def _resolve_field(obj, base_dir: str | None) -> NumberField:

@@ -37,7 +37,7 @@ from .errors import ConstantTermNonzero, NotIntegral, NotPrime, SfuncError
 from .intutil import crt, divisors, is_prime, ord_p, prime_factors, primes_up_to
 from .mseries import MSeries
 from .numfield import FieldElem, NumberField, denominator_support
-from .padic import _apply_rows, _frobenius_rows, _scaled_row, _valuation
+from .padic import _apply_rows, _frobenius_rows, _valuation
 from .series import Series
 
 Index = Union[int, tuple[int, ...]]
@@ -104,16 +104,22 @@ def _congruence(
 ) -> Check:
     """Valuation of frob_p(prev) - cur, against required, on integer rows.
 
-    Both are scaled by p**m, m the larger power of p in their denominators,
-    and reduced mod p**n, n = required + m.  The valuation of the difference,
+    Write prev = P/d_p and cur = C/d_c with d = p**t * u, u prime to p, and
+    m = max(t_p, t_c).  Multiplied by the p-adic unit u_p * u_c and by p**m,
+    the difference is the integer row
+    p**(m - t_p) * u_c * frob(P) - p**(m - t_c) * u_p * C, taken mod p**n,
+    n = required + m, so no inverse mod p**n is needed.  Its valuation,
     capped at n, is shifted back by m.
     """
-    m = max(ord_p(x.den, p) if x.den % p == 0 else 0 for x in (prev, cur))
+    tp = ord_p(prev.den, p) if prev.den % p == 0 else 0
+    tc = ord_p(cur.den, p) if cur.den % p == 0 else 0
+    m = max(tp, tc)
     n = required + m
     mod = p**n
-    rows = _frobenius_rows(field, p, n)
-    image = _apply_rows(rows, _scaled_row(prev, p, m, mod), mod)
-    diff = [x - y for x, y in zip(image, _scaled_row(cur, p, m, mod))]
+    image = _apply_rows(_frobenius_rows(field, p, n), prev.nums, mod)
+    a = p ** (m - tp) * (cur.den // p**tc) % mod
+    b = p ** (m - tc) * (prev.den // p**tp) % mod
+    diff = [(a * x - b * y) % mod for x, y in zip(image, cur.nums)]
     achieved = min((ord_p(c, p) for c in diff if c), default=n) - m
     return Check(index, p, required, achieved, achieved >= required, "congruence")
 

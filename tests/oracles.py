@@ -6,12 +6,15 @@ substituting into the body, the framed-polylog column through the framing
 engine, exp/log/inverse by sums of powers, reversion by fixed-point
 iteration, one congruence through the residue ring, the one-variable
 congruence check by a dense scan of every index, the resultant as the
-determinant of the Sylvester matrix, and a sum of field products on Fraction
-coordinates, each reduced mod P by long division.  None of this
+determinant of the Sylvester matrix, a sum of field products on Fraction
+coordinates, each reduced mod P by long division, factoring by trial
+division to 2**20 and Floyd's rho, and reading a stored element through one
+Fraction per coordinate.  None of this
 is part of the package; tests import it as ``from oracles import ...``.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -24,7 +27,7 @@ from sfuncs.errors import (
     SfuncError,
 )
 from sfuncs.framing import frame_f
-from sfuncs.intutil import ord_p, prime_factors
+from sfuncs.intutil import is_prime, ord_p, prime_factors
 from sfuncs.mseries import MSeries, delta_i, exp_m, power_m
 from sfuncs.numfield import FieldElem, NumberField, denominator_support, invert
 from sfuncs.padic import (
@@ -34,6 +37,7 @@ from sfuncs.padic import (
     reduce,
     residue_valuation,
 )
+from sfuncs.serialize import BadFile
 from sfuncs.series import Series, compose, delta, exp_series, revert, shift_up
 from sfuncs.sfunc import Check, SReport
 
@@ -368,3 +372,99 @@ def sum_products_by_fractions(
                 prod[top - d + t] -= c * p[t]
         total = [s + wt * c for s, c in zip(total, prod)]
     return field.elem([c / scale for c in total])
+
+
+# --- factoring by trial division to 2**20 and Floyd's rho
+
+
+def _floyd_rho(n: int) -> int:
+    """One nontrivial factor of an odd composite n: Floyd's cycle search,
+    one gcd per step."""
+    if n % 2 == 0:
+        return 2
+    for c in range(1, 100):
+        x = y = 2
+        d = 1
+        while d == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            d = math.gcd(abs(x - y), n)
+        if d != n:
+            return d
+    raise ArithmeticError(f"failed to factor {n}")
+
+
+def prime_factors_by_floyd(n: int) -> dict[int, int]:
+    """intutil.prime_factors by trial division with a 2,4 wheel up to
+    min(sqrt(n), 2**20), then Floyd's rho on what is left."""
+    n = abs(n)
+    out: dict[int, int] = {}
+    if n <= 1:
+        return out
+    for p in (2, 3, 5):
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    f, step = 7, 4
+    while f * f <= n and f < 1 << 20:
+        while n % f == 0:
+            out[f] = out.get(f, 0) + 1
+            n //= f
+        f += step
+        step = 6 - step
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if m < f * f or is_prime(m):  # m has no prime factor below f
+            out[m] = out.get(m, 0) + 1
+            continue
+        d = _floyd_rho(m)
+        stack.append(d)
+        stack.append(m // d)
+    return dict(sorted(out.items()))
+
+
+# --- a stored element read through one Fraction per coordinate
+
+
+def _int_by_halves(x) -> int:
+    """int(x), also for decimal strings past int()'s digit limit, split in
+    halves down to 600 digits."""
+    text = x.strip() if isinstance(x, str) else ""
+    if len(text) <= 600:
+        return int(x)
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    k = len(digits) // 2
+    n = _int_by_halves(digits[:-k]) * 10**k + _int_by_halves(digits[-k:])
+    return -n if text[0] == "-" else n
+
+
+def _rational_by_fraction(x) -> Fraction:
+    if isinstance(x, (list, tuple)):
+        if len(x) != 2:
+            raise BadFile(f"rational pair must have two entries, got {x!r}")
+        return Fraction(_int_by_halves(x[0]), _int_by_halves(x[1]))
+    if isinstance(x, str):
+        if len(x) <= 600:
+            return Fraction(x)
+        num, _, den = x.partition("/")
+        return Fraction(_int_by_halves(num), _int_by_halves(den or "1"))
+    if isinstance(x, int):
+        return Fraction(x)
+    raise BadFile(f"cannot read {x!r} as a rational")
+
+
+def elem_from_obj_by_fractions(field: NumberField, obj) -> FieldElem:
+    """serialize.elem_from_obj with one Fraction per coordinate, handed to
+    NumberField.elem."""
+    if isinstance(obj, dict) and "coords" in obj:
+        obj = obj["coords"]
+    if not isinstance(obj, list):
+        raise BadFile("element must be a list of coordinates")
+    coords = [_rational_by_fraction(c) for c in obj]
+    if len(coords) != field.degree:
+        raise BadFile(
+            f"element has {len(coords)} coordinates, field degree is {field.degree}"
+        )
+    return field.elem(coords)

@@ -114,6 +114,22 @@ def test_verify_malformed_coeffs_exits_two(tmp_path, obj):
     assert len(r.stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize("obj", [
+    {"field": [0, 1], "order": 2, "coeffs": [[[1.5, "1"]], [["1", "4"]]]},
+    {"field": [0, 1], "order": 2, "coeffs": [[["1", 2.0]], [["1", "4"]]]},
+    {"field": [0, 1], "order": 2, "coeffs": [[["1", "1"]], [["1", "0"]]]},
+    {"field": [0, 1], "nvars": 2, "order": 2, "coeffs": {"1,0": ["3/0"]}},
+])
+def test_verify_float_or_zero_denominator_exits_two(tmp_path, obj):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(obj))
+    r = run_cli("verify", "--series", str(p), "--s", "2")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: BadFile: ")
+    assert len(r.stderr.splitlines()) == 1
+
+
 def test_unknown_flag_exits_two(li2_path):
     r = run_cli("verify", "--series", str(li2_path), "--s", "2", "--bogus")
     assert r.returncode == 2

@@ -3,7 +3,8 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from oracles import prime_factors_by_floyd
 
 from sfuncs import intutil
 from sfuncs.intutil import (
@@ -96,3 +97,51 @@ def test_crt():
 def test_primes_up_to():
     assert primes_up_to(30) == (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
     assert len(primes_up_to(10**4)) == 1229
+
+
+def _next_prime(n: int) -> int:
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+@st.composite
+def _products_of_primes_near_powers_of_two(draw):
+    """Up to three primes near 2**10, two near 2**20 and one near 2**40,
+    at least one in all."""
+    out = []
+    for bits, most in ((10, 3), (20, 2), (40, 1)):
+        for _ in range(draw(st.integers(0, most))):
+            out.append(_next_prime((1 << bits) + draw(st.integers(0, 1 << (bits - 4)))))
+    return out or [_next_prime(1 << 40)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(_products_of_primes_near_powers_of_two())
+def test_prime_factors_matches_floyd_rho_near_powers_of_two(primes):
+    n = math.prod(primes)
+    f = prime_factors(n)
+    assert f == prime_factors_by_floyd(n)
+    assert f == {p: primes.count(p) for p in sorted(set(primes))}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(5, 7), st.integers(10**6, 10**7), st.integers(0, 10**6))
+def test_prime_factors_matches_floyd_rho_on_semiprimes(digits, a, b):
+    # 11 to 13 digits: on both sides of 2**40, where trial division stops at
+    # sqrt(n) below and at 2**10 above
+    p = _next_prime(10 ** (digits - 1) + a % 10 ** (digits - 1))
+    q = _next_prime(10**10 // p + 1 + b)
+    n = p * q
+    assert 10**10 <= n < 10**13
+    assert prime_factors(n) == prime_factors_by_floyd(n)
+
+
+def test_brent_rho_splits_past_2_40():
+    n = (2**31 - 1) * 1048583 * 1048589
+    assert n >= 1 << 40
+    assert prime_factors(n) == {1048583: 1, 1048589: 1, 2**31 - 1: 1}
+    assert prime_factors(3**5 * 1009**3 * 1048583**2) == {3: 5, 1009: 3, 1048583: 2}
+    # all four factors fall in one block of 128 steps, so the block is retraced
+    four = (1031, 1033, 1039, 1049)
+    assert prime_factors(math.prod(four)) == dict.fromkeys(four, 1)

@@ -5,6 +5,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from oracles import elem_from_obj_by_fractions
 
 from sfuncs.catalog import polylog
 from sfuncs.mseries import MSeries
@@ -158,3 +160,50 @@ def test_big_integer_strings_parse_exactly():
     assert elem_from_obj(q, [["-" + text, "2"]]).coords == (Fraction(-big, 2),)
     with pytest.raises(ValueError):
         elem_from_obj(q, [["1" * 3000 + "x" + "1" * 3000, "1"]])
+
+
+@pytest.mark.parametrize("coord", [
+    [1.5, "1"], ["1", 2.0], 1.0, True, [True, "1"], ["1", False], None,
+])
+def test_floats_and_bools_in_a_coordinate_are_refused(coord):
+    # [1.5, "1"] once read as 1 and ["1", 2.0] as 1/2
+    with pytest.raises(BadFile):
+        elem_from_obj(rationals(), [coord])
+    with pytest.raises(BadFile):
+        field_from_obj({"minpoly": [coord, "1"]})
+
+
+@pytest.mark.parametrize("coord", [["1", "0"], [5, 0], "1/0", "-7/000"])
+def test_zero_denominator_is_refused(coord):
+    with pytest.raises(BadFile):
+        elem_from_obj(rationals(), [coord])
+    obj = {"field": {"minpoly": ["0", "1"]}, "order": 1, "coeffs": [[coord]]}
+    with pytest.raises(BadFile):
+        series_from_obj(obj)
+    obj = {"field": {"minpoly": ["0", "1"]}, "nvars": 2, "order": 2,
+           "coeffs": {"1,1": [coord]}}
+    with pytest.raises(BadFile):
+        mseries_from_obj(obj)
+
+
+_BIG = st.integers(-(10**700), 10**700)
+_DEN = _BIG.filter(bool)
+
+
+def _coordinate():
+    return st.one_of(
+        st.tuples(_BIG, _DEN).map(lambda t: [str(t[0]), str(t[1])]),
+        st.tuples(st.integers(-99, 99), _DEN).map(lambda t: [t[0], str(t[1])]),
+        _BIG,
+        _BIG.map(str),
+        st.tuples(_BIG, _DEN).map(lambda t: f"{t[0]}/{abs(t[1])}"),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([rationals(), CUBIC]), st.data(), st.booleans())
+def test_elem_from_obj_matches_the_fraction_loader(field, data, wrap):
+    coords = data.draw(st.lists(_coordinate(), min_size=field.degree,
+                                max_size=field.degree))
+    obj = {"coords": coords} if wrap else coords
+    assert elem_from_obj(field, obj) == elem_from_obj_by_fractions(field, obj)
