@@ -52,13 +52,17 @@ from .series import (
 
 @dataclass(frozen=True)
 class Kappa:
-    """Symmetric integer framing matrix."""
+    """Symmetric integer framing matrix.  An entry that is not an int, a
+    float or a bool included, raises TypeError: nothing is truncated."""
 
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
         n = len(self.entries)
-        rows = tuple(tuple(int(c) for c in row) for row in self.entries)
+        rows = tuple(tuple(row) for row in self.entries)
+        for c in (c for row in rows for c in row):
+            if isinstance(c, bool) or not isinstance(c, int):
+                raise TypeError(f"framing matrix entry {c!r} is not an int")
         if any(len(row) != n for row in rows):
             raise DimensionMismatch("framing matrix must be square")
         for i in range(n):
@@ -159,29 +163,36 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
     variables that appear in W only, and det(I - kappa S) is taken over
     them.  With u = kappa delta W, B = W - 1/2 sum_i delta_i W u_i and
     (kappa S)_ij = delta_j u_i, so D costs n series products and one
-    elimination.  For each k the exp runs on the box {m <= k}.  The terms j
-    of W (as |j| W_j with the vector kappa j) and of D are integer rows
-    sorted by (|j|, j), built once; a term of W enters the exp recurrence
-    with the integer weight <k, kappa j>, and the walk over the terms of
-    each m stops at the first |j| > |m|.  The output coefficient sums
-    D_j E_m over j + m = k, read from the shorter of D and the exp table.
-    Each coefficient is a numfield._sum_rows result, and the one FieldElem
+    elimination.  u, delta_i W and the entries of I - kappa S are built
+    from the checked terms of W, without MSeries.from_dict, and each series
+    product sums integer rows (MSeries.__mul__).  For each k the exp runs
+    on the box {m <= k}.  The terms j of W (as |j| W_j with the vector
+    kappa j) and of D are integer rows sorted by (|j|, j), built once.  The
+    terms j <= m of W, with their keys m - j, depend on m only: they are
+    listed once per call, the first time a box reaches m (_Below), so no
+    term with some j_i > m_i is probed.  For each k the weights
+    <k, kappa j> are one list, and a term of W enters the exp recurrence
+    at m with its weight.  The output coefficient sums D_j E_m over
+    j + m = k, read from the shorter of D and the exp table.  Each
+    coefficient is a numfield._sum_rows result, and the one FieldElem
     built per k is the output coefficient.
 
     The work is counted in units (see MAX_WORK and _walk_cost): the walk is
     charged before it starts, and each series product while D is built
     before it is made.  Past MAX_WORK = 8,000,000 units FramingTooLarge is
-    raised.  Timed on a 2-core x86-64 KVM guest with CPython 3.11.7, a unit
-    took 0.3-0.65 us, and the most expensive input under the cap took
-    4.9 s: frame_f of Li2 at order 224 (7.9 M units; order 226 is refused
-    before any work).  Over Q: W = z1 + z2 with kappa = I takes 2.3 s at
-    order 48 (4.9 M units) and 4.4 s at 54 (7.6 M), and order 55 (8.2 M)
-    is refused; a dense two-variable W with kappa all ones 0.9 s at order
-    19 (2.0 M) and 2.4 s at 24 (6.7 M), and order 25 (8.1 M) is refused;
-    W = z1 + ... + z16 with kappa all ones 0.94 s at order 3 (1.9 M), and
-    order 4 is refused in the elimination.  Over the disc-49 cubic,
-    frame_f(w, 3) of w = from_log_poly(F, [1, -g, 1], 2, N) takes 2.3 s
-    at N = 144 (6.5 M).
+    raised.  Timed on a 2-core x86-64 KVM guest with CPython 3.11.7 (the
+    median of 3 runs), a unit took 0.22-0.5 us, and the most expensive
+    inputs under the cap took 3.8 s: frame_f of Li2 at order 224 (7.9 M
+    units, 20 MB peak resident size of the whole process, 16.5 MB before
+    the call; order 226 is refused before any work) and W = z1 + z2 with
+    kappa = I at order 54 (7.6 M).  Over Q: z1 + z2 with kappa = I takes
+    2.3 s at order 48 (4.9 M units), and order 55 (8.2 M) is refused; a
+    dense two-variable W (every key, coefficient 1) with kappa all ones
+    0.6 s at order 19 (2.0 M) and 1.5 s at 24 (6.7 M), and order 25
+    (8.1 M) is refused; W = z1 + ... + z16 with kappa all ones 0.46 s at
+    order 3 (1.9 M), and order 4 is refused in the elimination.  Over the
+    disc-49 cubic, frame_f(w, 3) of w = from_log_poly(F, [1, -g, 1], 2, N)
+    takes 2.2 s at N = 144 (6.5 M).
 
     >>> from sfuncs.numfield import rationals
     >>> w = MSeries.from_dict(rationals(), 2, 2, {(1, 0): 1, (0, 1): 1})
@@ -201,14 +212,16 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
     live = sorted({i for j, _ in w.terms for i, ji in enumerate(j) if ji})
     # <kappa k, j> = <k, kappa j>: a term j of W with kappa j = 0 is in
     # neither u = kappa delta W nor the exp
-    kterms = [(j, c, kj) for j, c in sorted(w.terms, key=_by_degree)
+    kterms = [(j, c, kj) for j, c in w.terms
               if any(kj := [sum(map(mul, row, j)) for row in kap])]
-    wrows = [(j, sum(j), (jw := c * sum(j)).nums, jw.den, kj) for j, c, kj in kterms]
+    wrows = sorted(((j, sum(j), (jw := c * sum(j)).nums, jw.den, kj)
+                    for j, c, kj in kterms), key=_by_degree)
     budget = _Budget(field, w.order, len(live))
     budget.spend(_walk_cost(field, w.order, len(live), [t[1] for t in wrows]))
     # u_i = sum_p kappa_ip delta_p W, so B = W - 1/2 sum_i delta_i W u_i and
-    # (kappa S)_ij = delta_j u_i
-    u = {i: MSeries.from_dict(field, n, w.order, {j: c * kj[i] for j, c, kj in kterms})
+    # (kappa S)_ij = delta_j u_i; the terms below come from w, already checked
+    u = {i: MSeries(field, n, w.order,
+                    tuple((j, c * kj[i]) for j, c, kj in kterms if kj[i]))
          for i in live}
     body = w
     for i in live:
@@ -216,26 +229,28 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
             body = body - budget.mul(delta_i(w, i), u[i]) * Fraction(1, 2)
     # a column of I - kappa S outside live is a unit vector, so the
     # determinant is the one of the live rows and columns
-    one = MSeries.from_dict(field, n, w.order, {(0,) * n: 1})
     d = budget.mul(body, _unit_det(
-        [[one * int(i == j) - delta_i(u[i], j) for j in live] for i in live], budget
+        [[_unit_minus_delta(u[i], j, i == j) for j in live] for i in live], budget
     )) if live else body
     drows = [(j, sum(j), c.nums, c.den, 1) for j, c in sorted(d.terms, key=_by_degree)]
     dmap = {j: (a, ad) for j, _, a, ad, _ in drows}
     ddeg = [sj for _, sj, _, _, _ in drows]
     odd = [i for i in range(n) if kappa.sigma(i) < 0]
     unit = ((1,) + (0,) * (field.degree - 1), 1)
-    out = {}
+    below = _Below(wrows)
+    out = []
     for k in _simplex(n, live, w.order):
         sk = sum(k)
-        ts = [(j, sj, a, ad, dot) for j, sj, a, ad, kj in wrows
-              if all(map(le, j, k)) and (dot := sum(map(mul, k, kj)))]
+        dots = [sum(map(mul, k, kj)) for *_, kj in wrows]
         # |m| E_m = sum_j |j| <kappa k, j> W_j E_(m-j) on the box below k
         e = {(0,) * n: unit}
-        for m in product(*(range(ki + 1) for ki in k)) if ts else ():
-            sm = sum(m)
-            if 0 < sm < sk and (c := _sum_rows(field, _rows_at(e, ts, m, sm), sm)):
-                if any(c[0]):
+        walk = any(dots[t] for *_, t in below[k][1])
+        for m in product(*(range(ki + 1) for ki in k)) if walk else ():
+            sm, terms = below[m]
+            if 0 < sm < sk:
+                rows = [(a, ad, *prev, dot) for mj, a, ad, t in terms
+                        if (dot := dots[t]) and (prev := e.get(mj))]
+                if (c := _sum_rows(field, rows, sm)) and any(c[0]):
                     e[m] = c
         # the pairs D_j E_m with j + m = k, read from the shorter of e and D
         if len(e) < bisect_right(ddeg, sk):
@@ -244,10 +259,42 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
         else:
             rows = _rows_at(e, drows, k, sk)
         sign = (-1) ** sum(k[i] for i in odd)
-        if c := _sum_rows(field, rows, sign):
-            if any(c[0]):
-                out[k] = FieldElem(field, *c)
-    return MSeries.from_dict(field, n, w.order, out)
+        if (c := _sum_rows(field, rows, sign)) and any(c[0]):
+            out.append((k, FieldElem(field, *c)))
+    # sorted: _simplex yields the keys in increasing order
+    return MSeries(field, n, w.order, tuple(out))
+
+
+class _Below(dict):
+    """m -> (|m|, the rows (m - j, a, a_den, t) of the terms
+    t = (j, |j|, a, a_den, _) of wrows with j <= m), listed the first time
+    m is read.  The list depends on m only, not on the output key k, so
+    frame_multi's walk builds no key m - j and probes no j with some
+    j_i > m_i.  wrows is sorted by |j|, and the scan stops at the first
+    |j| > |m|."""
+
+    def __init__(self, wrows: list) -> None:
+        super().__init__()
+        self.wrows = wrows
+
+    def __missing__(self, m: tuple) -> tuple:
+        sm, terms = sum(m), []
+        for t, (j, sj, a, ad, _) in enumerate(self.wrows):
+            if sj > sm:
+                break
+            if all(map(le, j, m)):
+                terms.append((tuple(map(sub, m, j)), a, ad, t))
+        self[m] = (sm, terms)
+        return sm, terms
+
+
+def _unit_minus_delta(v: MSeries, j: int, unit: bool) -> MSeries:
+    """1 - delta_j v when unit, else -delta_j v, for v without constant
+    term: the constant key sorts first, and the other terms keep v's order."""
+    terms = tuple((k, c * -k[j]) for k, c in v.terms if k[j])
+    if unit:
+        terms = (((0,) * v.nvars, v.field.one()),) + terms
+    return MSeries(v.field, v.nvars, v.order, terms)
 
 
 def _walk_cost(field, order: int, n: int, degrees: list[int]) -> int:
@@ -289,7 +336,8 @@ def _rows_at(e: dict, terms: list, m: tuple, sm: int) -> list:
 
 def _simplex(n: int, live: list[int], order: int):
     """The keys k in n variables with 0 < |k| <= order and k_i = 0 for every
-    i not in live, one at a time: an odometer on the live coordinates."""
+    i not in live, one at a time and in increasing order: an odometer on
+    the live coordinates."""
     k, total = [0] * n, 0
     while True:
         for i in reversed(live):

@@ -16,13 +16,15 @@ costs about one full product instead of a sum of order-many powers.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import add, itemgetter
 from typing import Mapping, Sequence, Union
 
 from .errors import BadConstantTerm, DimensionMismatch, FieldMismatch
-from .numfield import FieldElem, NumberField, _square_and_multiply, _sum_products
+from .numfield import FieldElem, NumberField, _square_and_multiply, _sum_rows
 from .series import Series, _exp_grades, _inverse_grades, _invert_constant, _log_grades
 
 Coeff = Union[int, Fraction, FieldElem]
@@ -140,29 +142,37 @@ class MSeries:
         return (-self) + other
 
     def __mul__(self, other) -> "MSeries":
+        """Product by a scalar, or by a series truncated to the smaller order.
+
+        For a series, other's terms are sorted by total degree once, and
+        each term k1 of self meets the prefix of degree <= order - |k1|,
+        cut with bisect.  The (nums, den, nums, den, 1) rows of each output
+        key go to numfield._sum_rows, which aligns them to one lcm, folds
+        and normalizes once per key.
+        """
         if isinstance(other, (int, Fraction, FieldElem)):
-            c = other if isinstance(other, FieldElem) else self.field.elem(other)
-            terms = tuple(t for t in [(k, v * c) for k, v in self.terms] if t[1])
+            # FieldElem.__mul__ scales by an int or a Fraction without a
+            # field product, and checks a FieldElem's field
+            terms = tuple(t for t in [(k, v * other) for k, v in self.terms] if t[1])
             return MSeries(self.field, self.nvars, self.order, terms)
         if not isinstance(other, MSeries):
             return NotImplemented
         self._check(other)
-        order = min(self.order, other.order)
-        # gather the products of each output key; _sum_products folds and
-        # normalizes each key's sum once
-        pairs: dict[ExpVec, list[tuple[FieldElem, FieldElem]]] = {}
+        field, order = self.field, min(self.order, other.order)
+        seconds = sorted(((sum(k), k, c.nums, c.den) for k, c in other.terms),
+                         key=itemgetter(0))
+        degrees = [t[0] for t in seconds]
+        rows: dict[ExpVec, list] = {}
         for k1, c1 in self.terms:
-            d1 = sum(k1)
-            if d1 > order:
-                continue
-            for k2, c2 in other.terms:
-                if d1 + sum(k2) > order:
-                    continue
-                key = tuple(a + b for a, b in zip(k1, k2))
-                pairs.setdefault(key, []).append((c1, c2))
-        out = ((k, _sum_products(self.field, kp)) for k, kp in pairs.items())
-        terms = tuple(sorted(t for t in out if t[1]))
-        return MSeries(self.field, self.nvars, order, terms)
+            a, ad = c1.nums, c1.den
+            for _, k2, b, bd in seconds[:bisect_right(degrees, order - sum(k1))]:
+                rows.setdefault(tuple(map(add, k1, k2)), []).append((a, ad, b, bd, 1))
+        terms = []
+        for key in sorted(rows):
+            nums, den = _sum_rows(field, rows[key])
+            if any(nums):
+                terms.append((key, FieldElem(field, nums, den)))
+        return MSeries(field, self.nvars, order, tuple(terms))
 
     __rmul__ = __mul__
 
@@ -197,9 +207,9 @@ def delta_i(v: MSeries, i: int) -> MSeries:
     """Logarithmic derivative z_i d/dz_i: scale each term by its i-th exponent."""
     if not 0 <= i < v.nvars:
         raise DimensionMismatch(f"variable index {i} out of range")
-    return MSeries.from_dict(
-        v.field, v.nvars, v.order, {k: c * k[i] for k, c in v.terms}
-    )
+    # the terms of a checked series, scaled by a nonzero int: no from_dict
+    terms = tuple((k, c * k[i]) for k, c in v.terms if k[i])
+    return MSeries(v.field, v.nvars, v.order, terms)
 
 
 def _one(v: MSeries) -> MSeries:

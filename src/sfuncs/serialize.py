@@ -11,7 +11,8 @@ can exceed machine width.  Integers of any length round-trip: past CPython's
 int/str digit limit they are converted in pieces split by powers of ten.
 A coordinate may also be read from a JSON integer or an "a" or "a/b" string,
 as one integer pair.  A float, a bool or a zero denominator raises BadFile,
-also inside a pair or a minpoly; a string such as "1.5" raises ValueError.
+also inside a pair or a minpoly, and so does a float or a bool as "order"
+or "nvars"; a string such as "1.5" raises ValueError.
 """
 from __future__ import annotations
 
@@ -134,7 +135,7 @@ def series_from_obj(obj, base_dir: str | None = None) -> Series:
     if "field" not in obj or "order" not in obj or "coeffs" not in obj:
         raise BadFile("series object needs 'field', 'order', and 'coeffs'")
     field = _resolve_field(obj["field"], base_dir)
-    order = int(obj["order"])
+    order = _int(obj["order"])
     coeffs = obj["coeffs"]
     if not isinstance(coeffs, list):
         raise BadFile("series 'coeffs' must be a list, one entry per power of z")
@@ -160,8 +161,8 @@ def mseries_from_obj(obj, base_dir: str | None = None) -> MSeries:
         if need not in obj:
             raise BadFile(f"multivariate series object needs '{need}'")
     field = _resolve_field(obj["field"], base_dir)
-    nvars = int(obj["nvars"])
-    order = int(obj["order"])
+    nvars = _int(obj["nvars"])
+    order = _int(obj["order"])
     if not isinstance(obj["coeffs"], dict):
         raise BadFile("multivariate 'coeffs' must map exponent keys to coefficients")
     terms = {}

@@ -7,7 +7,8 @@ engine, exp/log/inverse by sums of powers, reversion by fixed-point
 iteration, one congruence through the residue ring, the one-variable
 congruence check by a dense scan of every index, the resultant as the
 determinant of the Sylvester matrix, a sum of field products on Fraction
-coordinates, each reduced mod P by long division, factoring by trial
+coordinates, each reduced mod P by long division, the multivariate
+series product as a dict convolution of such sums, factoring by trial
 division to 2**20 and Floyd's rho, and reading a stored element through one
 Fraction per coordinate.  None of this
 is part of the package; tests import it as ``from oracles import ...``.
@@ -372,6 +373,22 @@ def sum_products_by_fractions(
                 prod[top - d + t] -= c * p[t]
         total = [s + wt * c for s, c in zip(total, prod)]
     return field.elem([c / scale for c in total])
+
+
+def mseries_mul_by_fractions(a: MSeries, b: MSeries) -> MSeries:
+    """MSeries.__mul__ as a dict convolution over every pair of terms: the
+    pairs of each output key of total degree <= min(a.order, b.order) are
+    summed by sum_products_by_fractions, on Fraction coordinates, each
+    product reduced mod P by long division."""
+    order = min(a.order, b.order)
+    pairs: dict[tuple[int, ...], list] = {}
+    for k1, c1 in a.terms:
+        for k2, c2 in b.terms:
+            key = tuple(x + y for x, y in zip(k1, k2))
+            if sum(key) <= order:
+                pairs.setdefault(key, []).append((c1, c2))
+    coeffs = {k: sum_products_by_fractions(a.field, kp) for k, kp in pairs.items()}
+    return MSeries.from_dict(a.field, a.nvars, order, coeffs)
 
 
 # --- factoring by trial division to 2**20 and Floyd's rho

@@ -130,6 +130,33 @@ def test_verify_float_or_zero_denominator_exits_two(tmp_path, obj):
     assert len(r.stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize("obj", [
+    {"field": [0, 1], "order": 2.9, "coeffs": [["1"], ["1/4"]]},
+    {"field": [0, 1], "order": True, "coeffs": [["1"]]},
+    {"field": [0, 1], "nvars": 2.5, "order": 2, "coeffs": {"1,0": ["1"]}},
+    {"field": [0, 1], "nvars": True, "order": 2, "coeffs": {"1": ["1"]}},
+])
+def test_verify_float_or_bool_order_or_nvars_exits_two(tmp_path, obj):
+    # each of these was read truncated and checked with exit 0
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(obj))
+    r = run_cli("verify", "--series", str(p), "--s", "2")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: BadFile: ")
+
+
+def test_frame_multi_float_nvars_exits_two(tmp_path):
+    # "nvars": 2.5 was framed as two variables
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(
+        {"field": [0, 1], "nvars": 2.5, "order": 3, "coeffs": {"1,0": ["1"], "0,1": ["1"]}}))
+    r = run_cli("frame-multi", "--series", str(p), "--kappa", "1,0;0,1")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: BadFile: ")
+
+
 def test_unknown_flag_exits_two(li2_path):
     r = run_cli("verify", "--series", str(li2_path), "--s", "2", "--bogus")
     assert r.returncode == 2

@@ -149,6 +149,25 @@ def test_kappa_validation():
         Kappa.parse("1") + Kappa.parse("1,0;0,1")
 
 
+@pytest.mark.parametrize("entries", [
+    ((2.7,),), ((1.0,),), ((True,),), ((1, 0.0), (0.0, 1)), ((0, True), (True, 0)),
+    ((Fraction(1),),), (("1",),),
+])
+def test_kappa_refuses_entries_that_are_not_ints(entries):
+    # Kappa(((2.7,),)) once read as ((2,),)
+    with pytest.raises(TypeError):
+        Kappa(entries)
+
+
+def test_frame_f_refuses_a_float_or_bool_framing():
+    # frame_f(w, 1.5) and frame_f(w, True) once framed by 1
+    w = polylog(2, 5)
+    for f in (1.5, 1.0, True, False):
+        with pytest.raises(TypeError):
+            frame_f(w, f)
+    assert Kappa(([1, -2], [-2, 0])).entries == ((1, -2), (-2, 0))
+
+
 # --- multivariate framing
 
 
@@ -247,6 +266,25 @@ def test_frame_multi_matches_inversion_framing_on_criterion_4_kappas():
     assert len(set(kappas)) == 9
     w = _criterion_4_series(8)
     for kappa in kappas:
+        assert frame_multi(w, kappa) == frame_multi_by_inversion(w, kappa), kappa
+
+
+def test_frame_multi_walk_with_terms_above_m_and_holes_in_e():
+    # No term of W has degree 1, so for each k the box below k holds m with
+    # E_m = 0 (m = (1, 0), (0, 1), (1, 1), ... are no sums of terms), and
+    # terms j with some j_i > m_i (j = (3, 0) against m = (2, 2)); kappa
+    # "0,1;1,0" gives <k, kappa j> = 0 for some j and k as well
+    for field in (Q, CUBIC):
+        g = field.gen() + 2  # nonzero over Q too, where gen() is 0
+        w = MSeries.from_dict(field, 2, 7, {
+            (3, 0): g, (0, 2): 1 - g, (2, 1): -g * g, (1, 3): Fraction(2, 3)})
+        assert len(w.terms) == 4
+        for text in ("1,0;0,1", "0,1;1,0", "2,-1;-1,0", "1,1;1,1"):
+            kappa = Kappa.parse(text)
+            assert frame_multi(w, kappa) == frame_multi_by_inversion(w, kappa), text
+    w = MSeries.from_dict(Q, 3, 5, {(2, 0, 1): 1, (0, 3, 0): -2, (1, 1, 0): Fraction(1, 2)})
+    for upper in ([1, 0, 1, 0, 0, 1], [0, 1, -1, 2, 0, 1]):
+        kappa = _symmetric_kappa(upper, 3)
         assert frame_multi(w, kappa) == frame_multi_by_inversion(w, kappa), kappa
 
 

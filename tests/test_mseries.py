@@ -16,6 +16,7 @@ from oracles import (
     inverse_by_powers,
     invert_map,
     log_by_powers,
+    mseries_mul_by_fractions,
     substitute,
 )
 
@@ -220,3 +221,85 @@ def test_one_variable_wrappers_match_series(w, c):
     assert log_m(m + 1).to_univariate() == log_series(v + 1)
     for e in (-2, -1, 3):
         assert power_m(m + c, e).to_univariate() == power(v + c, e)
+
+
+# --- the series product against a dict convolution on Fraction coordinates
+
+CUBIC = make_field([-1, -2, 1, 1])  # disc 49
+
+
+@st.composite
+def _product_operands(draw):
+    """Two series in 1-3 variables over one field, each sparse (a few keys
+    of any degree) or dense (every key up to a degree), at unequal orders,
+    with constant terms and denominators 1..12 that need an lcm."""
+    field = draw(st.sampled_from([Q, F, CUBIC]))
+    nvars = draw(st.integers(1, 3))
+    coord = st.builds(Fraction, st.integers(-5, 5), st.sampled_from([1, 2, 3, 4, 5, 7, 12]))
+    elem = st.lists(coord, min_size=field.degree, max_size=field.degree).map(field.elem)
+    keys = st.tuples(*[st.integers(0, 5)] * nvars)
+
+    def operand():
+        order = draw(st.integers(0, 6))
+        if draw(st.booleans()):
+            terms = draw(st.dictionaries(keys, elem, max_size=6))
+        else:
+            top = draw(st.integers(0, min(order, 4)))
+            dense = list(_keys_up_to(nvars, top))
+            terms = dict(zip(dense, draw(st.lists(elem, min_size=len(dense),
+                                                  max_size=len(dense)))))
+        return MSeries.from_dict(field, nvars, order, terms)
+
+    return operand(), operand()
+
+
+def _keys_up_to(nvars, top):
+    if nvars == 0:
+        yield ()
+        return
+    for first in range(top + 1):
+        for rest in _keys_up_to(nvars - 1, top - first):
+            yield (first,) + rest
+
+
+@settings(max_examples=150, deadline=None)
+@given(_product_operands())
+def test_product_matches_the_fraction_convolution(operands):
+    a, b = operands
+    assert a * b == mseries_mul_by_fractions(a, b)
+    assert b * a == mseries_mul_by_fractions(b, a)
+    # (a + b)(a - b): the cross terms a b and -b a cancel key by key
+    s, d = a + b, a - b
+    assert s * d == mseries_mul_by_fractions(s, d)
+    assert s * d == mseries_mul_by_fractions(a, a) - mseries_mul_by_fractions(b, b)
+
+
+def test_products_that_cancel_to_zero():
+    for field in (Q, F, CUBIC):
+        x = field.gen()
+        for nvars in (1, 2, 3):
+            e = [tuple(int(i == j) for j in range(nvars)) for i in range(nvars)]
+            p = MSeries.from_dict(field, nvars, 5, {e[0]: x + 2, e[-1]: Fraction(1, 3)})
+            q = MSeries.from_dict(
+                field, nvars, 4, {e[0]: 2 * x - 1, tuple(3 * c for c in e[-1]): 1})
+            zero = MSeries.zero(field, nvars, 4)
+            # p q - q p: every coefficient of the sum is zero
+            got = p * q - q * p
+            by_fractions = mseries_mul_by_fractions(p, q) - mseries_mul_by_fractions(q, p)
+            assert got == zero == by_fractions
+            # (1 + p)(1 - p) = 1 - p^2: the linear terms cancel
+            one_p = p * 0 + 1
+            u, v = one_p + p, one_p - p
+            assert u * v == mseries_mul_by_fractions(u, v) == one_p - p * p
+            assert not (u * v).coeff(e[0])
+            # (z1 + c z_n)(z1 - c z_n) = z1^2 - c^2 z_n^2: the z1 z_n key cancels
+            if nvars > 1:
+                mixed = tuple(a + b for a, b in zip(e[0], e[-1]))
+                u = MSeries.from_dict(field, nvars, 3, {e[0]: 1, e[-1]: x + 2})
+                v = MSeries.from_dict(field, nvars, 3, {e[0]: 1, e[-1]: -x - 2})
+                assert u * v == mseries_mul_by_fractions(u, v)
+                assert (u * v).coeff(mixed) == 0 and len((u * v).terms) == 2
+            # degrees above the order drop, and so does everything else
+            high = MSeries.from_dict(field, nvars, 4, {tuple(3 * c for c in e[0]): x})
+            assert (high * high).is_zero() and mseries_mul_by_fractions(high, high).is_zero()
+            assert (p * zero).is_zero() and (zero * p).is_zero()

@@ -207,3 +207,35 @@ def test_elem_from_obj_matches_the_fraction_loader(field, data, wrap):
                                 max_size=field.degree))
     obj = {"coords": coords} if wrap else coords
     assert elem_from_obj(field, obj) == elem_from_obj_by_fractions(field, obj)
+
+
+@pytest.mark.parametrize("value, coeffs", [
+    (2.9, [["1"], ["1/4"]]), (2.0, [["1"], ["1/4"]]), (True, [["1"]]),
+    (None, [["1"]]), ([1], [["1"]]),
+])
+def test_order_must_be_an_integer(value, coeffs):
+    # "order": 2.9 once read as 2 and true as 1, so these files loaded
+    obj = {"field": {"minpoly": ["0", "1"]}, "order": value, "coeffs": coeffs}
+    with pytest.raises(BadFile):
+        series_from_obj(obj)
+    obj = {"field": {"minpoly": ["0", "1"]}, "nvars": 2, "order": value,
+           "coeffs": {"1,0": ["1"]}}
+    with pytest.raises(BadFile):
+        mseries_from_obj(obj)
+
+
+@pytest.mark.parametrize("value, key", [(2.5, "1,0"), (2.0, "1,0"), (True, "1"), (None, "1")])
+def test_nvars_must_be_an_integer(value, key):
+    # "nvars": 2.5 once read as 2 and true as 1
+    obj = {"field": {"minpoly": ["0", "1"]}, "nvars": value, "order": 2,
+           "coeffs": {key: ["1"]}}
+    with pytest.raises(BadFile):
+        mseries_from_obj(obj)
+
+
+def test_order_and_nvars_read_as_integers_or_decimal_strings():
+    obj = {"field": {"minpoly": ["0", "1"]}, "order": "2", "coeffs": [["1"], ["1/4"]]}
+    assert series_from_obj(obj) == polylog(2, 2)
+    obj = {"field": {"minpoly": ["0", "1"]}, "nvars": "2", "order": 2,
+           "coeffs": {"1,0": ["1"]}}
+    assert mseries_from_obj(obj) == MSeries.var(rationals(), 2, 2, 0)
