@@ -240,10 +240,7 @@ def run(argv) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except SfuncError as e:
-        sys.stderr.write(f"error: {type(e).__name__}: {e}\n")
-        return 2
-    except (OSError, ValueError, json.JSONDecodeError) as e:
+    except (SfuncError, OSError, ValueError) as e:  # JSONDecodeError is a ValueError
         sys.stderr.write(f"error: {type(e).__name__}: {e}\n")
         return 2
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from math import comb
 from operator import le, mul, sub
@@ -36,7 +35,7 @@ from .errors import (
     FramingTooLarge,
     NotSymmetric,
 )
-from .mseries import MSeries, delta_i, power_m
+from .mseries import MSeries, _sum_of_products, delta_i, power_m
 from .numfield import FieldElem, _sum_rows
 from .series import (
     Series,
@@ -162,10 +161,10 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
     it and k_i = 0: k ranges over the simplex 0 < |k| <= order in the n
     variables that appear in W only, and det(I - kappa S) is taken over
     them.  With u = kappa delta W, B = W - 1/2 sum_i delta_i W u_i and
-    (kappa S)_ij = delta_j u_i, so D costs n series products and one
-    elimination.  u, delta_i W and the entries of I - kappa S are built
-    from the checked terms of W, without MSeries.from_dict, and each series
-    product sums integer rows (MSeries.__mul__).  For each k the exp runs
+    (kappa S)_ij = delta_j u_i, so D costs n series products (one
+    mseries._sum_of_products for B) and one elimination.  u, delta_i W and
+    the entries of I - kappa S are built from the checked terms of W,
+    without MSeries.from_dict, and each series product sums integer rows.  For each k the exp runs
     on the box {m <= k}.  The terms j of W (as |j| W_j with the vector
     kappa j) and of D are integer rows sorted by (|j|, j), built once.  The
     terms j <= m of W, with their keys m - j, depend on m only: they are
@@ -223,10 +222,8 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
     u = {i: MSeries(field, n, w.order,
                     tuple((j, c * kj[i]) for j, c, kj in kterms if kj[i]))
          for i in live}
-    body = w
-    for i in live:
-        if u[i].terms:
-            body = body - budget.mul(delta_i(w, i), u[i]) * Fraction(1, 2)
+    pairs = [(delta_i(w, i), u[i]) for i in live if u[i].terms]
+    body = w - budget.sum_of_products(pairs, 2) if pairs else w
     # a column of I - kappa S outside live is a unit vector, so the
     # determinant is the one of the live rows and columns
     d = budget.mul(body, _unit_det(
@@ -369,10 +366,14 @@ class _Budget:
                 f"{MAX_WORK} work units"
             )
 
+    def sum_of_products(self, pairs: list, scale: int = 1) -> MSeries:
+        """The sum of a*b over the (a, b) pairs, divided by scale, charged
+        one unit per pair of terms and field dimension of each product."""
+        self.spend(sum(self.degree * len(a.terms) * len(b.terms) for a, b in pairs))
+        return _sum_of_products(pairs, scale)
+
     def mul(self, a: MSeries, b: MSeries) -> MSeries:
-        """a * b, charged one unit per pair of terms and field dimension."""
-        self.spend(self.degree * len(a.terms) * len(b.terms))
-        return a * b
+        return self.sum_of_products([(a, b)])
 
     def inverse(self, a: MSeries) -> MSeries:
         """1 / a, charged as a product of a by a series with every monomial

@@ -1,28 +1,31 @@
 """Small integer helpers: primality, factoring, divisors, Moebius, CRT.
 
-Everything here is exact and deterministic.  The Miller-Rabin witness set is
-the standard one that is provably correct for numbers below 3.3 * 10**24,
-far beyond anything this package touches.  prime_factors trial-divides below
-2**40 to the square root, so no Miller-Rabin runs there; at or above 2**40 it
-stops at 2**10 and splits the rest by Brent's variant of Pollard rho.
+Everything here is exact and deterministic.  The Miller-Rabin witnesses
+2..41 are proven correct below PRIME_TEST_BOUND, the least strong
+pseudoprime psi_13 = 3317044064679887385961981 to all of them (Sorenson &
+Webster 2016); 2..37 alone fail at psi_12 = 318665857834031151167461.
+prime_factors trial-divides below 2**40 to the square root, so no
+Miller-Rabin runs there; at or above 2**40 it stops at 2**10 and splits the
+rest by Brent's variant of Pollard rho.
 """
 from __future__ import annotations
 
 import math
 from functools import lru_cache
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test.
+    """Miller-Rabin primality test, deterministic below PRIME_TEST_BOUND.
 
     >>> [k for k in range(2, 30) if is_prime(k)]
     [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     """
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1

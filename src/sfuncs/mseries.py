@@ -5,14 +5,16 @@ instances are canonical, hashable and cheap to compare.  Binary operations
 truncate to the smaller total-degree order.  The zero exponent vector (a
 constant term) is representable; verification code insists it vanishes.
 
-exp_m, log_m and the inverse behind power_m grade a series by total degree
-and run the recurrences of the series module on the homogeneous parts.  The
-Euler operator E = sum_i z_i d/dz_i multiplies the degree-j part by j and is
-a derivation, so y = exp(v) satisfies E y = (E v) y, that is
-k*y_k = sum_j (j*v_j)*y_(k-j) on homogeneous parts y_k, v_j: the
-one-variable recurrence word for word.  log solves the same relation for
-v_k, and the inverse w of y solves sum_j y_j*w_(k-j) = 0 for k > 0.  Each
-costs about one full product instead of a sum of order-many powers.
+This module holds the one graded core of the package.  A series is split
+into its grades, the homogeneous parts of each total degree, and exp_m,
+log_m and the inverse behind power_m run the Brent-Kung recurrences on
+them.  The Euler operator E = sum_i z_i d/dz_i multiplies the degree-j part
+by j and is a derivation, so y = exp(v) satisfies E y = (E v) y, that is
+k*y_k = sum_j (j*v_j)*y_(k-j); log solves the same relation for v_k, and
+the inverse w of y solves sum_j y_j*w_(k-j) = 0 for k > 0.  Each sum over
+j is one _sum_of_products, and each costs about one full product instead
+of a sum of order-many powers.  A one-variable Series is the case nvars = 1:
+the series module goes through from_univariate and to_univariate.
 """
 from __future__ import annotations
 
@@ -23,9 +25,15 @@ from functools import cached_property
 from operator import add, itemgetter
 from typing import Mapping, Sequence, Union
 
-from .errors import BadConstantTerm, DimensionMismatch, FieldMismatch
-from .numfield import FieldElem, NumberField, _square_and_multiply, _sum_rows
-from .series import Series, _exp_grades, _inverse_grades, _invert_constant, _log_grades
+from .errors import (
+    BadConstantTerm,
+    DimensionMismatch,
+    FieldMismatch,
+    NonUnitConstant,
+    Zero,
+    ZeroDivisor,
+)
+from .numfield import FieldElem, NumberField, _square_and_multiply, _sum_rows, invert
 
 Coeff = Union[int, Fraction, FieldElem]
 ExpVec = tuple[int, ...]
@@ -49,6 +57,8 @@ class MSeries:
         """Build from an exponent-vector map; zeros and out-of-range terms drop."""
         if nvars < 1:
             raise DimensionMismatch("need at least one variable")
+        if order < 0:
+            raise ValueError("order must be nonnegative")
         terms = []
         for key, val in coeffs.items():
             key = tuple(int(k) for k in key)
@@ -142,14 +152,8 @@ class MSeries:
         return (-self) + other
 
     def __mul__(self, other) -> "MSeries":
-        """Product by a scalar, or by a series truncated to the smaller order.
-
-        For a series, other's terms are sorted by total degree once, and
-        each term k1 of self meets the prefix of degree <= order - |k1|,
-        cut with bisect.  The (nums, den, nums, den, 1) rows of each output
-        key go to numfield._sum_rows, which aligns them to one lcm, folds
-        and normalizes once per key.
-        """
+        """Product by a scalar, or by a series truncated to the smaller order
+        (the one-pair case of _sum_of_products)."""
         if isinstance(other, (int, Fraction, FieldElem)):
             # FieldElem.__mul__ scales by an int or a Fraction without a
             # field product, and checks a FieldElem's field
@@ -157,30 +161,17 @@ class MSeries:
             return MSeries(self.field, self.nvars, self.order, terms)
         if not isinstance(other, MSeries):
             return NotImplemented
-        self._check(other)
-        field, order = self.field, min(self.order, other.order)
-        seconds = sorted(((sum(k), k, c.nums, c.den) for k, c in other.terms),
-                         key=itemgetter(0))
-        degrees = [t[0] for t in seconds]
-        rows: dict[ExpVec, list] = {}
-        for k1, c1 in self.terms:
-            a, ad = c1.nums, c1.den
-            for _, k2, b, bd in seconds[:bisect_right(degrees, order - sum(k1))]:
-                rows.setdefault(tuple(map(add, k1, k2)), []).append((a, ad, b, bd, 1))
-        terms = []
-        for key in sorted(rows):
-            nums, den = _sum_rows(field, rows[key])
-            if any(nums):
-                terms.append((key, FieldElem(field, nums, den)))
-        return MSeries(field, self.nvars, order, tuple(terms))
+        return _sum_of_products([(self, other)])
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "MSeries":
         return power_m(self, e)
 
-    def to_univariate(self) -> Series:
+    def to_univariate(self) -> "Series":
         """View a one-variable MSeries as a Series."""
+        from .series import Series
+
         if self.nvars != 1:
             raise DimensionMismatch("only one-variable series convert")
         coeffs = [self.field.zero()] * self.order
@@ -193,7 +184,7 @@ class MSeries:
         return Series(self.field, self.order, const, tuple(coeffs))
 
     @classmethod
-    def from_univariate(cls, v: Series) -> "MSeries":
+    def from_univariate(cls, v: "Series") -> "MSeries":
         terms = enumerate((v.const, *v.coeffs))
         return cls(v.field, 1, v.order, tuple(((k,), c) for k, c in terms if c))
 
@@ -210,6 +201,37 @@ def delta_i(v: MSeries, i: int) -> MSeries:
     # the terms of a checked series, scaled by a nonzero int: no from_dict
     terms = tuple((k, c * k[i]) for k, c in v.terms if k[i])
     return MSeries(v.field, v.nvars, v.order, terms)
+
+
+def _sum_of_products(pairs: list[tuple[MSeries, MSeries]], scale: int = 1) -> MSeries:
+    """The sum of x*y over the (x, y) pairs, divided by the integer scale and
+    truncated to the smallest order of the operands; pairs is not empty.
+
+    For each pair, y's terms are sorted by total degree once, and each term
+    k1 of x meets the prefix of degree <= order - |k1|, cut with bisect.
+    The (nums, den, nums, den, 1) rows of each output key are gathered
+    across all the pairs and go to numfield._sum_rows once, which aligns
+    them to one lcm, folds and normalizes once per key.
+    """
+    first = pairs[0][0]
+    field, order = first.field, min(min(x.order, y.order) for x, y in pairs)
+    rows: dict[ExpVec, list] = {}
+    for x, y in pairs:
+        first._check(x)
+        first._check(y)
+        seconds = sorted(((sum(k), k, c.nums, c.den) for k, c in y.terms),
+                         key=itemgetter(0))
+        degrees = [t[0] for t in seconds]
+        for k1, c1 in x.terms:
+            a, ad = c1.nums, c1.den
+            for _, k2, b, bd in seconds[:bisect_right(degrees, order - sum(k1))]:
+                rows.setdefault(tuple(map(add, k1, k2)), []).append((a, ad, b, bd, 1))
+    terms = []
+    for key in sorted(rows):
+        nums, den = _sum_rows(field, rows[key], scale)
+        if any(nums):
+            terms.append((key, FieldElem(field, nums, den)))
+    return MSeries(field, first.nvars, order, tuple(terms))
 
 
 def _one(v: MSeries) -> MSeries:
@@ -230,13 +252,53 @@ def _from_grades(v: MSeries, grades: list[MSeries]) -> MSeries:
     return MSeries(v.field, v.nvars, v.order, tuple(terms))
 
 
+# Graded recurrences on the grades g[0..n] of a series (Brent & Kung 1978;
+# see the module docstring).
+
+
+def _dot(a: list[MSeries], b: list[MSeries], k: int, scale: int = 1) -> MSeries:
+    """sum_{j=1..k} a_j * b_(k-j) / scale: one _sum_of_products, nonzero pairs only."""
+    pairs = [(a[j], b[k - j]) for j in range(1, k + 1) if a[j].terms and b[k - j].terms]
+    return _sum_of_products(pairs, scale) if pairs else a[0] * 0
+
+
+def _exp_grades(v: list[MSeries], one: MSeries) -> list[MSeries]:
+    """Grades of exp(v), v_0 = 0: k*y_k = sum_{j=1..k} (j*v_j)*y_(k-j), y_0 = one."""
+    dv = [g * j for j, g in enumerate(v)]
+    y = [one]
+    for k in range(1, len(v)):
+        y.append(_dot(dv, y, k, k))
+    return y
+
+
+def _log_grades(y: list[MSeries]) -> list[MSeries]:
+    """Grades of log(y), y_0 = 1: k*v_k = k*y_k - sum_{j=1..k-1} y_j*((k-j)*v_(k-j))."""
+    v, dv = [y[0] * 0], [y[0] * 0]
+    for k in range(1, len(y)):
+        v.append(y[k] + _dot(y, dv, k, -k))
+        dv.append(v[k] * k)
+    return v
+
+
+def _inverse_grades(y: list[MSeries], one: MSeries, c: FieldElem) -> list[MSeries]:
+    """Grades of 1/y, where c inverts the constant term of y_0:
+    w_0 = c*one, w_k = -c * sum_{j=1..k} y_j*w_(k-j)."""
+    w = [one * c]
+    for k in range(1, len(y)):
+        w.append(_dot(y, w, k) * -c)
+    return w
+
+
 def power_m(y: MSeries, e: int) -> MSeries:
     """Integer power; negative e needs an invertible constant term."""
     one = _one(y)
     if e == 0:
         return one
     if e < 0:
-        c = _invert_constant(y.constant_term)
+        try:
+            c = invert(y.constant_term)
+        except (Zero, ZeroDivisor) as exc:
+            raise NonUnitConstant("constant term is not invertible") from exc
         y, e = _from_grades(y, _inverse_grades(_grades(y), one, c)), -e
     return _square_and_multiply(y, e)
 

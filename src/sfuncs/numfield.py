@@ -6,10 +6,10 @@ gcd-normalized.  That keeps ring operations in plain integer arithmetic
 (one gcd per result) instead of per-coordinate fraction bookkeeping, which
 matters once series of these things get multiplied a few million times.
 A sum of products, the coefficient of a series product or of a framing, is
-one result: _sum_rows takes it as integer rows (coordinates, denominators
-and an integer weight per product), aligns them to one lcm of the row
-denominators, adds the weighted unreduced products, then folds mod P and
-normalizes once.  _sum_products is the same for pairs of elements.
+one result: _sum_rows takes it as a list of integer rows (coordinates,
+denominators and an integer weight per product), aligns them to one lcm of
+the row denominators, adds the weighted unreduced products, then folds mod
+P and normalizes once.  Series reach it through mseries._sum_of_products.
 
 P is required to be squarefree (nonzero discriminant) but not irreducible;
 when P factors, K is a product ring and inversion of a zero divisor raises.
@@ -339,7 +339,7 @@ Row = tuple[Sequence[int], int, Sequence[int], int, int]
 
 
 def _sum_rows(
-    field: NumberField, rows: Iterable[Row], scale: int = 1
+    field: NumberField, rows: list[Row], scale: int = 1
 ) -> tuple[tuple[int, ...], int] | None:
     """The sum of w * (a / a_den) * (b / b_den) over the rows
     (a, a_den, b, b_den, w), divided by scale, as normalized (nums, den);
@@ -350,7 +350,6 @@ def _sum_rows(
     a_den * b_den, so each row's product is added with the one multiplier
     lcm // (a_den * b_den) * w.  The sum is folded and normalized once.
     """
-    rows = list(rows)
     if not rows:
         return None
     dens = [ad * bd for _, ad, _, bd, _ in rows]
@@ -359,17 +358,6 @@ def _sum_rows(
     for (a, _, b, _, w), rd in zip(rows, dens):
         _convolve_into(conv, a, b, den // rd * w)
     return _normalize(_fold(conv, field._reduction), den * scale)
-
-
-def _sum_products(
-    field: NumberField, pairs: Iterable[tuple[FieldElem, FieldElem]], scale: int = 1
-) -> FieldElem | None:
-    """The sum of x*y over the pairs (x, y), divided by scale; None when there
-    are no pairs.  _sum_rows with weight 1: one lcm aligns the products, and
-    the sum is folded and normalized once.
-    """
-    res = _sum_rows(field, [(x.nums, x.den, y.nums, y.den, 1) for x, y in pairs], scale)
-    return None if res is None else FieldElem(field, *res)
 
 
 def _square_and_multiply(base, e: int):

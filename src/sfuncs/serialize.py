@@ -11,8 +11,9 @@ can exceed machine width.  Integers of any length round-trip: past CPython's
 int/str digit limit they are converted in pieces split by powers of ten.
 A coordinate may also be read from a JSON integer or an "a" or "a/b" string,
 as one integer pair.  A float, a bool or a zero denominator raises BadFile,
-also inside a pair or a minpoly, and so does a float or a bool as "order"
-or "nvars"; a string such as "1.5" raises ValueError.
+also inside a pair or a minpoly, and so does a float, a bool or a negative
+number as "order", or a float or a bool as "nvars"; a string such as "1.5"
+raises ValueError.
 """
 from __future__ import annotations
 
@@ -131,11 +132,17 @@ def series_to_obj(v: Series, field_ref=None) -> dict:
     }
 
 
+def _order(obj) -> int:
+    if (order := _int(obj["order"])) < 0:
+        raise BadFile(f"series 'order' is {order}, need a nonnegative order")
+    return order
+
+
 def series_from_obj(obj, base_dir: str | None = None) -> Series:
     if "field" not in obj or "order" not in obj or "coeffs" not in obj:
         raise BadFile("series object needs 'field', 'order', and 'coeffs'")
     field = _resolve_field(obj["field"], base_dir)
-    order = _int(obj["order"])
+    order = _order(obj)
     coeffs = obj["coeffs"]
     if not isinstance(coeffs, list):
         raise BadFile("series 'coeffs' must be a list, one entry per power of z")
@@ -162,7 +169,7 @@ def mseries_from_obj(obj, base_dir: str | None = None) -> MSeries:
             raise BadFile(f"multivariate series object needs '{need}'")
     field = _resolve_field(obj["field"], base_dir)
     nvars = _int(obj["nvars"])
-    order = _int(obj["order"])
+    order = _order(obj)
     if not isinstance(obj["coeffs"], dict):
         raise BadFile("multivariate 'coeffs' must map exponent keys to coefficients")
     terms = {}

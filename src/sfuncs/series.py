@@ -6,6 +6,9 @@ and the result records that order; nothing is ever padded silently.
 
 delta is the logarithmic derivative z d/dz; dint is its right inverse
 (divide the k-th coefficient by k), defined only for vanishing constants.
+
+A Series is the one-variable case of mseries.MSeries: products, exp_series,
+log_series and power go through MSeries.from_univariate and to_univariate.
 """
 from __future__ import annotations
 
@@ -14,16 +17,14 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .errors import (
-    BadConstantTerm,
     FieldMismatch,
     InnerHasConstant,
     NonUnitConstant,
     NonUnitLinearTerm,
     NonzeroConstant,
-    Zero,
-    ZeroDivisor,
 )
-from .numfield import FieldElem, NumberField, _square_and_multiply, _sum_products, invert
+from .mseries import MSeries, exp_m, log_m, power_m
+from .numfield import FieldElem, NumberField
 
 Coeff = Union[int, Fraction, FieldElem]
 
@@ -127,30 +128,13 @@ class Series:
         return (-self) + other
 
     def __mul__(self, other) -> "Series":
-        if isinstance(other, (int, Fraction, FieldElem)):
-            c = _as_elem(self.field, other)
-            return Series(
-                self.field,
-                self.order,
-                self.const * c,
-                tuple(a * c for a in self.coeffs),
-            )
-        if not isinstance(other, Series):
+        """Product by a scalar, or by a series truncated to the smaller order,
+        as the one-variable MSeries product."""
+        if isinstance(other, Series):
+            other = MSeries.from_univariate(other)
+        elif not isinstance(other, (int, Fraction, FieldElem)):
             return NotImplemented
-        self._check_field(other)
-        n = min(self.order, other.order)
-        a = [(i, c) for i, c in enumerate([self.const, *self.coeffs[:n]]) if c]
-        b = {j: c for j, c in enumerate([other.const, *other.coeffs[:n]]) if c}
-        # the nonzero products a_i b_(k-i) of each k go to _sum_products
-        # together, so each coefficient is folded and normalized once; no
-        # product (None) reads as zero
-        zero = self.field.zero()
-        out = [
-            _sum_products(self.field, [(c, b[k - i]) for i, c in a if k - i in b])
-            or zero
-            for k in range(n + 1)
-        ]
-        return Series(self.field, n, out[0], tuple(out[1:]))
+        return (MSeries.from_univariate(self) * other).to_univariate()
 
     __rmul__ = __mul__
 
@@ -194,80 +178,15 @@ def dint(v: Series) -> Series:
     )
 
 
-# Graded recurrences.  A series is handled as its list of grades g[0..n]:
-# the coefficients of a Series, or the homogeneous parts of each total degree
-# of an MSeries.  A grade needs only +, *, a scalar * and is_zero().  The
-# Euler operator E = sum_i z_i d/dz_i multiplies grade j by j and is a
-# derivation, so E exp(v) = (E v) exp(v) and E log(y) = (E y) / y hold grade
-# by grade, in one variable or in several: these are the recurrences below
-# (Brent & Kung 1978).
-
-
-def _dot(a: list, b: list, k: int, zero):
-    """sum_{j=1..k} a_j * b_(k-j), skipping zero grades."""
-    s = zero
-    for j in range(1, k + 1):
-        if not a[j].is_zero() and not b[k - j].is_zero():
-            s = s + a[j] * b[k - j]
-    return s
-
-
-def _exp_grades(v: list, one) -> list:
-    """Grades of exp(v), v_0 = 0: k*y_k = sum_{j=1..k} (j*v_j)*y_(k-j), y_0 = one."""
-    zero = one * 0
-    dv = [g * j for j, g in enumerate(v)]
-    y = [one]
-    for k in range(1, len(v)):
-        y.append(_dot(dv, y, k, zero) * Fraction(1, k))
-    return y
-
-
-def _log_grades(y: list) -> list:
-    """Grades of log(y), y_0 = 1: k*v_k = k*y_k - sum_{j=1..k-1} y_j*((k-j)*v_(k-j))."""
-    zero = y[0] * 0
-    v = [zero]
-    dv = [zero]
-    for k in range(1, len(y)):
-        v.append(y[k] + _dot(y, dv, k, zero) * Fraction(-1, k))
-        dv.append(v[k] * k)
-    return v
-
-
-def _inverse_grades(y: list, one, c) -> list:
-    """Grades of 1/y, where the scalar c inverts y_0:
-    w_0 = c*one, w_k = -c * sum_{j=1..k} y_j*w_(k-j)."""
-    zero = one * 0
-    w = [one * c]
-    for k in range(1, len(y)):
-        w.append(_dot(y, w, k, zero) * -c)
-    return w
-
-
-def _invert_constant(c: FieldElem) -> FieldElem:
-    try:
-        return invert(c)
-    except (Zero, ZeroDivisor) as exc:
-        raise NonUnitConstant("constant term is not invertible") from exc
-
-
-def _from_grades(field: NumberField, g: list) -> Series:
-    return Series(field, len(g) - 1, g[0], tuple(g[1:]))
-
-
 def exp_series(v: Series) -> Series:
-    """exp of a series with zero constant term, by the graded recurrence
-    k*y_k = sum_j j*v_j*y_{k-j} (E y = (E v) y with E = z d/dz)."""
-    if not v.const.is_zero():
-        raise BadConstantTerm("exp needs a vanishing constant term")
-    return _from_grades(v.field, _exp_grades([v.const, *v.coeffs], v.field.one()))
+    """exp of a series with zero constant term: exp_m in one variable."""
+    return exp_m(MSeries.from_univariate(v)).to_univariate()
 
 
 def log_series(y: Series) -> Series:
-    """log of a series with constant term 1, inverse of exp_series: E y = (E v) y
-    solved for v_k, k*v_k = k*y_k - sum_{j<k} j*v_j*y_{k-j}."""
-    if y.const != y.field.one():
-        raise BadConstantTerm("log needs constant term 1")
-    return _from_grades(y.field, _log_grades([y.const, *y.coeffs]))
+    """log of a series with constant term 1, inverse of exp_series: log_m in
+    one variable."""
+    return log_m(MSeries.from_univariate(y)).to_univariate()
 
 
 def compose(outer: Series, inner: Series) -> Series:
@@ -287,14 +206,9 @@ def compose(outer: Series, inner: Series) -> Series:
 
 
 def power(y: Series, e: int) -> Series:
-    """Integer power of a series; negative e needs an invertible constant term."""
-    if e == 0:
-        return Series.from_coeffs(y.field, y.order, const=1)
-    if e < 0:
-        g = [y.const, *y.coeffs]
-        inv = _inverse_grades(g, y.field.one(), _invert_constant(y.const))
-        y, e = _from_grades(y.field, inv), -e
-    return _square_and_multiply(y, e)
+    """Integer power of a series; negative e needs an invertible constant term.
+    power_m in one variable."""
+    return power_m(MSeries.from_univariate(y), e).to_univariate()
 
 
 def revert(f: Series) -> Series:

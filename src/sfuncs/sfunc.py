@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .errors import ConstantTermNonzero, NotIntegral, NotPrime, SfuncError
-from .intutil import crt, divisors, is_prime, ord_p, prime_factors, primes_up_to
+from .intutil import PRIME_TEST_BOUND, crt, divisors, is_prime, ord_p, prime_factors, primes_up_to
 from .mseries import MSeries
 from .numfield import FieldElem, NumberField, denominator_support
 from .padic import _apply_rows, _frobenius_rows, _valuation
@@ -161,15 +161,16 @@ def check_sfunction(
     field discriminant) found in normalized denominators are listed as
     skipped, and primes in extra_primes get informational records, over the
     same pairs, that never affect the verdict; an entry of extra_primes that
-    is not prime raises NotPrime.  Every prime that reaches a check is thus
-    known to be prime.  s < 1 raises ValueError.  The checks run in this
-    process: a process pool measured no faster and cost more CPU.
+    is not a prime below intutil.PRIME_TEST_BOUND, where is_prime is proven,
+    raises NotPrime.  Every prime that reaches a check is thus known to be
+    prime.  s < 1 raises ValueError.  The checks run in this process: a
+    process pool measured no faster and cost more CPU.
     """
     if s < 1:
         raise ValueError("need s >= 1")
     for q in extra_primes:
-        if not is_prime(q):
-            raise NotPrime(f"{q} is not prime")
+        if q >= PRIME_TEST_BOUND or not is_prime(q):
+            raise NotPrime(f"{q} is not a prime below {PRIME_TEST_BOUND}")
     univariate = not isinstance(v, MSeries)
     w = MSeries.from_univariate(v) if univariate else v
     if not w.constant_term.is_zero():

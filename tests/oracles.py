@@ -348,7 +348,7 @@ def sum_products_by_fractions(
     scale: int = 1,
     weights: Sequence[int] | None = None,
 ) -> FieldElem | None:
-    """numfield._sum_products (numfield._sum_rows with weights) on Fraction
+    """A sum of products as numfield._sum_rows makes it, on Fraction
     coordinates: each x*y is multiplied out as a polynomial in x, reduced mod
     P by long division, multiplied by its pair's weight (1 without weights)
     and added to the sum, which is divided by scale at the end; None when

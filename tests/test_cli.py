@@ -83,6 +83,33 @@ def test_verify_rejects_extra_primes_that_are_not_prime(li2_path, extra):
     assert len(r.stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize("extra", ["318665857834031151167461", str(2**89 - 1)])
+def test_verify_rejects_extra_primes_past_the_proven_test(li2_path, extra):
+    # psi_12 = 399165290221 * 798330580441 passed the 12 witnesses 2..37 and
+    # was checked as a prime; the prime 2**89 - 1 is above PRIME_TEST_BOUND,
+    # where the Miller-Rabin witnesses are not proven
+    r = run_cli("verify", "--series", str(li2_path), "--s", "2",
+                "--primes-extra", extra, timeout=10)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: NotPrime: ")
+    assert len(r.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("verb", [["verify", "--s", "2"], ["frame-multi", "--kappa", "1,0;0,1"]])
+def test_negative_order_exits_two_naming_the_order(tmp_path, verb):
+    # the file loaded as an empty series and the verbs then failed on the
+    # constant key (0, 0) "outside the truncation order -3"
+    p = tmp_path / "neg.json"
+    p.write_text(json.dumps({"field": [0, 1], "nvars": 2, "order": -3,
+                             "coeffs": {"1,0": ["1"]}}))
+    r = run_cli(verb[0], "--series", str(p), *verb[1:], timeout=10)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: BadFile: ") and "order" in r.stderr
+    assert len(r.stderr.splitlines()) == 1
+
+
 @pytest.mark.parametrize("s", ["0", "-1"])
 def test_verify_refuses_strength_below_one(li2_path, s):
     # s = -1 used to die in g**s with a TypeError traceback and exit 1, and

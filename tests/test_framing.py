@@ -373,6 +373,20 @@ def test_frame_multi_charges_the_determinant_to_the_cap(monkeypatch):
         frame_multi(_sum_of_variables(16, 3), Kappa(((1,) * 16,) * 16))
 
 
+def test_one_sum_of_products_costs_its_products_separately():
+    # B = W - 1/2 sum_i delta_i W u_i is one call; it is charged what the n
+    # products cost one at a time, so every refusal point stays where it was
+    g = CUBIC.gen()
+    v = MSeries.from_dict(CUBIC, 3, 4, {(1, 0, 0): g, (0, 1, 0): 1, (0, 1, 1): g / 2})
+    w = v * v + 1
+    pairs = [(w, v * k) for k in (1, g, 3)] + [(w, w), (v, w)]
+    apart, together = framing._Budget(CUBIC, 4, 3), framing._Budget(CUBIC, 4, 3)
+    want = sum((apart.mul(a, b) for a, b in pairs), MSeries.zero(CUBIC, 3, 4))
+    assert together.sum_of_products(pairs, -6) == want * Fraction(1, -6)
+    assert together.left == apart.left == MAX_WORK - sum(
+        3 * len(a.terms) * len(b.terms) for a, b in pairs)
+
+
 def test_frame_multi_keeps_the_scaling_inputs_under_the_cap():
     # the walks of frame_f(w, 3) over the cubic at order 144 and of
     # W = z1 + z2 with kappa = I at order 48 (2.5 s and 2.9 s when timed)

@@ -31,6 +31,18 @@ def test_is_prime_carmichael_and_large():
     assert not is_prime(2**67 - 1)  # = 193707721 * 761838257287
 
 
+# the least strong pseudoprime to the 12 bases 2..37 (Sorenson & Webster)
+PSI_12 = 318665857834031151167461
+
+
+def test_psi_12_is_composite_with_its_two_factors():
+    # the witnesses 2..37 alone called it prime; 41 is a witness and a prime
+    assert not is_prime(PSI_12)
+    assert prime_factors(PSI_12) == {399165290221: 1, 798330580441: 1}
+    assert is_prime(41) and not is_prime(41 * 41) and not is_prime(41 * 43)
+    assert intutil.PRIME_TEST_BOUND == 3317044064679887385961981
+
+
 def test_prime_factors_examples():
     assert prime_factors(360) == {2: 3, 3: 2, 5: 1}
     assert prime_factors(1) == {}

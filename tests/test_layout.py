@@ -5,9 +5,12 @@ import ast
 import functools
 import importlib
 import pkgutil
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import sfuncs
 from sfuncs.mseries import MSeries
@@ -91,3 +94,31 @@ def test_every_private_definition_has_a_caller_in_the_package():
         and used[node.name] == _names_used(node)[node.name]
     )
     assert not uncalled, f"private names with no caller in the package: {uncalled}"
+
+
+# A bare package object stands in for sfuncs, so its __init__ (which imports
+# catalog, and through it series, first) does not fix the import order.
+_IMPORT_FIRST = """
+import importlib, sys, types
+pkg = types.ModuleType("sfuncs")
+pkg.__path__ = [sys.argv[1]]
+sys.modules["sfuncs"] = pkg
+importlib.import_module("sfuncs." + sys.argv[2])
+print(sorted(m for m in sys.modules if m.startswith("sfuncs.")))
+from sfuncs.mseries import MSeries
+from sfuncs.numfield import rationals
+from sfuncs.series import exp_series
+assert exp_series(MSeries.var(rationals(), 1, 3, 0).to_univariate()).coeff(3) * 6 == 1
+"""
+
+
+@pytest.mark.parametrize("first", ["series", "mseries"])
+def test_series_and_mseries_import_in_either_order(first):
+    # series imports mseries; mseries imports series only inside
+    # to_univariate, so importing mseries alone loads no series module
+    r = subprocess.run([sys.executable, "-c", _IMPORT_FIRST, str(PACKAGE), first],
+                       capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
+    loaded = set(ast.literal_eval(r.stdout.splitlines()[0]))
+    assert ("sfuncs.series" in loaded) == (first == "series")
+    assert "sfuncs.mseries" in loaded

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sfuncs.errors import DimensionMismatch, InnerHasConstant, NonUnitConstant
-from sfuncs.mseries import MSeries, delta_i, exp_m, log_m, power_m
+from sfuncs.mseries import MSeries, _sum_of_products, delta_i, exp_m, log_m, power_m
 from sfuncs.numfield import make_field, rationals
 from sfuncs.series import Series, exp_series, log_series, power
 
@@ -213,14 +213,25 @@ def test_graded_core_matches_sum_of_powers(v, c):
 
 
 @settings(max_examples=40, deadline=None)
-@given(_zero_constant_series(nvars_range=(1, 1)), _unit_constants)
-def test_one_variable_wrappers_match_series(w, c):
-    v = w.to_univariate()
-    m = MSeries.from_univariate(v)
-    assert exp_m(m).to_univariate() == exp_series(v)
-    assert log_m(m + 1).to_univariate() == log_series(v + 1)
-    for e in (-2, -1, 3):
-        assert power_m(m + c, e).to_univariate() == power(v + c, e)
+@given(_zero_constant_series(nvars_range=(1, 1)), _unit_constants, st.data())
+def test_one_variable_wrappers_match_series(w, c, data):
+    # exp_series, log_series, power and Series.__mul__ run on the MSeries
+    # core, so each is checked against an oracle outside it: sums of powers
+    # and the Fraction convolution
+    x = data.draw(_zero_constant_series(nvars_range=(1, 1)).filter(
+        lambda s: s.field == w.field))
+    v, u = w.to_univariate(), x.to_univariate() + 1
+    m = w + c
+    assert exp_series(v) == exp_by_powers(w).to_univariate()
+    assert log_series(v + 1) == log_by_powers(w + 1).to_univariate()
+    inv = inverse_by_powers(m)
+    assert power(v + c, -1) == inv.to_univariate()
+    assert power(v + c, -2) == mseries_mul_by_fractions(inv, inv).to_univariate()
+    cube = mseries_mul_by_fractions(mseries_mul_by_fractions(m, m), m)
+    assert power(v + c, 3) == cube.to_univariate()
+    assert (v + c) * u == mseries_mul_by_fractions(m, x + 1).to_univariate()
+    const = MSeries.from_dict(x.field, 1, x.order, {(0,): c})
+    assert u * c == c * u == mseries_mul_by_fractions(x + 1, const).to_univariate()
 
 
 # --- the series product against a dict convolution on Fraction coordinates
@@ -229,8 +240,8 @@ CUBIC = make_field([-1, -2, 1, 1])  # disc 49
 
 
 @st.composite
-def _product_operands(draw):
-    """Two series in 1-3 variables over one field, each sparse (a few keys
+def _product_operands(draw, count=2):
+    """count series in 1-3 variables over one field, each sparse (a few keys
     of any degree) or dense (every key up to a degree), at unequal orders,
     with constant terms and denominators 1..12 that need an lcm."""
     field = draw(st.sampled_from([Q, F, CUBIC]))
@@ -250,7 +261,7 @@ def _product_operands(draw):
                                                   max_size=len(dense)))))
         return MSeries.from_dict(field, nvars, order, terms)
 
-    return operand(), operand()
+    return tuple(operand() for _ in range(count))
 
 
 def _keys_up_to(nvars, top):
@@ -272,6 +283,17 @@ def test_product_matches_the_fraction_convolution(operands):
     s, d = a + b, a - b
     assert s * d == mseries_mul_by_fractions(s, d)
     assert s * d == mseries_mul_by_fractions(a, a) - mseries_mul_by_fractions(b, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_product_operands(count=6), st.integers(1, 3), st.sampled_from([1, -1, 2, -6]))
+def test_sum_of_products_matches_the_fraction_convolutions(ops, n, scale):
+    # the rows of each key are gathered across the pairs, at unequal orders
+    pairs = list(zip(ops[0:2 * n:2], ops[1:2 * n:2]))
+    want = mseries_mul_by_fractions(*pairs[0])
+    for x, y in pairs[1:]:
+        want = want + mseries_mul_by_fractions(x, y)
+    assert _sum_of_products(pairs, scale) == want * Fraction(1, scale)
 
 
 def test_products_that_cancel_to_zero():

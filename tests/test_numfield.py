@@ -13,7 +13,6 @@ from sfuncs.numfield import (
     FieldElem,
     _derivative,
     _resultant,
-    _sum_products,
     _sum_rows,
     denominator_support,
     discriminant,
@@ -218,6 +217,11 @@ def _summand(draw, field):
     return FieldElem(field, tuple(nums), den)
 
 
+def _weight_one_rows(pairs):
+    """The _sum_rows rows of a sum of products x*y, each of weight 1."""
+    return [(x.nums, x.den, y.nums, y.den, 1) for x, y in pairs]
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_sum_products_matches_the_fraction_oracle(data):
@@ -225,15 +229,14 @@ def test_sum_products_matches_the_fraction_oracle(data):
     pairs = data.draw(st.lists(st.tuples(_summand(field), _summand(field)), max_size=7))
     scale = data.draw(st.sampled_from([1, -1, 2, -6, 35]))
     want = sum_products_by_fractions(field, pairs, scale)
-    assert _sum_products(field, pairs, scale) == want
-    assert _sum_products(field, iter(pairs), scale) == want
+    got = _sum_rows(field, _weight_one_rows(pairs), scale)
+    assert got == (None if want is None else (want.nums, want.den))
 
 
 def test_sum_products_denominator_cases():
     for field in SUM_FIELDS:
         d = field.degree
-        assert _sum_products(field, []) is None
-        assert _sum_products(field, iter(()), 7) is None
+        assert _sum_rows(field, _weight_one_rows([]), 7) is None
         x = FieldElem(field, tuple(range(1, d + 1)), 1)
         one = field.one()
 
@@ -250,7 +253,8 @@ def test_sum_products_denominator_cases():
         for pairs in cases:
             for scale in (1, -6):
                 want = sum_products_by_fractions(field, pairs, scale)
-                assert _sum_products(field, pairs, scale) == want, (pairs, scale)
+                got = _sum_rows(field, _weight_one_rows(pairs), scale)
+                assert got == (want.nums, want.den), (pairs, scale)
 
 
 @settings(max_examples=100, deadline=None)
@@ -276,7 +280,7 @@ def test_sum_rows_weights_and_denominators():
     for field in SUM_FIELDS:
         d = field.degree
         assert _sum_rows(field, []) is None
-        assert _sum_rows(field, iter(()), -6) is None
+        assert _sum_rows(field, [], -6) is None
         a = tuple(range(1, d + 1))
         b = tuple(range(-2, d - 2))
         cases = [

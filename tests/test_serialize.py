@@ -224,6 +224,18 @@ def test_order_must_be_an_integer(value, coeffs):
         mseries_from_obj(obj)
 
 
+def test_negative_order_is_refused():
+    obj = {"field": {"minpoly": ["0", "1"]}, "order": -3, "coeffs": []}
+    with pytest.raises(BadFile, match="order"):
+        series_from_obj(obj)
+    obj = {"field": {"minpoly": ["0", "1"]}, "nvars": 2, "order": "-3",
+           "coeffs": {"1,0": ["1"]}}
+    with pytest.raises(BadFile, match="order"):
+        mseries_from_obj(obj)
+    with pytest.raises(ValueError, match="order"):
+        MSeries.from_dict(rationals(), 2, -3, {(1, 0): 1})
+
+
 @pytest.mark.parametrize("value, key", [(2.5, "1,0"), (2.0, "1,0"), (True, "1"), (None, "1")])
 def test_nvars_must_be_an_integer(value, key):
     # "nvars": 2.5 once read as 2 and true as 1

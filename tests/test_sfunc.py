@@ -264,6 +264,14 @@ def test_extra_primes_must_be_prime(q):
             check_sfunction(v, 2, extra_primes=(3, q))
 
 
+@pytest.mark.parametrize("q", [318665857834031151167461, 2**89 - 1])
+def test_extra_primes_must_be_below_the_proven_bound(q):
+    # the strong pseudoprime psi_12 to the bases 2..37, and a prime above
+    # PRIME_TEST_BOUND, where is_prime is not proven
+    with pytest.raises(NotPrime):
+        check_sfunction(polylog(2, 8), 2, extra_primes=(q,))
+
+
 # --- one checker: a Series is checked as its one-variable MSeries
 
 
