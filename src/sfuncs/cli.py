@@ -5,6 +5,9 @@ polylog-table, jk-check.  Reports and generated series go to stdout as JSON
 unless --out is given.  Exit codes: 0 success or verification passed,
 1 verification found violations (the report is still emitted), 2 usage or
 input error with a one-line diagnostic.
+
+Each verb imports the modules it runs when it runs, so --help and argument
+errors load none of the arithmetic, and no verb loads what it does not use.
 """
 from __future__ import annotations
 
@@ -12,30 +15,7 @@ import argparse
 import json
 import sys
 
-from .catalog import (
-    CyclotomicSpec,
-    abelian_generator,
-    cyclotomic_field,
-    from_log_poly,
-    jk_check,
-    polylog_frame_table,
-)
 from .errors import SfuncError
-from .framing import Kappa, frame_f, frame_multi
-from .mseries import MSeries
-from .numfield import denominator_support
-from .serialize import (
-    _rational,
-    dump_obj,
-    elem_from_obj,
-    elem_to_obj,
-    field_to_obj,
-    load_field,
-    load_series,
-    mseries_to_obj,
-    series_to_obj,
-)
-from .sfunc import check_sfunction, dwork_factor, generate_crt
 
 
 def _parse_range(text: str) -> list[int]:
@@ -56,6 +36,9 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _emit_series(v, out: str | None) -> None:
+    from .mseries import MSeries
+    from .serialize import dump_obj, mseries_to_obj, series_to_obj
+
     obj = mseries_to_obj(v) if isinstance(v, MSeries) else series_to_obj(v)
     _emit(dump_obj(obj), out)
 
@@ -66,6 +49,9 @@ def _load_json(path: str):
 
 
 def _cmd_verify(args) -> int:
+    from .serialize import dump_obj, load_series
+    from .sfunc import check_sfunction
+
     v = load_series(args.series)
     extra = tuple(_parse_range(args.primes_extra)) if args.primes_extra else ()
     report = check_sfunction(v, args.s, extra_primes=extra)
@@ -74,6 +60,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_frame(args) -> int:
+    from .framing import frame_f
+    from .mseries import MSeries
+    from .serialize import load_series
+
     v = load_series(args.series)
     if isinstance(v, MSeries):
         raise SfuncError("frame expects a one-variable series; use frame-multi")
@@ -82,6 +72,10 @@ def _cmd_frame(args) -> int:
 
 
 def _cmd_frame_multi(args) -> int:
+    from .framing import Kappa, frame_multi
+    from .mseries import MSeries
+    from .serialize import load_series
+
     v = load_series(args.series)
     if not isinstance(v, MSeries):
         raise SfuncError("frame-multi expects a multivariate series file")
@@ -90,6 +84,11 @@ def _cmd_frame_multi(args) -> int:
 
 
 def _cmd_dwork(args) -> int:
+    from .mseries import MSeries
+    from .numfield import denominator_support
+    from .serialize import dump_obj, elem_to_obj, field_to_obj, load_series
+    from .sfunc import dwork_factor
+
     v = load_series(args.series)
     if isinstance(v, MSeries):
         raise SfuncError("dwork expects a one-variable series")
@@ -112,6 +111,9 @@ def _cmd_dwork(args) -> int:
 
 
 def _cmd_gen_abelian(args) -> int:
+    from .catalog import CyclotomicSpec, abelian_generator, cyclotomic_field
+    from .serialize import _rational, elem_from_obj, load_field
+
     raw = _load_json(args.coeffs)
     if not isinstance(raw, dict):
         raise SfuncError("--coeffs file must map index to rational")
@@ -128,6 +130,9 @@ def _cmd_gen_abelian(args) -> int:
 
 
 def _cmd_gen_crt(args) -> int:
+    from .serialize import elem_from_obj, load_field
+    from .sfunc import generate_crt
+
     field = load_field(args.field)
     x = elem_from_obj(field, _load_json(args.x))
     _emit_series(generate_crt(field, x, args.s, args.order), args.out)
@@ -135,6 +140,9 @@ def _cmd_gen_crt(args) -> int:
 
 
 def _cmd_from_log(args) -> int:
+    from .catalog import from_log_poly
+    from .serialize import _rational, elem_from_obj, load_field
+
     field = load_field(args.field)
     raw = _load_json(args.coeffs)
     if not isinstance(raw, list):
@@ -150,6 +158,9 @@ def _cmd_from_log(args) -> int:
 
 
 def _cmd_polylog_table(args) -> int:
+    from .catalog import polylog_frame_table
+    from .serialize import dump_obj
+
     table = polylog_frame_table(_parse_range(args.f), _parse_range(args.d))
     if table.nonintegral:
         sys.stderr.write(
@@ -163,6 +174,9 @@ def _cmd_polylog_table(args) -> int:
 
 
 def _cmd_jk_check(args) -> int:
+    from .catalog import jk_check
+    from .serialize import dump_obj
+
     report = jk_check(args.p, args.kmax, args.fmax)
     _emit(dump_obj(report.to_obj()), args.out)
     return 0 if report.passed else 1

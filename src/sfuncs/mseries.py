@@ -217,8 +217,10 @@ def _sum_of_products(pairs: list[tuple[MSeries, MSeries]], scale: int = 1) -> MS
     field, order = first.field, min(min(x.order, y.order) for x, y in pairs)
     rows: dict[ExpVec, list] = {}
     for x, y in pairs:
-        first._check(x)
-        first._check(y)
+        # the grades _dot passes share first's field object: check only others
+        for v in (x, y):
+            if v.field is not field or v.nvars != first.nvars:
+                first._check(v)
         seconds = sorted(((sum(k), k, c.nums, c.den) for k, c in y.terms),
                          key=itemgetter(0))
         degrees = [t[0] for t in seconds]

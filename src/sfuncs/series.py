@@ -59,6 +59,8 @@ class Series:
         const: Coeff = 0,
     ) -> "Series":
         """Series from the coefficients of z**1..z**order (short lists are padded)."""
+        if order < 0:
+            raise ValueError("order must be nonnegative")
         elems = [_as_elem(field, c) for c in coeffs]
         if len(elems) > order:
             raise ValueError("more coefficients than the stated order")

@@ -71,6 +71,12 @@ def test_abelian_root_of_unity_tower():
     assert check_sfunction(v, 2).passed
 
 
+def test_abelian_negative_order_names_the_order():
+    spec = CyclotomicSpec(7, {1: 1, 6: 1}, 2)
+    with pytest.raises(ValueError, match="^order must be nonnegative$"):
+        abelian_generator(spec, -5)
+
+
 @pytest.mark.parametrize("s", [1, 2, 3])
 def test_abelian_generator_passes_check(s):
     spec = CyclotomicSpec(5, {1: 1, 4: 1}, s)

@@ -415,3 +415,62 @@ def test_out_flag_writes_file(li2_path, tmp_path):
                 "--out", str(out))
     assert r.returncode == 0
     assert json.loads(out.read_text())["pass"] is True
+
+
+def test_gen_abelian_negative_order_names_the_order(tmp_path):
+    # the coefficient count was compared with the order first, so this said
+    # "more coefficients than the stated order"
+    (tmp_path / "c.json").write_text('{"1": 1, "6": 1}\n')
+    r = run_cli("gen-abelian", "--conductor", "7", "--coeffs", str(tmp_path / "c.json"),
+                "--s", "2", "--order", "-5", timeout=10)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == "error: ValueError: order must be nonnegative\n"
+
+
+_LOADS_SERIES = {"sfuncs", "sfuncs.errors", "sfuncs.intutil", "sfuncs.numfield",
+                 "sfuncs.mseries", "sfuncs.series", "sfuncs.serialize"}
+_LOADS_CHECKER = _LOADS_SERIES | {"sfuncs.padic", "sfuncs.sfunc"}
+_LOADS_FRAMING = _LOADS_SERIES | {"sfuncs.framing"}
+_LOADS_CATALOG = _LOADS_SERIES | {"sfuncs.catalog"}
+
+
+_VERB_LOADS = {
+    "help": (["--help"], {"sfuncs", "sfuncs.errors"}),
+    "verify": (["verify", "--series", "{li2}", "--s", "2", "--jobs", "1"], _LOADS_CHECKER),
+    "dwork": (["dwork", "--series", "{li1}"], _LOADS_CHECKER),
+    "gen-crt": (["gen-crt", "--field", "{q}", "--x", "{x}", "--s", "2", "--order", "4"],
+                _LOADS_CHECKER),
+    "frame": (["frame", "--series", "{li2}", "--f", "2"], _LOADS_FRAMING),
+    "frame-multi": (["frame-multi", "--series", "{w}", "--kappa", "1,0;0,1"], _LOADS_FRAMING),
+    "gen-abelian": (["gen-abelian", "--conductor", "3", "--coeffs", "{c}", "--s", "2",
+                     "--order", "4"], _LOADS_CATALOG),
+    "from-log": (["from-log", "--field", "{q}", "--coeffs", "{poly}", "--s", "2",
+                  "--order", "4"], _LOADS_CATALOG),
+    "polylog-table": (["polylog-table", "--d", "1..3", "--f", "2..3"], _LOADS_CATALOG),
+    "jk-check": (["jk-check", "--p", "5", "--kmax", "10", "--fmax", "2"], _LOADS_CATALOG),
+}
+
+
+@pytest.mark.parametrize("verb", sorted(_VERB_LOADS))
+def test_each_verb_imports_only_the_modules_it_runs(tmp_path, verb):
+    # every verb starts a fresh interpreter, so a module it does not run is
+    # start-up time; -X importtime lists each module the child imports
+    # (sfuncs.cli itself runs as __main__ and is not among them)
+    argv, loads = _VERB_LOADS[verb]
+    paths = {name: tmp_path / f"{name}.json" for name in ("li1", "li2", "w", "q", "x", "poly", "c")}
+    dump_obj(series_to_obj(polylog(1, 6)), str(paths["li1"]))
+    dump_obj(series_to_obj(polylog(2, 6)), str(paths["li2"]))
+    paths["w"].write_text(json.dumps({"field": [0, 1], "nvars": 2, "order": 3,
+                                      "coeffs": {"1,0": ["1"], "0,1": ["1"]}}))
+    paths["q"].write_text("[0, 1]\n")
+    paths["x"].write_text("[4]\n")
+    paths["poly"].write_text("[1, -1]\n")
+    paths["c"].write_text('{"1": 1, "2": 1}\n')
+    args = [a.format(**paths) for a in argv]
+    r = subprocess.run([sys.executable, "-X", "importtime", "-m", "sfuncs.cli", *args],
+                       capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0, r.stderr[-2000:]
+    loaded = {line.rsplit("|", 1)[1].strip() for line in r.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert {m for m in loaded if m.split(".")[0] == "sfuncs"} == loads

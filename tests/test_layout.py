@@ -96,8 +96,8 @@ def test_every_private_definition_has_a_caller_in_the_package():
     assert not uncalled, f"private names with no caller in the package: {uncalled}"
 
 
-# A bare package object stands in for sfuncs, so its __init__ (which imports
-# catalog, and through it series, first) does not fix the import order.
+# A bare package object stands in for sfuncs, so nothing that its __init__
+# might import first fixes the import order.
 _IMPORT_FIRST = """
 import importlib, sys, types
 pkg = types.ModuleType("sfuncs")
@@ -122,3 +122,55 @@ def test_series_and_mseries_import_in_either_order(first):
     loaded = set(ast.literal_eval(r.stdout.splitlines()[0]))
     assert ("sfuncs.series" in loaded) == (first == "series")
     assert "sfuncs.mseries" in loaded
+
+
+# The package's public names, as its __init__ imported them eagerly before
+# they were served on first use: the submodule of each, then the errors.
+_REEXPORTS = {
+    "catalog": ["CyclotomicSpec", "FramedPolylogTable", "JKRecord", "JKReport",
+                "abelian_generator", "cyclotomic_field", "cyclotomic_polynomial",
+                "from_log_poly", "jk_check", "polylog", "polylog_frame_table"],
+    "framing": ["Kappa", "frame_elementary", "frame_f", "frame_multi"],
+    "mseries": ["MSeries", "delta_i", "exp_m", "log_m", "power_m"],
+    "numfield": ["FieldElem", "NumberField", "denominator_support", "discriminant",
+                 "invert", "make_field", "rationals"],
+    "padic": ["FrobeniusMap", "ResidueElem", "ResidueRing", "frobenius_apply",
+              "frobenius_lift", "make_residue_ring", "reduce", "residue_valuation",
+              "valuation"],
+    "series": ["Series", "compose", "delta", "dint", "exp_series", "log_series", "power",
+               "revert", "shift_down", "shift_sh", "shift_up"],
+    "sfunc": ["Check", "SReport", "check_sfunction", "dwork_assemble", "dwork_factor",
+              "generate_crt"],
+    "errors": ["SfuncError", "NotMonic", "NotSquarefree", "DegreeZero", "FieldMismatch",
+               "Zero", "ZeroDivisor", "NotPrime", "BadPrime", "NotPIntegral",
+               "RingMismatch", "LiftFailed", "NonzeroConstant", "BadConstantTerm",
+               "InnerHasConstant", "NonUnitLinearTerm", "NonUnitConstant",
+               "DimensionMismatch", "NotSymmetric", "FramingTooLarge", "NotIntegral",
+               "ConstantTermNonzero", "BadConductor", "BadConstant", "DescentFailed",
+               "SmallPrime"],
+}
+
+
+def test_the_lazy_package_serves_every_public_name():
+    names = [n for ns in _REEXPORTS.values() for n in ns]
+    assert len(names) == 53 + 26
+    assert sorted(sfuncs.__all__) == sorted(names)
+    for mod, ns in _REEXPORTS.items():
+        sub = importlib.import_module(f"sfuncs.{mod}")
+        for n in ns:
+            assert getattr(sfuncs, n) is getattr(sub, n), n
+    star: dict = {}
+    exec("from sfuncs import *", star)
+    assert set(names) <= set(star)
+    assert set(names) <= set(dir(sfuncs))
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        sfuncs.no_such_name
+    assert not hasattr(sfuncs, "invert_map")
+
+
+def test_a_bare_import_loads_only_the_errors():
+    r = subprocess.run([sys.executable, "-c", "import sys, sfuncs; print(sorted("
+                        "m for m in sys.modules if m.split('.')[0] == 'sfuncs'))"],
+                       capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
+    assert ast.literal_eval(r.stdout) == ["sfuncs", "sfuncs.errors"]

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sfuncs.errors import DimensionMismatch, InnerHasConstant, NonUnitConstant
+from sfuncs.errors import DimensionMismatch, FieldMismatch, InnerHasConstant, NonUnitConstant
 from sfuncs.mseries import MSeries, _sum_of_products, delta_i, exp_m, log_m, power_m
 from sfuncs.numfield import make_field, rationals
 from sfuncs.series import Series, exp_series, log_series, power
@@ -294,6 +294,19 @@ def test_sum_of_products_matches_the_fraction_convolutions(ops, n, scale):
     for x, y in pairs[1:]:
         want = want + mseries_mul_by_fractions(x, y)
     assert _sum_of_products(pairs, scale) == want * Fraction(1, scale)
+
+
+def test_sum_of_products_refuses_a_foreign_operand():
+    # operands over the first's own field object skip the check; any other
+    # field or variable count is still refused, in either place of a pair
+    x = MSeries.var(Q, 2, 3, 0)
+    for foreign, error in ((MSeries.var(F, 2, 3, 1), FieldMismatch),
+                           (MSeries.var(Q, 3, 3, 1), DimensionMismatch)):
+        for pair in ((x, foreign), (foreign, x)):
+            with pytest.raises(error):
+                _sum_of_products([(x, x), pair])
+    y = MSeries.var(Q, 2, 3, 1)
+    assert _sum_of_products([(x, x), (x, y)]) == x * x + x * y
 
 
 def test_products_that_cancel_to_zero():

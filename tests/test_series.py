@@ -42,6 +42,14 @@ def test_coeff_access_and_truncation():
     assert v.truncate(2).coeff(2) == 2
 
 
+def test_from_coeffs_refuses_a_negative_order_first():
+    # the coefficient count was compared with the order first, so a short
+    # list at order -5 was blamed for "more coefficients than the stated order"
+    for coeffs in ([], [1, 2]):
+        with pytest.raises(ValueError, match="^order must be nonnegative$"):
+            Series.from_coeffs(Q, -5, coeffs)
+
+
 def test_arithmetic_truncates_to_min_order():
     a = _ser([1, 1, 1, 1])
     b = _ser([2, 0])
