@@ -264,11 +264,14 @@ def polylog_frame_table(f_range, d_range) -> FramedPolylogTable:
     For each f the coefficients g_k of dint(dint(log Y_f)) decompose as
     k**3 * g_k = sum_{d|k} N_d * d**3, and Moebius inversion extracts N_d;
     k**3 * g_k is the integer _framed_log_h(f, k), so only cells divide.
+    An empty range (a table that checks nothing) or a d < 1 raises ValueError.
     """
     d_values = tuple(d_range)
     f_values = tuple(f_range)
     if not d_values or min(d_values) < 1:
         raise ValueError("d range must contain positive integers")
+    if not f_values:
+        raise ValueError("f range is empty")
     dmax = max(d_values)
     mu = [0] + [moebius(k) for k in range(1, dmax + 1)]
     divs = {d: divisors(d) for d in d_values}
@@ -323,7 +326,8 @@ class JKReport:
 
 
 def jk_check(p: int, k_max: int, f_max: int) -> JKReport:
-    """Verify binom(pkf, pk) = binom(kf, k) mod p^(3(ord_p(k)+1)) for p > 3.
+    """Verify binom(pkf, pk) = binom(kf, k) mod p^(3(ord_p(k)+1)) for p > 3;
+    k_max or f_max below 1 (an empty sweep, which would pass) raises ValueError.
 
     >>> jk_check(5, 1, 2).records[-1].valuation
     3
@@ -332,6 +336,8 @@ def jk_check(p: int, k_max: int, f_max: int) -> JKReport:
         raise NotPrime(f"{p} is not prime")
     if p <= 3:
         raise SmallPrime("the congruence needs p > 3")
+    if k_max < 1 or f_max < 1:
+        raise ValueError(f"need k_max >= 1 and f_max >= 1, got {k_max} and {f_max}")
     records = []
     for k in range(1, k_max + 1):
         alpha = ord_p(k, p)

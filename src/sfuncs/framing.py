@@ -173,25 +173,25 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
     <k, kappa j> are one list, and a term of W enters the exp recurrence
     at m with its weight.  The output coefficient sums D_j E_m over
     j + m = k, read from the shorter of D and the exp table.  Each
-    coefficient is a numfield._sum_rows result, and the one FieldElem
-    built per k is the output coefficient.
+    coefficient is a normalized numfield._sum_rows result, and the one
+    FieldElem._normalized built per k is the output coefficient.
 
     The work is counted in units (see MAX_WORK and _walk_cost): the walk is
     charged before it starts, and each series product while D is built
     before it is made.  Past MAX_WORK = 8,000,000 units FramingTooLarge is
     raised.  Timed on a 2-core x86-64 KVM guest with CPython 3.11.7 (the
-    median of 3 runs), a unit took 0.22-0.5 us, and the most expensive
-    inputs under the cap took 3.8 s: frame_f of Li2 at order 224 (7.9 M
-    units, 20 MB peak resident size of the whole process, 16.5 MB before
+    median of 3 runs), a unit took 0.12-0.31 us, and the most expensive
+    inputs under the cap took 2.5 s: frame_f of Li2 at order 224 (7.9 M
+    units, 23 MB peak resident size of the whole process, 16 MB before
     the call; order 226 is refused before any work) and W = z1 + z2 with
-    kappa = I at order 54 (7.6 M).  Over Q: z1 + z2 with kappa = I takes
-    2.3 s at order 48 (4.9 M units), and order 55 (8.2 M) is refused; a
-    dense two-variable W (every key, coefficient 1) with kappa all ones
-    0.6 s at order 19 (2.0 M) and 1.5 s at 24 (6.7 M), and order 25
-    (8.1 M) is refused; W = z1 + ... + z16 with kappa all ones 0.46 s at
+    kappa = I at order 54 (7.6 M, 2.3 s).  Over Q: z1 + z2 with kappa = I
+    takes 1.1 s at order 48 (4.9 M units), and order 55 (8.2 M) is refused;
+    a dense two-variable W (every key, coefficient 1) with kappa all ones
+    0.3 s at order 19 (2.0 M) and 0.8 s at 24 (6.7 M), and order 25
+    (8.1 M) is refused; W = z1 + ... + z16 with kappa all ones 0.36 s at
     order 3 (1.9 M), and order 4 is refused in the elimination.  Over the
     disc-49 cubic, frame_f(w, 3) of w = from_log_poly(F, [1, -g, 1], 2, N)
-    takes 2.2 s at N = 144 (6.5 M).
+    takes 1.8 s at N = 144 (6.5 M).
 
     >>> from sfuncs.numfield import rationals
     >>> w = MSeries.from_dict(rationals(), 2, 2, {(1, 0): 1, (0, 1): 1})
@@ -257,7 +257,7 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
             rows = _rows_at(e, drows, k, sk)
         sign = (-1) ** sum(k[i] for i in odd)
         if (c := _sum_rows(field, rows, sign)) and any(c[0]):
-            out.append((k, FieldElem(field, *c)))
+            out.append((k, FieldElem._normalized(field, *c)))
     # sorted: _simplex yields the keys in increasing order
     return MSeries(field, n, w.order, tuple(out))
 

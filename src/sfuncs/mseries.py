@@ -232,7 +232,7 @@ def _sum_of_products(pairs: list[tuple[MSeries, MSeries]], scale: int = 1) -> MS
     for key in sorted(rows):
         nums, den = _sum_rows(field, rows[key], scale)
         if any(nums):
-            terms.append((key, FieldElem(field, nums, den)))
+            terms.append((key, FieldElem._normalized(field, nums, den)))
     return MSeries(field, first.nvars, order, tuple(terms))
 
 

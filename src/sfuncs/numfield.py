@@ -9,7 +9,10 @@ A sum of products, the coefficient of a series product or of a framing, is
 one result: _sum_rows takes it as a list of integer rows (coordinates,
 denominators and an integer weight per product), aligns them to one lcm of
 the row denominators, adds the weighted unreduced products, then folds mod
-P and normalizes once.  Series reach it through mseries._sum_of_products.
+P and normalizes once.  Over Q (degree 1) it sums integers, with no
+convolution or fold.  Series reach it through mseries._sum_of_products,
+which, like framing.frame_multi, takes its already normalized results as
+elements through FieldElem._normalized, without a second normalize.
 
 P is required to be squarefree (nonzero discriminant) but not irreducible;
 when P factors, K is a product ring and inversion of a zero divisor raises.
@@ -159,6 +162,7 @@ def rationals() -> NumberField:
 
 
 _QQ: NumberField | None = None
+_INT = {int}
 
 
 @dataclass(frozen=True)
@@ -170,8 +174,9 @@ class FieldElem:
     den: int = 1
 
     def __post_init__(self) -> None:
-        nums = [int(n) for n in self.nums]
-        den = int(self.den)
+        nums, den = tuple(self.nums), self.den
+        if {*map(type, nums), type(den)} != _INT:  # a bool, float or Fraction
+            raise TypeError(f"coordinates {nums!r} and denominator {den!r} must be ints")
         if len(nums) != self.field.degree:
             raise ValueError("coordinate count does not match the field degree")
         if den == 0:
@@ -179,6 +184,16 @@ class FieldElem:
         nums, den = _normalize(nums, den)
         object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "den", den)
+
+    @classmethod
+    def _normalized(cls, field: NumberField, nums: tuple[int, ...], den: int):
+        """nums / den normalized as _sum_rows returns it (int coordinates, one
+        per degree, den > 0, gcd 1), without __post_init__'s checks and gcd."""
+        elem = object.__new__(cls)
+        object.__setattr__(elem, "field", field)
+        object.__setattr__(elem, "nums", nums)
+        object.__setattr__(elem, "den", den)
+        return elem
 
     @property
     def coords(self) -> tuple[Fraction, ...]:
@@ -295,7 +310,10 @@ def _mul_fold(
     a: Sequence[int], b: Sequence[int], reduction: Sequence[Sequence[int]]
 ) -> tuple[int, ...]:
     """Product of two coordinate vectors of length d, folded back to d
-    coordinates with the rows of x**d..x**(2d-2) in reduction."""
+    coordinates with the rows of x**d..x**(2d-2) in reduction; over Q
+    (d = 1) the one product of integers."""
+    if len(a) == 1:
+        return (a[0] * b[0],)
     conv = [0] * (2 * len(a) - 1)
     _convolve_into(conv, a, b)
     return _fold(conv, reduction)
@@ -348,12 +366,20 @@ def _sum_rows(
     a and b are integer coordinate vectors and w an integer weight.  The
     rows are aligned to one common denominator, the lcm of their
     a_den * b_den, so each row's product is added with the one multiplier
-    lcm // (a_den * b_den) * w.  The sum is folded and normalized once.
+    lcm // (a_den * b_den) * w.  The sum is folded and normalized once;
+    over Q (degree 1) it is one integer, with no convolution or fold.
     """
     if not rows:
         return None
     dens = [ad * bd for _, ad, _, bd, _ in rows]
     den = math.lcm(*dens)
+    if field.degree == 1:
+        num = sum(den // rd * w * a[0] * b[0] for (a, _, b, _, w), rd in zip(rows, dens))
+        den *= scale
+        if den < 0:
+            num, den = -num, -den
+        g = math.gcd(num, den)
+        return (num // g,), den // g
     conv = [0] * (2 * field.degree - 1)
     for (a, _, b, _, w), rd in zip(rows, dens):
         _convolve_into(conv, a, b, den // rd * w)

@@ -9,8 +9,9 @@ congruence check by a dense scan of every index, the resultant as the
 determinant of the Sylvester matrix, a sum of field products on Fraction
 coordinates, each reduced mod P by long division, the multivariate
 series product as a dict convolution of such sums, factoring by trial
-division to 2**20 and Floyd's rho, and reading a stored element through one
-Fraction per coordinate.  None of this
+division to 2**20 and Floyd's rho, reading a stored element through one
+Fraction per coordinate, and rebuilding an element through the checked
+FieldElem constructor.  None of this
 is part of the package; tests import it as ``from oracles import ...``.
 """
 from __future__ import annotations
@@ -373,6 +374,15 @@ def sum_products_by_fractions(
                 prod[top - d + t] -= c * p[t]
         total = [s + wt * c for s, c in zip(total, prod)]
     return field.elem([c / scale for c in total])
+
+
+def same_as_checked(c: FieldElem) -> bool:
+    """c, built without __post_init__ (FieldElem._normalized), is the element
+    the checked constructor builds from its data: the same tuple of nums,
+    den and hash, and == holds both ways."""
+    checked = FieldElem(c.field, c.nums, c.den)
+    return (type(c.nums) is tuple and c.nums == checked.nums and c.den == checked.den
+            and hash(c) == hash(checked) and c == checked and checked == c)
 
 
 def mseries_mul_by_fractions(a: MSeries, b: MSeries) -> MSeries:

@@ -260,6 +260,14 @@ def test_table_rejects_bad_d():
         polylog_frame_table([2], [0, 1])
 
 
+def test_table_rejects_empty_ranges():
+    # an empty table checks nothing, so it must not report integrality
+    with pytest.raises(ValueError, match="f range"):
+        polylog_frame_table(range(3, 3), range(1, 3))
+    with pytest.raises(ValueError, match="d range"):
+        polylog_frame_table([2], [])
+
+
 # --- binomial congruence sweep
 
 
@@ -282,6 +290,10 @@ def test_jk_guards():
         jk_check(3, 1, 1)
     with pytest.raises(NotPrime):
         jk_check(9, 1, 1)
+    # an empty sweep would report a pass with no records
+    for k_max, f_max in ((0, 0), (0, 3), (3, 0), (-2, 1), (1, -1)):
+        with pytest.raises(ValueError, match="k_max"):
+            jk_check(7, k_max, f_max)
 
 
 def test_jk_report_serialization():

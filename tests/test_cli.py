@@ -409,6 +409,18 @@ def test_jk_check_passes():
     assert json.loads(r.stdout)["pass"] is True
 
 
+def test_empty_ranges_exit_2_without_a_report():
+    for args in (["jk-check", "--p", "7", "--kmax", "0", "--fmax", "0"],
+                 ["jk-check", "--p", "7", "--kmax=-3", "--fmax", "2"],
+                 ["jk-check", "--p", "7", "--kmax", "2", "--fmax", "0"],
+                 ["polylog-table", "--d", "1..2", "--f", "3..2"],
+                 ["polylog-table", "--d", "2..1", "--f", "1..2"]):
+        r = run_cli(*args)
+        assert r.returncode == 2, args
+        assert r.stdout == "", args
+        assert "range" in r.stderr or "k_max" in r.stderr, (args, r.stderr)
+
+
 def test_out_flag_writes_file(li2_path, tmp_path):
     out = tmp_path / "report.json"
     r = run_cli("verify", "--series", str(li2_path), "--s", "2",

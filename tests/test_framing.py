@@ -15,14 +15,14 @@ from sfuncs.errors import (
     FramingTooLarge,
     NotSymmetric,
 )
-from sfuncs import framing
+from sfuncs import framing, numfield
 from sfuncs.framing import MAX_WORK, Kappa, frame_elementary, frame_f, frame_multi
 from sfuncs.mseries import MSeries
 from sfuncs.numfield import make_field, rationals
 from sfuncs.series import Series, compose, delta, dint, exp_series, revert, shift_up
 from sfuncs.sfunc import check_sfunction
 
-from oracles import frame_f_by_reversion, frame_multi_by_inversion
+from oracles import frame_f_by_reversion, frame_multi_by_inversion, same_as_checked
 
 Q = rationals()
 F = make_field([1, 1, 1])  # x^2 + x + 1
@@ -407,3 +407,29 @@ def test_frame_multi_odd_negative_diagonal():
         kappa = Kappa.parse(text)
         assert kappa.sigma(0) == -1
         assert frame_multi(w, kappa) == frame_multi_by_inversion(w, kappa), kappa
+
+
+def test_frame_multi_outputs_are_the_checked_elements():
+    # frame_multi builds each output coefficient with FieldElem._normalized
+    for field in (Q, F, CUBIC, make_field([1] * 7)):
+        g = field.gen() + Fraction(1, 3)
+        w = MSeries.from_dict(field, 2, 4, {
+            (1, 0): g, (0, 1): Fraction(-3, 2), (1, 1): g * g, (2, 1): 1})
+        for text in ("1,0;0,1", "0,1;1,-2"):
+            out = frame_multi(w, Kappa.parse(text))
+            assert out.terms and all(same_as_checked(c) for _, c in out.terms)
+
+
+def test_framings_over_q_never_convolve(monkeypatch):
+    # over Q every sum of products is one integer sum: a change that sends
+    # degree 1 back through the convolution and fold fails here
+    li2, w = polylog(2, 12), _criterion_4_series(8)
+    kappas = [Kappa.parse(t) for t in ("1,0;0,0", "0,1;1,0", "1,1;1,1", "2,-1;-1,0")]
+    want = [frame_f_by_reversion(li2, 2)] + [frame_multi_by_inversion(w, k) for k in kappas]
+
+    def refuse(*args):
+        raise AssertionError("a product over Q went through the convolution")
+
+    monkeypatch.setattr(numfield, "_convolve_into", refuse)
+    monkeypatch.setattr(numfield, "_fold", refuse)
+    assert [frame_f(li2, 2)] + [frame_multi(w, k) for k in kappas] == want

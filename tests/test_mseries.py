@@ -17,6 +17,7 @@ from oracles import (
     invert_map,
     log_by_powers,
     mseries_mul_by_fractions,
+    same_as_checked,
     substitute,
 )
 
@@ -338,3 +339,16 @@ def test_products_that_cancel_to_zero():
             high = MSeries.from_dict(field, nvars, 4, {tuple(3 * c for c in e[0]): x})
             assert (high * high).is_zero() and mseries_mul_by_fractions(high, high).is_zero()
             assert (p * zero).is_zero() and (zero * p).is_zero()
+
+
+def test_products_are_the_checked_elements():
+    # _sum_of_products builds each coefficient with FieldElem._normalized
+    for field in (Q, F, CUBIC, make_field([1] * 7)):
+        g = field.gen() + Fraction(2, 3)
+        p = MSeries.from_dict(field, 2, 5, {(1, 0): g, (0, 1): Fraction(5, 4), (1, 1): g * g})
+        q = MSeries.from_dict(field, 2, 5, {(0, 0): 1, (2, 0): g / 7, (0, 1): -g})
+        pq, qq = mseries_mul_by_fractions(p, q), mseries_mul_by_fractions(q, q)
+        for got, want in ((p * q, pq), (p * p, mseries_mul_by_fractions(p, p)),
+                          (_sum_of_products([(p, q), (q, q)], -6), (pq + qq) * Fraction(-1, 6))):
+            assert got == want and got.terms
+            assert all(same_as_checked(c) for _, c in got.terms)

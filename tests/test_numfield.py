@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import resultant_by_sylvester, sum_products_by_fractions
+from oracles import resultant_by_sylvester, same_as_checked, sum_products_by_fractions
 from sfuncs.catalog import cyclotomic_polynomial
 from sfuncs.errors import FieldMismatch, NotMonic, NotSquarefree, Zero, ZeroDivisor
 from sfuncs.numfield import (
@@ -90,6 +90,21 @@ def test_elem_refuses_floats():
     with pytest.raises(TypeError):
         CUBIC.elem([1, 2.0, 0])
     assert CUBIC.elem([True, Fraction(1, 2), 0]) == CUBIC.elem([1, Fraction(1, 2), 0])
+
+
+def test_field_elem_refuses_non_int_coordinates_and_denominators():
+    # int() would read 2.7 as 2, a denominator 2.5 as 2 and True as 1
+    for field in (rationals(), CUBIC):
+        ones = (1,) * field.degree
+        for bad in (2.7, 2.0, Fraction(1, 2), Fraction(4, 1), True, False):
+            with pytest.raises(TypeError):
+                FieldElem(field, (bad,) + ones[1:], 1)
+            with pytest.raises(TypeError):
+                FieldElem(field, ones[:-1] + (bad,), 3)
+            with pytest.raises(TypeError):
+                FieldElem(field, ones, bad)
+        nums = (4,) + ones[1:]
+        assert FieldElem(field, nums, -2) == FieldElem(field, tuple(-n for n in nums), 2)
 
 
 def test_reduction_examples():
@@ -296,3 +311,41 @@ def test_sum_rows_weights_and_denominators():
                 want = sum_products_by_fractions(
                     field, pairs, scale, [w for *_, w in rows])
                 assert _sum_rows(field, rows, scale) == (want.nums, want.den), rows
+
+
+def test_sum_rows_over_q_fixed_cases():
+    # the degree-1 sum of integers against the Fraction oracle: denominators
+    # above 2**200, weights 0 and +-3, a sum that cancels to ((0,), 1)
+    q = rationals()
+    big, odd = 2**201 + 1, 3**130
+    cases = [
+        [((7,), big, (5,), 1, 1), ((-3,), odd, (2,), big, 3)],
+        [((1,), 2, (1,), 3, 0), ((5,), 4, (9,), 7, -3), ((2,), 9, (1,), 1, 3)],
+        [((3,), big, (2,), 5, 1), ((-6,), big, (1,), 5, 1)],  # cancels
+        [((1,), 6, (1,), 1, 3), ((-1,), 2, (1,), 1, 1)],  # cancels
+        [((4,), 1, (5,), 1, 0)],  # only weight 0
+    ]
+    for rows in cases:
+        pairs = [(FieldElem(q, a, ad), FieldElem(q, b, bd)) for a, ad, b, bd, _ in rows]
+        for scale in (1, -1, -6, 35):
+            want = sum_products_by_fractions(q, pairs, scale, [w for *_, w in rows])
+            got = _sum_rows(q, rows, scale)
+            assert got == (want.nums, want.den), (rows, scale)
+            if want == 0:
+                assert got == ((0,), 1)
+
+
+def test_normalized_is_the_checked_element_on_sum_rows_results():
+    for field in SUM_FIELDS:
+        d = field.degree
+        a, b = tuple(range(1, d + 1)), tuple(range(-2, d - 2))
+        cases = [
+            [(a, 2, b, 3, 1), (b, 6, a, 1, -2)],
+            [(a, 2**201, b, 3, 3), (b, 4, b, 3**40, 1), (a, 1, a, 1, 0)],
+            [(a, 5, b, 7, -3), (b, 9, a, 1, 2)],
+            [(a, 3, b, 1, 1), (a, 3, b, 1, -1)],  # cancels
+        ]
+        for rows in cases:
+            for scale in (1, -1, -6, 35):
+                nums, den = _sum_rows(field, rows, scale)
+                assert same_as_checked(FieldElem._normalized(field, nums, den)), rows
