@@ -3,9 +3,9 @@ fields whose normalized coefficients a_k = k**s c_k satisfy the Frobenius
 congruences Frob_p(a_{k/p}) = a_k mod p^(s ord_p(k)) at every prime not
 dividing the field discriminant.
 
-The pieces: number-field and residue-ring arithmetic with canonical
-Frobenius lifts, truncated series in one and several variables, the
-congruence checker, framing transformations, Dwork-style product
+The pieces: number-field arithmetic, canonical Frobenius lifts mod p**n
+on integer coordinate rows, truncated series in one and several variables,
+the congruence checker, framing transformations, Dwork-style product
 factorization, and catalog generators with reproducible tables.
 
 Importing the package loads only the error classes.  Every other public
@@ -27,8 +27,7 @@ _EXPORTS = {
     "mseries": "MSeries delta_i exp_m log_m power_m",
     "numfield": """FieldElem NumberField denominator_support discriminant invert
         make_field rationals""",
-    "padic": """FrobeniusMap ResidueElem ResidueRing frobenius_apply frobenius_lift
-        make_residue_ring reduce residue_valuation valuation""",
+    "padic": "frobenius_lift valuation",
     "series": """Series compose delta dint exp_series log_series power revert
         shift_down shift_sh shift_up""",
     "sfunc": "Check SReport check_sfunction dwork_assemble dwork_factor generate_crt",

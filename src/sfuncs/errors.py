@@ -36,22 +36,14 @@ class ZeroDivisor(SfuncError):
     """Inversion of a nonzero element that shares a factor with the modulus."""
 
 
-# residue rings and Frobenius lifts
+# primes, valuations and Frobenius lifts
 
 class NotPrime(SfuncError):
     """Residue characteristic is not prime."""
 
 
 class BadPrime(SfuncError):
-    """Prime divides the field discriminant, so the residue ring is unusable."""
-
-
-class NotPIntegral(SfuncError):
-    """Element has the residue characteristic in a denominator."""
-
-
-class RingMismatch(SfuncError):
-    """Operands belong to different residue rings."""
+    """Prime divides the field discriminant, so no canonical Frobenius lift exists."""
 
 
 class LiftFailed(SfuncError):

@@ -20,6 +20,7 @@ when P factors, K is a product ring and inversion of a zero divisor raises.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -386,15 +387,15 @@ def _sum_rows(
     return _normalize(_fold(conv, field._reduction), den * scale)
 
 
-def _square_and_multiply(base, e: int):
-    """base**e for e >= 1, for any type with *; e = 1 multiplies nothing."""
+def _square_and_multiply(base, e: int, mul=operator.mul):
+    """base**e for e >= 1 under mul (* by default); e = 1 multiplies nothing."""
     result = None
     while e:
         if e & 1:
-            result = base if result is None else result * base
+            result = base if result is None else mul(result, base)
         e >>= 1
         if e:
-            base = base * base
+            base = mul(base, base)
     return result
 
 

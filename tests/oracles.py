@@ -4,7 +4,8 @@ Each function here computes, by an older and independent route, an object the
 package computes faster: framings by inverting the coordinate map and
 substituting into the body, the framed-polylog column through the framing
 engine, exp/log/inverse by sums of powers, reversion by fixed-point
-iteration, one congruence through the residue ring, the one-variable
+iteration, one congruence on Fraction coordinates read mod p**n, with
+Frobenius as the coordinate polynomial evaluated at the lift, the one-variable
 congruence check by a dense scan of every index, the resultant as the
 determinant of the Sylvester matrix, a sum of field products on Fraction
 coordinates, each reduced mod P by long division, the multivariate
@@ -32,13 +33,7 @@ from sfuncs.framing import frame_f
 from sfuncs.intutil import is_prime, ord_p, prime_factors
 from sfuncs.mseries import MSeries, delta_i, exp_m, power_m
 from sfuncs.numfield import FieldElem, NumberField, denominator_support, invert
-from sfuncs.padic import (
-    _valuation,
-    frobenius_lift,
-    make_residue_ring,
-    reduce,
-    residue_valuation,
-)
+from sfuncs.padic import _valuation, frobenius_lift
 from sfuncs.serialize import BadFile
 from sfuncs.series import Series, compose, delta, exp_series, revert, shift_up
 from sfuncs.sfunc import Check, SReport
@@ -244,32 +239,48 @@ def revert_by_fixed_point(f: Series) -> Series:
     return g
 
 
-# --- one congruence through the residue ring, and the one-variable check by
-# a dense scan
+# --- one congruence on Fraction coordinates, and the one-variable check by a
+# dense scan
 
 
-def congruence_by_residue_ring(
-    field, prev, cur, index, p, required, ring_factory=make_residue_ring
-) -> Check:
-    """sfunc._congruence by ResidueElem arithmetic: reduce both elements
-    into (Z/p**n)[x]/(P) and evaluate prev's coordinate polynomial at the
-    Frobenius lift there.  Elements with denominators at p are shifted by a
-    common power p**m first; the reported valuation is shifted back."""
-    if required <= 0:
-        return Check(index, p, max(required, 0), 0, True, "congruence")
-    m = max(max(0, -_valuation(x, p)) for x in (prev, cur))
-    if m:
-        prev, cur = prev * p**m, cur * p**m
-    ring = ring_factory(field, p, required + m)
-    diff = frobenius_lift(ring)(reduce(prev, ring)) - reduce(cur, ring)
-    achieved = residue_valuation(diff) - m
+def residues_mod(x: FieldElem, mod: int) -> list[int]:
+    """The coordinates num/den of a p-integral x as num * den**-1 mod `mod`."""
+    return [c.numerator * pow(c.denominator, -1, mod) % mod for c in x.coords]
+
+
+def frobenius_residues(field, x, p, n, lift=frobenius_lift) -> list[int]:
+    """Coordinates in [0, p**n) of Frob_p(x) for a p-integral x: the
+    coordinate polynomial, read mod p**n, evaluated at lift(field, p, n) by
+    Horner, with schoolbook products reduced mod P by long division."""
+    mod = p**n
+    xi = list(lift(field, p, n))
+    image = [0] * field.degree
+    for c in reversed(residues_mod(x, mod)):
+        image = [v % mod for v in product_mod_minpoly(image, xi, field.minpoly)]
+        image[0] += c
+    return [v % mod for v in image]
+
+
+def congruence_by_fractions(field, prev, cur, index, p, required,
+                            lift=frobenius_lift) -> Check:
+    """sfunc._congruence on Fraction coordinates: both elements are shifted
+    by a common p**m that clears p from every denominator, read mod p**n with
+    n = required + m, and compared as Frob_p(prev) - cur by the minimum
+    ord_p over the coordinates, capped at n and shifted back by m."""
+    m = max(ord_p(c.denominator, p) for x in (prev, cur) for c in x.coords)
+    n = required + m
+    mod = p**n
+    prev, cur = prev * p**m, cur * p**m
+    image = frobenius_residues(field, prev, p, n, lift)
+    diff = [(a - b) % mod for a, b in zip(image, residues_mod(cur, mod))]
+    achieved = min((ord_p(c, p) for c in diff if c), default=n) - m
     return Check(index, p, required, achieved, achieved >= required, "congruence")
 
 
 def check_uni_by_dense_scan(v: Series, s: int) -> SReport:
     """check_sfunction(v, s) for a Series, without extra primes, by scanning
-    every index k <= order: each good p | k goes through the residue ring,
-    also where a_(k/p) and a_k both vanish."""
+    every index k <= order: each good p | k goes through
+    congruence_by_fractions, also where a_(k/p) and a_k both vanish."""
     if not v.const.is_zero():
         raise ConstantTermNonzero("s-function data must have zero constant term")
     field = v.field
@@ -289,7 +300,7 @@ def check_uni_by_dense_scan(v: Series, s: int) -> SReport:
         for p in prime_factors(k):
             if disc % p != 0:
                 checks.append(
-                    congruence_by_residue_ring(
+                    congruence_by_fractions(
                         field, a[k // p], a[k], k, p, s * ord_p(k, p)
                     )
                 )
@@ -360,20 +371,27 @@ def sum_products_by_fractions(
         return None
     if weights is None:
         weights = [1] * len(pairs)
-    p, d = field.minpoly, field.degree
-    total = [Fraction(0)] * d
+    total = [Fraction(0)] * field.degree
     for (x, y), wt in zip(pairs, weights, strict=True):
-        prod = [Fraction(0)] * (2 * d - 1)
-        for i, a in enumerate(x.coords):
-            for j, b in enumerate(y.coords):
-                prod[i + j] += a * b
-        for top in range(2 * d - 2, d - 1, -1):
-            # x**d = -(p[0] + p[1] x + ... + p[d-1] x**(d-1)) mod P, P monic
-            c, prod[top] = prod[top], Fraction(0)
-            for t in range(d):
-                prod[top - d + t] -= c * p[t]
+        prod = product_mod_minpoly(x.coords, y.coords, field.minpoly)
         total = [s + wt * c for s, c in zip(total, prod)]
     return field.elem([c / scale for c in total])
+
+
+def product_mod_minpoly(x: Sequence, y: Sequence, p: Sequence[int]) -> list:
+    """x * y for coordinate lists of length d, multiplied out as polynomials
+    in x and reduced mod the monic P (coefficients p) by long division."""
+    d = len(p) - 1
+    prod = [0] * (2 * d - 1)
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            prod[i + j] += a * b
+    for top in range(2 * d - 2, d - 1, -1):
+        # x**d = -(p[0] + p[1] x + ... + p[d-1] x**(d-1)) mod P, P monic
+        c, prod[top] = prod[top], 0
+        for t in range(d):
+            prod[top - d + t] -= c * p[t]
+    return prod[:d]
 
 
 def same_as_checked(c: FieldElem) -> bool:

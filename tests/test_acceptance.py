@@ -24,13 +24,8 @@ from sfuncs.catalog import (
 )
 from sfuncs.framing import Kappa, frame_elementary, frame_f, frame_multi
 from sfuncs.mseries import MSeries
-from sfuncs.numfield import denominator_support, make_field, rationals
-from sfuncs.padic import (
-    frobenius_lift,
-    make_residue_ring,
-    reduce,
-    residue_valuation,
-)
+from sfuncs.numfield import _mul_fold, denominator_support, make_field, rationals
+from sfuncs.padic import _apply_rows, _frobenius_rows, frobenius_lift
 from sfuncs.serialize import dump_obj, series_to_obj
 from sfuncs.series import Series, exp_series, log_series
 from sfuncs.sfunc import check_sfunction, dwork_assemble, dwork_factor
@@ -215,28 +210,32 @@ def test_criterion_6_product_factorization_equivalence():
 
 
 def test_criterion_7_frobenius_action():
+    def mul(a, b, field, mod):
+        return tuple(c % mod for c in _mul_fold(a, b, field._reduction))
+
+    def frob(field, p, n, a):
+        return tuple(_apply_rows(_frobenius_rows(field, p, n), a, p**n))
+
     # (a) quadratic field with discriminant -12: the lift is +-x by p mod 3
     for p in [q for q in range(5, 100) if QUAD.discriminant % q and _is_prime(q)]:
         for n in (1, 2):
-            ring = make_residue_ring(QUAD, p, n)
-            frob = frobenius_lift(ring)
-            want = reduce(QUAD.gen() if p % 3 == 1 else -QUAD.gen(), ring)
-            assert frob.xi == want, (p, n)
+            want = (0, 1) if p % 3 == 1 else (0, p**n - 1)
+            assert frobenius_lift(QUAD, p, n) == want, (p, n)
 
     # (b) cube root of 5: order-3 action at p=7, trivial action at p=13
     cbrt = make_field([-5, 0, 0, 1])
-    r7 = make_residue_ring(cbrt, 7, 1)
-    f7 = frobenius_lift(r7)
-    assert f7.xi == r7.elem([0, 4, 0])
-    assert reduce(cbrt.gen(), r7) ** 6 == r7.elem([4, 0, 0])
-    a = reduce(cbrt.gen() + 2, r7)
-    assert f7(a) != a and f7(f7(f7(a))) == a
-    r49 = make_residue_ring(cbrt, 7, 2)
-    assert frobenius_lift(r49).xi == r49.elem([0, 18, 0])
-    r13 = make_residue_ring(cbrt, 13, 1)
-    f13 = frobenius_lift(r13)
-    assert f13.xi == reduce(cbrt.gen(), r13)
-    assert f13(reduce(cbrt.gen() + 2, r13)) == reduce(cbrt.gen() + 2, r13)
+    assert frobenius_lift(cbrt, 7, 1) == (0, 4, 0)
+    x = (0, 1, 0)
+    x6 = x
+    for _ in range(5):
+        x6 = mul(x6, x, cbrt, 7)
+    assert x6 == (4, 0, 0)
+    a = (2, 1, 0)  # the class of x + 2
+    assert frob(cbrt, 7, 1, a) != a
+    assert frob(cbrt, 7, 1, frob(cbrt, 7, 1, frob(cbrt, 7, 1, a))) == a
+    assert frobenius_lift(cbrt, 7, 2) == (0, 18, 0)
+    assert frobenius_lift(cbrt, 13, 1) == x
+    assert frob(cbrt, 13, 1, a) == a
 
     # (c) homomorphism and a**p congruence on random elements
     rng = random.Random(77)
@@ -245,13 +244,17 @@ def test_criterion_7_frobenius_action():
     while trials < 500:
         field, p = plans[trials % len(plans)]
         n = (1, 2, 4)[trials % 3]
-        ring = make_residue_ring(field, p, n)
-        frob = frobenius_lift(ring)
-        a = ring.elem([rng.randrange(ring.modulus) for _ in range(field.degree)])
-        b = ring.elem([rng.randrange(ring.modulus) for _ in range(field.degree)])
-        assert frob(a + b) == frob(a) + frob(b)
-        assert frob(a * b) == frob(a) * frob(b)
-        assert residue_valuation(frob(a) - a**p) >= 1
+        mod = p**n
+        a = tuple(rng.randrange(mod) for _ in range(field.degree))
+        b = tuple(rng.randrange(mod) for _ in range(field.degree))
+        fa, fb = frob(field, p, n, a), frob(field, p, n, b)
+        total = tuple((u + v) % mod for u, v in zip(a, b))
+        assert frob(field, p, n, total) == tuple((u + v) % mod for u, v in zip(fa, fb))
+        assert frob(field, p, n, mul(a, b, field, mod)) == mul(fa, fb, field, mod)
+        a_p = a
+        for _ in range(p - 1):
+            a_p = mul(a_p, a, field, mod)
+        assert all((u - v) % p == 0 for u, v in zip(fa, a_p))
         trials += 1
     print("PASS 7: canonical lifts match known actions, 500 random trials")
 

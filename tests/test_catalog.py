@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 from math import comb, factorial, inf
 
 import pytest
 
 from sfuncs.catalog import (
+    JK_MAX_COST,
     CyclotomicSpec,
     _framed_log_h,
+    _jk_cost,
     abelian_generator,
     cyclotomic_field,
     cyclotomic_polynomial,
@@ -294,6 +297,19 @@ def test_jk_guards():
     for k_max, f_max in ((0, 0), (0, 3), (3, 0), (-2, 1), (1, -1)):
         with pytest.raises(ValueError, match="k_max"):
             jk_check(7, k_max, f_max)
+
+
+def test_jk_refuses_a_sweep_above_the_cost_bound():
+    # refused before any binomial: each of these runs for seconds or more
+    t0 = time.monotonic()
+    for args in ((100003, 5, 5), (100003, 1, 2), (10007, 5, 5), (5, 2000, 3),
+                 (10**30 + 57, 1, 1)):
+        with pytest.raises(ValueError, match="too large"):
+            jk_check(*args)
+    assert time.monotonic() - t0 < 1.0
+    # the sweeps of the acceptance test, the README and the CLI stay accepted
+    for args in ((7, 21, 5), (13, 39, 5), (5, 100, 100)):
+        assert _jk_cost(*args) <= JK_MAX_COST
 
 
 def test_jk_report_serialization():

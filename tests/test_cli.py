@@ -409,6 +409,15 @@ def test_jk_check_passes():
     assert json.loads(r.stdout)["pass"] is True
 
 
+def test_a_sweep_too_large_to_run_exits_2_at_once():
+    t0 = time.monotonic()
+    r = run_cli("jk-check", "--p", "100003", "--kmax", "5", "--fmax", "5", timeout=60)
+    elapsed = time.monotonic() - t0
+    assert r.returncode == 2 and r.stdout == ""
+    assert "too large" in r.stderr
+    assert elapsed <= 2.0
+
+
 def test_empty_ranges_exit_2_without_a_report():
     for args in (["jk-check", "--p", "7", "--kmax", "0", "--fmax", "0"],
                  ["jk-check", "--p", "7", "--kmax=-3", "--fmax", "2"],

@@ -134,16 +134,14 @@ _REEXPORTS = {
     "mseries": ["MSeries", "delta_i", "exp_m", "log_m", "power_m"],
     "numfield": ["FieldElem", "NumberField", "denominator_support", "discriminant",
                  "invert", "make_field", "rationals"],
-    "padic": ["FrobeniusMap", "ResidueElem", "ResidueRing", "frobenius_apply",
-              "frobenius_lift", "make_residue_ring", "reduce", "residue_valuation",
-              "valuation"],
+    "padic": ["frobenius_lift", "valuation"],
     "series": ["Series", "compose", "delta", "dint", "exp_series", "log_series", "power",
                "revert", "shift_down", "shift_sh", "shift_up"],
     "sfunc": ["Check", "SReport", "check_sfunction", "dwork_assemble", "dwork_factor",
               "generate_crt"],
     "errors": ["SfuncError", "NotMonic", "NotSquarefree", "DegreeZero", "FieldMismatch",
-               "Zero", "ZeroDivisor", "NotPrime", "BadPrime", "NotPIntegral",
-               "RingMismatch", "LiftFailed", "NonzeroConstant", "BadConstantTerm",
+               "Zero", "ZeroDivisor", "NotPrime", "BadPrime", "LiftFailed",
+               "NonzeroConstant", "BadConstantTerm",
                "InnerHasConstant", "NonUnitLinearTerm", "NonUnitConstant",
                "DimensionMismatch", "NotSymmetric", "FramingTooLarge", "NotIntegral",
                "ConstantTermNonzero", "BadConductor", "BadConstant", "DescentFailed",
@@ -153,7 +151,7 @@ _REEXPORTS = {
 
 def test_the_lazy_package_serves_every_public_name():
     names = [n for ns in _REEXPORTS.values() for n in ns]
-    assert len(names) == 53 + 26
+    assert len(names) == 46 + 24
     assert sorted(sfuncs.__all__) == sorted(names)
     for mod, ns in _REEXPORTS.items():
         sub = importlib.import_module(f"sfuncs.{mod}")
@@ -166,6 +164,36 @@ def test_the_lazy_package_serves_every_public_name():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         sfuncs.no_such_name
     assert not hasattr(sfuncs, "invert_map")
+    for gone in _REMOVED:
+        assert not hasattr(sfuncs, gone), gone
+        assert gone not in dir(sfuncs) and gone not in star, gone
+
+
+# Public names the package no longer serves: the residue-ring layer, which
+# the Frobenius lift on integer rows replaced, and its two error types.
+_REMOVED = ["ResidueRing", "ResidueElem", "FrobeniusMap", "make_residue_ring",
+            "reduce", "frobenius_apply", "residue_valuation", "RingMismatch",
+            "NotPIntegral"]
+
+
+def test_every_error_class_is_raised_or_caught_in_the_package():
+    # an error type that no code raises or catches is dead
+    errors_py = PACKAGE / "errors.py"
+    defined = [node.name for node in ast.parse(errors_py.read_text()).body
+               if isinstance(node, ast.ClassDef)]
+    used = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path == errors_py:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                used.update(_names_used(exc))
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                used.update(_names_used(node.type))
+    assert "SfuncError" in defined and len(defined) == 24
+    dead = sorted(set(defined) - used)
+    assert not dead, f"error classes never raised or caught: {dead}"
 
 
 def test_a_bare_import_loads_only_the_errors():

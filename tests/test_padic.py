@@ -1,3 +1,9 @@
+"""The Frobenius lift on integer coordinate rows mod p**n.
+
+Rows are multiplied as the package multiplies them, numfield._mul_fold
+followed by % p**n; xi = x**p mod p and P(xi) = 0 mod p**n are checked with
+the schoolbook products and long division of oracles.product_mod_minpoly.
+"""
 from __future__ import annotations
 
 import functools
@@ -9,34 +15,48 @@ import pytest
 
 from sfuncs import padic
 from sfuncs.catalog import cyclotomic_field
-from sfuncs.errors import BadPrime, LiftFailed, NotPIntegral, NotPrime, RingMismatch
+from sfuncs.errors import BadPrime, LiftFailed, NotPrime
 from sfuncs.intutil import primes_up_to
-from sfuncs.numfield import make_field, rationals
-from sfuncs.padic import (
-    _frobenius_rows,
-    _lift_cell,
-    _ring_unchecked,
-    frobenius_lift,
-    make_residue_ring,
-    reduce,
-    residue_valuation,
-    valuation,
-)
+from sfuncs.numfield import _mul_fold, _square_and_multiply, make_field, rationals
+from sfuncs.padic import _apply_rows, _frobenius_rows, _lift_cell, frobenius_lift, valuation
+
+from oracles import product_mod_minpoly
 
 QI3 = make_field([3, 0, 1])  # x^2 + 3,  disc -12
 CBRT5 = make_field([-5, 0, 0, 1])  # x^3 - 5, disc -675
 CUBIC = make_field([-1, -2, 1, 1])  # disc 49
 
 
+def mul(a, b, field, mod):
+    return tuple(c % mod for c in _mul_fold(a, b, field._reduction))
+
+
+def power(a, e, field, mod):
+    acc = (1,) + (0,) * (field.degree - 1)
+    for _ in range(e):
+        acc = mul(acc, a, field, mod)
+    return acc
+
+
+def frob(field, p, n, a):
+    """Frobenius on the row a mod p**n, through the kept lift's matrix."""
+    return tuple(_apply_rows(_frobenius_rows(field, p, n), a, p**n))
+
+
+def gen(field):
+    return (0, 1) + (0,) * (field.degree - 2)
+
+
 def test_ring_construction_guards():
+    # frobenius_lift keeps the guards of the residue rings it replaced
     with pytest.raises(NotPrime):
-        make_residue_ring(QI3, 6, 1)
+        frobenius_lift(QI3, 6, 1)
     with pytest.raises(BadPrime):
-        make_residue_ring(QI3, 3, 1)  # 3 | disc
+        frobenius_lift(QI3, 3, 1)  # 3 | disc
     with pytest.raises(BadPrime):
-        make_residue_ring(CUBIC, 7, 2)  # 7 | 49
+        frobenius_lift(CUBIC, 7, 2)  # 7 | 49
     with pytest.raises(ValueError):
-        make_residue_ring(QI3, 5, 0)
+        frobenius_lift(QI3, 5, 0)
 
 
 def test_valuation_rejects_composite_p():
@@ -47,22 +67,11 @@ def test_valuation_rejects_composite_p():
     assert valuation(a, 2) == -1
 
 
-def test_reduce_and_valuation():
-    r = make_residue_ring(QI3, 5, 2)
-    a = QI3.elem([Fraction(1, 2), 3])
-    e = reduce(a, r)
-    assert e.coords == (13, 3)  # 1/2 = 13 mod 25
-    with pytest.raises(NotPIntegral):
-        reduce(QI3.elem([Fraction(1, 5), 0]), r)
-    with pytest.raises(RingMismatch):
-        reduce(CUBIC.one(), r)
-
+def test_valuation():
     assert valuation(QI3.elem([50, 10]), 5) == 1
     assert valuation(QI3.elem([Fraction(3, 25), 1]), 5) == -2
+    assert valuation(QI3.elem(50), 5) == 2
     assert valuation(QI3.zero(), 5) == math.inf
-    assert residue_valuation(reduce(QI3.elem(50), make_residue_ring(QI3, 5, 3))) == 2
-    # capped at the precision
-    assert residue_valuation(reduce(QI3.elem(125), make_residue_ring(QI3, 5, 2))) == 2
 
 
 def test_sign_pattern_quadratic():
@@ -71,57 +80,46 @@ def test_sign_pattern_quadratic():
         if QI3.discriminant % p == 0:
             continue
         for n in (1, 3):
-            ring = make_residue_ring(QI3, p, n)
-            xi = frobenius_lift(ring).xi
-            expect = ring.gen() if p % 3 == 1 else -ring.gen()
-            assert xi == expect, (p, n)
+            expect = (0, 1) if p % 3 == 1 else (0, p**n - 1)
+            assert frobenius_lift(QI3, p, n) == expect, (p, n)
 
 
 def test_cbrt5_lift_values():
-    r1 = make_residue_ring(CBRT5, 7, 1)
-    assert frobenius_lift(r1).xi == r1.gen() * 4
-    r2 = make_residue_ring(CBRT5, 7, 2)
-    assert frobenius_lift(r2).xi == r2.gen() * 18
-    r13 = make_residue_ring(CBRT5, 13, 2)
-    assert frobenius_lift(r13).xi == r13.gen()
+    assert frobenius_lift(CBRT5, 7, 1) == (0, 4, 0)
+    assert frobenius_lift(CBRT5, 7, 2) == (0, 18, 0)
+    assert frobenius_lift(CBRT5, 13, 2) == (0, 1, 0)
 
 
 def test_cbrt5_lift_matches_brute_force_mod_49():
     # unique root of x^3-5 mod 49 that reduces to 4x mod 7
-    ring = make_residue_ring(CBRT5, 7, 2)
-    base = ring.gen() * 4
     roots = []
     for d0 in range(7):
         for d1 in range(7):
             for d2 in range(7):
-                cand = base + ring.elem([7 * d0, 7 * d1, 7 * d2])
-                if (cand**3 - ring.from_int(5)).is_zero():
-                    roots.append(cand)
-    assert len(roots) == 1
-    assert roots[0] == frobenius_lift(ring).xi
+                cand = [7 * d0, 4 + 7 * d1, 7 * d2]
+                cube = product_mod_minpoly(
+                    product_mod_minpoly(cand, cand, CBRT5.minpoly), cand, CBRT5.minpoly
+                )
+                if all(c % 49 == 0 for c in [cube[0] - 5] + cube[1:]):
+                    roots.append(tuple(cand))
+    assert roots == [frobenius_lift(CBRT5, 7, 2)]
 
 
 def test_frobenius_order_three_at_7():
     # x^3 - 5 stays irreducible mod 7, so the map has order 3
+    g = gen(CBRT5)
     for n in (1, 2, 3):
-        ring = make_residue_ring(CBRT5, 7, n)
-        frob = frobenius_lift(ring)
-        g = ring.gen()
-        assert frob(g) != g
-        assert frob(frob(frob(g))) == g
+        assert frob(CBRT5, 7, n, g) != g
+        assert frob(CBRT5, 7, n, frob(CBRT5, 7, n, frob(CBRT5, 7, n, g))) == g
     # the quoted power residue: (cube root of 5)^6 = 4 mod 7
-    r1 = make_residue_ring(CBRT5, 7, 1)
-    assert r1.gen() ** 6 == r1.from_int(4)
+    assert power(g, 6, CBRT5, 7) == (4, 0, 0)
 
 
 def test_frobenius_trivial_at_13():
     # 5 is a cube mod 13, the generator is fixed
     for n in (1, 2):
-        ring = make_residue_ring(CBRT5, 13, n)
-        frob = frobenius_lift(ring)
-        assert frob.xi == ring.gen()
-        a = ring.elem([3, 11, 7])
-        assert frob(a) == a
+        assert frobenius_lift(CBRT5, 13, n) == gen(CBRT5)
+        assert frob(CBRT5, 13, n, (3, 11, 7)) == (3, 11, 7)
 
 
 # --- independent oracle: factor-degree pattern of P mod p over GF(p)
@@ -221,15 +219,11 @@ def _gf_quotient(a, b, p):
      (CUBIC, 2), (CUBIC, 13), (make_field([1, 1, 1, 1, 1]), 3)],
 )
 def test_frobenius_order_matches_factor_degrees(field, p):
-    degs = _factor_degrees(field.minpoly, p)
-    order = math.lcm(*degs)
-    ring = make_residue_ring(field, p, 2)
-    frob = frobenius_lift(ring)
-    g = ring.gen()
-    cur = g
+    order = math.lcm(*_factor_degrees(field.minpoly, p))
+    g = cur = gen(field)
     seen = 0
     for r in range(1, order + 1):
-        cur = frob(cur)
+        cur = frob(field, p, 2, cur)
         if cur == g:
             seen = r
             break
@@ -240,37 +234,43 @@ def test_homomorphism_and_power_law():
     rng = random.Random(7)
     for field, p in ((QI3, 5), (CBRT5, 7), (CUBIC, 3)):
         for n in (1, 2, 4):
-            ring = make_residue_ring(field, p, n)
-            frob = frobenius_lift(ring)
+            mod = p**n
+            one = (1,) + (0,) * (field.degree - 1)
             for _ in range(25):
-                a = ring.elem([rng.randrange(ring.modulus) for _ in range(field.degree)])
-                b = ring.elem([rng.randrange(ring.modulus) for _ in range(field.degree)])
-                assert frob(a + b) == frob(a) + frob(b)
-                assert frob(a * b) == frob(a) * frob(b)
-                assert frob(ring.one()) == ring.one()
-                # reduction of frob(a) - a^p is divisible by p
-                diff = frob(a) - a**p
-                assert all(c % p == 0 for c in diff.coords)
+                a = tuple(rng.randrange(mod) for _ in range(field.degree))
+                b = tuple(rng.randrange(mod) for _ in range(field.degree))
+                total = tuple((x + y) % mod for x, y in zip(a, b))
+                assert frob(field, p, n, total) == tuple(
+                    (x + y) % mod for x, y in zip(frob(field, p, n, a), frob(field, p, n, b))
+                )
+                assert frob(field, p, n, mul(a, b, field, mod)) == mul(
+                    frob(field, p, n, a), frob(field, p, n, b), field, mod
+                )
+                assert frob(field, p, n, one) == one
+                # frob(a) - a^p is divisible by p
+                diff = zip(frob(field, p, n, a), power(a, p, field, mod))
+                assert all((x - y) % p == 0 for x, y in diff)
 
 
 def test_residue_power_matches_repeated_product_to_nine():
-    r = make_residue_ring(CBRT5, 7, 3)
-    u = r.elem([3, -1, 4])
-    acc = r.one()
-    for e in range(10):
-        assert u**e == acc
-        acc = acc * u
-    assert u**1 is u  # no multiplication at all
-    with pytest.raises(ValueError):
-        u ** -1
+    # the one square-and-multiply loop, on rows as the lift takes x**p mod p
+    mod = 7**3
+    u = (3, mod - 1, 4)
+
+    def mul_rows(a, b):
+        return mul(a, b, CBRT5, mod)
+
+    for e in range(1, 10):
+        assert _square_and_multiply(u, e, mul_rows) == power(u, e, CBRT5, mod)
+    assert _square_and_multiply(u, 1, mul_rows) is u  # no multiplication at all
 
 
 def test_frobenius_matrix_rows_are_powers_of_the_lift():
-    ring = make_residue_ring(CBRT5, 7, 2)
-    frob = frobenius_lift(ring)
-    assert frob.rows == ((1, 0, 0), (0, 18, 0), (0, 0, 18 * 18 % 49))
-    for i, row in enumerate(frob.rows):
-        assert ring.elem(row) == frob(ring.gen() ** i)
+    rows = [tuple(c % 49 for c in row) for row in _frobenius_rows(CBRT5, 7, 2)]
+    assert rows == [(1, 0, 0), (0, 18, 0), (0, 0, 18 * 18 % 49)]
+    xi = frobenius_lift(CBRT5, 7, 2)
+    for i, row in enumerate(rows):
+        assert row == power(xi, i, CBRT5, 49)
 
 
 def test_one_lift_per_field_and_prime_serves_lower_precisions(monkeypatch):
@@ -279,15 +279,16 @@ def test_one_lift_per_field_and_prime_serves_lower_precisions(monkeypatch):
     # from x**p mod p at their own precision
     _lift_cell.cache_clear()
     high = _frobenius_rows(CUBIC, 5, 9)
-    kept = _lift_cell(CUBIC, 5)[0]
-    assert kept.ring.n == 9 and kept.rows is high
+    kept = _lift_cell(CUBIC, 5)
+    n_kept, xi_kept = kept[0], kept[1]
+    assert n_kept == 9 and kept[2] is high
     assert all(_frobenius_rows(CUBIC, 5, n) is high for n in (1, 3, 9))
-    assert all(frobenius_lift(make_residue_ring(CUBIC, 5, n)).xi.coords
-               == tuple(c % 5**n for c in kept.xi.coords) for n in (1, 3, 9))
-    assert _lift_cell(CUBIC, 5)[0] is kept  # nothing was rebuilt
+    assert all(frobenius_lift(CUBIC, 5, n) == tuple(c % 5**n for c in xi_kept)
+               for n in (1, 3, 9))
+    assert _lift_cell(CUBIC, 5) is kept and kept[1] is xi_kept  # nothing was rebuilt
     for n in (1, 3, 9):
         _lift_cell.cache_clear()
-        exact = frobenius_lift(make_residue_ring(CUBIC, 5, n)).rows
+        exact = _frobenius_rows(CUBIC, 5, n)
         assert [tuple(c % 5**n for c in row) for row in high] == list(exact)
     # more precision continues Newton from the kept xi up to max(n, 2N):
     # one step from 9 to 18, where x**p mod p would take five
@@ -295,17 +296,18 @@ def test_one_lift_per_field_and_prime_serves_lower_precisions(monkeypatch):
     _frobenius_rows(CUBIC, 5, 9)
     steps, invert_unit = [], padic._invert_unit
     monkeypatch.setattr(
-        padic, "_invert_unit", lambda a: steps.append(a) or invert_unit(a)
+        padic, "_invert_unit", lambda *args: steps.append(args) or invert_unit(*args)
     )
     _frobenius_rows(CUBIC, 5, 10)
-    grown = _lift_cell(CUBIC, 5)[0]
-    assert grown.ring.n == 18 and len(steps) == 1
-    assert tuple(c % 5**9 for c in grown.xi.coords) == kept.xi.coords
+    grown = _lift_cell(CUBIC, 5)
+    assert grown[0] == 18 and len(steps) == 1
+    assert tuple(c % 5**9 for c in grown[1]) == xi_kept
     _frobenius_rows(CUBIC, 5, 50)
-    assert _lift_cell(CUBIC, 5)[0].ring.n == 50
+    assert _lift_cell(CUBIC, 5)[0] == 50
     # over Q no lift is built at all
     misses = _lift_cell.cache_info().misses
     assert _frobenius_rows(rationals(), 5, 40) == ((1,),)
+    assert frobenius_lift(rationals(), 5, 40) == (0,)
     assert _lift_cell.cache_info().misses == misses
 
 
@@ -321,41 +323,32 @@ def test_lift_caches_are_bounded():
     rationals(), make_field([1, 1, 1]), CUBIC, cyclotomic_field(7),
 ], ids=["Q", "x2+x+1", "disc49", "zeta7"])
 def test_lift_is_the_root_over_x_to_the_p_in_any_order(field):
-    # checked on the ring alone: xi = x**p mod p and P(xi) = 0 mod p**n,
+    # checked with oracle arithmetic: xi = x**p mod p and P(xi) = 0 mod p**n,
     # with precisions asked in shuffled order so the kept lift both grows
     # and serves lower precisions
     rng = random.Random(field.degree)
     for p in primes_up_to(13):
         if field.discriminant % p == 0:
             continue
+        x_to_p = [int(c) % p for c in (field.gen() ** p).coords]
         precisions = list(range(1, 13))
         rng.shuffle(precisions)
-        base = make_residue_ring(field, p, 1)
         for n in precisions:
-            ring = make_residue_ring(field, p, n)
-            xi = frobenius_lift(ring).xi
-            assert xi.ring == ring
-            assert base.elem(xi.coords) == base.gen() ** p, (p, n)
-            value = ring.from_int(0)
+            xi = frobenius_lift(field, p, n)
+            assert all(0 <= c < p**n for c in xi)
+            assert [c % p for c in xi] == x_to_p, (p, n)
+            value = [0] * field.degree
             for c in reversed(field.minpoly):
-                value = value * xi + c
-            assert value.is_zero(), (p, n)
+                value = product_mod_minpoly(value, xi, field.minpoly)
+                value[0] += c
+            assert all(c % p**n == 0 for c in value), (p, n)
 
 
 def test_bad_prime_rows_are_built_at_the_asked_precision():
-    # x^3 - 5 ramifies at 5: x**5 is a root mod 5, but there is no lift mod 25
+    # x^3 - 5 ramifies at 5: x**5 = 5x**2 = 0 is a root mod 5, but there is
+    # no lift mod 25
     rows = _frobenius_rows(CBRT5, 5, 1)
-    assert rows == frobenius_lift(_ring_unchecked(CBRT5, 5, 1)).rows
+    assert rows == ((1, 0, 0), (0, 0, 0), (0, 0, 0))
     with pytest.raises(LiftFailed):
         _frobenius_rows(CBRT5, 5, 2)
     assert _frobenius_rows(CBRT5, 5, 1) == rows
-
-
-def test_elem_reads_fraction_coordinates_exactly():
-    ring = make_residue_ring(make_field([3, 0, 1]), 5, 2)
-    assert ring.elem([Fraction(1, 2), Fraction(7, 3)]).coords == (13, 19)
-    assert ring.elem([-1, 27]).coords == (24, 2)
-    with pytest.raises(NotPIntegral):
-        ring.elem([Fraction(1, 5), 0])
-    with pytest.raises(TypeError):
-        ring.elem([0.5, 0])

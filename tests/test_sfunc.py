@@ -13,7 +13,6 @@ from sfuncs.errors import ConstantTermNonzero, NotIntegral, NotPrime
 from sfuncs.intutil import ord_p, primes_up_to
 from sfuncs.mseries import MSeries
 from sfuncs.numfield import denominator_support, make_field, rationals
-from sfuncs.padic import _ring_unchecked, frobenius_lift, make_residue_ring, reduce
 from sfuncs.serialize import load_series
 from sfuncs.series import Series, delta, dint, shift_sh
 from sfuncs.sfunc import (
@@ -25,7 +24,7 @@ from sfuncs.sfunc import (
     generate_crt,
 )
 
-from oracles import check_uni_by_dense_scan, congruence_by_residue_ring
+from oracles import check_uni_by_dense_scan, congruence_by_fractions, frobenius_residues
 
 Q = rationals()
 QI3 = make_field([3, 0, 1])
@@ -412,7 +411,7 @@ def test_declared_order_does_not_drive_the_cost(tmp_path):
     ]
 
 
-# --- the congruence on integer rows against the residue-ring oracle
+# --- the congruence on integer rows against the Fraction oracle
 
 
 ROW_FIELDS = (Q, EISENSTEIN, CUBIC, cyclotomic_field(7))
@@ -443,18 +442,17 @@ def congruence_data(draw):
     elif kind == "random":
         cur = elem(draw(st.integers(0, 4)))
     else:
-        ring = make_residue_ring(field, p, required + m_prev + 2)
-        image = frobenius_lift(ring)(reduce(prev * p**m_prev, ring))
+        image = frobenius_residues(field, prev * p**m_prev, p, required + m_prev + 2)
         j = draw(st.integers(0, required + 2))
-        cur = field.elem(list(image.coords)) / p**m_prev + elem(0) * p**j
+        cur = field.elem(image) / p**m_prev + elem(0) * p**j
     return field, prev, cur, p, required
 
 
 @settings(max_examples=200, deadline=None)
 @given(congruence_data(), st.integers(1, 40))
-def test_row_congruence_equals_the_residue_ring(data, index):
+def test_row_congruence_equals_the_fraction_oracle(data, index):
     field, prev, cur, p, required = data
-    want = congruence_by_residue_ring(field, prev, cur, index, p, required)
+    want = congruence_by_fractions(field, prev, cur, index, p, required)
     assert _congruence(field, prev, cur, index, p, required) == want
 
 
@@ -467,7 +465,7 @@ def test_row_congruence_with_zero_coefficients(field):
             if field.discriminant % p:
                 for required in (1, 4):
                     got = _congruence(field, prev, cur, p, p, required)
-                    assert got == congruence_by_residue_ring(
+                    assert got == congruence_by_fractions(
                         field, prev, cur, p, p, required
                     )
 
@@ -524,8 +522,13 @@ def test_extra_bad_prime_entries_build_each_lift_at_its_precision():
              "error": "LiftFailed: non-unit encountered mod 2"},
             at_3,
         ]
-    # the oracle on the unchecked ring agrees where the lift mod 3 exists
+    # the oracle agrees where the lift mod 3 exists: there it is x**3 mod 3
     a3 = x**3 + 3 * x
+
+    def x_cubed_mod_3(f, q, n):
+        assert (q, n) == (3, 1)
+        return [int(c) % 3 for c in (f.gen() ** 3).coords]
+
     assert _congruence(field, x, a3, 3, 3, 1) == (
-        congruence_by_residue_ring(field, x, a3, 3, 3, 1, _ring_unchecked)
+        congruence_by_fractions(field, x, a3, 3, 3, 1, x_cubed_mod_3)
     )
