@@ -22,7 +22,7 @@ from .errors import (
     NotPrime,
     SmallPrime,
 )
-from .intutil import divisors, is_prime, moebius, ord_p
+from .intutil import _int_to_str, divisors, is_prime, moebius, ord_p
 from .numfield import (
     FieldElem, NumberField, _exact, _poly_divmod, make_field, rationals,
 )
@@ -205,13 +205,10 @@ def from_log_poly(field: NumberField, q_poly, s: int, order: int) -> Series:
     """
     if s < 1:
         raise ValueError("s must be a positive integer")
-    qc = [c if isinstance(c, FieldElem) else field.elem(c) for c in q_poly]
+    qc = [field.coerce(c) for c in q_poly]
     if not qc or qc[0] != field.one():
         raise BadConstant("polynomial must have constant coefficient 1")
-    tail = qc[1:][:order]
-    tail += [field.zero()] * (order - len(tail))
-    q = Series(field, order, field.one(), tuple(tail))
-    v = -log_series(q)
+    v = -log_series(Series.from_coeffs(field, order, qc[1:order + 1], 1))
     for _ in range(s - 1):
         v = dint(v)
     return v
@@ -238,7 +235,7 @@ class FramedPolylogTable:
         return {
             "d": list(self.d_values),
             "f": list(self.f_values),
-            "entries": [[str(x) for x in row] for row in self.cells],
+            "entries": [[_fraction_to_str(x) for x in row] for row in self.cells],
             "six_over_f_integral": not self.nonintegral,
             "nonintegral_cells": [list(c) for c in self.nonintegral],
         }
@@ -246,8 +243,14 @@ class FramedPolylogTable:
     def to_csv(self) -> str:
         lines = ["d," + ",".join(f"f={f}" for f in self.f_values)]
         for d, row in zip(self.d_values, self.cells):
-            lines.append(f"{d}," + ",".join(str(x) for x in row))
+            lines.append(f"{d}," + ",".join(map(_fraction_to_str, row)))
         return "\n".join(lines) + "\n"
+
+
+def _fraction_to_str(x: Fraction) -> str:
+    """str(x) for a fraction of any size: "n" or "n/d"."""
+    num = _int_to_str(x.numerator)
+    return num if x.denominator == 1 else f"{num}/{_int_to_str(x.denominator)}"
 
 
 def _framed_log_h(f: int, k: int) -> int:
@@ -264,7 +267,9 @@ def polylog_frame_table(f_range, d_range) -> FramedPolylogTable:
     For each f the coefficients g_k of dint(dint(log Y_f)) decompose as
     k**3 * g_k = sum_{d|k} N_d * d**3, and Moebius inversion extracts N_d;
     k**3 * g_k is the integer _framed_log_h(f, k), so only cells divide.
-    An empty range (a table that checks nothing) or a d < 1 raises ValueError.
+    An empty range (a table that checks nothing) or a d < 1 raises ValueError,
+    and so does a table whose _binomials_cost is above BINOMIAL_MAX_COST,
+    before any binomial: d 1..200 at f -10..10 runs, d 1..4000 at f 5 not.
     """
     d_values = tuple(d_range)
     f_values = tuple(f_range)
@@ -273,6 +278,10 @@ def polylog_frame_table(f_range, d_range) -> FramedPolylogTable:
     if not f_values:
         raise ValueError("f range is empty")
     dmax = max(d_values)
+    cost = _binomials_cost(len(f_values), dmax, max(map(abs, f_values)).bit_length() + 1)
+    if cost > BINOMIAL_MAX_COST:
+        raise ValueError(f"table to d={dmax} at {len(f_values)} f values is too large: "
+                         f"estimated cost {cost} is above {BINOMIAL_MAX_COST}")
     mu = [0] + [moebius(k) for k in range(1, dmax + 1)]
     divs = {d: divisors(d) for d in d_values}
     sums = {}  # d**3 * N_d^(f)
@@ -325,16 +334,22 @@ class JKReport:
         }
 
 
-# Bound on _jk_cost: on a 2-core x86-64 host, CPython 3.11, a unit took 3.5e-12
-# to 1.6e-11 s and the largest sweeps accepted took 0.4 to 1.1 s.
-JK_MAX_COST = 7 * 10**10
+# Bound on _binomials_cost: on a 2-core x86-64 host, CPython 3.11, a unit took
+# 3.5e-12 to 1.6e-11 s in jk_check and 5.7e-13 to 1.9e-11 s in
+# polylog_frame_table; the largest runs accepted took 0.4 to 1.3 s.
+BINOMIAL_MAX_COST = 7 * 10**10
+
+
+def _binomials_cost(count: int, k_max: int, bits: int) -> int:
+    """Estimated cost in squared bits of count runs of binomials at k = 1..k_max,
+    the k-th of about k*bits bits: 2**19 per binomial plus (k*bits)**2."""
+    return count * k_max * (2**19 + (k_max + 1) * (2 * k_max + 1) * bits * bits // 6)
 
 
 def _jk_cost(p: int, k_max: int, f_max: int) -> int:
-    """Estimated cost of a sweep in squared bits: 2**19 per record plus the sum
-    over k and f of (p*k*b)**2, p*k*b about the bit size of binom(pkf, pk)."""
-    b = f_max.bit_length() + 1
-    return k_max * f_max * (2**19 + p * p * (k_max + 1) * (2 * k_max + 1) // 6 * b * b)
+    """_binomials_cost of a sweep: f_max runs to k_max, binom(pkf, pk) of about
+    p*k*(bit_length(f_max) + 1) bits."""
+    return _binomials_cost(f_max, k_max, p * (f_max.bit_length() + 1))
 
 
 def jk_check(p: int, k_max: int, f_max: int) -> JKReport:
@@ -342,8 +357,9 @@ def jk_check(p: int, k_max: int, f_max: int) -> JKReport:
     k_max or f_max below 1 (an empty sweep, which would pass) raises ValueError.
 
     So does a sweep whose _jk_cost, about p**2 k_max**3 f_max, is above
-    JK_MAX_COST, before any binomial is computed: (7, 21, 5), (13, 39, 5) and
-    (5, 100, 100) run, (100003, 1, 2) and (10007, 5, 5) are refused.
+    BINOMIAL_MAX_COST, before any binomial is computed: (7, 21, 5),
+    (13, 39, 5) and (5, 100, 100) run, (100003, 1, 2) and (10007, 5, 5) are
+    refused.
 
     >>> jk_check(5, 1, 2).records[-1].valuation
     3
@@ -351,9 +367,9 @@ def jk_check(p: int, k_max: int, f_max: int) -> JKReport:
     if k_max < 1 or f_max < 1:
         raise ValueError(f"need k_max >= 1 and f_max >= 1, got {k_max} and {f_max}")
     cost = _jk_cost(p, k_max, f_max)
-    if cost > JK_MAX_COST:
+    if cost > BINOMIAL_MAX_COST:
         raise ValueError(f"sweep p={p}, k_max={k_max}, f_max={f_max} is too large: "
-                         f"estimated cost {cost} is above {JK_MAX_COST}")
+                         f"estimated cost {cost} is above {BINOMIAL_MAX_COST}")
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if p <= 3:

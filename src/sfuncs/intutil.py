@@ -176,3 +176,14 @@ def primes_up_to(n: int) -> tuple[int, ...]:
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
     return tuple(i for i, b in enumerate(sieve) if b)
+
+
+def _int_to_str(n: int) -> str:
+    """str(n) for an integer of any length, past CPython's int/str digit limit."""
+    if n.bit_length() < 1990:  # 2**1990 < 10**600
+        return str(n)
+    if n < 0:
+        return "-" + _int_to_str(-n)
+    k = n.bit_length() * 3 // 20  # about half the digits, so hi > 0
+    hi, lo = divmod(n, 10**k)
+    return _int_to_str(hi) + _int_to_str(lo).zfill(k)

@@ -13,8 +13,9 @@ by j and is a derivation, so y = exp(v) satisfies E y = (E v) y, that is
 k*y_k = sum_j (j*v_j)*y_(k-j); log solves the same relation for v_k, and
 the inverse w of y solves sum_j y_j*w_(k-j) = 0 for k > 0.  Each sum over
 j is one _sum_of_products, and each costs about one full product instead
-of a sum of order-many powers.  A one-variable Series is the case nvars = 1:
-the series module goes through from_univariate and to_univariate.
+of a sum of order-many powers.  A Series is the dense view of nvars = 1:
+its arithmetic, delta, exp, log and power go through from_univariate and
+to_univariate.
 """
 from __future__ import annotations
 
@@ -70,9 +71,7 @@ class MSeries:
                 raise ValueError(f"negative exponent in {key}")
             if sum(key) > order:
                 continue
-            elem = val if isinstance(val, FieldElem) else field.elem(val)
-            if elem.field != field:
-                raise FieldMismatch("coefficient from a different field")
+            elem = field.coerce(val)
             if not elem.is_zero():
                 terms.append((key, elem))
         terms.sort(key=lambda t: t[0])
@@ -141,11 +140,8 @@ class MSeries:
         )
 
     def __sub__(self, other) -> "MSeries":
-        if isinstance(other, MSeries):
+        if isinstance(other, (MSeries, int, Fraction, FieldElem)):
             return self + (-other)
-        if isinstance(other, (int, Fraction, FieldElem)):
-            neg = -other if isinstance(other, FieldElem) else -self.field.elem(other)
-            return self + neg
         return NotImplemented
 
     def __rsub__(self, other) -> "MSeries":
@@ -156,7 +152,9 @@ class MSeries:
         (the one-pair case of _sum_of_products)."""
         if isinstance(other, (int, Fraction, FieldElem)):
             # FieldElem.__mul__ scales by an int or a Fraction without a
-            # field product, and checks a FieldElem's field
+            # field product; coerce checks an element's field, terms or not
+            if isinstance(other, FieldElem):
+                self.field.coerce(other)
             terms = tuple(t for t in [(k, v * other) for k, v in self.terms] if t[1])
             return MSeries(self.field, self.nvars, self.order, terms)
         if not isinstance(other, MSeries):
@@ -174,14 +172,10 @@ class MSeries:
 
         if self.nvars != 1:
             raise DimensionMismatch("only one-variable series convert")
-        coeffs = [self.field.zero()] * self.order
-        const = self.field.zero()
+        coeffs = [self.field.zero()] * (self.order + 1)
         for (k,), c in self.terms:
-            if k == 0:
-                const = c
-            else:
-                coeffs[k - 1] = c
-        return Series(self.field, self.order, const, tuple(coeffs))
+            coeffs[k] = c
+        return Series(self.field, self.order, coeffs[0], tuple(coeffs[1:]))
 
     @classmethod
     def from_univariate(cls, v: "Series") -> "MSeries":

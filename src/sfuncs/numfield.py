@@ -115,6 +115,15 @@ class NumberField:
         nums = tuple(f.numerator * (den // f.denominator) for f in fracs)
         return FieldElem(self, nums, den)
 
+    def coerce(self, value) -> "FieldElem":
+        """value as an element of this field, the one coefficient coercion: an
+        element of it as it is, of another field FieldMismatch, else elem."""
+        if isinstance(value, FieldElem):
+            if value.field != self:
+                raise FieldMismatch("element from a different field")
+            return value
+        return self.elem(value)
+
     def zero(self) -> "FieldElem":
         return self.elem(0)
 
@@ -222,12 +231,8 @@ class FieldElem:
         return hash((self.field, self.nums, self.den))
 
     def _coerce(self, other) -> "FieldElem | None":
-        if isinstance(other, FieldElem):
-            if other.field != self.field:
-                raise FieldMismatch("operands come from different fields")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.field.elem(other)
+        if isinstance(other, (FieldElem, int, Fraction)):
+            return self.field.coerce(other)
         return None
 
     def __add__(self, other) -> "FieldElem":
@@ -246,12 +251,7 @@ class FieldElem:
 
     def __sub__(self, other) -> "FieldElem":
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        nums = tuple(
-            a * o.den - b * self.den for a, b in zip(self.nums, o.nums)
-        )
-        return FieldElem(self.field, nums, self.den * o.den)
+        return NotImplemented if o is None else self + (-o)
 
     def __rsub__(self, other) -> "FieldElem":
         return (-self) + other

@@ -23,6 +23,7 @@ import os
 from fractions import Fraction
 
 from .errors import SfuncError
+from .intutil import _int_to_str
 from .mseries import MSeries
 from .numfield import FieldElem, NumberField, make_field
 from .series import Series
@@ -33,17 +34,6 @@ class BadFile(SfuncError):
 
 
 _LEAF = 600  # decimal digits that int() and str() convert under any limit
-
-
-def _int_to_str(n: int) -> str:
-    """str(n) for an integer of any length."""
-    if n.bit_length() < 1990:  # 2**1990 < 10**600
-        return str(n)
-    if n < 0:
-        return "-" + _int_to_str(-n)
-    k = n.bit_length() * 3 // 20  # about half the digits, so hi > 0
-    hi, lo = divmod(n, 10**k)
-    return _int_to_str(hi) + _int_to_str(lo).zfill(k)
 
 
 def _int(x) -> int:

@@ -4,37 +4,27 @@ A Series keeps coefficients for z**1 .. z**order plus an explicit constant
 term (usually zero here).  Binary operations truncate to the smaller order,
 and the result records that order; nothing is ever padded silently.
 
-delta is the logarithmic derivative z d/dz; dint is its right inverse
-(divide the k-th coefficient by k), defined only for vanishing constants.
-
-A Series is the one-variable case of mseries.MSeries: products, exp_series,
-log_series and power go through MSeries.from_univariate and to_univariate.
+A Series is the dense view of a one-variable mseries.MSeries.  Every
+operation with an MSeries twin goes through MSeries.from_univariate and
+to_univariate: +, -, negation and products, delta (delta_i in one
+variable), exp_series, log_series and power.  So the MSeries operators
+check fields and truncate, and NumberField.coerce is the one coercion of a
+coefficient.  dint, compose, revert and the shifts are one-variable only.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 from .errors import (
-    FieldMismatch,
     InnerHasConstant,
     NonUnitConstant,
     NonUnitLinearTerm,
     NonzeroConstant,
 )
-from .mseries import MSeries, exp_m, log_m, power_m
+from .mseries import Coeff, MSeries, delta_i, exp_m, log_m, power_m
 from .numfield import FieldElem, NumberField
-
-Coeff = Union[int, Fraction, FieldElem]
-
-
-def _as_elem(field: NumberField, v: Coeff) -> FieldElem:
-    if isinstance(v, FieldElem):
-        if v.field != field:
-            raise FieldMismatch("coefficient from a different field")
-        return v
-    return field.elem(v)
 
 
 @dataclass(frozen=True)
@@ -61,11 +51,11 @@ class Series:
         """Series from the coefficients of z**1..z**order (short lists are padded)."""
         if order < 0:
             raise ValueError("order must be nonnegative")
-        elems = [_as_elem(field, c) for c in coeffs]
+        elems = [field.coerce(c) for c in coeffs]
         if len(elems) > order:
             raise ValueError("more coefficients than the stated order")
         elems += [field.zero()] * (order - len(elems))
-        return cls(field, order, _as_elem(field, const), tuple(elems))
+        return cls(field, order, field.coerce(const), tuple(elems))
 
     @classmethod
     def zero(cls, field: NumberField, order: int) -> "Series":
@@ -89,54 +79,30 @@ class Series:
             raise ValueError("cannot extend a truncated series")
         return Series(self.field, order, self.const, self.coeffs[:order])
 
-    def _check_field(self, other: "Series") -> None:
-        if other.field != self.field:
-            raise FieldMismatch("series over different fields")
-
-    def __add__(self, other) -> "Series":
-        if isinstance(other, (int, Fraction, FieldElem)):
-            return Series(
-                self.field,
-                self.order,
-                self.const + _as_elem(self.field, other),
-                self.coeffs,
-            )
-        if not isinstance(other, Series):
-            return NotImplemented
-        self._check_field(other)
-        n = min(self.order, other.order)
-        return Series(
-            self.field,
-            n,
-            self.const + other.const,
-            tuple(a + b for a, b in zip(self.coeffs[:n], other.coeffs[:n])),
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Series":
-        return Series(
-            self.field, self.order, -self.const, tuple(-c for c in self.coeffs)
-        )
-
-    def __sub__(self, other) -> "Series":
-        if isinstance(other, Series):
-            return self + (-other)
-        if isinstance(other, (int, Fraction, FieldElem)):
-            return self + (-_as_elem(self.field, other))
-        return NotImplemented
-
-    def __rsub__(self, other) -> "Series":
-        return (-self) + other
-
-    def __mul__(self, other) -> "Series":
-        """Product by a scalar, or by a series truncated to the smaller order,
-        as the one-variable MSeries product."""
+    def _binary(self, op, other) -> "Series":
+        """op on self and a Series or a scalar, as one-variable MSeries."""
         if isinstance(other, Series):
             other = MSeries.from_univariate(other)
         elif not isinstance(other, (int, Fraction, FieldElem)):
             return NotImplemented
-        return (MSeries.from_univariate(self) * other).to_univariate()
+        return _as_mseries(op, self, other)
+
+    def __add__(self, other) -> "Series":
+        return self._binary(MSeries.__add__, other)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "Series":
+        return _as_mseries(MSeries.__neg__, self)
+
+    def __sub__(self, other) -> "Series":
+        return self._binary(MSeries.__sub__, other)
+
+    def __rsub__(self, other) -> "Series":
+        return self._binary(MSeries.__rsub__, other)
+
+    def __mul__(self, other) -> "Series":
+        return self._binary(MSeries.__mul__, other)
 
     __rmul__ = __mul__
 
@@ -155,14 +121,14 @@ class Series:
         return f"Series[{body} + O(z^{self.order + 1})]"
 
 
+def _as_mseries(op, v: Series, *args) -> Series:
+    """op(v, *args) on v as a one-variable MSeries, viewed back as a Series."""
+    return op(MSeries.from_univariate(v), *args).to_univariate()
+
+
 def delta(v: Series) -> Series:
     """z d/dz: multiply the k-th coefficient by k.  Drops the constant term."""
-    return Series(
-        v.field,
-        v.order,
-        v.field.zero(),
-        tuple(c * k for k, c in enumerate(v.coeffs, start=1)),
-    )
+    return _as_mseries(delta_i, v, 0)
 
 
 def dint(v: Series) -> Series:
@@ -182,35 +148,36 @@ def dint(v: Series) -> Series:
 
 def exp_series(v: Series) -> Series:
     """exp of a series with zero constant term: exp_m in one variable."""
-    return exp_m(MSeries.from_univariate(v)).to_univariate()
+    return _as_mseries(exp_m, v)
 
 
 def log_series(y: Series) -> Series:
     """log of a series with constant term 1, inverse of exp_series: log_m in
     one variable."""
-    return log_m(MSeries.from_univariate(y)).to_univariate()
+    return _as_mseries(log_m, y)
 
 
 def compose(outer: Series, inner: Series) -> Series:
     """outer(inner(z)); the inner series must have zero constant term.
 
-    Exact to the smaller of the two truncation orders.
+    Exact to the smaller of the two truncation orders: Horner's rule on
+    one-variable MSeries, whose product truncates to that order.
     """
-    outer._check_field(inner)
+    u = MSeries.from_univariate(inner)
+    MSeries.from_univariate(outer)._check(u)
     if not inner.const.is_zero():
         raise InnerHasConstant("inner series must have zero constant term")
     n = min(outer.order, inner.order)
-    u = inner.truncate(n)
-    acc = Series.from_coeffs(outer.field, n, const=outer.coeff(n) if n else outer.const)
+    acc = MSeries.from_dict(outer.field, 1, n, {(0,): outer.coeff(n)})
     for k in range(n - 1, -1, -1):
         acc = acc * u + outer.coeff(k)
-    return acc
+    return acc.to_univariate()
 
 
 def power(y: Series, e: int) -> Series:
     """Integer power of a series; negative e needs an invertible constant term.
     power_m in one variable."""
-    return power_m(MSeries.from_univariate(y), e).to_univariate()
+    return _as_mseries(power_m, y, e)
 
 
 def revert(f: Series) -> Series:

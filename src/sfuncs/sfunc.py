@@ -194,7 +194,8 @@ def check_sfunction(
                 checks.append(
                     Check(ix(key), q, 0, _valuation(ak, q), False, "integrality")
                 )
-    primes = primes_up_to(order)
+    # p*k is a term only for p <= order // |k|: sieve to the smallest |k|
+    primes = primes_up_to(order // min(map(sum, a))) if a else ()
 
     def pairs():
         """(k, p, a_{k/p}, a_k, required) for every pair, each once; an

@@ -3,7 +3,8 @@
 Each function here computes, by an older and independent route, an object the
 package computes faster: framings by inverting the coordinate map and
 substituting into the body, the framed-polylog column through the framing
-engine, exp/log/inverse by sums of powers, reversion by fixed-point
+engine, Series sums and products coefficient by coefficient on dense
+lists, exp/log/inverse by sums of powers, reversion by fixed-point
 iteration, one congruence on Fraction coordinates read mod p**n, with
 Frobenius as the coordinate polynomial evaluated at the lift, the one-variable
 congruence check by a dense scan of every index, the resultant as the
@@ -225,6 +226,36 @@ def inverse_by_powers(y: MSeries) -> MSeries:
             break
         acc = acc + cur
     return acc * c
+
+
+def series_arith_by_coefficients(op: str, a, b=None) -> Series:
+    """a + b, a - b, a * b or -a (op "+", "-", "*" or "neg") on Series and
+    scalars (int, Fraction or FieldElem), one coefficient at a time on dense
+    lists: a scalar is a constant series of unbounded order, and the result
+    has the smaller order of the Series operands."""
+    series = [x for x in (a, b) if isinstance(x, Series)]
+    field, n = series[0].field, min(x.order for x in series)
+
+    def dense(x) -> list[FieldElem]:
+        if isinstance(x, Series):
+            return [x.const, *x.coeffs[:n]]
+        return [x if isinstance(x, FieldElem) else field.elem(x)] + [field.zero()] * n
+
+    ca = dense(a)
+    if op == "neg":
+        out = [-c for c in ca]
+    else:
+        cb = dense(b)
+        if op == "+":
+            out = [x + y for x, y in zip(ca, cb)]
+        elif op == "-":
+            out = [x - y for x, y in zip(ca, cb)]
+        else:
+            out = [field.zero()] * (n + 1)
+            for i, x in enumerate(ca):
+                for j, y in enumerate(cb[:n + 1 - i]):
+                    out[i + j] = out[i + j] + x * y
+    return Series(field, n, out[0], tuple(out[1:]))
 
 
 def revert_by_fixed_point(f: Series) -> Series:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import time
 from fractions import Fraction
 from math import comb, factorial, inf
@@ -7,8 +8,9 @@ from math import comb, factorial, inf
 import pytest
 
 from sfuncs.catalog import (
-    JK_MAX_COST,
+    BINOMIAL_MAX_COST,
     CyclotomicSpec,
+    _binomials_cost,
     _framed_log_h,
     _jk_cost,
     abelian_generator,
@@ -19,9 +21,12 @@ from sfuncs.catalog import (
     polylog,
     polylog_frame_table,
 )
-from sfuncs.errors import BadConductor, BadConstant, DescentFailed, NotPrime, SmallPrime
+from sfuncs.errors import (
+    BadConductor, BadConstant, DescentFailed, FieldMismatch, NotPrime, SmallPrime,
+)
 from sfuncs.intutil import divisors, moebius
 from sfuncs.numfield import make_field, rationals
+from sfuncs.serialize import _rational, dump_obj
 from sfuncs.sfunc import check_sfunction
 
 from oracles import framed_log_column_by_framing
@@ -162,6 +167,16 @@ def test_from_log_poly_failing_example():
     assert (first.index, first.p, first.valuation) == (2, 2, 1)
 
 
+def test_from_log_poly_refuses_a_coefficient_of_another_field():
+    # both calls used to return a series whose tail mixed the two fields
+    g = CUBIC.gen()
+    with pytest.raises(FieldMismatch):
+        from_log_poly(Q, [1, g + 2], 2, 4)
+    with pytest.raises(FieldMismatch):
+        from_log_poly(CUBIC, [1, Q.elem(3)], 2, 4)
+    assert from_log_poly(CUBIC, [1, 3], 2, 4) == from_log_poly(CUBIC, [1, CUBIC.elem(3)], 2, 4)
+
+
 def test_from_log_poly_constant_guard():
     with pytest.raises(BadConstant):
         from_log_poly(Q, [2, 1], 2, 4)
@@ -258,6 +273,33 @@ def test_table_csv_layout():
     assert len(lines) == 8
 
 
+def test_table_cells_of_any_size_round_trip_in_json_and_csv():
+    # binom(2f, 2) at f = 10**3000 gives a cell of about 6,000 digits,
+    # past CPython's int/str limit of 4,300
+    t = polylog_frame_table([10**3000], [1, 2])
+    big = t.entry(2, 10**3000)
+    assert abs(big.numerator) > 10**5000
+    entries = json.loads(dump_obj(t.to_obj()))["entries"]
+    assert [[_rational(x) for x in row] for row in entries] == [list(r) for r in t.cells]
+    rows = [line.split(",")[1:] for line in t.to_csv().splitlines()[1:]]
+    assert [[_rational(x) for x in row] for row in rows] == [list(r) for r in t.cells]
+
+
+def test_table_refuses_a_shape_above_the_cost_bound():
+    # refused before any binomial: each of these runs for seconds or more
+    t0 = time.monotonic()
+    for f_range, d_range in (([5], range(1, 4001)), ([5], range(1, 8001)),
+                             (range(2, 6), range(1, 3001)), ([10**4200], range(1, 101))):
+        with pytest.raises(ValueError, match="too large"):
+            polylog_frame_table(f_range, d_range)
+    assert time.monotonic() - t0 < 1.0
+    # the tables of the bench, the README, the CLI and the tests stay accepted
+    for f_range, d_max in ((range(2, 6), 24), (range(-7, 8), 7), (range(-10, 11), 200),
+                           ([10**3000], 2), ([10**20], 300)):
+        bits = max(map(abs, f_range)).bit_length() + 1
+        assert _binomials_cost(len(f_range), d_max, bits) <= BINOMIAL_MAX_COST
+
+
 def test_table_rejects_bad_d():
     with pytest.raises(ValueError):
         polylog_frame_table([2], [0, 1])
@@ -309,7 +351,7 @@ def test_jk_refuses_a_sweep_above_the_cost_bound():
     assert time.monotonic() - t0 < 1.0
     # the sweeps of the acceptance test, the README and the CLI stay accepted
     for args in ((7, 21, 5), (13, 39, 5), (5, 100, 100)):
-        assert _jk_cost(*args) <= JK_MAX_COST
+        assert _jk_cost(*args) <= BINOMIAL_MAX_COST
 
 
 def test_jk_report_serialization():

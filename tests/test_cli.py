@@ -10,7 +10,7 @@ import pytest
 
 from sfuncs.catalog import polylog, polylog_frame_table
 from sfuncs.numfield import make_field
-from sfuncs.serialize import dump_obj, field_to_obj, load_series, series_to_obj
+from sfuncs.serialize import _rational, dump_obj, field_to_obj, load_series, series_to_obj
 from sfuncs.series import Series
 
 CUBIC = make_field([-1, -2, 1, 1])
@@ -416,6 +416,24 @@ def test_a_sweep_too_large_to_run_exits_2_at_once():
     assert r.returncode == 2 and r.stdout == ""
     assert "too large" in r.stderr
     assert elapsed <= 2.0
+
+
+def test_a_table_too_large_to_run_exits_2_at_once():
+    t0 = time.monotonic()
+    r = run_cli("polylog-table", "--d", "1..8000", "--f", "5", timeout=60)
+    elapsed = time.monotonic() - t0
+    assert r.returncode == 2 and r.stdout == ""
+    assert "too large" in r.stderr
+    assert elapsed <= 2.0
+
+
+def test_a_table_with_cells_past_the_int_str_limit_prints_them():
+    # the cell at d = 2 has about 6,000 digits; str() refuses past 4,300
+    r = run_cli("polylog-table", "--d", "1..2", "--f", "1" + "0" * 3000, timeout=60)
+    assert r.returncode == 0, r.stderr
+    entries = json.loads(r.stdout)["entries"]
+    t = polylog_frame_table([10**3000], [1, 2])
+    assert [[_rational(x) for x in row] for row in entries] == [list(c) for c in t.cells]
 
 
 def test_empty_ranges_exit_2_without_a_report():

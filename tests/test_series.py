@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, mul, sub
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sfuncs.catalog import polylog
-from sfuncs.errors import NonUnitConstant, NonUnitLinearTerm, NonzeroConstant
+from sfuncs.errors import FieldMismatch, NonUnitConstant, NonUnitLinearTerm, NonzeroConstant
+from sfuncs.mseries import MSeries
 from sfuncs.numfield import make_field, rationals
 from sfuncs.series import (
     Series,
@@ -22,9 +24,10 @@ from sfuncs.series import (
     shift_up,
 )
 
-from oracles import revert_by_fixed_point
+from oracles import revert_by_fixed_point, series_arith_by_coefficients
 
 Q = rationals()
+CUBIC = make_field([-1, -2, 1, 1])  # discriminant 49
 
 
 def _ser(coeffs, const=0, field=Q):
@@ -213,3 +216,61 @@ def test_shift_up_down():
 def test_delta_commutes_with_dilation():
     v = _ser([1, Fraction(2, 3), 3, 4, 5, 0])
     assert delta(shift_sh(v, 3)) == shift_sh(delta(v), 3) * 3
+
+
+# --- every Series operation goes through MSeries; a dense oracle checks it
+
+
+_FRACTIONS = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+def _elems(field):
+    return st.lists(_FRACTIONS, min_size=field.degree,
+                    max_size=field.degree).map(field.elem)
+
+
+def _series_over(field):
+    return st.builds(
+        lambda cs, c0: Series.from_coeffs(field, len(cs), cs, c0),
+        st.lists(_elems(field), max_size=6), _elems(field))
+
+
+_ANY_SERIES = st.sampled_from([Q, CUBIC]).flatmap(_series_over)
+
+
+@st.composite
+def _series_and_operand(draw):
+    v = draw(_ANY_SERIES)
+    field = v.field
+    other = draw(st.one_of(_series_over(field), st.integers(-5, 5), _FRACTIONS,
+                           _elems(field)))
+    return v, other
+
+
+@settings(max_examples=150, deadline=None)
+@given(_series_and_operand(), st.booleans())
+def test_series_arithmetic_matches_the_dense_oracle(data, swap):
+    v, other = data
+    a, b = (other, v) if swap else (v, other)
+    assert a + b == series_arith_by_coefficients("+", a, b)
+    assert a - b == series_arith_by_coefficients("-", a, b)
+    assert a * b == series_arith_by_coefficients("*", a, b)
+    assert -v == series_arith_by_coefficients("neg", v)
+    d = delta(v)
+    assert d.order == v.order and d.const == 0
+    assert d.coeffs == tuple(c * k for k, c in enumerate(v.coeffs, 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ANY_SERIES, st.booleans())
+def test_series_arithmetic_refuses_a_foreign_field_or_a_foreign_type(v, swap):
+    other_field = CUBIC if v.field == Q else Q
+    mseries = MSeries.from_univariate(v)
+    for foreign, error in ((Series.zero(other_field, 2), FieldMismatch),
+                           (other_field.elem(1), FieldMismatch),
+                           (other_field.zero(), FieldMismatch),
+                           ("1", TypeError), (mseries, TypeError)):
+        a, b = (foreign, v) if swap else (v, foreign)
+        for op in (add, sub, mul):
+            with pytest.raises(error):
+                op(a, b)

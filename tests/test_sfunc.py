@@ -14,6 +14,7 @@ from sfuncs.intutil import ord_p, primes_up_to
 from sfuncs.mseries import MSeries
 from sfuncs.numfield import denominator_support, make_field, rationals
 from sfuncs.serialize import load_series
+from sfuncs import sfunc
 from sfuncs.series import Series, delta, dint, shift_sh
 from sfuncs.sfunc import (
     _check_obj,
@@ -409,6 +410,29 @@ def test_declared_order_does_not_drive_the_cost(tmp_path):
     assert [(c.index, c.p, c.required, c.valuation) for c in rep.violations] == [
         ((p, 0), p, 2, 0) for p in primes_up_to(100000)
     ]
+
+
+def test_the_sieve_reaches_only_the_primes_the_terms_need(monkeypatch):
+    # p*k is a term only for p <= order // |k|; with no terms no prime is
+    # needed.  The recorder sieves nothing large, so a regression allocates
+    # nothing: it shows as a wrong argument.
+    asked = []
+
+    def record(n):
+        asked.append(n)
+        return primes_up_to(n) if n <= 10**4 else ()
+
+    monkeypatch.setattr(sfunc, "primes_up_to", record)
+    empty = MSeries.from_dict(Q, 2, 30_000_000, {})
+    assert check_sfunction(empty, 2).checks == () and asked == []
+    w = MSeries.from_dict(Q, 2, 30_000_000, {(3, 4): 1, (20, 0): 1})
+    check_sfunction(w, 2)
+    assert asked == [30_000_000 // 7]
+    asked.clear()
+    v = _series([0, 0, 1] + [0] * 7)
+    rep = check_sfunction(v, 1)
+    assert asked == [3]
+    assert rep.to_obj() == check_uni_by_dense_scan(v, 1).to_obj()
 
 
 # --- the congruence on integer rows against the Fraction oracle
