@@ -261,6 +261,15 @@ def _framed_log_h(f: int, k: int) -> int:
     return -c if (f + 1) * k % 2 else c
 
 
+def _span(values) -> tuple[int, int, int]:
+    """(count, min, max) of a nonempty range or tuple; a range's from its ends
+    and step, without building it (len() overflows past sys.maxsize)."""
+    if isinstance(values, range):
+        a, b = values[0], values[-1]
+        return (b - a) // values.step + 1, min(a, b), max(a, b)
+    return len(values), min(values), max(values)
+
+
 def polylog_frame_table(f_range, d_range) -> FramedPolylogTable:
     """Table of N_d^(f) for d in d_range, f in f_range.
 
@@ -270,18 +279,20 @@ def polylog_frame_table(f_range, d_range) -> FramedPolylogTable:
     An empty range (a table that checks nothing) or a d < 1 raises ValueError,
     and so does a table whose _binomials_cost is above BINOMIAL_MAX_COST,
     before any binomial: d 1..200 at f -10..10 runs, d 1..4000 at f 5 not.
+    A range is read from its ends and step, and built only once the cost
+    is accepted.
     """
-    d_values = tuple(d_range)
-    f_values = tuple(f_range)
-    if not d_values or min(d_values) < 1:
+    d_range, f_range = (r if isinstance(r, range) else tuple(r) for r in (d_range, f_range))
+    if not d_range or _span(d_range)[1] < 1:
         raise ValueError("d range must contain positive integers")
-    if not f_values:
+    if not f_range:
         raise ValueError("f range is empty")
-    dmax = max(d_values)
-    cost = _binomials_cost(len(f_values), dmax, max(map(abs, f_values)).bit_length() + 1)
+    (_, _, dmax), (f_count, f_lo, f_hi) = _span(d_range), _span(f_range)
+    cost = _binomials_cost(f_count, dmax, max(-f_lo, f_hi).bit_length() + 1)
     if cost > BINOMIAL_MAX_COST:
-        raise ValueError(f"table to d={dmax} at {len(f_values)} f values is too large: "
+        raise ValueError(f"table to d={dmax} at {f_count} f values is too large: "
                          f"estimated cost {cost} is above {BINOMIAL_MAX_COST}")
+    d_values, f_values = tuple(d_range), tuple(f_range)
     mu = [0] + [moebius(k) for k in range(1, dmax + 1)]
     divs = {d: divisors(d) for d in d_values}
     sums = {}  # d**3 * N_d^(f)

@@ -18,12 +18,13 @@ import sys
 from .errors import SfuncError
 
 
-def _parse_range(text: str) -> list[int]:
-    """'2..5' is the closed range, '1,3,7' a list, '4' a singleton."""
+def _parse_range(text: str) -> range | list[int]:
+    """'2..5' is the closed range, kept as a range and never built; '1,3,7'
+    is a list and '4' a singleton."""
     text = text.strip()
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
+        return range(int(lo), int(hi) + 1)
     return [int(p) for p in text.split(",")]
 
 
@@ -53,7 +54,7 @@ def _cmd_verify(args) -> int:
     from .sfunc import check_sfunction
 
     v = load_series(args.series)
-    extra = tuple(_parse_range(args.primes_extra)) if args.primes_extra else ()
+    extra = _parse_range(args.primes_extra) if args.primes_extra else ()
     report = check_sfunction(v, args.s, extra_primes=extra)
     _emit(dump_obj(report.to_obj()), args.out)
     return 0 if report.passed else 1

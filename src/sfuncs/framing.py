@@ -26,7 +26,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import product
-from math import comb
+from math import comb, factorial, gcd, lcm, perm
 from operator import le, mul, sub
 
 from .errors import (
@@ -148,6 +148,10 @@ def frame_f(w: Series, f: int) -> Series:
 # the cap come from timings (see the frame_multi docstring).
 MAX_WORK = 8_000_000
 
+# Over Q, frame_multi walks on integers over one fixed denominator when
+# order * log2(Dw) is below this many bits (see its docstring).
+_FIXED_BITS = 2000
+
 
 def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
     """Framing of a multivariate series by a symmetric integer matrix kappa.
@@ -164,34 +168,64 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
     (kappa S)_ij = delta_j u_i, so D costs n series products (one
     mseries._sum_of_products for B) and one elimination.  u, delta_i W and
     the entries of I - kappa S are built from the checked terms of W,
-    without MSeries.from_dict, and each series product sums integer rows.  For each k the exp runs
-    on the box {m <= k}.  The terms j of W (as |j| W_j with the vector
-    kappa j) and of D are integer rows sorted by (|j|, j), built once.  The
-    terms j <= m of W, with their keys m - j, depend on m only: they are
-    listed once per call, the first time a box reaches m (_Below), so no
-    term with some j_i > m_i is probed.  For each k the weights
+    without MSeries.from_dict, and each series product sums integer rows.
+    For each k the exp runs on the box {m <= k}.  The terms j of W (as
+    |j| W_j with the vector kappa j) and of D are integer rows sorted by
+    (|j|, j), built once.  The terms j <= m of W, with their keys m - j,
+    depend on m only: they are listed once per call, the first time a box
+    reaches m (_Below), so no term with some j_i > m_i is probed.  For each k the weights
     <k, kappa j> are one list, and a term of W enters the exp recurrence
     at m with its weight.  The output coefficient sums D_j E_m over
-    j + m = k, read from the shorter of D and the exp table.  Each
-    coefficient is a normalized numfield._sum_rows result, and the one
+    j + m = k, read from the shorter of D and the exp table, and the one
     FieldElem._normalized built per k is the output coefficient.
+
+    The exp table has two representations; only the sum per m and the
+    output sum differ between them:
+
+    * rows: E_m is a normalized numfield._sum_rows result, with one lcm of
+      the row denominators, one division per row and one gcd per entry.
+    * fixed denominator, over Q: with Dw the lcm of the denominators of the
+      |j| W_j and A_j = Dw |j| W_j, the walk keeps the integers
+      N_m = |m|! Dw**|m| E_m, and |m| E_m = sum_j <k, kappa j> |j| W_j E_(m-j)
+      reads N_m = sum_j <k, kappa j> A_j (|m|-1)!/(|m|-|j|)! Dw**(|j|-1) N_(m-j):
+      integer multipliers, with no lcm, division or gcd in the walk.  c_k is
+      one integer over lcm(denominators of D) |k|! Dw**|k|, with one gcd.
+      The falling factorials are taken with math.perm as they are read, so
+      no table of them is built.
+
+    The path is chosen before the walk from the field degree, Dw and the
+    order: the fixed one when the degree is 1, some term of W has
+    kappa j != 0 and order * log2(Dw) is below _FIXED_BITS = 2000 (always
+    when Dw = 1), else rows.  With no term in the exp there is no walk.  The fixed integers
+    carry Dw**|m|, so past the bound they outgrow the reduced rows.
+    Measured fixed/rows time ratios (medians of 7 to 60 interleaved runs):
+    frame_f(Li2, 2), where Dw = lcm(1..order), 0.82-0.96 up to order 36
+    (1,728 bits), 1.05 at 38 (2,014 bits), 1.54 at 44 (2,816) and 2.2 at 56
+    (4,368); frame_f(Li3, 2) 0.93 at order 28 (2,044 bits) and 1.14 at 32
+    (3,040); the criterion-4 W (dilogarithms of monomials) 0.73-0.86 at
+    orders 11 to 28 (165 to 1,036 bits).
 
     The work is counted in units (see MAX_WORK and _walk_cost): the walk is
     charged before it starts, and each series product while D is built
     before it is made.  Past MAX_WORK = 8,000,000 units FramingTooLarge is
     raised.  Timed on a 2-core x86-64 KVM guest with CPython 3.11.7 (the
-    median of 3 runs), a unit took 0.12-0.31 us, and the most expensive
-    inputs under the cap took 2.5 s: frame_f of Li2 at order 224 (7.9 M
-    units, 23 MB peak resident size of the whole process, 16 MB before
-    the call; order 226 is refused before any work) and W = z1 + z2 with
-    kappa = I at order 54 (7.6 M, 2.3 s).  Over Q: z1 + z2 with kappa = I
-    takes 1.1 s at order 48 (4.9 M units), and order 55 (8.2 M) is refused;
-    a dense two-variable W (every key, coefficient 1) with kappa all ones
-    0.3 s at order 19 (2.0 M) and 0.8 s at 24 (6.7 M), and order 25
-    (8.1 M) is refused; W = z1 + ... + z16 with kappa all ones 0.36 s at
+    median of 3 runs), a unit took 0.09-0.37 us on most inputs, but the
+    unit weights ignore the size of the numbers: the most expensive input
+    under the cap is frame_f of W = z/3 with f = 1 at order 1067, on the
+    rows path (Dw = 3, 2,134 bits): 32 s, 30 s above 2 s (8.0 M units);
+    W = z, on the fixed path, takes 1.2 s there (28 s on rows).  frame_f
+    of Li2 with f = 2 at order 224, on the rows path, takes 2.6 s (7.9 M
+    units, 20 MB peak resident size of the whole process, 16 MB before
+    the call; order 226 is refused before any work).  On the fixed path
+    over Q: W = z1 + z2 with kappa = I takes 0.47 s at order 48 (4.9 M
+    units; 1.6 s on rows) and 0.85 s at 54 (7.6 M; 2.3 s on rows), and
+    order 55 (8.2 M) is refused; frame_f of W_k = 1/k with f = 2 (Dw = 1)
+    1.4 s at order 200 (5.6 M; 3.7 s on rows); a dense two-variable W (every key, coefficient 1) with kappa all
+    ones 0.17 s at order 19 (2.0 M) and 0.41 s at 24 (6.7 M), and order 25
+    (8.1 M) is refused; W = z1 + ... + z16 with kappa all ones 0.25 s at
     order 3 (1.9 M), and order 4 is refused in the elimination.  Over the
     disc-49 cubic, frame_f(w, 3) of w = from_log_poly(F, [1, -g, 1], 2, N)
-    takes 1.8 s at N = 144 (6.5 M).
+    takes 2.2 s at N = 144 (6.5 M), on the rows path.
 
     >>> from sfuncs.numfield import rationals
     >>> w = MSeries.from_dict(rationals(), 2, 2, {(1, 0): 1, (0, 1): 1})
@@ -229,12 +263,21 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
     d = budget.mul(body, _unit_det(
         [[_unit_minus_delta(u[i], j, i == j) for j in live] for i in live], budget
     )) if live else body
-    drows = [(j, sum(j), c.nums, c.den, 1) for j, c in sorted(d.terms, key=_by_degree)]
-    dmap = {j: (a, ad) for j, _, a, ad, _ in drows}
-    ddeg = [sj for _, sj, _, _, _ in drows]
+    # over Q on one fixed denominator (see the docstring): N_m = |m|! Dw**|m| E_m;
+    # with no term in the exp there is no walk, and rows cost nothing
+    dw = lcm(*(ad for _, _, _, ad, _ in wrows))
+    fixed = bool(wrows) and field.degree == 1 and w.order * (dw - 1).bit_length() < _FIXED_BITS
+    drows = [(j, sum(j), (c.nums, c.den)) for j, c in sorted(d.terms, key=_by_degree)]
+    if fixed:
+        dd = lcm(*(ad for *_, (_, ad) in drows))
+        wrows = [(j, sj, a[0] * (dw // ad) * dw ** (sj - 1), 1, kj)
+                 for j, sj, a, ad, kj in wrows]
+        drows = [(j, sj, (a[0] * (dd // ad) * dw ** sj, sj)) for j, sj, (a, ad) in drows]
+    dmap = {j: dj for j, _, dj in drows}
+    ddeg = [sj for _, sj, _ in drows]
     odd = [i for i in range(n) if kappa.sigma(i) < 0]
-    unit = ((1,) + (0,) * (field.degree - 1), 1)
-    below = _Below(wrows)
+    unit = 1 if fixed else ((1,) + (0,) * (field.degree - 1), 1)
+    below = _Below(wrows, fixed)
     out = []
     for k in _simplex(n, live, w.order):
         sk = sum(k)
@@ -245,18 +288,28 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
         for m in product(*(range(ki + 1) for ki in k)) if walk else ():
             sm, terms = below[m]
             if 0 < sm < sk:
-                rows = [(a, ad, *prev, dot) for mj, a, ad, t in terms
-                        if (dot := dots[t]) and (prev := e.get(mj))]
-                if (c := _sum_rows(field, rows, sm)) and any(c[0]):
+                if fixed:
+                    c = sum([dot * a * prev for mj, a, _, t in terms
+                             if (dot := dots[t]) and (prev := e.get(mj))])
+                else:
+                    c = _sum_rows(field, [(a, ad, *prev, dot) for mj, a, ad, t in terms
+                                          if (dot := dots[t]) and (prev := e.get(mj))], sm)
+                if c and (fixed or any(c[0])):
                     e[m] = c
         # the pairs D_j E_m with j + m = k, read from the shorter of e and D
         if len(e) < bisect_right(ddeg, sk):
-            rows = [(*dj, *em, 1) for m, em in e.items()
-                    if (dj := dmap.get(tuple(map(sub, k, m))))]
+            pairs = [(dj, em) for m, em in e.items()
+                     if (dj := dmap.get(tuple(map(sub, k, m))))]
         else:
-            rows = _rows_at(e, drows, k, sk)
+            pairs = _pairs_at(e, drows, k, sk)
         sign = (-1) ** sum(k[i] for i in odd)
-        if (c := _sum_rows(field, rows, sign)) and any(c[0]):
+        if fixed:
+            num = sign * sum(a * perm(sk, sj) * em for (a, sj), em in pairs)
+            g = gcd(num, den := dd * factorial(sk) * dw ** sk)
+            c = ((num // g,), den // g)
+        else:
+            c = _sum_rows(field, [(*dj, *em, 1) for dj, em in pairs], sign)
+        if c and any(c[0]):
             out.append((k, FieldElem._normalized(field, *c)))
     # sorted: _simplex yields the keys in increasing order
     return MSeries(field, n, w.order, tuple(out))
@@ -268,11 +321,12 @@ class _Below(dict):
     m is read.  The list depends on m only, not on the output key k, so
     frame_multi's walk builds no key m - j and probes no j with some
     j_i > m_i.  wrows is sorted by |j|, and the scan stops at the first
-    |j| > |m|."""
+    |j| > |m|.  On the fixed-denominator path the integer a is listed
+    times (|m| - 1)! / (|m| - |j|)!."""
 
-    def __init__(self, wrows: list) -> None:
+    def __init__(self, wrows: list, fixed: bool) -> None:
         super().__init__()
-        self.wrows = wrows
+        self.wrows, self.fixed = wrows, fixed
 
     def __missing__(self, m: tuple) -> tuple:
         sm, terms = sum(m), []
@@ -280,6 +334,8 @@ class _Below(dict):
             if sj > sm:
                 break
             if all(map(le, j, m)):
+                if self.fixed:
+                    a *= perm(sm - 1, sj - 1)
                 terms.append((tuple(map(sub, m, j)), a, ad, t))
         self[m] = (sm, terms)
         return sm, terms
@@ -318,17 +374,17 @@ def _by_degree(term):
     return sum(term[0]), term[0]
 
 
-def _rows_at(e: dict, terms: list, m: tuple, sm: int) -> list:
-    """The _sum_rows rows (a, a_den, e[m - j], w) of the terms
-    (j, |j|, a, a_den, w), sorted by |j|, for which m - j is a key of e;
-    the walk stops at the first |j| > |m| = sm."""
-    rows = []
-    for j, sj, a, ad, w in terms:
-        if sj > sm:
+def _pairs_at(e: dict, drows: list, k: tuple, sk: int) -> list:
+    """The pairs (D entry, e[k - j]) of the rows (j, |j|, D entry) of D,
+    sorted by |j|, for which k - j is a key of e; the walk stops at the
+    first |j| > |k| = sk."""
+    pairs = []
+    for j, sj, dj in drows:
+        if sj > sk:
             break
-        if prev := e.get(tuple(map(sub, m, j))):
-            rows.append((a, ad, *prev, w))
-    return rows
+        if prev := e.get(tuple(map(sub, k, j))):
+            pairs.append((dj, prev))
+    return pairs
 
 
 def _simplex(n: int, live: list[int], order: int):

@@ -221,15 +221,17 @@ def check_sfunction(
             return Check(ix(key), p, required, got, got >= required, "congruence")
         return _congruence(field, prev, cur, ix(key), p, required)
 
-    checks.extend(judge(t) for t in pairs() if disc % t[1] != 0)
+    # one pass over the pairs: the good primes are judged, and the pairs at
+    # each extra prime kept in generation order for its report
+    at = {q: [] for q in extra_primes}
+    for t in pairs():
+        if disc % t[1] != 0:
+            checks.append(judge(t))
+        if t[1] in at:
+            at[t[1]].append(t)
     checks.sort(key=lambda c: (c.index, c.p))
     extra = tuple(
-        _extra_prime_report(
-            judge,
-            sorted((t for t in pairs() if t[1] == q), key=lambda t: t[0]),
-            q,
-            disc % q == 0,
-        )
+        _extra_prime_report(judge, sorted(at[q], key=lambda t: t[0]), q, disc % q == 0)
         for q in extra_primes
     )
     return SReport(s, order, tuple(checks), tuple(sorted(skipped)), extra)

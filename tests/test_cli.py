@@ -427,6 +427,33 @@ def test_a_table_too_large_to_run_exits_2_at_once():
     assert elapsed <= 2.0
 
 
+_PEAK_OF_CHILD = """
+import resource, subprocess, sys
+r = subprocess.run([sys.executable, "-m", "sfuncs.cli", *sys.argv[1:]], capture_output=True, text=True)
+print(r.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+sys.stderr.write(r.stdout + r.stderr)
+"""
+
+
+@pytest.mark.parametrize("verb", [["polylog-table", "--d", "1..100000000", "--f", "5"],
+                                  ["verify", "--s", "2", "--primes-extra", "1..100000000"]])
+def test_a_range_is_refused_without_being_built(li2_path, verb):
+    # a..b reaches the cost bound or the NotPrime refusal as a range; built,
+    # 10**8 ints would take gigabytes.  A wrapper process reads the peak
+    # resident size of the CLI process alone.
+    if verb[0] == "verify":
+        verb = [*verb, "--series", str(li2_path)]
+    t0 = time.monotonic()
+    r = subprocess.run([sys.executable, "-c", _PEAK_OF_CHILD, *verb],
+                       capture_output=True, text=True, timeout=60)
+    elapsed = time.monotonic() - t0
+    code, peak_kib = map(int, r.stdout.split())
+    assert code == 2, r.stderr
+    assert r.stderr.startswith("error: ") and len(r.stderr.splitlines()) == 1
+    assert elapsed <= 2.0
+    assert peak_kib < 100 * 1024
+
+
 def test_a_table_with_cells_past_the_int_str_limit_prints_them():
     # the cell at d = 2 has about 6,000 digits; str() refuses past 4,300
     r = run_cli("polylog-table", "--d", "1..2", "--f", "1" + "0" * 3000, timeout=60)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -433,3 +434,112 @@ def test_framings_over_q_never_convolve(monkeypatch):
     monkeypatch.setattr(numfield, "_convolve_into", refuse)
     monkeypatch.setattr(numfield, "_fold", refuse)
     assert [frame_f(li2, 2)] + [frame_multi(w, k) for k in kappas] == want
+
+
+# --- over Q the walk runs on integers over one fixed denominator, or on rows
+
+
+@st.composite
+def _q_framing_case(draw):
+    n = draw(st.integers(1, 3))
+    order = draw(st.integers(1, 8))
+    key = st.tuples(*[st.integers(0, order)] * n).filter(lambda k: 0 < sum(k) <= order)
+    coef = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 60))
+    w = MSeries.from_dict(Q, n, order, draw(st.dictionaries(key, coef, min_size=1, max_size=7)))
+    # the first diagonal entry is odd, so that sigma = -1 is in every case
+    upper = [draw(st.sampled_from([-3, -1, 1, 3]))] + draw(st.lists(
+        st.integers(-3, 3), min_size=n * (n + 1) // 2 - 1, max_size=n * (n + 1) // 2 - 1))
+    return w, _symmetric_kappa(upper, n)
+
+
+def _forced(bits, w, kappa):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(framing, "_FIXED_BITS", bits)
+        return frame_multi(w, kappa)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_q_framing_case())
+def test_frame_multi_fixed_denominator_and_rows_paths_agree(case):
+    w, kappa = case
+    fixed, rows = _forced(float("inf"), w, kappa), _forced(0, w, kappa)
+    assert fixed.terms == rows.terms
+    assert all(same_as_checked(c) for _, c in fixed.terms)
+
+
+def test_frame_multi_rows_path_over_q_matches_the_oracles():
+    w = _criterion_4_series(6)
+    for text in ("1,0;0,0", "-1,2;2,1"):
+        kappa = Kappa.parse(text)
+        assert _forced(0, w, kappa) == frame_multi_by_inversion(w, kappa)
+    li2 = MSeries.from_univariate(polylog(2, 9))
+    assert _forced(0, li2, Kappa(((3,),))).to_univariate() == frame_f_by_reversion(
+        polylog(2, 9), 3)
+
+
+class _Path(Exception):
+    pass
+
+
+def _path(monkeypatch, w, kappa) -> str:
+    """The path frame_multi chooses for (w, kappa), stopped before its walk:
+    only the fixed path takes falling factorials, only the rows path calls
+    _sum_rows from framing."""
+    def stop(name):
+        def raise_(*args):
+            raise _Path(name)
+        return raise_
+
+    monkeypatch.setattr(framing, "perm", stop("fixed"))
+    monkeypatch.setattr(framing, "_sum_rows", stop("rows"))
+    with pytest.raises(_Path) as exc:
+        frame_multi(w, kappa)
+    return str(exc.value)
+
+
+def test_frame_multi_chooses_the_path_from_field_degree_and_denominators(monkeypatch):
+    # the criterion-4 W at order 11, framed once and twice, and z1 + z2
+    c4, gens = _criterion_4_series(11), ("1,0;0,0", "0,0;0,1", "0,1;1,0")
+    steps = [frame_multi(c4, Kappa.parse(text)) for text in gens]
+    for w in [c4, *steps]:
+        for text in gens:
+            assert _path(monkeypatch, w, Kappa.parse(text)) == "fixed"
+    z1z2 = MSeries.from_dict(Q, 2, 54, {(1, 0): 1, (0, 1): 1})
+    assert _path(monkeypatch, z1z2, Kappa.parse("1,0;0,1")) == "fixed"
+    # Dw = lcm(1..224) has 313 bits: 224 * 313 bits is above the bound
+    li2 = MSeries.from_univariate(polylog(2, 224))
+    assert _path(monkeypatch, li2, Kappa(((2,),))) == "rows"
+    assert _path(monkeypatch, MSeries.from_univariate(polylog(2, 28)), Kappa(((2,),))) == "fixed"
+    for field in (F, CUBIC, make_field([1] * 5)):
+        w = MSeries.from_dict(field, 2, 6, {(1, 0): 1, (0, 1): field.gen()})
+        assert _path(monkeypatch, w, Kappa.parse("1,0;0,1")) == "rows"
+        assert _path(monkeypatch, MSeries.from_univariate(_generic_series(field, 5)),
+                     Kappa(((2,),))) == "rows"
+
+
+def test_frame_multi_without_terms_in_the_exp_takes_no_factorial(monkeypatch):
+    # no term of W has kappa j != 0: no walk, and the rows path at any order
+    def refuse(*args):
+        raise _Path("fixed")
+
+    monkeypatch.setattr(framing, "perm", refuse)
+    monkeypatch.setattr(framing, "factorial", refuse)
+    z = Series.var(Q, 100_000)
+    t0 = time.monotonic()
+    assert frame_f(z, 0) == z
+    for kappa in (Kappa(((2,),)), Kappa.parse("1,0;0,1")):
+        assert frame_multi(MSeries.from_dict(Q, kappa.n, 10**7, {}), kappa).terms == ()
+    assert time.monotonic() - t0 < 2
+
+
+def test_frame_multi_fixed_path_builds_no_factorial_table():
+    # W = z with f = 1 walks at order 300 on the fixed path in 0.3 MB; a
+    # table of every a! / (a - b)! with b <= a <= 300 takes 6 MB more
+    tracemalloc.start()
+    try:
+        framed = frame_f(Series.var(Q, 300), 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert framed.truncate(30) == frame_f(Series.var(Q, 30), 1)

@@ -272,6 +272,29 @@ def test_extra_primes_must_be_below_the_proven_bound(q):
         check_sfunction(polylog(2, 8), 2, extra_primes=(q,))
 
 
+def test_extra_primes_in_one_pass_match_the_reports_one_prime_at_a_time():
+    # the pairs are bucketed by prime in one pass; each entry must equal the
+    # report of its prime alone, duplicates included, and at a good prime
+    # list the verdict's congruence checks at that prime
+    x = CUBIC.gen()
+    cubic = Series.from_coeffs(CUBIC, 30, [x * Fraction(k % 5 + 1, k * k) + k
+                                           for k in range(1, 31)])
+    cases = [(polylog(3, 60), 3, (2, 3, 5, 61, 3, 2, 59)),
+             (cubic, 2, (7, 2, 7, 3, 31, 2))]
+    for v, s, extra in cases:
+        rep = check_sfunction(v, s, extra_primes=extra)
+        assert [e["p"] for e in rep.extra] == list(extra)
+        for q, entry in zip(extra, rep.extra):
+            assert entry == check_sfunction(v, s, extra_primes=(q,)).extra[0]
+            # every k is a term, so each prime up to the order has pairs
+            assert bool(entry["checks"] or "error" in entry) == (q <= v.order)
+            if not entry["bad"]:
+                assert entry["checks"] == [
+                    _check_obj(c, ok=c.ok) for c in rep.checks
+                    if c.p == q and c.kind == "congruence"]
+        assert any(e["bad"] for e in rep.extra) == (v is cubic)
+
+
 # --- one checker: a Series is checked as its one-variable MSeries
 
 
