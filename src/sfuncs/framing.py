@@ -20,6 +20,11 @@ Framings compose additively in kappa.  frame_multi is the one framing engine:
   frame_elementary(w, via_reversion=True) reaches the same series by full
   reversion of zt followed by W~ = dint(-log Y~), an independent path; both
   must agree exactly.
+
+For a 2-function, the class the paper frames, the exp table is integral, and
+frame_multi walks it on integer coordinates with one exact division per entry.
+Exactness does not rest on this: where a division leaves a remainder, that
+output key alone is walked again on rational rows (see frame_multi).
 """
 from __future__ import annotations
 
@@ -36,7 +41,7 @@ from .errors import (
     NotSymmetric,
 )
 from .mseries import MSeries, _sum_of_products, delta_i, power_m
-from .numfield import FieldElem, _sum_rows
+from .numfield import FieldElem, _convolve_into, _fold, _sum_rows
 from .series import (
     Series,
     delta,
@@ -169,17 +174,14 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
     mseries._sum_of_products for B) and one elimination.  u, delta_i W and
     the entries of I - kappa S are built from the checked terms of W,
     without MSeries.from_dict, and each series product sums integer rows.
-    For each k the exp runs on the box {m <= k}.  The terms j of W (as
-    |j| W_j with the vector kappa j) and of D are integer rows sorted by
-    (|j|, j), built once.  The terms j <= m of W, with their keys m - j,
-    depend on m only: they are listed once per call, the first time a box
-    reaches m (_Below), so no term with some j_i > m_i is probed.  For each k the weights
-    <k, kappa j> are one list, and a term of W enters the exp recurrence
-    at m with its weight.  The output coefficient sums D_j E_m over
-    j + m = k, read from the shorter of D and the exp table, and the one
-    FieldElem._normalized built per k is the output coefficient.
+    For each k the exp runs on the box {m <= k} (_exp_table).  The terms j
+    of W, with kappa j, and of D are integer rows sorted by (|j|, j), built
+    once; the terms j <= m of W, with their keys m - j, are listed once per
+    call, the first time a box reaches m (_Below).  The weights <k, kappa j>
+    are one list per k.  c_k sums D_j E_m over j + m = k, read from the
+    shorter of D and the exp table: one FieldElem._normalized per k.
 
-    The exp table has two representations; only the sum per m and the
+    The exp table has three representations; only the sum per m and the
     output sum differ between them:
 
     * rows: E_m is a normalized numfield._sum_rows result, with one lcm of
@@ -190,42 +192,40 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
       reads N_m = sum_j <k, kappa j> A_j (|m|-1)!/(|m|-|j|)! Dw**(|j|-1) N_(m-j):
       integer multipliers, with no lcm, division or gcd in the walk.  c_k is
       one integer over lcm(denominators of D) |k|! Dw**|k|, with one gcd.
-      The falling factorials are taken with math.perm as they are read, so
-      no table of them is built.
+      The falling factorials are taken with math.perm as they are read.
+    * integral: with g = gcd(j), <k, kappa j> |j| W_j = <k, kappa j/g> a_j
+      with a_j = g |j| W_j.  For a 2-function g**2 W_j is integral (away
+      from bad primes), so a_j is an integer row, and the entries of
+      E = prod_i Y_i**(-(kappa k)_i), Y_i = exp(-delta_i W), are integral
+      by Dwork's lemma.  E_m is kept on integer coordinates: one integer
+      sum over Q, else one convolution and one fold, then one exact divmod
+      by |m| per coordinate, with no lcm, gcd or normalization; the output
+      sum reads the E_m as rows over 1.  A nonzero remainder means that the
+      table of this k is not integral (a bad prime, a W that is not a
+      2-function, or Z[alpha] != O_K): that k alone is walked again on rows.
 
-    The path is chosen before the walk from the field degree, Dw and the
-    order: the fixed one when the degree is 1, some term of W has
-    kappa j != 0 and order * log2(Dw) is below _FIXED_BITS = 2000 (always
-    when Dw = 1), else rows.  With no term in the exp there is no walk.  The fixed integers
-    carry Dw**|m|, so past the bound they outgrow the reduced rows.
-    Measured fixed/rows time ratios (medians of 7 to 60 interleaved runs):
-    frame_f(Li2, 2), where Dw = lcm(1..order), 0.82-0.96 up to order 36
-    (1,728 bits), 1.05 at 38 (2,014 bits), 1.54 at 44 (2,816) and 2.2 at 56
-    (4,368); frame_f(Li3, 2) 0.93 at order 28 (2,044 bits) and 1.14 at 32
-    (3,040); the criterion-4 W (dilogarithms of monomials) 0.73-0.86 at
-    orders 11 to 28 (165 to 1,036 bits).
+    The path is chosen once per call from the field degree, the denominators
+    of the |j| W_j, Dw and the order; with no term in the exp, no walk.  The
+    fixed path runs when the degree is 1 and order * log2(Dw) is below
+    _FIXED_BITS = 2000 (always when Dw = 1); else the integral walk when
+    each |j| W_j has a denominator dividing gcd(j); else rows.  The fixed
+    integers carry Dw**|m|, so past the bound they outgrow the reduced
+    rows.  Measured fixed/rows time ratios: Li2 with f = 2, where
+    Dw = lcm(1..order), 0.82-0.96 up to order 36 (1,728 bits), 1.05 at 38
+    (2,014) and 2.2 at 56 (4,368); the criterion-4 W (dilogarithms of
+    monomials) 0.73-0.86 at orders 11 to 28 (165 to 1,036 bits).
 
     The work is counted in units (see MAX_WORK and _walk_cost): the walk is
     charged before it starts, and each series product while D is built
     before it is made.  Past MAX_WORK = 8,000,000 units FramingTooLarge is
-    raised.  Timed on a 2-core x86-64 KVM guest with CPython 3.11.7 (the
-    median of 3 runs), a unit took 0.09-0.37 us on most inputs, but the
-    unit weights ignore the size of the numbers: the most expensive input
-    under the cap is frame_f of W = z/3 with f = 1 at order 1067, on the
-    rows path (Dw = 3, 2,134 bits): 32 s, 30 s above 2 s (8.0 M units);
-    W = z, on the fixed path, takes 1.2 s there (28 s on rows).  frame_f
-    of Li2 with f = 2 at order 224, on the rows path, takes 2.6 s (7.9 M
-    units, 20 MB peak resident size of the whole process, 16 MB before
-    the call; order 226 is refused before any work).  On the fixed path
-    over Q: W = z1 + z2 with kappa = I takes 0.47 s at order 48 (4.9 M
-    units; 1.6 s on rows) and 0.85 s at 54 (7.6 M; 2.3 s on rows), and
-    order 55 (8.2 M) is refused; frame_f of W_k = 1/k with f = 2 (Dw = 1)
-    1.4 s at order 200 (5.6 M; 3.7 s on rows); a dense two-variable W (every key, coefficient 1) with kappa all
-    ones 0.17 s at order 19 (2.0 M) and 0.41 s at 24 (6.7 M), and order 25
-    (8.1 M) is refused; W = z1 + ... + z16 with kappa all ones 0.25 s at
-    order 3 (1.9 M), and order 4 is refused in the elimination.  Over the
-    disc-49 cubic, frame_f(w, 3) of w = from_log_poly(F, [1, -g, 1], 2, N)
-    takes 2.2 s at N = 144 (6.5 M), on the rows path.
+    raised.  The unit weights ignore the size of the numbers and the path:
+    on a 2-core x86-64 KVM guest with CPython 3.11.7 (medians of 3 runs),
+    the dearest input under the cap is frame_f of W = z/3 with f = 1 at
+    order 1067, on the rows path: 34 s (8.0 M units).  frame_f of Li2 with
+    f = 2 at order 224 (7.9 M units; order 226 is refused before any work)
+    takes 1.1 s on the integral walk (2.9 s on rows), at a 20 MB peak
+    resident size of the whole process, 16 MB before the call.  The README
+    lists the other scaling inputs per path.
 
     >>> from sfuncs.numfield import rationals
     >>> w = MSeries.from_dict(rationals(), 2, 2, {(1, 0): 1, (0, 1): 1})
@@ -263,39 +263,33 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
     d = budget.mul(body, _unit_det(
         [[_unit_minus_delta(u[i], j, i == j) for j in live] for i in live], budget
     )) if live else body
-    # over Q on one fixed denominator (see the docstring): N_m = |m|! Dw**|m| E_m;
-    # with no term in the exp there is no walk, and rows cost nothing
+    # the path (see the docstring); with no term in the exp there is no walk
     dw = lcm(*(ad for _, _, _, ad, _ in wrows))
     fixed = bool(wrows) and field.degree == 1 and w.order * (dw - 1).bit_length() < _FIXED_BITS
+    integral = not fixed and bool(wrows) and all(gcd(*j) % ad == 0 for j, _, _, ad, _ in wrows)
+    path = "fixed" if fixed else "integral" if integral else "rows"
     drows = [(j, sum(j), (c.nums, c.den)) for j, c in sorted(d.terms, key=_by_degree)]
+    rows = wrows  # the rows of each k that falls back from the integral walk
     if fixed:
         dd = lcm(*(ad for *_, (_, ad) in drows))
         wrows = [(j, sj, a[0] * (dw // ad) * dw ** (sj - 1), 1, kj)
                  for j, sj, a, ad, kj in wrows]
         drows = [(j, sj, (a[0] * (dd // ad) * dw ** sj, sj)) for j, sj, (a, ad) in drows]
+    elif integral:  # <k, kappa j> |j| W_j = <k, kappa j / g> (g |j| W_j)
+        wrows = [(j, sj, a[0] * s if field.degree == 1 else tuple(x * s for x in a), 1,
+                  [x // g for x in kj])
+                 for j, sj, a, ad, kj in wrows for g in [gcd(*j)] for s in [g // ad]]
     dmap = {j: dj for j, _, dj in drows}
     ddeg = [sj for _, sj, _ in drows]
     odd = [i for i in range(n) if kappa.sigma(i) < 0]
-    unit = 1 if fixed else ((1,) + (0,) * (field.degree - 1), 1)
-    below = _Below(wrows, fixed)
+    below, rows_below = _Below(wrows, fixed), _Below(rows, False)
     out = []
     for k in _simplex(n, live, w.order):
-        sk = sum(k)
-        dots = [sum(map(mul, k, kj)) for *_, kj in wrows]
-        # |m| E_m = sum_j |j| <kappa k, j> W_j E_(m-j) on the box below k
-        e = {(0,) * n: unit}
-        walk = any(dots[t] for *_, t in below[k][1])
-        for m in product(*(range(ki + 1) for ki in k)) if walk else ():
-            sm, terms = below[m]
-            if 0 < sm < sk:
-                if fixed:
-                    c = sum([dot * a * prev for mj, a, _, t in terms
-                             if (dot := dots[t]) and (prev := e.get(mj))])
-                else:
-                    c = _sum_rows(field, [(a, ad, *prev, dot) for mj, a, ad, t in terms
-                                          if (dot := dots[t]) and (prev := e.get(mj))], sm)
-                if c and (fixed or any(c[0])):
-                    e[m] = c
+        sk, how = sum(k), path
+        e = _exp_table(field, k, sk, [sum(map(mul, k, kj)) for *_, kj in wrows], below, how)
+        if e is None:  # a remainder: this k's table is not integral, so walk it on rows
+            how, dots = "rows", [sum(map(mul, k, kj)) for *_, kj in rows]
+            e = _exp_table(field, k, sk, dots, rows_below, how)
         # the pairs D_j E_m with j + m = k, read from the shorter of e and D
         if len(e) < bisect_right(ddeg, sk):
             pairs = [(dj, em) for m, em in e.items()
@@ -303,16 +297,61 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
         else:
             pairs = _pairs_at(e, drows, k, sk)
         sign = (-1) ** sum(k[i] for i in odd)
-        if fixed:
+        if how == "fixed":
             num = sign * sum(a * perm(sk, sj) * em for (a, sj), em in pairs)
             g = gcd(num, den := dd * factorial(sk) * dw ** sk)
             c = ((num // g,), den // g)
+        elif how == "integral":  # integer entries are rows over 1
+            c = _sum_rows(field, [(*dj, em if field.degree > 1 else (em,), 1, 1)
+                                  for dj, em in pairs], sign)
         else:
             c = _sum_rows(field, [(*dj, *em, 1) for dj, em in pairs], sign)
         if c and any(c[0]):
             out.append((k, FieldElem._normalized(field, *c)))
     # sorted: _simplex yields the keys in increasing order
     return MSeries(field, n, w.order, tuple(out))
+
+
+def _exp_table(field, k: tuple, sk: int, dots: list, below: "_Below", path: str):
+    """frame_multi's exp table of the key k, m -> E_m on the box {m <= k}, with
+    the weights dots of the terms in below, as rows or, on the fixed and
+    integral paths, integer coordinates (an int over Q).  These two share
+    the integer sum per m; the integral walk divides it by |m|, and returns
+    None at the first remainder."""
+    d, rows, integral = field.degree, path == "rows", path == "integral"
+    one = (1,) + (0,) * (d - 1)
+    e = {(0,) * len(k): (one, 1) if rows else one if d > 1 else 1}
+    if not any(dots[t] for *_, t in below[k][1]):
+        return e
+    for m in product(*(range(ki + 1) for ki in k)):
+        sm, terms = below[m]
+        if not 0 < sm < sk:
+            continue
+        if rows:
+            c = _sum_rows(field, [(a, ad, *prev, dot) for mj, a, ad, t in terms
+                                  if (dot := dots[t]) and (prev := e.get(mj))], sm)
+            if c and any(c[0]):
+                e[m] = c
+        elif d == 1:
+            c = sum([dot * a * prev for mj, a, _, t in terms
+                     if (dot := dots[t]) and (prev := e.get(mj))])
+            if integral:
+                c, r = divmod(c, sm)
+                if r:
+                    return None
+            if c:
+                e[m] = c
+        else:  # integral: one convolution, one fold, one exact division by |m|
+            conv = [0] * (2 * d - 1)
+            for mj, a, _, t in terms:
+                if (dot := dots[t]) and (prev := e.get(mj)):
+                    _convolve_into(conv, a, prev, dot)
+            c, r = zip(*[divmod(x, sm) for x in _fold(conv, field._reduction)])
+            if any(r):
+                return None
+            if any(c):
+                e[m] = c
+    return e
 
 
 class _Below(dict):

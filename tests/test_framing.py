@@ -9,7 +9,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sfuncs.catalog import from_log_poly, polylog
+from sfuncs.catalog import CyclotomicSpec, abelian_generator, from_log_poly, polylog
 from sfuncs.errors import (
     ConstantTermNonzero,
     DimensionMismatch,
@@ -21,7 +21,7 @@ from sfuncs.framing import MAX_WORK, Kappa, frame_elementary, frame_f, frame_mul
 from sfuncs.mseries import MSeries
 from sfuncs.numfield import make_field, rationals
 from sfuncs.series import Series, compose, delta, dint, exp_series, revert, shift_up
-from sfuncs.sfunc import check_sfunction
+from sfuncs.sfunc import check_sfunction, generate_crt
 
 from oracles import frame_f_by_reversion, frame_multi_by_inversion, same_as_checked
 
@@ -390,7 +390,8 @@ def test_one_sum_of_products_costs_its_products_separately():
 
 def test_frame_multi_keeps_the_scaling_inputs_under_the_cap():
     # the walks of frame_f(w, 3) over the cubic at order 144 and of
-    # W = z1 + z2 with kappa = I at order 48 (2.5 s and 2.9 s when timed)
+    # W = z1 + z2 with kappa = I at order 48 (1.8 s on the integral walk and
+    # 0.60 s on the fixed path, medians of 3 on a 2-core x86-64 KVM guest)
     assert framing._walk_cost(CUBIC, 144, 1, list(range(1, 145))) < 0.9 * MAX_WORK
     assert framing._walk_cost(Q, 48, 2, [1, 1]) < 0.9 * MAX_WORK
 
@@ -543,3 +544,154 @@ def test_frame_multi_fixed_path_builds_no_factorial_table():
         tracemalloc.stop()
     assert peak < 2 * 2**20
     assert framed.truncate(30) == frame_f(Series.var(Q, 30), 1)
+
+
+# --- the integral walk: E_m on integer coordinates, one exact division per entry
+
+
+def _exp_tables(mp, refuse_integral=False) -> list:
+    """Record the (k, path) of every exp table frame_multi walks.  With
+    refuse_integral every integral walk reports a remainder, so each k is
+    walked again on rows: the rows path is forced."""
+    calls, real = [], framing._exp_table
+
+    def record(field, k, sk, dots, below, path):
+        calls.append((k, path))
+        if refuse_integral and path == "integral":
+            return None
+        return real(field, k, sk, dots, below, path)
+
+    mp.setattr(framing, "_exp_table", record)
+    return calls
+
+
+def _at_monomial(v: Series, e: tuple, order: int) -> MSeries:
+    # v(z**e) in len(e) variables
+    return MSeries.from_dict(v.field, len(e), order, {
+        tuple(ei * k for ei in e): v.coeff(k) for k in range(1, order // sum(e) + 1)})
+
+
+@st.composite
+def _two_function_case(draw):
+    field = draw(st.sampled_from([Q, F, CUBIC]))
+    n, order = draw(st.integers(1, 3)), draw(st.integers(2, 5))
+    small = st.integers(-2, 2)
+    w = MSeries.zero(field, n, order)
+    for _ in range(draw(st.integers(1, 3))):
+        e = draw(st.tuples(*[st.integers(0, 2)] * n).filter(lambda e: 0 < sum(e) <= order))
+        top, x = order // sum(e), field.gen() * draw(small) + draw(small)
+        v = draw(st.sampled_from([
+            lambda: polylog(2, top, field) * draw(small.filter(bool)),
+            lambda: from_log_poly(field, [1, x, draw(small)], 2, top),
+            lambda: generate_crt(field, x, 2, top),
+        ]))()
+        w = w + _at_monomial(v, e, order)
+    # the first diagonal entry is odd, so that sigma = -1 is in every case
+    upper = [draw(st.sampled_from([-3, -1, 1, 3]))] + draw(st.lists(
+        small, min_size=n * (n + 1) // 2 - 1, max_size=n * (n + 1) // 2 - 1))
+    return w, _symmetric_kappa(upper, n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_two_function_case())
+def test_integral_walk_equals_the_rows_path_and_the_oracles(case):
+    w, kappa = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(framing, "_FIXED_BITS", 0)  # over Q too
+        calls = _exp_tables(mp)
+        integral = frame_multi(w, kappa)
+        walked = {path for _, path in calls}
+        _exp_tables(mp, refuse_integral=True)
+        rows = frame_multi(w, kappa)
+    # each g |j| W_j is an integer row, so every walk starts integral
+    in_exp = any(any(sum(map(int.__mul__, row, j)) for row in kappa.entries) for j, _ in w.terms)
+    assert ("integral" in walked) == in_exp and "fixed" not in walked
+    assert integral.terms == rows.terms
+    assert all(same_as_checked(c) for _, c in integral.terms)
+    if w.nvars == 1:
+        v = w.to_univariate()
+        assert integral.to_univariate() == frame_f_by_reversion(v, kappa.entries[0][0])
+    else:
+        assert integral == frame_multi_by_inversion(w, kappa)
+
+
+def _raised(order, j):
+    # Li2 with c_j raised by 1/j**2: g |j| W_j = 2 at j, still an integer row
+    return Series.from_coeffs(Q, order, [
+        Fraction(1 + (k == j), k * k) for k in range(1, order + 1)])
+
+
+def test_integral_walk_redoes_only_the_key_whose_table_is_not_integral(monkeypatch):
+    # E_29 of k = 30 holds 2 * 30 / 29 from the raised term: k = 30 alone
+    # falls back, after its integral walk met the remainder
+    w = _raised(30, 29)
+    monkeypatch.setattr(framing, "_FIXED_BITS", 0)
+    calls = _exp_tables(monkeypatch)
+    assert frame_f(w, 2) == frame_f_by_reversion(w, 2)
+    assert [k for k, path in calls if path == "rows"] == [(30,)]
+    assert [k for k, path in calls if path == "integral"] == [(k,) for k in range(1, 31)]
+
+
+def test_integral_walk_falls_back_per_key_on_a_series_that_is_no_two_function(monkeypatch):
+    # z1 + z2 over the cubic with kappa = I: E_m = k**m / m!, integral for
+    # some k only
+    w = MSeries.from_dict(CUBIC, 2, 6, {(1, 0): 1, (0, 1): 1})
+    kappa = Kappa.parse("1,0;0,1")
+    calls = _exp_tables(monkeypatch)
+    assert frame_multi(w, kappa) == frame_multi_by_inversion(w, kappa)
+    assert len([k for k, path in calls if path == "rows"]) == 19
+    assert len([k for k, path in calls if path == "integral"]) == comb(8, 2) - 1
+
+
+def test_a_denominator_not_dividing_gcd_j_sends_the_call_to_rows(monkeypatch):
+    # |j| W_j at j = (2, 2) is 4 c: with c = 1/8 its denominator 2 divides
+    # g = 2, with c = 1/16 the denominator 4 does not
+    kappa = Kappa.parse("1,1;1,2")
+    for c, path in ((Fraction(1, 8), "integral"), (Fraction(1, 16), "rows")):
+        w = MSeries.from_dict(CUBIC, 2, 5, {(1, 0): CUBIC.gen(), (0, 2): 1, (2, 2): c})
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _exp_tables(mp)
+            assert frame_multi(w, kappa) == frame_multi_by_inversion(w, kappa)
+        assert calls[0][1] == path
+        if path == "rows":
+            assert {p for _, p in calls} == {"rows"}
+    # over Q above the bound: Li2 + z/2 has |j| W_j = 3/2 at j = 1
+    w = polylog(2, 12) + Series.var(Q, 12) * Fraction(1, 2)
+    monkeypatch.setattr(framing, "_FIXED_BITS", 0)
+    calls = _exp_tables(monkeypatch)
+    assert frame_f(w, -1) == frame_f_by_reversion(w, -1)
+    assert {p for _, p in calls} == {"rows"}
+
+
+def test_frame_uni_series_walk_integral_without_fallback(monkeypatch):
+    # the criterion-3 series over the cubic and Q(zeta_5) at order 28; Li2
+    # over Q stays on the fixed path below the bound
+    g = CUBIC.gen()
+    series = {
+        "integral": [from_log_poly(CUBIC, [1, -g, 1], 2, 28),
+                     abelian_generator(CyclotomicSpec(5, {1: 1, 4: 1}, 2), 28)],
+        "fixed": [polylog(2, 28)],
+    }
+    for path, ws in series.items():
+        for w in ws:
+            for f in (-2, 3):
+                with pytest.MonkeyPatch.context() as mp:
+                    calls = _exp_tables(mp)
+                    frame_f(w, f)
+                assert [p for _, p in calls] == [path] * 28, (path, f)
+
+
+def test_integral_walk_over_q_sums_integers_only(monkeypatch):
+    # Li2 with f = 2 at order 40, off the fixed path: no convolution or fold
+    li2 = polylog(2, 40)
+    want = frame_f(li2, 2)
+
+    def refuse(*args):
+        raise AssertionError("the integral walk over Q went through the convolution")
+
+    monkeypatch.setattr(framing, "_FIXED_BITS", 0)
+    monkeypatch.setattr(framing, "_convolve_into", refuse)
+    monkeypatch.setattr(framing, "_fold", refuse)
+    calls = _exp_tables(monkeypatch)
+    assert frame_f(li2, 2) == want
+    assert {p for _, p in calls} == {"integral"}
