@@ -23,14 +23,15 @@ Framings compose additively in kappa.  frame_multi is the one framing engine:
 
 For a 2-function, the class the paper frames, the exp table is integral, and
 frame_multi walks it on integer coordinates with one exact division per entry.
-Exactness does not rest on this: where a division leaves a remainder, that
-output key alone is walked again on rational rows (see frame_multi).
+Exactness does not rest on this: where a division leaves a remainder, the walk
+of that output key goes on from there on rational rows (see frame_multi).
 """
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import product
+from functools import cached_property
+from itertools import dropwhile, product
 from math import comb, factorial, gcd, lcm, perm
 from operator import le, mul, sub
 
@@ -41,7 +42,7 @@ from .errors import (
     NotSymmetric,
 )
 from .mseries import MSeries, _sum_of_products, delta_i, power_m
-from .numfield import FieldElem, _convolve_into, _fold, _sum_rows
+from .numfield import FieldElem, _convolve_into, _fold, _normalize, _sum_rows
 from .series import (
     Series,
     delta,
@@ -157,6 +158,12 @@ MAX_WORK = 8_000_000
 # order * log2(Dw) is below this many bits (see its docstring).
 _FIXED_BITS = 2000
 
+# Over a field of degree >= 2 the integral walk multiplies a packed entry by
+# one integer dot * _pack(a) at slot widths up to this many bits, else by the
+# coordinates dot * a_i, shifted by i slots (a measured crossover; see
+# frame_multi).
+_PADDED_BITS = 256
+
 
 def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
     """Framing of a multivariate series by a symmetric integer matrix kappa.
@@ -197,23 +204,38 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
       with a_j = g |j| W_j.  For a 2-function g**2 W_j is integral (away
       from bad primes), so a_j is an integer row, and the entries of
       E = prod_i Y_i**(-(kappa k)_i), Y_i = exp(-delta_i W), are integral
-      by Dwork's lemma.  E_m is kept on integer coordinates: one integer
-      sum over Q, else one convolution and one fold, then one exact divmod
-      by |m| per coordinate, with no lcm, gcd or normalization; the output
-      sum reads the E_m as rows over 1.  A nonzero remainder means that the
-      table of this k is not integral (a bad prime, a W that is not a
-      2-function, or Z[alpha] != O_K): that k alone is walked again on rows.
+      by Dwork's lemma.  E_m is kept on integer coordinates, with one exact
+      divmod by |m| per coordinate and no lcm, gcd or normalization.  Over
+      Q the sum per m is one integer sum.  Over a field of degree d >= 2
+      the walk reads each E_m packed as the integer sum_i c_i 2**(i b) in
+      signed slots of b bits (Kronecker substitution), so the sum per m is
+      one integer, whose 2d - 1 slots are read once and folded.  b keeps
+      the bound of _head, so no slot overflows: an entry that would break
+      it doubles b, and the table is repacked.  Up to b = _PADDED_BITS a
+      term is one product dot * _pack(a) * E, above it d products
+      dot * a_i * E shifted by i slots.  The output sum convolves the
+      coordinates of the E_m with the rows of D over their lcm.  A nonzero
+      remainder means that the table of this k is not integral (a bad
+      prime, a W that is not a 2-function, or Z[alpha] != O_K): the walk
+      of that k goes on from there on rows, from the entries before it.
 
     The path is chosen once per call from the field degree, the denominators
     of the |j| W_j, Dw and the order; with no term in the exp, no walk.  The
-    fixed path runs when the degree is 1 and order * log2(Dw) is below
-    _FIXED_BITS = 2000 (always when Dw = 1); else the integral walk when
-    each |j| W_j has a denominator dividing gcd(j); else rows.  The fixed
-    integers carry Dw**|m|, so past the bound they outgrow the reduced
-    rows.  Measured fixed/rows time ratios: Li2 with f = 2, where
-    Dw = lcm(1..order), 0.82-0.96 up to order 36 (1,728 bits), 1.05 at 38
-    (2,014) and 2.2 at 56 (4,368); the criterion-4 W (dilogarithms of
-    monomials) 0.73-0.86 at orders 11 to 28 (165 to 1,036 bits).
+    integral walk runs, over every field, when each |j| W_j has a
+    denominator dividing gcd(j).  Otherwise the fixed path runs when the
+    degree is 1 and order * log2(Dw) is below _FIXED_BITS = 2000 (always
+    when Dw = 1), and the rows path else.  Over Q below the bound the
+    first remainder sends its key and the rest of the call to the fixed
+    path, which needs no integral table (W = z1 + z2, W_k = 1/k).  The
+    fixed integers carry Dw**|m|, so past the bound they outgrow the
+    reduced rows.  Measured on a 2-core x86-64 KVM guest with CPython
+    3.11.7, in-process medians of alternating runs: frame_f of Li2 at
+    order 28 with the five f in (-2, -1, 1, 2, 3) took 0.76 of its
+    fixed-path time on the integral walk, and the nine criterion-4
+    framings at order 11 took 0.91.  _PADDED_BITS = 256 is the measured
+    crossover of the product forms: the disc-49 cubic series framed with
+    f = 3 took 1.04, 1 and 1.00 times as long at order 56 with the
+    crossover at 128, 256 and 512 bits, and 1.02, 1 and 1.28 at order 96.
 
     The work is counted in units (see MAX_WORK and _walk_cost): the walk is
     charged before it starts, and each series product while D is built
@@ -221,11 +243,11 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
     raised.  The unit weights ignore the size of the numbers and the path:
     on a 2-core x86-64 KVM guest with CPython 3.11.7 (medians of 3 runs),
     the dearest input under the cap is frame_f of W = z/3 with f = 1 at
-    order 1067, on the rows path: 34 s (8.0 M units).  frame_f of Li2 with
+    order 1067, on the rows path: 28 s (8.0 M units).  frame_f of Li2 with
     f = 2 at order 224 (7.9 M units; order 226 is refused before any work)
-    takes 1.1 s on the integral walk (2.9 s on rows), at a 20 MB peak
-    resident size of the whole process, 16 MB before the call.  The README
-    lists the other scaling inputs per path.
+    takes 0.7 s on the integral walk, at a 21 MB peak resident size of the
+    whole process, 17 MB before the call.  The README lists the other
+    scaling inputs per path.
 
     >>> from sfuncs.numfield import rationals
     >>> w = MSeries.from_dict(rationals(), 2, 2, {(1, 0): 1, (0, 1): 1})
@@ -263,33 +285,40 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
     d = budget.mul(body, _unit_det(
         [[_unit_minus_delta(u[i], j, i == j) for j in live] for i in live], budget
     )) if live else body
-    # the path (see the docstring); with no term in the exp there is no walk
+    # the paths (see the docstring); with no term in the exp there is no walk
     dw = lcm(*(ad for _, _, _, ad, _ in wrows))
+    integral = bool(wrows) and all(gcd(*j) % ad == 0 for j, _, _, ad, _ in wrows)
     fixed = bool(wrows) and field.degree == 1 and w.order * (dw - 1).bit_length() < _FIXED_BITS
-    integral = not fixed and bool(wrows) and all(gcd(*j) % ad == 0 for j, _, _, ad, _ in wrows)
-    path = "fixed" if fixed else "integral" if integral else "rows"
-    drows = [(j, sum(j), (c.nums, c.den)) for j, c in sorted(d.terms, key=_by_degree)]
-    rows = wrows  # the rows of each k that falls back from the integral walk
+    path = "integral" if integral else "fixed" if fixed else "rows"
+    dterms, deg = sorted(d.terms, key=_by_degree), field.degree
+    djs, dd = [j for j, _ in dterms], lcm(*(c.den for _, c in dterms))
+    ddeg = [sum(j) for j in djs]
+    # per path, the terms of W listed by _Below and the D entries
+    walks = {"rows": (_Below(wrows, False), [(c.nums, c.den) for _, c in dterms])}
     if fixed:
-        dd = lcm(*(ad for *_, (_, ad) in drows))
-        wrows = [(j, sj, a[0] * (dw // ad) * dw ** (sj - 1), 1, kj)
-                 for j, sj, a, ad, kj in wrows]
-        drows = [(j, sj, (a[0] * (dd // ad) * dw ** sj, sj)) for j, sj, (a, ad) in drows]
-    elif integral:  # <k, kappa j> |j| W_j = <k, kappa j / g> (g |j| W_j)
-        wrows = [(j, sj, a[0] * s if field.degree == 1 else tuple(x * s for x in a), 1,
-                  [x // g for x in kj])
-                 for j, sj, a, ad, kj in wrows for g in [gcd(*j)] for s in [g // ad]]
-    dmap = {j: dj for j, _, dj in drows}
-    ddeg = [sj for _, sj, _ in drows]
+        walks["fixed"] = (
+            _Below([(j, sj, a[0] * (dw // ad) * dw ** (sj - 1), 1, kj) for j, sj, a, ad, kj in wrows], True),
+            [(c.nums[0] * (dd // c.den) * dw ** sj, sj) for (_, c), sj in zip(dterms, ddeg)])
+    if integral:  # <k, kappa j> |j| W_j = <k, kappa j / g> (g |j| W_j), and D over dd;
+        # a key that falls back resumes on these rows from below.resume
+        walks["integral"] = walks["rows"] = (
+            _Below([(j, sj, tuple(x * (g // ad) for x in a), 1, [x // g for x in kj])
+                    for j, sj, a, ad, kj in wrows for g in [gcd(*j)]], False),
+            [(tuple(x * (dd // c.den) for x in c.nums), dd) for _, c in dterms])
+    walks = {p: (below, dict(zip(djs, dv)), list(zip(djs, ddeg, dv)))
+             for p, (below, dv) in walks.items()}
     odd = [i for i in range(n) if kappa.sigma(i) < 0]
-    below, rows_below = _Below(wrows, fixed), _Below(rows, False)
     out = []
     for k in _simplex(n, live, w.order):
-        sk, how = sum(k), path
-        e = _exp_table(field, k, sk, [sum(map(mul, k, kj)) for *_, kj in wrows], below, how)
-        if e is None:  # a remainder: this k's table is not integral, so walk it on rows
-            how, dots = "rows", [sum(map(mul, k, kj)) for *_, kj in rows]
-            e = _exp_table(field, k, sk, dots, rows_below, how)
+        sk = sum(k)
+        # after a remainder (e is None) this k is walked fixed over Q below
+        # the bound, and so is the rest of the call; else it resumes on rows
+        for how in (path, "fixed" if fixed else "rows"):
+            below, dmap, drows = walks[how]
+            dots = [sum(map(mul, k, kj)) for *_, kj in below.wrows]
+            if (e := _exp_table(field, k, sk, dots, below, how)) is not None:
+                break
+        path = "fixed" if how == "fixed" else path
         # the pairs D_j E_m with j + m = k, read from the shorter of e and D
         if len(e) < bisect_right(ddeg, sk):
             pairs = [(dj, em) for m, em in e.items()
@@ -297,15 +326,18 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
         else:
             pairs = _pairs_at(e, drows, k, sk)
         sign = (-1) ** sum(k[i] for i in odd)
-        if how == "fixed":
-            num = sign * sum(a * perm(sk, sj) * em for (a, sj), em in pairs)
-            g = gcd(num, den := dd * factorial(sk) * dw ** sk)
-            c = ((num // g,), den // g)
-        elif how == "integral":  # integer entries are rows over 1
-            c = _sum_rows(field, [(*dj, em if field.degree > 1 else (em,), 1, 1)
-                                  for dj, em in pairs], sign)
-        else:
+        if how == "rows":
             c = _sum_rows(field, [(*dj, *em, 1) for dj, em in pairs], sign)
+        elif how == "fixed":
+            c = _normalize((sum(a * perm(sk, sj) * em for (a, sj), em in pairs),),
+                           sign * dd * factorial(sk) * dw ** sk)
+        elif deg == 1:  # integral: one integer over dd
+            c = _normalize((sum(dn[0] * em for (dn, _), em in pairs),), sign * dd)
+        else:  # the entries' coordinates
+            conv = [0] * (2 * deg - 1)
+            for (dn, _), em in pairs:
+                _convolve_into(conv, dn, em)
+            c = _normalize(_fold(conv, field._reduction), sign * dd)
         if c and any(c[0]):
             out.append((k, FieldElem._normalized(field, *c)))
     # sorted: _simplex yields the keys in increasing order
@@ -316,14 +348,27 @@ def _exp_table(field, k: tuple, sk: int, dots: list, below: "_Below", path: str)
     """frame_multi's exp table of the key k, m -> E_m on the box {m <= k}, with
     the weights dots of the terms in below, as rows or, on the fixed and
     integral paths, integer coordinates (an int over Q).  These two share
-    the integer sum per m; the integral walk divides it by |m|, and returns
-    None at the first remainder."""
+    the integer sum per m; the integral walk divides it by |m|, and over a
+    field of degree >= 2 reads packed entries (see frame_multi).  At the
+    first remainder it leaves the entries walked so far in below.resume, as
+    rows over 1, and returns None; the rows walk of k resumes from them."""
     d, rows, integral = field.degree, path == "rows", path == "integral"
     one = (1,) + (0,) * (d - 1)
     e = {(0,) * len(k): (one, 1) if rows else one if d > 1 else 1}
     if not any(dots[t] for *_, t in below[k][1]):
         return e
-    for m in product(*(range(ki + 1) for ki in k)):
+    boxes, p, b = product(*(range(ki + 1) for ki in k)), e, 0  # p: the entries the walk reads
+    if rows and below.resume and below.resume[0] == k:
+        (_, start, e), below.resume = below.resume, None
+        boxes, p = dropwhile(start.__gt__, boxes), e
+    elif integral and d == 1:
+        mults = [dot * a[0] for dot, (_, _, a, _, _) in zip(dots, below.wrows)]
+    elif integral:
+        head, b = _head(below.abits, dots, d), below.width
+        while b <= head:
+            b *= 2
+        p, mults = {(0,) * len(k): 1}, below.multipliers(dots, b)
+    for m in boxes:
         sm, terms = below[m]
         if not 0 < sm < sk:
             continue
@@ -332,26 +377,71 @@ def _exp_table(field, k: tuple, sk: int, dots: list, below: "_Below", path: str)
                                   if (dot := dots[t]) and (prev := e.get(mj))], sm)
             if c and any(c[0]):
                 e[m] = c
-        elif d == 1:
+            continue
+        if not integral:  # fixed: one integer sum, no division
             c = sum([dot * a * prev for mj, a, _, t in terms
                      if (dot := dots[t]) and (prev := e.get(mj))])
-            if integral:
-                c, r = divmod(c, sm)
-                if r:
-                    return None
             if c:
                 e[m] = c
-        else:  # integral: one convolution, one fold, one exact division by |m|
-            conv = [0] * (2 * d - 1)
-            for mj, a, _, t in terms:
-                if (dot := dots[t]) and (prev := e.get(mj)):
-                    _convolve_into(conv, a, prev, dot)
-            c, r = zip(*[divmod(x, sm) for x in _fold(conv, field._reduction)])
-            if any(r):
-                return None
-            if any(c):
+            continue
+        if d == 1:
+            c, r = divmod(sum([x * prev for mj, _, _, t in terms
+                               if (x := mults[t]) and (prev := p.get(mj))]), sm)
+            if r:
+                break
+            if c:
                 e[m] = c
-    return e
+            continue
+        if b <= _PADDED_BITS:
+            s = sum([x * prev for mj, _, _, t in terms if (x := mults[t]) and (prev := p.get(mj))])
+        else:
+            pairs = [(x, prev) for mj, _, _, t in terms if (x := mults[t]) and (prev := p.get(mj))]
+            s = sum(sum([x[i] * q for x, q in pairs]) << i * b for i in range(d))
+        c, r = zip(*[divmod(x, sm) for x in _fold(_unpack(s, b, 2 * d - 1), field._reduction)])
+        if any(r):
+            break
+        if not any(c):
+            continue
+        if (bits := max(map(abs, c)).bit_length()) > b - head:  # widen the slots
+            while bits > b - head:
+                b *= 2
+            p, mults = {mj: _pack(x, b) for mj, x in e.items()}, below.multipliers(dots, b)
+        e[m], p[m] = c, _pack(c, b)
+    else:
+        below.width = max(below.width, b)
+        return e
+    # a remainder at m: the integer entries before it, as rows over 1
+    below.resume = (k, m, {mj: (x if b else (x,), 1) for mj, x in e.items()})
+    return None
+
+
+def _head(abits: int, dots: list, d: int) -> int:
+    """The bits a packed slot keeps above the entries of the exp table.  Slot
+    s of the sum per m, sum_t dot_t sum_(i+l=s) a_ti E_l over the T terms
+    with dot_t != 0, has |slot| < T max|dot| d 2**abits 2**ebits when every
+    |a_ti| < 2**abits and |E_l| < 2**ebits.  With T < 2**bits(T) and
+    max|dot| d < 2**bits(max|dot| d), a slot of ebits + _head bits holds it
+    with its sign, one bit to spare."""
+    return abits + (max(map(abs, dots)) * d).bit_length() + sum(map(bool, dots)).bit_length() + 2
+
+
+def _pack(c, b: int) -> int:
+    """The coordinates c as one integer sum_i c_i 2**(i b), in signed slots of b bits."""
+    return sum(x << i * b for i, x in enumerate(c))
+
+
+def _unpack(s: int, b: int, n: int) -> list:
+    """The n signed slots c_i of s = sum_i c_i 2**(i b), |c_i| < 2**(b - 1)."""
+    out, mask, half = [], (1 << b) - 1, 1 << (b - 1)
+    for _ in range(n - 1):
+        x = s & mask
+        s >>= b
+        if x >= half:  # a negative slot borrowed one from the slot above
+            x -= mask + 1
+            s += 1
+        out.append(x)
+    out.append(s)
+    return out
 
 
 class _Below(dict):
@@ -361,11 +451,30 @@ class _Below(dict):
     frame_multi's walk builds no key m - j and probes no j with some
     j_i > m_i.  wrows is sorted by |j|, and the scan stops at the first
     |j| > |m|.  On the fixed-denominator path the integer a is listed
-    times (|m| - 1)! / (|m| - |j|)!."""
+    times (|m| - 1)! / (|m| - |j|)!.
+
+    It also keeps what the walks of one call share: the entries an integral
+    walk left at a remainder (resume), the widest slot width a packed table
+    reached (width), and the rows a packed at each width (packs)."""
 
     def __init__(self, wrows: list, fixed: bool) -> None:
         super().__init__()
-        self.wrows, self.fixed = wrows, fixed
+        self.wrows, self.fixed, self.resume, self.width, self.packs = wrows, fixed, None, 64, {}
+
+    @cached_property
+    def abits(self) -> int:
+        """The bit size of the largest coordinate of the integer rows a."""
+        return max(abs(x) for _, _, a, _, _ in self.wrows for x in a).bit_length()
+
+    def multipliers(self, dots: list, b: int) -> list:
+        """Per term, what the packed sum of the integral walk multiplies an
+        entry by: at slot width b <= _PADDED_BITS the integer dot * _pack(a, b),
+        above it the coordinates dot * a_i; 0 where dot = 0."""
+        if b > _PADDED_BITS:
+            return [dot and [dot * x for x in a] for dot, (_, _, a, _, _) in zip(dots, self.wrows)]
+        if b not in self.packs:
+            self.packs[b] = [_pack(a, b) for _, _, a, _, _ in self.wrows]
+        return [dot and dot * x for dot, x in zip(dots, self.packs[b])]
 
     def __missing__(self, m: tuple) -> tuple:
         sm, terms = sum(m), []

@@ -482,40 +482,54 @@ class _Path(Exception):
     pass
 
 
-def _path(monkeypatch, w, kappa) -> str:
-    """The path frame_multi chooses for (w, kappa), stopped before its walk:
-    only the fixed path takes falling factorials, only the rows path calls
-    _sum_rows from framing."""
-    def stop(name):
-        def raise_(*args):
-            raise _Path(name)
-        return raise_
+def _paths(w, kappa, stop=("integral", "fixed", "rows")) -> list:
+    """The paths of the exp tables frame_multi walks for (w, kappa), up to
+    the first one on a path in stop, where the call is stopped."""
+    paths, real = [], framing._exp_table
 
-    monkeypatch.setattr(framing, "perm", stop("fixed"))
-    monkeypatch.setattr(framing, "_sum_rows", stop("rows"))
-    with pytest.raises(_Path) as exc:
+    def record(field, k, sk, dots, below, path):
+        paths.append(path)
+        if path in stop:
+            raise _Path(path)
+        return real(field, k, sk, dots, below, path)
+
+    with pytest.MonkeyPatch.context() as mp, pytest.raises(_Path):
+        mp.setattr(framing, "_exp_table", record)
         frame_multi(w, kappa)
-    return str(exc.value)
+    return paths
 
 
-def test_frame_multi_chooses_the_path_from_field_degree_and_denominators(monkeypatch):
-    # the criterion-4 W at order 11, framed once and twice, and z1 + z2
+def test_frame_multi_chooses_the_path_from_field_degree_and_denominators():
+    # 2-functions walk integral over every field: the criterion-4 W at order
+    # 11, framed once and twice, and Li2 below and above the fixed bound
+    # (Dw = lcm(1..224) has 313 bits: 224 * 313 bits is above it)
     c4, gens = _criterion_4_series(11), ("1,0;0,0", "0,0;0,1", "0,1;1,0")
     steps = [frame_multi(c4, Kappa.parse(text)) for text in gens]
     for w in [c4, *steps]:
         for text in gens:
-            assert _path(monkeypatch, w, Kappa.parse(text)) == "fixed"
-    z1z2 = MSeries.from_dict(Q, 2, 54, {(1, 0): 1, (0, 1): 1})
-    assert _path(monkeypatch, z1z2, Kappa.parse("1,0;0,1")) == "fixed"
-    # Dw = lcm(1..224) has 313 bits: 224 * 313 bits is above the bound
-    li2 = MSeries.from_univariate(polylog(2, 224))
-    assert _path(monkeypatch, li2, Kappa(((2,),))) == "rows"
-    assert _path(monkeypatch, MSeries.from_univariate(polylog(2, 28)), Kappa(((2,),))) == "fixed"
+            assert _paths(w, Kappa.parse(text)) == ["integral"]
+    for order in (28, 224):
+        li2 = MSeries.from_univariate(polylog(2, order))
+        assert _paths(li2, Kappa(((2,),))) == ["integral"]
+    # z1 + z2 passes the denominator test, but E_(0,2) of k = (0,3) is 9/2:
+    # over Q below the bound that key and the rest of the call walk fixed
+    z1z2, eye = MSeries.from_dict(Q, 2, 54, {(1, 0): 1, (0, 1): 1}), Kappa.parse("1,0;0,1")
+    assert _paths(z1z2, eye, stop=("fixed", "rows")) == ["integral"] * 3 + ["fixed"]
+    # over a larger field the keys that are not integral fall back to rows
     for field in (F, CUBIC, make_field([1] * 5)):
-        w = MSeries.from_dict(field, 2, 6, {(1, 0): 1, (0, 1): field.gen()})
-        assert _path(monkeypatch, w, Kappa.parse("1,0;0,1")) == "rows"
-        assert _path(monkeypatch, MSeries.from_univariate(_generic_series(field, 5)),
-                     Kappa(((2,),))) == "rows"
+        for w, kappa in ((MSeries.from_dict(field, 2, 6, {(1, 0): 1, (0, 1): field.gen()}), eye),
+                         (MSeries.from_univariate(_generic_series(field, 5)), Kappa(((2,),)))):
+            walked = _paths(w, kappa, stop=("fixed", "rows"))
+            assert walked[-1] == "rows" and set(walked[:-1]) == {"integral"}
+
+
+def test_frame_multi_switches_to_the_fixed_path_after_the_first_remainder(monkeypatch):
+    # z1 + z2 at order 12: k = (0,1) and (0,2) are integral, every later key
+    # walks fixed, and the result equals the oracle
+    w, kappa = MSeries.from_dict(Q, 2, 12, {(1, 0): 1, (0, 1): 1}), Kappa.parse("1,0;0,1")
+    calls = _exp_tables(monkeypatch)
+    assert frame_multi(w, kappa) == frame_multi_by_inversion(w, kappa)
+    assert [p for _, p in calls] == ["integral"] * 3 + ["fixed"] * (comb(14, 2) - 3)
 
 
 def test_frame_multi_without_terms_in_the_exp_takes_no_factorial(monkeypatch):
@@ -664,13 +678,12 @@ def test_a_denominator_not_dividing_gcd_j_sends_the_call_to_rows(monkeypatch):
 
 
 def test_frame_uni_series_walk_integral_without_fallback(monkeypatch):
-    # the criterion-3 series over the cubic and Q(zeta_5) at order 28; Li2
-    # over Q stays on the fixed path below the bound
+    # the criterion-3 series over the cubic, Q(zeta_5) and Q at order 28
     g = CUBIC.gen()
     series = {
         "integral": [from_log_poly(CUBIC, [1, -g, 1], 2, 28),
-                     abelian_generator(CyclotomicSpec(5, {1: 1, 4: 1}, 2), 28)],
-        "fixed": [polylog(2, 28)],
+                     abelian_generator(CyclotomicSpec(5, {1: 1, 4: 1}, 2), 28),
+                     polylog(2, 28)],
     }
     for path, ws in series.items():
         for w in ws:
@@ -695,3 +708,149 @@ def test_integral_walk_over_q_sums_integers_only(monkeypatch):
     calls = _exp_tables(monkeypatch)
     assert frame_f(li2, 2) == want
     assert {p for _, p in calls} == {"integral"}
+
+
+def _sum_rows_scales(mp) -> list:
+    """Record the scale of every framing._sum_rows call: |m| for a step of
+    the rows walk, the sign of the output key for an output sum."""
+    scales, real = [], framing._sum_rows
+
+    def record(field, rows, scale=1):
+        scales.append(scale)
+        return real(field, rows, scale)
+
+    mp.setattr(framing, "_sum_rows", record)
+    return scales
+
+
+def test_a_key_that_falls_back_resumes_the_rows_walk_at_the_remainder(monkeypatch):
+    # c_29 raised by 1/29**2, over Q and over the cubic: the table of k = 30
+    # first fails at m = 29, and its rows walk starts there from the integer
+    # entries E_0..E_28: one rows step (|m| = 29) and one output sum, where
+    # walking the table again would take 29 steps.  _FIXED_BITS = 0 keeps
+    # the call over Q off the fixed path.
+    monkeypatch.setattr(framing, "_FIXED_BITS", 0)
+    g = CUBIC.gen()
+    for w in (_raised(30, 29), from_log_poly(CUBIC, [1, -g, 1], 2, 30) + Series.from_coeffs(
+            CUBIC, 30, [0] * 28 + [CUBIC.elem(Fraction(1, 29 * 29)), 0])):
+        with pytest.MonkeyPatch.context() as mp:
+            calls, scales = _exp_tables(mp), _sum_rows_scales(mp)
+            framed = frame_f(w, 2)
+        assert framed == frame_f_by_reversion(w, 2)
+        assert [k for k, path in calls if path == "rows"] == [(30,)]
+        assert scales == [29, 1]
+
+
+# --- the packed walk: over a field of degree >= 2, E_m in signed slots of b bits
+
+
+def _packed_sum(d, dots, a, e, b):
+    """The packed sum of dot * a * e over the terms, its 2d - 1 slots read
+    back, and the exact convolution they must equal."""
+    packed = sum(dot * framing._pack(x, b) * framing._pack(y, b) for dot, x, y in zip(dots, a, e))
+    want = [sum(dot * x[i] * y[slot - i] for dot, x, y in zip(dots, a, e)
+                for i in range(d) if 0 <= slot - i < d) for slot in range(2 * d - 1)]
+    return framing._unpack(packed, b, 2 * d - 1), want
+
+
+@pytest.mark.parametrize("d, terms, top", [(3, 3, 1), (3, 7, 5), (4, 31, 63), (5, 255, 51)])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_packed_slots_hold_the_largest_sum_the_head_allows(d, terms, top, sign):
+    # every weight, coordinate and entry at the largest size _head allows
+    # them, all of one sign: the sum fills its middle slot to within a
+    # factor of 2 of the signed slot's range, and reads back exactly
+    abits, ebits = 40, 70
+    dots = [sign * top] * terms
+    b = framing._head(abits, dots, d) + ebits
+    a = [[2**abits - 1] * d] * terms
+    e = [[2**ebits - 1] * d] * terms
+    got, want = _packed_sum(d, dots, a, e, b)
+    assert got == want
+    assert abs(want[d - 1]) >= 2 ** (b - 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5), st.integers(1, 30), st.integers(1, 80), st.integers(1, 90), st.data())
+def test_packed_sums_read_back_exactly(d, terms, abits, ebits, data):
+    dots = data.draw(st.lists(st.integers(-50, 50), min_size=terms, max_size=terms))
+    b = framing._head(abits, dots, d) + ebits
+    a, e = (data.draw(st.lists(st.lists(st.integers(1 - 2**bits, 2**bits - 1), min_size=d,
+                                        max_size=d), min_size=terms, max_size=terms))
+            for bits in (abits, ebits))
+    got, want = _packed_sum(d, dots, a, e, b)
+    assert got == want
+    assert framing._unpack(framing._pack(a[0], b), b, d) == a[0]
+
+
+Z5 = make_field([1] * 5)  # Q(zeta_5)
+
+
+@st.composite
+def _large_two_function_case(draw):
+    # 2-functions over fields of degree >= 2 times integers of up to 64
+    # bits, mostly negative, so that slots widen in mid-table (an algebraic
+    # integer times a 2-function need not be one)
+    field = draw(st.sampled_from([F, CUBIC, Z5]))
+    n, order = draw(st.integers(1, 2)), draw(st.integers(4, 7))
+    big = st.builds(lambda bits, r, sign: sign * (2**bits + r), st.integers(16, 64),
+                    st.integers(0, 999), st.sampled_from([-1, -1, -1, 1]))
+    w = MSeries.zero(field, n, order)
+    for _ in range(draw(st.integers(1, 2))):
+        e = draw(st.tuples(*[st.integers(0, 2)] * n).filter(lambda e: 0 < sum(e) <= order))
+        top, x = order // sum(e), field.gen() * draw(st.integers(-2, 2)) + draw(st.integers(-2, 2))
+        v = draw(st.sampled_from([
+            lambda: polylog(2, top, field),
+            lambda: from_log_poly(field, [1, x, draw(st.integers(-2, 2))], 2, top),
+            lambda: generate_crt(field, x, 2, top),
+        ]))()
+        w = w + _at_monomial(v, e, order) * draw(big)
+    upper = [draw(st.sampled_from([-3, -1, 1, 3]))] + draw(st.lists(
+        st.integers(-2, 2), min_size=n * (n + 1) // 2 - 1, max_size=n * (n + 1) // 2 - 1))
+    return w, _symmetric_kappa(upper, n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_large_two_function_case())
+def test_packed_walk_equals_the_rows_path_and_the_oracles(case):
+    # each product form alone (by the crossover at 0 and at any width) and
+    # the measured crossover give the rows path's result and the oracles'
+    w, kappa = case
+    in_exp = any(any(sum(map(int.__mul__, row, j)) for row in kappa.entries) for j, _ in w.terms)
+    framed = []
+    for crossover in (framing._PADDED_BITS, 0, 2**30):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(framing, "_PADDED_BITS", crossover)
+            calls = _exp_tables(mp)
+            framed.append(frame_multi(w, kappa))
+        assert ("integral" in {path for _, path in calls}) == in_exp
+    with pytest.MonkeyPatch.context() as mp:
+        _exp_tables(mp, refuse_integral=True)
+        rows = frame_multi(w, kappa)
+    assert all(f.terms == rows.terms for f in framed)
+    if w.nvars == 1:
+        assert rows.to_univariate() == frame_f_by_reversion(w.to_univariate(), kappa.entries[0][0])
+    else:
+        assert rows == frame_multi_by_inversion(w, kappa)
+
+
+def test_packed_walk_widens_its_slots_in_mid_table(monkeypatch):
+    # the disc-49 cubic series times -(2**60 - 1), f = 3 at order 8: some
+    # table widens its slots past the crossover in mid-walk, every table is
+    # integral, and the framing equals the oracle
+    w = from_log_poly(CUBIC, [1, -CUBIC.gen(), 1], 2, 8) * -(2**60 - 1)
+    widths, table, multipliers = [], framing._exp_table, framing._Below.multipliers
+
+    def walk(field, k, sk, dots, below, path):
+        widths.append([])
+        return table(field, k, sk, dots, below, path)
+
+    def record(below, dots, b):
+        widths[-1].append(b)
+        return multipliers(below, dots, b)
+
+    monkeypatch.setattr(framing._Below, "multipliers", record)
+    monkeypatch.setattr(framing, "_exp_table", walk)
+    calls = _exp_tables(monkeypatch)
+    assert frame_f(w, 3) == frame_f_by_reversion(w, 3)
+    assert {path for _, path in calls} == {"integral"}
+    assert any(b <= framing._PADDED_BITS < c for t in widths for b, c in zip(t, t[1:]))
