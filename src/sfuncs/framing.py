@@ -9,11 +9,17 @@ composed:
 
     [y**k] B(z(y)) = sigma**k [z**k] B det(I - kappa S) exp(<kappa k, delta W>).
 
+With one variable z in W, f = kappa_zz and u = f delta W, no product is needed:
+[z**k] delta G = k [z**k] G with G = B exp(k u) gives [z**k] B (1 - delta u)
+exp(k u) = (1/k) [z**k] delta B exp(k u), and delta B = delta W (1 - delta u)
+gives it once more, so c_k = sigma**k / k**2 [z**k] delta**2 W exp(k u), a
+formal identity over every field.
+
 Framings compose additively in kappa.  frame_multi is the one framing engine:
 
 * frame_f(w, f) is its 1x1 case kappa = (f).  It substitutes z_f = z (-Y)**f
   with Y = exp(-delta W) and returns W - (f/2) (delta W)**2 in the new
-  coordinate, c_k = sigma**k [z**k] B (1 - f delta**2 W) exp(k f delta W);
+  coordinate, c_k = sigma**k / k**2 [z**k] delta**2 W exp(k f delta W);
   f = 0 is the identity.
 * The elementary framing, in zt = -z * Y, is -frame_f(., 1), with output
   coefficients atil_k / k**2, atil_k = (-1)**(k-1) * [z**k] Y**(-k).
@@ -133,10 +139,11 @@ def frame_f(w: Series, f: int) -> Series:
     """Integer framing: (W - (f/2)(delta W)**2) in the coordinate z_f = z(-Y)**f.
 
     This is frame_multi with the 1x1 matrix kappa = (f): with
-    B = W - (f/2)(delta W)**2 and sigma = (-1)**f, the output coefficients are
-    c_k = sigma**k [z**k] B (1 - f delta**2 W) exp(k f delta W).  A W with
-    a term at every degree is refused with FramingTooLarge above order 225
-    over Q (frame_multi's MAX_WORK; lower over a larger field).
+    sigma = (-1)**f, the output coefficients are
+    c_k = sigma**k / k**2 [z**k] delta**2 W exp(k f delta W) (see the module
+    docstring).  A W with a term at every degree is refused with
+    FramingTooLarge above order 225 over Q (frame_multi's MAX_WORK; lower
+    over a larger field).
 
     >>> from sfuncs.catalog import polylog
     >>> w = polylog(2, 6)
@@ -149,9 +156,9 @@ def frame_f(w: Series, f: int) -> Series:
 
 
 # Most work units one frame_multi call may cost.  Per field dimension, a
-# pair (m <= k) of the walk costs 10 units, a term of W probed for it 4, and
-# a pair of terms in a series product while D is built 1; the weights and
-# the cap come from timings (see the frame_multi docstring).
+# pair (m <= k) of the walk costs 10 units, a term of W probed for it 4, and,
+# with two or more live variables, a pair of terms in a series product while
+# D is built 1; the weights and the cap come from timings (see frame_multi).
 MAX_WORK = 8_000_000
 
 # Over Q, frame_multi walks on integers over one fixed denominator when
@@ -176,17 +183,20 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
     A z_i absent from W has delta_i W = 0, so D and the exp do not involve
     it and k_i = 0: k ranges over the simplex 0 < |k| <= order in the n
     variables that appear in W only, and det(I - kappa S) is taken over
-    them.  With u = kappa delta W, B = W - 1/2 sum_i delta_i W u_i and
-    (kappa S)_ij = delta_j u_i, so D costs n series products (one
-    mseries._sum_of_products for B) and one elimination.  u, delta_i W and
-    the entries of I - kappa S are built from the checked terms of W,
-    without MSeries.from_dict, and each series product sums integer rows.
-    For each k the exp runs on the box {m <= k} (_exp_table).  The terms j
-    of W, with kappa j, and of D are integer rows sorted by (|j|, j), built
-    once; the terms j <= m of W, with their keys m - j, are listed once per
-    call, the first time a box reaches m (_Below).  The weights <k, kappa j>
-    are one list per k.  c_k sums D_j E_m over j + m = k, read from the
-    shorter of D and the exp table: one FieldElem._normalized per k.
+    them.  With one such variable z_i, D = delta_i**2 W and each c_k is
+    divided by |k|**2 (the module docstring has the proof): D is the rows
+    (j, |j|**2 W_j) of W, with no product.  Else, with u = kappa delta W,
+    B = W - 1/2 sum_i delta_i W u_i and (kappa S)_ij = delta_j u_i, so D
+    costs n series products (one mseries._sum_of_products for B) and one
+    elimination.  u, delta_i W and the entries of I - kappa S are built
+    from the checked terms of W, without MSeries.from_dict, and each series
+    product sums integer rows.  For each k the exp runs on the box
+    {m <= k} (_exp_table).  The terms j of W, with kappa j, and of D are
+    integer rows sorted by (|j|, j), built once; the terms j <= m of W,
+    with their keys m - j, are listed once per call, the first time a box
+    reaches m (_Below).  The weights <k, kappa j> are one list per k.  c_k
+    sums D_j E_m over j + m = k, read from the shorter of D and the exp
+    table: one FieldElem._normalized per k.
 
     The exp table has three representations; only the sum per m and the
     output sum differ between them:
@@ -238,16 +248,17 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
     crossover at 128, 256 and 512 bits, and 1.02, 1 and 1.28 at order 96.
 
     The work is counted in units (see MAX_WORK and _walk_cost): the walk is
-    charged before it starts, and each series product while D is built
-    before it is made.  Past MAX_WORK = 8,000,000 units FramingTooLarge is
-    raised.  The unit weights ignore the size of the numbers and the path:
-    on a 2-core x86-64 KVM guest with CPython 3.11.7 (medians of 3 runs),
-    the dearest input under the cap is frame_f of W = z/3 with f = 1 at
-    order 1067, on the rows path: 28 s (8.0 M units).  frame_f of Li2 with
-    f = 2 at order 224 (7.9 M units; order 226 is refused before any work)
-    takes 0.7 s on the integral walk, at a 21 MB peak resident size of the
-    whole process, 17 MB before the call.  The README lists the other
-    scaling inputs per path.
+    charged before it starts, and with two or more variables each series
+    product while D is built before it is made.  Past MAX_WORK = 8,000,000
+    units FramingTooLarge is raised.  The unit weights ignore the size of
+    the numbers and the path: on a 2-core x86-64 KVM guest with CPython
+    3.11.7 (medians of 3 runs), the dearest input under the cap is frame_f
+    of W = z/3 with f = 1 at order 1067, on the rows path: 28 s (8.0 M
+    units).  frame_f of Li2 with f = 2 at order 224 (7.9 M units; order 225
+    frames, 226 is refused before any work) takes 0.56 s of CPU on the
+    integral walk, at a 24 MB peak resident size of the whole process,
+    21 MB before the call.  The README lists the other scaling inputs per
+    path.
 
     >>> from sfuncs.numfield import rationals
     >>> w = MSeries.from_dict(rationals(), 2, 2, {(1, 0): 1, (0, 1): 1})
@@ -273,38 +284,43 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
                     for j, c, kj in kterms), key=_by_degree)
     budget = _Budget(field, w.order, len(live))
     budget.spend(_walk_cost(field, w.order, len(live), [t[1] for t in wrows]))
-    # u_i = sum_p kappa_ip delta_p W, so B = W - 1/2 sum_i delta_i W u_i and
-    # (kappa S)_ij = delta_j u_i; the terms below come from w, already checked
-    u = {i: MSeries(field, n, w.order,
-                    tuple((j, c * kj[i]) for j, c, kj in kterms if kj[i]))
-         for i in live}
-    pairs = [(delta_i(w, i), u[i]) for i in live if u[i].terms]
-    body = w - budget.sum_of_products(pairs, 2) if pairs else w
-    # a column of I - kappa S outside live is a unit vector, so the
-    # determinant is the one of the live rows and columns
-    d = budget.mul(body, _unit_det(
-        [[_unit_minus_delta(u[i], j, i == j) for j in live] for i in live], budget
-    )) if live else body
+    if univ := len(live) == 1:  # D = delta**2 W, each c_k divided by |k|**2
+        dterms = [(j, tuple(x * (sj * sj // g) for x in c.nums), c.den // g)
+                  for j, c in w.terms for sj in [sum(j)] for g in [gcd(sj * sj, c.den)]]
+    else:
+        # u_i = sum_p kappa_ip delta_p W, so B = W - 1/2 sum_i delta_i W u_i and
+        # (kappa S)_ij = delta_j u_i; the terms below come from w, already checked
+        u = {i: MSeries(field, n, w.order,
+                        tuple((j, c * kj[i]) for j, c, kj in kterms if kj[i]))
+             for i in live}
+        pairs = [(delta_i(w, i), u[i]) for i in live if u[i].terms]
+        body = w - budget.sum_of_products(pairs, 2) if pairs else w
+        # a column of I - kappa S outside live is a unit vector, so the
+        # determinant is the one of the live rows and columns
+        d = budget.mul(body, _unit_det(
+            [[_unit_minus_delta(u[i], j, i == j) for j in live] for i in live], budget
+        )) if live else body
+        dterms = [(j, c.nums, c.den) for j, c in d.terms]
     # the paths (see the docstring); with no term in the exp there is no walk
     dw = lcm(*(ad for _, _, _, ad, _ in wrows))
     integral = bool(wrows) and all(gcd(*j) % ad == 0 for j, _, _, ad, _ in wrows)
     fixed = bool(wrows) and field.degree == 1 and w.order * (dw - 1).bit_length() < _FIXED_BITS
     path = "integral" if integral else "fixed" if fixed else "rows"
-    dterms, deg = sorted(d.terms, key=_by_degree), field.degree
-    djs, dd = [j for j, _ in dterms], lcm(*(c.den for _, c in dterms))
+    dterms, deg = sorted(dterms, key=_by_degree), field.degree
+    djs, dd = [j for j, *_ in dterms], lcm(*(den for *_, den in dterms))
     ddeg = [sum(j) for j in djs]
     # per path, the terms of W listed by _Below and the D entries
-    walks = {"rows": (_Below(wrows, False), [(c.nums, c.den) for _, c in dterms])}
+    walks = {"rows": (_Below(wrows, False), [(nums, den) for _, nums, den in dterms])}
     if fixed:
         walks["fixed"] = (
             _Below([(j, sj, a[0] * (dw // ad) * dw ** (sj - 1), 1, kj) for j, sj, a, ad, kj in wrows], True),
-            [(c.nums[0] * (dd // c.den) * dw ** sj, sj) for (_, c), sj in zip(dterms, ddeg)])
+            [(nums[0] * (dd // den) * dw ** sj, sj) for (_, nums, den), sj in zip(dterms, ddeg)])
     if integral:  # <k, kappa j> |j| W_j = <k, kappa j / g> (g |j| W_j), and D over dd;
         # a key that falls back resumes on these rows from below.resume
         walks["integral"] = walks["rows"] = (
             _Below([(j, sj, tuple(x * (g // ad) for x in a), 1, [x // g for x in kj])
                     for j, sj, a, ad, kj in wrows for g in [gcd(*j)]], False),
-            [(tuple(x * (dd // c.den) for x in c.nums), dd) for _, c in dterms])
+            [(tuple(x * (dd // den) for x in nums), dd) for _, nums, den in dterms])
     walks = {p: (below, dict(zip(djs, dv)), list(zip(djs, ddeg, dv)))
              for p, (below, dv) in walks.items()}
     odd = [i for i in range(n) if kappa.sigma(i) < 0]
@@ -325,7 +341,7 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
                      if (dj := dmap.get(tuple(map(sub, k, m))))]
         else:
             pairs = _pairs_at(e, drows, k, sk)
-        sign = (-1) ** sum(k[i] for i in odd)
+        sign = (-1) ** sum(k[i] for i in odd) * (sk * sk if univ else 1)
         if how == "rows":
             c = _sum_rows(field, [(*dj, *em, 1) for dj, em in pairs], sign)
         elif how == "fixed":

@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from sfuncs.catalog import CyclotomicSpec, abelian_generator, from_log_poly, polylog
 from sfuncs.errors import (
@@ -323,6 +323,94 @@ def test_frame_multi_with_a_variable_absent_from_w():
     assert out.as_dict == {(k, 0): c for k, c in enumerate(framed, 1) if c}
 
 
+# --- one live variable: D = delta**2 W, and each c_k is divided by |k|**2
+
+
+def _one_variable_series(draw, field, order):
+    # a 2-function (the integral walk) or a series that is none: Li2 + z/2
+    # and ((g + 2)/3) z fail the denominator test, W_k = 1/k passes it and falls
+    # back (the fixed path over Q below _FIXED_BITS, the rows path else)
+    small = st.integers(-2, 2)
+    x = field.gen() * draw(small) + draw(small)
+    z = Series.var(field, order)
+    return draw(st.sampled_from([
+        lambda: polylog(2, order, field) * draw(small.filter(bool)),
+        lambda: from_log_poly(field, [1, x, draw(small)], 2, order),
+        lambda: generate_crt(field, x, 2, order),
+        lambda: polylog(2, order, field) + z * Fraction(1, 2),
+        lambda: polylog(1, order, field),
+        lambda: Series.from_coeffs(field, order, [(field.gen() + 2) / 3]),
+    ]))()
+
+
+@st.composite
+def _separated_case(draw):
+    field = draw(st.sampled_from([Q, F, CUBIC]))
+    order = draw(st.integers(1, 6))
+    w1, w2 = (_one_variable_series(draw, field, order) for _ in range(2))
+    f, g = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+    return w1, w2, f, g, draw(st.sampled_from([framing._FIXED_BITS, 0]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_separated_case())
+def test_one_live_variable_equals_the_determinant_form(case):
+    # W1(z1) + W2(z2) with kappa = diag(f, g) has two live variables and
+    # takes D = B det(I - kappa S); W1 alone takes D = delta**2 W.  The keys
+    # of z1 alone in the first are the framing of W1 by f
+    w1, w2, f, g, bits = case
+    assume(not w1.is_zero() and not w2.is_zero())
+    w = _at_monomial(w1, (1, 0), w1.order) + _at_monomial(w2, (0, 1), w1.order)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(framing, "_FIXED_BITS", bits)  # 0: the rows path over Q too
+        both, alone = frame_multi(w, Kappa(((f, 0), (0, g)))), frame_f(w1, f)
+    assert {k[0]: c for k, c in both.terms if not k[1]} == {
+        k: c for k, c in enumerate(alone.coeffs, 1) if c}
+    assert alone == frame_f_by_reversion(w1, f)
+
+
+def test_one_live_variable_ignores_the_kappa_entries_off_its_variable():
+    # W in z2 alone: delta_1 W = 0, so only kappa_11 enters, and the output
+    # is frame_f(W, kappa_11) in z2, with kappa_01 != 0
+    g = CUBIC.gen()
+    for v in (from_log_poly(CUBIC, [1, -g, 1], 2, 7), _generic_series(CUBIC, 7)):
+        w = _at_monomial(v, (0, 1), 7)
+        for text in ("1,-2;-2,3", "0,1;1,-1"):
+            kappa = Kappa.parse(text)
+            out = frame_multi(w, kappa)
+            assert out == frame_multi_by_inversion(w, kappa), text
+            want = frame_f(v, kappa.entries[1][1])
+            assert want == frame_f_by_reversion(v, kappa.entries[1][1])
+            assert out.as_dict == {(0, k): c for k, c in enumerate(want.coeffs, 1) if c}
+
+
+def test_frame_f_builds_no_series_product(monkeypatch):
+    # frame-uni's three series at order 28: D = delta**2 W is read off the
+    # terms of W, so no product, inverse or determinant is made
+    ws = [from_log_poly(CUBIC, [1, -CUBIC.gen(), 1], 2, 28),
+          abelian_generator(CyclotomicSpec(5, {1: 1, 4: 1}, 2), 28), polylog(2, 28)]
+    fs = (-2, -1, 1, 2, 3)
+    want = [frame_f_by_reversion(w, f) for w in ws for f in fs]
+
+    def refuse(*args):
+        raise AssertionError("a one-variable framing built a series product")
+
+    for name in ("_sum_of_products", "_unit_det", "power_m", "delta_i"):
+        monkeypatch.setattr(framing, name, refuse)
+    assert [frame_f(w, f) for w in ws for f in fs] == want
+
+
+def test_frame_f_of_li2_at_order_225_is_under_the_cap():
+    # with one variable only the walk is charged: 7,951,810 units at order
+    # 225, under the cap (order 226 is refused before any work, see
+    # test_frame_multi_refuses_a_walk_above_the_cap).  frame_f(Li2, 1) is
+    # minus the elementary framing: k**2 c_k = (-1)**k C(2k - 1, k - 1)
+    assert framing._walk_cost(Q, 225, 1, list(range(1, 226))) == 7_951_810
+    framed = frame_f(polylog(2, 225), 1)
+    assert [framed.coeff(k) * k * k for k in range(1, 226)] == [
+        (-1) ** k * comb(2 * k - 1, k - 1) for k in range(1, 226)]
+
+
 def test_frame_multi_walks_only_the_variables_of_w():
     # W = z1 in 7 variables with kappa = 0: the keys of z2..z7 are never
     # walked, so order 12 frames at once instead of walking 13**7 keys
@@ -390,8 +478,8 @@ def test_one_sum_of_products_costs_its_products_separately():
 
 def test_frame_multi_keeps_the_scaling_inputs_under_the_cap():
     # the walks of frame_f(w, 3) over the cubic at order 144 and of
-    # W = z1 + z2 with kappa = I at order 48 (1.8 s on the integral walk and
-    # 0.60 s on the fixed path, medians of 3 on a 2-core x86-64 KVM guest)
+    # W = z1 + z2 with kappa = I at order 48 (0.71 s on the integral walk and
+    # 0.45 s on the fixed path, CPU medians of 3 on a 2-core x86-64 KVM guest)
     assert framing._walk_cost(CUBIC, 144, 1, list(range(1, 145))) < 0.9 * MAX_WORK
     assert framing._walk_cost(Q, 48, 2, [1, 1]) < 0.9 * MAX_WORK
 
@@ -712,7 +800,8 @@ def test_integral_walk_over_q_sums_integers_only(monkeypatch):
 
 def _sum_rows_scales(mp) -> list:
     """Record the scale of every framing._sum_rows call: |m| for a step of
-    the rows walk, the sign of the output key for an output sum."""
+    the rows walk, the sign of the output key for an output sum, times
+    |k|**2 when W has one variable."""
     scales, real = [], framing._sum_rows
 
     def record(field, rows, scale=1):
@@ -738,7 +827,7 @@ def test_a_key_that_falls_back_resumes_the_rows_walk_at_the_remainder(monkeypatc
             framed = frame_f(w, 2)
         assert framed == frame_f_by_reversion(w, 2)
         assert [k for k, path in calls if path == "rows"] == [(30,)]
-        assert scales == [29, 1]
+        assert scales == [29, 900]
 
 
 # --- the packed walk: over a field of degree >= 2, E_m in signed slots of b bits
