@@ -99,7 +99,8 @@ class CyclotomicSpec:
         )
         norm = []
         for i, c in sorted(items):
-            i = int(i)
+            if type(i) is not int:  # a float or a bool is not truncated
+                raise TypeError(f"coefficient index {i!r} is not an int")
             c = _exact(c)
             if not 0 <= i < self.conductor:
                 raise BadConductor(

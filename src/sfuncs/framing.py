@@ -1,26 +1,31 @@
 """Framing transformations of s-function data.
 
 frame_multi frames a series in n variables by a symmetric integer matrix
-kappa: y_i = z_i / phi_i(z), phi_i = sigma_i exp(sum_p kappa_ip delta_p W),
+kappa: y_i = z_i / phi_i(z), phi_i = sigma_i exp(u_i), u = kappa delta W,
 sigma_i = (-1)**kappa_ii, and B = W - 1/2 sum_jk kappa_jk delta_j W delta_k W
-is rewritten in y.  With S_jk = delta_j delta_k W, Lagrange-Good inversion
-(Good 1960) reads the output coefficients off, with nothing inverted or
-composed:
+is rewritten in y.  With S_jk = delta_j delta_k W, EW = sum_i delta_i W, 1
+the all-ones vector and e = exp(<kappa k, delta W>), one formula gives the
+output coefficients at every n, with nothing inverted or composed:
 
-    [y**k] B(z(y)) = sigma**k [z**k] B det(I - kappa S) exp(<kappa k, delta W>).
+    c_k = sigma**k / |k|**2 [z**k] D e,  D = (S 1)^T adj(J) 1,  J = I - kappa S.
 
-With one variable z in W, f = kappa_zz and u = f delta W, no product is needed:
-[z**k] delta G = k [z**k] G with G = B exp(k u) gives [z**k] B (1 - delta u)
-exp(k u) = (1/k) [z**k] delta B exp(k u), and delta B = delta W (1 - delta u)
-gives it once more, so c_k = sigma**k / k**2 [z**k] delta**2 W exp(k u), a
-formal identity over every field.
+1. J = d log y / d log z.  As kappa is symmetric, delta_z B = J^T delta W,
+   so delta_(y,i) B = delta_i W and |k| c_k = [y**k] EW(z(y)).
+2. Lagrange-Good inversion (Good 1960): [y**k] G = sigma**k [z**k] G det(J) e.
+3. The cofactors of a Jacobian satisfy sum_j delta_j cof(J)_pj = 0 (Piola),
+   and delta_j e = e (k - J^T k)_j, so [z**k] delta_j H = k_j [z**k] H gives
+   k_p [z**k] G det(J) e = [z**k] e sum_j delta_j G cof(J)_pj.  Summed over
+   p with G = EW, delta_j EW = (S 1)_j: |k|**2 c_k = sigma**k [z**k] D e.
+4. D = -det [[J, 1], [(S 1)^T, 0]].  Subtracting row i0 from the others
+   and expanding along the last column gives D = det M: M has the rows
+   J_i - J_i0, i != i0, then (delta_j EW)_j, with the column i0 last.
 
 Framings compose additively in kappa.  frame_multi is the one framing engine:
 
-* frame_f(w, f) is its 1x1 case kappa = (f).  It substitutes z_f = z (-Y)**f
-  with Y = exp(-delta W) and returns W - (f/2) (delta W)**2 in the new
-  coordinate, c_k = sigma**k / k**2 [z**k] delta**2 W exp(k f delta W);
-  f = 0 is the identity.
+* frame_f(w, f) is its 1x1 case kappa = (f), M = (delta**2 W): it returns
+  W - (f/2) (delta W)**2 in z_f = z (-Y)**f, Y = exp(-delta W), so
+  c_k = sigma**k / k**2 [z**k] delta**2 W exp(k f delta W); f = 0 is the
+  identity.
 * The elementary framing, in zt = -z * Y, is -frame_f(., 1), with output
   coefficients atil_k / k**2, atil_k = (-1)**(k-1) * [z**k] Y**(-k).
   frame_elementary(w, via_reversion=True) reaches the same series by full
@@ -47,7 +52,7 @@ from .errors import (
     FramingTooLarge,
     NotSymmetric,
 )
-from .mseries import MSeries, _sum_of_products, delta_i, power_m
+from .mseries import MSeries, _sum_of_products, power_m
 from .numfield import FieldElem, _convolve_into, _fold, _normalize, _sum_rows
 from .series import (
     Series,
@@ -138,10 +143,9 @@ def frame_elementary(w: Series, via_reversion: bool = False) -> Series:
 def frame_f(w: Series, f: int) -> Series:
     """Integer framing: (W - (f/2)(delta W)**2) in the coordinate z_f = z(-Y)**f.
 
-    This is frame_multi with the 1x1 matrix kappa = (f): with
-    sigma = (-1)**f, the output coefficients are
-    c_k = sigma**k / k**2 [z**k] delta**2 W exp(k f delta W) (see the module
-    docstring).  A W with a term at every degree is refused with
+    This is frame_multi with the 1x1 matrix kappa = (f), sigma = (-1)**f
+    and c_k = sigma**k / k**2 [z**k] delta**2 W exp(k f delta W) (see the
+    module docstring).  A W with a term at every degree is refused with
     FramingTooLarge above order 225 over Q (frame_multi's MAX_WORK; lower
     over a larger field).
 
@@ -175,28 +179,25 @@ _PADDED_BITS = 256
 def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
     """Framing of a multivariate series by a symmetric integer matrix kappa.
 
-    With y, sigma, B and S as in the module docstring, Lagrange-Good inversion
-    gives the output coefficients, 0 < |k| <= order, as
+    With sigma, S, J, D and e as in the module docstring, the output
+    coefficients, 0 < |k| <= order, are
 
-        c_k = sigma**k [z**k] D exp(<kappa k, delta W>),  D = B det(I - kappa S).
+        c_k = sigma**k / |k|**2 [z**k] D exp(<kappa k, delta W>),  D = det M.
 
     A z_i absent from W has delta_i W = 0, so D and the exp do not involve
     it and k_i = 0: k ranges over the simplex 0 < |k| <= order in the n
-    variables that appear in W only, and det(I - kappa S) is taken over
-    them.  With one such variable z_i, D = delta_i**2 W and each c_k is
-    divided by |k|**2 (the module docstring has the proof): D is the rows
-    (j, |j|**2 W_j) of W, with no product.  Else, with u = kappa delta W,
-    B = W - 1/2 sum_i delta_i W u_i and (kappa S)_ij = delta_j u_i, so D
-    costs n series products (one mseries._sum_of_products for B) and one
-    elimination.  u, delta_i W and the entries of I - kappa S are built
-    from the checked terms of W, without MSeries.from_dict, and each series
-    product sums integer rows.  For each k the exp runs on the box
-    {m <= k} (_exp_table).  The terms j of W, with kappa j, and of D are
-    integer rows sorted by (|j|, j), built once; the terms j <= m of W,
-    with their keys m - j, are listed once per call, the first time a box
-    reaches m (_Below).  The weights <k, kappa j> are one list per k.  c_k
-    sums D_j E_m over j + m = k, read from the shorter of D and the exp
-    table: one FieldElem._normalized per k.
+    variables that appear in W only, and J and M are taken over them.  With
+    i0 the first of these, the entries of M, (J_i - J_i0)_j = [i = j] -
+    [i0 = j] - sum_m m_j ((kappa m)_i - (kappa m)_i0) W_m z**m and
+    delta_j EW = sum_m |m| m_j W_m z**m, are built from the terms of W on
+    integer coordinates.  So with one variable M = (delta**2 W) costs no
+    product, with two D = ad - bc costs two and no inverse (_unit_det).
+    For each k the exp runs on the box {m <= k} (_exp_table).  The terms j
+    of W, with kappa j, and of D are integer rows sorted by (|j|, j), built
+    once; the terms j <= m of W, with their keys m - j, are listed once per
+    call, the first time a box reaches m (_Below).  The weights
+    <k, kappa j> are one list per k.  c_k sums D_j E_m over j + m = k, read
+    from the shorter of D and the exp table: one FieldElem._normalized per k.
 
     The exp table has three representations; only the sum per m and the
     output sum differ between them:
@@ -277,30 +278,20 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
     # delta_i W = 0 for a z_i absent from W, so every key below has k_i = 0
     live = sorted({i for j, _ in w.terms for i, ji in enumerate(j) if ji})
     # <kappa k, j> = <k, kappa j>: a term j of W with kappa j = 0 is in
-    # neither u = kappa delta W nor the exp
+    # neither J nor the exp
     kterms = [(j, c, kj) for j, c in w.terms
               if any(kj := [sum(map(mul, row, j)) for row in kap])]
     wrows = sorted(((j, sum(j), (jw := c * sum(j)).nums, jw.den, kj)
                     for j, c, kj in kterms), key=_by_degree)
     budget = _Budget(field, w.order, len(live))
     budget.spend(_walk_cost(field, w.order, len(live), [t[1] for t in wrows]))
-    if univ := len(live) == 1:  # D = delta**2 W, each c_k divided by |k|**2
-        dterms = [(j, tuple(x * (sj * sj // g) for x in c.nums), c.den // g)
-                  for j, c in w.terms for sj in [sum(j)] for g in [gcd(sj * sj, c.den)]]
-    else:
-        # u_i = sum_p kappa_ip delta_p W, so B = W - 1/2 sum_i delta_i W u_i and
-        # (kappa S)_ij = delta_j u_i; the terms below come from w, already checked
-        u = {i: MSeries(field, n, w.order,
-                        tuple((j, c * kj[i]) for j, c, kj in kterms if kj[i]))
-             for i in live}
-        pairs = [(delta_i(w, i), u[i]) for i in live if u[i].terms]
-        body = w - budget.sum_of_products(pairs, 2) if pairs else w
-        # a column of I - kappa S outside live is a unit vector, so the
-        # determinant is the one of the live rows and columns
-        d = budget.mul(body, _unit_det(
-            [[_unit_minus_delta(u[i], j, i == j) for j in live] for i in live], budget
-        )) if live else body
-        dterms = [(j, c.nums, c.den) for j, c in d.terms]
+    # D = det M (see the docstring): the rows J_i - J_i0, then (delta_j EW)_j,
+    # with the column i0 = live[0] last; the terms come from w, already checked
+    cols = live[1:] + live[:1]
+    rows = [[_scaled(w, [(j, c, j[q] * (kj[cols[-1]] - kj[i])) for j, c, kj in kterms],
+                     (i == q) - (q == cols[-1])) for q in cols] for i in cols[:-1]]
+    rows.append([_scaled(w, [(j, c, sum(j) * j[q]) for j, c in w.terms]) for q in cols])
+    dterms = [(j, c.nums, c.den) for j, c in (_unit_det(rows, budget) if live else w).terms]
     # the paths (see the docstring); with no term in the exp there is no walk
     dw = lcm(*(ad for _, _, _, ad, _ in wrows))
     integral = bool(wrows) and all(gcd(*j) % ad == 0 for j, _, _, ad, _ in wrows)
@@ -341,7 +332,7 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
                      if (dj := dmap.get(tuple(map(sub, k, m))))]
         else:
             pairs = _pairs_at(e, drows, k, sk)
-        sign = (-1) ** sum(k[i] for i in odd) * (sk * sk if univ else 1)
+        sign = (-1) ** sum(k[i] for i in odd) * sk * sk
         if how == "rows":
             c = _sum_rows(field, [(*dj, *em, 1) for dj, em in pairs], sign)
         elif how == "fixed":
@@ -505,13 +496,14 @@ class _Below(dict):
         return sm, terms
 
 
-def _unit_minus_delta(v: MSeries, j: int, unit: bool) -> MSeries:
-    """1 - delta_j v when unit, else -delta_j v, for v without constant
-    term: the constant key sorts first, and the other terms keep v's order."""
-    terms = tuple((k, c * -k[j]) for k, c in v.terms if k[j])
-    if unit:
-        terms = (((0,) * v.nvars, v.field.one()),) + terms
-    return MSeries(v.field, v.nvars, v.order, terms)
+def _scaled(w: MSeries, triples: list, const: int = 0) -> MSeries:
+    """const + sum x c z**j over the triples (j, c, x), with c z**j the terms
+    of w in its order and x ints: one gcd per term, no field product."""
+    terms = [(j, FieldElem._normalized(w.field, tuple(a * (x // g) for a in c.nums), c.den // g))
+             for j, c, x in triples if x for g in [gcd(x, c.den)]]
+    if const:  # the constant key sorts first
+        terms.insert(0, ((0,) * w.nvars, w.field.one() * const))
+    return MSeries(w.field, w.nvars, w.order, tuple(terms))
 
 
 def _walk_cost(field, order: int, n: int, degrees: list[int]) -> int:
@@ -586,11 +578,11 @@ class _Budget:
                 f"{MAX_WORK} work units"
             )
 
-    def sum_of_products(self, pairs: list, scale: int = 1) -> MSeries:
-        """The sum of a*b over the (a, b) pairs, divided by scale, charged
-        one unit per pair of terms and field dimension of each product."""
+    def sum_of_products(self, pairs: list) -> MSeries:
+        """The sum of a*b over the (a, b) pairs, charged one unit per pair of
+        terms and field dimension of each product."""
         self.spend(sum(self.degree * len(a.terms) * len(b.terms) for a, b in pairs))
-        return _sum_of_products(pairs, scale)
+        return _sum_of_products(pairs)
 
     def mul(self, a: MSeries, b: MSeries) -> MSeries:
         return self.sum_of_products([(a, b)])
@@ -604,11 +596,11 @@ class _Budget:
 
 
 def _unit_det(rows: list[list[MSeries]], budget: _Budget) -> MSeries:
-    """Determinant by elimination, overwriting rows, each product charged to
-    budget.  Every pivot must have constant term 1, as when the diagonal has
-    constant term 1 and the rest 0."""
+    """Determinant by elimination down to the last two rows, cross-multiplied
+    (ad - bc), overwriting rows, each product charged to budget.  The pivots,
+    in the rows before the last two, must have constant term 1 (see frame_multi)."""
     det = None
-    for c, pivot in enumerate(rows):
+    for c, pivot in enumerate(rows[:-2]):
         det = pivot[c] if det is None else budget.mul(det, pivot[c])
         below = [r for r in rows[c + 1:] if r[c].terms]
         inv = budget.inverse(pivot[c]) if below else None
@@ -616,4 +608,7 @@ def _unit_det(rows: list[list[MSeries]], budget: _Budget) -> MSeries:
             f = budget.mul(r[c], inv)
             for j in range(c + 1, len(rows)):
                 r[j] = r[j] - budget.mul(f, pivot[j])
-    return det
+    if len(rows) > 1:
+        (a, b), (c, d) = rows[-2][-2:], rows[-1][-2:]
+        rows[-1][-1] = budget.sum_of_products([(a, d), (-b, c)])
+    return rows[-1][-1] if det is None else budget.mul(det, rows[-1][-1])

@@ -34,7 +34,7 @@ from .errors import (
     Zero,
     ZeroDivisor,
 )
-from .numfield import FieldElem, NumberField, _square_and_multiply, _sum_rows, invert
+from .numfield import _INT, FieldElem, NumberField, _square_and_multiply, _sum_rows, invert
 
 Coeff = Union[int, Fraction, FieldElem]
 ExpVec = tuple[int, ...]
@@ -62,7 +62,9 @@ class MSeries:
             raise ValueError("order must be nonnegative")
         terms = []
         for key, val in coeffs.items():
-            key = tuple(int(k) for k in key)
+            key = tuple(key)
+            if not {*map(type, key)} <= _INT:  # a float or a bool is not truncated
+                raise TypeError(f"exponent vector {key!r} has an entry that is not an int")
             if len(key) != nvars:
                 raise DimensionMismatch(
                     f"exponent vector {key} does not have {nvars} entries"
@@ -92,7 +94,9 @@ class MSeries:
         return dict(self.terms)
 
     def coeff(self, key: Sequence[int]) -> FieldElem:
-        key = tuple(int(k) for k in key)
+        key = tuple(key)
+        if not {*map(type, key)} <= _INT:  # a float or a bool is not truncated
+            raise TypeError(f"exponent vector {key!r} has an entry that is not an int")
         if sum(key) > self.order:
             raise ValueError(f"{key} is outside the truncation order {self.order}")
         return self.as_dict.get(key, self.field.zero())

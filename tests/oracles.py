@@ -2,7 +2,8 @@
 
 Each function here computes, by an older and independent route, an object the
 package computes faster: framings by inverting the coordinate map and
-substituting into the body, the framed-polylog column through the framing
+substituting into the body or by the Lagrange-Good determinant
+B det(I - kappa S), the framed-polylog column through the framing
 engine, Series sums and products coefficient by coefficient on dense
 lists, exp/log/inverse by sums of powers, reversion by fixed-point
 iteration, one congruence on Fraction coordinates read mod p**n, with
@@ -18,6 +19,7 @@ is part of the package; tests import it as ``from oracles import ...``.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -167,6 +169,47 @@ def frame_multi_by_inversion(w: MSeries, kappa) -> MSeries:
             if kappa.entries[j][k]:
                 body = body - d[j] * d[k] * Fraction(kappa.entries[j][k], 2)
     return substitute(body, back)
+
+
+def frame_multi_by_determinant(w: MSeries, kappa) -> MSeries:
+    """frame_multi(w, kappa) by Lagrange-Good inversion in its first form,
+    c_k = sigma**k [z**k] B det(I - kappa S) exp(<kappa k, delta W>) with
+    B = W - 1/2 sum_i delta_i W u_i, u = kappa delta W and
+    (kappa S)_ij = delta_j u_i, on plain MSeries arithmetic: the determinant
+    over all n variables by cofactor expansion, and one exp_m per key k.
+    A column j of I - kappa S with z_j absent from W is the unit vector e_j,
+    so the determinant is the framing's own."""
+    n, order, field = w.nvars, w.order, w.field
+    d = [delta_i(w, i) for i in range(n)]
+    zero = MSeries.zero(field, n, order)
+    u = [sum((d[p] * kappa.entries[i][p] for p in range(n)), zero) for i in range(n)]
+    body = w - sum((d[i] * u[i] for i in range(n)), zero) * Fraction(1, 2)
+    one = MSeries.from_dict(field, n, order, {(0,) * n: 1})
+    jac = [[(one if i == j else zero) - delta_i(u[i], j) for j in range(n)] for i in range(n)]
+    dterms = (body * _det_by_cofactors(jac)).as_dict
+    out = {}
+    for k in itertools.product(range(order + 1), repeat=n):
+        if not 0 < sum(k) <= order:
+            continue
+        e = exp_m(sum((u[i] * k[i] for i in range(n)), zero)).as_dict
+        c = sum((dj * e[m] for j, dj in dterms.items()
+                 if all(a <= b for a, b in zip(j, k))
+                 and (m := tuple(b - a for a, b in zip(j, k))) in e), field.zero())
+        out[k] = -c if sum(k[i] for i in range(n) if kappa.sigma(i) < 0) % 2 else c
+    return MSeries.from_dict(field, n, order, out)
+
+
+def _det_by_cofactors(rows: list[list[MSeries]]) -> MSeries:
+    """The determinant of a square matrix of series, by expansion along the
+    first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    acc = None
+    for c, entry in enumerate(rows[0]):
+        minor = _det_by_cofactors([r[:c] + r[c + 1:] for r in rows[1:]])
+        term = entry * minor if c % 2 == 0 else -(entry * minor)
+        acc = term if acc is None else acc + term
+    return acc
 
 
 def framed_log_column_by_framing(f: int, dmax: int) -> list[Fraction]:

@@ -143,6 +143,13 @@ def test_cyclotomic_spec_validation():
         CyclotomicSpec(3, {1: 1}, 0)
 
 
+@pytest.mark.parametrize("coeffs", [{1.9: 1, True: 2}, {1.0: 1}, {True: 1}, ((2.5, 1),)])
+def test_cyclotomic_spec_refuses_an_index_that_is_not_an_int(coeffs):
+    # int() would keep {1.9: 1, True: 2} as two entries at index 1
+    with pytest.raises(TypeError):
+        CyclotomicSpec(5, coeffs, 2)
+
+
 # --- log-of-polynomial series
 
 

@@ -23,7 +23,12 @@ from sfuncs.numfield import make_field, rationals
 from sfuncs.series import Series, compose, delta, dint, exp_series, revert, shift_up
 from sfuncs.sfunc import check_sfunction, generate_crt
 
-from oracles import frame_f_by_reversion, frame_multi_by_inversion, same_as_checked
+from oracles import (
+    frame_f_by_reversion,
+    frame_multi_by_determinant,
+    frame_multi_by_inversion,
+    same_as_checked,
+)
 
 Q = rationals()
 F = make_field([1, 1, 1])  # x^2 + x + 1
@@ -261,9 +266,14 @@ def _criterion_4_series(order):
     return w
 
 
-def test_frame_multi_matches_inversion_framing_on_criterion_4_kappas():
+def _criterion_4_kappas():
+    # the three generators and their six sums of two (a generator twice too)
     gens = [Kappa.parse("1,0;0,0"), Kappa.parse("0,0;0,1"), Kappa.parse("0,1;1,0")]
-    kappas = gens + [a + b for i, a in enumerate(gens) for b in gens[i:]]
+    return gens + [a + b for i, a in enumerate(gens) for b in gens[i:]]
+
+
+def test_frame_multi_matches_inversion_framing_on_criterion_4_kappas():
+    kappas = _criterion_4_kappas()
     assert len(set(kappas)) == 9
     w = _criterion_4_series(8)
     for kappa in kappas:
@@ -356,8 +366,8 @@ def _separated_case(draw):
 @given(_separated_case())
 def test_one_live_variable_equals_the_determinant_form(case):
     # W1(z1) + W2(z2) with kappa = diag(f, g) has two live variables and
-    # takes D = B det(I - kappa S); W1 alone takes D = delta**2 W.  The keys
-    # of z1 alone in the first are the framing of W1 by f
+    # takes D = ad - bc; W1 alone takes D = delta**2 W.  The keys of z1
+    # alone in the first are the framing of W1 by f
     w1, w2, f, g, bits = case
     assume(not w1.is_zero() and not w2.is_zero())
     w = _at_monomial(w1, (1, 0), w1.order) + _at_monomial(w2, (0, 1), w1.order)
@@ -385,8 +395,9 @@ def test_one_live_variable_ignores_the_kappa_entries_off_its_variable():
 
 
 def test_frame_f_builds_no_series_product(monkeypatch):
-    # frame-uni's three series at order 28: D = delta**2 W is read off the
-    # terms of W, so no product, inverse or determinant is made
+    # frame-uni's three series at order 28: M = (delta**2 W) is built from
+    # the terms of W, and its determinant is its one entry, so no product
+    # or inverse is made, charged or not
     ws = [from_log_poly(CUBIC, [1, -CUBIC.gen(), 1], 2, 28),
           abelian_generator(CyclotomicSpec(5, {1: 1, 4: 1}, 2), 28), polylog(2, 28)]
     fs = (-2, -1, 1, 2, 3)
@@ -395,8 +406,10 @@ def test_frame_f_builds_no_series_product(monkeypatch):
     def refuse(*args):
         raise AssertionError("a one-variable framing built a series product")
 
-    for name in ("_sum_of_products", "_unit_det", "power_m", "delta_i"):
+    for name in ("_sum_of_products", "power_m"):
         monkeypatch.setattr(framing, name, refuse)
+    for name in ("mul", "sum_of_products", "inverse"):
+        monkeypatch.setattr(framing._Budget, name, refuse)
     assert [frame_f(w, f) for w in ws for f in fs] == want
 
 
@@ -409,6 +422,62 @@ def test_frame_f_of_li2_at_order_225_is_under_the_cap():
     framed = frame_f(polylog(2, 225), 1)
     assert [framed.coeff(k) * k * k for k in range(1, 226)] == [
         (-1) ** k * comb(2 * k - 1, k - 1) for k in range(1, 226)]
+
+
+# --- one set-up formula at every variable count: D = det M
+
+
+@st.composite
+def _bordered_minor_case(draw):
+    # W in 1 to 4 live variables, one part per variable, each a one-variable
+    # 2-function or a series that is none (_one_variable_series) at z_i; with
+    # cross, z_n enters W only through z_1 z_n.  kappa has zero, negative and
+    # odd diagonal entries, and with a zero row one row and column of zeros
+    field = draw(st.sampled_from([Q, F, CUBIC]))
+    n = draw(st.integers(1, 4))
+    order = draw(st.integers(1, 5 if n < 3 else 3))
+    monomials = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    if n > 1 and draw(st.booleans()):
+        monomials[-1] = (1,) + (0,) * (n - 2) + (1,)
+    w = MSeries.zero(field, n, order)
+    for e in monomials:
+        w = w + _at_monomial(_one_variable_series(draw, field, order), e, order)
+    upper = draw(st.lists(st.integers(-3, 3), min_size=n * (n + 1) // 2,
+                          max_size=n * (n + 1) // 2))
+    rows = [list(row) for row in _symmetric_kappa(upper, n).entries]
+    if draw(st.integers(0, 3)) == 0:
+        zero = draw(st.integers(0, n - 1))
+        for i in range(n):
+            rows[zero][i] = rows[i][zero] = 0
+    kappa = Kappa(tuple(map(tuple, rows)))
+    return w, kappa, draw(st.sampled_from([framing._FIXED_BITS, 0]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_bordered_minor_case())
+def test_the_bordered_minor_equals_both_oracles(case):
+    # D = det M against D = B det(I - kappa S) and against inverting the
+    # coordinate map; _FIXED_BITS = 0 sends Q to the rows path as well
+    w, kappa, bits = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(framing, "_FIXED_BITS", bits)
+        out = frame_multi(w, kappa)
+    assert out == frame_multi_by_determinant(w, kappa)
+    assert out == frame_multi_by_inversion(w, kappa)
+
+
+def test_two_live_variables_take_no_series_inverse(monkeypatch):
+    # with two live variables D = ad - bc: two products and no inverse, on
+    # the nine criterion-4 framings at order 11
+    w, kappas = _criterion_4_series(11), _criterion_4_kappas()
+    want = [frame_multi_by_determinant(w, kappa) for kappa in kappas]
+
+    def refuse(*args):
+        raise AssertionError("two live variables took a series inverse")
+
+    monkeypatch.setattr(framing._Budget, "inverse", refuse)
+    monkeypatch.setattr(framing, "power_m", refuse)
+    assert [frame_multi(w, kappa) for kappa in kappas] == want
 
 
 def test_frame_multi_walks_only_the_variables_of_w():
@@ -454,24 +523,26 @@ def test_frame_multi_refuses_a_walk_above_the_cap():
 
 
 def test_frame_multi_charges_the_determinant_to_the_cap(monkeypatch):
-    # W = z1 + ... + z16 at order 3, kappa all ones: the walk costs about
-    # 0.42 M units and the elimination of det(I - kappa S) about 1.5 M
+    # W = z1 + ... + z16 at order 3, kappa_ij = (i j mod 5) + [i = j]: the
+    # walk costs about 0.42 M units and the elimination of M about 0.69 M (with
+    # kappa all ones every row J_i - J_i0 is constant, and it costs 87 units)
     assert framing._walk_cost(Q, 3, 16, [1] * 16) < 500_000
     monkeypatch.setattr(framing, "MAX_WORK", 500_000)
+    kappa = Kappa(tuple(tuple(i * j % 5 + (i == j) for j in range(1, 17)) for i in range(1, 17)))
     with pytest.raises(FramingTooLarge):
-        frame_multi(_sum_of_variables(16, 3), Kappa(((1,) * 16,) * 16))
+        frame_multi(_sum_of_variables(16, 3), kappa)
 
 
 def test_one_sum_of_products_costs_its_products_separately():
-    # B = W - 1/2 sum_i delta_i W u_i is one call; it is charged what the n
-    # products cost one at a time, so every refusal point stays where it was
+    # ad - bc in _unit_det is one call; it is charged what its products cost
+    # one at a time, so every refusal point stays where it was
     g = CUBIC.gen()
     v = MSeries.from_dict(CUBIC, 3, 4, {(1, 0, 0): g, (0, 1, 0): 1, (0, 1, 1): g / 2})
     w = v * v + 1
     pairs = [(w, v * k) for k in (1, g, 3)] + [(w, w), (v, w)]
     apart, together = framing._Budget(CUBIC, 4, 3), framing._Budget(CUBIC, 4, 3)
     want = sum((apart.mul(a, b) for a, b in pairs), MSeries.zero(CUBIC, 3, 4))
-    assert together.sum_of_products(pairs, -6) == want * Fraction(1, -6)
+    assert together.sum_of_products(pairs) == want
     assert together.left == apart.left == MAX_WORK - sum(
         3 * len(a.terms) * len(b.terms) for a, b in pairs)
 
@@ -800,8 +871,8 @@ def test_integral_walk_over_q_sums_integers_only(monkeypatch):
 
 def _sum_rows_scales(mp) -> list:
     """Record the scale of every framing._sum_rows call: |m| for a step of
-    the rows walk, the sign of the output key for an output sum, times
-    |k|**2 when W has one variable."""
+    the rows walk, the sign of the output key times |k|**2 for an output
+    sum."""
     scales, real = [], framing._sum_rows
 
     def record(field, rows, scale=1):

@@ -42,6 +42,21 @@ def test_exponent_length_checked():
         _m({(1, 0, 0): 1})
 
 
+@pytest.mark.parametrize("key", [(1.9, 0), (True, 0), (1, Fraction(1))])
+def test_from_dict_refuses_an_exponent_that_is_not_an_int(key):
+    # int() would read (1.9, 0) and (True, 0) as the term z1
+    with pytest.raises(TypeError):
+        _m({key: 1})
+
+
+@pytest.mark.parametrize("key", [(1.9, 0), (True, 0), (1.0, 0)])
+def test_coeff_refuses_an_exponent_that_is_not_an_int(key):
+    v = _m({(1, 0): 1, (2, 0): 5})
+    assert v.coeff([1, 0]) == 1  # a list of ints is an exponent vector
+    with pytest.raises(TypeError):
+        v.coeff(key)
+
+
 def test_arithmetic_and_min_order():
     a = _m({(1, 0): 1, (0, 1): 2}, order=6)
     b = _m({(1, 1): 3}, order=4)
