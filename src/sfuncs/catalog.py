@@ -97,8 +97,8 @@ class CyclotomicSpec:
             if isinstance(self.coeffs, Mapping)
             else self.coeffs
         )
-        norm = []
-        for i, c in sorted(items):
+        norm: dict[int, Fraction] = {}  # a repeated index sums its coefficients
+        for i, c in items:
             if type(i) is not int:  # a float or a bool is not truncated
                 raise TypeError(f"coefficient index {i!r} is not an int")
             c = _exact(c)
@@ -106,9 +106,8 @@ class CyclotomicSpec:
                 raise BadConductor(
                     f"coefficient index {i} outside [0, {self.conductor})"
                 )
-            if c:
-                norm.append((i, c))
-        object.__setattr__(self, "coeffs", tuple(norm))
+            norm[i] = norm.get(i, 0) + c
+        object.__setattr__(self, "coeffs", tuple(sorted((i, c) for i, c in norm.items() if c)))
 
 
 def _solve_rational(

@@ -211,7 +211,7 @@ class FieldElem:
         return tuple(Fraction(n, self.den) for n in self.nums)
 
     def is_zero(self) -> bool:
-        return all(n == 0 for n in self.nums)
+        return not any(self.nums)
 
     def __bool__(self) -> bool:
         return not self.is_zero()

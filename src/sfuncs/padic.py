@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from operator import mul
 
 from .errors import BadPrime, LiftFailed, NotPrime
 from .intutil import is_prime, ord_p
@@ -26,7 +27,7 @@ from .numfield import (FieldElem, NumberField, _derivative, _mul_fold, _poly_inv
 
 def _mul(a, b, field: NumberField, mod: int) -> tuple[int, ...]:
     """The product of two rows, mod P and mod `mod`."""
-    return tuple(c % mod for c in _mul_fold(a, b, field._reduction))
+    return tuple([c % mod for c in _mul_fold(a, b, field._reduction)])
 
 
 def _powers(xi, field: NumberField, mod: int, count: int) -> tuple[tuple[int, ...], ...]:
@@ -116,12 +117,7 @@ def frobenius_lift(field: NumberField, p: int, n: int) -> tuple[int, ...]:
 def _apply_rows(rows, coords, mod: int) -> list[int]:
     """The sum of coords[i] * rows[i], mod `mod`: with the matrix of a lift,
     the coordinates of frob(a); with the rows of xi**i, coords(xi)."""
-    out = [0] * len(rows[0])
-    for c, row in zip(coords, rows):
-        if c:
-            for j, r in enumerate(row):
-                out[j] += c * r
-    return [c % mod for c in out]
+    return [sum(map(mul, coords, col)) % mod for col in zip(*rows)]
 
 
 def valuation(a: FieldElem, p: int) -> int | float:

@@ -39,6 +39,8 @@ _LEAF = 600  # decimal digits that int() and str() convert under any limit
 def _int(x) -> int:
     """x as an int: a non-bool int, or a decimal string of any length.
     Anything else, a float or a bool included, raises BadFile."""
+    if type(x) is int or type(x) is str and len(x) <= _LEAF:
+        return int(x)
     if isinstance(x, bool) or not isinstance(x, (int, str)):
         raise BadFile(f"cannot read {x!r} as an integer")
     text = x.strip() if isinstance(x, str) else ""

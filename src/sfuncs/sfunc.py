@@ -14,10 +14,15 @@ series gets certified at all good primes, not just the small ones.
 In several variables k is an exponent vector and g = gcd(k) takes the place
 of k: a_k = g**s * c_k, p divides k when p divides g, and the modulus is
 p**(s * ord_p(g)).  One variable is the case g = k, and a Series is checked
-as the one-variable MSeries.  When a_k is absent no Frobenius is needed: at
-a good prime frob_p is an automorphism of the power-basis lattice, so the
-defect frob_p(a_{k/p}) has the valuation of a_{k/p}.  Congruences run on
-integer coordinate rows mod p**n, frob_p as one matrix per (field, p).
+as the one-variable MSeries.
+
+The checker keeps each a_k as an integer row over one denominator, sorts
+the pairs (k, p) into one bucket per prime and judges each bucket in one
+pass: frob_p is one matrix per (field, p), fetched once at the largest
+precision the bucket needs, and each difference row is read mod p**n for
+its valuation.  Over Q frob_p is the identity.  When a_k or a_{k/p} is
+absent no Frobenius is needed: at a good prime frob_p is an automorphism of
+the power-basis lattice, so frob_p(a_{k/p}) has the valuation of a_{k/p}.
 
 dwork_factor writes V (with s = 1 normalization) as
 -sum_d log(1 - b_d z**d); V is a 1-function exactly when every b_d is
@@ -29,15 +34,18 @@ representative with coordinates in [0, k**s).
 """
 from __future__ import annotations
 
+import bisect
 import math
+from collections import defaultdict
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 from typing import Sequence, Union
 
 from .errors import ConstantTermNonzero, NotIntegral, NotPrime, SfuncError
 from .intutil import PRIME_TEST_BOUND, crt, divisors, is_prime, ord_p, prime_factors, primes_up_to
 from .mseries import MSeries
 from .numfield import FieldElem, NumberField, denominator_support
-from .padic import _apply_rows, _frobenius_rows, _valuation
+from .padic import _apply_rows, _frobenius_rows
 from .series import Series
 
 Index = Union[int, tuple[int, ...]]
@@ -94,49 +102,67 @@ def _check_obj(c: Check, **more) -> dict:
     }
 
 
-def _congruence(
-    field: NumberField,
-    prev: FieldElem,
-    cur: FieldElem,
-    index: Index,
-    p: int,
-    required: int,
-) -> Check:
-    """Valuation of frob_p(prev) - cur, against required, on integer rows.
-
-    Write prev = P/d_p and cur = C/d_c with d = p**t * u, u prime to p, and
-    m = max(t_p, t_c).  Multiplied by the p-adic unit u_p * u_c and by p**m,
-    the difference is the integer row
-    p**(m - t_p) * u_c * frob(P) - p**(m - t_c) * u_p * C, taken mod p**n,
-    n = required + m, so no inverse mod p**n is needed.  Its valuation,
-    capped at n, is shifted back by m.
+def _defect(rows, p: int, prev: FieldElem, cur: FieldElem, required: int) -> int:
+    """v_p(frob(prev) - cur) capped at required, on the integer rows of
+    prev = P/d_p and cur = C/d_c, frob the matrix rows (None: the identity).
+    With d = p**t * u, u prime to p, and m = max(t_p, t_c), the difference
+    times the unit u_p * u_c and p**m is the integer row
+    p**(m - t_p) u_c frob(P) - p**(m - t_c) u_p C mod p**n, n = required + m,
+    so no inverse mod p**n is needed.  The row is zero when the congruence
+    holds, else the p-part of its gcd, less m, is the valuation.
     """
-    tp = ord_p(prev.den, p) if prev.den % p == 0 else 0
-    tc = ord_p(cur.den, p) if cur.den % p == 0 else 0
-    m = max(tp, tc)
-    n = required + m
-    mod = p**n
-    image = _apply_rows(_frobenius_rows(field, p, n), prev.nums, mod)
-    a = p ** (m - tp) * (cur.den // p**tc) % mod
-    b = p ** (m - tc) * (prev.den // p**tp) % mod
-    diff = [(a * x - b * y) % mod for x, y in zip(image, cur.nums)]
-    achieved = min((ord_p(c, p) for c in diff if c), default=n) - m
-    return Check(index, p, required, achieved, achieved >= required, "congruence")
+    x, dx, y, dy = prev.nums, prev.den, cur.nums, cur.den
+    if dx % p and dy % p:  # the usual case: m = 0
+        m, mod, a, b = 0, p**required, dy, dx
+    else:
+        tp = ord_p(dx, p) if dx % p == 0 else 0
+        tc = ord_p(dy, p) if dy % p == 0 else 0
+        m = max(tp, tc)
+        mod = p ** (required + m)
+        a = p ** (m - tp) * (dy // p**tc) % mod
+        b = p ** (m - tc) * (dx // p**tp) % mod
+    if rows is not None:
+        x = _apply_rows(rows, x, mod)
+    diff = [(a * u - b * v) % mod for u, v in zip(x, y)]
+    return ord_p(math.gcd(*diff), p) - m if any(diff) else required
 
 
-def _extra_prime_report(judge, pairs, q: int, bad: bool) -> dict:
-    """Best-effort congruence data at a prime outside the good set."""
-    entry: dict = {"p": q, "bad": bad, "frobenius_defined": True, "checks": []}
-    for pair in pairs:
-        try:
-            c = judge(pair)
-        except (SfuncError, ArithmeticError) as exc:
-            # LiftFailed: a bad prime need not have a lift
-            entry["frobenius_defined"] = False
-            entry["error"] = f"{type(exc).__name__}: {exc}"
-            break
-        entry["checks"].append(_check_obj(c, ok=c.ok))
-    return entry
+def _need(p: int, prev: FieldElem, cur: FieldElem, required: int) -> int:
+    """The precision of the pair's difference row: required + m."""
+    return required + max(ord_p(d, p) if d % p == 0 else 0 for d in (prev.den, cur.den))
+
+
+def _congruence(field: NumberField, prev: FieldElem, cur: FieldElem, index: Index,
+                p: int, required: int) -> Check:
+    """The check at (index, p) of frob_p(prev) against cur, with the lift
+    fetched at the pair's own precision."""
+    rows = _frobenius_rows(field, p, _need(p, prev, cur, required))
+    got = _defect(rows, p, prev, cur, required)
+    return Check(index, p, required, got, got >= required, "congruence")
+
+
+def _prime_pass(field: NumberField, p: int, pairs: list, ix, zero):
+    """(checks, error) of the pairs (k, a_{k/p}, a_k, required) at p, an
+    absent coefficient being the object zero.  At a good p the lift's matrix is
+    fetched once, at the largest precision of the pairs with no absent side.
+    At a bad p (an extra prime) each pair fetches its own, in key order, and
+    the pass stops at the first lift that fails: a lift mod p may exist where
+    none mod p**2 does."""
+    out = []
+    if field.discriminant % p == 0:
+        for key, x, y, r in pairs:
+            try:
+                out.append(_congruence(field, x, y, ix(key), p, r))
+            except (SfuncError, ArithmeticError) as exc:  # LiftFailed
+                return out, f"{type(exc).__name__}: {exc}"
+        return out, None
+    n = max((_need(p, x, y, r) for _, x, y, r in (pairs if field.degree > 1 else ())
+             if x is not zero and y is not zero), default=0)
+    rows = _frobenius_rows(field, p, n) if n else None
+    for key, x, y, r in pairs:
+        got = _defect(None if x is zero or y is zero else rows, p, x, y, r)
+        out.append(Check(ix(key), p, r, got, got >= r, "congruence"))
+    return out, None
 
 
 def check_sfunction(
@@ -147,24 +173,34 @@ def check_sfunction(
     """Verify the s-function congruences at every good prime.
 
     A Series is checked as MSeries.from_univariate(v); its report keeps int
-    indices.  Each term k, with g = gcd(k), is normalized to
-    a_k = g**s * c_k, which must be q-integral at every good q not dividing
-    g.  Each pair (k, p) states frob_p(a_{k/p}) = a_k mod p**(s * ord_p(g)),
-    so required = s * ord_p(g) in one variable and in several.  The pairs
-    are built once each from the terms present: (k, p) for every p | g, and
-    (p*k, p) for every p with p*|k| <= order when p*k is not a term.  A pair
-    whose two coefficients both vanish holds trivially and is not recorded.
+    indices.  Each term k, with g = gcd(k), is normalized to the row
+    a_k = g**s * c_k, reduced by one gcd of its denominator and g**s; a_k
+    must be q-integral at every good q not dividing g.  Each pair (k, p)
+    states frob_p(a_{k/p}) = a_k mod p**(s * ord_p(g)), so
+    required = s * ord_p(g) in one variable and in several.  The pairs are
+    built once each from the terms present, each g factored once: (k, p)
+    for every p | g, and (p*k, p) for every p with p*|k| <= order when p*k
+    is not a term.  A pair whose two coefficients both vanish holds
+    trivially and is not recorded.  The pairs go into one bucket per prime,
+    _prime_pass judges each bucket, and the checks are sorted by (index, p).
 
     Returns a report with one record per checked condition; report.passed
     is the overall verdict.  A congruence valuation is capped at required,
     so an exactly-zero defect reads required.  Bad primes (dividing the
     field discriminant) found in normalized denominators are listed as
-    skipped, and primes in extra_primes get informational records, over the
-    same pairs, that never affect the verdict; an entry of extra_primes that
-    is not a prime below intutil.PRIME_TEST_BOUND, where is_prime is proven,
-    raises NotPrime.  Every prime that reaches a check is thus known to be
-    prime.  s < 1 raises ValueError.  The checks run in this process: a
-    process pool measured no faster and cost more CPU.
+    skipped.  Each distinct prime in extra_primes gets one informational
+    record, over its bucket in key order, that never affects the verdict;
+    an entry of extra_primes that is not a prime below
+    intutil.PRIME_TEST_BOUND, where is_prime is proven, raises NotPrime.
+    Every prime that reaches a check is thus known to be prime.  s < 1
+    raises ValueError.  A failing report names each broken condition:
+
+    >>> from fractions import Fraction
+    >>> from sfuncs.catalog import polylog
+    >>> li2 = polylog(2, 8)
+    >>> bumped = li2 + Series.from_coeffs(li2.field, 8, [0, 0, 0, Fraction(1, 8)])
+    >>> [(c.index, c.p, c.required, c.valuation) for c in check_sfunction(bumped, 2).violations]
+    [(4, 2, 4, 1), (8, 2, 6, 1)]
     """
     if s < 1:
         raise ValueError("need s >= 1")
@@ -178,63 +214,56 @@ def check_sfunction(
     field, order = w.field, w.order
     disc = abs(field.discriminant)
     zero = field.zero()
-
-    def ix(key: tuple[int, ...]) -> Index:
-        return key[0] if univariate else key
-
-    a = {key: c * math.gcd(*key) ** s for key, c in w.terms}
-    checks: list[Check] = []
-    skipped: set[int] = set()
-    for key, ak in a.items():
+    ix = (lambda key: key[0]) if univariate else (lambda key: key)
+    a, checks, skipped = {}, [], set()
+    for key, c in w.terms:
         g = math.gcd(*key)
-        for q in sorted(denominator_support(ak)):
+        t = math.gcd(c.den, g**s)
+        nums = c.nums if t == g**s else tuple([x * (g**s // t) for x in c.nums])
+        a[key] = ak = FieldElem._normalized(field, nums, c.den // t)
+        for q in prime_factors(ak.den):  # the row is reduced: v_q(a_k) = -ord_q(den)
             if disc % q == 0:
                 skipped.add(q)
             elif g % q != 0:
-                checks.append(
-                    Check(ix(key), q, 0, _valuation(ak, q), False, "integrality")
-                )
-    # p*k is a term only for p <= order // |k|: sieve to the smallest |k|
-    primes = primes_up_to(order // min(map(sum, a))) if a else ()
-
-    def pairs():
-        """(k, p, a_{k/p}, a_k, required) for every pair, each once; an
-        absent coefficient is the object zero itself."""
-        for key, ak in a.items():
-            ords = prime_factors(math.gcd(*key))
-            for p, e in ords.items():
-                yield key, p, a.get(tuple([k // p for k in key]), zero), ak, s * e
-            deg = sum(key)
-            for p in primes:
-                if p * deg > order:
-                    break
-                up = tuple([k * p for k in key])
-                if up not in a:
-                    yield up, p, ak, zero, s * (ords.get(p, 0) + 1)
-
-    def judge(pair) -> Check:
-        key, p, prev, cur, required = pair
-        if cur is zero and disc % p != 0:
-            # a_k is absent and frob_p keeps valuations at a good p; min() is
-            # the row path's cap at its precision
-            got = min(_valuation(prev, p), required)
-            return Check(ix(key), p, required, got, got >= required, "congruence")
-        return _congruence(field, prev, cur, ix(key), p, required)
-
-    # one pass over the pairs: the good primes are judged, and the pairs at
-    # each extra prime kept in generation order for its report
-    at = {q: [] for q in extra_primes}
-    for t in pairs():
-        if disc % t[1] != 0:
-            checks.append(judge(t))
-        if t[1] in at:
-            at[t[1]].append(t)
-    checks.sort(key=lambda c: (c.index, c.p))
-    extra = tuple(
-        _extra_prime_report(judge, sorted(at[q], key=lambda t: t[0]), q, disc % q == 0)
-        for q in extra_primes
-    )
-    return SReport(s, order, tuple(checks), tuple(sorted(skipped)), extra)
+                checks.append(Check(ix(key), q, 0, -ord_p(ak.den, q), False, "integrality"))
+    # p*k is a term only for p <= order // |k|: sieve to the smallest |k|.  A
+    # g below that bound and 2 * (number of terms) is factored off a table of
+    # least prime factors, a larger g by prime_factors.
+    top = order // min(map(sum, a)) if a else 0
+    primes = primes_up_to(top) if a else ()
+    size = min(top, 2 * len(a), max((math.gcd(*key) for key in a), default=0)) + 1
+    least = list(range(size))
+    for p in reversed(primes[:bisect.bisect(primes, math.isqrt(size))]):
+        least[p * p :: p] = [p] * len(range(p * p, size, p))
+    dense = len(a) == math.comb(order + w.nvars, order) - 1  # no p*k is absent
+    buckets = defaultdict(list)
+    for key, ak in a.items():
+        g = math.gcd(*key)
+        ords = {} if g < size else prime_factors(g)
+        while 1 < g < size:
+            ords[least[g]] = ords.get(least[g], 0) + 1
+            g //= least[g]
+        for p, e in ords.items():
+            buckets[p].append((key, a.get(tuple([k // p for k in key]), zero), ak, s * e))
+        for p in () if dense else primes[:bisect.bisect(primes, order // sum(key))]:
+            if (up := tuple([k * p for k in key])) not in a:
+                buckets[p].append((up, ak, zero, s * (ords.get(p, 0) + 1)))
+    wanted, judged = dict.fromkeys(extra_primes), {}  # each extra prime once
+    while buckets:  # each bucket is let go once judged
+        p, pairs = buckets.popitem()
+        if p in wanted:  # its report lists the pairs in key order
+            pairs.sort(key=itemgetter(0))
+        if disc % p != 0 or p in wanted:  # a bad p serves its report only
+            judged[p] = _prime_pass(field, p, pairs, ix, zero)
+    checks += [c for p, (out, _) in judged.items() if disc % p != 0 for c in out]
+    checks.sort(key=attrgetter("index", "p"))
+    extra = []
+    for q in wanted:
+        out, error = judged.get(q, ([], None))
+        extra.append({"p": q, "bad": disc % q == 0, "frobenius_defined": error is None,
+                      "checks": [_check_obj(c, ok=c.ok) for c in out]}
+                     | ({"error": error} if error else {}))
+    return SReport(s, order, tuple(checks), tuple(sorted(skipped)), tuple(extra))
 
 
 def dwork_factor(v: Series) -> list[FieldElem]:

@@ -7,8 +7,9 @@ B det(I - kappa S), the framed-polylog column through the framing
 engine, Series sums and products coefficient by coefficient on dense
 lists, exp/log/inverse by sums of powers, reversion by fixed-point
 iteration, one congruence on Fraction coordinates read mod p**n, with
-Frobenius as the coordinate polynomial evaluated at the lift, the one-variable
-congruence check by a dense scan of every index, the resultant as the
+Frobenius as the coordinate polynomial evaluated at the lift, the congruence
+check in one and in several variables by a dense scan of every index, the
+resultant as the
 determinant of the Sylvester matrix, a sum of field products on Fraction
 coordinates, each reduced mod P by long division, the multivariate
 series product as a dict convolution of such sums, factoring by trial
@@ -378,6 +379,35 @@ def check_uni_by_dense_scan(v: Series, s: int) -> SReport:
                         field, a[k // p], a[k], k, p, s * ord_p(k, p)
                     )
                 )
+    checks.sort(key=lambda c: (c.index, c.p))
+    return SReport(s, n, tuple(checks), tuple(sorted(skipped)))
+
+
+def check_multi_by_dense_scan(v: MSeries, s: int) -> SReport:
+    """check_sfunction(v, s) for an MSeries, without extra primes, by scanning
+    every key k of degree 1..order: with g = gcd(k) and a_k = g**s c_k, each
+    good p | g goes through congruence_by_fractions against a_(k/p), also
+    where both coefficients vanish."""
+    if not v.constant_term.is_zero():
+        raise ConstantTermNonzero("s-function data must have zero constant term")
+    field, n = v.field, v.order
+    disc = abs(field.discriminant)
+    keys = [k for k in itertools.product(range(n + 1), repeat=v.nvars) if 0 < sum(k) <= n]
+    a = {k: v.coeff(k) * math.gcd(*k) ** s for k in keys}
+    checks: list[Check] = []
+    skipped: set[int] = set()
+    for k in keys:
+        g = math.gcd(*k)
+        for q in sorted(denominator_support(a[k])):
+            if disc % q == 0:
+                skipped.add(q)
+            elif g % q != 0:
+                checks.append(Check(k, q, 0, _valuation(a[k], q), False, "integrality"))
+        for p in prime_factors(g):
+            if disc % p != 0:
+                down = tuple(e // p for e in k)
+                checks.append(congruence_by_fractions(
+                    field, a[down], a[k], k, p, s * ord_p(g, p)))
     checks.sort(key=lambda c: (c.index, c.p))
     return SReport(s, n, tuple(checks), tuple(sorted(skipped)))
 

@@ -69,6 +69,18 @@ def test_abelian_conductor_one_is_scaled_polylog():
         assert v.coeff(k).coords == (li.coeff(k).coords[0] * 5,)
 
 
+@pytest.mark.parametrize("pairs, mapping", [
+    (((1, 1), (1, 2)), {1: 3}),
+    (((1, 1), (2, 4), (1, -1)), {2: 4}),  # the index-1 pair cancels
+    (((3, Fraction(1, 2)), (3, Fraction(-1, 2))), {}),
+])
+def test_cyclotomic_spec_sums_a_repeated_index(pairs, mapping):
+    spec = CyclotomicSpec(5, pairs, 2)
+    assert spec == CyclotomicSpec(5, mapping, 2)
+    assert spec.coeffs == tuple(sorted((i, Fraction(c)) for i, c in mapping.items()))
+    assert abelian_generator(spec, 10) == abelian_generator(CyclotomicSpec(5, mapping, 2), 10)
+
+
 def test_abelian_root_of_unity_tower():
     spec = CyclotomicSpec(3, {1: 1}, 2)
     v = abelian_generator(spec, 9)

@@ -71,6 +71,16 @@ def test_verify_with_extra_primes(tmp_path):
     assert extra[7]["bad"] is True
 
 
+def test_verify_reports_an_extra_prime_given_twice_once(li2_path):
+    reports = [
+        json.loads(run_cli("verify", "--series", str(li2_path), "--s", "2",
+                           "--primes-extra", extra).stdout)
+        for extra in ("3,3", "3")
+    ]
+    assert [e["p"] for e in reports[0]["extra_primes"]] == [3]
+    assert reports[0] == reports[1]
+
+
 @pytest.mark.parametrize("extra", ["1", "0", "4", "3,-3"])
 def test_verify_rejects_extra_primes_that_are_not_prime(li2_path, extra):
     # ord_p(k, 1) never ends and ord_p(k, 0) divides by zero, so neither may

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import random
 import time
 from fractions import Fraction
@@ -9,12 +11,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from sfuncs.catalog import cyclotomic_field, polylog
-from sfuncs.errors import ConstantTermNonzero, NotIntegral, NotPrime
+from sfuncs.errors import ConstantTermNonzero, NotIntegral, NotPrime, SfuncError
 from sfuncs.intutil import ord_p, primes_up_to
 from sfuncs.mseries import MSeries
 from sfuncs.numfield import denominator_support, make_field, rationals
 from sfuncs.serialize import load_series
-from sfuncs import sfunc
+from sfuncs import padic, sfunc
 from sfuncs.series import Series, delta, dint, shift_sh
 from sfuncs.sfunc import (
     _check_obj,
@@ -25,7 +27,12 @@ from sfuncs.sfunc import (
     generate_crt,
 )
 
-from oracles import check_uni_by_dense_scan, congruence_by_fractions, frobenius_residues
+from oracles import (
+    check_multi_by_dense_scan,
+    check_uni_by_dense_scan,
+    congruence_by_fractions,
+    frobenius_residues,
+)
 
 Q = rationals()
 QI3 = make_field([3, 0, 1])
@@ -273,9 +280,9 @@ def test_extra_primes_must_be_below_the_proven_bound(q):
 
 
 def test_extra_primes_in_one_pass_match_the_reports_one_prime_at_a_time():
-    # the pairs are bucketed by prime in one pass; each entry must equal the
-    # report of its prime alone, duplicates included, and at a good prime
-    # list the verdict's congruence checks at that prime
+    # the pairs are bucketed by prime in one pass; each distinct prime gets
+    # one entry, in first-seen order, equal to the report of its prime
+    # alone, and at a good prime listing the verdict's congruence checks there
     x = CUBIC.gen()
     cubic = Series.from_coeffs(CUBIC, 30, [x * Fraction(k % 5 + 1, k * k) + k
                                            for k in range(1, 31)])
@@ -283,8 +290,8 @@ def test_extra_primes_in_one_pass_match_the_reports_one_prime_at_a_time():
              (cubic, 2, (7, 2, 7, 3, 31, 2))]
     for v, s, extra in cases:
         rep = check_sfunction(v, s, extra_primes=extra)
-        assert [e["p"] for e in rep.extra] == list(extra)
-        for q, entry in zip(extra, rep.extra):
+        assert [e["p"] for e in rep.extra] == list(dict.fromkeys(extra))
+        for q, entry in zip(dict.fromkeys(extra), rep.extra, strict=True):
             assert entry == check_sfunction(v, s, extra_primes=(q,)).extra[0]
             # every k is a term, so each prime up to the order has pairs
             assert bool(entry["checks"] or "error" in entry) == (q <= v.order)
@@ -435,6 +442,36 @@ def test_declared_order_does_not_drive_the_cost(tmp_path):
     ]
 
 
+def test_a_large_gcd_is_factored_without_a_sieve_to_it(tmp_path):
+    # one term z1**g with g = 2*3*...*23 at declared order g: no prime times
+    # the term fits, and factoring g from a table up to g would hang
+    g = 223092870
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({
+        "field": {"minpoly": ["0", "1"]},
+        "nvars": 2,
+        "order": g,
+        "coeffs": {f"{g},0": ["1"]},
+    }))
+    w = load_series(str(path))
+    t0 = time.perf_counter()
+    rep = check_sfunction(w, 2)
+    assert time.perf_counter() - t0 <= 2.0
+    # a_k = g**2 against the absent a_(k/p): valuation 2 = required at each p | g
+    assert rep.passed
+    assert [(c.index, c.p, c.required, c.valuation) for c in rep.checks] == [
+        ((g, 0), p, 2, 2) for p in primes_up_to(23)
+    ]
+
+
+def test_an_extra_prime_given_twice_is_reported_once():
+    v = polylog(2, 8)
+    rep = check_sfunction(v, 2, (3, 3))
+    assert rep.extra == check_sfunction(v, 2, (3,)).extra
+    assert len(rep.extra) == 1 and rep.extra[0]["checks"]
+    assert [e["p"] for e in check_sfunction(v, 2, (5, 3, 5, 2, 3)).extra] == [5, 3, 2]
+
+
 def test_the_sieve_reaches_only_the_primes_the_terms_need(monkeypatch):
     # p*k is a term only for p <= order // |k|; with no terms no prime is
     # needed.  The recorder sieves nothing large, so a regression allocates
@@ -579,3 +616,101 @@ def test_extra_bad_prime_entries_build_each_lift_at_its_precision():
     assert _congruence(field, x, a3, 3, 3, 1) == (
         congruence_by_fractions(field, x, a3, 3, 3, 1, x_cubed_mod_3)
     )
+
+
+# --- the pass per prime against both dense-scan oracles
+
+
+_DENS = (1, 2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49)  # good and bad primes
+
+
+@st.composite
+def checked_series(draw):
+    """(v, s, extra): a Series, or an MSeries in 2 or 3 variables, whose terms
+    are congruence towers along primitive directions e (a_(m e) of a
+    generate_crt tower, so most congruences hold), some perturbed by adding
+    or dividing by fractions with p-powers in their denominators and some
+    removed.  The extra primes may repeat and hold 3 or 7, bad for
+    x^2 + x + 1 and for the cubic."""
+    field = draw(st.sampled_from(FIELDS))
+    nvars = draw(st.integers(1, 3))
+    order = draw(st.integers(1, (24, 10, 6)[nvars - 1]))
+    s = draw(st.integers(1, 3))
+
+    def elem(entries):
+        return field.elem(draw(st.lists(entries, min_size=field.degree,
+                                        max_size=field.degree)))
+
+    keys = [k for k in itertools.product(range(order + 1), repeat=nvars)
+            if 0 < sum(k) <= order]
+    primitive = [k for k in keys if math.gcd(*k) == 1]
+    terms = {}
+    for e in draw(st.lists(st.sampled_from(primitive), min_size=1, max_size=3, unique=True)):
+        tower = generate_crt(field, elem(st.integers(-5, 5)), s, order // sum(e))
+        for m in range(1, tower.order + 1):
+            terms[tuple(m * x for x in e)] = tower.coeff(m)
+    fraction = st.builds(Fraction, st.sampled_from((-2, -1, 1, 3)), st.sampled_from(_DENS))
+    for k in draw(st.lists(st.sampled_from(keys), max_size=4)):
+        terms[k] = terms.get(k, field.zero()) + elem(fraction) / math.gcd(*k) ** s
+    for k, d in draw(st.lists(st.tuples(st.sampled_from(keys), st.sampled_from(_DENS)),
+                              max_size=2)):  # a_k / d: near frob(a_(k/p)) at p | d
+        if k in terms:
+            terms[k] = terms[k] / d
+    for k in draw(st.lists(st.sampled_from(keys), max_size=len(keys) // 2)):
+        terms.pop(k, None)
+    extra = draw(st.lists(st.sampled_from((2, 3, 5, 7, 11)), max_size=3))
+    extra.insert(draw(st.integers(0, len(extra))), draw(st.sampled_from((3, 7))))
+    w = MSeries.from_dict(field, nvars, order, terms)
+    return (w.to_univariate() if nvars == 1 else w), s, tuple(extra)
+
+
+def _package_lift(field, p, n):
+    """The package's lift mod p**n, also at a bad prime where one exists."""
+    return [c % p**n for c in padic._frobenius_rows(field, p, n)[1]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(checked_series())
+def test_pass_per_prime_matches_the_dense_scans(data):
+    v, s, extra = data
+    w = v if isinstance(v, MSeries) else MSeries.from_univariate(v)
+    field, present = w.field, set(w.as_dict)
+    got = check_sfunction(w, s, extra_primes=extra)
+    want = check_multi_by_dense_scan(w, s)
+    if not isinstance(v, MSeries):
+        assert _as_one_variable(want.to_obj()) == check_uni_by_dense_scan(v, s).to_obj()
+        assert _as_one_variable(got.to_obj()) == check_sfunction(v, s, extra).to_obj()
+    # the scan also records pairs whose two coefficients vanish
+    assert got.checks == tuple(
+        c for c in want.checks if c.kind == "integrality"
+        or {c.index, tuple(k // c.p for k in c.index)} & present)
+    assert got.skipped_primes == want.skipped_primes
+    assert got.checks == check_sfunction(w, s).checks  # extras never judge
+    assert [e["p"] for e in got.extra] == list(dict.fromkeys(extra))
+    for entry in got.extra:
+        q = entry["p"]
+        if field.discriminant % q:
+            assert entry == {"p": q, "bad": False, "frobenius_defined": True, "checks": [
+                _check_obj(c, ok=c.ok) for c in got.checks
+                if c.p == q and c.kind == "congruence"]}
+            continue
+        # a bad prime: its pairs in key order, each judged at its own
+        # precision, up to the first lift that fails
+        pairs = sorted(k for k in present | {tuple(q * x for x in k) for k in present}
+                       if sum(k) <= w.order and math.gcd(*k) % q == 0)
+
+        def judge(k):
+            down = tuple(x // q for x in k)
+            g = math.gcd(*k)
+            return congruence_by_fractions(
+                field, w.coeff(down) * (g // q) ** s, w.coeff(k) * g**s, k, q,
+                s * ord_p(g, q), lift=_package_lift)
+
+        done = len(entry["checks"])
+        assert entry["checks"] == [_check_obj(c, ok=c.ok) for c in map(judge, pairs[:done])]
+        assert entry["bad"] and entry["frobenius_defined"] == ("error" not in entry)
+        if "error" in entry:
+            with pytest.raises(SfuncError):
+                judge(pairs[done])
+        else:
+            assert done == len(pairs)
