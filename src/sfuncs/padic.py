@@ -27,7 +27,7 @@ from .numfield import (FieldElem, NumberField, _derivative, _mul_fold, _poly_inv
 
 def _mul(a, b, field: NumberField, mod: int) -> tuple[int, ...]:
     """The product of two rows, mod P and mod `mod`."""
-    return tuple([c % mod for c in _mul_fold(a, b, field._reduction)])
+    return tuple(c % mod for c in _mul_fold(a, b, field._reduction))
 
 
 def _powers(xi, field: NumberField, mod: int, count: int) -> tuple[tuple[int, ...], ...]:

@@ -39,13 +39,11 @@ _LEAF = 600  # decimal digits that int() and str() convert under any limit
 def _int(x) -> int:
     """x as an int: a non-bool int, or a decimal string of any length.
     Anything else, a float or a bool included, raises BadFile."""
-    if type(x) is int or type(x) is str and len(x) <= _LEAF:
+    if isinstance(x, str) and len(x) <= _LEAF or isinstance(x, int) and not isinstance(x, bool):
         return int(x)
-    if isinstance(x, bool) or not isinstance(x, (int, str)):
+    if not isinstance(x, str):
         raise BadFile(f"cannot read {x!r} as an integer")
-    text = x.strip() if isinstance(x, str) else ""
-    if len(text) <= _LEAF:
-        return int(x)
+    text = x.strip()
     digits = text[1:] if text[:1] in ("+", "-") else text
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"not a decimal integer: {text[:40]!r}...")

@@ -39,7 +39,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from operator import attrgetter, itemgetter
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .errors import ConstantTermNonzero, NotIntegral, NotPrime, SfuncError
 from .intutil import PRIME_TEST_BOUND, crt, divisors, is_prime, ord_p, prime_factors, primes_up_to
@@ -51,8 +51,7 @@ from .series import Series
 Index = Union[int, tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One verified condition at (index, p)."""
 
     index: Index
@@ -178,11 +177,12 @@ def check_sfunction(
     must be q-integral at every good q not dividing g.  Each pair (k, p)
     states frob_p(a_{k/p}) = a_k mod p**(s * ord_p(g)), so
     required = s * ord_p(g) in one variable and in several.  The pairs are
-    built once each from the terms present, each g factored once: (k, p)
-    for every p | g, and (p*k, p) for every p with p*|k| <= order when p*k
-    is not a term.  A pair whose two coefficients both vanish holds
-    trivially and is not recorded.  The pairs go into one bucket per prime,
-    _prime_pass judges each bucket, and the checks are sorted by (index, p).
+    built once each from the terms present, each g factored once by
+    prime_factors: (k, p) for every p | g, and (p*k, p) for every p with
+    p*|k| <= order when p*k is not a term.  A pair whose two coefficients
+    both vanish holds trivially and is not recorded.  The pairs go into one
+    bucket per prime, _prime_pass judges each bucket, and the checks are
+    sorted by (index, p).
 
     Returns a report with one record per checked condition; report.passed
     is the overall verdict.  A congruence valuation is capped at required,
@@ -226,26 +226,14 @@ def check_sfunction(
                 skipped.add(q)
             elif g % q != 0:
                 checks.append(Check(ix(key), q, 0, -ord_p(ak.den, q), False, "integrality"))
-    # p*k is a term only for p <= order // |k|: sieve to the smallest |k|.  A
-    # g below that bound and 2 * (number of terms) is factored off a table of
-    # least prime factors, a larger g by prime_factors.
-    top = order // min(map(sum, a)) if a else 0
-    primes = primes_up_to(top) if a else ()
-    size = min(top, 2 * len(a), max((math.gcd(*key) for key in a), default=0)) + 1
-    least = list(range(size))
-    for p in reversed(primes[:bisect.bisect(primes, math.isqrt(size))]):
-        least[p * p :: p] = [p] * len(range(p * p, size, p))
-    dense = len(a) == math.comb(order + w.nvars, order) - 1  # no p*k is absent
+    # p*k is a term only for p <= order // |k|: sieve to the smallest |k|
+    primes = primes_up_to(order // min(map(sum, a))) if a else ()
     buckets = defaultdict(list)
     for key, ak in a.items():
-        g = math.gcd(*key)
-        ords = {} if g < size else prime_factors(g)
-        while 1 < g < size:
-            ords[least[g]] = ords.get(least[g], 0) + 1
-            g //= least[g]
+        ords = prime_factors(math.gcd(*key))
         for p, e in ords.items():
             buckets[p].append((key, a.get(tuple([k // p for k in key]), zero), ak, s * e))
-        for p in () if dense else primes[:bisect.bisect(primes, order // sum(key))]:
+        for p in primes[:bisect.bisect(primes, order // sum(key))]:
             if (up := tuple([k * p for k in key])) not in a:
                 buckets[p].append((up, ak, zero, s * (ords.get(p, 0) + 1)))
     wanted, judged = dict.fromkeys(extra_primes), {}  # each extra prime once
