@@ -15,14 +15,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-from .errors import (
-    BadConductor,
-    BadConstant,
-    DescentFailed,
-    NotPrime,
-    SmallPrime,
-)
-from .intutil import _int_to_str, divisors, is_prime, moebius, ord_p
+from .errors import BadConductor, BadConstant, DescentFailed, SmallPrime
+from .intutil import _int_to_str, divisors, moebius, ord_p, require_prime
 from .numfield import (
     FieldElem, NumberField, _exact, _poly_divmod, make_field, rationals,
 )
@@ -381,8 +375,7 @@ def jk_check(p: int, k_max: int, f_max: int) -> JKReport:
     if cost > BINOMIAL_MAX_COST:
         raise ValueError(f"sweep p={p}, k_max={k_max}, f_max={f_max} is too large: "
                          f"estimated cost {cost} is above {BINOMIAL_MAX_COST}")
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+    require_prime(p)
     if p <= 3:
         raise SmallPrime("the congruence needs p > 3")
     records = []

@@ -4,14 +4,16 @@ Everything here is exact and deterministic.  The Miller-Rabin witnesses
 2..41 are proven correct below PRIME_TEST_BOUND, the least strong
 pseudoprime psi_13 = 3317044064679887385961981 to all of them (Sorenson &
 Webster 2016); 2..37 alone fail at psi_12 = 318665857834031151167461.
-prime_factors trial-divides below 2**40 to the square root, so no
-Miller-Rabin runs there; at or above 2**40 it stops at 2**10 and splits the
-rest by Brent's variant of Pollard rho.
+Every entry point that takes a prime checks it by require_prime.
+prime_factors trial-divides to 2**10 at every size, then tests each
+cofactor by is_prime or splits it by Brent's variant of Pollard rho.
 """
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+
+from .errors import NotPrime
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_TEST_BOUND = 3317044064679887385961981
@@ -46,6 +48,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def require_prime(p: int) -> None:
+    """NotPrime unless p is a prime below PRIME_TEST_BOUND (is_prime proven)."""
+    if not (p < PRIME_TEST_BOUND and is_prime(p)):
+        raise NotPrime(f"{p} is not a prime below {PRIME_TEST_BOUND}")
+
+
 def _pollard_rho(n: int) -> int:
     """One nontrivial factor of an odd composite n, by Brent's variant of
     Pollard rho: one gcd per 128 steps of the product of the differences,
@@ -76,7 +84,8 @@ def _pollard_rho(n: int) -> int:
 
 
 def prime_factors(n: int) -> dict[int, int]:
-    """Full factorization of |n| as a prime -> multiplicity map.
+    """Full factorization of |n| as a prime -> multiplicity map: a 2,4
+    wheel to min(sqrt(n), 2**10), then is_prime or _pollard_rho per cofactor.
 
     >>> prime_factors(360)
     {2: 3, 3: 2, 5: 1}
@@ -89,11 +98,8 @@ def prime_factors(n: int) -> dict[int, int]:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    f = 7
-    # 2,4-wheel trial division: to sqrt(n) while n < 2**40, proving the
-    # cofactor prime; at or above 2**40 to 2**10, then Brent's rho
-    step = 4
-    while f * f <= n and (n < 1 << 40 or f < 1 << 10):
+    f, step = 7, 4
+    while f * f <= n and f < 1 << 10:
         while n % f == 0:
             out[f] = out.get(f, 0) + 1
             n //= f

@@ -103,7 +103,8 @@ class MSeries:
 
     @property
     def constant_term(self) -> FieldElem:
-        return self.coeff((0,) * self.nvars)
+        head = self.terms[:1]  # the keys are sorted: the zero key comes first
+        return head[0][1] if head and not any(head[0][0]) else self.field.zero()
 
     def is_zero(self) -> bool:
         return not self.terms

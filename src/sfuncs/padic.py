@@ -5,8 +5,10 @@ The ring (Z/p**n)[x]/(P) is used as is, without factoring P mod p, so a
 prime that splits is handled through the full product ring.  Its elements
 are rows of d integers in [0, p**n), multiplied by numfield._mul_fold and
 reduced mod p**n.  The lift is the unique root xi of P with xi = x**p mod p,
-found by Newton iteration with doubling precision.  Frobenius fixes Z/p**n
-and sends x to xi, so it acts on a row by the matrix whose row i holds xi**i.
+found by Newton iteration with doubling precision that keeps u = 1/P'(xi)
+beside xi (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 9).
+Frobenius fixes Z/p**n and sends x to xi, so it acts on a row by the
+matrix whose row i holds xi**i.
 
 frobenius_lift accepts only primes not dividing the field discriminant,
 where P stays separable mod p and xi exists and is unique.  The checker and
@@ -19,8 +21,8 @@ import math
 from functools import lru_cache
 from operator import mul
 
-from .errors import BadPrime, LiftFailed, NotPrime
-from .intutil import is_prime, ord_p
+from .errors import BadPrime, LiftFailed
+from .intutil import ord_p, require_prime
 from .numfield import (FieldElem, NumberField, _derivative, _mul_fold, _poly_inverse,
                        _square_and_multiply)
 
@@ -38,57 +40,51 @@ def _powers(xi, field: NumberField, mod: int, count: int) -> tuple[tuple[int, ..
     return tuple(rows)
 
 
-def _invert_unit(a, field: NumberField, p: int, n: int) -> tuple[int, ...]:
-    """Inverse of a unit mod p**n: inverse mod p by extended Euclid, then
-    Hensel doubling."""
-    inv = _poly_inverse([c % p for c in a], [c % p for c in field.minpoly],
-                        lambda c: pow(c, -1, p), lambda c: c % p)
-    if inv is None:
-        raise LiftFailed(f"non-unit encountered mod {p}")
-    mod = p**n
-    for _ in range((n - 1).bit_length()):  # precision 1, 2, 4, ... >= n
-        e = _mul(a, inv, field, mod)  # inv <- inv * (2 - a * inv)
-        inv = _mul(inv, (2 - e[0],) + tuple(-c for c in e[1:]), field, mod)
-    return tuple(inv)
-
-
 @lru_cache(maxsize=4096)
 def _lift_cell(field: NumberField, p: int) -> list:
-    """[N, xi, rows]: the lift at (field, p) mod p**N, N the largest
-    precision built so far, and its matrix; it starts from xi = x**p mod p."""
+    """[N, xi, rows, u]: the lift at (field, p) mod p**N, N the largest
+    precision built so far, its matrix, and u = 1/P'(xi) mod p**(N/2), None
+    until N first grows past 1; it starts from xi = x**p mod p."""
     x = (0, 1) + (0,) * (field.degree - 2)
     xi = _square_and_multiply(x, p, lambda a, b: _mul(a, b, field, p))
-    return [1, xi, _powers(xi, field, p, field.degree)]
+    return [1, xi, _powers(xi, field, p, field.degree), None]
 
 
 def _frobenius_rows(field: NumberField, p: int, n: int) -> tuple:
     """The matrix of the kept lift at (field, p) mod p**N, N >= n.
 
-    When n exceeds N, Newton iteration xi <- xi - P(xi)/P'(xi) continues
-    from the kept xi, doubling the precision up to max(n, 2N); the lift
-    mod p**N reduces to the unique one mod p**n.  At a p dividing the
-    discriminant P'(xi) is never a unit, so past n = 1 this raises LiftFailed
-    and the cell keeps its lift mod p.  Over Q no lift is built.
+    When n exceeds N, Newton continues from the kept xi and u up to
+    max(n, 2N): u mod p comes from one extended Euclid, then each doubling
+    takes u <- u(2 - P'(xi)u) and xi <- xi - P(xi)u.  The lift mod p**N
+    reduces to the unique one mod p**n.  At a p dividing the discriminant
+    P'(xi) is never a unit, so past n = 1 this raises LiftFailed and the
+    cell keeps its lift mod p.  Over Q no lift is built.
     """
     if field.degree == 1:
         return ((1,),)
     cell = _lift_cell(field, p)
-    prec, xi, rows = cell
+    prec, xi, rows, u = cell
     if prec >= n:
         return rows
     d, minpoly, deriv = field.degree, field.minpoly, _derivative(field.minpoly)
+    if u is None:
+        u = _poly_inverse([c % p for c in _apply_rows(rows, deriv, p)],
+                          [c % p for c in minpoly], lambda c: pow(c, -1, p), lambda c: c % p)
+        if u is None:
+            raise LiftFailed(f"non-unit encountered mod {p}")
     top = max(n, 2 * prec)
     while prec < top:
         prec = min(2 * prec, top)
         mod = p**prec
         pw = _powers(xi, field, mod, d + 1)
-        unit = _invert_unit(_apply_rows(pw, deriv, mod), field, p, prec)
-        step = _mul(_apply_rows(pw, minpoly, mod), unit, field, mod)
+        e = _mul(_apply_rows(pw, deriv, mod), u, field, mod)
+        u = _mul(u, (2 - e[0],) + tuple(-c for c in e[1:]), field, mod)
+        step = _mul(_apply_rows(pw, minpoly, mod), u, field, mod)
         xi = tuple((a - b) % mod for a, b in zip(xi, step))
     pw = _powers(xi, field, mod, d + 1)
     if any(_apply_rows(pw, minpoly, mod)):
         raise LiftFailed(f"Newton iteration did not converge at p={p}, n={top}")
-    cell[:] = [top, xi, pw[:d]]
+    cell[:] = [top, xi, pw[:d], u]
     return cell[2]
 
 
@@ -96,8 +92,8 @@ def frobenius_lift(field: NumberField, p: int, n: int) -> tuple[int, ...]:
     """Coordinates in [0, p**n) of the canonical Frobenius lift: the root xi
     of P with xi = x**p mod p, mod p**n.
 
-    Raises ValueError for n < 1, NotPrime for composite p and BadPrime when
-    p divides the field discriminant.
+    Raises ValueError for n < 1, NotPrime as intutil.require_prime does,
+    and BadPrime when p divides the field discriminant.
 
     >>> from sfuncs.numfield import make_field
     >>> frobenius_lift(make_field([-5, 0, 0, 1]), 7, 2)
@@ -105,8 +101,7 @@ def frobenius_lift(field: NumberField, p: int, n: int) -> tuple[int, ...]:
     """
     if n < 1:
         raise ValueError("precision exponent must be at least 1")
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+    require_prime(p)
     if field.discriminant % p == 0:
         raise BadPrime(f"{p} divides the field discriminant {field.discriminant}")
     if field.degree == 1:  # the root of x + c is -c
@@ -125,13 +120,7 @@ def valuation(a: FieldElem, p: int) -> int | float:
 
     Zero maps to +infinity; negative values report denominator content.
     """
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    return _valuation(a, p)
-
-
-def _valuation(a: FieldElem, p: int) -> int | float:
-    """valuation(a, p) for a p already known to be prime."""
+    require_prime(p)
     if a.is_zero():
         return math.inf
     t = ord_p(a.den, p) if a.den % p == 0 else 0

@@ -41,10 +41,10 @@ from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 from typing import NamedTuple, Sequence, Union
 
-from .errors import ConstantTermNonzero, NotIntegral, NotPrime, SfuncError
-from .intutil import PRIME_TEST_BOUND, crt, divisors, is_prime, ord_p, prime_factors, primes_up_to
+from .errors import ConstantTermNonzero, NotIntegral, SfuncError
+from .intutil import crt, divisors, ord_p, prime_factors, primes_up_to, require_prime
 from .mseries import MSeries
-from .numfield import FieldElem, NumberField, denominator_support
+from .numfield import FieldElem, NumberField
 from .padic import _apply_rows, _frobenius_rows
 from .series import Series
 
@@ -205,8 +205,7 @@ def check_sfunction(
     if s < 1:
         raise ValueError("need s >= 1")
     for q in extra_primes:
-        if q >= PRIME_TEST_BOUND or not is_prime(q):
-            raise NotPrime(f"{q} is not a prime below {PRIME_TEST_BOUND}")
+        require_prime(q)
     univariate = not isinstance(v, MSeries)
     w = MSeries.from_univariate(v) if univariate else v
     if not w.constant_term.is_zero():
@@ -299,7 +298,7 @@ def generate_crt(field: NumberField, x: FieldElem, s: int, order: int) -> Series
     """
     if x.field != field:
         raise NotIntegral("seed element must belong to the field")
-    if denominator_support(x):
+    if x.den != 1:
         raise NotIntegral("seed element must be integral")
     if s < 1 or order < 1:
         raise ValueError("need s >= 1 and order >= 1")

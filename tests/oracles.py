@@ -37,7 +37,7 @@ from sfuncs.framing import frame_f
 from sfuncs.intutil import is_prime, ord_p, prime_factors
 from sfuncs.mseries import MSeries, delta_i, exp_m, power_m
 from sfuncs.numfield import FieldElem, NumberField, denominator_support, invert
-from sfuncs.padic import _valuation, frobenius_lift
+from sfuncs.padic import frobenius_lift, valuation
 from sfuncs.serialize import BadFile
 from sfuncs.series import Series, compose, delta, exp_series, revert, shift_up
 from sfuncs.sfunc import Check, SReport
@@ -370,7 +370,7 @@ def check_uni_by_dense_scan(v: Series, s: int) -> SReport:
                 skipped.add(q)
             elif k % q != 0:
                 checks.append(
-                    Check(k, q, 0, _valuation(a[k], q), False, "integrality")
+                    Check(k, q, 0, valuation(a[k], q), False, "integrality")
                 )
         for p in prime_factors(k):
             if disc % p != 0:
@@ -402,7 +402,7 @@ def check_multi_by_dense_scan(v: MSeries, s: int) -> SReport:
             if disc % q == 0:
                 skipped.add(q)
             elif g % q != 0:
-                checks.append(Check(k, q, 0, _valuation(a[k], q), False, "integrality"))
+                checks.append(Check(k, q, 0, valuation(a[k], q), False, "integrality"))
         for p in prime_factors(g):
             if disc % p != 0:
                 down = tuple(e // p for e in k)

@@ -9,9 +9,11 @@ from fractions import Fraction
 import pytest
 
 from sfuncs.catalog import polylog, polylog_frame_table
-from sfuncs.numfield import make_field
+from sfuncs.intutil import is_prime
+from sfuncs.numfield import make_field, rationals
 from sfuncs.serialize import _rational, dump_obj, field_to_obj, load_series, series_to_obj
 from sfuncs.series import Series
+from sfuncs.sfunc import check_sfunction
 
 CUBIC = make_field([-1, -2, 1, 1])
 
@@ -434,6 +436,41 @@ def test_a_table_too_large_to_run_exits_2_at_once():
     elapsed = time.monotonic() - t0
     assert r.returncode == 2 and r.stdout == ""
     assert "too large" in r.stderr
+    assert elapsed <= 2.0
+
+
+def test_verify_on_forty_bit_denominators_finishes_at_once(tmp_path):
+    # c_k = 1/q_k with q_k the first 200 primes above 2**39: each denominator
+    # is proven prime by is_prime after trial division to 2**10
+    primes, q = [], 1 << 39
+    while len(primes) < 200:
+        q += 1
+        if is_prime(q):
+            primes.append(q)
+    v = Series.from_coeffs(rationals(), 200, [Fraction(1, q) for q in primes])
+    path = tmp_path / "d40.json"
+    dump_obj(series_to_obj(v), str(path))
+    t0 = time.monotonic()
+    r = run_cli("verify", "--series", str(path), "--s", "2", timeout=60)
+    elapsed = time.monotonic() - t0
+    assert r.returncode == 1, r.stderr
+    rep = json.loads(r.stdout)
+    assert len(rep["violations"]) == 569
+    assert rep == json.loads(dump_obj(check_sfunction(v, 2).to_obj()))
+    assert elapsed <= 2.0
+
+
+def test_gen_crt_refuses_a_seed_over_a_semiprime_at_once(tmp_path):
+    # integrality is den == 1: the 39-digit denominator is never factored
+    p, q = 10**19 + 51, 3 * 10**19 + 41
+    (tmp_path / "field.json").write_text("[1, 1, 1]\n")
+    (tmp_path / "x.json").write_text(json.dumps([f"1/{p * q}", "0"]))
+    t0 = time.monotonic()
+    r = run_cli("gen-crt", "--field", str(tmp_path / "field.json"), "--x",
+                str(tmp_path / "x.json"), "--s", "2", "--order", "5", timeout=60)
+    elapsed = time.monotonic() - t0
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.startswith("error: NotIntegral: ")
     assert elapsed <= 2.0
 
 

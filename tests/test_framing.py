@@ -583,7 +583,8 @@ def test_frame_multi_outputs_are_the_checked_elements():
 
 def test_framings_over_q_never_convolve(monkeypatch):
     # over Q every sum of products is one integer sum: a change that sends
-    # degree 1 back through the convolution and fold fails here
+    # degree 1 back through the convolution and fold fails here, in numfield
+    # and in framing, which binds both names when it loads
     li2, w = polylog(2, 12), _criterion_4_series(8)
     kappas = [Kappa.parse(t) for t in ("1,0;0,0", "0,1;1,0", "1,1;1,1", "2,-1;-1,0")]
     want = [frame_f_by_reversion(li2, 2)] + [frame_multi_by_inversion(w, k) for k in kappas]
@@ -591,8 +592,9 @@ def test_framings_over_q_never_convolve(monkeypatch):
     def refuse(*args):
         raise AssertionError("a product over Q went through the convolution")
 
-    monkeypatch.setattr(numfield, "_convolve_into", refuse)
-    monkeypatch.setattr(numfield, "_fold", refuse)
+    for module in (numfield, framing):
+        monkeypatch.setattr(module, "_convolve_into", refuse)
+        monkeypatch.setattr(module, "_fold", refuse)
     assert [frame_f(li2, 2)] + [frame_multi(w, k) for k in kappas] == want
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import prime_factors_by_floyd
 
 from sfuncs import intutil
+from sfuncs.errors import NotPrime
 from sfuncs.intutil import (
     crt,
     divisors,
@@ -51,8 +52,9 @@ def test_prime_factors_examples():
     assert prime_factors(big) == {2**31 - 1: 1, 2**61 - 1: 1}
 
 
-def test_prime_factors_below_2_40_needs_no_primality_test(monkeypatch):
-    # trial division past sqrt(n) proves the cofactor prime
+def test_prime_factors_within_trial_division_needs_no_primality_test(monkeypatch):
+    # trial division to 2**10 passes sqrt(n) for these n, which proves the
+    # cofactor prime
     def refuse(m):
         raise AssertionError(f"is_prime({m}) called")
 
@@ -62,10 +64,18 @@ def test_prime_factors_below_2_40_needs_no_primality_test(monkeypatch):
         f = prime_factors(n)
         assert math.prod(p**e for p, e in f.items()) == n
         assert set(f) <= sieve, n
-    assert prime_factors(1048573 * 1048571) == {1048571: 1, 1048573: 1}
     # past the trial-division range a cofactor is tested, not assumed prime
     monkeypatch.undo()
+    assert prime_factors(1048573 * 1048571) == {1048571: 1, 1048573: 1}
     assert prime_factors(1048583 * 1048589) == {1048583: 1, 1048589: 1}
+
+
+def test_require_prime_refuses_all_but_primes_below_the_bound():
+    for p in (2, 3, 41, 2**61 - 1, PSI_12 // 798330580441):
+        intutil.require_prime(p)
+    for n in (-5, 0, 1, 4, 561, PSI_12, intutil.PRIME_TEST_BOUND, 2**89 - 1):
+        with pytest.raises(NotPrime, match="not a prime below"):
+            intutil.require_prime(n)
 
 
 @given(st.integers(min_value=1, max_value=10**6))

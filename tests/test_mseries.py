@@ -367,3 +367,21 @@ def test_products_are_the_checked_elements():
                           (_sum_of_products([(p, q), (q, q)], -6), (pq + qq) * Fraction(-1, 6))):
             assert got == want and got.terms
             assert all(same_as_checked(c) for _, c in got.terms)
+
+
+# --- the constant term is terms[0] when present
+
+
+@pytest.mark.parametrize("coeffs", [{}, {(1, 0): 1}, {(0, 0): Fraction(2, 3), (0, 2): 5},
+                                    {(0, 0): CUBIC.gen(), (1, 1): 1}, {(0, 1): 1, (3, 0): 2}])
+def test_constant_term_is_the_zero_key_without_a_dict(coeffs):
+    w = MSeries.from_dict(CUBIC, 2, 3, coeffs)
+    got = w.constant_term
+    assert "as_dict" not in vars(w)
+    assert got == w.coeff((0, 0)) == coeffs.get((0, 0), 0)
+
+
+def test_repr_lists_each_term_and_the_order():
+    w = MSeries.from_dict(CUBIC, 2, 3, {(0, 0): 2, (1, 2): CUBIC.gen()})
+    assert repr(w) == "MSeries[(2)*z^[0, 0] + (1*x)*z^[1, 2]; order 3]"
+    assert repr(MSeries.zero(CUBIC, 2, 1)) == "MSeries[0; order 1]"

@@ -73,6 +73,14 @@ def test_field_constants():
     assert make_field([-5, 0, 0, 1]).discriminant == -675
 
 
+def test_division_by_an_element_by_a_fraction_and_into_an_int():
+    a, g = CUBIC.elem([1, 2, 3]), CUBIC.elem([Fraction(1, 2), -1, 1])
+    assert a / g == a * invert(g) == CUBIC.elem([2, 4, 2])
+    assert a / Fraction(2, 3) == a * Fraction(3, 2)
+    assert 2 / g == invert(g) * 2 == CUBIC.elem([Fraction(84, 41), Fraction(24, 41), Fraction(-8, 41)])
+    assert repr(CUBIC) == "NumberField([-1, -2, 1, 1])"
+
+
 def test_make_field_rejects():
     with pytest.raises(NotMonic):
         make_field([1, 2])  # 2x + 1

@@ -16,7 +16,7 @@ import pytest
 from sfuncs import padic
 from sfuncs.catalog import cyclotomic_field
 from sfuncs.errors import BadPrime, LiftFailed, NotPrime
-from sfuncs.intutil import primes_up_to
+from sfuncs.intutil import PRIME_TEST_BOUND, is_prime, primes_up_to
 from sfuncs.numfield import _mul_fold, _square_and_multiply, make_field, rationals
 from sfuncs.padic import _apply_rows, _frobenius_rows, _lift_cell, frobenius_lift, valuation
 
@@ -65,6 +65,18 @@ def test_valuation_rejects_composite_p():
         with pytest.raises(NotPrime):
             valuation(a, p)
     assert valuation(a, 2) == -1
+
+
+def test_psi_13_is_refused_where_is_prime_is_unproven():
+    # psi_13 = PRIME_TEST_BOUND is a composite strong pseudoprime to all 13
+    # witnesses, so is_prime calls it prime; valuation and frobenius_lift
+    # refuse it as the checker does
+    assert is_prime(PRIME_TEST_BOUND)
+    for call in (lambda: valuation(QI3.one(), PRIME_TEST_BOUND),
+                 lambda: frobenius_lift(QI3, PRIME_TEST_BOUND, 1),
+                 lambda: frobenius_lift(rationals(), PRIME_TEST_BOUND, 1)):
+        with pytest.raises(NotPrime, match="not a prime below"):
+            call()
 
 
 def test_valuation():
@@ -290,17 +302,26 @@ def test_one_lift_per_field_and_prime_serves_lower_precisions(monkeypatch):
         _lift_cell.cache_clear()
         exact = _frobenius_rows(CUBIC, 5, n)
         assert [tuple(c % 5**n for c in row) for row in high] == list(exact)
-    # more precision continues Newton from the kept xi up to max(n, 2N):
-    # one step from 9 to 18, where x**p mod p would take five
+    # more precision continues Newton from the kept xi and u = 1/P'(xi) up
+    # to max(n, 2N): one step from 9 to 18, where x**p mod p would take
+    # five, and no extended Euclid.  Each step takes the powers of xi once,
+    # and the convergence check once more.
     _lift_cell.cache_clear()
     _frobenius_rows(CUBIC, 5, 9)
-    steps, invert_unit = [], padic._invert_unit
-    monkeypatch.setattr(
-        padic, "_invert_unit", lambda *args: steps.append(args) or invert_unit(*args)
-    )
+    mods, powers = [], padic._powers
+
+    def counted(xi, field, mod, count):
+        mods.append(mod)
+        return powers(xi, field, mod, count)
+
+    monkeypatch.setattr(padic, "_powers", counted)
+    monkeypatch.setattr(padic, "_poly_inverse", None)
     _frobenius_rows(CUBIC, 5, 10)
     grown = _lift_cell(CUBIC, 5)
-    assert grown[0] == 18 and len(steps) == 1
+    assert grown[0] == 18 and mods == [5**18, 5**18]
+    # the kept u inverts P'(xi) = 3xi**2 + 2xi - 2 to half the precision
+    deriv = _apply_rows(grown[2], (-2, 2, 3), 5**18)
+    assert padic._mul(grown[3], deriv, CUBIC, 5**9) == (1, 0, 0)
     assert tuple(c % 5**9 for c in grown[1]) == xi_kept
     _frobenius_rows(CUBIC, 5, 50)
     assert _lift_cell(CUBIC, 5)[0] == 50

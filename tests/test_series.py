@@ -45,6 +45,12 @@ def test_coeff_access_and_truncation():
     assert v.truncate(2).coeff(2) == 2
 
 
+def test_repr_lists_each_nonzero_term_and_the_order():
+    v = Series.from_coeffs(CUBIC, 3, [CUBIC.gen(), 0, Fraction(1, 3)])
+    assert repr(v) == "Series[(1*x)*z^1 + (1/3)*z^3 + O(z^4)]"
+    assert repr(Series.from_coeffs(CUBIC, 2, [])) == "Series[0 + O(z^3)]"
+
+
 def test_from_coeffs_refuses_a_negative_order_first():
     # the coefficient count was compared with the order first, so a short
     # list at order -5 was blamed for "more coefficients than the stated order"

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from sfuncs.catalog import cyclotomic_field, polylog
 from sfuncs.errors import ConstantTermNonzero, NotIntegral, NotPrime, SfuncError
-from sfuncs.intutil import ord_p, primes_up_to
+from sfuncs.intutil import is_prime, ord_p, primes_up_to
 from sfuncs.mseries import MSeries
 from sfuncs.numfield import denominator_support, make_field, rationals
 from sfuncs.serialize import load_series
@@ -462,6 +462,33 @@ def test_a_large_gcd_is_factored_without_a_sieve_to_it(tmp_path):
     assert [(c.index, c.p, c.required, c.valuation) for c in rep.checks] == [
         ((g, 0), p, 2, 2) for p in primes_up_to(23)
     ]
+
+
+def _over_40_bit_primes(order=200):
+    """(V, primes): c_k = 1/q_k over Q, q_k the k-th prime above 2**39."""
+    primes, q = [], 1 << 39
+    while len(primes) < order:
+        q += 1
+        if is_prime(q):
+            primes.append(q)
+    return Series.from_coeffs(Q, order, [Fraction(1, q) for q in primes]), primes
+
+
+def test_forty_bit_denominators_are_factored_in_bounded_time():
+    # each denominator is a prime near 2**39: trial division stops at 2**10
+    # and is_prime proves the cofactor, where trial division to its square
+    # root took seconds per file
+    v, primes = _over_40_bit_primes()
+    t0 = time.perf_counter()
+    rep = check_sfunction(v, 2)
+    assert time.perf_counter() - t0 <= 2.0
+    # a_k = k**2/q_k is not q_k-integral, and v_p(a_k - a_(k/p)) = 2 ord_p(k) - 2
+    integrality = [(k, q, 0, -1) for k, q in enumerate(primes, 1)]
+    congruence = [(k, p, 2 * ord_p(k, p), 2 * ord_p(k, p) - 2)
+                  for k in range(1, 201) for p in primes_up_to(k) if k % p == 0]
+    got = [(c.index, c.p, c.required, c.valuation) for c in rep.violations]
+    assert len(got) == 569
+    assert got == sorted(integrality + congruence)
 
 
 def test_an_extra_prime_given_twice_is_reported_once():
