@@ -10,15 +10,14 @@ congruence checker binom(pkf, pk) = binom(kf, k) mod p^(3(ord_p(k)+1)), p > 3.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import BadConductor, BadConstant, DescentFailed, SmallPrime
 from .intutil import _int_to_str, divisors, moebius, ord_p, require_prime
 from .numfield import (
-    FieldElem, NumberField, _exact, _poly_divmod, make_field, rationals,
+    FieldElem, NumberField, _exact, _Frozen, _poly_divmod, make_field, rationals,
 )
 from .series import Series, dint, log_series
 
@@ -69,8 +68,7 @@ def polylog(s: int, order: int, field: NumberField | None = None) -> Series:
     )
 
 
-@dataclass(frozen=True)
-class CyclotomicSpec:
+class CyclotomicSpec(_Frozen):
     """A root-of-unity combination: conductor N, coefficients c_i, exponent s.
 
     The generated normalized coefficients are a_k = sum_i c_i zeta^(ik) with
@@ -81,27 +79,34 @@ class CyclotomicSpec:
     coeffs: tuple[tuple[int, Fraction], ...]
     s: int
 
-    def __post_init__(self) -> None:
-        if self.conductor < 1:
-            raise BadConductor(f"conductor must be at least 1, got {self.conductor}")
-        if self.s < 1:
+    def __init__(self, conductor: int, coeffs, s: int) -> None:
+        if conductor < 1:
+            raise BadConductor(f"conductor must be at least 1, got {conductor}")
+        if s < 1:
             raise ValueError("s must be a positive integer")
-        items = (
-            self.coeffs.items()
-            if isinstance(self.coeffs, Mapping)
-            else self.coeffs
-        )
+        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         norm: dict[int, Fraction] = {}  # a repeated index sums its coefficients
         for i, c in items:
             if type(i) is not int:  # a float or a bool is not truncated
                 raise TypeError(f"coefficient index {i!r} is not an int")
             c = _exact(c)
-            if not 0 <= i < self.conductor:
-                raise BadConductor(
-                    f"coefficient index {i} outside [0, {self.conductor})"
-                )
+            if not 0 <= i < conductor:
+                raise BadConductor(f"coefficient index {i} outside [0, {conductor})")
             norm[i] = norm.get(i, 0) + c
+        object.__setattr__(self, "conductor", conductor)
         object.__setattr__(self, "coeffs", tuple(sorted((i, c) for i, c in norm.items() if c)))
+        object.__setattr__(self, "s", s)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.conductor, self.coeffs, self.s) == (other.conductor, other.coeffs, other.s)
+
+    def __hash__(self) -> int:
+        return hash((self.conductor, self.coeffs, self.s))
+
+    def __repr__(self) -> str:
+        return f"CyclotomicSpec(conductor={self.conductor!r}, coeffs={self.coeffs!r}, s={self.s!r})"
 
 
 def _solve_rational(
@@ -208,8 +213,7 @@ def from_log_poly(field: NumberField, q_poly, s: int, order: int) -> Series:
     return v
 
 
-@dataclass(frozen=True)
-class FramedPolylogTable:
+class FramedPolylogTable(NamedTuple):
     """Exact table of framed-polylog multiplicities N_d^(f).
 
     nonintegral lists the (d, f) cells with f != 0 where 6*N/f is not an
@@ -300,8 +304,7 @@ def polylog_frame_table(f_range, d_range) -> FramedPolylogTable:
     return FramedPolylogTable(d_values, f_values, cells, bad)
 
 
-@dataclass(frozen=True)
-class JKRecord:
+class JKRecord(NamedTuple):
     """One binomial congruence instance at (k, f)."""
 
     k: int
@@ -312,8 +315,9 @@ class JKRecord:
     ok: bool
 
 
-@dataclass(frozen=True)
-class JKReport:
+class JKReport(NamedTuple):
+    """The binomial congruence sweep at the prime p, one record per (k, f)."""
+
     p: int
     records: tuple[JKRecord, ...]
 

@@ -40,7 +40,6 @@ of that output key goes on from there on rational rows (see frame_multi).
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import dropwhile, product
 from math import comb, factorial, gcd, lcm, perm
@@ -53,7 +52,7 @@ from .errors import (
     NotSymmetric,
 )
 from .mseries import MSeries, _sum_of_products, power_m
-from .numfield import FieldElem, _convolve_into, _fold, _normalize, _sum_rows
+from .numfield import FieldElem, _convolve_into, _fold, _Frozen, _normalize, _sum_rows
 from .series import (
     Series,
     delta,
@@ -66,16 +65,15 @@ from .series import (
 )
 
 
-@dataclass(frozen=True)
-class Kappa:
+class Kappa(_Frozen):
     """Symmetric integer framing matrix.  An entry that is not an int, a
     float or a bool included, raises TypeError: nothing is truncated."""
 
     entries: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        n = len(self.entries)
-        rows = tuple(tuple(row) for row in self.entries)
+    def __init__(self, entries: tuple[tuple[int, ...], ...]) -> None:
+        n = len(entries)
+        rows = tuple(tuple(row) for row in entries)
         for c in (c for row in rows for c in row):
             if isinstance(c, bool) or not isinstance(c, int):
                 raise TypeError(f"framing matrix entry {c!r} is not an int")
@@ -88,6 +86,17 @@ class Kappa:
                         f"entries ({i},{j}) and ({j},{i}) differ"
                     )
         object.__setattr__(self, "entries", rows)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash((self.entries,))
+
+    def __repr__(self) -> str:
+        return f"Kappa(entries={self.entries!r})"
 
     @property
     def n(self) -> int:

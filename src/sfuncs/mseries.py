@@ -20,7 +20,6 @@ to_univariate.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import add, itemgetter
@@ -34,18 +33,34 @@ from .errors import (
     Zero,
     ZeroDivisor,
 )
-from .numfield import _INT, FieldElem, NumberField, _square_and_multiply, _sum_rows, invert
+from .numfield import _INT, FieldElem, NumberField, _Frozen, _square_and_multiply, _sum_rows, invert
 
 Coeff = Union[int, Fraction, FieldElem]
 ExpVec = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class MSeries:
+class MSeries(_Frozen):
+    """Nonzero terms (exponent vector, coefficient) sorted by vector, to total degree order."""
+
     field: NumberField
     nvars: int
     order: int
     terms: tuple[tuple[ExpVec, FieldElem], ...]
+
+    def __init__(self, field, nvars, order, terms) -> None:
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "terms", terms)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.field, self.nvars, self.order, self.terms) == (
+            other.field, other.nvars, other.order, other.terms)
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.nvars, self.order, self.terms))
 
     @classmethod
     def from_dict(

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence, Union
@@ -71,8 +70,17 @@ def _resultant(a: Sequence, b: Sequence) -> Fraction:
     return res * b[0] ** _poly_degree(a) if db == 0 else Fraction(0)
 
 
-@dataclass(frozen=True)
-class NumberField:
+class _Frozen:
+    """Base of the value classes: __init__ sets each attribute once, none after."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class NumberField(_Frozen):
     """Q[x]/(P), carrying the degree and discriminant of P.
 
     Build through make_field, which validates the polynomial.
@@ -81,6 +89,20 @@ class NumberField:
     minpoly: tuple[int, ...]
     degree: int
     discriminant: int
+
+    def __init__(self, minpoly: tuple[int, ...], degree: int, discriminant: int) -> None:
+        object.__setattr__(self, "minpoly", minpoly)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "discriminant", discriminant)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return other is self or (self.minpoly, self.degree, self.discriminant) == (
+            other.minpoly, other.degree, other.discriminant)
+
+    def __hash__(self) -> int:
+        return hash((self.minpoly, self.degree, self.discriminant))
 
     @cached_property
     def _reduction(self) -> tuple[tuple[int, ...], ...]:
@@ -175,30 +197,31 @@ _QQ: NumberField | None = None
 _INT = {int}
 
 
-@dataclass(frozen=True)
-class FieldElem:
+class FieldElem(_Frozen):
     """One element: integer coordinates nums over a shared denominator den."""
 
     field: NumberField
     nums: tuple[int, ...]
-    den: int = 1
+    den: int
 
-    def __post_init__(self) -> None:
-        nums, den = tuple(self.nums), self.den
+    def __init__(self, field: NumberField, nums: Sequence[int], den: int = 1) -> None:
+        nums = tuple(nums)
         if {*map(type, nums), type(den)} != _INT:  # a bool, float or Fraction
             raise TypeError(f"coordinates {nums!r} and denominator {den!r} must be ints")
-        if len(nums) != self.field.degree:
+        if len(nums) != field.degree:
             raise ValueError("coordinate count does not match the field degree")
         if den == 0:
             raise ZeroDivisionError("zero denominator")
         nums, den = _normalize(nums, den)
+        object.__setattr__(self, "field", field)
         object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "den", den)
 
     @classmethod
     def _normalized(cls, field: NumberField, nums: tuple[int, ...], den: int):
-        """nums / den normalized as _sum_rows returns it (int coordinates, one
-        per degree, den > 0, gcd 1), without __post_init__'s checks and gcd."""
+        """nums / den normalized as _sum_rows and _normalize return it (int
+        coordinates, one per degree, den > 0, gcd 1), without __init__'s
+        checks and gcd."""
         elem = object.__new__(cls)
         object.__setattr__(elem, "field", field)
         object.__setattr__(elem, "nums", nums)

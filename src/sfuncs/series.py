@@ -13,7 +13,6 @@ coefficient.  dint, compose, revert and the shifts are one-variable only.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -24,21 +23,35 @@ from .errors import (
     NonzeroConstant,
 )
 from .mseries import Coeff, MSeries, delta_i, exp_m, log_m, power_m
-from .numfield import FieldElem, NumberField
+from .numfield import FieldElem, NumberField, _Frozen
 
 
-@dataclass(frozen=True)
-class Series:
+class Series(_Frozen):
+    """const + coeffs[0] z + ... + coeffs[order-1] z**order over field."""
+
     field: NumberField
     order: int
     const: FieldElem
     coeffs: tuple[FieldElem, ...]
 
-    def __post_init__(self) -> None:
-        if self.order < 0:
+    def __init__(self, field, order, const, coeffs) -> None:
+        if order < 0:
             raise ValueError("order must be nonnegative")
-        if len(self.coeffs) != self.order:
+        if len(coeffs) != order:
             raise ValueError("coefficient count must equal the order")
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "const", const)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.field, self.order, self.const, self.coeffs) == (
+            other.field, other.order, other.const, other.coeffs)
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.order, self.const, self.coeffs))
 
     @classmethod
     def from_coeffs(

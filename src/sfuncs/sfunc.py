@@ -37,7 +37,6 @@ from __future__ import annotations
 import bisect
 import math
 from collections import defaultdict
-from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 from typing import NamedTuple, Sequence, Union
 
@@ -62,8 +61,9 @@ class Check(NamedTuple):
     kind: str  # "congruence" or "integrality"
 
 
-@dataclass(frozen=True)
-class SReport:
+class SReport(NamedTuple):
+    """check_sfunction's checks, the bad primes it skipped and its extra-prime records."""
+
     s: int
     order: int
     checks: tuple[Check, ...]

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from sfuncs import cli, sfunc
 from sfuncs.catalog import polylog, polylog_frame_table
 from sfuncs.intutil import is_prime
 from sfuncs.numfield import make_field, rationals
@@ -587,3 +588,56 @@ def test_each_verb_imports_only_the_modules_it_runs(tmp_path, verb):
     loaded = {line.rsplit("|", 1)[1].strip() for line in r.stderr.splitlines()
               if line.startswith("import time:")}
     assert {m for m in loaded if m.split(".")[0] == "sfuncs"} == loads
+    assert not loaded & {"dataclasses", "inspect"}
+
+
+_GENERATORS = {
+    "gen-crt": ["gen-crt", "--field", "{q}", "--x", "{x}", "--s", "2"],
+    "gen-abelian": ["gen-abelian", "--conductor", "7", "--coeffs", "{c}", "--s", "2"],
+    "from-log": ["from-log", "--field", "{q}", "--coeffs", "{poly}", "--s", "2"],
+}
+
+
+def _generator_inputs(tmp_path) -> dict:
+    paths = {name: tmp_path / f"{name}.json" for name in ("q", "x", "poly", "c")}
+    paths["q"].write_text("[0, 1]\n")
+    paths["x"].write_text("[4]\n")
+    paths["poly"].write_text("[1, -1]\n")
+    paths["c"].write_text('{"1": 1, "2": 1}\n')
+    return paths
+
+
+@pytest.mark.parametrize("verb", sorted(_GENERATORS))
+def test_generators_refuse_an_order_above_the_bound_at_once(tmp_path, verb):
+    # with no bound, each still ran at 10 s, and from-log under a 1-GB memory
+    # limit died of a MemoryError traceback
+    paths = _generator_inputs(tmp_path)
+    argv = [a.format(**paths) for a in _GENERATORS[verb]]
+    start = time.perf_counter()
+    r = run_cli(*argv, "--order", "100000000", timeout=60)
+    assert time.perf_counter() - start <= 2
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == ("error: ValueError: order 100000000 is above "
+                        f"GENERATOR_MAX_ORDER = {cli.GENERATOR_MAX_ORDER}\n")
+
+
+def test_the_generator_bound_admits_its_own_order(tmp_path):
+    paths = _generator_inputs(tmp_path)
+    argv = [a.format(**paths) for a in _GENERATORS["gen-crt"]]
+    out = tmp_path / "crt.json"
+    assert cli.run(argv + ["--order", str(cli.GENERATOR_MAX_ORDER), "--out", str(out)]) == 0
+    assert load_series(str(out)).order == cli.GENERATOR_MAX_ORDER
+
+
+def test_running_out_of_memory_exits_2_with_one_line(tmp_path, monkeypatch, capsys):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(sfunc, "generate_crt", exhausted)
+    paths = _generator_inputs(tmp_path)
+    argv = [a.format(**paths) for a in _GENERATORS["gen-crt"]]
+    assert cli.run(argv + ["--order", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: MemoryError: the run needs more memory than it has\n"

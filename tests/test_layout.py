@@ -35,6 +35,13 @@ def test_package_imports_only_the_standard_library():
         assert not outside, f"{path.name} imports {sorted(outside)}"
 
 
+def test_no_module_of_the_package_imports_dataclasses():
+    # dataclasses loads inspect, ast, dis and tokenize, and each frozen
+    # dataclass compiles its generated methods when its module is imported
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert "dataclasses" not in _absolute_imports(path), path.name
+
+
 def _public_names(path: Path) -> set[str]:
     names = set()
     for node in ast.parse(path.read_text(), str(path)).body:

@@ -12,7 +12,9 @@ from sfuncs.catalog import polylog
 from sfuncs.mseries import MSeries
 from sfuncs.numfield import make_field, rationals
 from sfuncs.serialize import (
+    _LEAF,
     BadFile,
+    _pair,
     dump_obj,
     elem_from_obj,
     elem_to_obj,
@@ -207,6 +209,48 @@ def test_elem_from_obj_matches_the_fraction_loader(field, data, wrap):
                                 max_size=field.degree))
     obj = {"coords": coords} if wrap else coords
     assert elem_from_obj(field, obj) == elem_from_obj_by_fractions(field, obj)
+
+
+# Coordinates well formed or not: the short [num, den] string pairs that
+# elem_from_obj reads itself, and every other shape, which it hands to _pair.
+_TEXT = st.one_of(
+    st.integers(-10**6, 10**6).map(str),
+    st.from_regex(r"\s*[+-]?[0-9]{1,3}(_[0-9]{1,3})*\s*", fullmatch=True),
+    st.text(alphabet="0123456789+-_ \t\u0663\uff13/.e", max_size=8),  # Arabic-Indic, fullwidth 3
+    st.sampled_from(["0", "-0", "00", " 0 ", "0_0", "\u0660", "", "1__0"]),
+    st.integers(10**(_LEAF - 1), 10**(_LEAF + 100)).map(str),  # to past _LEAF characters
+    st.integers(10**(_LEAF - 1), 10**(_LEAF + 100)).map(lambda n: f" -{n}"),
+)
+_ENTRY = st.one_of(_TEXT, st.integers(-99, 99), st.floats(allow_nan=False), st.booleans(),
+                   st.none())
+_ANY_COORDINATE = st.one_of(
+    st.tuples(_TEXT, _TEXT).map(list),
+    st.tuples(_ENTRY, _ENTRY).map(list),
+    st.lists(_TEXT, max_size=3),
+    st.lists(_ENTRY, max_size=3),
+    _ENTRY,
+)
+
+
+def _outcome(read):
+    """read()'s value, or the class of the exception it raised."""
+    try:
+        return read()
+    except Exception as e:  # the class is the outcome
+        return type(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([rationals(), CUBIC]), st.data())
+def test_elem_from_obj_reads_each_coordinate_as_pair_does(field, data):
+    # its own reading of short string pairs must accept and refuse exactly
+    # what _pair does, with the same error class, the first bad one first
+    coords = data.draw(st.lists(_ANY_COORDINATE, min_size=field.degree, max_size=field.degree))
+
+    def by_pair():
+        return field.elem([Fraction(*_pair(c)) for c in coords])
+
+    assert _outcome(lambda: elem_from_obj(field, coords)) == _outcome(by_pair)
 
 
 @pytest.mark.parametrize("value, coeffs", [
