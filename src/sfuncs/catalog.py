@@ -162,16 +162,15 @@ def abelian_generator(
     zpow = [field.one()]
     for _ in range(n - 1):
         zpow.append(zpow[-1] * field.gen())
-    raw = []
-    for k in range(1, order + 1):
+    raw = {}  # a_k depends on k mod n only: one sum per residue, at its first index k
+    for k in range(1, min(n, order) + 1):
         a = field.zero()
         for i, c in spec.coeffs:
             a = a + zpow[(i * k) % n] * c
-        raw.append(a)
+        raw[k % n] = a
     if subfield is None:
-        return Series.from_coeffs(
-            field, order, [a * Fraction(1, k**spec.s) for k, a in enumerate(raw, 1)]
-        )
+        return Series.from_coeffs(field, order, [raw[k % n] / k**spec.s
+                                                 for k in range(1, order + 1)])
     if x_expr is None:
         raise DescentFailed("descent requested without the generator's expression")
     if x_expr.field != field:
@@ -187,13 +186,13 @@ def abelian_generator(
     for _ in range(subfield.degree):
         cols.append(acc.coords)
         acc = acc * x_expr
-    out = []
-    for k, a in enumerate(raw, 1):
+    for r, a in raw.items():  # in the order of the first index k of each residue r
         sol = _solve_rational(cols, a.coords)
         if sol is None:
-            raise DescentFailed(f"coefficient at index {k} lies outside the subfield")
-        out.append(subfield.elem(sol) * Fraction(1, k**spec.s))
-    return Series.from_coeffs(subfield, order, out)
+            raise DescentFailed(f"coefficient at index {r or n} lies outside the subfield")
+        raw[r] = subfield.elem(sol)
+    return Series.from_coeffs(subfield, order, [raw[k % n] / k**spec.s
+                                                for k in range(1, order + 1)])
 
 
 def from_log_poly(field: NumberField, q_poly, s: int, order: int) -> Series:

@@ -50,10 +50,11 @@ def _load_json(path: str):
 
 
 # The largest --order that gen-crt, gen-abelian and from-log accept, checked
-# before any file is read.  Their output grows linearly with the order and
-# from-log's time about quadratically: at this order over Q, start-up and
-# output included, from-log of 1 - z took 2.4 s, gen-crt 0.3 s and
-# gen-abelian at conductor 7 0.7 s (2-core x86-64, CPython 3.11).
+# before any file is read.  Their output and time grow linearly with the
+# order (from-log's log recurrence costs the nonzero grades of Q): at this
+# order, start-up and output included, from-log of 1 - z over Q took 0.4-0.6 s,
+# gen-crt over the disc-49 cubic 0.5-0.55 s and gen-abelian at conductor 7
+# 0.25-0.35 s (2-core x86-64, CPython 3.11).
 GENERATOR_MAX_ORDER = 10_000
 
 

@@ -272,26 +272,32 @@ def _from_grades(v: MSeries, grades: list[MSeries]) -> MSeries:
 # see the module docstring).
 
 
-def _dot(a: list[MSeries], b: list[MSeries], k: int, scale: int = 1) -> MSeries:
-    """sum_{j=1..k} a_j * b_(k-j) / scale: one _sum_of_products, nonzero pairs only."""
-    pairs = [(a[j], b[k - j]) for j in range(1, k + 1) if a[j].terms and b[k - j].terms]
+def _dot(a: list[MSeries], nz: list[int], b: list[MSeries], k: int, scale: int = 1) -> MSeries:
+    """sum_{j=1..k} a_j * b_(k-j) / scale, where nz lists the j >= 1 with a_j
+    nonzero in order: one _sum_of_products over the nonzero pairs, whose
+    count, not k, is the cost of a step."""
+    pairs = [(a[j], b[k - j]) for j in nz[:bisect_right(nz, k)] if b[k - j].terms]
     return _sum_of_products(pairs, scale) if pairs else a[0] * 0
+
+
+def _nonzero(a: list[MSeries]) -> list[int]:
+    return [j for j in range(1, len(a)) if a[j].terms]
 
 
 def _exp_grades(v: list[MSeries], one: MSeries) -> list[MSeries]:
     """Grades of exp(v), v_0 = 0: k*y_k = sum_{j=1..k} (j*v_j)*y_(k-j), y_0 = one."""
     dv = [g * j for j, g in enumerate(v)]
-    y = [one]
+    nz, y = _nonzero(dv), [one]
     for k in range(1, len(v)):
-        y.append(_dot(dv, y, k, k))
+        y.append(_dot(dv, nz, y, k, k))
     return y
 
 
 def _log_grades(y: list[MSeries]) -> list[MSeries]:
     """Grades of log(y), y_0 = 1: k*v_k = k*y_k - sum_{j=1..k-1} y_j*((k-j)*v_(k-j))."""
-    v, dv = [y[0] * 0], [y[0] * 0]
+    v, dv, nz = [y[0] * 0], [y[0] * 0], _nonzero(y)
     for k in range(1, len(y)):
-        v.append(y[k] + _dot(y, dv, k, -k))
+        v.append(y[k] + _dot(y, nz, dv, k, -k))
         dv.append(v[k] * k)
     return v
 
@@ -299,9 +305,9 @@ def _log_grades(y: list[MSeries]) -> list[MSeries]:
 def _inverse_grades(y: list[MSeries], one: MSeries, c: FieldElem) -> list[MSeries]:
     """Grades of 1/y, where c inverts the constant term of y_0:
     w_0 = c*one, w_k = -c * sum_{j=1..k} y_j*w_(k-j)."""
-    w = [one * c]
+    w, nz = [one * c], _nonzero(y)
     for k in range(1, len(y)):
-        w.append(_dot(y, w, k) * -c)
+        w.append(_dot(y, nz, w, k) * -c)
     return w
 
 

@@ -126,6 +126,9 @@ class NumberField(_Frozen):
         >>> k.elem([Fraction(1, 2), 3]).coords
         (Fraction(1, 2), Fraction(3, 1))
         """
+        if type(value) is int or type(value) is Fraction:  # reduced, den > 0: no check
+            return FieldElem._normalized(
+                self, (value.numerator,) + (0,) * (self.degree - 1), value.denominator)
         if isinstance(value, (int, Fraction)) or not isinstance(value, Iterable):
             value = [value] + [0] * (self.degree - 1)
         fracs = [_exact(v) for v in value]
@@ -146,11 +149,15 @@ class NumberField(_Frozen):
             return value
         return self.elem(value)
 
+    @cached_property
+    def _zero_one(self) -> tuple["FieldElem", "FieldElem"]:
+        return self.elem(0), self.elem(1)
+
     def zero(self) -> "FieldElem":
-        return self.elem(0)
+        return self._zero_one[0]
 
     def one(self) -> "FieldElem":
-        return self.elem(1)
+        return self._zero_one[1]
 
     def gen(self) -> "FieldElem":
         """The class of x."""

@@ -21,6 +21,7 @@ import json
 import math
 import os
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import SfuncError
 from .intutil import _int_to_str
@@ -88,7 +89,9 @@ def field_from_obj(obj) -> NumberField:
 
 
 def elem_to_obj(e: FieldElem) -> list:
-    return [[_int_to_str(c.numerator), _int_to_str(c.denominator)] for c in e.coords]
+    """The reduced [num, den] string pair of each coordinate nums[i] / den."""
+    den = e.den
+    return [[_int_to_str(n // (g := math.gcd(n, den))), _int_to_str(den // g)] for n in e.nums]
 
 
 def elem_from_obj(field: NumberField, obj) -> FieldElem:
@@ -149,7 +152,8 @@ def series_from_obj(obj, base_dir: str | None = None) -> Series:
         raise BadFile("series 'coeffs' must be a list, one entry per power of z")
     if len(coeffs) != order:
         raise BadFile(f"series lists {len(coeffs)} coefficients for order {order}")
-    return Series.from_coeffs(field, order, [elem_from_obj(field, c) for c in coeffs])
+    # elements of field already, one per power: no second coercion
+    return Series(field, order, field.zero(), tuple([elem_from_obj(field, c) for c in coeffs]))
 
 
 def mseries_to_obj(v: MSeries, field_ref=None) -> dict:
@@ -199,9 +203,39 @@ def load_field(path: str) -> NumberField:
         return field_from_obj(json.load(fh))
 
 
+# the text json.dumps writes for a str, an int, a bool or None; _quote is C
+_LEAVES = {str: _quote, int: int.__repr__, bool: {True: "true", False: "false"}.get,
+           type(None): lambda _: "null"}
+
+
+def _dumps(x, pad: str) -> str:
+    """json.dumps(x, indent=2, sort_keys=True), later lines indented by pad,
+    without the pure-Python indent encoder: a list of leaves or of [str, str]
+    pairs in one pass; a float, a tuple or a non-str key through json.dumps,
+    re-indented (JSON text holds no raw newline)."""
+    if (leaf := _LEAVES.get(type(x))) is not None:
+        return leaf(x)
+    inner = pad + "  "
+    if type(x) is list and x:
+        if all(type(v) in _LEAVES for v in x):
+            items = (_LEAVES[type(v)](v) for v in x)
+        elif all(type(v) is list and len(v) == 2 and type(v[0]) is str and type(v[1]) is str
+                 for v in x):
+            items = (f"[\n{inner}  {_quote(a)},\n{inner}  {_quote(b)}\n{inner}]" for a, b in x)
+        else:
+            items = (_dumps(v, inner) for v in x)
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
+    if type(x) is dict and x and all(type(k) is str for k in x):
+        items = (f"{_quote(k)}: {_dumps(x[k], inner)}" for k in sorted(x))
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}"
+    return json.dumps(x, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+
+
 def dump_obj(obj, path: str | None = None) -> str:
-    """Serialize to stable JSON text; write to path when given."""
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Serialize to stable JSON text, byte for byte what
+    json.dumps(obj, indent=2, sort_keys=True) writes, and a newline;
+    write to path when given."""
+    text = _dumps(obj, "") + "\n"
     if path is not None:
         with open(path, "w") as fh:
             fh.write(text)

@@ -13,9 +13,9 @@ resultant as the
 determinant of the Sylvester matrix, a sum of field products on Fraction
 coordinates, each reduced mod P by long division, the multivariate
 series product as a dict convolution of such sums, factoring by trial
-division to 2**20 and Floyd's rho, reading a stored element through one
-Fraction per coordinate, and rebuilding an element through the checked
-FieldElem constructor.  None of this
+division to 2**20 and Floyd's rho, reading and writing a stored element
+and building a scalar element through one Fraction per coordinate, and
+rebuilding an element through the checked FieldElem constructor.  None of this
 is part of the package; tests import it as ``from oracles import ...``.
 """
 from __future__ import annotations
@@ -34,7 +34,7 @@ from sfuncs.errors import (
     SfuncError,
 )
 from sfuncs.framing import frame_f
-from sfuncs.intutil import is_prime, ord_p, prime_factors
+from sfuncs.intutil import _int_to_str, is_prime, ord_p, prime_factors
 from sfuncs.mseries import MSeries, delta_i, exp_m, power_m
 from sfuncs.numfield import FieldElem, NumberField, denominator_support, invert
 from sfuncs.padic import frobenius_lift, valuation
@@ -617,3 +617,18 @@ def elem_from_obj_by_fractions(field: NumberField, obj) -> FieldElem:
             f"element has {len(coords)} coordinates, field degree is {field.degree}"
         )
     return field.elem(coords)
+
+
+def elem_to_obj_by_fractions(e: FieldElem) -> list:
+    """serialize.elem_to_obj through the Fraction of each coordinate, which
+    reduces it: one [numerator, denominator] string pair per coordinate."""
+    return [[_int_to_str(c.numerator), _int_to_str(c.denominator)] for c in e.coords]
+
+
+def elem_by_fractions(field: NumberField, value) -> FieldElem:
+    """NumberField.elem of an int, a bool or a Fraction: the scalar as the
+    Fraction first coordinate of a list, aligned to one lcm and handed to the
+    checked FieldElem constructor."""
+    coords = [Fraction(value)] + [Fraction(0)] * (field.degree - 1)
+    den = math.lcm(*(c.denominator for c in coords))
+    return FieldElem(field, tuple(c.numerator * (den // c.denominator) for c in coords), den)

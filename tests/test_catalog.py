@@ -91,6 +91,23 @@ def test_abelian_root_of_unity_tower():
     assert check_sfunction(v, 2).passed
 
 
+@pytest.mark.parametrize("conductor, coeffs, s, order", [
+    (7, {1: 1, 6: 1}, 2, 3),  # an order below the conductor
+    (7, {1: 1, 6: 1}, 2, 30),
+    (12, {1: Fraction(1, 2), 5: -3, 7: Fraction(2, 3)}, 3, 40),
+    (5, {}, 2, 6),
+])
+def test_abelian_coefficients_are_the_sum_at_each_index(conductor, coeffs, s, order):
+    # a_k is built once per residue k mod N; here it is summed at every k
+    field = cyclotomic_field(conductor)
+    zeta = field.gen()
+    v = abelian_generator(CyclotomicSpec(conductor, coeffs, s), order)
+    assert v.order == order and v.field == field
+    for k in range(1, order + 1):
+        a = sum((zeta ** (i * k) * c for i, c in coeffs.items()), field.zero())
+        assert v.coeff(k) == a * Fraction(1, k**s), k
+
+
 def test_abelian_negative_order_names_the_order():
     spec = CyclotomicSpec(7, {1: 1, 6: 1}, 2)
     with pytest.raises(ValueError, match="^order must be nonnegative$"):
@@ -125,6 +142,26 @@ def test_descent_to_real_cubic_subfield():
     assert w.coeff(2) * 4 == x * x - 2
     assert w.coeff(3) * 9 == x**3 - 3 * x
     assert check_sfunction(w, 2).passed
+
+
+def test_descent_is_the_coefficient_read_back_at_every_index():
+    # each residue k mod 7 is solved once; every coefficient, read back
+    # through x_expr, is the cyclotomic one
+    spec = CyclotomicSpec(7, {1: 1, 6: 1, 2: Fraction(1, 3), 5: Fraction(1, 3), 0: 2}, 3)
+    zeta = cyclotomic_field(7).gen()
+    x_expr = zeta + zeta**6
+    full = abelian_generator(spec, 40)
+    w = abelian_generator(spec, 40, subfield=CUBIC, x_expr=x_expr)
+    for k in range(1, 41):
+        c = w.coeff(k).coords
+        assert sum((x_expr**j * cj for j, cj in enumerate(c)), 0 * zeta) == full.coeff(k), k
+
+
+def test_descent_names_the_first_index_outside_the_subfield():
+    # over Q(zeta_6), zeta - zeta^2 = 1 but zeta^2 - zeta^4 = 2 zeta - 1
+    zero = cyclotomic_field(6).zero()
+    with pytest.raises(DescentFailed, match="^coefficient at index 2 lies outside the subfield$"):
+        abelian_generator(CyclotomicSpec(6, {1: 1, 2: -1}, 2), 20, subfield=Q, x_expr=zero)
 
 
 def test_descent_failures():
@@ -167,6 +204,12 @@ def test_cyclotomic_spec_refuses_an_index_that_is_not_an_int(coeffs):
 
 def test_from_log_poly_geometric():
     assert from_log_poly(Q, [1, -1], 2, 10) == polylog(2, 10)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 57, 600])
+def test_from_log_poly_of_one_minus_z_is_the_dilogarithm(n):
+    # the log recurrence meets one nonzero grade of 1 - z at each step
+    assert from_log_poly(Q, [1, -1], 2, n) == polylog(2, n)
 
 
 def test_from_log_poly_cubic_coefficients():

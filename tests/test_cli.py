@@ -566,12 +566,8 @@ _VERB_LOADS = {
 }
 
 
-@pytest.mark.parametrize("verb", sorted(_VERB_LOADS))
-def test_each_verb_imports_only_the_modules_it_runs(tmp_path, verb):
-    # every verb starts a fresh interpreter, so a module it does not run is
-    # start-up time; -X importtime lists each module the child imports
-    # (sfuncs.cli itself runs as __main__ and is not among them)
-    argv, loads = _VERB_LOADS[verb]
+def _verb_args(tmp_path, argv: list[str]) -> list[str]:
+    """argv with its {name} fields replaced by small input files under tmp_path."""
     paths = {name: tmp_path / f"{name}.json" for name in ("li1", "li2", "w", "q", "x", "poly", "c")}
     dump_obj(series_to_obj(polylog(1, 6)), str(paths["li1"]))
     dump_obj(series_to_obj(polylog(2, 6)), str(paths["li2"]))
@@ -581,7 +577,16 @@ def test_each_verb_imports_only_the_modules_it_runs(tmp_path, verb):
     paths["x"].write_text("[4]\n")
     paths["poly"].write_text("[1, -1]\n")
     paths["c"].write_text('{"1": 1, "2": 1}\n')
-    args = [a.format(**paths) for a in argv]
+    return [a.format(**paths) for a in argv]
+
+
+@pytest.mark.parametrize("verb", sorted(_VERB_LOADS))
+def test_each_verb_imports_only_the_modules_it_runs(tmp_path, verb):
+    # every verb starts a fresh interpreter, so a module it does not run is
+    # start-up time; -X importtime lists each module the child imports
+    # (sfuncs.cli itself runs as __main__ and is not among them)
+    argv, loads = _VERB_LOADS[verb]
+    args = _verb_args(tmp_path, argv)
     r = subprocess.run([sys.executable, "-X", "importtime", "-m", "sfuncs.cli", *args],
                        capture_output=True, text=True, timeout=60)
     assert r.returncode == 0, r.stderr[-2000:]
@@ -641,3 +646,39 @@ def test_running_out_of_memory_exits_2_with_one_line(tmp_path, monkeypatch, caps
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: MemoryError: the run needs more memory than it has\n"
+
+
+def _json_dumps_layout(text: str) -> str:
+    """text parsed and written again by json.dumps as dump_obj's layout is
+    defined: two-space indent, sorted keys, ASCII escapes, one newline."""
+    return json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("verb", sorted(set(_VERB_LOADS) - {"help"}))
+def test_each_verb_writes_the_json_dumps_layout(tmp_path, verb):
+    r = run_cli(*_verb_args(tmp_path, _VERB_LOADS[verb][0]), timeout=60)
+    assert r.returncode in (0, 1), r.stderr[-2000:]
+    assert r.stdout == _json_dumps_layout(r.stdout)
+
+
+def test_a_series_past_the_int_str_limit_is_written_in_the_json_dumps_layout():
+    field = make_field([1, 1, 1])
+    big = 7**6000  # 5,071 digits
+    v = Series.from_coeffs(field, 3, [field.elem([Fraction(-big, 3), 2]), 0,
+                                      field.gen() * Fraction(1, big + 1)])
+    text = dump_obj(series_to_obj(v))
+    assert text == _json_dumps_layout(text)
+    assert len(text) > 2 * 5000
+
+
+def test_from_log_of_a_sparse_polynomial_at_the_bound_finishes_in_two_seconds(tmp_path):
+    # the log recurrence costs the nonzero grades of 1 - z, one a step; it
+    # scanned every grade at each step and took 2.4 s
+    paths = _generator_inputs(tmp_path)
+    argv = [a.format(**paths) for a in _GENERATORS["from-log"]]
+    t0 = time.monotonic()
+    r = run_cli(*argv, "--order", str(cli.GENERATOR_MAX_ORDER), timeout=60)
+    elapsed = time.monotonic() - t0
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["coeffs"][-1] == [["1", str(cli.GENERATOR_MAX_ORDER**2)]]
+    assert elapsed <= 2.0

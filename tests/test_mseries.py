@@ -228,6 +228,18 @@ def test_graded_core_matches_sum_of_powers(v, c):
     assert power_m(v + c, -1) == inverse_by_powers(v + c)
 
 
+@pytest.mark.parametrize("field", [Q, F], ids=["Q", "x2+x+1"])
+def test_graded_core_on_sparse_grades_matches_sum_of_powers(field):
+    # grades 3 and 7 only, and grade 5 alone: the recurrences skip the zero grades
+    x = field.gen()
+    for terms in ({(3, 0): 1, (1, 2): x, (4, 3): Fraction(-2, 3)}, {(0, 5): x + 1}):
+        v = MSeries.from_dict(field, 2, 13, terms)
+        assert exp_m(v) == exp_by_powers(v)
+        assert log_m(v + 1) == log_by_powers(v + 1)
+        assert power_m(v + 2, -1) == inverse_by_powers(v + 2)
+        assert power_m(v + 2, -3) == power_m(power_m(v + 2, 3), -1)
+
+
 @settings(max_examples=40, deadline=None)
 @given(_zero_constant_series(nvars_range=(1, 1)), _unit_constants, st.data())
 def test_one_variable_wrappers_match_series(w, c, data):

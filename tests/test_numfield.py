@@ -6,7 +6,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import resultant_by_sylvester, same_as_checked, sum_products_by_fractions
+from oracles import (
+    elem_by_fractions,
+    resultant_by_sylvester,
+    same_as_checked,
+    sum_products_by_fractions,
+)
 from sfuncs.catalog import cyclotomic_polynomial
 from sfuncs.errors import FieldMismatch, NotMonic, NotSquarefree, Zero, ZeroDivisor
 from sfuncs.numfield import (
@@ -357,3 +362,29 @@ def test_normalized_is_the_checked_element_on_sum_rows_results():
             for scale in (1, -1, -6, 35):
                 nums, den = _sum_rows(field, rows, scale)
                 assert same_as_checked(FieldElem._normalized(field, nums, den)), rows
+
+
+_FIELDS = [rationals(), make_field([1, 1, 1]), CUBIC]
+
+
+@pytest.mark.parametrize("field", _FIELDS, ids=["Q", "x2+x+1", "cubic"])
+def test_elem_of_a_scalar_is_the_element_the_fraction_path_builds(field):
+    # elem reads an int or a Fraction straight into its integer row; bools
+    # and sequences keep the Fraction path
+    for value in (0, 1, -7, 10**50, True, False, Fraction(3, 4), Fraction(-5, 12),
+                  Fraction(-10**40, 3**30), Fraction(6, 1)):
+        e = field.elem(value)
+        assert e == elem_by_fractions(field, value) and same_as_checked(e), value
+        assert type(e.nums[0]) is int and type(e.den) is int
+    for value in (0.5, 2.0, float("nan")):
+        with pytest.raises(TypeError):
+            field.elem(value)
+
+
+@pytest.mark.parametrize("field", _FIELDS, ids=["Q", "x2+x+1", "cubic"])
+def test_zero_and_one_are_built_once_and_equal_elem(field):
+    for got, value in ((field.zero(), 0), (field.one(), 1)):
+        assert got == field.elem(value) and hash(got) == hash(field.elem(value))
+        assert same_as_checked(got)
+    assert field.zero() is field.zero() and field.one() is field.one()
+    assert field.zero().is_zero() and field.one() * field.gen() == field.gen()

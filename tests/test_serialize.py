@@ -6,11 +6,11 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import elem_from_obj_by_fractions
+from oracles import elem_from_obj_by_fractions, elem_to_obj_by_fractions
 
 from sfuncs.catalog import polylog
 from sfuncs.mseries import MSeries
-from sfuncs.numfield import make_field, rationals
+from sfuncs.numfield import FieldElem, make_field, rationals
 from sfuncs.serialize import (
     _LEAF,
     BadFile,
@@ -295,3 +295,59 @@ def test_order_and_nvars_read_as_integers_or_decimal_strings():
     obj = {"field": {"minpoly": ["0", "1"]}, "nvars": "2", "order": 2,
            "coeffs": {"1,0": ["1"]}}
     assert mseries_from_obj(obj) == MSeries.var(rationals(), 2, 2, 0)
+
+
+# Values of every kind that dump_obj writes itself or hands to json.dumps:
+# str lists and [str, str] pairs, as a series holds them, mixed with other
+# lists, tuples, dicts with str or int keys, bools, None, ints and floats.
+_JSON_TEXT = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "\u2028", "\u00e9", "\U0001f600",
+                     "1,0", ""]),
+)
+_JSON_PAIR = st.tuples(_JSON_TEXT, _JSON_TEXT).map(list)
+_JSON_VALUE = st.recursive(
+    st.one_of(_JSON_TEXT, _JSON_PAIR, st.booleans(), st.none(),
+              st.integers(-10**40, 10**40), st.floats()),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(_JSON_PAIR, max_size=3),
+        st.lists(_JSON_TEXT, max_size=3),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(_JSON_TEXT, inner, max_size=4),
+        st.dictionaries(st.integers(-3, 3), inner, max_size=3),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUE)
+def test_dump_obj_writes_the_bytes_of_json_dumps(obj):
+    assert dump_obj(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+_FIELDS = [rationals(), make_field([1, 1, 1]), CUBIC]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_FIELDS), st.data())
+def test_elem_to_obj_matches_the_fraction_writer(field, data):
+    # small numerators over small denominators leave many coordinates to reduce
+    ints = st.one_of(st.integers(-12, 12), _BIG)
+    nums = data.draw(st.lists(ints, min_size=field.degree, max_size=field.degree))
+    den = data.draw(st.one_of(st.sampled_from([1, 2, 4, 6, 12, 360]), _DEN))
+    e = FieldElem(field, nums, den)
+    assert elem_to_obj(e) == elem_to_obj_by_fractions(e)
+
+
+@pytest.mark.parametrize("field", _FIELDS, ids=["Q", "x2+x+1", "cubic"])
+def test_elem_to_obj_writes_reduced_pairs(field):
+    d = field.degree
+    for nums, den in (((0,) * d, 1), ((-4,) + (6,) * (d - 1), 8), ((3,) + (0,) * (d - 1), 9),
+                      ((-(10**5000),) + (1,) * (d - 1), 10**4999 * 3)):
+        e = FieldElem(field, nums, den)
+        assert elem_to_obj(e) == elem_to_obj_by_fractions(e)
+    assert elem_to_obj(field.zero()) == [["0", "1"]] * d
+    assert elem_to_obj(FieldElem(field, (-4,) + (6,) * (d - 1), 8))[:2] == (
+        [["-1", "2"]] if d == 1 else [["-1", "2"], ["3", "4"]])
