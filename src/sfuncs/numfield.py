@@ -126,10 +126,10 @@ class NumberField(_Frozen):
         >>> k.elem([Fraction(1, 2), 3]).coords
         (Fraction(1, 2), Fraction(3, 1))
         """
-        if type(value) is int or type(value) is Fraction:  # reduced, den > 0: no check
+        if isinstance(value, (int, Fraction)):  # reduced, den > 0: no check
             return FieldElem._normalized(
                 self, (value.numerator,) + (0,) * (self.degree - 1), value.denominator)
-        if isinstance(value, (int, Fraction)) or not isinstance(value, Iterable):
+        if not isinstance(value, Iterable):
             value = [value] + [0] * (self.degree - 1)
         fracs = [_exact(v) for v in value]
         if len(fracs) != self.degree:

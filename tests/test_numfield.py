@@ -369,8 +369,8 @@ _FIELDS = [rationals(), make_field([1, 1, 1]), CUBIC]
 
 @pytest.mark.parametrize("field", _FIELDS, ids=["Q", "x2+x+1", "cubic"])
 def test_elem_of_a_scalar_is_the_element_the_fraction_path_builds(field):
-    # elem reads an int or a Fraction straight into its integer row; bools
-    # and sequences keep the Fraction path
+    # elem reads an int or a Fraction, bools included, straight into its
+    # integer row; sequences keep the Fraction path
     for value in (0, 1, -7, 10**50, True, False, Fraction(3, 4), Fraction(-5, 12),
                   Fraction(-10**40, 3**30), Fraction(6, 1)):
         e = field.elem(value)
