@@ -93,20 +93,7 @@ class CyclotomicSpec(_Frozen):
             if not 0 <= i < conductor:
                 raise BadConductor(f"coefficient index {i} outside [0, {conductor})")
             norm[i] = norm.get(i, 0) + c
-        object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "coeffs", tuple(sorted((i, c) for i, c in norm.items() if c)))
-        object.__setattr__(self, "s", s)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.conductor, self.coeffs, self.s) == (other.conductor, other.coeffs, other.s)
-
-    def __hash__(self) -> int:
-        return hash((self.conductor, self.coeffs, self.s))
-
-    def __repr__(self) -> str:
-        return f"CyclotomicSpec(conductor={self.conductor!r}, coeffs={self.coeffs!r}, s={self.s!r})"
+        super().__init__(conductor, tuple(sorted((i, c) for i, c in norm.items() if c)), s)
 
 
 def _solve_rational(
@@ -168,31 +155,29 @@ def abelian_generator(
         for i, c in spec.coeffs:
             a = a + zpow[(i * k) % n] * c
         raw[k % n] = a
-    if subfield is None:
-        return Series.from_coeffs(field, order, [raw[k % n] / k**spec.s
-                                                 for k in range(1, order + 1)])
-    if x_expr is None:
-        raise DescentFailed("descent requested without the generator's expression")
-    if x_expr.field != field:
-        raise DescentFailed("generator expression lives in the wrong field")
-    mp = subfield.minpoly
-    val = field.elem(mp[-1])
-    for c in reversed(mp[:-1]):
-        val = val * x_expr + c
-    if not val.is_zero():
-        raise DescentFailed("supplied element is not a root of the subfield polynomial")
-    cols = []
-    acc = field.one()
-    for _ in range(subfield.degree):
-        cols.append(acc.coords)
-        acc = acc * x_expr
-    for r, a in raw.items():  # in the order of the first index k of each residue r
-        sol = _solve_rational(cols, a.coords)
-        if sol is None:
-            raise DescentFailed(f"coefficient at index {r or n} lies outside the subfield")
-        raw[r] = subfield.elem(sol)
-    return Series.from_coeffs(subfield, order, [raw[k % n] / k**spec.s
-                                                for k in range(1, order + 1)])
+    if subfield is not None:
+        if x_expr is None:
+            raise DescentFailed("descent requested without the generator's expression")
+        if x_expr.field != field:
+            raise DescentFailed("generator expression lives in the wrong field")
+        mp = subfield.minpoly
+        val = field.elem(mp[-1])
+        for c in reversed(mp[:-1]):
+            val = val * x_expr + c
+        if not val.is_zero():
+            raise DescentFailed("supplied element is not a root of the subfield polynomial")
+        cols = []
+        acc = field.one()
+        for _ in range(subfield.degree):
+            cols.append(acc.coords)
+            acc = acc * x_expr
+        for r, a in raw.items():  # in the order of the first index k of each residue r
+            sol = _solve_rational(cols, a.coords)
+            if sol is None:
+                raise DescentFailed(f"coefficient at index {r or n} lies outside the subfield")
+            raw[r] = subfield.elem(sol)
+        field = subfield
+    return Series.from_coeffs(field, order, [raw[k % n] / k**spec.s for k in range(1, order + 1)])
 
 
 def from_log_poly(field: NumberField, q_poly, s: int, order: int) -> Series:

@@ -85,18 +85,7 @@ class Kappa(_Frozen):
                     raise NotSymmetric(
                         f"entries ({i},{j}) and ({j},{i}) differ"
                     )
-        object.__setattr__(self, "entries", rows)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash((self.entries,))
-
-    def __repr__(self) -> str:
-        return f"Kappa(entries={self.entries!r})"
+        super().__init__(rows)
 
     @property
     def n(self) -> int:

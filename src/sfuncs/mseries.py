@@ -47,21 +47,6 @@ class MSeries(_Frozen):
     order: int
     terms: tuple[tuple[ExpVec, FieldElem], ...]
 
-    def __init__(self, field, nvars, order, terms) -> None:
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "terms", terms)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.field, self.nvars, self.order, self.terms) == (
-            other.field, other.nvars, other.order, other.terms)
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.nvars, self.order, self.terms))
-
     @classmethod
     def from_dict(
         cls,

@@ -71,13 +71,36 @@ def _resultant(a: Sequence, b: Sequence) -> Fraction:
 
 
 class _Frozen:
-    """Base of the value classes: __init__ sets each attribute once, none after."""
+    """Base of the value classes, whose fields are their annotations: __init__
+    takes one value per field, in order, and sets each once, none after; two
+    values of one class with equal fields are equal, with equal hashes."""
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__annotations__)
+        cls._key = operator.attrgetter(*cls._fields)
+
+    def __init__(self, *values) -> None:
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {self._fields}")
+        self.__dict__.update(zip(self._fields, values))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return other is self or self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
 
 
 class NumberField(_Frozen):
@@ -89,20 +112,6 @@ class NumberField(_Frozen):
     minpoly: tuple[int, ...]
     degree: int
     discriminant: int
-
-    def __init__(self, minpoly: tuple[int, ...], degree: int, discriminant: int) -> None:
-        object.__setattr__(self, "minpoly", minpoly)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "discriminant", discriminant)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return other is self or (self.minpoly, self.degree, self.discriminant) == (
-            other.minpoly, other.degree, other.discriminant)
-
-    def __hash__(self) -> int:
-        return hash((self.minpoly, self.degree, self.discriminant))
 
     @cached_property
     def _reduction(self) -> tuple[tuple[int, ...], ...]:
@@ -189,7 +198,7 @@ def make_field(minpoly: Iterable[int]) -> NumberField:
     disc = discriminant(coeffs)
     if disc == 0:
         raise NotSquarefree("defining polynomial has a repeated factor")
-    return NumberField(minpoly=coeffs, degree=len(coeffs) - 1, discriminant=disc)
+    return NumberField(coeffs, len(coeffs) - 1, disc)
 
 
 def rationals() -> NumberField:
@@ -219,16 +228,15 @@ class FieldElem(_Frozen):
             raise ValueError("coordinate count does not match the field degree")
         if den == 0:
             raise ZeroDivisionError("zero denominator")
-        nums, den = _normalize(nums, den)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "den", den)
+        super().__init__(field, *_normalize(nums, den))
 
     @classmethod
     def _normalized(cls, field: NumberField, nums: tuple[int, ...], den: int):
         """nums / den normalized as _sum_rows and _normalize return it (int
         coordinates, one per degree, den > 0, gcd 1), without __init__'s
-        checks and gcd."""
+        checks and gcd.  It runs once per output coefficient, so it stores
+        the three fields itself: through _Frozen.__init__ a call takes about
+        half as long again."""
         elem = object.__new__(cls)
         object.__setattr__(elem, "field", field)
         object.__setattr__(elem, "nums", nums)
@@ -249,16 +257,13 @@ class FieldElem(_Frozen):
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = self.field.elem(other)
-        if not isinstance(other, FieldElem):
-            return NotImplemented
-        return (
-            self.field == other.field
-            and self.nums == other.nums
-            and self.den == other.den
-        )
+        return super().__eq__(other)
 
     def __hash__(self) -> int:
-        return hash((self.field, self.nums, self.den))
+        # an element equal to a scalar hashes as that scalar does
+        if any(self.nums[1:]):
+            return super().__hash__()
+        return hash(Fraction(self.nums[0], self.den))
 
     def _coerce(self, other) -> "FieldElem | None":
         if isinstance(other, (FieldElem, int, Fraction)):

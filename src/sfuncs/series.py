@@ -39,19 +39,7 @@ class Series(_Frozen):
             raise ValueError("order must be nonnegative")
         if len(coeffs) != order:
             raise ValueError("coefficient count must equal the order")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "const", const)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.field, self.order, self.const, self.coeffs) == (
-            other.field, other.order, other.const, other.coeffs)
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.order, self.const, self.coeffs))
+        super().__init__(field, order, const, coeffs)
 
     @classmethod
     def from_coeffs(

@@ -14,6 +14,7 @@ import pytest
 
 import sfuncs
 from sfuncs.mseries import MSeries
+from sfuncs.numfield import _Frozen
 
 PACKAGE = Path(sfuncs.__file__).parent
 ORACLES = Path(__file__).with_name("oracles.py")
@@ -209,3 +210,37 @@ def test_a_bare_import_loads_only_the_errors():
                        capture_output=True, text=True, timeout=60)
     assert r.returncode == 0, r.stderr
     assert ast.literal_eval(r.stdout) == ["sfuncs", "sfuncs.errors"]
+
+
+def _object_setattr_scopes(node: ast.AST, scope: tuple[str, ...] = ()):
+    """The class.function scope of every object.__setattr__ under node."""
+    if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+        scope += (node.name,)
+    if (isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+            and isinstance(node.value, ast.Name) and node.value.id == "object"):
+        yield ".".join(scope)
+    for child in ast.iter_child_nodes(node):
+        yield from _object_setattr_scopes(child, scope)
+
+
+def test_frozen_fields_equality_and_hash_are_written_once():
+    # _Frozen holds the rule for every value class; FieldElem alone adds
+    # equality with a scalar, with the hash that matches it, and stores its
+    # fields itself in _normalized, the hot path
+    for info in pkgutil.iter_modules(sfuncs.__path__):
+        importlib.import_module(f"sfuncs.{info.name}")
+    classes, todo = [], [_Frozen]
+    while todo:
+        classes.append(todo.pop())
+        todo.extend(classes[-1].__subclasses__())
+    assert {c.__name__ for c in classes} == {
+        "_Frozen", "NumberField", "FieldElem", "Series", "MSeries", "Kappa", "CyclotomicSpec"}
+    for method in ("__eq__", "__hash__"):
+        owners = sorted(c.__name__ for c in classes if method in vars(c))
+        assert owners == ["FieldElem", "_Frozen"], method
+    scopes = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        scopes.update(_object_setattr_scopes(ast.parse(path.read_text(), str(path))))
+    assert "FieldElem._normalized" in scopes
+    stray = sorted(s for s in scopes - {"FieldElem._normalized"} if not s.startswith("_Frozen."))
+    assert not stray, f"object.__setattr__ outside _Frozen: {stray}"

@@ -150,6 +150,15 @@ def test_equality_coerces_scalars():
     assert CUBIC.elem(1) != QI3.elem(1)
 
 
+@pytest.mark.parametrize("field", [rationals(), CUBIC], ids=["Q", "cubic"])
+def test_an_element_equal_to_a_scalar_hashes_as_the_scalar(field):
+    for value in (0, 3, -7, Fraction(1, 2)):
+        e = field.elem(value)
+        assert e == value and hash(e) == hash(value), value
+        assert len({e, value}) == 1 and {value: "x"}.get(e) == "x", value
+        assert {e: "x"}.get(value) == "x", value
+
+
 def test_field_mismatch_raises():
     with pytest.raises(FieldMismatch):
         CUBIC.gen() + QI3.gen()

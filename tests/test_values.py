@@ -1,7 +1,7 @@
 """The value classes: immutable, equal and hashed by their fields within one
-class, picklable and documented.  Those that check their arguments are
-written by hand; the plain records are NamedTuples, which compare as tuples
-do, as sfunc.Check does."""
+class, picklable and documented.  Those that check their arguments share
+one base, numfield._Frozen, whose fields are their annotations; the plain
+records are NamedTuples, which compare as tuples do, as sfunc.Check does."""
 from __future__ import annotations
 
 import copy
@@ -73,7 +73,7 @@ def test_equal_fields_give_equal_values_and_hashes(cls):
 @pytest.mark.parametrize("cls", sorted(set(VALUES) - RECORDS, key=lambda c: c.__name__),
                          ids=lambda c: c.__name__)
 def test_every_field_takes_part_in_equality(cls):
-    # __eq__ is written out per class, so a field left out of it shows here
+    # the fields are read from the annotations, so one left out of them shows here
     a = _build()[cls]
     for name in _fields(cls):
         b = copy.copy(a)
