@@ -29,8 +29,8 @@ _EXPORTS = {
         make_field rationals""",
     "padic": "frobenius_lift valuation",
     "series": """Series compose delta dint exp_series log_series power revert
-        shift_down shift_sh shift_up""",
-    "sfunc": "Check SReport check_sfunction dwork_assemble dwork_factor generate_crt",
+        shift_down shift_up""",
+    "sfunc": "Check SReport check_sfunction dwork_factor generate_crt",
 }
 _MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}
 

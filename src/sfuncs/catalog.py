@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, NamedTuple
 
-from .errors import BadConductor, BadConstant, DescentFailed, SmallPrime
+from .errors import BadConductor, BadConstantTerm, DescentFailed, SmallPrime
 from .intutil import _int_to_str, divisors, moebius, ord_p, require_prime
 from .numfield import (
     FieldElem, NumberField, _exact, _Frozen, _poly_divmod, make_field, rationals,
@@ -190,7 +190,7 @@ def from_log_poly(field: NumberField, q_poly, s: int, order: int) -> Series:
         raise ValueError("s must be a positive integer")
     qc = [field.coerce(c) for c in q_poly]
     if not qc or qc[0] != field.one():
-        raise BadConstant("polynomial must have constant coefficient 1")
+        raise BadConstantTerm("polynomial must have constant coefficient 1")
     v = -log_series(Series.from_coeffs(field, order, qc[1:order + 1], 1))
     for _ in range(s - 1):
         v = dint(v)

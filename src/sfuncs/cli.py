@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 
-from .errors import SfuncError
+from .errors import BadConductor, SfuncError
 
 
 def _parse_range(text: str) -> range | list[int]:
@@ -56,6 +56,15 @@ def _load_json(path: str):
 # gen-crt over the disc-49 cubic 0.5-0.55 s and gen-abelian at conductor 7
 # 0.25-0.35 s (2-core x86-64, CPython 3.11).
 GENERATOR_MAX_ORDER = 10_000
+
+
+# The largest --conductor of gen-abelian, checked before any file is read:
+# its time grows as N * phi(N)**2 for the powers of zeta, plus order * phi(N)
+# output and one elimination per residue for a descent.  The dearest request
+# accepted, N = 23, c_i = i for every i, s = 2, this bound's order, descended
+# into the whole field by zeta + 1, took 0.9 s on the host above; N = 10007
+# at order 3 ran past 20 s.
+GENERATOR_MAX_CONDUCTOR = 24
 
 
 def _check_generator_order(order: int) -> None:
@@ -130,6 +139,9 @@ def _cmd_gen_abelian(args) -> int:
     from .serialize import _rational, elem_from_obj, load_field
 
     _check_generator_order(args.order)
+    if args.conductor > GENERATOR_MAX_CONDUCTOR:
+        raise BadConductor(f"conductor {args.conductor} is above "
+                           f"GENERATOR_MAX_CONDUCTOR = {GENERATOR_MAX_CONDUCTOR}")
     raw = _load_json(args.coeffs)
     if not isinstance(raw, dict):
         raise SfuncError("--coeffs file must map index to rational")
@@ -234,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--series", required=True)
 
     p = add("gen-abelian", _cmd_gen_abelian, "root-of-unity combination generator")
-    p.add_argument("--conductor", required=True, type=int)
+    p.add_argument("--conductor", required=True, type=int,
+                   help=f"at most {GENERATOR_MAX_CONDUCTOR}")
     p.add_argument("--coeffs", required=True,
                    help="JSON map: index i to rational c_i")
     p.add_argument("--s", required=True, type=int)
@@ -273,6 +286,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv) -> int:
     args = build_parser().parse_args(argv)
+    # argparse (CPython 3.11) hands --opt=-- over as [], past type and choices
+    for name, value in vars(args).items():
+        if isinstance(value, list):
+            sys.stderr.write(f"error: argument --{name.replace('_', '-')}: expected one value\n")
+            return 2
     try:
         return args.fn(args)
     except (SfuncError, OSError, ValueError) as e:  # JSONDecodeError is a ValueError

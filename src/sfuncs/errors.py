@@ -52,12 +52,10 @@ class LiftFailed(SfuncError):
 
 # series operations
 
-class NonzeroConstant(SfuncError):
-    """Coefficientwise integration needs a vanishing constant term."""
-
-
 class BadConstantTerm(SfuncError):
-    """exp needs constant term 0; log needs constant term 1."""
+    """A constant term wrong for the operation: nonzero for dint, shift_down,
+    exp_m, the framings, check_sfunction and dwork_factor; not 1 for log_m
+    and the polynomial Q of from_log_poly."""
 
 
 class InnerHasConstant(SfuncError):
@@ -90,18 +88,10 @@ class NotIntegral(SfuncError):
     """Seed element must have an empty denominator support."""
 
 
-class ConstantTermNonzero(SfuncError):
-    """s-function data must start at index 1 (no constant term)."""
-
-
 # catalog
 
 class BadConductor(SfuncError):
     """Cyclotomic conductor or coefficient support is out of range."""
-
-
-class BadConstant(SfuncError):
-    """Polynomial seed for a logarithm must have constant coefficient 1."""
 
 
 class DescentFailed(SfuncError):

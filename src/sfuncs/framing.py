@@ -46,7 +46,7 @@ from math import comb, factorial, gcd, lcm, perm
 from operator import le, mul, sub
 
 from .errors import (
-    ConstantTermNonzero,
+    BadConstantTerm,
     DimensionMismatch,
     FramingTooLarge,
     NotSymmetric,
@@ -119,7 +119,7 @@ class Kappa(_Frozen):
 def _require_no_constant(w) -> None:
     const = w.const if isinstance(w, Series) else w.constant_term
     if not const.is_zero():
-        raise ConstantTermNonzero("framing input must have zero constant term")
+        raise BadConstantTerm("framing input must have zero constant term")
 
 
 def frame_elementary(w: Series, via_reversion: bool = False) -> Series:

@@ -118,14 +118,22 @@ def prime_factors(n: int) -> dict[int, int]:
 
 
 def ord_p(n: int, p: int) -> int:
-    """Exponent of the prime p in n; n must be nonzero."""
+    """Exponent of the prime p in n != 0 in O(log v) divmods: by p, p**2,
+    p**4, ... while each divides, then by the same powers on the way down."""
     if n == 0:
         raise ValueError("ord_p(0) is infinite")
     n = abs(n)
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
+    v, powers = 0, []  # powers[i] = p**(2**i), each divided out once
+    q, r = divmod(n, p)
+    while not r:
+        n, v = q, v + (1 << len(powers))
+        powers.append(p)
+        p *= p
+        q, r = divmod(n, p)
+    while powers:  # the rest of v is below 2**len(powers)
+        q, r = divmod(n, powers.pop())
+        if not r:
+            n, v = q, v + (1 << len(powers))
     return v
 
 

@@ -9,7 +9,8 @@ operation with an MSeries twin goes through MSeries.from_univariate and
 to_univariate: +, -, negation and products, delta (delta_i in one
 variable), exp_series, log_series and power.  So the MSeries operators
 check fields and truncate, and NumberField.coerce is the one coercion of a
-coefficient.  dint, compose, revert and the shifts are one-variable only.
+coefficient.  dint, compose, revert, shift_up and shift_down are
+one-variable only.
 """
 from __future__ import annotations
 
@@ -17,10 +18,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import (
+    BadConstantTerm,
     InnerHasConstant,
     NonUnitConstant,
     NonUnitLinearTerm,
-    NonzeroConstant,
 )
 from .mseries import Coeff, MSeries, delta_i, exp_m, log_m, power_m
 from .numfield import FieldElem, NumberField, _Frozen
@@ -138,7 +139,7 @@ def dint(v: Series) -> Series:
     The constant term must vanish.
     """
     if not v.const.is_zero():
-        raise NonzeroConstant("dint needs a vanishing constant term")
+        raise BadConstantTerm("dint needs a vanishing constant term")
     return Series(
         v.field,
         v.order,
@@ -206,20 +207,6 @@ def revert(f: Series) -> Series:
     return Series(field, n, field.zero(), tuple(g))
 
 
-def shift_sh(v: Series, l: int) -> Series:
-    """Index dilation z -> z**l: coefficient of z**(l*k) becomes v_k.
-
-    Truncation order is preserved, so the tail beyond it is dropped.
-    """
-    if l < 1:
-        raise ValueError("dilation factor must be at least 1")
-    field, n = v.field, v.order
-    out = [field.zero()] * n
-    for k in range(1, n // l + 1):
-        out[l * k - 1] = v.coeffs[k - 1]
-    return Series(field, n, v.const, tuple(out))
-
-
 def shift_up(v: Series) -> Series:
     """Multiply by z: order grows by one, nothing is lost."""
     return Series(v.field, v.order + 1, v.field.zero(), (v.const,) + v.coeffs)
@@ -228,7 +215,7 @@ def shift_up(v: Series) -> Series:
 def shift_down(v: Series) -> Series:
     """Divide by z a series with zero constant term: order shrinks by one."""
     if not v.const.is_zero():
-        raise NonzeroConstant("shift_down needs a vanishing constant term")
+        raise BadConstantTerm("shift_down needs a vanishing constant term")
     if v.order < 1:
         raise ValueError("nothing left to shift")
     return Series(v.field, v.order - 1, v.coeffs[0], v.coeffs[1:])

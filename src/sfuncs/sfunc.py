@@ -26,7 +26,8 @@ the power-basis lattice, so frob_p(a_{k/p}) has the valuation of a_{k/p}.
 
 dwork_factor writes V (with s = 1 normalization) as
 -sum_d log(1 - b_d z**d); V is a 1-function exactly when every b_d is
-integral away from bad primes, which is also exactly when exp(V) is.
+integral away from bad primes, which is also exactly when exp(V) is.  The
+way back is -log_series of the product prod_d (1 - b_d z**d).
 
 generate_crt builds the coefficient tower a_k from a seed a_1 = x by solving
 the congruences mod prod_p p**(s ord_p(k)) = k**s and taking the canonical
@@ -40,7 +41,7 @@ from collections import defaultdict
 from operator import attrgetter, itemgetter
 from typing import NamedTuple, Sequence, Union
 
-from .errors import ConstantTermNonzero, NotIntegral, SfuncError
+from .errors import BadConstantTerm, NotIntegral, SfuncError
 from .intutil import crt, divisors, ord_p, prime_factors, primes_up_to, require_prime
 from .mseries import MSeries
 from .numfield import FieldElem, NumberField
@@ -209,7 +210,7 @@ def check_sfunction(
     univariate = not isinstance(v, MSeries)
     w = MSeries.from_univariate(v) if univariate else v
     if not w.constant_term.is_zero():
-        raise ConstantTermNonzero("s-function data must have zero constant term")
+        raise BadConstantTerm("s-function data must have zero constant term")
     field, order = w.field, w.order
     disc = abs(field.discriminant)
     zero = field.zero()
@@ -261,7 +262,7 @@ def dwork_factor(v: Series) -> list[FieldElem]:
     b_d = a_d / d - sum_{k | d, k > 1} b_{d/k}**k / k.
     """
     if not v.const.is_zero():
-        raise ConstantTermNonzero("factorization needs zero constant term")
+        raise BadConstantTerm("factorization needs zero constant term")
     b: dict[int, FieldElem] = {}
     for d in range(1, v.order + 1):
         acc = v.coeff(d)  # a_d / d
@@ -270,22 +271,6 @@ def dwork_factor(v: Series) -> list[FieldElem]:
                 acc = acc - b[d // k] ** k / k
         b[d] = acc
     return [b[d] for d in range(1, v.order + 1)]
-
-
-def dwork_assemble(b: Sequence[FieldElem], order: int) -> Series:
-    """-sum_d log(1 - b_d z**d), truncated; left inverse of dwork_factor."""
-    if not b:
-        raise ValueError("need at least one factor coefficient")
-    field = b[0].field
-    coeffs = [field.zero()] * order
-    for d, bd in enumerate(b, start=1):
-        if d > order or bd.is_zero():
-            continue
-        powv = field.one()
-        for m in range(1, order // d + 1):
-            powv = powv * bd
-            coeffs[d * m - 1] = coeffs[d * m - 1] + powv / m
-    return Series(field, order, field.zero(), tuple(coeffs))
 
 
 def generate_crt(field: NumberField, x: FieldElem, s: int, order: int) -> Series:

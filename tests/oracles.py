@@ -12,9 +12,11 @@ check in one and in several variables by a dense scan of every index, the
 resultant as the
 determinant of the Sylvester matrix, a sum of field products on Fraction
 coordinates, each reduced mod P by long division, the multivariate
-series product as a dict convolution of such sums, factoring by trial
-division to 2**20 and Floyd's rho, reading and writing a stored element
-and building a scalar element through one Fraction per coordinate, and
+series product as a dict convolution of such sums, the series
+-sum_d log(1 - b_d z**d), which dwork_factor takes apart, as -log of the
+product of its factors, factoring by trial division to 2**20 and Floyd's
+rho, a valuation by one division per unit, reading and writing a stored
+element and building a scalar element through one Fraction per coordinate, and
 rebuilding an element through the checked FieldElem constructor.  None of this
 is part of the package; tests import it as ``from oracles import ...``.
 """
@@ -27,19 +29,19 @@ from typing import Iterable, Sequence
 
 from sfuncs.catalog import polylog
 from sfuncs.errors import (
-    ConstantTermNonzero,
+    BadConstantTerm,
     DimensionMismatch,
     FieldMismatch,
     InnerHasConstant,
     SfuncError,
 )
 from sfuncs.framing import frame_f
-from sfuncs.intutil import _int_to_str, is_prime, ord_p, prime_factors
+from sfuncs.intutil import _int_to_str, is_prime, prime_factors
 from sfuncs.mseries import MSeries, delta_i, exp_m, power_m
 from sfuncs.numfield import FieldElem, NumberField, denominator_support, invert
 from sfuncs.padic import frobenius_lift, valuation
 from sfuncs.serialize import BadFile
-from sfuncs.series import Series, compose, delta, exp_series, revert, shift_up
+from sfuncs.series import Series, compose, delta, exp_series, log_series, revert, shift_up
 from sfuncs.sfunc import Check, SReport
 
 
@@ -342,13 +344,13 @@ def congruence_by_fractions(field, prev, cur, index, p, required,
     by a common p**m that clears p from every denominator, read mod p**n with
     n = required + m, and compared as Frob_p(prev) - cur by the minimum
     ord_p over the coordinates, capped at n and shifted back by m."""
-    m = max(ord_p(c.denominator, p) for x in (prev, cur) for c in x.coords)
+    m = max(ord_p_by_division(c.denominator, p) for x in (prev, cur) for c in x.coords)
     n = required + m
     mod = p**n
     prev, cur = prev * p**m, cur * p**m
     image = frobenius_residues(field, prev, p, n, lift)
     diff = [(a - b) % mod for a, b in zip(image, residues_mod(cur, mod))]
-    achieved = min((ord_p(c, p) for c in diff if c), default=n) - m
+    achieved = min((ord_p_by_division(c, p) for c in diff if c), default=n) - m
     return Check(index, p, required, achieved, achieved >= required, "congruence")
 
 
@@ -357,7 +359,7 @@ def check_uni_by_dense_scan(v: Series, s: int) -> SReport:
     every index k <= order: each good p | k goes through
     congruence_by_fractions, also where a_(k/p) and a_k both vanish."""
     if not v.const.is_zero():
-        raise ConstantTermNonzero("s-function data must have zero constant term")
+        raise BadConstantTerm("s-function data must have zero constant term")
     field = v.field
     disc = abs(field.discriminant)
     n = v.order
@@ -376,7 +378,7 @@ def check_uni_by_dense_scan(v: Series, s: int) -> SReport:
             if disc % p != 0:
                 checks.append(
                     congruence_by_fractions(
-                        field, a[k // p], a[k], k, p, s * ord_p(k, p)
+                        field, a[k // p], a[k], k, p, s * ord_p_by_division(k, p)
                     )
                 )
     checks.sort(key=lambda c: (c.index, c.p))
@@ -389,7 +391,7 @@ def check_multi_by_dense_scan(v: MSeries, s: int) -> SReport:
     good p | g goes through congruence_by_fractions against a_(k/p), also
     where both coefficients vanish."""
     if not v.constant_term.is_zero():
-        raise ConstantTermNonzero("s-function data must have zero constant term")
+        raise BadConstantTerm("s-function data must have zero constant term")
     field, n = v.field, v.order
     disc = abs(field.discriminant)
     keys = [k for k in itertools.product(range(n + 1), repeat=v.nvars) if 0 < sum(k) <= n]
@@ -407,9 +409,24 @@ def check_multi_by_dense_scan(v: MSeries, s: int) -> SReport:
             if disc % p != 0:
                 down = tuple(e // p for e in k)
                 checks.append(congruence_by_fractions(
-                    field, a[down], a[k], k, p, s * ord_p(g, p)))
+                    field, a[down], a[k], k, p, s * ord_p_by_division(g, p)))
     checks.sort(key=lambda c: (c.index, c.p))
     return SReport(s, n, tuple(checks), tuple(sorted(skipped)))
+
+
+# --- a series from its Dwork factor coefficients
+
+
+def dwork_series_by_product(b: Sequence[FieldElem], order: int) -> Series:
+    """-sum_d log(1 - b_d z**d) to the order, the series sfunc.dwork_factor
+    factors: the product prod_d (1 - b_d z**d) on a dense coefficient list,
+    then one -log_series, where dwork_factor solves a divisor recurrence."""
+    field = b[0].field
+    prod = [field.one()] + [field.zero()] * order  # constant term first
+    for d, bd in enumerate(b[:order], start=1):
+        for k in range(order, d - 1, -1):
+            prod[k] = prod[k] - bd * prod[k - d]
+    return -log_series(Series.from_coeffs(field, order, prod[1:], prod[0]))
 
 
 # --- the resultant by fraction-free elimination
@@ -523,7 +540,20 @@ def mseries_mul_by_fractions(a: MSeries, b: MSeries) -> MSeries:
     return MSeries.from_dict(a.field, a.nvars, order, coeffs)
 
 
-# --- factoring by trial division to 2**20 and Floyd's rho
+# --- factoring by trial division to 2**20 and Floyd's rho, valuations one
+# division at a time
+
+
+def ord_p_by_division(n: int, p: int) -> int:
+    """intutil.ord_p by dividing n by p once per unit of the valuation."""
+    if n == 0:
+        raise ValueError("ord_p(0) is infinite")
+    n = abs(n)
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
 
 
 def _floyd_rho(n: int) -> int:

@@ -22,7 +22,7 @@ from sfuncs.catalog import (
     polylog_frame_table,
 )
 from sfuncs.errors import (
-    BadConductor, BadConstant, DescentFailed, FieldMismatch, NotPrime, SmallPrime,
+    BadConductor, BadConstantTerm, DescentFailed, FieldMismatch, NotPrime, SmallPrime,
 )
 from sfuncs.intutil import divisors, moebius
 from sfuncs.numfield import make_field, rationals
@@ -240,9 +240,9 @@ def test_from_log_poly_refuses_a_coefficient_of_another_field():
 
 
 def test_from_log_poly_constant_guard():
-    with pytest.raises(BadConstant):
+    with pytest.raises(BadConstantTerm):
         from_log_poly(Q, [2, 1], 2, 4)
-    with pytest.raises(BadConstant):
+    with pytest.raises(BadConstantTerm):
         from_log_poly(Q, [], 2, 4)
 
 

@@ -682,3 +682,46 @@ def test_from_log_of_a_sparse_polynomial_at_the_bound_finishes_in_two_seconds(tm
     assert r.returncode == 0, r.stderr
     assert json.loads(r.stdout)["coeffs"][-1] == [["1", str(cli.GENERATOR_MAX_ORDER**2)]]
     assert elapsed <= 2.0
+
+
+# One option of each verb given as --opt=--, which argparse (CPython 3.11)
+# hands over as [] without its type or choices: verify and jk-check ended in
+# a TypeError, frame-multi in an AttributeError, and polylog-table with
+# --format=-- exited 0.
+_DASHED = {"verify": "--series", "frame": "--f", "frame-multi": "--kappa",
+           "dwork": "--series", "gen-abelian": "--conductor", "gen-crt": "--x",
+           "from-log": "--s", "polylog-table": "--format", "jk-check": "--p"}
+
+
+@pytest.mark.parametrize("verb", sorted(_DASHED))
+def test_an_option_given_as_a_bare_double_dash_exits_2_with_one_line(tmp_path, capsys, verb):
+    argv, opt = _verb_args(tmp_path, _VERB_LOADS[verb][0]), _DASHED[verb]
+    if opt in argv:
+        del argv[argv.index(opt):argv.index(opt) + 2]
+    assert cli.run(argv + [f"{opt}=--"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: argument {opt}: expected one value\n"
+
+
+def test_gen_abelian_refuses_a_conductor_above_the_bound_at_once(tmp_path):
+    # the powers of zeta, the fold table and the output all grow with the
+    # conductor: 10007 at order 3 still ran at 20 s
+    (tmp_path / "c.json").write_text('{"1": 1}\n')
+    start = time.perf_counter()
+    r = run_cli("gen-abelian", "--conductor", "10007", "--coeffs", str(tmp_path / "c.json"),
+                "--s", "2", "--order", "3", timeout=60)
+    assert time.perf_counter() - start <= 2
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == ("error: BadConductor: conductor 10007 is above "
+                        f"GENERATOR_MAX_CONDUCTOR = {cli.GENERATOR_MAX_CONDUCTOR}\n")
+
+
+def test_gen_abelian_admits_the_conductor_bound(tmp_path):
+    n = cli.GENERATOR_MAX_CONDUCTOR
+    (tmp_path / "c.json").write_text(json.dumps({str(i): i for i in range(n)}))
+    out = tmp_path / "ab.json"
+    assert cli.run(["gen-abelian", "--conductor", str(n), "--coeffs", str(tmp_path / "c.json"),
+                    "--s", "2", "--order", "30", "--out", str(out)]) == 0
+    assert load_series(str(out)).order == 30

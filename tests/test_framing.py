@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from sfuncs.catalog import CyclotomicSpec, abelian_generator, from_log_poly, polylog
 from sfuncs.errors import (
-    ConstantTermNonzero,
+    BadConstantTerm,
     DimensionMismatch,
     FramingTooLarge,
     NotSymmetric,
@@ -129,9 +129,9 @@ def test_framing_preserves_two_function_property():
 
 def test_framing_requires_zero_constant():
     w = polylog(2, 6) + 1
-    with pytest.raises(ConstantTermNonzero):
+    with pytest.raises(BadConstantTerm):
         frame_f(w, 1)
-    with pytest.raises(ConstantTermNonzero):
+    with pytest.raises(BadConstantTerm):
         frame_elementary(w)
 
 
@@ -209,7 +209,7 @@ def test_frame_multi_guards():
     w = _dilog_monomial((1, 1), 6)
     with pytest.raises(DimensionMismatch):
         frame_multi(w, Kappa.parse("1"))
-    with pytest.raises(ConstantTermNonzero):
+    with pytest.raises(BadConstantTerm):
         frame_multi(w + 1, Kappa.parse("1,0;0,1"))
 
 

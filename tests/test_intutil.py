@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import prime_factors_by_floyd
+from oracles import ord_p_by_division, prime_factors_by_floyd
 
 from sfuncs import intutil
 from sfuncs.errors import NotPrime
@@ -92,6 +93,25 @@ def test_ord_p():
     assert ord_p(48, 5) == 0
     with pytest.raises(ValueError):
         ord_p(0, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 97, 2**61 - 1]), st.integers(0, 600),
+       st.integers(-10**30, 10**30).filter(bool))
+def test_ord_p_matches_one_division_per_unit(p, k, u):
+    # p**k * u with u of any valuation, so k is a lower bound only
+    n = p**k * u
+    assert ord_p(n, p) == ord_p_by_division(n, p)
+    assert ord_p(n, p) >= k
+
+
+def test_ord_p_of_a_large_valuation_takes_few_divisions():
+    # one division per unit of the valuation took 9.8 s on this 25-KB number
+    # (2-core x86-64 host)
+    n = (3 + 2**17) * 2**200_000
+    start = time.perf_counter()
+    assert ord_p(n, 2) == 200_000
+    assert time.perf_counter() - start <= 0.5
 
 
 def test_divisors():

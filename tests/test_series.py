@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sfuncs.catalog import polylog
-from sfuncs.errors import FieldMismatch, NonUnitConstant, NonUnitLinearTerm, NonzeroConstant
+from sfuncs.errors import BadConstantTerm, FieldMismatch, NonUnitConstant, NonUnitLinearTerm
 from sfuncs.mseries import MSeries
 from sfuncs.numfield import make_field, rationals
 from sfuncs.series import (
@@ -20,7 +20,6 @@ from sfuncs.series import (
     power,
     revert,
     shift_down,
-    shift_sh,
     shift_up,
 )
 
@@ -83,7 +82,7 @@ def test_delta_dint_roundtrip():
     assert delta(dint(v)) == v
     w = _ser([1, 1], const=9)
     assert delta(w).coeff(0) == 0  # constant drops
-    with pytest.raises(NonzeroConstant):
+    with pytest.raises(BadConstantTerm):
         dint(w)
 
 
@@ -201,14 +200,6 @@ def test_revert_over_number_field():
     assert compose(f, g) == Series.var(field, 6)
 
 
-def test_shift_sh_dilation():
-    v = _ser([1, 2, 3, 4, 5, 6])
-    w = shift_sh(v, 2)
-    assert w.order == 6
-    assert [w.coeff(k) for k in range(1, 7)] == [0, 1, 0, 2, 0, 3]
-    assert shift_sh(v, 1) == v
-
-
 def test_shift_up_down():
     v = _ser([1, 2], const=7)
     up = shift_up(v)
@@ -217,11 +208,6 @@ def test_shift_up_down():
     assert shift_down(up) == v
     # shifting a unit up keeps full precision, as needed by coordinate changes
     assert shift_up(_ser([5], const=1)).order == 2
-
-
-def test_delta_commutes_with_dilation():
-    v = _ser([1, Fraction(2, 3), 3, 4, 5, 0])
-    assert delta(shift_sh(v, 3)) == shift_sh(delta(v), 3) * 3
 
 
 # --- every Series operation goes through MSeries; a dense oracle checks it

@@ -11,18 +11,17 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from sfuncs.catalog import cyclotomic_field, polylog
-from sfuncs.errors import ConstantTermNonzero, NotIntegral, NotPrime, SfuncError
+from sfuncs.errors import BadConstantTerm, NotIntegral, NotPrime, SfuncError
 from sfuncs.intutil import is_prime, ord_p, primes_up_to
 from sfuncs.mseries import MSeries
 from sfuncs.numfield import denominator_support, make_field, rationals
 from sfuncs.serialize import load_series
 from sfuncs import padic, sfunc
-from sfuncs.series import Series, delta, dint, shift_sh
+from sfuncs.series import Series, delta, dint
 from sfuncs.sfunc import (
     _check_obj,
     _congruence,
     check_sfunction,
-    dwork_assemble,
     dwork_factor,
     generate_crt,
 )
@@ -31,6 +30,7 @@ from oracles import (
     check_multi_by_dense_scan,
     check_uni_by_dense_scan,
     congruence_by_fractions,
+    dwork_series_by_product,
     frobenius_residues,
 )
 
@@ -81,7 +81,7 @@ def test_perturbation_echoes_at_double_index():
 
 def test_constant_term_must_vanish():
     v = Series(Q, 4, Q.one(), tuple(Q.elem(Fraction(1, k * k)) for k in range(1, 5)))
-    with pytest.raises(ConstantTermNonzero):
+    with pytest.raises(BadConstantTerm):
         check_sfunction(v, 2)
 
 
@@ -96,8 +96,23 @@ def test_scaled_input_checked_through_denominators():
 
 
 def test_dilation_preserves():
-    rep = check_sfunction(shift_sh(polylog(2, 8), 3), 2)
+    # Li2(z**3) = sum z**(3k) / k**2
+    li2_z3 = _series([Fraction(9, k * k) if k % 3 == 0 else 0 for k in range(1, 9)])
+    rep = check_sfunction(li2_z3, 2)
     assert rep.passed
+
+
+def test_a_large_strength_costs_few_divisions_per_valuation():
+    # valuations near s * ord_p(k) were read one division at a time: Li2 at
+    # order 60 checked with s = 10000 took 4.7 s, with s = 30000 41 s
+    li2 = polylog(2, 60)
+    start = time.perf_counter()
+    rep = check_sfunction(li2, 10_000)
+    assert time.perf_counter() - start <= 2
+    got = {(c.index, c.p): c.valuation for c in rep.violations}
+    # a_(q**e) = q**(e*(s-2)): the step from q**(e-1) has valuation (e-1)(s-2)
+    for q, e in [(2, 2), (2, 5), (3, 3), (7, 2)]:
+        assert got[q**e, q] == (e - 1) * (10_000 - 2)
 
 
 def test_delta_lowers_strength():
@@ -146,7 +161,7 @@ def test_dwork_assemble_roundtrip():
     rng = random.Random(3)
     for field in (Q, QI3):
         b = [field.elem(rng.randrange(-9, 10)) for _ in range(10)]
-        v = dwork_assemble(b, 10)
+        v = dwork_series_by_product(b, 10)
         assert dwork_factor(v) == b
 
 
@@ -234,7 +249,7 @@ def test_multivariate_perturbation_detected():
 
 def test_multivariate_constant_rejected():
     w = MSeries.from_dict(Q, 2, 4, {(0, 0): 1, (1, 0): 1})
-    with pytest.raises(ConstantTermNonzero):
+    with pytest.raises(BadConstantTerm):
         check_sfunction(w, 2)
 
 
