@@ -14,12 +14,12 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, NamedTuple
 
-from .errors import BadConductor, BadConstantTerm, DescentFailed, SmallPrime
+from .errors import BadConductor, BadConstantTerm, DescentFailed, FieldMismatch, SmallPrime
 from .intutil import _int_to_str, divisors, moebius, ord_p, require_prime
 from .numfield import (
     FieldElem, NumberField, _exact, _Frozen, _poly_divmod, make_field, rationals,
 )
-from .series import Series, dint, log_series
+from .series import Series, log_series
 
 
 def _int_poly_divide(num: list[int], den: list[int]) -> list[int]:
@@ -97,38 +97,36 @@ class CyclotomicSpec(_Frozen):
 
 
 def _solve_rational(
-    columns: list[tuple[Fraction, ...]], rhs: tuple[Fraction, ...]
-) -> list[Fraction] | None:
-    """Solve sum_j x_j * columns[j] = rhs exactly; None when inconsistent."""
-    rows = len(rhs)
-    cols = len(columns)
-    aug = [[columns[j][i] for j in range(cols)] + [rhs[i]] for i in range(rows)]
-    pivots = []
-    r = 0
+    subfield: NumberField, columns: list[FieldElem], rhss: list[FieldElem]
+) -> list[FieldElem | None]:
+    """For each rhs, the element of subfield whose coordinates x solve
+    sum_j x_j * columns[j] = rhs exactly, or None when there is none.
+
+    One fraction-free Gauss-Jordan elimination (Bareiss's exact division by
+    the previous pivot) on integer rows, with every rhs as a right-hand side;
+    x_j is then the entry of row j over the last pivot.  Dependent columns
+    raise DescentFailed."""
+    rows, cols = len(columns[0].nums), len(columns)
+    dc = math.lcm(*(e.den for e in columns))
+    db = math.lcm(*(e.den for e in rhss))
+    aug = [[e.nums[i] * (dc // e.den) for e in columns] + [e.nums[i] * (db // e.den) for e in rhss]
+           for i in range(rows)]
+    prev = 1
     for c in range(cols):
-        pr = next((i for i in range(r, rows) if aug[i][c]), None)
+        pr = next((i for i in range(c, rows) if aug[i][c]), None)
         if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [v * inv for v in aug[r]]
+            raise DescentFailed("powers of the supplied element are linearly dependent")
+        aug[c], aug[pr] = aug[pr], aug[c]
+        top = aug[c]
+        pivot = top[c]
         for i in range(rows):
-            if i != r and aug[i][c]:
+            if i != c:
                 f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    if len(pivots) < cols:
-        raise DescentFailed("powers of the supplied element are linearly dependent")
-    for row in aug[r:]:
-        if row[cols]:
-            return None
-    sol = [Fraction(0)] * cols
-    for i, c in enumerate(pivots):
-        sol[c] = aug[i][cols]
-    return sol
+                aug[i] = [(pivot * a - f * b) // prev for a, b in zip(aug[i], top)]
+        prev = pivot
+    return [None if any(row[t] for row in aug[cols:])
+            else FieldElem(subfield, tuple(aug[j][t] * dc for j in range(cols)), prev * db)
+            for t in range(cols, cols + len(rhss))]
 
 
 def abelian_generator(
@@ -142,7 +140,8 @@ def abelian_generator(
     The stored coefficient at z**k is a_k / k**s over the cyclotomic field.
     With subfield and x_expr given, every a_k is re-expressed exactly in the
     power basis of x_expr and the series is returned over the subfield;
-    DescentFailed when some coefficient lies outside that span.
+    DescentFailed when some coefficient lies outside that span, FieldMismatch
+    when x_expr is not an element of the cyclotomic field.
     """
     n = spec.conductor
     field = cyclotomic_field(n)
@@ -159,23 +158,21 @@ def abelian_generator(
         if x_expr is None:
             raise DescentFailed("descent requested without the generator's expression")
         if x_expr.field != field:
-            raise DescentFailed("generator expression lives in the wrong field")
+            raise FieldMismatch("generator expression lives in the wrong field")
         mp = subfield.minpoly
         val = field.elem(mp[-1])
         for c in reversed(mp[:-1]):
             val = val * x_expr + c
         if not val.is_zero():
             raise DescentFailed("supplied element is not a root of the subfield polynomial")
-        cols = []
-        acc = field.one()
-        for _ in range(subfield.degree):
-            cols.append(acc.coords)
-            acc = acc * x_expr
-        for r, a in raw.items():  # in the order of the first index k of each residue r
-            sol = _solve_rational(cols, a.coords)
+        cols = [field.one()]
+        for _ in range(subfield.degree - 1):
+            cols.append(cols[-1] * x_expr)
+        # in the order of the first index k of each residue r
+        for r, sol in zip(raw, _solve_rational(subfield, cols, list(raw.values()))):
             if sol is None:
                 raise DescentFailed(f"coefficient at index {r or n} lies outside the subfield")
-            raw[r] = subfield.elem(sol)
+            raw[r] = sol
         field = subfield
     return Series.from_coeffs(field, order, [raw[k % n] / k**spec.s for k in range(1, order + 1)])
 
@@ -184,7 +181,8 @@ def from_log_poly(field: NumberField, q_poly, s: int, order: int) -> Series:
     """The series V with delta^(s-1) V = -log Q(z) for a polynomial Q, Q(0)=1.
 
     q_poly lists the coefficients of Q from degree 0 up; entries may be ints,
-    Fractions, or elements of the field.
+    Fractions, or elements of the field.  The k-th coefficient of -log Q is
+    divided by k**(s-1) once, which is dint applied s - 1 times.
     """
     if s < 1:
         raise ValueError("s must be a positive integer")
@@ -192,9 +190,8 @@ def from_log_poly(field: NumberField, q_poly, s: int, order: int) -> Series:
     if not qc or qc[0] != field.one():
         raise BadConstantTerm("polynomial must have constant coefficient 1")
     v = -log_series(Series.from_coeffs(field, order, qc[1:order + 1], 1))
-    for _ in range(s - 1):
-        v = dint(v)
-    return v
+    return Series(field, order, v.const,
+                  tuple(c / k ** (s - 1) for k, c in enumerate(v.coeffs, start=1)))
 
 
 class FramedPolylogTable(NamedTuple):

@@ -12,10 +12,9 @@ errors load none of the arithmetic, and no verb loads what it does not use.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from .errors import BadConductor, SfuncError
+from .errors import BadConductor, BadFile, SfuncError
 
 
 def _parse_range(text: str) -> range | list[int]:
@@ -44,11 +43,6 @@ def _emit_series(v, out: str | None) -> None:
     _emit(dump_obj(obj), out)
 
 
-def _load_json(path: str):
-    with open(path) as fh:
-        return json.load(fh)
-
-
 # The largest --order that gen-crt, gen-abelian and from-log accept, checked
 # before any file is read.  Their output and time grow linearly with the
 # order (from-log's log recurrence costs the nonzero grades of Q): at this
@@ -60,16 +54,37 @@ GENERATOR_MAX_ORDER = 10_000
 
 # The largest --conductor of gen-abelian, checked before any file is read:
 # its time grows as N * phi(N)**2 for the powers of zeta, plus order * phi(N)
-# output and one elimination per residue for a descent.  The dearest request
-# accepted, N = 23, c_i = i for every i, s = 2, this bound's order, descended
-# into the whole field by zeta + 1, took 0.9 s on the host above; N = 10007
-# at order 3 ran past 20 s.
-GENERATOR_MAX_CONDUCTOR = 24
+# output and one elimination for a descent.  The dearest request accepted,
+# N = 53, c_i = i for every i, s = 2, this bound's order, descended into the
+# whole field by zeta + 1, took 1.2-1.3 s on the host above (1.4-1.8 s at
+# s = 3), most of it writing 32 MB of output; N = 59 took 1.6-2.6 s.
+GENERATOR_MAX_CONDUCTOR = 58
 
 
-def _check_generator_order(order: int) -> None:
+# The largest order * s * bit_length(order), about the bits of the normalized
+# coefficients a_k = k**s c_k to the order (each has s * log2(k) bits), that
+# verify, gen-crt, gen-abelian and from-log accept, checked before any
+# arithmetic; verify reads the order from its file first.  s = 3 at
+# GENERATOR_MAX_ORDER runs, s = 4 does not.  The dearest requests accepted are
+# at a small order, where a few numbers take all the bits (a Frobenius lift
+# mod p**s), or at GENERATOR_MAX_ORDER; on the host above, verify of a series
+# over Q(zeta_7) took 0.8-1.0 s (order 3, s = 87381; 0.8 s at order 10,000,
+# s = 3), gen-crt over the cubic 1.3-1.4 s (order 3), from-log of 1 - z 0.41 s
+# and gen-abelian at conductor 7 0.21 s (order 10,000, s = 3).  At 8 times
+# this bound, gen-crt at order 2 took 33 s.
+NORMALIZED_MAX_BITS = 2**19
+
+
+def _check_size(order: int, s: int) -> None:
+    if order * s * order.bit_length() > NORMALIZED_MAX_BITS:
+        raise ValueError(f"order {order} at s = {s} is above "
+                         f"NORMALIZED_MAX_BITS = {NORMALIZED_MAX_BITS} bits")
+
+
+def _check_generator(order: int, s: int) -> None:
     if order > GENERATOR_MAX_ORDER:
         raise ValueError(f"order {order} is above GENERATOR_MAX_ORDER = {GENERATOR_MAX_ORDER}")
+    _check_size(order, s)
 
 
 def _cmd_verify(args) -> int:
@@ -77,6 +92,7 @@ def _cmd_verify(args) -> int:
     from .sfunc import check_sfunction
 
     v = load_series(args.series)
+    _check_size(v.order, args.s)
     extra = _parse_range(args.primes_extra) if args.primes_extra else ()
     report = check_sfunction(v, args.s, extra_primes=extra)
     _emit(dump_obj(report.to_obj()), args.out)
@@ -90,7 +106,7 @@ def _cmd_frame(args) -> int:
 
     v = load_series(args.series)
     if isinstance(v, MSeries):
-        raise SfuncError("frame expects a one-variable series; use frame-multi")
+        raise BadFile("frame expects a one-variable series; use frame-multi")
     _emit_series(frame_f(v, args.f), args.out)
     return 0
 
@@ -102,7 +118,7 @@ def _cmd_frame_multi(args) -> int:
 
     v = load_series(args.series)
     if not isinstance(v, MSeries):
-        raise SfuncError("frame-multi expects a multivariate series file")
+        raise BadFile("frame-multi expects a multivariate series file")
     _emit_series(frame_multi(v, Kappa.parse(args.kappa)), args.out)
     return 0
 
@@ -115,7 +131,7 @@ def _cmd_dwork(args) -> int:
 
     v = load_series(args.series)
     if isinstance(v, MSeries):
-        raise SfuncError("dwork expects a one-variable series")
+        raise BadFile("dwork expects a one-variable series")
     b = dwork_factor(v)
     field = v.field
     bad_cells = []
@@ -136,47 +152,47 @@ def _cmd_dwork(args) -> int:
 
 def _cmd_gen_abelian(args) -> int:
     from .catalog import CyclotomicSpec, abelian_generator, cyclotomic_field
-    from .serialize import _rational, elem_from_obj, load_field
+    from .serialize import _int, _rational, elem_from_obj, load_field, load_json
 
-    _check_generator_order(args.order)
+    _check_generator(args.order, args.s)
     if args.conductor > GENERATOR_MAX_CONDUCTOR:
         raise BadConductor(f"conductor {args.conductor} is above "
                            f"GENERATOR_MAX_CONDUCTOR = {GENERATOR_MAX_CONDUCTOR}")
-    raw = _load_json(args.coeffs)
+    raw = load_json(args.coeffs)
     if not isinstance(raw, dict):
-        raise SfuncError("--coeffs file must map index to rational")
-    coeffs = {int(i): _rational(c) for i, c in raw.items()}
+        raise BadFile("--coeffs file must map index to rational")
+    coeffs = {_int(i): _rational(c) for i, c in raw.items()}
     spec = CyclotomicSpec(args.conductor, tuple(sorted(coeffs.items())), args.s)
     subfield = x_expr = None
     if args.field or args.x:
         if not (args.field and args.x):
             raise SfuncError("descent needs both --field and --x")
         subfield = load_field(args.field)
-        x_expr = elem_from_obj(cyclotomic_field(args.conductor), _load_json(args.x))
+        x_expr = elem_from_obj(cyclotomic_field(args.conductor), load_json(args.x))
     _emit_series(abelian_generator(spec, args.order, subfield, x_expr), args.out)
     return 0
 
 
 def _cmd_gen_crt(args) -> int:
-    from .serialize import elem_from_obj, load_field
+    from .serialize import elem_from_obj, load_field, load_json
     from .sfunc import generate_crt
 
-    _check_generator_order(args.order)
+    _check_generator(args.order, args.s)
     field = load_field(args.field)
-    x = elem_from_obj(field, _load_json(args.x))
+    x = elem_from_obj(field, load_json(args.x))
     _emit_series(generate_crt(field, x, args.s, args.order), args.out)
     return 0
 
 
 def _cmd_from_log(args) -> int:
     from .catalog import from_log_poly
-    from .serialize import _rational, elem_from_obj, load_field
+    from .serialize import _rational, elem_from_obj, load_field, load_json
 
-    _check_generator_order(args.order)
+    _check_generator(args.order, args.s)
     field = load_field(args.field)
-    raw = _load_json(args.coeffs)
+    raw = load_json(args.coeffs)
     if not isinstance(raw, list):
-        raise SfuncError("--coeffs file must be an array of polynomial coefficients")
+        raise BadFile("--coeffs file must be an array of polynomial coefficients")
     q = [
         elem_from_obj(field, x)
         if isinstance(x, list) and x and isinstance(x[0], list)

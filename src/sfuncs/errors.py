@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
 Every error raised on bad input derives from SfuncError so callers (and the
-command line front end) can catch one base class.
+command line front end) can catch one base class.  Each refused condition
+has exactly one class, defined here, and no code catches an error only to
+raise it again under another name.
 """
 from __future__ import annotations
 
@@ -25,15 +27,14 @@ class DegreeZero(SfuncError):
 
 
 class FieldMismatch(SfuncError):
-    """Operands belong to different fields."""
+    """Operands belong to different fields, or an element given for one
+    field belongs to another."""
 
 
-class Zero(SfuncError):
-    """Inversion of the zero element."""
-
-
-class ZeroDivisor(SfuncError):
-    """Inversion of a nonzero element that shares a factor with the modulus."""
+class NotInvertible(SfuncError, ZeroDivisionError):
+    """A failed inversion: the zero element or a zero divisor, an element
+    divided by zero, or a series whose constant term (power_m) or linear
+    coefficient (revert) is not a unit."""
 
 
 # primes, valuations and Frobenius lifts
@@ -54,20 +55,8 @@ class LiftFailed(SfuncError):
 
 class BadConstantTerm(SfuncError):
     """A constant term wrong for the operation: nonzero for dint, shift_down,
-    exp_m, the framings, check_sfunction and dwork_factor; not 1 for log_m
-    and the polynomial Q of from_log_poly."""
-
-
-class InnerHasConstant(SfuncError):
-    """Composition inner series must have zero constant term."""
-
-
-class NonUnitLinearTerm(SfuncError):
-    """Reversion needs zero constant term and an invertible linear coefficient."""
-
-
-class NonUnitConstant(SfuncError):
-    """Negative powers need an invertible constant term."""
+    exp_m, the inner series of compose, revert, the framings, check_sfunction
+    and dwork_factor; not 1 for log_m and the polynomial Q of from_log_poly."""
 
 
 class DimensionMismatch(SfuncError):
@@ -80,6 +69,13 @@ class NotSymmetric(SfuncError):
 
 class FramingTooLarge(SfuncError):
     """The framing's work is above framing.MAX_WORK units."""
+
+
+# input files
+
+class BadFile(SfuncError):
+    """Input file of the wrong kind or shape: missing structure, a repeated
+    key, or a series with the wrong variable count for the verb."""
 
 
 # s-function checks and generators

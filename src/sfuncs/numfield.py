@@ -15,7 +15,8 @@ which, like framing.frame_multi, takes its already normalized results as
 elements through FieldElem._normalized, without a second normalize.
 
 P is required to be squarefree (nonzero discriminant) but not irreducible;
-when P factors, K is a product ring and inversion of a zero divisor raises.
+when P factors, K is a product ring and inversion of a zero divisor raises
+NotInvertible, as does every division by zero.
 """
 from __future__ import annotations
 
@@ -25,14 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence, Union
 
-from .errors import (
-    DegreeZero,
-    FieldMismatch,
-    NotMonic,
-    NotSquarefree,
-    Zero,
-    ZeroDivisor,
-)
+from .errors import DegreeZero, FieldMismatch, NotInvertible, NotMonic, NotSquarefree
 from .intutil import prime_factors
 
 Scalar = Union[int, Fraction]
@@ -311,9 +305,10 @@ class FieldElem(_Frozen):
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "FieldElem":
-        if isinstance(other, int):
+        # a zero int or Fraction goes through invert, which refuses it
+        if isinstance(other, int) and other:
             return FieldElem(self.field, self.nums, self.den * other)
-        if isinstance(other, Fraction):
+        if isinstance(other, Fraction) and other:
             return self * Fraction(other.denominator, other.numerator)
         o = self._coerce(other)
         if o is None:
@@ -492,7 +487,7 @@ def _poly_inverse(a: Sequence, m: Sequence, inv, red=_same) -> list | None:
 def invert(a: FieldElem) -> FieldElem:
     """Multiplicative inverse via the extended Euclidean algorithm in Q[x].
 
-    Raises Zero on the zero element and ZeroDivisor when the coordinate
+    Raises NotInvertible on the zero element and when the coordinate
     polynomial shares a factor with the defining polynomial (possible only
     when that polynomial is reducible).
 
@@ -501,14 +496,14 @@ def invert(a: FieldElem) -> FieldElem:
     (Fraction(-2, 1), Fraction(1, 1), Fraction(1, 1))
     """
     if a.is_zero():
-        raise Zero("cannot invert 0")
+        raise NotInvertible("cannot invert 0")
     coords = _poly_inverse(
         [Fraction(n, a.den) for n in a.nums],
         [Fraction(c) for c in a.field.minpoly],
         lambda c: 1 / c,
     )
     if coords is None:
-        raise ZeroDivisor("element shares a factor with the defining polynomial")
+        raise NotInvertible("element shares a factor with the defining polynomial")
     return a.field.elem(coords)
 
 

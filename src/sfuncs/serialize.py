@@ -13,7 +13,11 @@ A coordinate may also be read from a JSON integer or an "a" or "a/b" string,
 as one integer pair.  A float, a bool or a zero denominator raises BadFile,
 also inside a pair or a minpoly, and so does a float, a bool or a negative
 number as "order", or a float or a bool as "nvars"; a string such as "1.5"
-raises ValueError.
+raises ValueError.  A decimal string, at every length, is surrounding spaces,
+an optional sign and ASCII digits only, so "1_0" and non-ASCII digits raise
+ValueError too, also as an exponent key.  Every input file is read through
+load_json, where an object that repeats a key raises BadFile, and so do two
+exponent keys that name one vector, such as "1,0" and "01,0".
 """
 from __future__ import annotations
 
@@ -23,31 +27,31 @@ import os
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
-from .errors import SfuncError
+from .errors import BadFile
 from .intutil import _int_to_str
 from .mseries import MSeries
 from .numfield import FieldElem, NumberField, _normalize, make_field
 from .series import Series
 
 
-class BadFile(SfuncError):
-    """Input file missing required structure."""
-
-
 _LEAF = 600  # decimal digits that int() and str() convert under any limit
 
 
 def _int(x) -> int:
-    """x as an int: a non-bool int, or a decimal string of any length.
-    Anything else, a float or a bool included, raises BadFile."""
-    if isinstance(x, str) and len(x) <= _LEAF or isinstance(x, int) and not isinstance(x, bool):
-        return int(x)
+    """x as an int: a non-bool int, or a decimal string of any length, which
+    is surrounding spaces, an optional sign and ASCII digits only (no "_").
+    A string of another form raises ValueError; anything else, a float or a
+    bool included, BadFile."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
     if not isinstance(x, str):
         raise BadFile(f"cannot read {x!r} as an integer")
     text = x.strip()
     digits = text[1:] if text[:1] in ("+", "-") else text
     if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"not a decimal integer: {text[:40]!r}...")
+        raise ValueError(f"not a decimal integer: {text[:40]!r}")
+    if len(digits) <= _LEAF:
+        return int(text)
     k = len(digits) // 2
     n = _int(digits[:-k]) * 10**k + _int(digits[-k:])
     return -n if text[0] == "-" else n
@@ -103,9 +107,10 @@ def elem_from_obj(field: NumberField, obj) -> FieldElem:
         raise BadFile(f"element has {len(obj)} coordinates, field degree is {field.degree}")
     nums, dens = [], []
     for c in obj:  # a [num, den] pair of short strings, as written, is read as _pair reads it
-        if (type(c) is list and len(c) == 2 and type(c[0]) is str and type(c[1]) is str
-                and len(c[0]) <= _LEAF and len(c[1]) <= _LEAF):
-            num, den = int(c[0]), int(c[1])
+        if (type(c) is list and len(c) == 2 and type(n := c[0]) is str and type(d := c[1]) is str
+                and len(n) <= _LEAF and len(d) <= _LEAF and n.isascii() and d.isascii()
+                and "_" not in n and "_" not in d):  # where int() and _int agree
+            num, den = int(n), int(d)
             if den == 0:
                 raise BadFile(f"zero denominator in {c!r}")
         else:
@@ -119,11 +124,27 @@ def elem_from_obj(field: NumberField, obj) -> FieldElem:
     return FieldElem._normalized(field, nums, den)  # ints, one per degree: nothing to check
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; a key given twice raises BadFile."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise BadFile(f"key {key!r} is repeated in one object")
+        obj[key] = value
+    return obj
+
+
+def load_json(path: str):
+    """The JSON value in the file at path, every input file of the package
+    read the one way: an object that repeats a key raises BadFile."""
+    with open(path) as fh:
+        return json.load(fh, object_pairs_hook=_unique_keys)
+
+
 def _resolve_field(obj, base_dir: str | None) -> NumberField:
     if isinstance(obj, str):
         path = obj if os.path.isabs(obj) or base_dir is None else os.path.join(base_dir, obj)
-        with open(path) as fh:
-            obj = json.load(fh)
+        obj = load_json(path)
     return field_from_obj(obj)
 
 
@@ -179,17 +200,18 @@ def mseries_from_obj(obj, base_dir: str | None = None) -> MSeries:
         raise BadFile("multivariate 'coeffs' must map exponent keys to coefficients")
     terms = {}
     for key, c in obj["coeffs"].items():
-        expo = tuple(int(e) for e in key.split(","))
+        expo = tuple(_int(e) for e in key.split(","))
         if len(expo) != nvars:
             raise BadFile(f"exponent key '{key}' does not have {nvars} entries")
+        if expo in terms:
+            raise BadFile(f"exponent key '{key}' names the vector of another key")
         terms[expo] = elem_from_obj(field, c)
     return MSeries.from_dict(field, nvars, order, terms)
 
 
 def load_series(path: str) -> Series | MSeries:
     """Read a series file, univariate or multivariate by the 'nvars' key."""
-    with open(path) as fh:
-        obj = json.load(fh)
+    obj = load_json(path)
     if not isinstance(obj, dict):
         raise BadFile(f"{path}: expected a JSON object")
     base = os.path.dirname(os.path.abspath(path))
@@ -199,8 +221,7 @@ def load_series(path: str) -> Series | MSeries:
 
 
 def load_field(path: str) -> NumberField:
-    with open(path) as fh:
-        return field_from_obj(json.load(fh))
+    return field_from_obj(load_json(path))
 
 
 # the text json.dumps writes for a str, an int, a bool or None; _quote is C

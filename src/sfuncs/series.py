@@ -17,12 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import (
-    BadConstantTerm,
-    InnerHasConstant,
-    NonUnitConstant,
-    NonUnitLinearTerm,
-)
+from .errors import BadConstantTerm, NotInvertible
 from .mseries import Coeff, MSeries, delta_i, exp_m, log_m, power_m
 from .numfield import FieldElem, NumberField, _Frozen
 
@@ -160,7 +155,8 @@ def log_series(y: Series) -> Series:
 
 
 def compose(outer: Series, inner: Series) -> Series:
-    """outer(inner(z)); the inner series must have zero constant term.
+    """outer(inner(z)); an inner series with a nonzero constant term raises
+    BadConstantTerm.
 
     Exact to the smaller of the two truncation orders: Horner's rule on
     one-variable MSeries, whose product truncates to that order.
@@ -168,7 +164,7 @@ def compose(outer: Series, inner: Series) -> Series:
     u = MSeries.from_univariate(inner)
     MSeries.from_univariate(outer)._check(u)
     if not inner.const.is_zero():
-        raise InnerHasConstant("inner series must have zero constant term")
+        raise BadConstantTerm("inner series must have zero constant term")
     n = min(outer.order, inner.order)
     acc = MSeries.from_dict(outer.field, 1, n, {(0,): outer.coeff(n)})
     for k in range(n - 1, -1, -1):
@@ -177,27 +173,24 @@ def compose(outer: Series, inner: Series) -> Series:
 
 
 def power(y: Series, e: int) -> Series:
-    """Integer power of a series; negative e needs an invertible constant term.
-    power_m in one variable."""
+    """Integer power of a series: power_m in one variable, so for negative e
+    a constant term that is not a unit raises NotInvertible."""
     return _as_mseries(power_m, y, e)
 
 
 def revert(f: Series) -> Series:
     """Compositional inverse g with f(g(z)) = g(f(z)) = z to the truncation.
 
-    Needs zero constant term and an invertible linear coefficient.  The
-    k-th coefficient is the Lagrange extraction (1/k)[z**(k-1)] (z/f)**k.
+    A nonzero constant term raises BadConstantTerm; order 0, or a linear
+    coefficient that is not a unit, NotInvertible.  The k-th coefficient is
+    the Lagrange extraction (1/k)[z**(k-1)] (z/f)**k.
     """
     if not f.const.is_zero():
-        raise NonUnitLinearTerm("reversion needs a vanishing constant term")
+        raise BadConstantTerm("reversion needs a vanishing constant term")
     if f.order < 1:
-        raise NonUnitLinearTerm("reversion needs at least one coefficient")
+        raise NotInvertible("reversion needs at least one coefficient")
     field, n = f.field, f.order
-    h = shift_down(f)  # f/z, constant term f_1
-    try:
-        w = power(h, -1)
-    except NonUnitConstant as exc:
-        raise NonUnitLinearTerm("linear coefficient is not invertible") from exc
+    w = power(shift_down(f), -1)  # z/f, whose constant term f_1 invert refuses unless a unit
     g = []
     wk = w
     for k in range(1, n + 1):

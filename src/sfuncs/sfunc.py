@@ -41,7 +41,7 @@ from collections import defaultdict
 from operator import attrgetter, itemgetter
 from typing import NamedTuple, Sequence, Union
 
-from .errors import BadConstantTerm, NotIntegral, SfuncError
+from .errors import BadConstantTerm, FieldMismatch, NotIntegral, SfuncError
 from .intutil import crt, divisors, ord_p, prime_factors, primes_up_to, require_prime
 from .mseries import MSeries
 from .numfield import FieldElem, NumberField
@@ -279,10 +279,11 @@ def generate_crt(field: NumberField, x: FieldElem, s: int, order: int) -> Series
     a_k for k > 1 is the canonical representative (coordinates in [0, k**s))
     of the system a_k = frob_p(a_{k/p}) mod p**(s ord_p(k)) over the primes
     p dividing k; indices sharing a factor with the discriminant get a_k = 0.
-    The tower is kept as integer coordinate rows.  The seed must be integral.
+    The tower is kept as integer coordinate rows.  A seed of another field
+    raises FieldMismatch, one that is not integral NotIntegral.
     """
     if x.field != field:
-        raise NotIntegral("seed element must belong to the field")
+        raise FieldMismatch("seed element must belong to the field")
     if x.den != 1:
         raise NotIntegral("seed element must be integral")
     if s < 1 or order < 1:

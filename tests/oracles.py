@@ -15,7 +15,8 @@ coordinates, each reduced mod P by long division, the multivariate
 series product as a dict convolution of such sums, the series
 -sum_d log(1 - b_d z**d), which dwork_factor takes apart, as -log of the
 product of its factors, factoring by trial division to 2**20 and Floyd's
-rho, a valuation by one division per unit, reading and writing a stored
+rho, a valuation by one division per unit, an exact linear solve on
+Fractions for each right-hand side, reading and writing a stored
 element and building a scalar element through one Fraction per coordinate, and
 rebuilding an element through the checked FieldElem constructor.  None of this
 is part of the package; tests import it as ``from oracles import ...``.
@@ -32,7 +33,6 @@ from sfuncs.errors import (
     BadConstantTerm,
     DimensionMismatch,
     FieldMismatch,
-    InnerHasConstant,
     SfuncError,
 )
 from sfuncs.framing import frame_f
@@ -63,7 +63,7 @@ def substitute(v: MSeries, args: Sequence[MSeries]) -> MSeries:
         if arg.field != v.field:
             raise FieldMismatch("series over different fields")
         if not arg.constant_term.is_zero():
-            raise InnerHasConstant("substitution argument has a constant term")
+            raise BadConstantTerm("substitution argument has a constant term")
         order = min(order, arg.order)
     nvars_out = args[0].nvars
     # powers of each argument, up to the largest exponent that appears
@@ -608,12 +608,17 @@ def prime_factors_by_floyd(n: int) -> dict[int, int]:
 
 
 def _int_by_halves(x) -> int:
-    """int(x), also for decimal strings past int()'s digit limit, split in
-    halves down to 600 digits."""
-    text = x.strip() if isinstance(x, str) else ""
-    if len(text) <= 600:
+    """int(x) of an int, or of a decimal string by the one rule at every
+    length: surrounding spaces, an optional sign, then the digits 0-9 only.
+    Past int()'s digit limit the digits are split in halves down to 600."""
+    if not isinstance(x, str):
         return int(x)
+    text = x.strip()
     digits = text[1:] if text[:1] in ("+", "-") else text
+    if not digits or any(ch not in "0123456789" for ch in digits):
+        raise ValueError(f"not a decimal integer: {x!r}")
+    if len(digits) <= 600:
+        return int(text)
     k = len(digits) // 2
     n = _int_by_halves(digits[:-k]) * 10**k + _int_by_halves(digits[-k:])
     return -n if text[0] == "-" else n
@@ -625,10 +630,8 @@ def _rational_by_fraction(x) -> Fraction:
             raise BadFile(f"rational pair must have two entries, got {x!r}")
         return Fraction(_int_by_halves(x[0]), _int_by_halves(x[1]))
     if isinstance(x, str):
-        if len(x) <= 600:
-            return Fraction(x)
-        num, _, den = x.partition("/")
-        return Fraction(_int_by_halves(num), _int_by_halves(den or "1"))
+        num, slash, den = x.partition("/")
+        return Fraction(_int_by_halves(num), _int_by_halves(den) if slash else 1)
     if isinstance(x, int):
         return Fraction(x)
     raise BadFile(f"cannot read {x!r} as a rational")
@@ -662,3 +665,30 @@ def elem_by_fractions(field: NumberField, value) -> FieldElem:
     coords = [Fraction(value)] + [Fraction(0)] * (field.degree - 1)
     den = math.lcm(*(c.denominator for c in coords))
     return FieldElem(field, tuple(c.numerator * (den // c.denominator) for c in coords), den)
+
+
+# --- one exact linear solve on Fractions, one elimination per right-hand side
+
+
+def solve_by_fractions(columns, rhs) -> list[Fraction] | None:
+    """The x with sum_j x_j * columns[j] = rhs, by Gauss-Jordan elimination on
+    Fractions, or None when there is none; each argument is a sequence of
+    rationals.  Dependent columns raise ValueError."""
+    rows, cols = len(rhs), len(columns)
+    aug = [[Fraction(columns[j][i]) for j in range(cols)] + [Fraction(rhs[i])]
+           for i in range(rows)]
+    r = 0
+    for c in range(cols):
+        pr = next((i for i in range(r, rows) if aug[i][c]), None)
+        if pr is None:
+            raise ValueError("the columns are dependent")
+        aug[r], aug[pr] = aug[pr], aug[r]
+        aug[r] = [v / aug[r][c] for v in aug[r]]
+        for i in range(rows):
+            if i != r and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
+        r += 1
+    if any(row[cols] for row in aug[r:]):
+        return None
+    return [aug[i][cols] for i in range(cols)]

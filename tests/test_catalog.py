@@ -6,6 +6,7 @@ from fractions import Fraction
 from math import comb, factorial, inf
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sfuncs.catalog import (
     BINOMIAL_MAX_COST,
@@ -13,6 +14,7 @@ from sfuncs.catalog import (
     _binomials_cost,
     _framed_log_h,
     _jk_cost,
+    _solve_rational,
     abelian_generator,
     cyclotomic_field,
     cyclotomic_polynomial,
@@ -29,7 +31,7 @@ from sfuncs.numfield import make_field, rationals
 from sfuncs.serialize import _rational, dump_obj
 from sfuncs.sfunc import check_sfunction
 
-from oracles import framed_log_column_by_framing
+from oracles import framed_log_column_by_framing, solve_by_fractions
 
 Q = rationals()
 CUBIC = make_field([-1, -2, 1, 1])
@@ -157,6 +159,47 @@ def test_descent_is_the_coefficient_read_back_at_every_index():
         assert sum((x_expr**j * cj for j, cj in enumerate(c)), 0 * zeta) == full.coeff(k), k
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_one_fraction_free_elimination_solves_as_fractions_do(data):
+    # rows > columns, so some right-hand sides have no solution
+    field = data.draw(st.sampled_from([CUBIC, make_field([1, 0, 0, 0, 1])]))  # x^4 + 1
+    rat = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+    elems = st.lists(rat, min_size=field.degree, max_size=field.degree).map(field.elem)
+    sub = make_field([0, 1] if field.degree == 3 else [1, 0, 1])
+    columns = data.draw(st.lists(elems, min_size=sub.degree, max_size=sub.degree))
+    combos = st.lists(rat, min_size=sub.degree, max_size=sub.degree).map(
+        lambda x: sum((e * c for e, c in zip(columns, x)), field.zero()))
+    rhss = data.draw(st.lists(st.one_of(elems, combos), min_size=1, max_size=6))
+    try:
+        want = [solve_by_fractions([e.coords for e in columns], rhs.coords) for rhs in rhss]
+    except ValueError:
+        with pytest.raises(DescentFailed, match="linearly dependent"):
+            _solve_rational(sub, columns, rhss)
+        return
+    assert _solve_rational(sub, columns, rhss) == [None if x is None else sub.elem(x) for x in want]
+
+
+def test_descent_at_a_prime_conductor_near_the_bound_reads_back():
+    # Q(zeta_53) by zeta + 1: a 52 x 52 elimination with 53 right-hand sides
+    n = 53
+    field = cyclotomic_field(n)
+    x_expr = field.gen() + 1
+    minpoly = [0] * n  # Phi_n(y - 1), the minimal polynomial of zeta + 1
+    for j, c in enumerate(cyclotomic_polynomial(n)):
+        for i in range(j + 1):
+            minpoly[i] += c * comb(j, i) * (-1) ** (j - i)
+    spec = CyclotomicSpec(n, {i: i for i in range(n)}, 2)
+    full = abelian_generator(spec, 60)
+    w = abelian_generator(spec, 60, subfield=make_field(minpoly), x_expr=x_expr)
+    powers = [field.one()]
+    for _ in range(n - 2):
+        powers.append(powers[-1] * x_expr)
+    for k in (1, 2, 52, 53, 54, 60):
+        back = sum((p * c for p, c in zip(powers, w.coeff(k).coords)), field.zero())
+        assert back == full.coeff(k), k
+
+
 def test_descent_names_the_first_index_outside_the_subfield():
     # over Q(zeta_6), zeta - zeta^2 = 1 but zeta^2 - zeta^4 = 2 zeta - 1
     zero = cyclotomic_field(6).zero()
@@ -181,6 +224,12 @@ def test_descent_failures():
         )
     with pytest.raises(DescentFailed):
         abelian_generator(CyclotomicSpec(7, {1: 1, 6: 1}, 2), 4, subfield=CUBIC)
+
+
+def test_descent_refuses_an_expression_of_another_field():
+    x_expr = cyclotomic_field(9).gen()  # degree 6, like Q(zeta_7)
+    with pytest.raises(FieldMismatch, match="^generator expression lives in the wrong field$"):
+        abelian_generator(CyclotomicSpec(7, {1: 1, 6: 1}, 2), 4, subfield=CUBIC, x_expr=x_expr)
 
 
 def test_cyclotomic_spec_validation():

@@ -704,6 +704,30 @@ def test_an_option_given_as_a_bare_double_dash_exits_2_with_one_line(tmp_path, c
     assert captured.err == f"error: argument {opt}: expected one value\n"
 
 
+# An input file of the wrong kind or shape for its verb: a series with the
+# wrong variable count, or a --coeffs file of the wrong JSON type.
+_WRONG_FILE = {
+    "frame": (["frame", "--series", "{w}", "--f", "2"], "frame expects a one-variable"),
+    "frame-multi": (["frame-multi", "--series", "{li2}", "--kappa", "1"],
+                    "frame-multi expects a multivariate"),
+    "dwork": (["dwork", "--series", "{w}"], "dwork expects a one-variable"),
+    "gen-abelian": (["gen-abelian", "--conductor", "3", "--coeffs", "{poly}", "--s", "2",
+                     "--order", "4"], "--coeffs file must map"),
+    "from-log": (["from-log", "--field", "{q}", "--coeffs", "{c}", "--s", "2", "--order", "4"],
+                 "--coeffs file must be an array"),
+}
+
+
+@pytest.mark.parametrize("verb", sorted(_WRONG_FILE))
+def test_a_file_of_the_wrong_kind_is_a_bad_file(tmp_path, capsys, verb):
+    argv, message = _WRONG_FILE[verb]
+    assert cli.run(_verb_args(tmp_path, argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: BadFile: {message}")
+    assert captured.err.count("\n") == 1
+
+
 def test_gen_abelian_refuses_a_conductor_above_the_bound_at_once(tmp_path):
     # the powers of zeta, the fold table and the output all grow with the
     # conductor: 10007 at order 3 still ran at 20 s
@@ -725,3 +749,62 @@ def test_gen_abelian_admits_the_conductor_bound(tmp_path):
     assert cli.run(["gen-abelian", "--conductor", str(n), "--coeffs", str(tmp_path / "c.json"),
                     "--s", "2", "--order", "30", "--out", str(out)]) == 0
     assert load_series(str(out)).order == 30
+
+
+# --s with no bound: verify on this file was still running at 20 s, and each
+# generator builds k**s the same way.
+_HUGE_S = {
+    "verify": ["verify", "--series", "{li60}", "--s", "1000000"],
+    "gen-crt": ["gen-crt", "--field", "{q}", "--x", "{x}", "--s", "1000000", "--order", "60"],
+    "gen-abelian": ["gen-abelian", "--conductor", "7", "--coeffs", "{c}", "--s", "1000000",
+                    "--order", "60"],
+    "from-log": ["from-log", "--field", "{q}", "--coeffs", "{poly}", "--s", "1000000",
+                 "--order", "60"],
+}
+
+
+@pytest.mark.parametrize("verb", sorted(_HUGE_S))
+def test_a_strength_past_the_size_bound_is_refused_at_once(tmp_path, verb):
+    paths = _generator_inputs(tmp_path)
+    paths["li60"] = tmp_path / "li60.json"
+    dump_obj(series_to_obj(polylog(2, 60)), str(paths["li60"]))
+    argv = [a.format(**paths) for a in _HUGE_S[verb]]
+    start = time.perf_counter()
+    r = run_cli(*argv, timeout=60)
+    assert time.perf_counter() - start <= 2
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == ("error: ValueError: order 60 at s = 1000000 is above "
+                        f"NORMALIZED_MAX_BITS = {cli.NORMALIZED_MAX_BITS} bits\n")
+
+
+def test_the_size_bound_admits_its_own_size(tmp_path, capsys):
+    assert 10_000 * 3 * 14 <= cli.NORMALIZED_MAX_BITS < 10_000 * 4 * 14  # s = 3 at the order bound
+    path = tmp_path / "li8.json"
+    dump_obj(series_to_obj(polylog(2, 8)), str(path))
+    s = cli.NORMALIZED_MAX_BITS // (8 * 4)  # order 8 has 4 bits
+    assert cli.run(["verify", "--series", str(path), "--s", str(s)]) == 1
+    assert cli.run(["verify", "--series", str(path), "--s", str(s + 1)]) == 2
+    assert capsys.readouterr().err.startswith("error: ValueError: order 8 at s = ")
+
+
+@pytest.mark.parametrize("text", [
+    '{"field": [0, 1], "nvars": 2, "order": 2, "coeffs": {"1,0": [["1", "1"]], "01,0": [["5", "1"]]}}',
+    '{"field": [0, 1], "order": 1, "coeffs": [["1"]], "coeffs": [["2"]]}',
+])
+def test_verify_refuses_a_file_with_a_repeated_key(tmp_path, text):
+    path = tmp_path / "v.json"
+    path.write_text(text)
+    r = run_cli("verify", "--series", str(path), "--s", "2", timeout=60)
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.startswith("error: BadFile: ") and r.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("coeffs, error", [('{"1": 1, "1": 2}', "BadFile"),
+                                           ('{"1_0": 1}', "ValueError")])
+def test_gen_abelian_refuses_a_repeated_key_and_a_lenient_index(tmp_path, capsys, coeffs, error):
+    # the first loaded as {1: 2}, the second as index 10
+    (tmp_path / "c.json").write_text(coeffs)
+    assert cli.run(["gen-abelian", "--conductor", "11", "--coeffs", str(tmp_path / "c.json"),
+                    "--s", "2", "--order", "4"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {error}: ")

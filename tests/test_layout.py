@@ -147,16 +147,15 @@ _REEXPORTS = {
                "revert", "shift_down", "shift_up"],
     "sfunc": ["Check", "SReport", "check_sfunction", "dwork_factor", "generate_crt"],
     "errors": ["SfuncError", "NotMonic", "NotSquarefree", "DegreeZero", "FieldMismatch",
-               "Zero", "ZeroDivisor", "NotPrime", "BadPrime", "LiftFailed",
-               "BadConstantTerm", "InnerHasConstant", "NonUnitLinearTerm", "NonUnitConstant",
-               "DimensionMismatch", "NotSymmetric", "FramingTooLarge", "NotIntegral",
-               "BadConductor", "DescentFailed", "SmallPrime"],
+               "NotInvertible", "NotPrime", "BadPrime", "LiftFailed", "BadConstantTerm",
+               "DimensionMismatch", "NotSymmetric", "FramingTooLarge", "BadFile",
+               "NotIntegral", "BadConductor", "DescentFailed", "SmallPrime"],
 }
 
 
 def test_the_lazy_package_serves_every_public_name():
     names = [n for ns in _REEXPORTS.values() for n in ns]
-    assert len(names) == 44 + 21
+    assert len(names) == 44 + 18
     assert sorted(sfuncs.__all__) == sorted(names)
     for mod, ns in _REEXPORTS.items():
         sub = importlib.import_module(f"sfuncs.{mod}")
@@ -176,12 +175,20 @@ def test_the_lazy_package_serves_every_public_name():
 
 # Public names the package no longer serves: the residue-ring layer, which
 # the Frobenius lift on integer rows replaced, and its two error types; two
-# helpers that nothing in the package called; and three classes for a wrong
-# constant term, which BadConstantTerm took over.
+# helpers that nothing in the package called; three classes for a wrong
+# constant term, and InnerHasConstant, which BadConstantTerm took over; and
+# four classes for a failed inversion, which NotInvertible took over.
 _REMOVED = ["ResidueRing", "ResidueElem", "FrobeniusMap", "make_residue_ring",
             "reduce", "frobenius_apply", "residue_valuation", "RingMismatch",
             "NotPIntegral", "shift_sh", "dwork_assemble", "NonzeroConstant",
-            "ConstantTermNonzero", "BadConstant"]
+            "ConstantTermNonzero", "BadConstant", "Zero", "ZeroDivisor",
+            "NonUnitConstant", "NonUnitLinearTerm", "InnerHasConstant"]
+
+
+def test_bad_file_is_one_class_served_by_the_package_and_by_serialize():
+    from sfuncs import serialize
+
+    assert sfuncs.BadFile is serialize.BadFile is sfuncs.errors.BadFile
 
 
 def test_every_error_class_is_raised_or_caught_in_the_package():
@@ -199,9 +206,22 @@ def test_every_error_class_is_raised_or_caught_in_the_package():
                 used.update(_names_used(exc))
             elif isinstance(node, ast.ExceptHandler) and node.type is not None:
                 used.update(_names_used(node.type))
-    assert "SfuncError" in defined and len(defined) == 21
+    assert "SfuncError" in defined and len(defined) == 18
     dead = sorted(set(defined) - used)
     assert not dead, f"error classes never raised or caught: {dead}"
+
+
+def test_no_except_clause_raises_another_error():
+    # an error caught only to be raised under another class is a second
+    # name for one condition
+    renaming = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for handler in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(handler, ast.ExceptHandler):
+                renaming += [f"{path.name}:{node.lineno}" for stmt in handler.body
+                             for node in ast.walk(stmt)
+                             if isinstance(node, ast.Raise) and node.exc is not None]
+    assert not renaming, f"except clauses that raise: {renaming}"
 
 
 def test_a_bare_import_loads_only_the_errors():

@@ -13,7 +13,7 @@ from oracles import (
     sum_products_by_fractions,
 )
 from sfuncs.catalog import cyclotomic_polynomial
-from sfuncs.errors import FieldMismatch, NotMonic, NotSquarefree, Zero, ZeroDivisor
+from sfuncs.errors import FieldMismatch, NotInvertible, NotMonic, NotSquarefree, SfuncError
 from sfuncs.numfield import (
     FieldElem,
     _derivative,
@@ -133,14 +133,35 @@ def test_invert_examples():
     assert invert(x) * x == 1
     y = QI3.gen()
     assert invert(y) == QI3.elem([0, Fraction(-1, 3)])
-    with pytest.raises(Zero):
+    with pytest.raises(NotInvertible):
         invert(CUBIC.zero())
 
 
 def test_invert_zero_divisor_in_product_ring():
     ring = make_field([-1, 0, 1])  # x^2 - 1, squarefree but reducible
-    with pytest.raises(ZeroDivisor):
+    with pytest.raises(NotInvertible):
         invert(ring.gen() - 1)
+
+
+@pytest.mark.parametrize("divide", [
+    lambda e: e / 0,
+    lambda e: e / Fraction(0),
+    lambda e: e / e.field.zero(),
+    lambda e: 1 / e.field.zero(),
+    lambda e: e.field.zero() ** -1,
+    lambda e: invert(e.field.zero()),
+])
+@pytest.mark.parametrize("field", [rationals(), CUBIC])
+def test_every_division_by_zero_raises_not_invertible(field, divide):
+    with pytest.raises(NotInvertible) as info:
+        divide(field.elem(3))
+    assert isinstance(info.value, SfuncError) and isinstance(info.value, ZeroDivisionError)
+
+
+def test_a_zero_divisor_raises_not_invertible_as_a_zero_division():
+    ring = make_field([-1, 0, 1])  # x^2 - 1
+    with pytest.raises(ZeroDivisionError, match="shares a factor"):
+        ring.one() / (ring.gen() + 1)
 
 
 def test_equality_coerces_scalars():

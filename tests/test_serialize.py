@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import elem_from_obj_by_fractions, elem_to_obj_by_fractions
+from oracles import _rational_by_fraction, elem_from_obj_by_fractions, elem_to_obj_by_fractions
 
 from sfuncs.catalog import polylog
 from sfuncs.mseries import MSeries
@@ -14,6 +14,7 @@ from sfuncs.numfield import FieldElem, make_field, rationals
 from sfuncs.serialize import (
     _LEAF,
     BadFile,
+    _int,
     _pair,
     dump_obj,
     elem_from_obj,
@@ -21,6 +22,7 @@ from sfuncs.serialize import (
     field_from_obj,
     field_to_obj,
     load_field,
+    load_json,
     load_series,
     mseries_from_obj,
     mseries_to_obj,
@@ -351,3 +353,59 @@ def test_elem_to_obj_writes_reduced_pairs(field):
     assert elem_to_obj(field.zero()) == [["0", "1"]] * d
     assert elem_to_obj(FieldElem(field, (-4,) + (6,) * (d - 1), 8))[:2] == (
         [["-1", "2"]] if d == 1 else [["-1", "2"], ["3", "4"]])
+
+
+# A string that int() reads but the decimal rule refuses: an underscore, an
+# Arabic-Indic one or a fullwidth three between the digits.  Short ones once
+# read as 12, 112 and 132, and only past _LEAF digits raised ValueError.
+@pytest.mark.parametrize("odd", ["_", "\u0661", "\uff13"])
+@pytest.mark.parametrize("length", [1, _LEAF, 3 * _LEAF])
+@pytest.mark.parametrize("sign", ["", " -"])
+def test_a_decimal_string_is_ascii_digits_at_every_length(odd, length, sign):
+    text = f"{sign}{'1' * length}{odd}2"
+    with pytest.raises(ValueError):
+        _int(text)
+    for coordinate in ([text, "1"], ["1", text], text, f"{text}/3", f"3/{text}"):
+        with pytest.raises(ValueError):
+            elem_from_obj(rationals(), [coordinate])
+        with pytest.raises(ValueError):
+            _rational_by_fraction(coordinate)
+    obj = {"field": ["0", "1"], "nvars": 2, "order": 3, "coeffs": {f"{text},0": ["1"]}}
+    with pytest.raises(ValueError):
+        mseries_from_obj(obj)
+
+
+def test_a_decimal_string_takes_spaces_and_a_sign():
+    for text, value in ((" 12 ", 12), ("-0012", -12), ("+7", 7), ("\t-" + "9" * 700, -int("9" * 700))):
+        assert _int(text) == value
+        assert elem_from_obj(rationals(), [[text, "1"]]) == value
+
+
+@pytest.mark.parametrize("text", [
+    '{"field": ["0", "1"], "order": 1, "order": 2, "coeffs": [["1"]]}',
+    '{"field": {"minpoly": ["0", "1"], "minpoly": ["1", "1"]}, "order": 1, "coeffs": [["1"]]}',
+])
+def test_a_repeated_key_is_a_bad_file(tmp_path, text):
+    # json.load kept the last of two equal keys
+    path = tmp_path / "v.json"
+    path.write_text(text)
+    with pytest.raises(BadFile, match="repeated"):
+        load_series(str(path))
+    with pytest.raises(BadFile, match="repeated"):
+        load_json(str(path))
+
+
+def test_two_keys_of_one_exponent_vector_are_a_bad_file(tmp_path):
+    # "01,0" and "1,0" loaded as the one term 5*z1, the last one read
+    path = tmp_path / "w.json"
+    path.write_text('{"field": ["0", "1"], "nvars": 2, "order": 2, '
+                    '"coeffs": {"1,0": [["1", "1"]], "01,0": [["5", "1"]]}}')
+    with pytest.raises(BadFile, match="names the vector of another key"):
+        load_series(str(path))
+
+
+def test_load_field_refuses_a_repeated_key(tmp_path):
+    path = tmp_path / "f.json"
+    path.write_text('{"minpoly": [0, 1], "minpoly": [1, 0, 1]}')
+    with pytest.raises(BadFile, match="'minpoly' is repeated"):
+        load_field(str(path))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sfuncs.catalog import polylog
-from sfuncs.errors import BadConstantTerm, FieldMismatch, NonUnitConstant, NonUnitLinearTerm
+from sfuncs.errors import BadConstantTerm, FieldMismatch, NotInvertible
 from sfuncs.mseries import MSeries
 from sfuncs.numfield import make_field, rationals
 from sfuncs.series import (
@@ -123,6 +123,11 @@ def test_compose_geometric_pair():
     assert compose(g, f) == z
 
 
+def test_compose_refuses_an_inner_constant_term():
+    with pytest.raises(BadConstantTerm, match="^inner series must have zero constant term$"):
+        compose(_ser([1, 1]), _ser([1, 1], const=2))
+
+
 def test_compose_matches_direct_powers():
     f = _ser([2, -1, 3], const=4)
     g = _ser([1, 1, 0])
@@ -151,11 +156,11 @@ def test_negative_power_of_any_invertible_constant():
 
 
 def test_negative_power_needs_a_unit_constant():
-    with pytest.raises(NonUnitConstant):
+    with pytest.raises(NotInvertible, match="^cannot invert 0$"):
         power(_ser([1, 2, 3]), -1)
     ring = make_field([-1, 0, 1])  # x^2 - 1: x - 1 is a zero divisor
     v = Series.from_coeffs(ring, 3, [1, 2, 3], const=ring.gen() - 1)
-    with pytest.raises(NonUnitConstant):
+    with pytest.raises(NotInvertible, match="shares a factor"):
         power(v, -2)
 
 def test_revert_signed_catalan():
@@ -174,9 +179,11 @@ def test_revert_signed_catalan_plus():
 
 
 def test_revert_needs_unit_linear_term():
-    with pytest.raises(NonUnitLinearTerm):
+    with pytest.raises(NotInvertible, match="^cannot invert 0$"):
         revert(_ser([0, 1, 1]))
-    with pytest.raises(NonUnitLinearTerm):
+    with pytest.raises(NotInvertible):
+        revert(_ser([]))
+    with pytest.raises(BadConstantTerm):
         revert(_ser([1, 1], const=3))
     # any nonzero linear coefficient is a unit over a field
     v = _ser([2, 1, 1])

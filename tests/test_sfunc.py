@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from sfuncs.catalog import cyclotomic_field, polylog
-from sfuncs.errors import BadConstantTerm, NotIntegral, NotPrime, SfuncError
+from sfuncs.errors import BadConstantTerm, FieldMismatch, NotIntegral, NotPrime, SfuncError
 from sfuncs.intutil import is_prime, ord_p, primes_up_to
 from sfuncs.mseries import MSeries
 from sfuncs.numfield import denominator_support, make_field, rationals
@@ -218,6 +218,11 @@ def test_generate_crt_number_field():
 def test_generate_crt_needs_integral_seed():
     with pytest.raises(NotIntegral):
         generate_crt(Q, Q.elem(Fraction(1, 2)), 2, 4)
+
+
+def test_generate_crt_refuses_a_seed_of_another_field():
+    with pytest.raises(FieldMismatch, match="^seed element must belong to the field$"):
+        generate_crt(Q, QI3.gen(), 2, 4)
 
 
 # --- multivariate checking
