@@ -17,17 +17,9 @@ from typing import Mapping, NamedTuple
 from .errors import BadConductor, BadConstantTerm, DescentFailed, FieldMismatch, SmallPrime
 from .intutil import _int_to_str, divisors, moebius, ord_p, require_prime
 from .numfield import (
-    FieldElem, NumberField, _exact, _Frozen, _poly_divmod, make_field, rationals,
+    FieldElem, NumberField, _cyclotomic, _exact, _Frozen, make_field, rationals,
 )
 from .series import Series, log_series
-
-
-def _int_poly_divide(num: list[int], den: list[int]) -> list[int]:
-    """Exact division of integer polynomials (low to high) by a monic divisor."""
-    assert den[-1] == 1, "non-exact cyclotomic division: divisor not monic"
-    out, rem = _poly_divmod(num, den, lambda c: c)  # 1 is its own inverse
-    assert not any(rem), "nonzero remainder in cyclotomic division"
-    return out
 
 
 @lru_cache(maxsize=4096)
@@ -43,11 +35,7 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """
     if n < 1:
         raise BadConductor(f"conductor must be at least 1, got {n}")
-    num = [-1] + [0] * (n - 1) + [1]
-    for d in divisors(n):
-        if d < n:
-            num = _int_poly_divide(num, list(cyclotomic_polynomial(d)))
-    return tuple(num)
+    return _cyclotomic(n)
 
 
 @lru_cache(maxsize=4096)

@@ -66,13 +66,29 @@ GENERATOR_MAX_CONDUCTOR = 58
 # verify, gen-crt, gen-abelian and from-log accept, checked before any
 # arithmetic; verify reads the order from its file first.  s = 3 at
 # GENERATOR_MAX_ORDER runs, s = 4 does not.  The dearest requests accepted are
-# at a small order, where a few numbers take all the bits (a Frobenius lift
-# mod p**s), or at GENERATOR_MAX_ORDER; on the host above, verify of a series
-# over Q(zeta_7) took 0.8-1.0 s (order 3, s = 87381; 0.8 s at order 10,000,
-# s = 3), gen-crt over the cubic 1.3-1.4 s (order 3), from-log of 1 - z 0.41 s
-# and gen-abelian at conductor 7 0.21 s (order 10,000, s = 3).  At 8 times
-# this bound, gen-crt at order 2 took 33 s.
+# at a small order, where a few numbers take all the bits (a Newton lift mod
+# p**s; over Phi_n and Psi_n the lift is exact), or at GENERATOR_MAX_ORDER; on
+# the host above, at order 3 and s = 87381, gen-crt over x**3 - x - 1 took
+# 1.7-1.8 s and verify of its output 1.5 s (over Q(zeta_7) 0.12 and 0.09 s),
+# and at order 10,000 and s = 3 verify over Q(zeta_7) 0.4 s, from-log of
+# 1 - z 0.41 s and gen-abelian at conductor 7 0.21 s.  At 8 times this bound,
+# gen-crt at order 2 took 33 s.
 NORMALIZED_MAX_BITS = 2**19
+
+
+# The largest order * degree * terms * bits that from-log accepts, checked
+# before the log recurrence: terms counts the nonzero coefficients of Q past
+# the constant, bits is the largest bit length among Q's coordinate
+# numerators and denominators and the field polynomial's coefficients.  The
+# k-th coefficient of -log Q has up to about k * bits bits in each of degree
+# coordinates and each step of the recurrence costs terms products, which
+# neither bound above counts: 1 - 1000z at order 10,000 took 25.8 s and
+# wrote 150 MB.  The dearest requests accepted sit where the largest root of
+# Q grows fastest for its bits: on the host above, Q = 1 + (1 + x + ... +
+# x**(d-1))z over x**d - x**(d-1) - ... - 1 took 1.0-1.2 s at d = 10, order
+# 1,200 and d = 20, order 600 (1.1 s at d = 4, order 3,000), and 1 - z
+# 0.4 s at GENERATOR_MAX_ORDER; at 15,000 the first two took 2.0 s.
+FROM_LOG_MAX_BITS = 12_000
 
 
 def _check_size(order: int, s: int) -> None:
@@ -199,6 +215,12 @@ def _cmd_from_log(args) -> int:
         else field.elem(_rational(x))
         for x in raw
     ]
+    coords = [c for e in q[:args.order + 1] for c in (*e.nums, e.den)]
+    terms = sum(1 for e in q[1:args.order + 1] if e)
+    bits = max(abs(c).bit_length() for c in (*field.minpoly, *coords))
+    if args.order * field.degree * terms * bits > FROM_LOG_MAX_BITS:
+        raise ValueError(f"order {args.order} x degree {field.degree} x {terms} terms x "
+                         f"{bits} bits is above FROM_LOG_MAX_BITS = {FROM_LOG_MAX_BITS}")
     _emit_series(from_log_poly(field, q, args.s, args.order), args.out)
     return 0
 

@@ -279,8 +279,8 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
     # neither J nor the exp
     kterms = [(j, c, kj) for j, c in w.terms
               if any(kj := [sum(map(mul, row, j)) for row in kap])]
-    wrows = sorted(((j, sum(j), (jw := c * sum(j)).nums, jw.den, kj)
-                    for j, c, kj in kterms), key=_by_degree)
+    wrows = sorted(((j, sum(j), *_times(c, sum(j)), kj) for j, c, kj in kterms),
+                   key=_by_degree)
     budget = _Budget(field, w.order, len(live))
     budget.spend(_walk_cost(field, w.order, len(live), [t[1] for t in wrows]))
     # D = det M (see the docstring): the rows J_i - J_i0, then (delta_j EW)_j,
@@ -288,8 +288,11 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
     cols = live[1:] + live[:1]
     rows = [[_scaled(w, [(j, c, j[q] * (kj[cols[-1]] - kj[i])) for j, c, kj in kterms],
                      (i == q) - (q == cols[-1])) for q in cols] for i in cols[:-1]]
-    rows.append([_scaled(w, [(j, c, sum(j) * j[q]) for j, c in w.terms]) for q in cols])
-    dterms = [(j, c.nums, c.den) for j, c in (_unit_det(rows, budget) if live else w).terms]
+    if rows:
+        rows.append([_scaled(w, [(j, c, sum(j) * j[q]) for j, c in w.terms]) for q in cols])
+        dterms = [(j, c.nums, c.den) for j, c in _unit_det(rows, budget).terms]
+    else:  # at most one variable: M = (sum |j|**2 W_j z**j), straight to integer rows
+        dterms = [(j, *_times(c, sum(j) ** 2)) for j, c in w.terms]
     # the paths (see the docstring); with no term in the exp there is no walk
     dw = lcm(*(ad for _, _, _, ad, _ in wrows))
     integral = bool(wrows) and all(gcd(*j) % ad == 0 for j, _, _, ad, _ in wrows)
@@ -494,11 +497,16 @@ class _Below(dict):
         return sm, terms
 
 
+def _times(c: FieldElem, x: int) -> tuple[tuple[int, ...], int]:
+    """x c, x a nonzero int, as a normalized row and denominator: one gcd."""
+    g = gcd(x, c.den)
+    return tuple(a * (x // g) for a in c.nums), c.den // g
+
+
 def _scaled(w: MSeries, triples: list, const: int = 0) -> MSeries:
     """const + sum x c z**j over the triples (j, c, x), with c z**j the terms
     of w in its order and x ints: one gcd per term, no field product."""
-    terms = [(j, FieldElem._normalized(w.field, tuple(a * (x // g) for a in c.nums), c.den // g))
-             for j, c, x in triples if x for g in [gcd(x, c.den)]]
+    terms = [(j, FieldElem._normalized(w.field, *_times(c, x))) for j, c, x in triples if x]
     if const:  # the constant key sorts first
         terms.insert(0, ((0,) * w.nvars, w.field.one() * const))
     return MSeries(w.field, w.nvars, w.order, tuple(terms))

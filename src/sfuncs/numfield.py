@@ -27,7 +27,7 @@ from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 from .errors import DegreeZero, FieldMismatch, NotInvertible, NotMonic, NotSquarefree
-from .intutil import prime_factors
+from .intutil import divisors, moebius, prime_factors
 
 Scalar = Union[int, Fraction]
 
@@ -120,6 +120,24 @@ class NumberField(_Frozen):
                 shifted = (0,) + row[: d - 1]
                 row = tuple(shifted[i] + top * rows[0][i] for i in range(d))
         return tuple(rows)
+
+    @cached_property
+    def _abelian(self) -> tuple[int, bool] | None:
+        """(n, False) when P is Phi_n, (n, True) when P is Psi_n, the minimal
+        polynomial of zeta_n + 1/zeta_n, with x**d Psi_n(x + 1/x) = Phi_n(x);
+        else None.  phi(n) = d or 2d, and phi(n) >= sqrt(n) once n > 6."""
+        d = self.degree
+        psi = [0] * (2 * d + 1)  # x**d P(x + 1/x)
+        for k, c in enumerate(self.minpoly):
+            for i in range(k + 1):
+                psi[d - k + 2 * i] += c * math.comb(k, i)
+        phi = list(range(max(7, 4 * d * d + 1)))  # Euler's phi, sieved
+        for q in range(2, len(phi)):
+            if phi[q] == q:
+                phi[q::q] = [m - m // q for m in phi[q::q]]
+        return next(((n, real) for real, poly in ((False, self.minpoly), (True, tuple(psi)))
+                     if poly == poly[::-1] for n in range(3, len(phi))
+                     if phi[n] == len(poly) - 1 and _cyclotomic(n) == poly), None)
 
     def elem(self, value: Scalar | Sequence[Scalar]) -> "FieldElem":
         """Element from a rational scalar or a coordinate sequence; a value
@@ -415,6 +433,17 @@ def _sum_rows(
     for (a, _, b, _, w), rd in zip(rows, dens):
         _convolve_into(conv, a, b, den // rd * w)
     return _normalize(_fold(conv, field._reduction), den * scale)
+
+
+def _cyclotomic(n: int) -> tuple[int, ...]:
+    """Coefficients of Phi_n, low to high: the product over d | n of
+    (x**d - 1)**mu(n/d), the factors with mu = 1 divided by those with -1."""
+    num, den = [1], [1]
+    for d in divisors(n):
+        if mu := moebius(n // d):
+            f = num if mu > 0 else den
+            f[:] = [a - b for a, b in zip([0] * d + f, f + [0] * d)]
+    return tuple(_poly_divmod(num, den, _same)[0])
 
 
 def _square_and_multiply(base, e: int, mul=operator.mul):

@@ -10,6 +10,12 @@ beside xi (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 9).
 Frobenius fixes Z/p**n and sends x to xi, so it acts on a row by the
 matrix whose row i holds xi**i.
 
+Over Phi_n or Psi_n (NumberField._abelian) at p prime to n the lift is the
+Galois automorphism sigma_p, exact over Z: xi is x**a or the Dickson
+polynomial D_a(x) = zeta**a + zeta**-a, a = p mod n, reduced mod P, with no
+Newton step.  A good p dividing n keeps Newton: over Phi_6 the lift at 2 is
+x**5 = 1 - x, not x**2 = x - 1.
+
 frobenius_lift accepts only primes not dividing the field discriminant,
 where P stays separable mod p and xi exists and is unique.  The checker and
 generate_crt apply the matrix of the kept lift (_frobenius_rows) to integer
@@ -28,12 +34,13 @@ from .numfield import (FieldElem, NumberField, _derivative, _mul_fold, _poly_inv
 
 
 def _mul(a, b, field: NumberField, mod: int) -> tuple[int, ...]:
-    """The product of two rows, mod P and mod `mod`."""
-    return tuple(c % mod for c in _mul_fold(a, b, field._reduction))
+    """The product of two rows, mod P and mod `mod`; mod 0 keeps it in Z."""
+    prod = _mul_fold(a, b, field._reduction)
+    return tuple(c % mod for c in prod) if mod else prod
 
 
 def _powers(xi, field: NumberField, mod: int, count: int) -> tuple[tuple[int, ...], ...]:
-    """Rows of xi**0 .. xi**(count - 1) mod `mod`."""
+    """Rows of xi**0 .. xi**(count - 1) mod `mod` (in Z for mod 0)."""
     rows = [(1,) + (0,) * (field.degree - 1)]
     for _ in range(count - 1):
         rows.append(_mul(rows[-1], xi, field, mod))
@@ -44,8 +51,14 @@ def _powers(xi, field: NumberField, mod: int, count: int) -> tuple[tuple[int, ..
 def _lift_cell(field: NumberField, p: int) -> list:
     """[N, xi, rows, u]: the lift at (field, p) mod p**N, N the largest
     precision built so far, its matrix, and u = 1/P'(xi) mod p**(N/2), None
-    until N first grows past 1; it starts from xi = x**p mod p."""
+    until N first grows past 1; it starts from xi = x**p mod p.  Over Phi_n
+    or Psi_n with p prime to n, xi is sigma_p(x) in Z and N is infinite."""
     x = (0, 1) + (0,) * (field.degree - 2)
+    if (abelian := field._abelian) and abelian[0] % p:  # xi = x**a or D_a(x)
+        real, prev, xi = abelian[1], (2,) + (0,) * (field.degree - 1), x
+        for _ in range(p % abelian[0] - 1):  # x x**k, or D_(k+1) = x D_k - D_(k-1)
+            prev, xi = xi, tuple(b - real * c for b, c in zip(_mul(x, xi, field, 0), prev))
+        return [math.inf, xi, _powers(xi, field, 0, field.degree), None]
     xi = _square_and_multiply(x, p, lambda a, b: _mul(a, b, field, p))
     return [1, xi, _powers(xi, field, p, field.degree), None]
 
@@ -92,12 +105,19 @@ def frobenius_lift(field: NumberField, p: int, n: int) -> tuple[int, ...]:
     """Coordinates in [0, p**n) of the canonical Frobenius lift: the root xi
     of P with xi = x**p mod p, mod p**n.
 
+    Over Phi_n or Psi_n it is sigma_p(x) when p does not divide n, which
+    a good p may: see the module docstring for Phi_6 at 2.
+
     Raises ValueError for n < 1, NotPrime as intutil.require_prime does,
     and BadPrime when p divides the field discriminant.
 
     >>> from sfuncs.numfield import make_field
     >>> frobenius_lift(make_field([-5, 0, 0, 1]), 7, 2)
     (0, 18, 0)
+    >>> frobenius_lift(make_field([1] * 7), 2, 3)  # over Phi_7, zeta**2
+    (0, 0, 1, 0, 0, 0)
+    >>> frobenius_lift(make_field([1, -1, 1]), 2, 4)  # over Phi_6, 1 - x
+    (1, 15)
     """
     if n < 1:
         raise ValueError("precision exponent must be at least 1")

@@ -16,7 +16,8 @@ series product as a dict convolution of such sums, the series
 -sum_d log(1 - b_d z**d), which dwork_factor takes apart, as -log of the
 product of its factors, factoring by trial division to 2**20 and Floyd's
 rho, a valuation by one division per unit, an exact linear solve on
-Fractions for each right-hand side, reading and writing a stored
+Fractions for each right-hand side, the Frobenius lift over Phi_n and Psi_n
+as the Galois automorphism sigma_p in closed form, reading and writing a stored
 element and building a scalar element through one Fraction per coordinate, and
 rebuilding an element through the checked FieldElem constructor.  None of this
 is part of the package; tests import it as ``from oracles import ...``.
@@ -497,6 +498,61 @@ def sum_products_by_fractions(
         prod = product_mod_minpoly(x.coords, y.coords, field.minpoly)
         total = [s + wt * c for s, c in zip(total, prod)]
     return field.elem([c / scale for c in total])
+
+
+def cyclotomic_by_division(n: int) -> list[int]:
+    """Phi_n, low to high: x**n - 1 divided by Phi_d for each proper divisor
+    d of n, by long division."""
+    num = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            num, rem = _long_divide(num, cyclotomic_by_division(d))
+            assert not any(rem)
+    return num
+
+
+def psi_by_peeling(n: int) -> list[int]:
+    """Psi_n, the minimal polynomial of zeta_n + 1/zeta_n, low to high, for
+    n >= 3: the c_j with Phi_n = sum_j c_j x**(m-j) (x**2 + 1)**j, deg Phi_n
+    = 2m, read off from the top term down."""
+    phi = cyclotomic_by_division(n)
+    m = (len(phi) - 1) // 2
+    out = [0] * (m + 1)
+    for j in range(m, -1, -1):
+        out[j] = c = phi[m + j]
+        for i in range(j + 1):
+            phi[m - j + 2 * i] -= c * math.comb(j, i)
+    assert not any(phi)
+    return out
+
+
+def frobenius_by_galois(n: int, p: int, prec: int, real: bool = False) -> tuple[int, ...]:
+    """Coordinates in [0, p**prec) of sigma_p(x) for a prime p not dividing
+    n: over Phi_n, x = zeta goes to x**a, a = p mod n; over Psi_n (real),
+    x = zeta + 1/zeta goes to zeta**a + zeta**-a, the Dickson polynomial
+    D_a(x) = sum over k <= a/2 of (-1)**k a/(a - k) C(a - k, k) x**(a - 2k).
+    Either is reduced by long division by the minimal polynomial."""
+    assert n % p, "sigma_p is the Frobenius lift only at p prime to n"
+    a = p % n
+    poly = psi_by_peeling(n) if real else cyclotomic_by_division(n)
+    image = [0] * a + [1]
+    if real:
+        image = [0] * (a + 1)
+        for k in range(a // 2 + 1):
+            image[a - 2 * k] = (-1) ** k * a * math.comb(a - k, k) // (a - k)
+    rem = _long_divide(image, poly)[1]
+    return tuple(c % p**prec for c in rem + [0] * (len(poly) - 1 - len(rem)))
+
+
+def _long_divide(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of integer polynomials by a monic den."""
+    num, d = list(num), len(den) - 1
+    quot = [0] * max(len(num) - d, 0)
+    for top in range(len(num) - 1, d - 1, -1):
+        quot[top - d] = c = num[top]
+        for i, b in enumerate(den):
+            num[top - d + i] -= c * b
+    return quot, num[:d]
 
 
 def product_mod_minpoly(x: Sequence, y: Sequence, p: Sequence[int]) -> list:

@@ -31,7 +31,7 @@ from sfuncs.numfield import make_field, rationals
 from sfuncs.serialize import _rational, dump_obj
 from sfuncs.sfunc import check_sfunction
 
-from oracles import framed_log_column_by_framing, solve_by_fractions
+from oracles import cyclotomic_by_division, framed_log_column_by_framing, solve_by_fractions
 
 Q = rationals()
 CUBIC = make_field([-1, -2, 1, 1])
@@ -56,6 +56,13 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(105)[7] == -2
     with pytest.raises(BadConductor):
         cyclotomic_polynomial(0)
+
+
+def test_cyclotomic_polynomials_match_repeated_division():
+    # the Moebius product of the (x**d - 1) against x**n - 1 divided by every
+    # Phi_d of a proper divisor
+    for n in range(1, 151):
+        assert cyclotomic_polynomial(n) == tuple(cyclotomic_by_division(n)), n
 
 
 def test_cyclotomic_field_degrees():

@@ -684,6 +684,38 @@ def test_from_log_of_a_sparse_polynomial_at_the_bound_finishes_in_two_seconds(tm
     assert elapsed <= 2.0
 
 
+def test_from_log_refuses_large_coefficients_before_the_recurrence(tmp_path):
+    # the k-th coefficient of -log(1 - 1000z) has about 10k bits, which
+    # neither the order bound nor NORMALIZED_MAX_BITS counts: at order 10,000
+    # this took 25.8 s and wrote 150 MB
+    paths = _generator_inputs(tmp_path)
+    paths["poly"].write_text("[1, -1000]\n")
+    t0 = time.monotonic()
+    r = run_cli("from-log", "--field", str(paths["q"]), "--coeffs", str(paths["poly"]),
+                "--s", "1", "--order", "10000", timeout=60)
+    assert time.monotonic() - t0 <= 2.0
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == ("error: ValueError: order 10000 x degree 1 x 1 terms x 10 bits is "
+                        f"above FROM_LOG_MAX_BITS = {cli.FROM_LOG_MAX_BITS}\n")
+
+
+def test_the_from_log_bound_counts_degree_terms_and_bits(tmp_path, capsys):
+    # over x^2 - x - 1, Q = 1 + (1 + x)z + z^2/3: degree 2, 2 terms, and the
+    # denominator 3 has 2 bits, so 8 per unit of order
+    field, poly, out = tmp_path / "field.json", tmp_path / "poly.json", tmp_path / "v.json"
+    field.write_text("[-1, -1, 1]\n")
+    poly.write_text(json.dumps([1, [[1, 1], [1, 1]], [[1, 3], [0, 1]]]) + "\n")
+    top = cli.FROM_LOG_MAX_BITS // 8
+    argv = ["from-log", "--field", str(field), "--coeffs", str(poly), "--s", "2"]
+    assert cli.run(argv + ["--order", str(top), "--out", str(out)]) == 0
+    assert load_series(str(out)).order == top
+    assert cli.run(argv + ["--order", str(top + 1)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: ValueError: order {top + 1} x degree 2 x 2 terms x 2 bits is above "
+        f"FROM_LOG_MAX_BITS = {cli.FROM_LOG_MAX_BITS}\n")
+
+
 # One option of each verb given as --opt=--, which argparse (CPython 3.11)
 # hands over as [] without its type or choices: verify and jk-check ended in
 # a TypeError, frame-multi in an AttributeError, and polylog-table with

@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from sfuncs import padic
 from sfuncs.catalog import cyclotomic_field
@@ -20,11 +21,13 @@ from sfuncs.intutil import PRIME_TEST_BOUND, is_prime, primes_up_to
 from sfuncs.numfield import _mul_fold, _square_and_multiply, make_field, rationals
 from sfuncs.padic import _apply_rows, _frobenius_rows, _lift_cell, frobenius_lift, valuation
 
-from oracles import product_mod_minpoly
+from oracles import (cyclotomic_by_division, frobenius_by_galois, product_mod_minpoly,
+                     psi_by_peeling)
 
 QI3 = make_field([3, 0, 1])  # x^2 + 3,  disc -12
 CBRT5 = make_field([-5, 0, 0, 1])  # x^3 - 5, disc -675
-CUBIC = make_field([-1, -2, 1, 1])  # disc 49
+CUBIC = make_field([-1, -2, 1, 1])  # disc 49, Psi_7
+NONAB = make_field([-1, -1, 0, 1])  # x^3 - x - 1, disc -23, not abelian
 
 
 def mul(a, b, field, mod):
@@ -286,28 +289,28 @@ def test_frobenius_matrix_rows_are_powers_of_the_lift():
 
 
 def test_one_lift_per_field_and_prime_serves_lower_precisions(monkeypatch):
-    # the lift kept at (CUBIC, 5) is built at the largest precision asked
+    # the lift kept at (NONAB, 5) is built at the largest precision asked
     # for; lower precisions reuse it, and reduced they equal the lift built
     # from x**p mod p at their own precision
     _lift_cell.cache_clear()
-    high = _frobenius_rows(CUBIC, 5, 9)
-    kept = _lift_cell(CUBIC, 5)
+    high = _frobenius_rows(NONAB, 5, 9)
+    kept = _lift_cell(NONAB, 5)
     n_kept, xi_kept = kept[0], kept[1]
     assert n_kept == 9 and kept[2] is high
-    assert all(_frobenius_rows(CUBIC, 5, n) is high for n in (1, 3, 9))
-    assert all(frobenius_lift(CUBIC, 5, n) == tuple(c % 5**n for c in xi_kept)
+    assert all(_frobenius_rows(NONAB, 5, n) is high for n in (1, 3, 9))
+    assert all(frobenius_lift(NONAB, 5, n) == tuple(c % 5**n for c in xi_kept)
                for n in (1, 3, 9))
-    assert _lift_cell(CUBIC, 5) is kept and kept[1] is xi_kept  # nothing was rebuilt
+    assert _lift_cell(NONAB, 5) is kept and kept[1] is xi_kept  # nothing was rebuilt
     for n in (1, 3, 9):
         _lift_cell.cache_clear()
-        exact = _frobenius_rows(CUBIC, 5, n)
+        exact = _frobenius_rows(NONAB, 5, n)
         assert [tuple(c % 5**n for c in row) for row in high] == list(exact)
     # more precision continues Newton from the kept xi and u = 1/P'(xi) up
     # to max(n, 2N): one step from 9 to 18, where x**p mod p would take
     # five, and no extended Euclid.  Each step takes the powers of xi once,
     # and the convergence check once more.
     _lift_cell.cache_clear()
-    _frobenius_rows(CUBIC, 5, 9)
+    _frobenius_rows(NONAB, 5, 9)
     mods, powers = [], padic._powers
 
     def counted(xi, field, mod, count):
@@ -316,15 +319,15 @@ def test_one_lift_per_field_and_prime_serves_lower_precisions(monkeypatch):
 
     monkeypatch.setattr(padic, "_powers", counted)
     monkeypatch.setattr(padic, "_poly_inverse", None)
-    _frobenius_rows(CUBIC, 5, 10)
-    grown = _lift_cell(CUBIC, 5)
+    _frobenius_rows(NONAB, 5, 10)
+    grown = _lift_cell(NONAB, 5)
     assert grown[0] == 18 and mods == [5**18, 5**18]
-    # the kept u inverts P'(xi) = 3xi**2 + 2xi - 2 to half the precision
-    deriv = _apply_rows(grown[2], (-2, 2, 3), 5**18)
-    assert padic._mul(grown[3], deriv, CUBIC, 5**9) == (1, 0, 0)
+    # the kept u inverts P'(xi) = 3xi**2 - 1 to half the precision
+    deriv = _apply_rows(grown[2], (-1, 0, 3), 5**18)
+    assert padic._mul(grown[3], deriv, NONAB, 5**9) == (1, 0, 0)
     assert tuple(c % 5**9 for c in grown[1]) == xi_kept
-    _frobenius_rows(CUBIC, 5, 50)
-    assert _lift_cell(CUBIC, 5)[0] == 50
+    _frobenius_rows(NONAB, 5, 50)
+    assert _lift_cell(NONAB, 5)[0] == 50
     # over Q no lift is built at all
     misses = _lift_cell.cache_info().misses
     assert _frobenius_rows(rationals(), 5, 40) == ((1,),)
@@ -342,11 +345,15 @@ def test_lift_caches_are_bounded():
 
 @pytest.mark.parametrize("field", [
     rationals(), make_field([1, 1, 1]), CUBIC, cyclotomic_field(7),
-], ids=["Q", "x2+x+1", "disc49", "zeta7"])
+    cyclotomic_field(6), cyclotomic_field(10), cyclotomic_field(12),
+    make_field(psi_by_peeling(9)), make_field(psi_by_peeling(11)), NONAB, QI3,
+], ids=["Q", "x2+x+1", "disc49", "zeta7", "zeta6", "zeta10", "zeta12", "psi9", "psi11",
+        "x3-x-1", "x2+3"])
 def test_lift_is_the_root_over_x_to_the_p_in_any_order(field):
     # checked with oracle arithmetic: xi = x**p mod p and P(xi) = 0 mod p**n,
     # with precisions asked in shuffled order so the kept lift both grows
-    # and serves lower precisions
+    # and serves lower precisions.  Over Phi_6 and Phi_10 the prime 2 is
+    # good but divides n, and the lift there is not x**(p mod n)
     rng = random.Random(field.degree)
     for p in primes_up_to(13):
         if field.discriminant % p == 0:
@@ -365,6 +372,61 @@ def test_lift_is_the_root_over_x_to_the_p_in_any_order(field):
             assert all(c % p**n == 0 for c in value), (p, n)
 
 
+def test_phi_n_and_psi_n_are_recognised_by_their_polynomial():
+    for n in range(3, 61):
+        assert cyclotomic_field(n)._abelian == (n, False)
+        if len(psi := psi_by_peeling(n)) > 2:
+            assert make_field(psi)._abelian == (n, True)
+    # x^2 - 2 is Psi_8; the same fields presented otherwise, and fields of
+    # the degrees of Phi_n or Psi_n that are not abelian, are not recognised
+    assert make_field([-2, 0, 1])._abelian == (8, True)
+    for field in (QI3, CBRT5, NONAB, make_field([1, 1, 3, 1, 1]), make_field([1, 0, 0, 0, 0, 1, 1])):
+        assert field._abelian is None, field
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(3, 30), real=st.booleans(), prec=st.integers(1, 6), data=st.data())
+def test_lift_over_phi_n_and_psi_n_is_sigma_p(n, real, prec, data):
+    # the lift over Q(zeta_n) or Q(zeta_n)+ at a good p prime to n is the
+    # Galois automorphism sigma_p, and so is the lift Newton builds on the
+    # same field with the Galois rows bypassed
+    poly = psi_by_peeling(n) if real else cyclotomic_by_division(n)
+    assume(len(poly) > 2)
+    field, newton = make_field(poly), make_field(poly)
+    newton.__dict__["_abelian"] = None
+    p = data.draw(st.sampled_from([p for p in primes_up_to(200) if n % p]))
+    galois = frobenius_by_galois(n, p, prec, real)
+    _lift_cell.cache_clear()
+    assert frobenius_lift(field, p, prec) == galois
+    assert _lift_cell(field, p)[0] == math.inf
+    _lift_cell.cache_clear()
+    assert frobenius_lift(newton, p, prec) == galois
+    assert _lift_cell(newton, p)[0] == prec
+    _lift_cell.cache_clear()
+
+
+@pytest.mark.parametrize("field,p", [(cyclotomic_field(7), 13), (CUBIC, 5)],
+                         ids=["zeta7", "psi7"])
+def test_a_galois_lift_takes_no_newton_step(field, p, monkeypatch):
+    # over Phi_7 and Psi_7 the cell holds exact integer rows at precision
+    # inf: built once, in Z, with no power of xi mod p**n and no extended
+    # Euclid at precision 50 or after
+    _lift_cell.cache_clear()
+    mods, powers = [], padic._powers
+
+    def counted(xi, field, mod, count):
+        mods.append(mod)
+        return powers(xi, field, mod, count)
+
+    monkeypatch.setattr(padic, "_powers", counted)
+    monkeypatch.setattr(padic, "_poly_inverse", None)
+    rows = _frobenius_rows(field, p, 50)
+    assert _frobenius_rows(field, p, 80) is rows and _lift_cell(field, p)[0] == math.inf
+    assert mods == [0]
+    assert frobenius_lift(field, p, 50) == tuple(c % p**50 for c in rows[1])
+    _lift_cell.cache_clear()
+
+
 def test_bad_prime_rows_are_built_at_the_asked_precision():
     # x^3 - 5 ramifies at 5: x**5 = 5x**2 = 0 is a root mod 5, but there is
     # no lift mod 25
@@ -373,3 +435,10 @@ def test_bad_prime_rows_are_built_at_the_asked_precision():
     with pytest.raises(LiftFailed):
         _frobenius_rows(CBRT5, 5, 2)
     assert _frobenius_rows(CBRT5, 5, 1) == rows
+    # 7 ramifies in Q(zeta_7) and Q(zeta_7)+: x**7 mod 7 and no lift past it,
+    # though 7 mod 7 = 0 would name the identity
+    for field, x_to_7 in ((cyclotomic_field(7), (1, 0, 0, 0, 0, 0)), (CUBIC, (2, 0, 0))):
+        _lift_cell.cache_clear()
+        assert _frobenius_rows(field, 7, 1)[1] == x_to_7
+        with pytest.raises(LiftFailed):
+            _frobenius_rows(field, 7, 2)
