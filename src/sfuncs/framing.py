@@ -251,13 +251,14 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
     product while D is built before it is made.  Past MAX_WORK = 8,000,000
     units FramingTooLarge is raised.  The unit weights ignore the size of
     the numbers and the path: on a 2-core x86-64 KVM guest with CPython
-    3.11.7 (medians of 3 runs), the dearest input under the cap is frame_f
-    of W = z/3 with f = 1 at order 1067, on the rows path: 28 s (8.0 M
-    units).  frame_f of Li2 with f = 2 at order 224 (7.9 M units; order 225
-    frames, 226 is refused before any work) takes 0.56 s of CPU on the
-    integral walk, at a 24 MB peak resident size of the whole process,
-    21 MB before the call.  The README lists the other scaling inputs per
-    path.
+    3.11.7 (CPU time, medians of 3 runs), the dearest input under the cap
+    is frame_f of W = z/5 with f = 1 at order 1067, on the rows path
+    (1067 log2 5 = 2,477 bits): 22 s (8.0 M units).  W = z/3 at that order
+    (1,691 bits) takes the fixed path in 0.69 s.  frame_f of Li2 with
+    f = 2 at order 224 (7.9 M units; order 225 frames, 226 is refused
+    before any work) takes 0.56 s of CPU on the integral walk, at a 24 MB
+    peak resident size of the whole process, 21 MB before the call.  The
+    README lists the other scaling inputs per path.
 
     >>> from sfuncs.numfield import rationals
     >>> w = MSeries.from_dict(rationals(), 2, 2, {(1, 0): 1, (0, 1): 1})
@@ -296,7 +297,10 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
     # the paths (see the docstring); with no term in the exp there is no walk
     dw = lcm(*(ad for _, _, _, ad, _ in wrows))
     integral = bool(wrows) and all(gcd(*j) % ad == 0 for j, _, _, ad, _ in wrows)
-    fixed = bool(wrows) and field.degree == 1 and w.order * (dw - 1).bit_length() < _FIXED_BITS
+    # Dw**order < 2**_FIXED_BITS, its power taken only when it has at most
+    # _FIXED_BITS + order bits
+    fixed = (bool(wrows) and field.degree == 1 and w.order * (dw.bit_length() - 1) < _FIXED_BITS
+             and (dw ** w.order).bit_length() <= _FIXED_BITS)
     path = "integral" if integral else "fixed" if fixed else "rows"
     dterms, deg = sorted(dterms, key=_by_degree), field.degree
     djs, dd = [j for j, *_ in dterms], lcm(*(den for *_, den in dterms))

@@ -18,11 +18,12 @@ as the one-variable MSeries.
 
 The checker keeps each a_k as an integer row over one denominator, sorts
 the pairs (k, p) into one bucket per prime and judges each bucket in one
-pass: frob_p is one matrix per (field, p), fetched once at the largest
-precision the bucket needs, and each difference row is read mod p**n for
-its valuation.  Over Q frob_p is the identity.  When a_k or a_{k/p} is
-absent no Frobenius is needed: at a good prime frob_p is an automorphism of
-the power-basis lattice, so frob_p(a_{k/p}) has the valuation of a_{k/p}.
+pass: frob_p is one matrix per (field, p), kept by padic and grown by
+Newton, which a pair fetches again only when its precision exceeds the
+last fetch, and each difference row is read mod p**n for its valuation.
+Over Q frob_p is the identity.  When a_k or a_{k/p} is absent no Frobenius
+is needed: at a good prime frob_p is an automorphism of the power-basis
+lattice, so frob_p(a_{k/p}) has the valuation of a_{k/p}.
 
 dwork_factor writes V (with s = 1 normalization) as
 -sum_d log(1 - b_d z**d); V is a 1-function exactly when every b_d is
@@ -132,35 +133,26 @@ def _need(p: int, prev: FieldElem, cur: FieldElem, required: int) -> int:
     return required + max(ord_p(d, p) if d % p == 0 else 0 for d in (prev.den, cur.den))
 
 
-def _congruence(field: NumberField, prev: FieldElem, cur: FieldElem, index: Index,
-                p: int, required: int) -> Check:
-    """The check at (index, p) of frob_p(prev) against cur, with the lift
-    fetched at the pair's own precision."""
-    rows = _frobenius_rows(field, p, _need(p, prev, cur, required))
-    got = _defect(rows, p, prev, cur, required)
-    return Check(index, p, required, got, got >= required, "congruence")
-
-
 def _prime_pass(field: NumberField, p: int, pairs: list, ix, zero):
     """(checks, error) of the pairs (k, a_{k/p}, a_k, required) at p, an
-    absent coefficient being the object zero.  At a good p the lift's matrix is
-    fetched once, at the largest precision of the pairs with no absent side.
-    At a bad p (an extra prime) each pair fetches its own, in key order, and
-    the pass stops at the first lift that fails: a lift mod p may exist where
-    none mod p**2 does."""
-    out = []
-    if field.discriminant % p == 0:
-        for key, x, y, r in pairs:
-            try:
-                out.append(_congruence(field, x, y, ix(key), p, r))
-            except (SfuncError, ArithmeticError) as exc:  # LiftFailed
-                return out, f"{type(exc).__name__}: {exc}"
-        return out, None
-    n = max((_need(p, x, y, r) for _, x, y, r in (pairs if field.degree > 1 else ())
-             if x is not zero and y is not zero), default=0)
-    rows = _frobenius_rows(field, p, n) if n else None
+    absent coefficient being the object zero, judged in the given order.
+    A pair is lifted when the degree is above 1 and p is bad or both sides
+    are present; it fetches the lift's matrix only when its precision
+    (_need) exceeds the last fetch, which padic keeps and grows by Newton.
+    At a bad p (an extra prime) the pass stops at the first fetch that
+    fails, with its error: a lift mod p may exist where none mod p**2 does.
+    At a good p a failed fetch propagates."""
+    bad, out, rows, have = field.discriminant % p == 0, [], None, 0
     for key, x, y, r in pairs:
-        got = _defect(None if x is zero or y is zero else rows, p, x, y, r)
+        lifted = field.degree > 1 and (bad or x is not zero and y is not zero)
+        if lifted and (n := _need(p, x, y, r)) > have:
+            try:
+                rows, have = _frobenius_rows(field, p, n), n
+            except (SfuncError, ArithmeticError) as exc:  # LiftFailed
+                if not bad:
+                    raise
+                return out, f"{type(exc).__name__}: {exc}"
+        got = _defect(rows if lifted else None, p, x, y, r)
         out.append(Check(ix(key), p, r, got, got >= r, "congruence"))
     return out, None
 

@@ -341,10 +341,10 @@ def frobenius_residues(field, x, p, n, lift=frobenius_lift) -> list[int]:
 
 def congruence_by_fractions(field, prev, cur, index, p, required,
                             lift=frobenius_lift) -> Check:
-    """sfunc._congruence on Fraction coordinates: both elements are shifted
-    by a common p**m that clears p from every denominator, read mod p**n with
-    n = required + m, and compared as Frob_p(prev) - cur by the minimum
-    ord_p over the coordinates, capped at n and shifted back by m."""
+    """One pair of sfunc._prime_pass on Fraction coordinates: both elements
+    are shifted by a common p**m that clears p from every denominator, read
+    mod p**n with n = required + m, and compared as Frob_p(prev) - cur by the
+    minimum ord_p over the coordinates, capped at n and shifted back by m."""
     m = max(ord_p_by_division(c.denominator, p) for x in (prev, cur) for c in x.coords)
     n = required + m
     mod = p**n

@@ -684,6 +684,25 @@ def test_frame_multi_chooses_the_path_from_field_degree_and_denominators():
             assert walked[-1] == "rows" and set(walked[:-1]) == {"integral"}
 
 
+def test_the_fixed_path_takes_order_times_log2_dw_below_the_bound(monkeypatch):
+    # W = z/3 with f = 1: 1261 log2 3 = 1998.6 bits is below _FIXED_BITS =
+    # 2000, 1262 log2 3 = 2000.2 is not; 1067 log2 5 = 2477.5.  The cap is
+    # lifted, as the walk stops at its first table
+    monkeypatch.setattr(framing, "MAX_WORK", 10**12)
+    for den, order, path in ((3, 1261, "fixed"), (3, 1262, "rows"), (5, 1067, "rows")):
+        w = MSeries.from_univariate(Series.from_coeffs(Q, order, [Fraction(1, den)]))
+        assert _paths(w, Kappa(((1,),))) == [path], (den, order)
+
+
+def test_a_huge_denominator_is_sent_to_rows_without_its_power():
+    # Dw has 10,000 digits: Dw**1000 would have 33 million bits
+    den = 10**9999 + 7
+    w = MSeries.from_univariate(Series.from_coeffs(Q, 1000, [Fraction(1, den)]))
+    t0 = time.monotonic()
+    assert _paths(w, Kappa(((1,),))) == ["rows"]
+    assert time.monotonic() - t0 < 0.1
+
+
 def test_frame_multi_switches_to_the_fixed_path_after_the_first_remainder(monkeypatch):
     # z1 + z2 at order 12: k = (0,1) and (0,2) are integral, every later key
     # walks fixed, and the result equals the oracle

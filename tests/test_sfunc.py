@@ -11,7 +11,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from sfuncs.catalog import cyclotomic_field, polylog
-from sfuncs.errors import BadConstantTerm, FieldMismatch, NotIntegral, NotPrime, SfuncError
+from sfuncs.errors import (BadConstantTerm, FieldMismatch, LiftFailed, NotIntegral, NotPrime,
+                           SfuncError)
 from sfuncs.intutil import is_prime, ord_p, primes_up_to
 from sfuncs.mseries import MSeries
 from sfuncs.numfield import denominator_support, make_field, rationals
@@ -20,7 +21,7 @@ from sfuncs import padic, sfunc
 from sfuncs.series import Series, delta, dint
 from sfuncs.sfunc import (
     _check_obj,
-    _congruence,
+    _prime_pass,
     check_sfunction,
     dwork_factor,
     generate_crt,
@@ -39,6 +40,15 @@ QI3 = make_field([3, 0, 1])
 EISENSTEIN = make_field([1, 1, 1])  # x^2 + x + 1, discriminant -3
 CUBIC = make_field([-1, -2, 1, 1])
 FIELDS = (Q, EISENSTEIN, CUBIC)
+
+
+def _judge(field, prev, cur, index, p, required):
+    """The check of frob_p(prev) against cur at (index, p), judged alone
+    by the checker's pass at p; both sides count as present."""
+    (check,), error = _prime_pass(field, p, [(index, prev, cur, required)],
+                                  lambda key: key, object())
+    assert error is None
+    return check
 
 
 def _series(coeffs, field=Q):
@@ -439,7 +449,7 @@ def test_absent_coefficient_check_equals_the_ring_path(field, p, s, k, m, j, dat
         if (c.index, c.p, c.kind) == (order, p, "congruence")
     ]
     required = s * (ord_p(k, p) + 1)
-    assert got == [_congruence(field, x * k**s, field.zero(), order, p, required)]
+    assert got == [_judge(field, x * k**s, field.zero(), order, p, required)]
 
 
 def test_declared_order_does_not_drive_the_cost(tmp_path):
@@ -584,7 +594,7 @@ def congruence_data(draw):
 def test_row_congruence_equals_the_fraction_oracle(data, index):
     field, prev, cur, p, required = data
     want = congruence_by_fractions(field, prev, cur, index, p, required)
-    assert _congruence(field, prev, cur, index, p, required) == want
+    assert _judge(field, prev, cur, index, p, required) == want
 
 
 @pytest.mark.parametrize("field", ROW_FIELDS)
@@ -595,7 +605,7 @@ def test_row_congruence_with_zero_coefficients(field):
         for p in (3, 5, 11):
             if field.discriminant % p:
                 for required in (1, 4):
-                    got = _congruence(field, prev, cur, p, p, required)
+                    got = _judge(field, prev, cur, p, p, required)
                     assert got == congruence_by_fractions(
                         field, prev, cur, p, p, required
                     )
@@ -605,7 +615,7 @@ def test_exact_zero_defect_reads_required():
     # frob_p fixes rationals, so 5 against 5 leaves an exactly-zero defect
     five = CUBIC.elem(5)
     for required in (1, 7):
-        c = _congruence(CUBIC, five, five, 9, 3, required)
+        c = _judge(CUBIC, five, five, 9, 3, required)
         assert (c.valuation, c.ok) == (required, True)
         assert _check_obj(c)["valuation"] == required
     rep = check_sfunction(polylog(2, 12), 2)
@@ -660,9 +670,69 @@ def test_extra_bad_prime_entries_build_each_lift_at_its_precision():
         assert (q, n) == (3, 1)
         return [int(c) % 3 for c in (f.gen() ** 3).coords]
 
-    assert _congruence(field, x, a3, 3, 3, 1) == (
+    assert _judge(field, x, a3, 3, 3, 1) == (
         congruence_by_fractions(field, x, a3, 3, 3, 1, x_cubed_mod_3)
     )
+
+
+# --- one pass per prime: the lift is fetched as each pair needs it
+
+
+NONAB = make_field([-1, -1, 0, 1])  # x^3 - x - 1, discriminant -23: Newton lifts
+
+
+def test_one_pass_fetches_the_lift_as_the_needs_rise_and_fall():
+    # at p = 5 the pairs need the lift mod 5**n for n = 1, 4, 2, 7, 1, 5,
+    # and two pairs have an absent side, on a lift cell built afresh: every
+    # check equals the pair judged alone and the fraction oracle
+    p, x, zero = 5, NONAB.gen(), NONAB.zero()
+
+    def near(prev, m, j):  # frob_p(prev) + p**j x, prev with p**m in its denominator
+        image = NONAB.elem(frobenius_residues(NONAB, prev * p**m, p, 12)) / p**m
+        return image + x * Fraction(p) ** j
+
+    pairs = []
+    for k, (num, m, required, j) in enumerate([
+            (1 + x, 0, 1, 3), (2 + x * x, 3, 1, 1), (x - 3, 1, 1, 0), (4 * x, 0, 7, 8),
+            (x * x + x, 0, 1, 0), (7 - x, 2, 3, 3)]):
+        prev = num / p**m
+        pairs.append((k, prev, near(prev, m, j), required))
+        if k in (2, 4):  # a pair with a_k absent, one with a_(k/p) absent
+            pairs.append((k + 10, *((prev, zero) if k == 2 else (zero, prev)), required + 2))
+    padic._lift_cell.cache_clear()
+    out, error = _prime_pass(NONAB, p, pairs, lambda key: key, zero)
+    assert error is None
+    assert [(c.index, c.valuation, c.ok) for c in out] == [
+        (0, 1, True), (1, 1, True), (2, 0, False), (12, -1, False), (3, 7, True),
+        (4, 0, False), (14, 0, False), (5, 3, True)]
+    for check, (k, prev, cur, required) in zip(out, pairs):
+        assert check == _judge(NONAB, prev, cur, k, p, required)
+        assert check == congruence_by_fractions(NONAB, prev, cur, k, p, required)
+
+
+def test_a_failed_lift_at_a_good_prime_propagates(monkeypatch):
+    v = generate_crt(NONAB, NONAB.gen(), 2, 10)
+
+    def refuse(field, p, n):
+        raise LiftFailed(f"planted at p={p}")
+
+    monkeypatch.setattr(sfunc, "_frobenius_rows", refuse)
+    for extra in ((), (3,)):  # an extra good prime is judged as any good prime
+        with pytest.raises(LiftFailed, match="planted"):
+            check_sfunction(v, 2, extra_primes=extra)
+
+
+def test_a_bad_prime_lifts_a_pair_with_an_absent_side():
+    # over x^3 - 2 the lift at 2 exists mod 2 only; the pair (2, 2) has
+    # a_2 absent, yet at a bad p it is lifted at its precision s
+    field = make_field([-2, 0, 0, 1])
+    v = Series.from_coeffs(field, 2, [field.gen()])
+    assert check_sfunction(v, 1, extra_primes=(2,)).extra == ({
+        "p": 2, "bad": True, "frobenius_defined": True,
+        "checks": [{"k": 2, "required": 1, "valuation": 0, "ok": False}]},)
+    assert check_sfunction(v, 2, extra_primes=(2,)).extra == ({
+        "p": 2, "bad": True, "frobenius_defined": False, "checks": [],
+        "error": "LiftFailed: non-unit encountered mod 2"},)
 
 
 # --- the pass per prime against both dense-scan oracles
