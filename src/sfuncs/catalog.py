@@ -128,8 +128,9 @@ def abelian_generator(
     The stored coefficient at z**k is a_k / k**s over the cyclotomic field.
     With subfield and x_expr given, every a_k is re-expressed exactly in the
     power basis of x_expr and the series is returned over the subfield;
-    DescentFailed when some coefficient lies outside that span, FieldMismatch
-    when x_expr is not an element of the cyclotomic field.
+    DescentFailed when some coefficient lies outside that span or only one
+    of the two is given, FieldMismatch when x_expr is not an element of the
+    cyclotomic field.
     """
     n = spec.conductor
     field = cyclotomic_field(n)
@@ -142,9 +143,9 @@ def abelian_generator(
         for i, c in spec.coeffs:
             a = a + zpow[(i * k) % n] * c
         raw[k % n] = a
+    if (subfield is None) != (x_expr is None):
+        raise DescentFailed("descent needs both the subfield and the generator's expression")
     if subfield is not None:
-        if x_expr is None:
-            raise DescentFailed("descent requested without the generator's expression")
         if x_expr.field != field:
             raise FieldMismatch("generator expression lives in the wrong field")
         mp = subfield.minpoly

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import cached_property
-from itertools import dropwhile, product
+from itertools import product
 from math import comb, factorial, gcd, lcm, perm
 from operator import le, mul, sub
 
@@ -226,24 +226,25 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
       coordinates of the E_m with the rows of D over their lcm.  A nonzero
       remainder means that the table of this k is not integral (a bad
       prime, a W that is not a 2-function, or Z[alpha] != O_K): the walk
-      of that k goes on from there on rows, from the entries before it.
+      of that k goes on from there on rows, in the same walk, from the
+      entries before it, and reads the D entries over dd as rows.
 
     The path is chosen once per call from the field degree, the denominators
     of the |j| W_j, Dw and the order; with no term in the exp, no walk.  The
     integral walk runs, over every field, when each |j| W_j has a
     denominator dividing gcd(j).  Otherwise the fixed path runs when the
     degree is 1 and order * log2(Dw) is below _FIXED_BITS = 2000 (always
-    when Dw = 1), and the rows path else.  Over Q below the bound the
-    first remainder sends its key and the rest of the call to the fixed
-    path, which needs no integral table (W = z1 + z2, W_k = 1/k).  The
-    fixed integers carry Dw**|m|, so past the bound they outgrow the
-    reduced rows.  Measured on a 2-core x86-64 KVM guest with CPython
-    3.11.7, in-process medians of alternating runs: frame_f of Li2 at
-    order 28 with the five f in (-2, -1, 1, 2, 3) took 0.76 of its
-    fixed-path time on the integral walk, and the nine criterion-4
-    framings at order 11 took 0.91.  _PADDED_BITS = 256 is the measured
-    crossover of the product forms: the disc-49 cubic series framed with
-    f = 3 took 1.04, 1 and 1.00 times as long at order 56 with the
+    when Dw = 1), and the rows path else.  Each key is walked once: the
+    failing key continues on rows from its remainder, and over Q below the
+    bound the rest of the call walks fixed, which needs no integral table
+    (W = z1 + z2, W_k = 1/k).  The fixed integers carry Dw**|m|, so past the
+    bound they outgrow the reduced rows.  Measured on a 2-core x86-64 KVM
+    guest with CPython 3.11.7, in-process medians of alternating runs:
+    frame_f of Li2 at order 28 with the five f in (-2, -1, 1, 2, 3) took
+    0.76 of its fixed-path time on the integral walk, and the nine
+    criterion-4 framings at order 11 took 0.91.  _PADDED_BITS = 256 is the
+    measured crossover of the product forms: the disc-49 cubic series framed
+    with f = 3 took 1.04, 1 and 1.00 times as long at order 56 with the
     crossover at 128, 256 and 512 bits, and 1.02, 1 and 1.28 at order 96.
 
     The work is counted in units (see MAX_WORK and _walk_cost): the walk is
@@ -311,9 +312,9 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
         walks["fixed"] = (
             _Below([(j, sj, a[0] * (dw // ad) * dw ** (sj - 1), 1, kj) for j, sj, a, ad, kj in wrows], True),
             [(nums[0] * (dd // den) * dw ** sj, sj) for (_, nums, den), sj in zip(dterms, ddeg)])
-    if integral:  # <k, kappa j> |j| W_j = <k, kappa j / g> (g |j| W_j), and D over dd;
-        # a key that falls back resumes on these rows from below.resume
-        walks["integral"] = walks["rows"] = (
+    if integral:  # <k, kappa j> |j| W_j = <k, kappa j / g> (g |j| W_j), and D over dd,
+        # rows too for a key that ends on rows
+        walks["integral"] = (
             _Below([(j, sj, tuple(x * (g // ad) for x in a), 1, [x // g for x in kj])
                     for j, sj, a, ad, kj in wrows for g in [gcd(*j)]], False),
             [(tuple(x * (dd // den) for x in nums), dd) for _, nums, den in dterms])
@@ -323,14 +324,11 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
     out = []
     for k in _simplex(n, live, w.order):
         sk = sum(k)
-        # after a remainder (e is None) this k is walked fixed over Q below
-        # the bound, and so is the rest of the call; else it resumes on rows
-        for how in (path, "fixed" if fixed else "rows"):
-            below, dmap, drows = walks[how]
-            dots = [sum(map(mul, k, kj)) for *_, kj in below.wrows]
-            if (e := _exp_table(field, k, sk, dots, below, how)) is not None:
-                break
-        path = "fixed" if how == "fixed" else path
+        below, dmap, drows = walks[path]
+        dots = [sum(map(mul, k, kj)) for *_, kj in below.wrows]
+        e, how = _exp_table(field, k, sk, dots, below, path)
+        if how != path and fixed:  # a key ended on rows: the rest of the call walks fixed
+            path = "fixed"
         # the pairs D_j E_m with j + m = k, read from the shorter of e and D
         if len(e) < bisect_right(ddeg, sk):
             pairs = [(dj, em) for m, em in e.items()
@@ -358,73 +356,66 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
 
 def _exp_table(field, k: tuple, sk: int, dots: list, below: "_Below", path: str):
     """frame_multi's exp table of the key k, m -> E_m on the box {m <= k}, with
-    the weights dots of the terms in below, as rows or, on the fixed and
-    integral paths, integer coordinates (an int over Q).  These two share
-    the integer sum per m; the integral walk divides it by |m|, and over a
-    field of degree >= 2 reads packed entries (see frame_multi).  At the
-    first remainder it leaves the entries walked so far in below.resume, as
-    rows over 1, and returns None; the rows walk of k resumes from them."""
+    the weights dots of the terms in below, and the path it ended on.  The
+    entries are rows or, on the fixed and integral paths, integer
+    coordinates (an int over Q).  These two share the integer sum per m; the
+    integral walk divides it by |m|, and over a field of degree >= 2 reads
+    packed entries (see frame_multi).  At the first remainder, at m, the
+    integral walk turns the entries before m into rows over 1 and goes on
+    from m on rows, in the same walk: it ends on "rows"."""
     d, rows, integral = field.degree, path == "rows", path == "integral"
     one = (1,) + (0,) * (d - 1)
     e = {(0,) * len(k): (one, 1) if rows else one if d > 1 else 1}
     if not any(dots[t] for *_, t in below[k][1]):
-        return e
-    boxes, p, b = product(*(range(ki + 1) for ki in k)), e, 0  # p: the entries the walk reads
-    if rows and below.resume and below.resume[0] == k:
-        (_, start, e), below.resume = below.resume, None
-        boxes, p = dropwhile(start.__gt__, boxes), e
-    elif integral and d == 1:
+        return e, path
+    p, b = e, 0  # p: the entries the integral walk reads
+    if integral and d == 1:
         mults = [dot * a[0] for dot, (_, _, a, _, _) in zip(dots, below.wrows)]
     elif integral:
         head, b = _head(below.abits, dots, d), below.width
         while b <= head:
             b *= 2
         p, mults = {(0,) * len(k): 1}, below.multipliers(dots, b)
-    for m in boxes:
+    for m in product(*(range(ki + 1) for ki in k)):
         sm, terms = below[m]
         if not 0 < sm < sk:
             continue
-        if rows:
-            c = _sum_rows(field, [(a, ad, *prev, dot) for mj, a, ad, t in terms
-                                  if (dot := dots[t]) and (prev := e.get(mj))], sm)
-            if c and any(c[0]):
-                e[m] = c
-            continue
-        if not integral:  # fixed: one integer sum, no division
+        if not (rows or integral):  # fixed: one integer sum, no division
             c = sum([dot * a * prev for mj, a, _, t in terms
                      if (dot := dots[t]) and (prev := e.get(mj))])
             if c:
                 e[m] = c
             continue
-        if d == 1:
+        if integral and d == 1:
             c, r = divmod(sum([x * prev for mj, _, _, t in terms
                                if (x := mults[t]) and (prev := p.get(mj))]), sm)
-            if r:
-                break
-            if c:
-                e[m] = c
-            continue
-        if b <= _PADDED_BITS:
-            s = sum([x * prev for mj, _, _, t in terms if (x := mults[t]) and (prev := p.get(mj))])
-        else:
-            pairs = [(x, prev) for mj, _, _, t in terms if (x := mults[t]) and (prev := p.get(mj))]
-            s = sum(sum([x[i] * q for x, q in pairs]) << i * b for i in range(d))
-        c, r = zip(*[divmod(x, sm) for x in _fold(_unpack(s, b, 2 * d - 1), field._reduction)])
-        if any(r):
-            break
-        if not any(c):
-            continue
-        if (bits := max(map(abs, c)).bit_length()) > b - head:  # widen the slots
-            while bits > b - head:
-                b *= 2
-            p, mults = {mj: _pack(x, b) for mj, x in e.items()}, below.multipliers(dots, b)
-        e[m], p[m] = c, _pack(c, b)
-    else:
-        below.width = max(below.width, b)
-        return e
-    # a remainder at m: the integer entries before it, as rows over 1
-    below.resume = (k, m, {mj: (x if b else (x,), 1) for mj, x in e.items()})
-    return None
+            if not r:
+                if c:
+                    e[m] = c
+                continue
+        elif integral:
+            if b <= _PADDED_BITS:
+                s = sum([x * prev for mj, _, _, t in terms if (x := mults[t]) and (prev := p.get(mj))])
+            else:
+                pairs = [(x, prev) for mj, _, _, t in terms if (x := mults[t]) and (prev := p.get(mj))]
+                s = sum(sum([x[i] * q for x, q in pairs]) << i * b for i in range(d))
+            c, r = zip(*[divmod(x, sm) for x in _fold(_unpack(s, b, 2 * d - 1), field._reduction)])
+            if not any(r):
+                if any(c):
+                    if (bits := max(map(abs, c)).bit_length()) > b - head:  # widen the slots
+                        while bits > b - head:
+                            b *= 2
+                        p, mults = {mj: _pack(x, b) for mj, x in e.items()}, below.multipliers(dots, b)
+                    e[m], p[m] = c, _pack(c, b)
+                continue
+        if integral:  # the first remainder: the entries before m as rows over 1, then m on rows
+            e, rows, integral = {mj: (x if d > 1 else (x,), 1) for mj, x in e.items()}, True, False
+        c = _sum_rows(field, [(a, ad, *prev, dot) for mj, a, ad, t in terms
+                              if (dot := dots[t]) and (prev := e.get(mj))], sm)
+        if c and any(c[0]):
+            e[m] = c
+    below.width = max(below.width, b)
+    return e, "rows" if rows else path
 
 
 def _head(abits: int, dots: list, d: int) -> int:
@@ -465,13 +456,13 @@ class _Below(dict):
     |j| > |m|.  On the fixed-denominator path the integer a is listed
     times (|m| - 1)! / (|m| - |j|)!.
 
-    It also keeps what the walks of one call share: the entries an integral
-    walk left at a remainder (resume), the widest slot width a packed table
-    reached (width), and the rows a packed at each width (packs)."""
+    It also keeps what the walks of one call share: the widest slot width a
+    packed table reached (width), and the rows a packed at each width
+    (packs)."""
 
     def __init__(self, wrows: list, fixed: bool) -> None:
         super().__init__()
-        self.wrows, self.fixed, self.resume, self.width, self.packs = wrows, fixed, None, 64, {}
+        self.wrows, self.fixed, self.width, self.packs = wrows, fixed, 64, {}
 
     @cached_property
     def abits(self) -> int:

@@ -148,10 +148,10 @@ def _resolve_field(obj, base_dir: str | None) -> NumberField:
     return field_from_obj(obj)
 
 
-def series_to_obj(v: Series, field_ref=None) -> dict:
-    """Series as a JSON object; field embedded unless field_ref names a path."""
+def series_to_obj(v: Series) -> dict:
+    """Series as a JSON object, its field embedded."""
     return {
-        "field": field_ref if field_ref is not None else field_to_obj(v.field),
+        "field": field_to_obj(v.field),
         "order": v.order,
         "coeffs": [elem_to_obj(v.coeff(k)) for k in range(1, v.order + 1)],
     }
@@ -177,12 +177,12 @@ def series_from_obj(obj, base_dir: str | None = None) -> Series:
     return Series(field, order, field.zero(), tuple([elem_from_obj(field, c) for c in coeffs]))
 
 
-def mseries_to_obj(v: MSeries, field_ref=None) -> dict:
+def mseries_to_obj(v: MSeries) -> dict:
     terms = {
         ",".join(str(e) for e in key): elem_to_obj(c) for key, c in v.terms
     }
     return {
-        "field": field_ref if field_ref is not None else field_to_obj(v.field),
+        "field": field_to_obj(v.field),
         "nvars": v.nvars,
         "order": v.order,
         "coeffs": terms,

@@ -64,7 +64,7 @@ class Check(NamedTuple):
 
 
 class SReport(NamedTuple):
-    """check_sfunction's checks, the bad primes it skipped and its extra-prime records."""
+    """check_sfunction's checks, the bad primes it left unjudged and its extra-prime records."""
 
     s: int
     order: int
@@ -180,8 +180,9 @@ def check_sfunction(
     Returns a report with one record per checked condition; report.passed
     is the overall verdict.  A congruence valuation is capped at required,
     so an exactly-zero defect reads required.  Bad primes (dividing the
-    field discriminant) found in normalized denominators are listed as
-    skipped.  Each distinct prime in extra_primes gets one informational
+    field discriminant) are listed as skipped where they go unjudged: found
+    in a normalized denominator, or dividing g for a pair with a nonzero
+    side.  Each distinct prime in extra_primes gets one informational
     record, over its bucket in key order, that never affects the verdict;
     an entry of extra_primes that is not a prime below
     intutil.PRIME_TEST_BOUND, where is_prime is proven, raises NotPrime.
@@ -233,6 +234,8 @@ def check_sfunction(
         p, pairs = buckets.popitem()
         if p in wanted:  # its report lists the pairs in key order
             pairs.sort(key=itemgetter(0))
+        if disc % p == 0:  # each pair has a nonzero side that goes unjudged
+            skipped.add(p)
         if disc % p != 0 or p in wanted:  # a bad p serves its report only
             judged[p] = _prime_pass(field, p, pairs, ix, zero)
     checks += [c for p, (out, _) in judged.items() if disc % p != 0 for c in out]

@@ -358,7 +358,8 @@ def congruence_by_fractions(field, prev, cur, index, p, required,
 def check_uni_by_dense_scan(v: Series, s: int) -> SReport:
     """check_sfunction(v, s) for a Series, without extra primes, by scanning
     every index k <= order: each good p | k goes through
-    congruence_by_fractions, also where a_(k/p) and a_k both vanish."""
+    congruence_by_fractions, also where a_(k/p) and a_k both vanish, and a
+    bad p | k is skipped where they do not."""
     if not v.const.is_zero():
         raise BadConstantTerm("s-function data must have zero constant term")
     field = v.field
@@ -382,6 +383,8 @@ def check_uni_by_dense_scan(v: Series, s: int) -> SReport:
                         field, a[k // p], a[k], k, p, s * ord_p_by_division(k, p)
                     )
                 )
+            elif not (a[k].is_zero() and a[k // p].is_zero()):
+                skipped.add(p)
     checks.sort(key=lambda c: (c.index, c.p))
     return SReport(s, n, tuple(checks), tuple(sorted(skipped)))
 
@@ -390,7 +393,8 @@ def check_multi_by_dense_scan(v: MSeries, s: int) -> SReport:
     """check_sfunction(v, s) for an MSeries, without extra primes, by scanning
     every key k of degree 1..order: with g = gcd(k) and a_k = g**s c_k, each
     good p | g goes through congruence_by_fractions against a_(k/p), also
-    where both coefficients vanish."""
+    where both coefficients vanish, and a bad p | g is skipped where they
+    do not."""
     if not v.constant_term.is_zero():
         raise BadConstantTerm("s-function data must have zero constant term")
     field, n = v.field, v.order
@@ -407,10 +411,12 @@ def check_multi_by_dense_scan(v: MSeries, s: int) -> SReport:
             elif g % q != 0:
                 checks.append(Check(k, q, 0, valuation(a[k], q), False, "integrality"))
         for p in prime_factors(g):
+            down = tuple(e // p for e in k)
             if disc % p != 0:
-                down = tuple(e // p for e in k)
                 checks.append(congruence_by_fractions(
                     field, a[down], a[k], k, p, s * ord_p_by_division(g, p)))
+            elif not (a[k].is_zero() and a[down].is_zero()):
+                skipped.add(p)
     checks.sort(key=lambda c: (c.index, c.p))
     return SReport(s, n, tuple(checks), tuple(sorted(skipped)))
 

@@ -644,15 +644,21 @@ class _Path(Exception):
 
 
 def _paths(w, kappa, stop=("integral", "fixed", "rows")) -> list:
-    """The paths of the exp tables frame_multi walks for (w, kappa), up to
-    the first one on a path in stop, where the call is stopped."""
+    """The paths of the exp tables frame_multi walks for (w, kappa), with a
+    second "rows" for a walk that continued on rows, up to the first one on
+    a path in stop, where the call is stopped."""
     paths, real = [], framing._exp_table
 
     def record(field, k, sk, dots, below, path):
         paths.append(path)
         if path in stop:
             raise _Path(path)
-        return real(field, k, sk, dots, below, path)
+        table, how = real(field, k, sk, dots, below, path)
+        if how != path:
+            paths.append(how)
+            if how in stop:
+                raise _Path(how)
+        return table, how
 
     with pytest.MonkeyPatch.context() as mp, pytest.raises(_Path):
         mp.setattr(framing, "_exp_table", record)
@@ -673,9 +679,10 @@ def test_frame_multi_chooses_the_path_from_field_degree_and_denominators():
         li2 = MSeries.from_univariate(polylog(2, order))
         assert _paths(li2, Kappa(((2,),))) == ["integral"]
     # z1 + z2 passes the denominator test, but E_(0,2) of k = (0,3) is 9/2:
-    # over Q below the bound that key and the rest of the call walk fixed
+    # that key continues on rows from its remainder, and over Q below the
+    # bound the rest of the call walks fixed
     z1z2, eye = MSeries.from_dict(Q, 2, 54, {(1, 0): 1, (0, 1): 1}), Kappa.parse("1,0;0,1")
-    assert _paths(z1z2, eye, stop=("fixed", "rows")) == ["integral"] * 3 + ["fixed"]
+    assert _paths(z1z2, eye, stop=("fixed", "rows")) == ["integral"] * 3 + ["rows"]
     # over a larger field the keys that are not integral fall back to rows
     for field in (F, CUBIC, make_field([1] * 5)):
         for w, kappa in ((MSeries.from_dict(field, 2, 6, {(1, 0): 1, (0, 1): field.gen()}), eye),
@@ -704,12 +711,13 @@ def test_a_huge_denominator_is_sent_to_rows_without_its_power():
 
 
 def test_frame_multi_switches_to_the_fixed_path_after_the_first_remainder(monkeypatch):
-    # z1 + z2 at order 12: k = (0,1) and (0,2) are integral, every later key
-    # walks fixed, and the result equals the oracle
+    # z1 + z2 at order 12: k = (0,1) and (0,2) are integral, (0,3) continues
+    # on rows from its remainder, every later key walks fixed, and the
+    # result equals the oracle
     w, kappa = MSeries.from_dict(Q, 2, 12, {(1, 0): 1, (0, 1): 1}), Kappa.parse("1,0;0,1")
     calls = _exp_tables(monkeypatch)
     assert frame_multi(w, kappa) == frame_multi_by_inversion(w, kappa)
-    assert [p for _, p in calls] == ["integral"] * 3 + ["fixed"] * (comb(14, 2) - 3)
+    assert [p for _, p in calls] == ["integral"] * 3 + ["rows"] + ["fixed"] * (comb(14, 2) - 4)
 
 
 def test_frame_multi_without_terms_in_the_exp_takes_no_factorial(monkeypatch):
@@ -744,16 +752,19 @@ def test_frame_multi_fixed_path_builds_no_factorial_table():
 
 
 def _exp_tables(mp, refuse_integral=False) -> list:
-    """Record the (k, path) of every exp table frame_multi walks.  With
-    refuse_integral every integral walk reports a remainder, so each k is
-    walked again on rows: the rows path is forced."""
+    """Record the (k, path) of every exp table frame_multi walks, and a
+    second (k, "rows") for a walk that continued on rows from a remainder.
+    With refuse_integral every integral walk runs on rows from its start:
+    the rows path is forced."""
     calls, real = [], framing._exp_table
 
     def record(field, k, sk, dots, below, path):
         calls.append((k, path))
-        if refuse_integral and path == "integral":
-            return None
-        return real(field, k, sk, dots, below, path)
+        table, how = real(field, k, sk, dots, below,
+                          "rows" if refuse_integral and path == "integral" else path)
+        if how != path:
+            calls.append((k, how))
+        return table, how
 
     mp.setattr(framing, "_exp_table", record)
     return calls
@@ -824,6 +835,27 @@ def test_integral_walk_redoes_only_the_key_whose_table_is_not_integral(monkeypat
     assert frame_f(w, 2) == frame_f_by_reversion(w, 2)
     assert [k for k, path in calls if path == "rows"] == [(30,)]
     assert [k for k, path in calls if path == "integral"] == [(k,) for k in range(1, 31)]
+
+
+def test_each_key_is_walked_once(monkeypatch):
+    # a key that meets a remainder continues on rows in the same walk: z1 + z2
+    # over Q at order 12, and the raised Li2 with f = 2 at the default bound
+    # (30 log2 lcm(1..30) = 1,233 bits, so the fixed path is eligible), where
+    # k = 30 ends on rows
+    keys, real = [], framing._exp_table
+
+    def count(field, k, *args):
+        keys.append(k)
+        return real(field, k, *args)
+
+    monkeypatch.setattr(framing, "_exp_table", count)
+    w, kappa = MSeries.from_dict(Q, 2, 12, {(1, 0): 1, (0, 1): 1}), Kappa.parse("1,0;0,1")
+    assert frame_multi(w, kappa) == frame_multi_by_inversion(w, kappa)
+    assert len(keys) == len(set(keys)) == comb(14, 2) - 1
+    keys.clear()
+    v = _raised(30, 29)
+    assert frame_f(v, 2) == frame_f_by_reversion(v, 2)
+    assert keys == [(k,) for k in range(1, 31)]
 
 
 def test_integral_walk_falls_back_per_key_on_a_series_that_is_no_two_function(monkeypatch):

@@ -9,11 +9,12 @@ import time
 import pytest
 
 from sfuncs import serialize
-from sfuncs.catalog import from_log_poly, polylog
+from sfuncs.catalog import CyclotomicSpec, abelian_generator, cyclotomic_field, from_log_poly, polylog
 from sfuncs.errors import (
     BadConstantTerm,
     BadFile,
     DegreeZero,
+    DescentFailed,
     DimensionMismatch,
     FramingTooLarge,
 )
@@ -60,6 +61,8 @@ REFUSALS = [
      BadConstantTerm),
     ("generate_crt at order 0", lambda: generate_crt(Q, Q.one(), 1, 0), ValueError),
     ("from_log_poly at s = 0", lambda: from_log_poly(Q, [1, -1], 0, 4), ValueError),
+    ("descent without a subfield", lambda: abelian_generator(
+        CyclotomicSpec(7, {1: 1, 6: 1}, 2), 4, x_expr=cyclotomic_field(7).gen()), DescentFailed),
     ("moebius of 0", lambda: moebius(0), ValueError),
 ]
 

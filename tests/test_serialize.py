@@ -90,7 +90,7 @@ def test_field_reference_by_relative_path(tmp_path):
     v = Series.from_coeffs(CUBIC, 2, [CUBIC.gen(), CUBIC.elem(1)])
     spath = tmp_path / "sub" / "series.json"
     spath.parent.mkdir()
-    dump_obj(series_to_obj(v, field_ref="../field.json"), str(spath))
+    dump_obj(series_to_obj(v) | {"field": "../field.json"}, str(spath))
     assert load_series(str(spath)) == v
 
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from sfuncs.catalog import cyclotomic_field, polylog
+from sfuncs.catalog import CyclotomicSpec, abelian_generator, cyclotomic_field, polylog
 from sfuncs.errors import (BadConstantTerm, FieldMismatch, LiftFailed, NotIntegral, NotPrime,
                            SfuncError)
 from sfuncs.intutil import is_prime, ord_p, primes_up_to
@@ -148,6 +148,19 @@ def test_bad_primes_skipped_and_reported():
     assert rep.skipped_primes == (7,)
     assert rep.passed
     assert rep.violations == []
+
+
+def test_bad_primes_with_pairs_are_skipped():
+    # integral series: no bad prime is in a denominator, but pairs at the
+    # bad primes 2 and 5 of x**2 - 5, and at 7 over Q(zeta_7), go unjudged;
+    # over Q no prime is bad
+    root5 = make_field([-5, 0, 1])
+    ab7 = abelian_generator(CyclotomicSpec(7, {1: 1, 2: -1, 3: 2}, 2), 30)
+    for v, skipped in ((polylog(2, 16, root5), (2, 5)), (ab7, (7,)), (polylog(2, 16), ())):
+        rep = check_sfunction(v, 2)
+        assert rep.passed
+        assert rep.skipped_primes == skipped
+        assert check_uni_by_dense_scan(v, 2).skipped_primes == skipped
 
 
 # --- dwork factorization
