@@ -68,7 +68,7 @@ class NotSymmetric(SfuncError):
 
 
 class FramingTooLarge(SfuncError):
-    """The framing's work is above framing.MAX_WORK units."""
+    """The framing's work is above framing.MAX_WORK units or framing.MAX_KAPPA_BITS."""
 
 
 # input files

@@ -52,7 +52,7 @@ from .errors import (
     NotSymmetric,
 )
 from .mseries import MSeries, _sum_of_products, power_m
-from .numfield import FieldElem, _convolve_into, _fold, _Frozen, _normalize, _sum_rows
+from .numfield import FieldElem, _Frozen, _normalize, _sum_rows
 from .series import (
     Series,
     delta,
@@ -163,14 +163,18 @@ def frame_f(w: Series, f: int) -> Series:
 # D is built 1; the weights and the cap come from timings (see frame_multi).
 MAX_WORK = 8_000_000
 
+# Most degree * order**2 * floor(log2 max|kappa_ij|) for a frame_multi walk: an
+# entry at |m| gains |m| log2|kappa| bits, and time grows as its square.
+MAX_KAPPA_BITS = 1_500_000
+
 # Over Q, frame_multi walks on integers over one fixed denominator when
 # order * log2(Dw) is below this many bits (see its docstring).
 _FIXED_BITS = 2000
 
 # Over a field of degree >= 2 the integral walk multiplies a packed entry by
-# one integer dot * _pack(a) at slot widths up to this many bits, else by the
-# coordinates dot * a_i, shifted by i slots (a measured crossover; see
-# frame_multi).
+# one integer dot * _pack(a) and reduces with one % at slot widths up to this
+# many bits, else by the coordinates dot * a_i, shifted by i slots, and in
+# linear steps first (a measured crossover; see frame_multi).
 _PADDED_BITS = 256
 
 
@@ -214,20 +218,23 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
       from bad primes), so a_j is an integer row, and the entries of
       E = prod_i Y_i**(-(kappa k)_i), Y_i = exp(-delta_i W), are integral
       by Dwork's lemma.  E_m is kept on integer coordinates, with one exact
-      divmod by |m| per coordinate and no lcm, gcd or normalization.  Over
-      Q the sum per m is one integer sum.  Over a field of degree d >= 2
-      the walk reads each E_m packed as the integer sum_i c_i 2**(i b) in
-      signed slots of b bits (Kronecker substitution), so the sum per m is
-      one integer, whose 2d - 1 slots are read once and folded.  b keeps
-      the bound of _head, so no slot overflows: an entry that would break
-      it doubles b, and the table is repacked.  Up to b = _PADDED_BITS a
-      term is one product dot * _pack(a) * E, above it d products
-      dot * a_i * E shifted by i slots.  The output sum convolves the
-      coordinates of the E_m with the rows of D over their lcm.  A nonzero
-      remainder means that the table of this k is not integral (a bad
-      prime, a W that is not a 2-function, or Z[alpha] != O_K): the walk
-      of that k goes on from there on rows, in the same walk, from the
-      entries before it, and reads the D entries over dd as rows.
+      division by |m| and no lcm, gcd or normalization.  Over Q the sum per m
+      is one integer sum.  Over a field of degree d >= 2 E_m and the sum per m
+      are integers E_m(2**b) and S(2**b), in signed slots of b bits (Kronecker
+      substitution).  As S = Q P + R over Z, P monic, S(2**b) mod P(2**b),
+      balanced, is R(2**b): the folded coordinates (_reduce).  A divmod by |m|
+      and a mask pass the quotient if its slots v_i lie in [-2**t, 2**t);
+      balanced digits are unique, so |m| then divided every coordinate
+      (_quotient).  Else the d slots are read: a remainder, or an entry that
+      doubles b and repacks the table.  The slots keep b - t = _walk_head
+      bits: _head, bits(1 + rho) for the fold and bits(|k|) + 1 for |m| v_i.
+      Up to b = _PADDED_BITS a term is one product dot * _pack(a) * E, above
+      it d products dot * a_i * E shifted by i slots, as is the output sum, D
+      rows times entries, reduced at a width that holds it.  A nonzero
+      remainder means that the table of this k is not integral (a bad prime, a
+      W that is not a 2-function, or Z[alpha] != O_K): the walk of that k goes
+      on from there on rows, in the same walk, from the entries before it,
+      and reads the D entries over dd as rows.
 
     The path is chosen once per call from the field degree, the denominators
     of the |j| W_j, Dw and the order; with no term in the exp, no walk.  The
@@ -243,9 +250,9 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
     frame_f of Li2 at order 28 with the five f in (-2, -1, 1, 2, 3) took
     0.76 of its fixed-path time on the integral walk, and the nine
     criterion-4 framings at order 11 took 0.91.  _PADDED_BITS = 256 is the
-    measured crossover of the product forms: the disc-49 cubic series framed
-    with f = 3 took 1.04, 1 and 1.00 times as long at order 56 with the
-    crossover at 128, 256 and 512 bits, and 1.02, 1 and 1.28 at order 96.
+    measured crossover of the product and reduction forms: the disc-49 cubic
+    series framed with f = 3 took 1.23-1.36, 1 and 1.00-1.17 times as long
+    at order 56 with it at 128, 256 and 512 bits, 1.03-1.06, 1 and 1.38-1.44 at 96.
 
     The work is counted in units (see MAX_WORK and _walk_cost): the walk is
     charged before it starts, and with two or more variables each series
@@ -259,7 +266,9 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
     f = 2 at order 224 (7.9 M units; order 225 frames, 226 is refused
     before any work) takes 0.56 s of CPU on the integral walk, at a 24 MB
     peak resident size of the whole process, 21 MB before the call.  The
-    README lists the other scaling inputs per path.
+    README lists the other scaling inputs per path.  Under MAX_KAPPA_BITS the
+    dearest input, the disc-49 cubic series at order 155 framed with
+    f = 2**20 + 1, takes 1.8 s; Li2 with f = 10**1000 at order 120 ran 50 s.
 
     >>> from sfuncs.numfield import rationals
     >>> w = MSeries.from_dict(rationals(), 2, 2, {(1, 0): 1, (0, 1): 1})
@@ -283,6 +292,9 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
               if any(kj := [sum(map(mul, row, j)) for row in kap])]
     wrows = sorted(((j, sum(j), *_times(c, sum(j)), kj) for j, c, kj in kterms),
                    key=_by_degree)
+    kbits = max(map(abs, sum(kap, ()))).bit_length() - 1
+    if wrows and field.degree * w.order**2 * kbits > MAX_KAPPA_BITS:
+        raise FramingTooLarge(f"framing at order {w.order} is above {MAX_KAPPA_BITS} kappa bits")
     budget = _Budget(field, w.order, len(live))
     budget.spend(_walk_cost(field, w.order, len(live), [t[1] for t in wrows]))
     # D = det M (see the docstring): the rows J_i - J_i0, then (delta_j EW)_j,
@@ -314,10 +326,11 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
             [(nums[0] * (dd // den) * dw ** sj, sj) for (_, nums, den), sj in zip(dterms, ddeg)])
     if integral:  # <k, kappa j> |j| W_j = <k, kappa j / g> (g |j| W_j), and D over dd,
         # rows too for a key that ends on rows
+        dv = [(tuple(x * (dd // den) for x in nums), dd) for _, nums, den in dterms]
+        dbits = max((abs(x) for dn, _ in dv for x in dn), default=0).bit_length()
         walks["integral"] = (
             _Below([(j, sj, tuple(x * (g // ad) for x in a), 1, [x // g for x in kj])
-                    for j, sj, a, ad, kj in wrows for g in [gcd(*j)]], False),
-            [(tuple(x * (dd // den) for x in nums), dd) for _, nums, den in dterms])
+                    for j, sj, a, ad, kj in wrows for g in [gcd(*j)]], False), dv)
     walks = {p: (below, dict(zip(djs, dv)), list(zip(djs, ddeg, dv)))
              for p, (below, dv) in walks.items()}
     odd = [i for i in range(n) if kappa.sigma(i) < 0]
@@ -343,11 +356,13 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
                            sign * dd * factorial(sk) * dw ** sk)
         elif deg == 1:  # integral: one integer over dd
             c = _normalize((sum(dn[0] * em for (dn, _), em in pairs),), sign * dd)
-        else:  # the entries' coordinates
-            conv = [0] * (2 * deg - 1)
-            for (dn, _), em in pairs:
-                _convolve_into(conv, dn, em)
-            c = _normalize(_fold(conv, field._reduction), sign * dd)
+        else:  # packed: D rows times the entries, at a width bo >= b that holds the sum
+            b, t = below.width, max(0, below.width - _walk_head(field, below.abits, dots, sk))
+            bo = max(b, t + dbits + (len(pairs) * deg).bit_length() + field._fold_bits + 2)
+            pairs = [(dj, _pack(_unpack(em, b, deg), bo)) for dj, em in pairs] if bo > b else pairs
+            s = sum(sum([dn[i] * em for (dn, _), em in pairs]) << i * bo for i in range(deg))
+            s = _reduce(s, bo, field.minpoly, _pack(field.minpoly, bo))
+            c = _normalize(_unpack(s, bo, deg), sign * dd)
         if c and any(c[0]):
             out.append((k, FieldElem._normalized(field, *c)))
     # sorted: _simplex yields the keys in increasing order
@@ -357,25 +372,23 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
 def _exp_table(field, k: tuple, sk: int, dots: list, below: "_Below", path: str):
     """frame_multi's exp table of the key k, m -> E_m on the box {m <= k}, with
     the weights dots of the terms in below, and the path it ended on.  The
-    entries are rows or, on the fixed and integral paths, integer
-    coordinates (an int over Q).  These two share the integer sum per m; the
-    integral walk divides it by |m|, and over a field of degree >= 2 reads
-    packed entries (see frame_multi).  At the first remainder, at m, the
-    integral walk turns the entries before m into rows over 1 and goes on
-    from m on rows, in the same walk: it ends on "rows"."""
-    d, rows, integral = field.degree, path == "rows", path == "integral"
-    one = (1,) + (0,) * (d - 1)
-    e = {(0,) * len(k): (one, 1) if rows else one if d > 1 else 1}
+    entries are rows or, on the fixed and integral paths, ints: over a field
+    of degree >= 2 each packed at the slot width below.width (see
+    frame_multi).  These two share the integer sum per m; the integral walk
+    divides it by |m|.  At the first remainder, at m, the integral walk
+    turns the entries before m into rows over 1 and goes on from m on rows,
+    in the same walk: it ends on "rows"."""
+    d, rows, integral, b = field.degree, path == "rows", path == "integral", below.width
+    e = {(0,) * len(k): ((1,) + (0,) * (d - 1), 1) if rows else 1}
     if not any(dots[t] for *_, t in below[k][1]):
         return e, path
-    p, b = e, 0  # p: the entries the integral walk reads
     if integral and d == 1:
         mults = [dot * a[0] for dot, (_, _, a, _, _) in zip(dots, below.wrows)]
     elif integral:
-        head, b = _head(below.abits, dots, d), below.width
+        head = _walk_head(field, below.abits, dots, sk)
         while b <= head:
             b *= 2
-        p, mults = {(0,) * len(k): 1}, below.multipliers(dots, b)
+        mults, slots = below.multipliers(dots, b), _slots(field, b, b - head)
     for m in product(*(range(ki + 1) for ki in k)):
         sm, terms = below[m]
         if not 0 < sm < sk:
@@ -388,33 +401,36 @@ def _exp_table(field, k: tuple, sk: int, dots: list, below: "_Below", path: str)
             continue
         if integral and d == 1:
             c, r = divmod(sum([x * prev for mj, _, _, t in terms
-                               if (x := mults[t]) and (prev := p.get(mj))]), sm)
+                               if (x := mults[t]) and (prev := e.get(mj))]), sm)
             if not r:
                 if c:
                     e[m] = c
                 continue
         elif integral:
             if b <= _PADDED_BITS:
-                s = sum([x * prev for mj, _, _, t in terms if (x := mults[t]) and (prev := p.get(mj))])
+                s = sum([x * prev for mj, _, _, t in terms if (x := mults[t]) and (prev := e.get(mj))])
             else:
-                pairs = [(x, prev) for mj, _, _, t in terms if (x := mults[t]) and (prev := p.get(mj))]
+                pairs = [(x, prev) for mj, _, _, t in terms if (x := mults[t]) and (prev := e.get(mj))]
                 s = sum(sum([x[i] * q for x, q in pairs]) << i * b for i in range(d))
-            c, r = zip(*[divmod(x, sm) for x in _fold(_unpack(s, b, 2 * d - 1), field._reduction)])
-            if not any(r):
-                if any(c):
-                    if (bits := max(map(abs, c)).bit_length()) > b - head:  # widen the slots
-                        while bits > b - head:
-                            b *= 2
-                        p, mults = {mj: _pack(x, b) for mj, x in e.items()}, below.multipliers(dots, b)
-                    e[m], p[m] = c, _pack(c, b)
+            q = _quotient(f := _reduce(s, b, field.minpoly, slots[0]), sm, *slots[1:])
+            if q is None and not any(x % sm for x in _unpack(f, b, d)):  # no remainder: widen
+                c, b0 = [x // sm for x in _unpack(f, b, d)], b  # f's slots: the folded coordinates
+                while max(map(abs, c)).bit_length() > b - head:
+                    b *= 2
+                e = {mj: _pack(_unpack(x, b0, d), b) for mj, x in e.items()}
+                mults, slots, q = below.multipliers(dots, b), _slots(field, b, b - head), _pack(c, b)
+            if q is not None:
+                if q:
+                    e[m] = q
                 continue
         if integral:  # the first remainder: the entries before m as rows over 1, then m on rows
-            e, rows, integral = {mj: (x if d > 1 else (x,), 1) for mj, x in e.items()}, True, False
+            e, rows, integral = {mj: (_unpack(x, b, d) if d > 1 else (x,), 1)
+                                 for mj, x in e.items()}, True, False
         c = _sum_rows(field, [(a, ad, *prev, dot) for mj, a, ad, t in terms
                               if (dot := dots[t]) and (prev := e.get(mj))], sm)
         if c and any(c[0]):
             e[m] = c
-    below.width = max(below.width, b)
+    below.width = b
     return e, "rows" if rows else path
 
 
@@ -422,10 +438,34 @@ def _head(abits: int, dots: list, d: int) -> int:
     """The bits a packed slot keeps above the entries of the exp table.  Slot
     s of the sum per m, sum_t dot_t sum_(i+l=s) a_ti E_l over the T terms
     with dot_t != 0, has |slot| < T max|dot| d 2**abits 2**ebits when every
-    |a_ti| < 2**abits and |E_l| < 2**ebits.  With T < 2**bits(T) and
+    |a_ti| < 2**abits and |E_l| <= 2**ebits.  With T < 2**bits(T) and
     max|dot| d < 2**bits(max|dot| d), a slot of ebits + _head bits holds it
-    with its sign, one bit to spare."""
+    with its sign, one bit to spare; _walk_head adds bits(1 + rho) + bits(|k|) + 1."""
     return abits + (max(map(abs, dots)) * d).bit_length() + sum(map(bool, dots)).bit_length() + 2
+
+
+def _walk_head(field, abits: int, dots: list, sk: int) -> int:
+    return _head(abits, dots, field.degree) + field._fold_bits + sk.bit_length() + 1
+
+
+def _slots(field, b: int, t: int) -> tuple[int, int, int]:
+    """P(2**b), B_t (2**t in each of d slots of b bits), ~K_t (K_t: their low t + 1 bits)."""
+    d = field.degree
+    return _pack(field.minpoly, b), _pack([1 << t] * d, b), ~_pack([(2 << t) - 1] * d, b)
+
+
+def _reduce(s: int, b: int, minpoly: tuple, modulus: int) -> int:
+    """s mod P(2**b) = modulus, balanced (see frame_multi); above _PADDED_BITS in linear steps."""
+    while b > _PADDED_BITS and not -1 <= (hi := s >> (len(minpoly) - 1) * b) <= 0:
+        s -= sum(p * hi << i * b for i, p in enumerate(minpoly) if p)
+    f = s % modulus
+    return f - modulus if f > modulus >> 1 else f
+
+
+def _quotient(f: int, sm: int, bias: int, keep: int) -> int | None:
+    """f / sm if sm | f and its d slots lie in [-2**t, 2**t), else None (see frame_multi)."""
+    q, r = divmod(f, sm)
+    return None if r or (q + bias) & keep else q
 
 
 def _pack(c, b: int) -> int:
@@ -435,16 +475,11 @@ def _pack(c, b: int) -> int:
 
 def _unpack(s: int, b: int, n: int) -> list:
     """The n signed slots c_i of s = sum_i c_i 2**(i b), |c_i| < 2**(b - 1)."""
-    out, mask, half = [], (1 << b) - 1, 1 << (b - 1)
+    out, half, mask = [], 1 << (b - 1), (1 << b) - 1
     for _ in range(n - 1):
-        x = s & mask
-        s >>= b
-        if x >= half:  # a negative slot borrowed one from the slot above
-            x -= mask + 1
-            s += 1
-        out.append(x)
-    out.append(s)
-    return out
+        out.append(x := ((s + half) & mask) - half)  # a negative slot borrows from the next
+        s = (s - x) >> b
+    return out + [s]
 
 
 class _Below(dict):

@@ -122,6 +122,11 @@ class NumberField(_Frozen):
         return tuple(rows)
 
     @cached_property
+    def _fold_bits(self) -> int:
+        """bits(1 + rho), rho = max_i sum_j |_reduction[j][i]|, the most a fold multiplies by."""
+        return (1 + max(map(sum, zip(*[map(abs, r) for r in self._reduction])), default=0)).bit_length()
+
+    @cached_property
     def _abelian(self) -> tuple[int, bool] | None:
         """(n, False) when P is Phi_n, (n, True) when P is Psi_n, the minimal
         polynomial of zeta_n + 1/zeta_n, with x**d Psi_n(x + 1/x) = Phi_n(x);

@@ -134,6 +134,17 @@ def test_verify_refuses_strength_below_one(li2_path, s):
     assert len(r.stderr.splitlines()) == 1
 
 
+def test_frame_refuses_a_huge_f_at_once(tmp_path):
+    # a 120-term file framed with a 1,000-digit f ran for more than 50 s
+    p = tmp_path / "li2.json"
+    dump_obj(series_to_obj(polylog(2, 120)), str(p))
+    r = run_cli("frame", "--series", str(p), "--f", "9" * 1000, timeout=10)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: FramingTooLarge: ")
+    assert len(r.stderr.splitlines()) == 1
+
+
 def test_verify_missing_file_exits_two(tmp_path):
     r = run_cli("verify", "--series", str(tmp_path / "nope.json"), "--s", "2")
     assert r.returncode == 2

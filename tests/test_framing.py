@@ -593,8 +593,8 @@ def test_framings_over_q_never_convolve(monkeypatch):
         raise AssertionError("a product over Q went through the convolution")
 
     for module in (numfield, framing):
-        monkeypatch.setattr(module, "_convolve_into", refuse)
-        monkeypatch.setattr(module, "_fold", refuse)
+        monkeypatch.setattr(module, "_convolve_into", refuse, raising=False)
+        monkeypatch.setattr(module, "_fold", refuse, raising=False)
     assert [frame_f(li2, 2)] + [frame_multi(w, k) for k in kappas] == want
 
 
@@ -915,8 +915,8 @@ def test_integral_walk_over_q_sums_integers_only(monkeypatch):
         raise AssertionError("the integral walk over Q went through the convolution")
 
     monkeypatch.setattr(framing, "_FIXED_BITS", 0)
-    monkeypatch.setattr(framing, "_convolve_into", refuse)
-    monkeypatch.setattr(framing, "_fold", refuse)
+    monkeypatch.setattr(framing, "_convolve_into", refuse, raising=False)
+    monkeypatch.setattr(framing, "_fold", refuse, raising=False)
     calls = _exp_tables(monkeypatch)
     assert frame_f(li2, 2) == want
     assert {p for _, p in calls} == {"integral"}
@@ -996,6 +996,99 @@ def test_packed_sums_read_back_exactly(d, terms, abits, ebits, data):
 
 
 Z5 = make_field([1] * 5)  # Q(zeta_5)
+WIDE = make_field([1, -1000, 1])  # x^2 - 1000x + 1: a fold adds 1000 x_2 to x_1
+
+
+def _walk_slots(field, abits, dots, sk, t):
+    """The packed walk's slot width b for a key of degree sk whose entries
+    lie in [-2**t, 2**t), and its constants (P(2**b), bias, keep)."""
+    b = framing._walk_head(field, abits, dots, sk) + t
+    return b, framing._slots(field, b, t)
+
+
+@pytest.mark.parametrize("field", [Z5, CUBIC, WIDE])
+@pytest.mark.parametrize("terms, top, sk", [(1, 1, 1), (7, 5, 30), (31, 63, 1000)])
+@pytest.mark.parametrize("t", [70, 700])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_reduction_mod_p_at_2_to_the_b_is_the_fold(field, terms, top, sk, t, sign):
+    # every weight, coordinate and entry at the largest size the walk's head
+    # allows, all of one sign: the balanced residue of the packed sum mod
+    # P(2**b) holds the folded coordinates in its d slots, with % alone and,
+    # past _PADDED_BITS, after the linear steps
+    d, abits = field.degree, 40
+    dots = [sign * top] * terms
+    b, (modulus, _, _) = _walk_slots(field, abits, dots, sk, t)
+    assert modulus == sum(c * 2 ** (i * b) for i, c in enumerate(field.minpoly))
+    packed = framing._pack([2**abits - 1] * d, b) * framing._pack([-(2**t)] * d, b)
+    s = sum(dot * packed for dot in dots)
+    want = numfield._fold(framing._unpack(s, b, 2 * d - 1), field._reduction)
+    assert framing._unpack(framing._reduce(s, b, field.minpoly, modulus), b, d) == list(want)
+
+
+@pytest.mark.parametrize("field", [F, Z5, CUBIC, WIDE])
+@pytest.mark.parametrize("sk", [3, 1000, 10**6 + 1])
+def test_the_packed_check_passes_exactly_the_divisible_entries_in_bounds(field, sk):
+    # the d balanced slots of f, the top one unbounded, are its coordinates:
+    # the check passes exactly when |m| <= |k| divides each and every
+    # quotient lies in [-2**t, 2**t), and then returns them packed.  The
+    # last case carries: |m| v = 2**b + r, with r < |m| and v = ceil(2**b / |m|),
+    # which the head's bits(|k|) keep above 2**t
+    d, t = field.degree, 20
+    b, (_, bias, keep) = _walk_slots(field, 1, [1], sk, t)
+    edges = [-(2**t) - 1, -(2**t), 1 - 2**t, -1, 0, 1, 2**t - 1, 2**t, 2**b, -(2**b)]
+    for sm in sorted({1, 2, 3, sk - 1, sk}):
+        cases = [[sm * v + r if j == i else sm * u for j in range(d)]
+                 for i in range(d) for v in edges for u in (0, 2**t - 1, -(2**t)) for r in (0, 1)]
+        cases.append([sm * -(-(2**b) // sm) - 2**b, 1] + [0] * (d - 2))
+        for c in cases:
+            f = framing._pack(c, b)
+            coords = framing._unpack(f, b, d)
+            passes = all(x % sm == 0 and -(2**t) <= x // sm < 2**t for x in coords)
+            q = framing._quotient(f, sm, bias, keep)
+            assert (q is not None) == passes, (sm, c)
+            assert q is None or q == framing._pack([x // sm for x in coords], b)
+
+
+def test_the_packed_check_at_its_edges_and_on_a_divisible_sum_of_slots():
+    # quotients -2**t and 2**t - 1 pass, 2**t and -2**t - 1 widen; and the
+    # coordinates (1, 2) with |m| = 3 at an even width b, where 3 divides
+    # 1 + 2 * 2**b but not the coordinate 1, fail
+    t = next(t for t in (20, 21) if _walk_slots(F, 1, [1], 3, t)[0] % 2 == 0)
+    b, (_, bias, keep) = _walk_slots(F, 1, [1], 3, t)
+    for v, passes in ((-(2**t), True), (2**t - 1, True), (2**t, False), (-(2**t) - 1, False)):
+        for c in ([v, 0], [0, v], [v, v]):
+            q = framing._quotient(3 * framing._pack(c, b), 3, bias, keep)
+            assert q == (framing._pack(c, b) if passes else None), (v, c)
+    f = framing._pack([1, 2], b)
+    assert f % 3 == 0 and framing._quotient(f, 3, bias, keep) is None
+
+
+def test_the_packed_walk_over_degree_two_and_more_never_folds(monkeypatch):
+    # the criterion-3 series over the disc-49 cubic and Q(zeta_5) at order 28
+    # with the five f: no fold or convolution anywhere, at least 99% of the
+    # entries pass the packed check, and the result is the rows path's
+    g = CUBIC.gen()
+    ws = [from_log_poly(CUBIC, [1, -g, 1], 2, 28),
+          abelian_generator(CyclotomicSpec(5, {1: 1, 4: 1}, 2), 28)]
+    fs = (-2, -1, 1, 2, 3)
+    with pytest.MonkeyPatch.context() as mp:
+        _exp_tables(mp, refuse_integral=True)
+        want = [frame_f(w, f) for w in ws for f in fs]
+    checks, real = [], framing._quotient
+
+    def check(*args):
+        checks.append(real(*args))
+        return checks[-1]
+
+    def refuse(*args):
+        raise AssertionError("the packed walk went through the convolution or the fold")
+
+    for module in (numfield, framing):
+        monkeypatch.setattr(module, "_convolve_into", refuse, raising=False)
+        monkeypatch.setattr(module, "_fold", refuse, raising=False)
+    monkeypatch.setattr(framing, "_quotient", check)
+    assert [frame_f(w, f) for w in ws for f in fs] == want
+    assert sum(q is not None for q in checks) >= 0.99 * len(checks) > 0
 
 
 @st.composite

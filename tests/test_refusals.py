@@ -81,3 +81,15 @@ def test_a_framing_far_above_the_cap_is_refused_before_any_work():
     with pytest.raises(FramingTooLarge):
         frame_f(w, 1)
     assert time.monotonic() - t0 < 1
+
+
+def test_a_framing_by_a_huge_kappa_is_refused_before_any_work():
+    # f = 10**1000 on Li2 at order 120: 120**2 * 3,322 kappa bits, far above
+    # MAX_KAPPA_BITS (at order 60 this framing took 5.6 s, at 120 it ran for
+    # more than 50 s); f = 10**6 at order 200, 800,000 kappa bits, frames
+    w = polylog(2, 120)
+    t0 = time.monotonic()
+    with pytest.raises(FramingTooLarge):
+        frame_f(w, 10**1000)
+    assert time.monotonic() - t0 < 0.5
+    assert frame_f(polylog(2, 200), 10**6).order == 200
