@@ -179,12 +179,8 @@ def _cmd_gen_abelian(args) -> int:
         raise BadFile("--coeffs file must map index to rational")
     coeffs = {_int(i): _rational(c) for i, c in raw.items()}
     spec = CyclotomicSpec(args.conductor, tuple(sorted(coeffs.items())), args.s)
-    subfield = x_expr = None
-    if args.field or args.x:
-        if not (args.field and args.x):
-            raise SfuncError("descent needs both --field and --x")
-        subfield = load_field(args.field)
-        x_expr = elem_from_obj(cyclotomic_field(args.conductor), load_json(args.x))
+    subfield = load_field(args.field) if args.field else None
+    x_expr = elem_from_obj(cyclotomic_field(args.conductor), load_json(args.x)) if args.x else None
     _emit_series(abelian_generator(spec, args.order, subfield, x_expr), args.out)
     return 0
 

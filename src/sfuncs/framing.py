@@ -32,10 +32,11 @@ Framings compose additively in kappa.  frame_multi is the one framing engine:
   reversion of zt followed by W~ = dint(-log Y~), an independent path; both
   must agree exactly.
 
-For a 2-function, the class the paper frames, the exp table is integral, and
-frame_multi walks it on integer coordinates with one exact division per entry.
-Exactness does not rest on this: where a division leaves a remainder, the walk
-of that output key goes on from there on rational rows (see frame_multi).
+frame_multi reads W once, as the rows g |j| W_j, g = gcd(j).  For a
+2-function, the class the paper frames, these are integral, and so is the exp
+table: frame_multi walks it on integer coordinates with one exact division per
+entry.  Exactness does not rest on this: where a division leaves a remainder,
+the walk of that output key goes on from there on rational rows (see frame_multi).
 """
 from __future__ import annotations
 
@@ -194,28 +195,29 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
     delta_j EW = sum_m |m| m_j W_m z**m, are built from the terms of W on
     integer coordinates.  So with one variable M = (delta**2 W) costs no
     product, with two D = ad - bc costs two and no inverse (_unit_det).
-    For each k the exp runs on the box {m <= k} (_exp_table).  The terms j
-    of W, with kappa j, and of D are integer rows sorted by (|j|, j), built
-    once; the terms j <= m of W, with their keys m - j, are listed once per
-    call, the first time a box reaches m (_Below).  The weights
-    <k, kappa j> are one list per k.  c_k sums D_j E_m over j + m = k, read
-    from the shorter of D and the exp table: one FieldElem._normalized per k.
+    For each k the exp runs on the box {m <= k} (_exp_table).  W is read
+    once, as the rows a_j = g |j| W_j, g = gcd(j), over their reduced
+    denominators, whose lcm is Dw, with the weight rows kappa j/g, as
+    <k, kappa j> |j| W_j = <k, kappa j/g> a_j; they and the terms of D, over
+    their lcm dd, are sorted by (|j|, j).  The terms j <= m of W, with their
+    keys m - j, are listed once per call, the first time a box reaches m
+    (_Below).  The weights <k, kappa j/g> are one list per k.  c_k sums
+    D_j E_m over j + m = k, read from the shorter of D and the exp table:
+    one FieldElem._normalized per k.
 
     The exp table has three representations; only the sum per m and the
     output sum differ between them:
 
     * rows: E_m is a normalized numfield._sum_rows result, with one lcm of
       the row denominators, one division per row and one gcd per entry.
-    * fixed denominator, over Q: with Dw the lcm of the denominators of the
-      |j| W_j and A_j = Dw |j| W_j, the walk keeps the integers
-      N_m = |m|! Dw**|m| E_m, and |m| E_m = sum_j <k, kappa j> |j| W_j E_(m-j)
-      reads N_m = sum_j <k, kappa j> A_j (|m|-1)!/(|m|-|j|)! Dw**(|j|-1) N_(m-j):
+    * fixed denominator, over Q: with A_j = Dw a_j, the walk keeps the
+      integers N_m = |m|! Dw**|m| E_m, and reads
+      N_m = sum_j <k, kappa j/g> A_j (|m|-1)!/(|m|-|j|)! Dw**(|j|-1) N_(m-j):
       integer multipliers, with no lcm, division or gcd in the walk.  c_k is
-      one integer over lcm(denominators of D) |k|! Dw**|k|, with one gcd.
-      The falling factorials are taken with math.perm as they are read.
-    * integral: with g = gcd(j), <k, kappa j> |j| W_j = <k, kappa j/g> a_j
-      with a_j = g |j| W_j.  For a 2-function g**2 W_j is integral (away
-      from bad primes), so a_j is an integer row, and the entries of
+      one integer over dd |k|! Dw**|k|, with one gcd.  The falling
+      factorials are taken with math.perm as they are read.
+    * integral, when Dw = 1: for a 2-function g**2 W_j, so a_j, is integral
+      (away from bad primes), and the entries of
       E = prod_i Y_i**(-(kappa k)_i), Y_i = exp(-delta_i W), are integral
       by Dwork's lemma.  E_m is kept on integer coordinates, with one exact
       division by |m| and no lcm, gcd or normalization.  Over Q the sum per m
@@ -226,26 +228,28 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
       and a mask pass the quotient if its slots v_i lie in [-2**t, 2**t);
       balanced digits are unique, so |m| then divided every coordinate
       (_quotient).  Else the d slots are read: a remainder, or an entry that
-      doubles b and repacks the table.  The slots keep b - t = _walk_head
-      bits: _head, bits(1 + rho) for the fold and bits(|k|) + 1 for |m| v_i.
+      doubles b (FramingTooLarge past 2 (|k| + 1) _walk_head bits, which a
+      correct walk never needs) and repacks the table.  The slots keep
+      b - t = _walk_head bits: _head, bits(1 + rho) for the fold and
+      bits(|k|) + 1 for |m| v_i.
       Up to b = _PADDED_BITS a term is one product dot * _pack(a) * E, above
       it d products dot * a_i * E shifted by i slots, as is the output sum, D
       rows times entries, reduced at a width that holds it.  A nonzero
       remainder means that the table of this k is not integral (a bad prime, a
       W that is not a 2-function, or Z[alpha] != O_K): the walk of that k goes
-      on from there on rows, in the same walk, from the entries before it,
-      and reads the D entries over dd as rows.
+      on from there on rows, in the same walk, from the entries before it.
 
-    The path is chosen once per call from the field degree, the denominators
-    of the |j| W_j, Dw and the order; with no term in the exp, no walk.  The
-    integral walk runs, over every field, when each |j| W_j has a
-    denominator dividing gcd(j).  Otherwise the fixed path runs when the
-    degree is 1 and order * log2(Dw) is below _FIXED_BITS = 2000 (always
-    when Dw = 1), and the rows path else.  Each key is walked once: the
-    failing key continues on rows from its remainder, and over Q below the
-    bound the rest of the call walks fixed, which needs no integral table
-    (W = z1 + z2, W_k = 1/k).  The fixed integers carry Dw**|m|, so past the
-    bound they outgrow the reduced rows.  Measured on a 2-core x86-64 KVM
+    The path is chosen once per call from the field degree, Dw and the
+    order, with no walk for no term in the exp: integral when Dw = 1, over
+    every field; else fixed when the degree is 1 and order * log2(Dw) is
+    below _FIXED_BITS = 2000; else rows.  Each key is walked once: the
+    failing key continues on rows from its remainder.  Over Q, once a key's
+    first remainder, at degree m_r, left most of its degrees on rows
+    (2 m_r <= |k|), the rest of the call walks fixed, which needs no integral
+    table (W = z1 + z2, W_k = 1/k); after a later one, as in Li2 with c_211
+    raised by 1/211**2, the integral walk keeps the next keys, where fixed is slower.
+    The fixed integers carry Dw**|m|, so past the bound they outgrow the
+    reduced rows.  Measured on a 2-core x86-64 KVM
     guest with CPython 3.11.7, in-process medians of alternating runs:
     frame_f of Li2 at order 28 with the five f in (-2, -1, 1, 2, 3) took
     0.76 of its fixed-path time on the integral walk, and the nine
@@ -290,8 +294,9 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
     # neither J nor the exp
     kterms = [(j, c, kj) for j, c in w.terms
               if any(kj := [sum(map(mul, row, j)) for row in kap])]
-    wrows = sorted(((j, sum(j), *_times(c, sum(j)), kj) for j, c, kj in kterms),
-                   key=_by_degree)
+    # the one table of W: a_j = g |j| W_j, g = gcd(j), with the weights kappa j / g
+    wrows = sorted(((j, sj, *_times(c, g * sj), [x // g for x in kj])
+                    for j, c, kj in kterms for sj, g in [(sum(j), gcd(*j))]), key=_by_degree)
     kbits = max(map(abs, sum(kap, ()))).bit_length() - 1
     if wrows and field.degree * w.order**2 * kbits > MAX_KAPPA_BITS:
         raise FramingTooLarge(f"framing at order {w.order} is above {MAX_KAPPA_BITS} kappa bits")
@@ -307,41 +312,33 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
         dterms = [(j, c.nums, c.den) for j, c in _unit_det(rows, budget).terms]
     else:  # at most one variable: M = (sum |j|**2 W_j z**j), straight to integer rows
         dterms = [(j, *_times(c, sum(j) ** 2)) for j, c in w.terms]
-    # the paths (see the docstring); with no term in the exp there is no walk
+    # the paths (see the docstring), with no walk for no term in the exp;
+    # Dw**order < 2**_FIXED_BITS is taken only when it has at most _FIXED_BITS + order bits
     dw = lcm(*(ad for _, _, _, ad, _ in wrows))
-    integral = bool(wrows) and all(gcd(*j) % ad == 0 for j, _, _, ad, _ in wrows)
-    # Dw**order < 2**_FIXED_BITS, its power taken only when it has at most
-    # _FIXED_BITS + order bits
     fixed = (bool(wrows) and field.degree == 1 and w.order * (dw.bit_length() - 1) < _FIXED_BITS
              and (dw ** w.order).bit_length() <= _FIXED_BITS)
-    path = "integral" if integral else "fixed" if fixed else "rows"
+    path = "integral" if wrows and dw == 1 else "fixed" if fixed else "rows"
     dterms, deg = sorted(dterms, key=_by_degree), field.degree
     djs, dd = [j for j, *_ in dterms], lcm(*(den for *_, den in dterms))
     ddeg = [sum(j) for j in djs]
-    # per path, the terms of W listed by _Below and the D entries
-    walks = {"rows": (_Below(wrows, False), [(nums, den) for _, nums, den in dterms])}
+    # D over dd; W's rows for the integral and rows walks, scaled by Dw for the fixed walk
+    dv = [(tuple(x * (dd // den) for x in nums), dd) for _, nums, den in dterms]
+    dbits = max((abs(x) for dn, _ in dv for x in dn), default=0).bit_length()
+    walks = [(_Below(wrows, False), dv)]
     if fixed:
-        walks["fixed"] = (
+        walks.append((
             _Below([(j, sj, a[0] * (dw // ad) * dw ** (sj - 1), 1, kj) for j, sj, a, ad, kj in wrows], True),
-            [(nums[0] * (dd // den) * dw ** sj, sj) for (_, nums, den), sj in zip(dterms, ddeg)])
-    if integral:  # <k, kappa j> |j| W_j = <k, kappa j / g> (g |j| W_j), and D over dd,
-        # rows too for a key that ends on rows
-        dv = [(tuple(x * (dd // den) for x in nums), dd) for _, nums, den in dterms]
-        dbits = max((abs(x) for dn, _ in dv for x in dn), default=0).bit_length()
-        walks["integral"] = (
-            _Below([(j, sj, tuple(x * (g // ad) for x in a), 1, [x // g for x in kj])
-                    for j, sj, a, ad, kj in wrows for g in [gcd(*j)]], False), dv)
-    walks = {p: (below, dict(zip(djs, dv)), list(zip(djs, ddeg, dv)))
-             for p, (below, dv) in walks.items()}
+            [(dn[0] * dw ** sj, sj) for (dn, _), sj in zip(dv, ddeg)]))
+    walks = [(below, dict(zip(djs, ds)), list(zip(djs, ddeg, ds))) for below, ds in walks]
     odd = [i for i in range(n) if kappa.sigma(i) < 0]
     out = []
     for k in _simplex(n, live, w.order):
         sk = sum(k)
-        below, dmap, drows = walks[path]
+        below, dmap, drows = walks[path == "fixed"]
         dots = [sum(map(mul, k, kj)) for *_, kj in below.wrows]
         e, how = _exp_table(field, k, sk, dots, below, path)
-        if how != path and fixed:  # a key ended on rows: the rest of the call walks fixed
-            path = "fixed"
+        if how != path and fixed and 2 * below.turn <= sk:
+            path = "fixed"  # its remainder came by half its degree: the rest of the call walks fixed
         # the pairs D_j E_m with j + m = k, read from the shorter of e and D
         if len(e) < bisect_right(ddeg, sk):
             pairs = [(dj, em) for m, em in e.items()
@@ -377,7 +374,7 @@ def _exp_table(field, k: tuple, sk: int, dots: list, below: "_Below", path: str)
     frame_multi).  These two share the integer sum per m; the integral walk
     divides it by |m|.  At the first remainder, at m, the integral walk
     turns the entries before m into rows over 1 and goes on from m on rows,
-    in the same walk: it ends on "rows"."""
+    in the same walk: it ends on "rows", with |m| in below.turn."""
     d, rows, integral, b = field.degree, path == "rows", path == "integral", below.width
     e = {(0,) * len(k): ((1,) + (0,) * (d - 1), 1) if rows else 1}
     if not any(dots[t] for *_, t in below[k][1]):
@@ -416,7 +413,10 @@ def _exp_table(field, k: tuple, sk: int, dots: list, below: "_Below", path: str)
             if q is None and not any(x % sm for x in _unpack(f, b, d)):  # no remainder: widen
                 c, b0 = [x // sm for x in _unpack(f, b, d)], b  # f's slots: the folded coordinates
                 while max(map(abs, c)).bit_length() > b - head:
-                    b *= 2
+                    # a correct walk keeps E_m within B**|m| < 2**(|m| head) in every coordinate,
+                    # B = (1 + rho) d sum_t |dot_t| max|a_t| (see _head): so b < 2 (|k| + 1) head
+                    if (b := 2 * b) > 2 * (sk + 1) * head:
+                        raise FramingTooLarge(f"an entry of the exp table at m = {m} outgrew its bound")
                 e = {mj: _pack(_unpack(x, b0, d), b) for mj, x in e.items()}
                 mults, slots, q = below.multipliers(dots, b), _slots(field, b, b - head), _pack(c, b)
             if q is not None:
@@ -424,8 +424,8 @@ def _exp_table(field, k: tuple, sk: int, dots: list, below: "_Below", path: str)
                     e[m] = q
                 continue
         if integral:  # the first remainder: the entries before m as rows over 1, then m on rows
-            e, rows, integral = {mj: (_unpack(x, b, d) if d > 1 else (x,), 1)
-                                 for mj, x in e.items()}, True, False
+            e, rows, integral, below.turn = {mj: (_unpack(x, b, d) if d > 1 else (x,), 1)
+                                             for mj, x in e.items()}, True, False, sm
         c = _sum_rows(field, [(a, ad, *prev, dot) for mj, a, ad, t in terms
                               if (dot := dots[t]) and (prev := e.get(mj))], sm)
         if c and any(c[0]):
@@ -492,12 +492,12 @@ class _Below(dict):
     times (|m| - 1)! / (|m| - |j|)!.
 
     It also keeps what the walks of one call share: the widest slot width a
-    packed table reached (width), and the rows a packed at each width
-    (packs)."""
+    packed table reached (width), the rows a packed at each width (packs),
+    and the degree of the last first remainder of an integral walk (turn)."""
 
     def __init__(self, wrows: list, fixed: bool) -> None:
         super().__init__()
-        self.wrows, self.fixed, self.width, self.packs = wrows, fixed, 64, {}
+        self.wrows, self.fixed, self.width, self.packs, self.turn = wrows, fixed, 64, {}, 0
 
     @cached_property
     def abits(self) -> int:

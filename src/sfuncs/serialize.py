@@ -13,8 +13,8 @@ A coordinate may also be read from a JSON integer or an "a" or "a/b" string,
 as one integer pair.  A float, a bool or a zero denominator raises BadFile,
 also inside a pair or a minpoly, and so does a float, a bool or a negative
 number as "order", or a float or a bool as "nvars"; a string such as "1.5"
-raises ValueError.  A decimal string, at every length, is surrounding spaces,
-an optional sign and ASCII digits only, so "1_0" and non-ASCII digits raise
+raises ValueError.  A decimal string, at every length, is surrounding ASCII
+whitespace, as int() strips it, an optional sign and ASCII digits only, so "1_0" and non-ASCII digits raise
 ValueError too, also as an exponent key.  Every input file is read through
 load_json, where an object that repeats a key raises BadFile, and so do two
 exponent keys that name one vector, such as "1,0" and "01,0".
@@ -39,14 +39,14 @@ _LEAF = 600  # decimal digits that int() and str() convert under any limit
 
 def _int(x) -> int:
     """x as an int: a non-bool int, or a decimal string of any length, which
-    is surrounding spaces, an optional sign and ASCII digits only (no "_").
-    A string of another form raises ValueError; anything else, a float or a
-    bool included, BadFile."""
+    is surrounding ASCII whitespace (what int() strips), an optional sign and
+    ASCII digits only (no "_").  A string of another form raises ValueError;
+    anything else, a float or a bool included, BadFile."""
     if isinstance(x, int) and not isinstance(x, bool):
         return x
     if not isinstance(x, str):
         raise BadFile(f"cannot read {x!r} as an integer")
-    text = x.strip()
+    text = x.strip(" \t\n\v\f\r")
     digits = text[1:] if text[:1] in ("+", "-") else text
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"not a decimal integer: {text[:40]!r}")

@@ -369,6 +369,19 @@ def test_gen_abelian_with_descent(tmp_path):
     assert run_cli("verify", "--series", str(out), "--s", "2").returncode == 0
 
 
+@pytest.mark.parametrize("lone", [["--field", "{cubic}"], ["--x", "{x}"]])
+def test_gen_abelian_refuses_a_lone_descent_flag_as_the_generator_does(tmp_path, lone):
+    (tmp_path / "coeffs.json").write_text('{"1": 1, "6": 1}\n')
+    (tmp_path / "cubic.json").write_text("[-1, -2, 1, 1]\n")
+    (tmp_path / "x.json").write_text("[-1, 0, -1, -1, -1, -1]\n")
+    paths = {"cubic": tmp_path / "cubic.json", "x": tmp_path / "x.json"}
+    r = run_cli("gen-abelian", "--conductor", "7", "--coeffs", str(tmp_path / "coeffs.json"),
+                "--s", "2", "--order", "10", *[a.format(**paths) for a in lone])
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.startswith("error: DescentFailed: ") and r.stderr.count("\n") == 1
+    assert "Traceback" not in r.stderr
+
+
 def test_gen_abelian_reads_coefficients_exactly(tmp_path):
     def gen(text):
         (tmp_path / "c.json").write_text(text)

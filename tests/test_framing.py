@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
+import textwrap
 import time
 import tracemalloc
 from fractions import Fraction
@@ -711,13 +714,15 @@ def test_a_huge_denominator_is_sent_to_rows_without_its_power():
 
 
 def test_frame_multi_switches_to_the_fixed_path_after_the_first_remainder(monkeypatch):
-    # z1 + z2 at order 12: k = (0,1) and (0,2) are integral, (0,3) continues
-    # on rows from its remainder, every later key walks fixed, and the
-    # result equals the oracle
+    # z1 + z2 at order 12: k = (0,1) and (0,2) are integral; (0,3), (0,4) and
+    # (0,5) continue on rows from their remainders at m = 2, 3 and 2, and the
+    # first of these past half its degree, (0,5), sends every later key to
+    # the fixed walk; the result equals the oracle
     w, kappa = MSeries.from_dict(Q, 2, 12, {(1, 0): 1, (0, 1): 1}), Kappa.parse("1,0;0,1")
     calls = _exp_tables(monkeypatch)
     assert frame_multi(w, kappa) == frame_multi_by_inversion(w, kappa)
-    assert [p for _, p in calls] == ["integral"] * 3 + ["rows"] + ["fixed"] * (comb(14, 2) - 4)
+    assert [p for _, p in calls] == (["integral"] * 3 + ["rows", "integral"] * 2 + ["rows"]
+                                     + ["fixed"] * (comb(14, 2) - 6))
 
 
 def test_frame_multi_without_terms_in_the_exp_takes_no_factorial(monkeypatch):
@@ -1091,6 +1096,38 @@ def test_the_packed_walk_over_degree_two_and_more_never_folds(monkeypatch):
     assert sum(q is not None for q in checks) >= 0.99 * len(checks) > 0
 
 
+_UNBALANCED = textwrap.dedent("""
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29))
+    from sfuncs import framing
+    from sfuncs.catalog import from_log_poly
+    from sfuncs.errors import FramingTooLarge
+    from sfuncs.numfield import make_field
+
+    def unbalanced(s, b, minpoly, modulus):  # _reduce without its balancing step
+        while b > framing._PADDED_BITS and not -1 <= (hi := s >> (len(minpoly) - 1) * b) <= 0:
+            s -= sum(p * hi << i * b for i, p in enumerate(minpoly) if p)
+        return s % modulus
+
+    framing._reduce = unbalanced
+    cubic = make_field([-1, -2, 1, 1])
+    try:
+        framing.frame_f(from_log_poly(cubic, [1, -cubic.gen(), 1], 2, 28), -2)
+    except FramingTooLarge as e:
+        print("refused:", e)
+""")
+
+
+def test_a_planted_fold_fault_is_refused_at_the_widest_slot():
+    # with the balancing step of _reduce removed, the slots of the
+    # criterion-3 cubic series framed with f = -2 read as garbage that keeps
+    # widening; past the width a correct walk can reach, 2 (|k| + 1) head
+    # bits, the walk raises FramingTooLarge at once, under 512 MB of address space
+    r = subprocess.run([sys.executable, "-c", _UNBALANCED], capture_output=True, text=True,
+                       timeout=60)
+    assert r.returncode == 0 and r.stdout.startswith("refused: "), r.stderr[-2000:]
+
+
 @st.composite
 def _large_two_function_case(draw):
     # 2-functions over fields of degree >= 2 times integers of up to 64
@@ -1160,3 +1197,72 @@ def test_packed_walk_widens_its_slots_in_mid_table(monkeypatch):
     assert frame_f(w, 3) == frame_f_by_reversion(w, 3)
     assert {path for _, path in calls} == {"integral"}
     assert any(b <= framing._PADDED_BITS < c for t in widths for b, c in zip(t, t[1:]))
+
+
+# --- one table of W: a_j = g |j| W_j over its reduced denominator for every walk
+
+
+@st.composite
+def _near_two_function_case(draw):
+    # a 2-function plus c z**j with c of denominator 2, 3 or 6, or Li2 with
+    # one coefficient raised early or late: Dw = 1 or small, so over Q the
+    # fixed walk runs from the start or after a remainder
+    field = draw(st.sampled_from([Q, Q, CUBIC, Z5]))  # Q twice: its fixed walk and switch
+    n, order = draw(st.integers(1, 2)), draw(st.integers(4, 8))
+    small = st.integers(-2, 2)
+    e = draw(st.tuples(*[st.integers(0, 2)] * n).filter(lambda e: 0 < sum(e) <= order // 2))
+    top, x = order // sum(e), field.gen() * draw(small) + draw(small)
+    if draw(st.booleans()):
+        v = draw(st.sampled_from([
+            lambda: polylog(2, top, field) * draw(small.filter(bool)),
+            lambda: from_log_poly(field, [1, x, draw(small)], 2, top),
+            lambda: generate_crt(field, x, 2, top),
+        ]))()
+        w = _at_monomial(v, e, order)
+        j = draw(st.tuples(*[st.integers(0, 2)] * n).filter(lambda j: 0 < sum(j) <= order))
+        c = (x + draw(small.filter(bool))) * Fraction(1, draw(st.sampled_from([2, 3, 6])))
+        w = w + MSeries.from_dict(field, n, order, {j: c})
+    else:
+        at = draw(st.sampled_from([2, 3, top - 1, top]))
+        by = draw(st.sampled_from([Fraction(1, at * at), Fraction(1, 4), 1]))
+        w = _at_monomial(polylog(2, top, field) + Series.from_coeffs(
+            field, top, [by if k == at else 0 for k in range(1, top + 1)]), e, order)
+    upper = [draw(st.sampled_from([-3, -1, 1, 2, 3]))] + draw(st.lists(
+        small, min_size=n * (n + 1) // 2 - 1, max_size=n * (n + 1) // 2 - 1))
+    return w, _symmetric_kappa(upper, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_near_two_function_case())
+def test_one_table_equals_the_rows_walk_and_the_oracle(case):
+    w, kappa = case
+    framed = frame_multi(w, kappa)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(framing, "_FIXED_BITS", 0)
+        calls = _exp_tables(mp, refuse_integral=True)
+        rows = frame_multi(w, kappa)
+    assert "fixed" not in {p for _, p in calls}  # an integral walk is refused: all on rows
+    assert framed.terms == rows.terms
+    assert framed == frame_multi_by_inversion(w, kappa)
+
+
+def test_li2_plus_z_over_2_walks_fixed_at_every_key(monkeypatch):
+    # g |j| W_j is 3/2 at j = 1 and 1 at every other j: Dw = 2, 96 bits,
+    # where the unscaled |j| W_j have lcm(1..96) for Dw, far past the bound
+    w = polylog(2, 96) + Series.var(Q, 96) * Fraction(1, 2)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _exp_tables(mp)
+        framed = frame_f(w, 2)
+    assert [p for _, p in calls] == ["fixed"] * 96
+    monkeypatch.setattr(framing, "_FIXED_BITS", 0)
+    assert framed == frame_f(w, 2)
+
+
+def test_a_late_remainder_does_not_send_the_call_to_the_fixed_walk(monkeypatch):
+    # Li2 with c_211 raised by 1/211**2 at order 224: Dw = 1, and the keys
+    # 212..224 meet their remainder at m = 211, past half their degree, so
+    # each goes on on rows and no key walks fixed
+    calls = _exp_tables(monkeypatch)
+    frame_f(_raised(224, 211), 2)
+    assert [k for k, p in calls if p == "rows"] == [(k,) for k in range(212, 225)]
+    assert [p for _, p in calls if p != "rows"] == ["integral"] * 224

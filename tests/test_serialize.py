@@ -255,6 +255,17 @@ def test_elem_from_obj_reads_each_coordinate_as_pair_does(field, data):
     assert _outcome(lambda: elem_from_obj(field, coords)) == _outcome(by_pair)
 
 
+@pytest.mark.parametrize("coords", [[["0", "0\x1f"]], [["1", "2\x1f"]]])
+def test_elem_from_obj_and_pair_refuse_the_separator_controls_alike(coords):
+    # str.strip() drops \x1c-\x1f but int() does not: once _pair read
+    # "2\x1f" as 2 while elem_from_obj raised ValueError
+    with pytest.raises(ValueError):
+        _pair(coords[0])
+    with pytest.raises(ValueError):
+        elem_from_obj(rationals(), coords)
+    assert _pair([" 1\t", "\r\n2\v\f"]) == (1, 2) == _pair(["1", "2"])
+
+
 @pytest.mark.parametrize("value, coeffs", [
     (2.9, [["1"], ["1/4"]]), (2.0, [["1"], ["1/4"]]), (True, [["1"]]),
     (None, [["1"]]), ([1], [["1"]]),
