@@ -14,7 +14,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, NamedTuple
 
-from .errors import BadConductor, BadConstantTerm, DescentFailed, FieldMismatch, SmallPrime
+from .errors import (BadConductor, BadConstantTerm, DescentFailed, FieldMismatch, SmallPrime,
+                     _refuse_above)
 from .intutil import _int_to_str, divisors, moebius, ord_p, require_prime
 from .numfield import (
     FieldElem, NumberField, _cyclotomic, _exact, _Frozen, make_field, rationals,
@@ -245,7 +246,7 @@ def polylog_frame_table(f_range, d_range) -> FramedPolylogTable:
     k**3 * g_k = sum_{d|k} N_d * d**3, and Moebius inversion extracts N_d;
     k**3 * g_k is the integer _framed_log_h(f, k), so only cells divide.
     An empty range (a table that checks nothing) or a d < 1 raises ValueError,
-    and so does a table whose _binomials_cost is above BINOMIAL_MAX_COST,
+    and a table whose _binomials_cost is above BINOMIAL_MAX_COST TooLarge,
     before any binomial: d 1..200 at f -10..10 runs, d 1..4000 at f 5 not.
     A range is read from its ends and step, and built only once the cost
     is accepted.
@@ -257,9 +258,8 @@ def polylog_frame_table(f_range, d_range) -> FramedPolylogTable:
         raise ValueError("f range is empty")
     (_, _, dmax), (f_count, f_lo, f_hi) = _span(d_range), _span(f_range)
     cost = _binomials_cost(f_count, dmax, max(-f_lo, f_hi).bit_length() + 1)
-    if cost > BINOMIAL_MAX_COST:
-        raise ValueError(f"table to d={dmax} at {f_count} f values is too large: "
-                         f"estimated cost {cost} is above {BINOMIAL_MAX_COST}")
+    _refuse_above(cost, BINOMIAL_MAX_COST, "BINOMIAL_MAX_COST",
+                  "table to d = {} at {} f values, of estimated cost {},", dmax, f_count, cost)
     d_values, f_values = tuple(d_range), tuple(f_range)
     mu = [0] + [moebius(k) for k in range(1, dmax + 1)]
     divs = {d: divisors(d) for d in d_values}
@@ -335,8 +335,8 @@ def jk_check(p: int, k_max: int, f_max: int) -> JKReport:
     """Verify binom(pkf, pk) = binom(kf, k) mod p^(3(ord_p(k)+1)) for p > 3;
     k_max or f_max below 1 (an empty sweep, which would pass) raises ValueError.
 
-    So does a sweep whose _jk_cost, about p**2 k_max**3 f_max, is above
-    BINOMIAL_MAX_COST, before any binomial is computed: (7, 21, 5),
+    A sweep whose _jk_cost, about p**2 k_max**3 f_max, is above
+    BINOMIAL_MAX_COST raises TooLarge, before any binomial is computed: (7, 21, 5),
     (13, 39, 5) and (5, 100, 100) run, (100003, 1, 2) and (10007, 5, 5) are
     refused.
 
@@ -346,9 +346,9 @@ def jk_check(p: int, k_max: int, f_max: int) -> JKReport:
     if k_max < 1 or f_max < 1:
         raise ValueError(f"need k_max >= 1 and f_max >= 1, got {k_max} and {f_max}")
     cost = _jk_cost(p, k_max, f_max)
-    if cost > BINOMIAL_MAX_COST:
-        raise ValueError(f"sweep p={p}, k_max={k_max}, f_max={f_max} is too large: "
-                         f"estimated cost {cost} is above {BINOMIAL_MAX_COST}")
+    _refuse_above(cost, BINOMIAL_MAX_COST, "BINOMIAL_MAX_COST",
+                  "sweep p = {}, k_max = {}, f_max = {}, of estimated cost {},",
+                  p, k_max, f_max, cost)
     require_prime(p)
     if p <= 3:
         raise SmallPrime("the congruence needs p > 3")

@@ -14,17 +14,24 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import BadConductor, BadFile, SfuncError
+from .errors import BadFile, SfuncError, _refuse_above
+
+
+def integer(text: str) -> int:
+    """An integer of the command line, read by intutil._int as an integer of
+    a file is; intutil is imported when a flag is parsed, not for --help."""
+    from .intutil import _int
+
+    return _int(text)
 
 
 def _parse_range(text: str) -> range | list[int]:
     """'2..5' is the closed range, kept as a range and never built; '1,3,7'
     is a list and '4' a singleton."""
-    text = text.strip()
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return range(int(lo), int(hi) + 1)
-    return [int(p) for p in text.split(",")]
+        return range(integer(lo), integer(hi) + 1)
+    return [integer(p) for p in text.split(",")]
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -92,14 +99,12 @@ FROM_LOG_MAX_BITS = 12_000
 
 
 def _check_size(order: int, s: int) -> None:
-    if order * s * order.bit_length() > NORMALIZED_MAX_BITS:
-        raise ValueError(f"order {order} at s = {s} is above "
-                         f"NORMALIZED_MAX_BITS = {NORMALIZED_MAX_BITS} bits")
+    _refuse_above(order * s * order.bit_length(), NORMALIZED_MAX_BITS, "NORMALIZED_MAX_BITS",
+                  "order {} at s = {}", order, s)
 
 
 def _check_generator(order: int, s: int) -> None:
-    if order > GENERATOR_MAX_ORDER:
-        raise ValueError(f"order {order} is above GENERATOR_MAX_ORDER = {GENERATOR_MAX_ORDER}")
+    _refuse_above(order, GENERATOR_MAX_ORDER, "GENERATOR_MAX_ORDER", "order {}", order)
     _check_size(order, s)
 
 
@@ -140,6 +145,7 @@ def _cmd_frame_multi(args) -> int:
 
 
 def _cmd_dwork(args) -> int:
+    from .intutil import PRIME_TEST_BOUND, _int_to_str
     from .mseries import MSeries
     from .numfield import denominator_support
     from .serialize import dump_obj, elem_to_obj, field_to_obj, load_series
@@ -153,7 +159,9 @@ def _cmd_dwork(args) -> int:
     bad_cells = []
     for d, bd in enumerate(b, 1):
         for q in sorted(denominator_support(bd)):
-            if field.discriminant % q != 0:
+            if q >= PRIME_TEST_BOUND:  # a cofactor, not proven prime, as check_sfunction reports it
+                bad_cells.append([d, {"cofactor": _int_to_str(q)}])
+            elif field.discriminant % q != 0:
                 bad_cells.append([d, q])
     obj = {
         "field": field_to_obj(field),
@@ -168,12 +176,12 @@ def _cmd_dwork(args) -> int:
 
 def _cmd_gen_abelian(args) -> int:
     from .catalog import CyclotomicSpec, abelian_generator, cyclotomic_field
-    from .serialize import _int, _rational, elem_from_obj, load_field, load_json
+    from .intutil import _int
+    from .serialize import _rational, elem_from_obj, load_field, load_json
 
     _check_generator(args.order, args.s)
-    if args.conductor > GENERATOR_MAX_CONDUCTOR:
-        raise BadConductor(f"conductor {args.conductor} is above "
-                           f"GENERATOR_MAX_CONDUCTOR = {GENERATOR_MAX_CONDUCTOR}")
+    _refuse_above(args.conductor, GENERATOR_MAX_CONDUCTOR, "GENERATOR_MAX_CONDUCTOR",
+                  "conductor {}", args.conductor)
     raw = load_json(args.coeffs)
     if not isinstance(raw, dict):
         raise BadFile("--coeffs file must map index to rational")
@@ -214,9 +222,9 @@ def _cmd_from_log(args) -> int:
     coords = [c for e in q[:args.order + 1] for c in (*e.nums, e.den)]
     terms = sum(1 for e in q[1:args.order + 1] if e)
     bits = max(abs(c).bit_length() for c in (*field.minpoly, *coords))
-    if args.order * field.degree * terms * bits > FROM_LOG_MAX_BITS:
-        raise ValueError(f"order {args.order} x degree {field.degree} x {terms} terms x "
-                         f"{bits} bits is above FROM_LOG_MAX_BITS = {FROM_LOG_MAX_BITS}")
+    _refuse_above(args.order * field.degree * terms * bits, FROM_LOG_MAX_BITS,
+                  "FROM_LOG_MAX_BITS", "order {} x degree {} x {} terms x {} bits",
+                  args.order, field.degree, terms, bits)
     _emit_series(from_log_poly(field, q, args.s, args.order), args.out)
     return 0
 
@@ -261,15 +269,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("verify", _cmd_verify, "check the congruences of a series file")
     p.add_argument("--series", required=True, help="series JSON file")
-    p.add_argument("--s", required=True, type=int, help="congruence strength")
-    p.add_argument("--jobs", type=int, default=None,
+    p.add_argument("--s", required=True, type=integer, help="congruence strength")
+    p.add_argument("--jobs", type=integer, default=None,
                    help="accepted and ignored: checks always run in one process")
     p.add_argument("--primes-extra", default="",
                    help="also report (never fail) these primes, e.g. '7' or '2,7'")
 
     p = add("frame", _cmd_frame, "apply the integer framing z -> z(-Y)**f")
     p.add_argument("--series", required=True)
-    p.add_argument("--f", required=True, type=int)
+    p.add_argument("--f", required=True, type=integer)
 
     p = add("frame-multi", _cmd_frame_multi, "apply a matrix framing")
     p.add_argument("--series", required=True)
@@ -280,12 +288,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--series", required=True)
 
     p = add("gen-abelian", _cmd_gen_abelian, "root-of-unity combination generator")
-    p.add_argument("--conductor", required=True, type=int,
+    p.add_argument("--conductor", required=True, type=integer,
                    help=f"at most {GENERATOR_MAX_CONDUCTOR}")
     p.add_argument("--coeffs", required=True,
                    help="JSON map: index i to rational c_i")
-    p.add_argument("--s", required=True, type=int)
-    p.add_argument("--order", required=True, type=int,
+    p.add_argument("--s", required=True, type=integer)
+    p.add_argument("--order", required=True, type=integer,
                    help=f"series order, at most {GENERATOR_MAX_ORDER}")
     p.add_argument("--field", help="subfield minpoly JSON for descent")
     p.add_argument("--x", help="generator coordinates in the cyclotomic field")
@@ -293,15 +301,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("gen-crt", _cmd_gen_crt, "congruence-tower generator from a_1 = x")
     p.add_argument("--field", required=True)
     p.add_argument("--x", required=True, help="element coordinates JSON")
-    p.add_argument("--s", required=True, type=int)
-    p.add_argument("--order", required=True, type=int,
+    p.add_argument("--s", required=True, type=integer)
+    p.add_argument("--order", required=True, type=integer,
                    help=f"series order, at most {GENERATOR_MAX_ORDER}")
 
     p = add("from-log", _cmd_from_log, "series with delta^(s-1) V = -log Q(z)")
     p.add_argument("--field", required=True)
     p.add_argument("--coeffs", required=True, help="JSON array: Q low degree to high")
-    p.add_argument("--s", required=True, type=int)
-    p.add_argument("--order", required=True, type=int,
+    p.add_argument("--s", required=True, type=integer)
+    p.add_argument("--order", required=True, type=integer,
                    help=f"series order, at most {GENERATOR_MAX_ORDER}")
 
     p = add("polylog-table", _cmd_polylog_table, "framed-polylog multiplicity table")
@@ -311,9 +319,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = add("jk-check", _cmd_jk_check, "binomial congruence sweep at a prime")
-    p.add_argument("--p", required=True, type=int)
-    p.add_argument("--kmax", required=True, type=int)
-    p.add_argument("--fmax", required=True, type=int)
+    p.add_argument("--p", required=True, type=integer)
+    p.add_argument("--kmax", required=True, type=integer)
+    p.add_argument("--fmax", required=True, type=integer)
 
     return top
 

@@ -3,7 +3,8 @@
 Every error raised on bad input derives from SfuncError so callers (and the
 command line front end) can catch one base class.  Each refused condition
 has exactly one class, defined here, and no code catches an error only to
-raise it again under another name.
+raise it again under another name.  Every size cap refuses through one
+check, _refuse_above, with TooLarge.
 """
 from __future__ import annotations
 
@@ -67,8 +68,24 @@ class NotSymmetric(SfuncError):
     """Framing matrix must be symmetric."""
 
 
-class FramingTooLarge(SfuncError):
-    """The framing's work is above framing.MAX_WORK units or framing.MAX_KAPPA_BITS."""
+# size caps
+
+class TooLarge(SfuncError, ValueError):
+    """A request above a size cap, refused by _refuse_above before the work
+    the cap bounds: framing.MAX_WORK and MAX_KAPPA_BITS, the widest slot of
+    framing's packed walk, cli.NORMALIZED_MAX_BITS, GENERATOR_MAX_ORDER,
+    GENERATOR_MAX_CONDUCTOR and FROM_LOG_MAX_BITS, and
+    catalog.BINOMIAL_MAX_COST."""
+
+
+def _refuse_above(cost: int, cap: int, name: str, what: str, *values: int) -> None:
+    """TooLarge("<what> is above <name> = <cap>") when cost > cap, the check
+    every size cap makes before the work it bounds.  The ints values fill
+    the {} of what only then, at any length (intutil._int_to_str)."""
+    if cost > cap:
+        from .intutil import _int_to_str
+
+        raise TooLarge(f"{what.format(*map(_int_to_str, values))} is above {name} = {cap}")
 
 
 # input files

@@ -46,12 +46,8 @@ from itertools import product
 from math import comb, factorial, gcd, lcm, perm
 from operator import le, mul, sub
 
-from .errors import (
-    BadConstantTerm,
-    DimensionMismatch,
-    FramingTooLarge,
-    NotSymmetric,
-)
+from .errors import BadConstantTerm, DimensionMismatch, NotSymmetric, _refuse_above
+from .intutil import _int
 from .mseries import MSeries, _sum_of_products, power_m
 from .numfield import FieldElem, _Frozen, _normalize, _sum_rows
 from .series import (
@@ -110,11 +106,9 @@ class Kappa(_Frozen):
 
     @classmethod
     def parse(cls, text: str) -> "Kappa":
-        """Rows separated by ';', entries by ','.  '1,0;0,1' is diag(1,1)."""
-        rows = []
-        for row in text.strip().split(";"):
-            rows.append(tuple(int(c) for c in row.split(",")))
-        return cls(tuple(rows))
+        """Rows separated by ';', entries by ',', each read by intutil._int as
+        an integer of a file is.  '1,0;0,1' is diag(1,1)."""
+        return cls(tuple(tuple(_int(c) for c in row.split(",")) for row in text.split(";")))
 
 
 def _require_no_constant(w) -> None:
@@ -145,7 +139,7 @@ def frame_f(w: Series, f: int) -> Series:
     This is frame_multi with the 1x1 matrix kappa = (f), sigma = (-1)**f
     and c_k = sigma**k / k**2 [z**k] delta**2 W exp(k f delta W) (see the
     module docstring).  A W with a term at every degree is refused with
-    FramingTooLarge above order 225 over Q (frame_multi's MAX_WORK; lower
+    TooLarge above order 225 over Q (frame_multi's MAX_WORK; lower
     over a larger field).
 
     >>> from sfuncs.catalog import polylog
@@ -193,8 +187,9 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
     i0 the first of these, the entries of M, (J_i - J_i0)_j = [i = j] -
     [i0 = j] - sum_m m_j ((kappa m)_i - (kappa m)_i0) W_m z**m and
     delta_j EW = sum_m |m| m_j W_m z**m, are built from the terms of W on
-    integer coordinates.  So with one variable M = (delta**2 W) costs no
-    product, with two D = ad - bc costs two and no inverse (_unit_det).
+    integer coordinates.  So with one variable M = (delta**2 W), its only
+    entry, costs no product, with two D = ad - bc costs two and no inverse
+    (_unit_det); a W with no term is its own framing.
     For each k the exp runs on the box {m <= k} (_exp_table).  W is read
     once, as the rows a_j = g |j| W_j, g = gcd(j), over their reduced
     denominators, whose lcm is Dw, with the weight rows kappa j/g, as
@@ -228,7 +223,7 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
       and a mask pass the quotient if its slots v_i lie in [-2**t, 2**t);
       balanced digits are unique, so |m| then divided every coordinate
       (_quotient).  Else the d slots are read: a remainder, or an entry that
-      doubles b (FramingTooLarge past 2 (|k| + 1) _walk_head bits, which a
+      doubles b (TooLarge past 2 (|k| + 1) _walk_head bits, which a
       correct walk never needs) and repacks the table.  The slots keep
       b - t = _walk_head bits: _head, bits(1 + rho) for the fold and
       bits(|k|) + 1 for |m| v_i.
@@ -261,7 +256,7 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
     The work is counted in units (see MAX_WORK and _walk_cost): the walk is
     charged before it starts, and with two or more variables each series
     product while D is built before it is made.  Past MAX_WORK = 8,000,000
-    units FramingTooLarge is raised.  The unit weights ignore the size of
+    units TooLarge is raised.  The unit weights ignore the size of
     the numbers and the path: on a 2-core x86-64 KVM guest with CPython
     3.11.7 (CPU time, medians of 3 runs), the dearest input under the cap
     is frame_f of W = z/5 with f = 1 at order 1067, on the rows path
@@ -287,6 +282,8 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
         raise DimensionMismatch(
             f"framing matrix is {kappa.n}x{kappa.n}, series has {w.nvars} variables"
         )
+    if not w.terms:  # no variable: nothing to frame
+        return w
     n, field, kap = w.nvars, w.field, kappa.entries
     # delta_i W = 0 for a z_i absent from W, so every key below has k_i = 0
     live = sorted({i for j, _ in w.terms for i, ji in enumerate(j) if ji})
@@ -297,9 +294,9 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
     # the one table of W: a_j = g |j| W_j, g = gcd(j), with the weights kappa j / g
     wrows = sorted(((j, sj, *_times(c, g * sj), [x // g for x in kj])
                     for j, c, kj in kterms for sj, g in [(sum(j), gcd(*j))]), key=_by_degree)
-    kbits = max(map(abs, sum(kap, ()))).bit_length() - 1
-    if wrows and field.degree * w.order**2 * kbits > MAX_KAPPA_BITS:
-        raise FramingTooLarge(f"framing at order {w.order} is above {MAX_KAPPA_BITS} kappa bits")
+    kbits = field.degree * w.order**2 * (max(map(abs, sum(kap, ()))).bit_length() - 1)
+    _refuse_above(kbits if wrows else 0, MAX_KAPPA_BITS, "MAX_KAPPA_BITS",
+                  "framing at order {} with {} kappa bits", w.order, kbits)
     budget = _Budget(field, w.order, len(live))
     budget.spend(_walk_cost(field, w.order, len(live), [t[1] for t in wrows]))
     # D = det M (see the docstring): the rows J_i - J_i0, then (delta_j EW)_j,
@@ -307,11 +304,8 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
     cols = live[1:] + live[:1]
     rows = [[_scaled(w, [(j, c, j[q] * (kj[cols[-1]] - kj[i])) for j, c, kj in kterms],
                      (i == q) - (q == cols[-1])) for q in cols] for i in cols[:-1]]
-    if rows:
-        rows.append([_scaled(w, [(j, c, sum(j) * j[q]) for j, c in w.terms]) for q in cols])
-        dterms = [(j, c.nums, c.den) for j, c in _unit_det(rows, budget).terms]
-    else:  # at most one variable: M = (sum |j|**2 W_j z**j), straight to integer rows
-        dterms = [(j, *_times(c, sum(j) ** 2)) for j, c in w.terms]
+    rows.append([_scaled(w, [(j, c, sum(j) * j[q]) for j, c in w.terms]) for q in cols])
+    dterms = [(j, c.nums, c.den) for j, c in _unit_det(rows, budget).terms]
     # the paths (see the docstring), with no walk for no term in the exp;
     # Dw**order < 2**_FIXED_BITS is taken only when it has at most _FIXED_BITS + order bits
     dw = lcm(*(ad for _, _, _, ad, _ in wrows))
@@ -415,8 +409,8 @@ def _exp_table(field, k: tuple, sk: int, dots: list, below: "_Below", path: str)
                 while max(map(abs, c)).bit_length() > b - head:
                     # a correct walk keeps E_m within B**|m| < 2**(|m| head) in every coordinate,
                     # B = (1 + rho) d sum_t |dot_t| max|a_t| (see _head): so b < 2 (|k| + 1) head
-                    if (b := 2 * b) > 2 * (sk + 1) * head:
-                        raise FramingTooLarge(f"an entry of the exp table at m = {m} outgrew its bound")
+                    _refuse_above(b := 2 * b, 2 * (sk + 1) * head, "2 (|k| + 1) _walk_head",
+                                  "an exp table slot of {} bits at |m| = {}", b, sm)
                 e = {mj: _pack(_unpack(x, b0, d), b) for mj, x in e.items()}
                 mults, slots, q = below.multipliers(dots, b), _slots(field, b, b - head), _pack(c, b)
             if q is not None:
@@ -601,18 +595,15 @@ class _Budget:
     """The work units left to one frame_multi call, out of MAX_WORK: the
     walk is charged before it starts, and each series product of the
     set-up before it is made.  Spending past MAX_WORK raises
-    FramingTooLarge."""
+    TooLarge."""
 
     def __init__(self, field, order: int, n: int) -> None:
         self.left, self.degree, self.order, self.n = MAX_WORK, field.degree, order, n
 
     def spend(self, units: int) -> None:
         self.left -= units
-        if self.left < 0:
-            raise FramingTooLarge(
-                f"framing at order {self.order} in {self.n} variables is above "
-                f"{MAX_WORK} work units"
-            )
+        _refuse_above(MAX_WORK - self.left, MAX_WORK, "MAX_WORK",
+                      "framing at order {} in {} variables", self.order, self.n)
 
     def sum_of_products(self, pairs: list) -> MSeries:
         """The sum of a*b over the (a, b) pairs, charged one unit per pair of
@@ -633,8 +624,9 @@ class _Budget:
 
 def _unit_det(rows: list[list[MSeries]], budget: _Budget) -> MSeries:
     """Determinant by elimination down to the last two rows, cross-multiplied
-    (ad - bc), overwriting rows, each product charged to budget.  The pivots,
-    in the rows before the last two, must have constant term 1 (see frame_multi)."""
+    (ad - bc), overwriting rows, each product charged to budget; one row
+    is its one entry.  The pivots, in the rows before the last two, must
+    have constant term 1 (see frame_multi)."""
     det = None
     for c, pivot in enumerate(rows[:-2]):
         det = pivot[c] if det is None else budget.mul(det, pivot[c])

@@ -6,14 +6,16 @@ pseudoprime psi_13 = 3317044064679887385961981 to all of them (Sorenson &
 Webster 2016); 2..37 alone fail at psi_12 = 318665857834031151167461.
 Every entry point that takes a prime checks it by require_prime.
 prime_factors trial-divides to 2**10 at every size, then tests each
-cofactor by is_prime or splits it by Brent's variant of Pollard rho.
+cofactor by is_prime or splits it by Brent's variant of Pollard rho; at and
+above PRIME_TEST_BOUND, where is_prime proves nothing, rho has the steps
+that split any composite below it, and what they leave is kept whole.
 """
 from __future__ import annotations
 
 import math
 from functools import lru_cache
 
-from .errors import NotPrime
+from .errors import BadFile, NotPrime
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_TEST_BOUND = 3317044064679887385961981
@@ -54,13 +56,16 @@ def require_prime(p: int) -> None:
         raise NotPrime(f"{p} is not a prime below {PRIME_TEST_BOUND}")
 
 
-def _pollard_rho(n: int) -> int:
+def _pollard_rho(n: int, steps: int) -> int:
     """One nontrivial factor of an odd composite n, by Brent's variant of
     Pollard rho: one gcd per 128 steps of the product of the differences,
-    retracing one step at a time when a block's gcd is n itself."""
+    retracing one step at a time when a block's gcd is n itself; n itself
+    when about `steps` steps find none."""
     for c in range(1, 100):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
+            if (steps := steps - 2 * r) < 0:
+                return n
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -86,6 +91,9 @@ def _pollard_rho(n: int) -> int:
 def prime_factors(n: int) -> dict[int, int]:
     """Full factorization of |n| as a prime -> multiplicity map: a 2,4
     wheel to min(sqrt(n), 2**10), then is_prime or _pollard_rho per cofactor.
+    A key at or above PRIME_TEST_BOUND is a cofactor that _pollard_rho did
+    not split in floor(PRIME_TEST_BOUND**(1/4)) steps, which split any
+    composite below the bound: not proven prime.
 
     >>> prime_factors(360)
     {2: 3, 3: 2, 5: 1}
@@ -108,12 +116,14 @@ def prime_factors(n: int) -> dict[int, int]:
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m < f * f or is_prime(m):  # m has no prime factor below f
+        if m >= PRIME_TEST_BOUND:  # is_prime proves nothing: the steps that split any m below
+            d = _pollard_rho(m, math.isqrt(math.isqrt(PRIME_TEST_BOUND)))
+        else:  # m has no prime factor below f
+            d = m if m < f * f or is_prime(m) else _pollard_rho(m, m)
+        if d == m:
             out[m] = out.get(m, 0) + 1
-            continue
-        d = _pollard_rho(m)
-        stack.append(d)
-        stack.append(m // d)
+        else:
+            stack += [d, m // d]
     return dict(sorted(out.items()))
 
 
@@ -190,6 +200,30 @@ def primes_up_to(n: int) -> tuple[int, ...]:
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
     return tuple(i for i, b in enumerate(sieve) if b)
+
+
+_LEAF = 600  # decimal digits that int() and str() convert under any limit
+
+
+def _int(x) -> int:
+    """x as an int: a non-bool int, or a decimal string of any length, which
+    is surrounding ASCII whitespace (what int() strips), an optional sign and
+    ASCII digits only (no "_").  A string of another form raises ValueError;
+    anything else, a float or a bool included, BadFile.  Every integer of an
+    input file and of the command line is read here."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    if not isinstance(x, str):
+        raise BadFile(f"cannot read {x!r} as an integer")
+    text = x.strip(" \t\n\v\f\r")
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal integer: {text[:40]!r}")
+    if len(digits) <= _LEAF:
+        return int(text)
+    k = len(digits) // 2
+    n = _int(digits[:-k]) * 10**k + _int(digits[-k:])
+    return -n if text[0] == "-" else n
 
 
 def _int_to_str(n: int) -> str:

@@ -43,7 +43,8 @@ from operator import attrgetter, itemgetter
 from typing import NamedTuple, Sequence, Union
 
 from .errors import BadConstantTerm, FieldMismatch, NotIntegral, SfuncError
-from .intutil import crt, divisors, ord_p, prime_factors, primes_up_to, require_prime
+from .intutil import (PRIME_TEST_BOUND, _int_to_str, crt, divisors, ord_p, prime_factors,
+                      primes_up_to, require_prime)
 from .mseries import MSeries
 from .numfield import FieldElem, NumberField
 from .padic import _apply_rows, _frobenius_rows
@@ -60,7 +61,7 @@ class Check(NamedTuple):
     required: int
     valuation: int  # capped at required, so an exact zero reads required
     ok: bool
-    kind: str  # "congruence" or "integrality"
+    kind: str  # "congruence", "integrality" or "cofactor"
 
 
 class SReport(NamedTuple):
@@ -85,7 +86,8 @@ class SReport(NamedTuple):
             "s": self.s,
             "order": self.order,
             "pass": self.passed,
-            "violations": [_check_obj(c, p=c.p) for c in self.violations],
+            "violations": [_check_obj(c, **{"cofactor": _int_to_str(c.p)} if c.kind == "cofactor"
+                                      else {"p": c.p}) for c in self.violations],
             "skipped_primes": list(self.skipped_primes),
         }
         if self.extra:
@@ -186,7 +188,11 @@ def check_sfunction(
     record, over its bucket in key order, that never affects the verdict;
     an entry of extra_primes that is not a prime below
     intutil.PRIME_TEST_BOUND, where is_prime is proven, raises NotPrime.
-    Every prime that reaches a check is thus known to be prime.  s < 1
+    Every prime that reaches a check is thus known to be prime.  A factor
+    of a normalized denominator at or above that bound, which
+    intutil.prime_factors leaves whole, is one violation of kind "cofactor"
+    (its JSON record gives the number as a decimal string under "cofactor",
+    in place of "p"), never skipped and never checked.  s < 1
     raises ValueError.  A failing report names each broken condition:
 
     >>> from fractions import Fraction
@@ -215,7 +221,9 @@ def check_sfunction(
         nums = c.nums if t == g**s else tuple([x * (g**s // t) for x in c.nums])
         a[key] = ak = FieldElem._normalized(field, nums, c.den // t)
         for q in prime_factors(ak.den):  # the row is reduced: v_q(a_k) = -ord_q(den)
-            if disc % q == 0:
+            if q >= PRIME_TEST_BOUND:  # not proven prime: neither skipped nor checked
+                checks.append(Check(ix(key), q, 0, -ord_p(ak.den, q), False, "cofactor"))
+            elif disc % q == 0:
                 skipped.add(q)
             elif g % q != 0:
                 checks.append(Check(ix(key), q, 0, -ord_p(ak.den, q), False, "integrality"))

@@ -24,7 +24,7 @@ from sfuncs.catalog import (
     polylog_frame_table,
 )
 from sfuncs.errors import (
-    BadConductor, BadConstantTerm, DescentFailed, FieldMismatch, NotPrime, SmallPrime,
+    BadConductor, BadConstantTerm, DescentFailed, FieldMismatch, NotPrime, SmallPrime, TooLarge,
 )
 from sfuncs.intutil import divisors, moebius
 from sfuncs.numfield import make_field, rationals
@@ -408,7 +408,7 @@ def test_table_refuses_a_shape_above_the_cost_bound():
     t0 = time.monotonic()
     for f_range, d_range in (([5], range(1, 4001)), ([5], range(1, 8001)),
                              (range(2, 6), range(1, 3001)), ([10**4200], range(1, 101))):
-        with pytest.raises(ValueError, match="too large"):
+        with pytest.raises(TooLarge, match="is above BINOMIAL_MAX_COST = "):
             polylog_frame_table(f_range, d_range)
     assert time.monotonic() - t0 < 1.0
     # the tables of the bench, the README, the CLI and the tests stay accepted
@@ -464,7 +464,7 @@ def test_jk_refuses_a_sweep_above_the_cost_bound():
     t0 = time.monotonic()
     for args in ((100003, 5, 5), (100003, 1, 2), (10007, 5, 5), (5, 2000, 3),
                  (10**30 + 57, 1, 1)):
-        with pytest.raises(ValueError, match="too large"):
+        with pytest.raises(TooLarge, match="is above BINOMIAL_MAX_COST = "):
             jk_check(*args)
     assert time.monotonic() - t0 < 1.0
     # the sweeps of the acceptance test, the README and the CLI stay accepted

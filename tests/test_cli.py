@@ -1,20 +1,28 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import os
+import shlex
 import subprocess
 import sys
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sfuncs import cli, sfunc
-from sfuncs.catalog import polylog, polylog_frame_table
-from sfuncs.intutil import is_prime
+from sfuncs.catalog import BINOMIAL_MAX_COST, polylog, polylog_frame_table
+from sfuncs.intutil import _int, is_prime
 from sfuncs.numfield import make_field, rationals
 from sfuncs.serialize import _rational, dump_obj, field_to_obj, load_series, series_to_obj
 from sfuncs.series import Series
 from sfuncs.sfunc import check_sfunction
+
+from readme_tour import tour
 
 CUBIC = make_field([-1, -2, 1, 1])
 
@@ -141,7 +149,7 @@ def test_frame_refuses_a_huge_f_at_once(tmp_path):
     r = run_cli("frame", "--series", str(p), "--f", "9" * 1000, timeout=10)
     assert r.returncode == 2
     assert r.stdout == ""
-    assert r.stderr.startswith("error: FramingTooLarge: ")
+    assert r.stderr.startswith("error: TooLarge: ")
     assert len(r.stderr.splitlines()) == 1
 
 
@@ -292,7 +300,7 @@ def test_frame_multi_refuses_a_walk_above_the_cap(tmp_path):
     r = run_cli("frame-multi", "--series", str(src), "--kappa",
                 ";".join([",".join("1" * 16)] * 16), timeout=30)
     assert r.returncode == 2
-    assert "FramingTooLarge" in r.stderr
+    assert "TooLarge" in r.stderr
     assert r.stdout == ""
 
 
@@ -303,7 +311,7 @@ def test_frame_refuses_a_walk_above_the_cap(tmp_path):
     dump_obj(series_to_obj(polylog(2, 226)), str(src))
     r = run_cli("frame", "--series", str(src), "--f", "2", timeout=30)
     assert r.returncode == 2
-    assert "FramingTooLarge" in r.stderr
+    assert "TooLarge" in r.stderr
     assert r.stdout == ""
 
 
@@ -451,7 +459,8 @@ def test_a_sweep_too_large_to_run_exits_2_at_once():
     r = run_cli("jk-check", "--p", "100003", "--kmax", "5", "--fmax", "5", timeout=60)
     elapsed = time.monotonic() - t0
     assert r.returncode == 2 and r.stdout == ""
-    assert "too large" in r.stderr
+    assert r.stderr.startswith("error: TooLarge: sweep p = 100003, k_max = 5, f_max = 5, ")
+    assert r.stderr.endswith(f" is above BINOMIAL_MAX_COST = {BINOMIAL_MAX_COST}\n")
     assert elapsed <= 2.0
 
 
@@ -460,7 +469,8 @@ def test_a_table_too_large_to_run_exits_2_at_once():
     r = run_cli("polylog-table", "--d", "1..8000", "--f", "5", timeout=60)
     elapsed = time.monotonic() - t0
     assert r.returncode == 2 and r.stdout == ""
-    assert "too large" in r.stderr
+    assert r.stderr.startswith("error: TooLarge: table to d = 8000 at 1 f values, ")
+    assert r.stderr.endswith(f" is above BINOMIAL_MAX_COST = {BINOMIAL_MAX_COST}\n")
     assert elapsed <= 2.0
 
 
@@ -483,6 +493,38 @@ def test_verify_on_forty_bit_denominators_finishes_at_once(tmp_path):
     assert len(rep["violations"]) == 569
     assert rep == json.loads(dump_obj(check_sfunction(v, 2).to_obj()))
     assert elapsed <= 2.0
+
+
+# c_1 = 1/n: psi_13, a composite that passes the 13 witnesses; a 39-digit
+# semiprime, where rho ran on for minutes; and the 21-digit semiprime the
+# verify benchmark plants, below PRIME_TEST_BOUND
+_PSI_13, _SEMI_39 = 3317044064679887385961981, (10**19 + 51) * (3 * 10**19 + 41)
+
+
+@pytest.mark.parametrize("n", [_PSI_13, _SEMI_39])
+def test_a_denominator_rho_cannot_split_is_one_cofactor_violation(tmp_path, n):
+    # psi_13 was reported as a prime "p"; the semiprime ran past timeout 5
+    path = tmp_path / "c1.json"
+    path.write_text(json.dumps({"field": [0, 1], "order": 1, "coeffs": [[["1", str(n)]]]}))
+    t0 = time.monotonic()
+    r = run_cli("verify", "--series", str(path), "--s", "2", timeout=60)
+    assert time.monotonic() - t0 <= 2.0
+    assert r.returncode == 1, r.stderr
+    assert json.loads(r.stdout)["violations"] == [
+        {"k": 1, "cofactor": str(n), "required": 0, "valuation": -1}]
+    t0 = time.monotonic()
+    r = run_cli("dwork", "--series", str(path), timeout=60)
+    assert time.monotonic() - t0 <= 2.0
+    assert r.returncode == 1, r.stderr
+    assert json.loads(r.stdout)["nonintegral"] == [[1, {"cofactor": str(n)}]]
+
+
+def test_a_semiprime_below_the_bound_still_gives_its_two_primes(tmp_path):
+    p, q = 14807986489, 53230556999
+    path = tmp_path / "c1.json"
+    path.write_text(json.dumps({"field": [0, 1], "order": 1, "coeffs": [[["1", str(p * q)]]]}))
+    r = run_cli("verify", "--series", str(path), "--s", "2", timeout=60)
+    assert [(c["k"], c["p"]) for c in json.loads(r.stdout)["violations"]] == [(1, p), (1, q)]
 
 
 def test_gen_crt_refuses_a_seed_over_a_semiprime_at_once(tmp_path):
@@ -647,7 +689,7 @@ def test_generators_refuse_an_order_above_the_bound_at_once(tmp_path, verb):
     assert time.perf_counter() - start <= 2
     assert r.returncode == 2
     assert r.stdout == ""
-    assert r.stderr == ("error: ValueError: order 100000000 is above "
+    assert r.stderr == ("error: TooLarge: order 100000000 is above "
                         f"GENERATOR_MAX_ORDER = {cli.GENERATOR_MAX_ORDER}\n")
 
 
@@ -720,7 +762,7 @@ def test_from_log_refuses_large_coefficients_before_the_recurrence(tmp_path):
     assert time.monotonic() - t0 <= 2.0
     assert r.returncode == 2
     assert r.stdout == ""
-    assert r.stderr == ("error: ValueError: order 10000 x degree 1 x 1 terms x 10 bits is "
+    assert r.stderr == ("error: TooLarge: order 10000 x degree 1 x 1 terms x 10 bits is "
                         f"above FROM_LOG_MAX_BITS = {cli.FROM_LOG_MAX_BITS}\n")
 
 
@@ -736,7 +778,7 @@ def test_the_from_log_bound_counts_degree_terms_and_bits(tmp_path, capsys):
     assert load_series(str(out)).order == top
     assert cli.run(argv + ["--order", str(top + 1)]) == 2
     assert capsys.readouterr().err == (
-        f"error: ValueError: order {top + 1} x degree 2 x 2 terms x 2 bits is above "
+        f"error: TooLarge: order {top + 1} x degree 2 x 2 terms x 2 bits is above "
         f"FROM_LOG_MAX_BITS = {cli.FROM_LOG_MAX_BITS}\n")
 
 
@@ -794,7 +836,7 @@ def test_gen_abelian_refuses_a_conductor_above_the_bound_at_once(tmp_path):
     assert time.perf_counter() - start <= 2
     assert r.returncode == 2
     assert r.stdout == ""
-    assert r.stderr == ("error: BadConductor: conductor 10007 is above "
+    assert r.stderr == ("error: TooLarge: conductor 10007 is above "
                         f"GENERATOR_MAX_CONDUCTOR = {cli.GENERATOR_MAX_CONDUCTOR}\n")
 
 
@@ -830,8 +872,8 @@ def test_a_strength_past_the_size_bound_is_refused_at_once(tmp_path, verb):
     assert time.perf_counter() - start <= 2
     assert r.returncode == 2
     assert r.stdout == ""
-    assert r.stderr == ("error: ValueError: order 60 at s = 1000000 is above "
-                        f"NORMALIZED_MAX_BITS = {cli.NORMALIZED_MAX_BITS} bits\n")
+    assert r.stderr == ("error: TooLarge: order 60 at s = 1000000 is above "
+                        f"NORMALIZED_MAX_BITS = {cli.NORMALIZED_MAX_BITS}\n")
 
 
 def test_the_size_bound_admits_its_own_size(tmp_path, capsys):
@@ -841,7 +883,7 @@ def test_the_size_bound_admits_its_own_size(tmp_path, capsys):
     s = cli.NORMALIZED_MAX_BITS // (8 * 4)  # order 8 has 4 bits
     assert cli.run(["verify", "--series", str(path), "--s", str(s)]) == 1
     assert cli.run(["verify", "--series", str(path), "--s", str(s + 1)]) == 2
-    assert capsys.readouterr().err.startswith("error: ValueError: order 8 at s = ")
+    assert capsys.readouterr().err.startswith("error: TooLarge: order 8 at s = ")
 
 
 @pytest.mark.parametrize("text", [
@@ -864,3 +906,89 @@ def test_gen_abelian_refuses_a_repeated_key_and_a_lenient_index(tmp_path, capsys
     assert cli.run(["gen-abelian", "--conductor", "11", "--coeffs", str(tmp_path / "c.json"),
                     "--s", "2", "--order", "4"]) == 2
     assert capsys.readouterr().err.startswith(f"error: {error}: ")
+
+
+# --- argv's integers: every integer flag, --kappa entry, list and a..b range
+# is read by intutil._int, so the command line accepts a string exactly when
+# a file does.  int() read "1_0" as 10 and "\u0661" as 1, and refused past
+# 4,300 digits, where a file reads on.
+_ARGV_INTS = [
+    ["verify", "--series", "{li2}", "--s={x}"],
+    ["verify", "--series", "{li2}", "--s", "2", "--jobs={x}"],
+    ["verify", "--series", "{li2}", "--s", "2", "--primes-extra=2,{x}"],
+    ["frame", "--series", "{li2}", "--f={x}"],
+    ["frame-multi", "--series", "{w}", "--kappa={x},0;0,1"],
+    ["gen-abelian", "--conductor={x}", "--coeffs", "{c}", "--s", "2", "--order", "4"],
+    ["gen-abelian", "--conductor", "3", "--coeffs", "{c}", "--s={x}", "--order", "4"],
+    ["gen-abelian", "--conductor", "3", "--coeffs", "{c}", "--s", "2", "--order={x}"],
+    ["gen-crt", "--field", "{q}", "--x", "{x_file}", "--s={x}", "--order", "4"],
+    ["gen-crt", "--field", "{q}", "--x", "{x_file}", "--s", "2", "--order={x}"],
+    ["from-log", "--field", "{q}", "--coeffs", "{poly}", "--s={x}", "--order", "4"],
+    ["from-log", "--field", "{q}", "--coeffs", "{poly}", "--s", "2", "--order={x}"],
+    ["polylog-table", "--d=1..{x}", "--f", "2..3"],
+    ["polylog-table", "--d", "1..3", "--f={x}..3"],
+    ["jk-check", "--p={x}", "--kmax", "3", "--fmax", "2"],
+    ["jk-check", "--p", "5", "--kmax={x}", "--fmax", "2"],
+    ["jk-check", "--p", "5", "--kmax", "3", "--fmax={x}"],
+]
+_DIGIT_SETS = ["0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669",
+               "\uff10\uff11\uff12\uff13\uff14\uff15\uff16\uff17\uff18\uff19"]
+_PADS = ["", " ", "\t", "\n", "\x0b", "\x0c", "\r", "\x1f", "\u00a0", "\u2003"]
+
+
+@st.composite
+def _integer_text(draw):
+    """An integer as argv may give it: small or of 5,000 digits, in ASCII,
+    Arabic-Indic or fullwidth digits, with a "_", a sign and padding."""
+    n = draw(st.sampled_from(["0", "1", "2", "3", "7", "11", "1" + "0" * 4998 + "7"]))
+    digits = n.translate(str.maketrans("0123456789", draw(st.sampled_from(_DIGIT_SETS))))
+    if draw(st.booleans()) and draw(st.booleans()):
+        digits = digits[:1] + "_" + digits[1:] if len(digits) > 1 else "0_" + digits
+    sign = draw(st.sampled_from(["", "", "+", "-"]))
+    return draw(st.sampled_from(_PADS)) + sign + digits + draw(st.sampled_from(_PADS))
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    return _verb_args(tmp_path_factory.mktemp("argv"), ["{li2}", "{w}", "{c}", "{q}", "{x}", "{poly}"])
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.sampled_from(_ARGV_INTS), _integer_text())
+def test_argv_reads_each_integer_as_a_file_does(argv_files, template, text):
+    li2, w, c, q, x_file, poly = argv_files
+    files = {"li2": li2, "w": w, "c": c, "q": q, "x_file": x_file, "poly": poly}
+    argv = [a.format(**files, x="{x}").replace("{x}", text) for a in template]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.run(argv)
+        except SystemExit as e:  # argparse refuses a flag's value
+            code = e.code
+    try:
+        _int(text)
+        read = True
+    except ValueError:
+        read = False
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2) and "Traceback" not in err.getvalue()
+    if code == 2:
+        assert sum("error:" in line for line in lines) == 1, lines
+    refused = any("invalid integer value" in line or "not a decimal integer" in line
+                  for line in lines)
+    assert refused == (not read), (argv, lines)
+
+
+def test_the_readme_command_line_tour_runs_as_written(tmp_path):
+    # every ```sh line of the README's command-line section, in order, in an
+    # empty directory, with python3 -m sfuncs.cli standing in for sfuncs:
+    # the tour used li2.json, w2.json and li1.json without writing them
+    script = f'sfuncs() {{ {shlex.quote(sys.executable)} -m sfuncs.cli "$@"; }}\n' + tour()
+    verbs = {line.split()[1] for line in script.splitlines() if line.startswith("sfuncs ")}
+    assert verbs == set(_VERB_LOADS) - {"help"}
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    r = subprocess.run(["bash", "-e", "-c", script], cwd=tmp_path, capture_output=True, text=True,
+                       timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert r.returncode == 0, r.stderr[-2000:]
+    for name in ("li2", "li1", "w", "w2", "crt", "framed", "report"):
+        assert (tmp_path / f"{name}.json").exists(), name

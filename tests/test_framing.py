@@ -16,8 +16,8 @@ from sfuncs.catalog import CyclotomicSpec, abelian_generator, from_log_poly, pol
 from sfuncs.errors import (
     BadConstantTerm,
     DimensionMismatch,
-    FramingTooLarge,
     NotSymmetric,
+    TooLarge,
 )
 from sfuncs import framing, numfield
 from sfuncs.framing import MAX_WORK, Kappa, frame_elementary, frame_f, frame_multi
@@ -511,13 +511,13 @@ def test_frame_multi_walks_the_simplex_of_sixteen_variables():
 def test_frame_multi_refuses_a_walk_above_the_cap():
     ones = Kappa(((1,) * 16,) * 16)
     t0 = time.monotonic()
-    with pytest.raises(FramingTooLarge):
+    with pytest.raises(TooLarge):
         frame_multi(_sum_of_variables(16, 5), ones)
     # one variable: the walk of Li2 at order N costs 10 C(N + 2, 2) +
     # 4 C(N + 2, 3) units, above the cap from N = 226 on
     assert 10 * comb(227, 2) + 4 * comb(227, 3) < MAX_WORK
     assert 10 * comb(228, 2) + 4 * comb(228, 3) > MAX_WORK
-    with pytest.raises(FramingTooLarge):
+    with pytest.raises(TooLarge):
         frame_f(polylog(2, 226), 1)
     assert time.monotonic() - t0 < 1  # refused before any series work
     # a variable absent from W does not count
@@ -532,7 +532,7 @@ def test_frame_multi_charges_the_determinant_to_the_cap(monkeypatch):
     assert framing._walk_cost(Q, 3, 16, [1] * 16) < 500_000
     monkeypatch.setattr(framing, "MAX_WORK", 500_000)
     kappa = Kappa(tuple(tuple(i * j % 5 + (i == j) for j in range(1, 17)) for i in range(1, 17)))
-    with pytest.raises(FramingTooLarge):
+    with pytest.raises(TooLarge):
         frame_multi(_sum_of_variables(16, 3), kappa)
 
 
@@ -759,14 +759,17 @@ def test_frame_multi_fixed_path_builds_no_factorial_table():
 def _exp_tables(mp, refuse_integral=False) -> list:
     """Record the (k, path) of every exp table frame_multi walks, and a
     second (k, "rows") for a walk that continued on rows from a remainder.
-    With refuse_integral every integral walk runs on rows from its start:
-    the rows path is forced."""
+    With refuse_integral the rows path is forced: every integral walk runs
+    on rows from its start and is recorded as "rows", and _FIXED_BITS = 0
+    keeps the call off the fixed walk."""
     calls, real = [], framing._exp_table
+    if refuse_integral:
+        mp.setattr(framing, "_FIXED_BITS", 0)
 
     def record(field, k, sk, dots, below, path):
+        path = "rows" if refuse_integral and path == "integral" else path
         calls.append((k, path))
-        table, how = real(field, k, sk, dots, below,
-                          "rows" if refuse_integral and path == "integral" else path)
+        table, how = real(field, k, sk, dots, below, path)
         if how != path:
             calls.append((k, how))
         return table, how
@@ -1101,7 +1104,7 @@ _UNBALANCED = textwrap.dedent("""
     resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29))
     from sfuncs import framing
     from sfuncs.catalog import from_log_poly
-    from sfuncs.errors import FramingTooLarge
+    from sfuncs.errors import TooLarge
     from sfuncs.numfield import make_field
 
     def unbalanced(s, b, minpoly, modulus):  # _reduce without its balancing step
@@ -1113,7 +1116,7 @@ _UNBALANCED = textwrap.dedent("""
     cubic = make_field([-1, -2, 1, 1])
     try:
         framing.frame_f(from_log_poly(cubic, [1, -cubic.gen(), 1], 2, 28), -2)
-    except FramingTooLarge as e:
+    except TooLarge as e:
         print("refused:", e)
 """)
 
@@ -1122,7 +1125,7 @@ def test_a_planted_fold_fault_is_refused_at_the_widest_slot():
     # with the balancing step of _reduce removed, the slots of the
     # criterion-3 cubic series framed with f = -2 read as garbage that keeps
     # widening; past the width a correct walk can reach, 2 (|k| + 1) head
-    # bits, the walk raises FramingTooLarge at once, under 512 MB of address space
+    # bits, the walk raises TooLarge at once, under 512 MB of address space
     r = subprocess.run([sys.executable, "-c", _UNBALANCED], capture_output=True, text=True,
                        timeout=60)
     assert r.returncode == 0 and r.stdout.startswith("refused: "), r.stderr[-2000:]
@@ -1238,10 +1241,9 @@ def test_one_table_equals_the_rows_walk_and_the_oracle(case):
     w, kappa = case
     framed = frame_multi(w, kappa)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(framing, "_FIXED_BITS", 0)
         calls = _exp_tables(mp, refuse_integral=True)
         rows = frame_multi(w, kappa)
-    assert "fixed" not in {p for _, p in calls}  # an integral walk is refused: all on rows
+    assert {p for _, p in calls} <= {"rows"}  # an integral walk is refused: all on rows
     assert framed.terms == rows.terms
     assert framed == frame_multi_by_inversion(w, kappa)
 

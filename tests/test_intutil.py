@@ -187,3 +187,18 @@ def test_brent_rho_splits_past_2_40():
     # all four factors fall in one block of 128 steps, so the block is retraced
     four = (1031, 1033, 1039, 1049)
     assert prime_factors(math.prod(four)) == dict.fromkeys(four, 1)
+
+
+def test_prime_factors_keeps_what_rho_cannot_split_above_the_bound_whole():
+    # at and above PRIME_TEST_BOUND is_prime proves nothing, and rho has the
+    # floor(bound**(1/4)) steps that split any composite below it: psi_13,
+    # a strong pseudoprime to all 13 witnesses, and a 39-digit semiprime
+    # come back whole, as one key at or above the bound
+    bound = intutil.PRIME_TEST_BOUND
+    semi = (10**19 + 51) * (3 * 10**19 + 41)
+    for n, rest in ((bound, {}), (semi, {}), (7 * 1031 * semi, {7: 1, 1031: 1})):
+        t0 = time.monotonic()
+        assert prime_factors(n) == {**rest, n // math.prod(rest): 1}
+        assert time.monotonic() - t0 <= 2.0
+    # a factor within reach is still split off, and what is left is proven
+    assert prime_factors((2**31 - 1) * (2**61 - 1)) == {2**31 - 1: 1, 2**61 - 1: 1}

@@ -4,19 +4,22 @@ test already reaches in its subprocess (a series file whose 'coeffs' is not
 a list, or not a dict for several variables) have no row here."""
 from __future__ import annotations
 
+import json
+import re
 import time
 
 import pytest
 
-from sfuncs import serialize
-from sfuncs.catalog import CyclotomicSpec, abelian_generator, cyclotomic_field, from_log_poly, polylog
+from sfuncs import catalog, cli, framing, serialize
+from sfuncs.catalog import (CyclotomicSpec, abelian_generator, cyclotomic_field, from_log_poly,
+                            jk_check, polylog)
 from sfuncs.errors import (
     BadConstantTerm,
     BadFile,
     DegreeZero,
     DescentFailed,
     DimensionMismatch,
-    FramingTooLarge,
+    TooLarge,
 )
 from sfuncs.framing import frame_f
 from sfuncs.intutil import moebius
@@ -78,7 +81,7 @@ def test_a_framing_far_above_the_cap_is_refused_before_any_work():
     # above MAX_WORK, so _walk_cost returns them without summing its terms
     w = Series.var(Q, 5000)
     t0 = time.monotonic()
-    with pytest.raises(FramingTooLarge):
+    with pytest.raises(TooLarge):
         frame_f(w, 1)
     assert time.monotonic() - t0 < 1
 
@@ -89,7 +92,89 @@ def test_a_framing_by_a_huge_kappa_is_refused_before_any_work():
     # more than 50 s); f = 10**6 at order 200, 800,000 kappa bits, frames
     w = polylog(2, 120)
     t0 = time.monotonic()
-    with pytest.raises(FramingTooLarge):
+    with pytest.raises(TooLarge):
         frame_f(w, 10**1000)
     assert time.monotonic() - t0 < 0.5
     assert frame_f(polylog(2, 200), 10**6).order == 200
+
+
+# --- one rule for every size cap: each refuses with TooLarge through
+# errors._refuse_above, "<what> is above <NAME> = <cap>", before the work it
+# bounds, and the dearest request that tier-1 pins as accepted next to it runs
+
+
+def _verb(tmp_path, argv: list) -> int:
+    """A verb run in-process past cli.run, so that its error propagates."""
+    args = cli.build_parser().parse_args(argv + ["--out", str(tmp_path / "out.json")])
+    return args.fn(args)
+
+
+def _files(tmp_path) -> dict:
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("q", "x", "li8", "c58", "qf", "qp")}
+    for name, obj in (("q", [0, 1]), ("x", [4]), ("qf", [-1, -1, 1]),
+                      ("qp", [1, [[1, 1], [1, 1]], [[1, 3], [0, 1]]]),
+                      ("c58", {str(i): i for i in range(cli.GENERATOR_MAX_CONDUCTOR)})):
+        with open(paths[name], "w") as fh:
+            json.dump(obj, fh)
+    serialize.dump_obj(serialize.series_to_obj(polylog(2, 8)), paths["li8"])
+    return paths
+
+
+def _unbalanced(s, b, minpoly, modulus):
+    """framing._reduce without its balancing step: the slots keep widening."""
+    while b > framing._PADDED_BITS and not -1 <= (hi := s >> (len(minpoly) - 1) * b) <= 0:
+        s -= sum(p * hi << i * b for i, p in enumerate(minpoly) if p)
+    return s % modulus
+
+
+def _crit3(order: int):
+    """The criterion-3 series over the disc-49 cubic."""
+    cubic = make_field([-1, -2, 1, 1])
+    return from_log_poly(cubic, [1, -cubic.gen(), 1], 2, order)
+
+
+_N, _O, _G = cli.NORMALIZED_MAX_BITS // (8 * 4), cli.GENERATOR_MAX_ORDER, cli.GENERATOR_MAX_CONDUCTOR
+_TOP = cli.FROM_LOG_MAX_BITS // 8  # over x**2 - x - 1 with Q = 1 + (1 + x)z + z**2/3: 8 bits an order
+_CRT = ["gen-crt", "--field", "{q}", "--x", "{x}", "--s", "2", "--order"]
+_AB = ["gen-abelian", "--coeffs", "{c58}", "--s", "2", "--order", "30", "--conductor"]
+_LOG = ["from-log", "--field", "{qf}", "--coeffs", "{qp}", "--s", "2", "--order"]
+
+# name -> (module, the refused request, the accepted one); a request is a
+# callable or the argv of a verb
+CAPS = {
+    "MAX_WORK": (framing, lambda: frame_f(polylog(2, 226), 2),
+                 lambda: frame_f(polylog(2, 225), 2)),
+    "MAX_KAPPA_BITS": (framing, lambda: frame_f(polylog(2, 120), 10**1000),
+                       lambda: frame_f(polylog(2, 200), 10**6)),
+    "2 (|k| + 1) _walk_head": (None, lambda: frame_f(_crit3(28), -2),
+                               lambda: frame_f(_crit3(8) * -(2**60 - 1), 3)),
+    "NORMALIZED_MAX_BITS": (cli, ["verify", "--series", "{li8}", "--s", str(_N + 1)],
+                            ["verify", "--series", "{li8}", "--s", str(_N)]),
+    "GENERATOR_MAX_ORDER": (cli, _CRT + [str(_O + 1)], _CRT + [str(_O)]),
+    "GENERATOR_MAX_CONDUCTOR": (cli, _AB + [str(_G + 1)], _AB + [str(_G)]),
+    "FROM_LOG_MAX_BITS": (cli, _LOG + [str(_TOP + 1)], _LOG + [str(_TOP)]),
+    "BINOMIAL_MAX_COST": (catalog, lambda: jk_check(100003, 5, 5),
+                          lambda: jk_check(5, 100, 100)),
+}
+
+
+def _request(request, tmp_path, files):
+    return request() if callable(request) else _verb(tmp_path, [a.format(**files) for a in request])
+
+
+@pytest.mark.parametrize("name", sorted(CAPS))
+def test_every_size_cap_refuses_with_one_class_and_one_message(tmp_path, monkeypatch, name):
+    module, refused, accepted = CAPS[name]
+    files = _files(tmp_path)
+    if module is None:  # the widest slot of the packed walk: reached only by a planted fault
+        monkeypatch.setattr(framing, "_reduce", _unbalanced)
+    t0 = time.monotonic()
+    with pytest.raises(TooLarge) as info:
+        _request(refused, tmp_path, files)
+    assert time.monotonic() - t0 <= 0.5
+    assert isinstance(info.value, ValueError)
+    cap = r"\d+" if module is None else str(getattr(module, name))
+    assert re.fullmatch(rf".+ is above {re.escape(name)} = {cap}", str(info.value)), str(info.value)
+    monkeypatch.undo()
+    result = _request(accepted, tmp_path, files)  # runs: no refusal
+    assert result in (0, 1) if isinstance(result, int) else result is not None
