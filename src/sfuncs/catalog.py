@@ -210,7 +210,7 @@ class FramedPolylogTable(NamedTuple):
         }
 
     def to_csv(self) -> str:
-        lines = ["d," + ",".join(f"f={f}" for f in self.f_values)]
+        lines = ["d," + ",".join(f"f={_int_to_str(f)}" for f in self.f_values)]
         for d, row in zip(self.d_values, self.cells):
             lines.append(f"{d}," + ",".join(map(_fraction_to_str, row)))
         return "\n".join(lines) + "\n"

@@ -104,6 +104,8 @@ def _check_size(order: int, s: int) -> None:
 
 
 def _check_generator(order: int, s: int) -> None:
+    if order < 1:  # one rule for gen-abelian, gen-crt and from-log, before any file is read
+        raise ValueError("order must be at least 1")
     _refuse_above(order, GENERATOR_MAX_ORDER, "GENERATOR_MAX_ORDER", "order {}", order)
     _check_size(order, s)
 

@@ -42,8 +42,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import cached_property
-from itertools import product
-from math import comb, factorial, gcd, lcm, perm
+from itertools import chain, product
+from math import comb, factorial, gcd, isqrt, lcm, perm
 from operator import le, mul, sub
 
 from .errors import BadConstantTerm, DimensionMismatch, NotSymmetric, _refuse_above
@@ -138,9 +138,9 @@ def frame_f(w: Series, f: int) -> Series:
 
     This is frame_multi with the 1x1 matrix kappa = (f), sigma = (-1)**f
     and c_k = sigma**k / k**2 [z**k] delta**2 W exp(k f delta W) (see the
-    module docstring).  A W with a term at every degree is refused with
-    TooLarge above order 225 over Q (frame_multi's MAX_WORK; lower
-    over a larger field).
+    module docstring), for a 2-function and a small f every k at once.  A W
+    with a term at every degree is refused with TooLarge above order 225
+    over Q (frame_multi's MAX_WORK; lower over a larger field).
 
     >>> from sfuncs.catalog import polylog
     >>> w = polylog(2, 6)
@@ -166,10 +166,10 @@ MAX_KAPPA_BITS = 1_500_000
 # order * log2(Dw) is below this many bits (see its docstring).
 _FIXED_BITS = 2000
 
-# Over a field of degree >= 2 the integral walk multiplies a packed entry by
-# one integer dot * _pack(a) and reduces with one % at slot widths up to this
-# many bits, else by the coordinates dot * a_i, shifted by i slots, and in
-# linear steps first (a measured crossover; see frame_multi).
+# Over a field of degree >= 2 the integral walk (and _powers) multiplies a packed
+# entry by one integer dot * _pack(a) and reduces with one % at slot widths up to
+# this many bits, else by the coordinates dot * a_i, shifted by i slots, and in
+# linear steps first (a measured crossover; see the README).
 _PADDED_BITS = 256
 
 
@@ -237,37 +237,35 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
     The path is chosen once per call from the field degree, Dw and the
     order, with no walk for no term in the exp: integral when Dw = 1, over
     every field; else fixed when the degree is 1 and order * log2(Dw) is
-    below _FIXED_BITS = 2000; else rows.  Each key is walked once: the
-    failing key continues on rows from its remainder.  Over Q, once a key's
-    first remainder, at degree m_r, left most of its degrees on rows
+    below _FIXED_BITS = 2000, as past it the fixed integers, which carry
+    Dw**|m|, outgrow the reduced rows; else rows.  Each key is walked once:
+    the failing key continues on rows from its remainder.  Over Q, once a
+    key's first remainder, at degree m_r, left most of its degrees on rows
     (2 m_r <= |k|), the rest of the call walks fixed, which needs no integral
     table (W = z1 + z2, W_k = 1/k); after a later one, as in Li2 with c_211
-    raised by 1/211**2, the integral walk keeps the next keys, where fixed is slower.
-    The fixed integers carry Dw**|m|, so past the bound they outgrow the
-    reduced rows.  Measured on a 2-core x86-64 KVM
-    guest with CPython 3.11.7, in-process medians of alternating runs:
-    frame_f of Li2 at order 28 with the five f in (-2, -1, 1, 2, 3) took
-    0.76 of its fixed-path time on the integral walk, and the nine
-    criterion-4 framings at order 11 took 0.91.  _PADDED_BITS = 256 is the
-    measured crossover of the product and reduction forms: the disc-49 cubic
-    series framed with f = 3 took 1.23-1.36, 1 and 1.00-1.17 times as long
-    at order 56 with it at 128, 256 and 512 bits, 1.03-1.06, 1 and 1.38-1.44 at 96.
+    raised by 1/211**2, the integral walk keeps the next keys.
 
-    The work is counted in units (see MAX_WORK and _walk_cost): the walk is
-    charged before it starts, and with two or more variables each series
-    product while D is built before it is made.  Past MAX_WORK = 8,000,000
-    units TooLarge is raised.  The unit weights ignore the size of
-    the numbers and the path: on a 2-core x86-64 KVM guest with CPython
-    3.11.7 (CPU time, medians of 3 runs), the dearest input under the cap
-    is frame_f of W = z/5 with f = 1 at order 1067, on the rows path
-    (1067 log2 5 = 2,477 bits): 22 s (8.0 M units).  W = z/3 at that order
-    (1,691 bits) takes the fixed path in 0.69 s.  frame_f of Li2 with
-    f = 2 at order 224 (7.9 M units; order 225 frames, 226 is refused
-    before any work) takes 0.56 s of CPU on the integral walk, at a 24 MB
-    peak resident size of the whole process, 21 MB before the call.  The
-    README lists the other scaling inputs per path.  Under MAX_KAPPA_BITS the
-    dearest input, the disc-49 cubic series at order 155 framed with
-    f = 2**20 + 1, takes 1.8 s; Li2 with f = 10**1000 at order 120 ran 50 s.
+    One live variable i on the integral path frames every k at once
+    (_one_variable): with D = delta**2 W, f = kappa_ii and phi = exp(f delta W),
+    delta phi**k = k f D phi**k, so c_k = sigma**k phi**k[k] / (f k**2).  phi is
+    walked once, with the weights of k = 1; the r = ceil(sqrt(order)) baby steps
+    phi**i and the giant steps phi**(r j) are truncated products of packed
+    entries (_powers), and k = r j + i is one dot product, phi**k[k] =
+    sum_l phi**(r j)[l] phi**i[k - l], where the walk per key takes order**3 / 6
+    steps.  A remainder in phi (not a 2-function), f = 0, and entries that grow
+    by degree * order * (bits(f) + bits(max|a|)) >= _FIXED_BITS bits, where big
+    products cost more than the walk (see the README), take the walk per key.
+
+    The work is counted in units (see MAX_WORK and _walk_cost), those of the
+    walk per key whatever the path, charged before it starts, and with two or
+    more variables each series product while D is built before it is made.
+    Past MAX_WORK = 8,000,000 units TooLarge is raised.  On a 2-core x86-64 KVM
+    guest with CPython 3.11.7 (CPU time, medians of 3 runs) the dearest input
+    under the cap is frame_f of W = z/5 with f = 1 at order 1067, on the rows
+    path (1067 log2 5 = 2,477 bits): 22 s (8.0 M units).  Under MAX_KAPPA_BITS
+    it is the disc-49 cubic series at order 155 framed with f = 2**20 + 1:
+    1.8 s; Li2 with f = 10**1000 at order 120 ran 50 s.  The README lists the
+    scaling inputs per path.
 
     >>> from sfuncs.numfield import rationals
     >>> w = MSeries.from_dict(rationals(), 2, 2, {(1, 0): 1, (0, 1): 1})
@@ -299,6 +297,15 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
                   "framing at order {} with {} kappa bits", w.order, kbits)
     budget = _Budget(field, w.order, len(live))
     budget.spend(_walk_cost(field, w.order, len(live), [t[1] for t in wrows]))
+    # the paths (see the docstring), with no walk for no term in the exp;
+    # Dw**order < 2**_FIXED_BITS is taken only when it has at most _FIXED_BITS + order bits
+    dw = lcm(*(ad for _, _, _, ad, _ in wrows))
+    fixed = (bool(wrows) and field.degree == 1 and w.order * (dw.bit_length() - 1) < _FIXED_BITS
+             and (dw ** w.order).bit_length() <= _FIXED_BITS)
+    path = "integral" if wrows and dw == 1 else "fixed" if fixed else "rows"
+    if path == "integral" and len(live) == 1 and (out := _one_variable(
+            field, w.order, live[0], n, kap[live[0]][live[0]], wrows)) is not None:
+        return MSeries(field, n, w.order, tuple(out))  # every k at once
     # D = det M (see the docstring): the rows J_i - J_i0, then (delta_j EW)_j,
     # with the column i0 = live[0] last; the terms come from w, already checked
     cols = live[1:] + live[:1]
@@ -306,12 +313,6 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
                      (i == q) - (q == cols[-1])) for q in cols] for i in cols[:-1]]
     rows.append([_scaled(w, [(j, c, sum(j) * j[q]) for j, c in w.terms]) for q in cols])
     dterms = [(j, c.nums, c.den) for j, c in _unit_det(rows, budget).terms]
-    # the paths (see the docstring), with no walk for no term in the exp;
-    # Dw**order < 2**_FIXED_BITS is taken only when it has at most _FIXED_BITS + order bits
-    dw = lcm(*(ad for _, _, _, ad, _ in wrows))
-    fixed = (bool(wrows) and field.degree == 1 and w.order * (dw.bit_length() - 1) < _FIXED_BITS
-             and (dw ** w.order).bit_length() <= _FIXED_BITS)
-    path = "integral" if wrows and dw == 1 else "fixed" if fixed else "rows"
     dterms, deg = sorted(dterms, key=_by_degree), field.degree
     djs, dd = [j for j, *_ in dterms], lcm(*(den for *_, den in dterms))
     ddeg = [sum(j) for j in djs]
@@ -360,15 +361,69 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
     return MSeries(field, n, w.order, tuple(out))
 
 
+def _one_variable(field, order: int, live: int, n: int, f: int, wrows: list) -> list | None:
+    """frame_multi's output terms for one live variable on the integral path,
+    every k at once, or None for the walk per key (see frame_multi)."""
+    d, top, r, below = field.degree, order + 1, isqrt(order - 1) + 1, _Below(wrows, False)
+    if not f or d * order * (f.bit_length() + below.abits) >= _FIXED_BITS:
+        return None
+    key, below.stop = [tuple(m if i == live else 0 for i in range(n)) for m in range(top + 1)], True
+    e, how = _exp_table(field, key[top], top, [f] * len(wrows), below, "integral")  # phi, m <= order
+    if how != "integral":
+        return None
+    h, b, phi = (d * top).bit_length() + field._fold_bits + 3, below.width, [e.get(m, 0) for m in key[:top]]
+    powers = list(_powers(field, phi, b, *_coords(phi, b, d), h, r - 1))
+    babies = [([[0] * order + [1]] + [[0] * top] * (d - 1), 1)] + [_coords(*p, d) for p in powers[:-1]]
+    (g, bg), tb = powers[-1], max(t for _, t in babies)
+    ys, t = _coords(g, bg, d)
+    giants = [([1] + [0] * order, tb + h + 1)] + list(_powers(field, g, bg, ys, max(t, tb), h, order // r - 1))
+    out = []
+    for k in range(1, top):  # k = r j + i: phi**k[k] = sum_l phi**(r j)[l] phi**i[k - l]
+        (g, bg), (ys, _) = giants[k // r], babies[k % r]
+        s = _reduce(_dot(g, ys, bg, k), bg, field.minpoly, _pack(field.minpoly, bg))
+        if any((c := _normalize(_unpack(s, bg, d), (-1) ** (f * k % 2) * k * k * f))[0]):
+            out.append((key[k], FieldElem._normalized(field, *c)))
+    return out
+
+
+def _powers(field, x: list, b: int, ys: list, ty: int, h: int, count: int):
+    """x * y**s, s = 0..count, truncated, each at a slot width b (doubled where needed)
+    that keeps it below 2**(b - ty - h): x packed at b, y by its reversed coordinate
+    lists ys, both below 2**ty."""
+    d = field.degree
+    while b < 2 * ty + h:
+        x, b = [_pack(_unpack(q, b, d), 2 * b) for q in x], 2 * b
+    yield x, b
+    for s in range(count):
+        if not s or yb != b:  # y packed at b: one product per term up to _PADDED_BITS
+            (modulus, bias, keep), y, yb = _slots(field, b, b - ty - h), [_pack(c, b) for c in zip(*ys)], b
+        x = [_reduce(sum(map(mul, x, y[-1 - m:])) if b <= _PADDED_BITS else _dot(x, ys, b, m),
+                     b, field.minpoly, modulus) for m in range(len(x))]
+        if any((q + bias) & keep for q in x):
+            x, b = [_pack(_unpack(q, b, d), 2 * b) for q in x], 2 * b
+        yield x, b
+
+
+def _dot(x: list, ys: list, b: int, m: int) -> int:
+    """[z**m] x y, unreduced: x packed at width b, y by its reversed coordinate lists ys."""
+    return sum(sum(map(mul, x, y[len(y) - 1 - m:])) << a * b for a, y in enumerate(ys))
+
+
+def _coords(x: list, b: int, d: int) -> tuple[list, int]:
+    """The d coordinate lists of a series packed at width b, each reversed, and their bits."""
+    ys = [list(c)[::-1] for c in zip(*(_unpack(q, b, d) for q in x))]
+    return ys, max(map(abs, chain(*ys))).bit_length()
+
+
 def _exp_table(field, k: tuple, sk: int, dots: list, below: "_Below", path: str):
     """frame_multi's exp table of the key k, m -> E_m on the box {m <= k}, with
     the weights dots of the terms in below, and the path it ended on.  The
     entries are rows or, on the fixed and integral paths, ints: over a field
     of degree >= 2 each packed at the slot width below.width (see
     frame_multi).  These two share the integer sum per m; the integral walk
-    divides it by |m|.  At the first remainder, at m, the integral walk
-    turns the entries before m into rows over 1 and goes on from m on rows,
-    in the same walk: it ends on "rows", with |m| in below.turn."""
+    divides it by |m|.  At the first remainder, at m, the integral walk ends
+    there with below.stop, else turns the entries before m into rows over 1
+    and goes on from m on rows: it ends on "rows", with |m| in below.turn."""
     d, rows, integral, b = field.degree, path == "rows", path == "integral", below.width
     e = {(0,) * len(k): ((1,) + (0,) * (d - 1), 1) if rows else 1}
     if not any(dots[t] for *_, t in below[k][1]):
@@ -417,6 +472,8 @@ def _exp_table(field, k: tuple, sk: int, dots: list, below: "_Below", path: str)
                 if q:
                     e[m] = q
                 continue
+        if integral and below.stop:
+            return e, "rows"
         if integral:  # the first remainder: the entries before m as rows over 1, then m on rows
             e, rows, integral, below.turn = {mj: (_unpack(x, b, d) if d > 1 else (x,), 1)
                                              for mj, x in e.items()}, True, False, sm
@@ -486,12 +543,12 @@ class _Below(dict):
     times (|m| - 1)! / (|m| - |j|)!.
 
     It also keeps what the walks of one call share: the widest slot width a
-    packed table reached (width), the rows a packed at each width (packs),
-    and the degree of the last first remainder of an integral walk (turn)."""
+    packed table reached (width), the rows a packed at each width (packs) and the
+    degree of the last first remainder of an integral walk (turn), where stop ends it."""
 
     def __init__(self, wrows: list, fixed: bool) -> None:
         super().__init__()
-        self.wrows, self.fixed, self.width, self.packs, self.turn = wrows, fixed, 64, {}, 0
+        self.wrows, self.fixed, self.width, self.packs, self.turn, self.stop = wrows, fixed, 64, {}, 0, False
 
     @cached_property
     def abits(self) -> int:

@@ -7,8 +7,8 @@ Webster 2016); 2..37 alone fail at psi_12 = 318665857834031151167461.
 Every entry point that takes a prime checks it by require_prime.
 prime_factors trial-divides to 2**10 at every size, then tests each
 cofactor by is_prime or splits it by Brent's variant of Pollard rho; at and
-above PRIME_TEST_BOUND, where is_prime proves nothing, rho has the steps
-that split any composite below it, and what they leave is kept whole.
+above PRIME_TEST_BOUND, where is_prime proves nothing, rho has the steps that
+split any composite below it, fewer as bits(m)**2, and what they leave is kept whole.
 """
 from __future__ import annotations
 
@@ -91,9 +91,9 @@ def _pollard_rho(n: int, steps: int) -> int:
 def prime_factors(n: int) -> dict[int, int]:
     """Full factorization of |n| as a prime -> multiplicity map: a 2,4
     wheel to min(sqrt(n), 2**10), then is_prime or _pollard_rho per cofactor.
-    A key at or above PRIME_TEST_BOUND is a cofactor that _pollard_rho did
-    not split in floor(PRIME_TEST_BOUND**(1/4)) steps, which split any
-    composite below the bound: not proven prime.
+    A key m at or above PRIME_TEST_BOUND is a cofactor that _pollard_rho did not
+    split in floor(PRIME_TEST_BOUND**(1/4)) (bits(bound) / bits(m))**2 steps, the
+    steps that split any composite below the bound: not proven prime.
 
     >>> prime_factors(360)
     {2: 3, 3: 2, 5: 1}
@@ -117,7 +117,8 @@ def prime_factors(n: int) -> dict[int, int]:
     while stack:
         m = stack.pop()
         if m >= PRIME_TEST_BOUND:  # is_prime proves nothing: the steps that split any m below
-            d = _pollard_rho(m, math.isqrt(math.isqrt(PRIME_TEST_BOUND)))
+            d = _pollard_rho(m, math.isqrt(math.isqrt(PRIME_TEST_BOUND))
+                             * PRIME_TEST_BOUND.bit_length() ** 2 // m.bit_length() ** 2)
         else:  # m has no prime factor below f
             d = m if m < f * f or is_prime(m) else _pollard_rho(m, m)
         if d == m:

@@ -203,8 +203,8 @@ def load_field(path: str) -> NumberField:
     return field_from_obj(load_json(path))
 
 
-# the text json.dumps writes for a str, an int, a bool or None; _quote is C
-_LEAVES = {str: _quote, int: int.__repr__, bool: {True: "true", False: "false"}.get,
+# the text json.dumps writes for a str, an int (of any length), a bool or None; _quote is C
+_LEAVES = {str: _quote, int: _int_to_str, bool: {True: "true", False: "false"}.get,
            type(None): lambda _: "null"}
 
 

@@ -504,6 +504,20 @@ _PSI_13, _SEMI_39 = 3317044064679887385961981, (10**19 + 51) * (3 * 10**19 + 41)
 @pytest.mark.parametrize("n", [_PSI_13, _SEMI_39])
 def test_a_denominator_rho_cannot_split_is_one_cofactor_violation(tmp_path, n):
     # psi_13 was reported as a prime "p"; the semiprime ran past timeout 5
+    _one_cofactor_violation(tmp_path, n)
+
+
+@pytest.mark.parametrize("digits, a, b", [(150, 67, 61), (600, 543, 671)])
+def test_rho_on_a_large_cofactor_takes_no_longer_than_at_the_bound(tmp_path, digits, a, b):
+    # p = 10**digits + a and q = 3 * 10**digits + b are the first primes
+    # past them: verify took 5.4 s at 150 digits and 59 s at 600 while rho
+    # had as many steps as at PRIME_TEST_BOUND, each dearer with bits(pq)**2
+    _one_cofactor_violation(tmp_path, (10**digits + a) * (3 * 10**digits + b))
+
+
+def _one_cofactor_violation(tmp_path, n):
+    """c_1 = 1/n, n kept whole by rho: verify and dwork report it as one
+    cofactor, in 2 s each."""
     path = tmp_path / "c1.json"
     path.write_text(json.dumps({"field": [0, 1], "order": 1, "coeffs": [[["1", str(n)]]]}))
     t0 = time.monotonic()
@@ -577,6 +591,17 @@ def test_a_table_with_cells_past_the_int_str_limit_prints_them():
     assert [[_rational(x) for x in row] for row in entries] == [list(c) for c in t.cells]
 
 
+def test_a_table_at_an_f_past_the_int_str_limit_writes_f():
+    # f of 5,000 digits, past the 4,300 that int.__repr__ writes: both formats
+    # exit 0 and write f in full
+    big = "7" * 5000
+    out = {fmt: run_cli("polylog-table", "--d", "1..2", f"--f={big}..{big}", "--format", fmt,
+                        timeout=60) for fmt in ("json", "csv")}
+    assert all(r.returncode == 0 for r in out.values()), [r.stderr for r in out.values()]
+    assert json.loads(out["json"].stdout, parse_int=str)["f"] == [big]
+    assert out["csv"].stdout.splitlines()[0] == f"d,f={big}"
+
+
 def test_empty_ranges_exit_2_without_a_report():
     for args in (["jk-check", "--p", "7", "--kmax", "0", "--fmax", "0"],
                  ["jk-check", "--p", "7", "--kmax=-3", "--fmax", "2"],
@@ -605,7 +630,23 @@ def test_gen_abelian_negative_order_names_the_order(tmp_path):
                 "--s", "2", "--order", "-5", timeout=10)
     assert r.returncode == 2
     assert r.stdout == ""
-    assert r.stderr == "error: ValueError: order must be nonnegative\n"
+    assert r.stderr == "error: ValueError: order must be at least 1\n"
+
+
+@pytest.mark.parametrize("order", ["0", "-1"])
+def test_the_generators_refuse_an_order_below_one_with_one_message(tmp_path, order):
+    # gen-abelian and from-log wrote an empty series at order 0, gen-crt
+    # refused it with its own message
+    for name, text in (("c", '{"1": 1, "4": 1}'), ("q", "[0, 1]"), ("x", "[2]"),
+                       ("qf", "[-1, -1, 1]"), ("qp", "[1, -1]")):
+        (tmp_path / f"{name}.json").write_text(text + "\n")
+    p = {name: str(tmp_path / f"{name}.json") for name in ("c", "q", "x", "qf", "qp")}
+    for verb in (["gen-abelian", "--conductor", "5", "--coeffs", p["c"]],
+                 ["gen-crt", "--field", p["q"], "--x", p["x"]],
+                 ["from-log", "--field", p["qf"], "--coeffs", p["qp"]]):
+        r = run_cli(*verb, "--s", "2", f"--order={order}", timeout=10)
+        assert (r.returncode, r.stdout) == (2, ""), verb
+        assert r.stderr == "error: ValueError: order must be at least 1\n", verb
 
 
 _LOADS_SERIES = {"sfuncs", "sfuncs.errors", "sfuncs.intutil", "sfuncs.numfield",

@@ -7,7 +7,7 @@ import textwrap
 import time
 import tracemalloc
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -778,6 +778,12 @@ def _exp_tables(mp, refuse_integral=False) -> list:
     return calls
 
 
+def _per_key(mp) -> None:
+    """Force the walk per key on one live variable: the path that frames every
+    k at once returns None, as it does when phi's walk meets a remainder."""
+    mp.setattr(framing, "_one_variable", lambda *args: None)
+
+
 def _at_monomial(v: Series, e: tuple, order: int) -> MSeries:
     # v(z**e) in len(e) variables
     return MSeries.from_dict(v.field, len(e), order, {
@@ -836,9 +842,10 @@ def _raised(order, j):
 
 def test_integral_walk_redoes_only_the_key_whose_table_is_not_integral(monkeypatch):
     # E_29 of k = 30 holds 2 * 30 / 29 from the raised term: k = 30 alone
-    # falls back, after its integral walk met the remainder
+    # falls back, after its integral walk met the remainder (the walk per key)
     w = _raised(30, 29)
     monkeypatch.setattr(framing, "_FIXED_BITS", 0)
+    _per_key(monkeypatch)
     calls = _exp_tables(monkeypatch)
     assert frame_f(w, 2) == frame_f_by_reversion(w, 2)
     assert [k for k, path in calls if path == "rows"] == [(30,)]
@@ -849,8 +856,9 @@ def test_each_key_is_walked_once(monkeypatch):
     # a key that meets a remainder continues on rows in the same walk: z1 + z2
     # over Q at order 12, and the raised Li2 with f = 2 at the default bound
     # (30 log2 lcm(1..30) = 1,233 bits, so the fixed path is eligible), where
-    # k = 30 ends on rows
+    # k = 30 ends on rows (the walk per key)
     keys, real = [], framing._exp_table
+    _per_key(monkeypatch)
 
     def count(field, k, *args):
         keys.append(k)
@@ -898,7 +906,8 @@ def test_a_denominator_not_dividing_gcd_j_sends_the_call_to_rows(monkeypatch):
 
 
 def test_frame_uni_series_walk_integral_without_fallback(monkeypatch):
-    # the criterion-3 series over the cubic, Q(zeta_5) and Q at order 28
+    # the criterion-3 series over the cubic, Q(zeta_5) and Q at order 28, on
+    # the walk per key
     g = CUBIC.gen()
     series = {
         "integral": [from_log_poly(CUBIC, [1, -g, 1], 2, 28),
@@ -909,6 +918,7 @@ def test_frame_uni_series_walk_integral_without_fallback(monkeypatch):
         for w in ws:
             for f in (-2, 3):
                 with pytest.MonkeyPatch.context() as mp:
+                    _per_key(mp)
                     calls = _exp_tables(mp)
                     frame_f(w, f)
                 assert [p for _, p in calls] == [path] * 28, (path, f)
@@ -949,8 +959,9 @@ def test_a_key_that_falls_back_resumes_the_rows_walk_at_the_remainder(monkeypatc
     # first fails at m = 29, and its rows walk starts there from the integer
     # entries E_0..E_28: one rows step (|m| = 29) and one output sum, where
     # walking the table again would take 29 steps.  _FIXED_BITS = 0 keeps
-    # the call over Q off the fixed path.
+    # the call over Q off the fixed path.  The walk per key.
     monkeypatch.setattr(framing, "_FIXED_BITS", 0)
+    _per_key(monkeypatch)
     g = CUBIC.gen()
     for w in (_raised(30, 29), from_log_poly(CUBIC, [1, -g, 1], 2, 30) + Series.from_coeffs(
             CUBIC, 30, [0] * 28 + [CUBIC.elem(Fraction(1, 29 * 29)), 0])):
@@ -1073,8 +1084,10 @@ def test_the_packed_check_at_its_edges_and_on_a_divisible_sum_of_slots():
 
 def test_the_packed_walk_over_degree_two_and_more_never_folds(monkeypatch):
     # the criterion-3 series over the disc-49 cubic and Q(zeta_5) at order 28
-    # with the five f: no fold or convolution anywhere, at least 99% of the
-    # entries pass the packed check, and the result is the rows path's
+    # with the five f on the walk per key: no fold or convolution anywhere, at
+    # least 99% of the entries pass the packed check, and the result is the
+    # rows path's
+    _per_key(monkeypatch)
     g = CUBIC.gen()
     ws = [from_log_poly(CUBIC, [1, -g, 1], 2, 28),
           abelian_generator(CyclotomicSpec(5, {1: 1, 4: 1}, 2), 28)]
@@ -1263,8 +1276,138 @@ def test_li2_plus_z_over_2_walks_fixed_at_every_key(monkeypatch):
 def test_a_late_remainder_does_not_send_the_call_to_the_fixed_walk(monkeypatch):
     # Li2 with c_211 raised by 1/211**2 at order 224: Dw = 1, and the keys
     # 212..224 meet their remainder at m = 211, past half their degree, so
-    # each goes on on rows and no key walks fixed
+    # each goes on on rows and no key walks fixed (the walk per key)
+    _per_key(monkeypatch)
     calls = _exp_tables(monkeypatch)
     frame_f(_raised(224, 211), 2)
     assert [k for k, p in calls if p == "rows"] == [(k,) for k in range(212, 225)]
     assert [p for _, p in calls if p != "rows"] == ["integral"] * 224
+
+
+# --- one live variable on the integral path: every k at once by baby and
+# giant steps over the powers of phi = exp(f delta W)
+
+
+def _every_k_at_once(mp) -> list:
+    """Record what each framing._one_variable call returned: None where it
+    sent the call to the walk per key."""
+    got, real = [], framing._one_variable
+
+    def record(*args):
+        got.append(real(*args))
+        return got[-1]
+
+    mp.setattr(framing, "_one_variable", record)
+    return got
+
+
+@st.composite
+def _one_variable_case(draw):
+    # 2-functions over Q, Q(zeta_5) and the disc-49 cubic, at orders 1-40
+    # with n < 4 and the perfect squares drawn often
+    field = draw(st.sampled_from([Q, Z5, CUBIC]))
+    order = draw(st.one_of(st.integers(1, 4), st.sampled_from([9, 16, 25, 36]), st.integers(1, 40)))
+    small = st.integers(-2, 2)
+    x = field.gen() * draw(small) + draw(small)
+    w = draw(st.sampled_from([
+        lambda: polylog(2, order, field) * draw(small.filter(bool)),
+        lambda: from_log_poly(field, [1, x, draw(small)], 2, order),
+        lambda: generate_crt(field, x, 2, order),
+    ]))()
+    return w, draw(st.integers(-3, 3))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_one_variable_case())
+def test_every_k_at_once_equals_the_walk_per_key_and_the_reversion(case):
+    w, f = case
+    framed = frame_f(w, f)
+    with pytest.MonkeyPatch.context() as mp:
+        _per_key(mp)
+        assert framed == frame_f(w, f) == frame_f_by_reversion(w, f)
+    assert all(same_as_checked(c) for c in framed.coeffs)
+
+
+def test_every_k_at_once_takes_the_frame_uni_series_without_the_walk_per_key(monkeypatch):
+    # the criterion-3 series at order 40 with the five f: phi's walk is the
+    # one table walked, and the framing is the walk per key's
+    g = CUBIC.gen()
+    ws = [from_log_poly(CUBIC, [1, -g, 1], 2, 40),
+          abelian_generator(CyclotomicSpec(5, {1: 1, 4: 1}, 2), 40), polylog(2, 40)]
+    for w in ws:
+        for f in (-2, -1, 1, 2, 3):
+            with pytest.MonkeyPatch.context() as mp:
+                _per_key(mp)
+                want = frame_f(w, f)
+            with pytest.MonkeyPatch.context() as mp:
+                got, calls = _every_k_at_once(mp), _exp_tables(mp)
+                assert frame_f(w, f) == want
+            assert got[0] is not None and calls == [((41,), "integral")], (w.field, f)
+
+
+@pytest.mark.parametrize("order, f", [(224, 2), (100, 3), (60, -3)])
+def test_every_k_at_once_gives_the_li2_closed_form(monkeypatch, order, f):
+    # k**2 c_k = (-1)**(f k) C((f + 1) k - 1, k - 1), read as a polynomial in f
+    # (for f = -3: (-1)**k (-2k - 1)...(-3k + 1) / (k - 1)!)
+    calls = _every_k_at_once(monkeypatch)
+    framed = frame_f(polylog(2, order), f)
+    assert calls[0] is not None
+    for k in range(1, order + 1):
+        top = (f + 1) * k - 1
+        want = (-1) ** (f * k % 2) * prod(top - i for i in range(k - 1)) // factorial(k - 1)
+        assert framed.coeff(k) * k * k == want, k
+
+
+def test_a_series_that_is_no_two_function_returns_the_walk_per_key(monkeypatch):
+    # Li2 with c_29 raised by 1/29**2 at order 40: phi's walk stops at its
+    # first remainder, at m = 29, and the call is the walk per key's
+    w, tables, real = _raised(40, 29), [], framing._exp_table
+
+    def table(*args):
+        tables.append(real(*args))
+        return tables[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _every_k_at_once(mp)
+        mp.setattr(framing, "_exp_table", table)
+        framed = frame_f(w, 2)
+    assert calls == [None]
+    e, how = tables[0]
+    assert how == "rows" and max(m for m, in e) == 28
+    with pytest.MonkeyPatch.context() as mp:
+        _per_key(mp)
+        assert framed == frame_f(w, 2) == frame_f_by_reversion(w, 2)
+
+
+def test_every_k_at_once_multiplies_packed_entries_without_fold_or_convolution(monkeypatch):
+    # the criterion-3 series over the cubic and Q(zeta_5) at order 28: the
+    # products and dot products of packed entries reduce mod P(2**b) only
+    g = CUBIC.gen()
+    ws = [from_log_poly(CUBIC, [1, -g, 1], 2, 28),
+          abelian_generator(CyclotomicSpec(5, {1: 1, 4: 1}, 2), 28)]
+    with pytest.MonkeyPatch.context() as mp:
+        _per_key(mp)
+        want = [frame_f(w, f) for w in ws for f in (-2, 3)]
+
+    def refuse(*args):
+        raise AssertionError("every k at once went through the convolution or the fold")
+
+    for module in (numfield, framing):
+        monkeypatch.setattr(module, "_convolve_into", refuse, raising=False)
+        monkeypatch.setattr(module, "_fold", refuse, raising=False)
+    calls = _every_k_at_once(monkeypatch)
+    assert [frame_f(w, f) for w in ws for f in (-2, 3)] == want
+    assert None not in calls
+
+
+def test_the_entries_too_large_for_every_k_at_once_take_the_walk_per_key(monkeypatch):
+    # degree * order * (bits(f) + bits of the rows a) at _FIXED_BITS and
+    # above: the products of big entries cost more than the walk's small
+    # weights
+    calls = _every_k_at_once(monkeypatch)
+    cubic = from_log_poly(CUBIC, [1, -CUBIC.gen(), 1], 2, 28)  # its rows a have 2 bits
+    frame_f(polylog(2, 40), 2**48)  # 40 * (49 + 1) = 2000
+    frame_f(cubic, 2**21)  # 3 * 28 * (22 + 2) = 2016
+    frame_f(polylog(2, 40), 2**47)  # 1960
+    frame_f(cubic, -(2**20))  # 3 * 28 * (21 + 2) = 1932
+    assert calls[:2] == [None, None] and None not in calls[2:]
