@@ -32,19 +32,19 @@ Framings compose additively in kappa.  frame_multi is the one framing engine:
   reversion of zt followed by W~ = dint(-log Y~), an independent path; both
   must agree exactly.
 
-frame_multi reads W once, as the rows g |j| W_j, g = gcd(j).  For a
-2-function, the class the paper frames, these are integral, and so is the exp
-table: frame_multi walks it on integer coordinates with one exact division per
-entry.  Exactness does not rest on this: where a division leaves a remainder,
-the walk of that output key goes on from there on rational rows (see frame_multi).
+frame_multi reads W once, as the rows g |j| W_j, g = gcd(j), listed by the
+positions of one index per call (_Index).  For a 2-function, the class the paper
+frames, these are integral, and so is the exp table: frame_multi walks it on
+integer coordinates with one exact division per entry.  Exactness does not rest
+on this: where a division leaves a remainder, the walk goes on on rational rows.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
-from functools import cached_property
-from itertools import chain, product
+from functools import cached_property, partial, reduce
+from itertools import chain, repeat
 from math import comb, factorial, gcd, isqrt, lcm, perm
-from operator import le, mul, sub
+from operator import add, itemgetter, mul
 
 from .errors import BadConstantTerm, DimensionMismatch, NotSymmetric, _refuse_above
 from .intutil import _int
@@ -193,12 +193,12 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
     For each k the exp runs on the box {m <= k} (_exp_table).  W is read
     once, as the rows a_j = g |j| W_j, g = gcd(j), over their reduced
     denominators, whose lcm is Dw, with the weight rows kappa j/g, as
-    <k, kappa j> |j| W_j = <k, kappa j/g> a_j; they and the terms of D, over
-    their lcm dd, are sorted by (|j|, j).  The terms j <= m of W, with their
-    keys m - j, are listed once per call, the first time a box reaches m
-    (_Below).  The weights <k, kappa j/g> are one list per k.  c_k sums
-    D_j E_m over j + m = k, read from the shorter of D and the exp table:
-    one FieldElem._normalized per k.
+    <k, kappa j> |j| W_j = <k, kappa j/g> a_j, sorted by (|j|, j).  One index
+    (_Index) numbers the simplex |m| <= order so that m - j comes before m,
+    and lists per position m the positions m - j of W's terms j <= m, per key
+    k those of D's (over their lcm dd), built once from the side of the terms:
+    no tuple key in the walk.  The weights <k, kappa j/g> come from one column
+    table.  c_k sums D_j E_(k - j) over that one list: one _normalized per k.
 
     The exp table has three representations; only the sum per m and the
     output sum differ between them:
@@ -210,7 +210,7 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
       N_m = sum_j <k, kappa j/g> A_j (|m|-1)!/(|m|-|j|)! Dw**(|j|-1) N_(m-j):
       integer multipliers, with no lcm, division or gcd in the walk.  c_k is
       one integer over dd |k|! Dw**|k|, with one gcd.  The falling
-      factorials are taken with math.perm as they are read.
+      factorials are folded into the index's terms, once per call.
     * integral, when Dw = 1: for a 2-function g**2 W_j, so a_j, is integral
       (away from bad primes), and the entries of
       E = prod_i Y_i**(-(kappa k)_i), Y_i = exp(-delta_i W), are integral
@@ -252,9 +252,10 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
     phi**i and the giant steps phi**(r j) are truncated products of packed
     entries (_powers), and k = r j + i is one dot product, phi**k[k] =
     sum_l phi**(r j)[l] phi**i[k - l], where the walk per key takes order**3 / 6
-    steps.  A remainder in phi (not a 2-function), f = 0, and entries that grow
-    by degree * order * (bits(f) + bits(max|a|)) >= _FIXED_BITS bits, where big
-    products cost more than the walk (see the README), take the walk per key.
+    steps.  A remainder in phi (not a 2-function), f = 0, and entries with
+    4 degree order (bits(f) + bits(max|a|))**4 >= _FIXED_BITS**2, the measured
+    crossover past which big products cost more than the walk (see the
+    README), take the walk per key, which reads the same index.
 
     The work is counted in units (see MAX_WORK and _walk_cost), those of the
     walk per key whatever the path, charged before it starts, and with two or
@@ -291,7 +292,7 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
               if any(kj := [sum(map(mul, row, j)) for row in kap])]
     # the one table of W: a_j = g |j| W_j, g = gcd(j), with the weights kappa j / g
     wrows = sorted(((j, sj, *_times(c, g * sj), [x // g for x in kj])
-                    for j, c, kj in kterms for sj, g in [(sum(j), gcd(*j))]), key=_by_degree)
+                    for j, c, kj in kterms for sj, g in [(sum(j), gcd(*j))]), key=itemgetter(1, 0))
     kbits = field.degree * w.order**2 * (max(map(abs, sum(kap, ()))).bit_length() - 1)
     _refuse_above(kbits if wrows else 0, MAX_KAPPA_BITS, "MAX_KAPPA_BITS",
                   "framing at order {} with {} kappa bits", w.order, kbits)
@@ -303,8 +304,11 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
     fixed = (bool(wrows) and field.degree == 1 and w.order * (dw.bit_length() - 1) < _FIXED_BITS
              and (dw ** w.order).bit_length() <= _FIXED_BITS)
     path = "integral" if wrows and dw == 1 else "fixed" if fixed else "rows"
+    index = _Index(wrows, n, live, w.order)
+    if fixed:  # W's rows A_j = Dw a_j for the fixed walk
+        index.afix = [a[0] * (dw // ad) * dw ** (sj - 1) for _, sj, a, ad, _ in wrows]
     if path == "integral" and len(live) == 1 and (out := _one_variable(
-            field, w.order, live[0], n, kap[live[0]][live[0]], wrows)) is not None:
+            field, w.order, live[0], n, kap[live[0]][live[0]], index)) is not None:
         return MSeries(field, n, w.order, tuple(out))  # every k at once
     # D = det M (see the docstring): the rows J_i - J_i0, then (delta_j EW)_j,
     # with the column i0 = live[0] last; the terms come from w, already checked
@@ -312,47 +316,44 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
     rows = [[_scaled(w, [(j, c, j[q] * (kj[cols[-1]] - kj[i])) for j, c, kj in kterms],
                      (i == q) - (q == cols[-1])) for q in cols] for i in cols[:-1]]
     rows.append([_scaled(w, [(j, c, sum(j) * j[q]) for j, c in w.terms]) for q in cols])
-    dterms = [(j, c.nums, c.den) for j, c in _unit_det(rows, budget).terms]
-    dterms, deg = sorted(dterms, key=_by_degree), field.degree
-    djs, dd = [j for j, *_ in dterms], lcm(*(den for *_, den in dterms))
-    ddeg = [sum(j) for j in djs]
-    # D over dd; W's rows for the integral and rows walks, scaled by Dw for the fixed walk
+    dterms, deg = [(j, c.nums, c.den) for j, c in _unit_det(rows, budget).terms], field.degree
+    dd = lcm(*(den for *_, den in dterms))
+    # D's terms j <= k by key k; where E = 1 (every key when no term is in the exp) j = k alone
+    dms, dps, dus = index._below([j for j, *_ in dterms]) if wrows else ([], [], [])
+    dat = {index.where[sum(map(mul, j, index.strides))]: u for u, (j, *_) in enumerate(dterms)}
+    # D over dd; scaled by Dw**|j| for the fixed walk
     dv = [(tuple(x * (dd // den) for x in nums), dd) for _, nums, den in dterms]
     dbits = max((abs(x) for dn, _ in dv for x in dn), default=0).bit_length()
-    walks = [(_Below(wrows, False), dv)]
+    d1 = [dn[0] for dn, _ in dv]
     if fixed:
-        walks.append((
-            _Below([(j, sj, a[0] * (dw // ad) * dw ** (sj - 1), 1, kj) for j, sj, a, ad, kj in wrows], True),
-            [(dn[0] * dw ** sj, sj) for (dn, _), sj in zip(dv, ddeg)]))
-    walks = [(below, dict(zip(djs, ds)), list(zip(djs, ddeg, ds))) for below, ds in walks]
+        dfix = [(dn[0] * dw ** sum(j), sum(j)) for (dn, _), (j, *_) in zip(dv, dterms)]
     odd = [i for i in range(n) if kappa.sigma(i) < 0]
-    out = []
-    for k in _simplex(n, live, w.order):
-        sk = sum(k)
-        below, dmap, drows = walks[path == "fixed"]
-        dots = [sum(map(mul, k, kj)) for *_, kj in below.wrows]
-        e, how = _exp_table(field, k, sk, dots, below, path)
-        if how != path and fixed and 2 * below.turn <= sk:
+    # the weights <k, kappa j/g>: k_i times the columns i of the kappa j/g, summed
+    wcols, out, hi = [(i, col) for i in live if any(col := [kj[i] for *_, kj in wrows])], [], 0
+    for pk, k in enumerate(index.keys[1:], 1):
+        maps, sk = [map(k[i].__mul__, col) for i, col in wcols if k[i]], sum(k)
+        dots = list(reduce(partial(map, add), maps)) if maps else [0] * len(wrows)
+        e, how = _exp_table(field, k, sk, dots, index, path)
+        if how != path and fixed and 2 * index.turn <= sk:
             path = "fixed"  # its remainder came by half its degree: the rest of the call walks fixed
-        # the pairs D_j E_m with j + m = k, read from the shorter of e and D
-        if len(e) < bisect_right(ddeg, sk):
-            pairs = [(dj, em) for m, em in e.items()
-                     if (dj := dmap.get(tuple(map(sub, k, m))))]
-        else:
-            pairs = _pairs_at(e, drows, k, sk)
-        sign = (-1) ** sum(k[i] for i in odd) * sk * sk
+        # the pairs D_j E_(k - j) over D's terms j <= k
+        lo, hi = hi, bisect_right(dms, pk, hi)
+        ps, us = (dps[lo:hi], dus[lo:hi]) if len(e) > 1 else ((0,), (dat[pk],)) if pk in dat else ((), ())
+        sign = (-1) ** sum(map(k.__getitem__, odd)) * sk * sk
         if how == "rows":
-            c = _sum_rows(field, [(*dj, *em, 1) for dj, em in pairs], sign)
+            c = _sum_rows(field, [(*dv[u], *em, 1) for p, u in zip(ps, us) if (em := e[p])], sign)
         elif how == "fixed":
-            c = _normalize((sum(a * perm(sk, sj) * em for (a, sj), em in pairs),),
+            c = _normalize((sum(a * perm(sk, sj) * em for p, u in zip(ps, us)
+                                if (em := e[p]) for a, sj in [dfix[u]]),),
                            sign * dd * factorial(sk) * dw ** sk)
         elif deg == 1:  # integral: one integer over dd
-            c = _normalize((sum(dn[0] * em for (dn, _), em in pairs),), sign * dd)
+            c = _normalize((sum(map(mul, map(d1.__getitem__, us), map(e.__getitem__, ps))),), sign * dd)
         else:  # packed: D rows times the entries, at a width bo >= b that holds the sum
-            b, t = below.width, max(0, below.width - _walk_head(field, below.abits, dots, sk))
+            pairs = [(dv[u][0], em) for p, u in zip(ps, us) if (em := e[p])]
+            b, t = index.width, max(0, index.width - _walk_head(field, index.abits, dots, sk))
             bo = max(b, t + dbits + (len(pairs) * deg).bit_length() + field._fold_bits + 2)
-            pairs = [(dj, _pack(_unpack(em, b, deg), bo)) for dj, em in pairs] if bo > b else pairs
-            s = sum(sum([dn[i] * em for (dn, _), em in pairs]) << i * bo for i in range(deg))
+            pairs = [(dn, _pack(_unpack(em, b, deg), bo)) for dn, em in pairs] if bo > b else pairs
+            s = sum(sum([dn[i] * em for dn, em in pairs]) << i * bo for i in range(deg))
             s = _reduce(s, bo, field.minpoly, _pack(field.minpoly, bo))
             c = _normalize(_unpack(s, bo, deg), sign * dd)
         if c and any(c[0]):
@@ -361,17 +362,21 @@ def frame_multi(w: MSeries, kappa: Kappa) -> MSeries:
     return MSeries(field, n, w.order, tuple(out))
 
 
-def _one_variable(field, order: int, live: int, n: int, f: int, wrows: list) -> list | None:
+def _one_variable(field, order: int, live: int, n: int, f: int, index: "_Index") -> list | None:
     """frame_multi's output terms for one live variable on the integral path,
-    every k at once, or None for the walk per key (see frame_multi)."""
-    d, top, r, below = field.degree, order + 1, isqrt(order - 1) + 1, _Below(wrows, False)
-    if not f or d * order * (f.bit_length() + below.abits) >= _FIXED_BITS:
+    every k at once, or None for the walk per key, which reads the same
+    index (see frame_multi)."""
+    d, top, r = field.degree, order + 1, isqrt(order - 1) + 1
+    # the measured crossover: every k at once loses past 4 d order (bits(f) + bits(a))**4 ~ _FIXED_BITS**2
+    if not f or 4 * d * order * (f.bit_length() + index.abits) ** 4 >= _FIXED_BITS ** 2:
         return None
-    key, below.stop = [tuple(m if i == live else 0 for i in range(n)) for m in range(top + 1)], True
-    e, how = _exp_table(field, key[top], top, [f] * len(wrows), below, "integral")  # phi, m <= order
+    index.stop = True
+    phi, how = _exp_table(field, tuple(top if i == live else 0 for i in range(n)), top,
+                          [f] * len(index.wrows), index, "integral")  # phi, m <= order
+    index.stop = False
     if how != "integral":
         return None
-    h, b, phi = (d * top).bit_length() + field._fold_bits + 3, below.width, [e.get(m, 0) for m in key[:top]]
+    h, b = (d * top).bit_length() + field._fold_bits + 3, index.width
     powers = list(_powers(field, phi, b, *_coords(phi, b, d), h, r - 1))
     babies = [([[0] * order + [1]] + [[0] * top] * (d - 1), 1)] + [_coords(*p, d) for p in powers[:-1]]
     (g, bg), tb = powers[-1], max(t for _, t in babies)
@@ -382,7 +387,7 @@ def _one_variable(field, order: int, live: int, n: int, f: int, wrows: list) -> 
         (g, bg), (ys, _) = giants[k // r], babies[k % r]
         s = _reduce(_dot(g, ys, bg, k), bg, field.minpoly, _pack(field.minpoly, bg))
         if any((c := _normalize(_unpack(s, bg, d), (-1) ** (f * k % 2) * k * k * f))[0]):
-            out.append((key[k], FieldElem._normalized(field, *c)))
+            out.append((index.keys[k], FieldElem._normalized(field, *c)))
     return out
 
 
@@ -415,48 +420,50 @@ def _coords(x: list, b: int, d: int) -> tuple[list, int]:
     return ys, max(map(abs, chain(*ys))).bit_length()
 
 
-def _exp_table(field, k: tuple, sk: int, dots: list, below: "_Below", path: str):
-    """frame_multi's exp table of the key k, m -> E_m on the box {m <= k}, with
-    the weights dots of the terms in below, and the path it ended on.  The
+def _exp_table(field, k: tuple, sk: int, dots: list, below: "_Index", path: str):
+    """frame_multi's exp table of the key k, E_m by the position m of below
+    on the box {m <= k} (0 where E_m = 0; E_0 alone where E = 1), with the
+    weights dots of the terms in below, and the path it ended on.  The
     entries are rows or, on the fixed and integral paths, ints: over a field
     of degree >= 2 each packed at the slot width below.width (see
     frame_multi).  These two share the integer sum per m; the integral walk
     divides it by |m|.  At the first remainder, at m, the integral walk ends
-    there with below.stop, else turns the entries before m into rows over 1
-    and goes on from m on rows: it ends on "rows", with |m| in below.turn."""
+    there with below.stop, returning the entries before m, else turns the
+    entries before m into rows over 1 and goes on from m on rows: it ends on
+    "rows", with |m| in below.turn."""
     d, rows, integral, b = field.degree, path == "rows", path == "integral", below.width
-    e = {(0,) * len(k): ((1,) + (0,) * (d - 1), 1) if rows else 1}
-    if not any(dots[t] for *_, t in below[k][1]):
-        return e, path
+    deg, ps, ts, ra, one = below.deg, below.ps, below.ts, below.ra, ((1,) + (0,) * (d - 1), 1) if rows else 1
+    # the terms j <= k: those of k's position, or every term past the simplex (phi's key)
+    pk = below.where.get(sum(map(mul, k, below.strides)))
+    if not any(map(dots.__getitem__, range(len(dots)) if pk is None else ts[pk])):
+        return [one], path  # E = 1
+    box = below.box(k, sk)
+    e = [one] + [0] * (box[-1] if box else 0)
     if integral and d == 1:
-        mults = [dot * a[0] for dot, (_, _, a, _, _) in zip(dots, below.wrows)]
+        mults = list(map(mul, dots, below.a0))
     elif integral:
         head = _walk_head(field, below.abits, dots, sk)
         while b <= head:
             b *= 2
         mults, slots = below.multipliers(dots, b), _slots(field, b, b - head)
-    for m in product(*(range(ki + 1) for ki in k)):
-        sm, terms = below[m]
-        if not 0 < sm < sk:
-            continue
-        if not (rows or integral):  # fixed: one integer sum, no division
-            c = sum([dot * a * prev for mj, a, _, t in terms
-                     if (dot := dots[t]) and (prev := e.get(mj))])
-            if c:
-                e[m] = c
-            continue
+    elif not rows:  # fixed: one integer sum per m, no division
+        getd, gete, fixed = dots.__getitem__, e.__getitem__, below.fixed
+        for m in box:
+            e[m] = sum(map(mul, map(mul, map(getd, ts[m]), fixed[m]), map(gete, ps[m])))
+        return e, path
+    gete, getx = e.__getitem__, integral and mults.__getitem__
+    for m in box:
+        sm, pm, tm = deg[m], ps[m], ts[m]
         if integral and d == 1:
-            c, r = divmod(sum([x * prev for mj, _, _, t in terms
-                               if (x := mults[t]) and (prev := e.get(mj))]), sm)
+            c, r = divmod(sum(map(mul, map(getx, tm), map(gete, pm))), sm)
             if not r:
-                if c:
-                    e[m] = c
+                e[m] = c
                 continue
         elif integral:
             if b <= _PADDED_BITS:
-                s = sum([x * prev for mj, _, _, t in terms if (x := mults[t]) and (prev := e.get(mj))])
+                s = sum(map(mul, map(getx, tm), map(gete, pm)))
             else:
-                pairs = [(x, prev) for mj, _, _, t in terms if (x := mults[t]) and (prev := e.get(mj))]
+                pairs = [(x, prev) for q, t in zip(pm, tm) if (x := mults[t]) and (prev := e[q])]
                 s = sum(sum([x[i] * q for x, q in pairs]) << i * b for i in range(d))
             q = _quotient(f := _reduce(s, b, field.minpoly, slots[0]), sm, *slots[1:])
             if q is None and not any(x % sm for x in _unpack(f, b, d)):  # no remainder: widen
@@ -466,19 +473,19 @@ def _exp_table(field, k: tuple, sk: int, dots: list, below: "_Below", path: str)
                     # B = (1 + rho) d sum_t |dot_t| max|a_t| (see _head): so b < 2 (|k| + 1) head
                     _refuse_above(b := 2 * b, 2 * (sk + 1) * head, "2 (|k| + 1) _walk_head",
                                   "an exp table slot of {} bits at |m| = {}", b, sm)
-                e = {mj: _pack(_unpack(x, b0, d), b) for mj, x in e.items()}
+                e = [x and _pack(_unpack(x, b0, d), b) for x in e]  # the entries before m
                 mults, slots, q = below.multipliers(dots, b), _slots(field, b, b - head), _pack(c, b)
+                gete, getx = e.__getitem__, mults.__getitem__
             if q is not None:
-                if q:
-                    e[m] = q
+                e[m] = q
                 continue
         if integral and below.stop:
-            return e, "rows"
+            return e[:m], "rows"
         if integral:  # the first remainder: the entries before m as rows over 1, then m on rows
-            e, rows, integral, below.turn = {mj: (_unpack(x, b, d) if d > 1 else (x,), 1)
-                                             for mj, x in e.items()}, True, False, sm
-        c = _sum_rows(field, [(a, ad, *prev, dot) for mj, a, ad, t in terms
-                              if (dot := dots[t]) and (prev := e.get(mj))], sm)
+            e = [x and (_unpack(x, b, d) if d > 1 else (x,), 1) for x in e]
+            rows, integral, below.turn = True, False, sm
+        c = _sum_rows(field, [(*ra[t], *prev, dot) for q, t in zip(pm, tm)
+                              if (dot := dots[t]) and (prev := e[q])], sm)
         if c and any(c[0]):
             e[m] = c
     below.width = b
@@ -533,27 +540,68 @@ def _unpack(s: int, b: int, n: int) -> list:
     return out + [s]
 
 
-class _Below(dict):
-    """m -> (|m|, the rows (m - j, a, a_den, t) of the terms
-    t = (j, |j|, a, a_den, _) of wrows with j <= m), listed the first time
-    m is read.  The list depends on m only, not on the output key k, so
-    frame_multi's walk builds no key m - j and probes no j with some
-    j_i > m_i.  wrows is sorted by |j|, and the scan stops at the first
-    |j| > |m|.  On the fixed-denominator path the integer a is listed
-    times (|m| - 1)! / (|m| - |j|)!.
+class _Index:
+    """The positions of one frame_multi call: the keys m of the simplex |m| <= order
+    of the live variables, m = 0 first, in the order of _simplex, so that m - j
+    comes before m.  Per position m, ps[m] and ts[m] list the positions m - j and
+    the terms t = (j, |j|, a, a_den, _) of wrows with j <= m, built from the side
+    of the terms (_below; frame_multi lists D's terms per key the same way).  A
+    key's box {m <= k} is a run of positions per value of its live coordinates
+    but the last.  On the fixed path each A_t is listed times (|m| - 1)! /
+    (|m| - |j|)! (fixed).  No walk builds a key m - j or probes a term not below m.
 
     It also keeps what the walks of one call share: the widest slot width a
     packed table reached (width), the rows a packed at each width (packs) and the
     degree of the last first remainder of an integral walk (turn), where stop ends it."""
 
-    def __init__(self, wrows: list, fixed: bool) -> None:
-        super().__init__()
-        self.wrows, self.fixed, self.width, self.packs, self.turn, self.stop = wrows, fixed, 64, {}, 0, False
+    def __init__(self, wrows: list, n: int, live: list, order: int) -> None:
+        self.wrows, self.width, self.packs, self.turn, self.stop = wrows, 64, {}, 0, False
+        self.live, self.order, self.a0 = live, order, [a[0] for _, _, a, _, _ in wrows]
+        self.ra = [(a, ad) for _, _, a, ad, _ in wrows]  # the rows path's (a, a_den)
+        self.strides = [(order + 1) ** live.index(i) if i in live else 0 for i in range(n)]
+        self.keys = [(0,) * n, *_simplex(n, live, order)]
+        self.deg, self.grid = list(map(sum, self.keys)), [sum(map(mul, m, self.strides)) for m in self.keys]
+        self.where = {g: p for p, g in enumerate(self.grid)}
+        self.low = sorted(range(len(self.keys)), key=self.deg.__getitem__)
+        ms, rs, ts = self._below([j for j, *_ in wrows])
+        self.ps, self.ts, lo = [()] * len(self.keys), [()] * len(self.keys), 0
+        while lo < len(ms):
+            hi = bisect_right(ms, m := ms[lo], lo)
+            self.ps[m], self.ts[m], lo = rs[lo:hi], ts[lo:hi], hi
+
+    def _below(self, js: list) -> list:
+        """The lists (m, position of m - j, index of j) over the js and positions m
+        with j <= m, sorted by m: each j with every r, |r| <= order - |j|."""
+        ms, rs, ts, nl = [], [], [], len(self.live)
+        for t, j in enumerate(js):
+            rs += (r := self.low[:comb(self.order - sum(j) + nl, nl)])
+            ms += map(self.where.__getitem__, map(sum(map(mul, j, self.strides)).__add__,
+                                                  map(self.grid.__getitem__, r)))
+            ts += repeat(t, len(r))
+        at = sorted(range(len(ms)), key=ms.__getitem__)
+        return [list(map(x.__getitem__, at)) for x in (ms, rs, ts)]
+
+    def box(self, k: tuple, sk: int) -> list:
+        """The positions of m <= k with 0 < |m| < sk, in increasing order: a run
+        for each grid g and degree s of the live coordinates but the last."""
+        *head, last = self.live
+        top, out, pre = sk - 1, [], [(0, 0)]
+        for i in (i for i in head if k[i]):
+            pre = [(g + x * self.strides[i], s + x) for g, s in pre for x in range(min(k[i], top - s) + 1)]
+        for g, s in pre:
+            p = self.where[g]
+            out += range(p + (not s), p + min(k[last], top - s) + 1)
+        return out
 
     @cached_property
     def abits(self) -> int:
         """The bit size of the largest coordinate of the integer rows a."""
         return max(abs(x) for _, _, a, _, _ in self.wrows for x in a).bit_length()
+
+    @cached_property
+    def fixed(self) -> list:
+        """Per position m, A_t (|m| - 1)! / (|m| - |j|)! for its terms t, A = afix (set by frame_multi)."""
+        return [[self.afix[t] * perm(sm - 1, self.wrows[t][1] - 1) for t in ts] for sm, ts in zip(self.deg, self.ts)]
 
     def multipliers(self, dots: list, b: int) -> list:
         """Per term, what the packed sum of the integral walk multiplies an
@@ -564,18 +612,6 @@ class _Below(dict):
         if b not in self.packs:
             self.packs[b] = [_pack(a, b) for _, _, a, _, _ in self.wrows]
         return [dot and dot * x for dot, x in zip(dots, self.packs[b])]
-
-    def __missing__(self, m: tuple) -> tuple:
-        sm, terms = sum(m), []
-        for t, (j, sj, a, ad, _) in enumerate(self.wrows):
-            if sj > sm:
-                break
-            if all(map(le, j, m)):
-                if self.fixed:
-                    a *= perm(sm - 1, sj - 1)
-                terms.append((tuple(map(sub, m, j)), a, ad, t))
-        self[m] = (sm, terms)
-        return sm, terms
 
 
 def _times(c: FieldElem, x: int) -> tuple[tuple[int, ...], int]:
@@ -611,23 +647,6 @@ def _walk_cost(field, order: int, n: int, degrees: list[int]) -> int:
         comb(s + n - 1, n - 1) * comb(order - s + n, n) * (10 + 4 * bisect_right(degrees, s))
         for s in range(order + 1)
     )
-
-
-def _by_degree(term):
-    return sum(term[0]), term[0]
-
-
-def _pairs_at(e: dict, drows: list, k: tuple, sk: int) -> list:
-    """The pairs (D entry, e[k - j]) of the rows (j, |j|, D entry) of D,
-    sorted by |j|, for which k - j is a key of e; the walk stops at the
-    first |j| > |k| = sk."""
-    pairs = []
-    for j, sj, dj in drows:
-        if sj > sk:
-            break
-        if prev := e.get(tuple(map(sub, k, j))):
-            pairs.append((dj, prev))
-    return pairs
 
 
 def _simplex(n: int, live: list[int], order: int):

@@ -1197,7 +1197,7 @@ def test_packed_walk_widens_its_slots_in_mid_table(monkeypatch):
     # table widens its slots past the crossover in mid-walk, every table is
     # integral, and the framing equals the oracle
     w = from_log_poly(CUBIC, [1, -CUBIC.gen(), 1], 2, 8) * -(2**60 - 1)
-    widths, table, multipliers = [], framing._exp_table, framing._Below.multipliers
+    widths, table, multipliers = [], framing._exp_table, framing._Index.multipliers
 
     def walk(field, k, sk, dots, below, path):
         widths.append([])
@@ -1207,7 +1207,7 @@ def test_packed_walk_widens_its_slots_in_mid_table(monkeypatch):
         widths[-1].append(b)
         return multipliers(below, dots, b)
 
-    monkeypatch.setattr(framing._Below, "multipliers", record)
+    monkeypatch.setattr(framing._Index, "multipliers", record)
     monkeypatch.setattr(framing, "_exp_table", walk)
     calls = _exp_tables(monkeypatch)
     assert frame_f(w, 3) == frame_f_by_reversion(w, 3)
@@ -1373,7 +1373,7 @@ def test_a_series_that_is_no_two_function_returns_the_walk_per_key(monkeypatch):
         framed = frame_f(w, 2)
     assert calls == [None]
     e, how = tables[0]
-    assert how == "rows" and max(m for m, in e) == 28
+    assert how == "rows" and len(e) == 29  # the entries at the positions m = 0..28
     with pytest.MonkeyPatch.context() as mp:
         _per_key(mp)
         assert framed == frame_f(w, 2) == frame_f_by_reversion(w, 2)
@@ -1401,13 +1401,100 @@ def test_every_k_at_once_multiplies_packed_entries_without_fold_or_convolution(m
 
 
 def test_the_entries_too_large_for_every_k_at_once_take_the_walk_per_key(monkeypatch):
-    # degree * order * (bits(f) + bits of the rows a) at _FIXED_BITS and
-    # above: the products of big entries cost more than the walk's small
-    # weights
+    # 4 degree order (bits(f) + bits of the rows a)**4 at _FIXED_BITS**2 and
+    # above, the measured crossover: the products of big entries cost more
+    # than the walk's small weights.  Li2 with f = 2**47 at order 40 and the
+    # cubic series with f = 2**16 + 1 at order 28 took 1.7 and 1.2 times the
+    # walk's time every k at once
     calls = _every_k_at_once(monkeypatch)
     cubic = from_log_poly(CUBIC, [1, -CUBIC.gen(), 1], 2, 28)  # its rows a have 2 bits
-    frame_f(polylog(2, 40), 2**48)  # 40 * (49 + 1) = 2000
-    frame_f(cubic, 2**21)  # 3 * 28 * (22 + 2) = 2016
-    frame_f(polylog(2, 40), 2**47)  # 1960
-    frame_f(cubic, -(2**20))  # 3 * 28 * (21 + 2) = 1932
-    assert calls[:2] == [None, None] and None not in calls[2:]
+    frame_f(polylog(2, 40), 2**48)  # 4 * 40 * (49 + 1)**4
+    frame_f(cubic, 2**21)  # 4 * 3 * 28 * (22 + 2)**4
+    frame_f(polylog(2, 40), 2**47)  # 4 * 40 * 49**4
+    frame_f(cubic, 2**16 + 1)  # 4 * 3 * 28 * 19**4
+    frame_f(polylog(2, 40), 2**11)  # 4 * 40 * 13**4 = 4,569,760
+    frame_f(cubic, 2**8)  # 4 * 3 * 28 * 11**4 = 4,919,376
+    frame_f(polylog(2, 40), 2**10)  # 4 * 40 * 12**4 = 3,317,760
+    frame_f(cubic, -(2**7))  # 4 * 3 * 28 * 10**4 = 3,360,000
+    assert calls[:6] == [None] * 6 and None not in calls[6:]
+
+
+# --- the framing theorem in several variables over number fields, on each path
+
+
+def _walked_as(mp, path) -> list:
+    """Walk on path every exp table that would start on the integral walk,
+    and record the path each table starts on."""
+    paths, real = [], framing._exp_table
+
+    def walk(field, k, sk, dots, below, start):
+        paths.append(path if start == "integral" else start)
+        return real(field, k, sk, dots, below, paths[-1])
+
+    mp.setattr(framing, "_exp_table", walk)
+    return paths
+
+
+@st.composite
+def _several_variable_case(draw):
+    # a 2-function g over Q (Li2), Q(zeta_5) (abelian_generator) or the disc-49
+    # cubic (generate_crt); W = sum_e g(z**e) over 2-3 monomials e in 2-3
+    # variables, with 2 |e| <= order, so that the lowest key j of W has 2 j
+    # within the order; a symmetric kappa with entries in [-2, 2]
+    n, order = draw(st.integers(2, 3)), draw(st.integers(4, 6))
+    es = draw(st.lists(st.tuples(*[st.integers(0, 2)] * n).filter(
+        lambda e: 0 < 2 * sum(e) <= order), min_size=2, max_size=3))
+    kind, seed = draw(st.sampled_from(["Q", "zeta5", "cubic"])), draw(st.integers(-2, 2))
+    w = None
+    for e in es:
+        top = order // sum(e)
+        g = (polylog(2, top) if kind == "Q" else
+             abelian_generator(CyclotomicSpec(5, {1: 1, 4: 1}, 2), top) if kind == "zeta5" else
+             generate_crt(CUBIC, CUBIC.gen() + seed, 2, top))
+        w = _at_monomial(g, e, order) if w is None else w + _at_monomial(g, e, order)
+    upper = draw(st.lists(st.integers(-2, 2), min_size=n * (n + 1) // 2,
+                          max_size=n * (n + 1) // 2))
+    return w, _symmetric_kappa(upper, n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_several_variable_case())
+def test_framing_in_several_variables_over_number_fields_keeps_two_functions(case):
+    # on the integral (over Q) or packed walk, the fixed walk over Q and the
+    # rows walk: the oracle's series, a 2-function; and the control, W with
+    # 1 added at its lowest key, framed alike, is none
+    w, kappa = case
+    want = frame_multi_by_inversion(w, kappa)
+    in_exp = any(any(sum(map(int.__mul__, row, j)) for row in kappa.entries) for j, _ in w.terms)
+    for path in ["integral", "rows"] + ["fixed"] * (w.field.degree == 1):
+        with pytest.MonkeyPatch.context() as mp:
+            paths = _walked_as(mp, path)
+            if path == "rows":
+                mp.setattr(framing, "_FIXED_BITS", 0)
+            framed = frame_multi(w, kappa)
+        assert set(paths) == {path if in_exp else "rows"}, paths
+        assert framed == want
+    assert check_sfunction(framed, 2).passed
+    control = w + MSeries.from_dict(w.field, w.nvars, w.order, {w.terms[0][0]: 1})
+    assert not check_sfunction(frame_multi(control, kappa), 2).passed
+
+
+def test_a_diagonal_kappa_frames_sixteen_variables_one_at_a_time():
+    # W = z1 + ... + z16 with kappa = I at order 4: a separable W under a
+    # diagonal kappa is framed one variable at a time, so the framing is the
+    # sum over i of frame_f(z, 1) at z_i; the index numbers 4,845 positions
+    # and each box holds at most 16
+    w, one = _sum_of_variables(16, 4), frame_f(Series.var(Q, 4), 1)
+    eye = Kappa(tuple(tuple(int(i == j) for j in range(16)) for i in range(16)))
+    want = MSeries.zero(Q, 16, 4)
+    for e in eye.entries:
+        want = want + _at_monomial(one, e, 4)
+    t0 = time.process_time()
+    assert frame_multi(w, eye) == want
+    assert time.process_time() - t0 < 2
+
+
+def test_z1_plus_z2_at_order_40_equals_the_oracle():
+    # boxes of up to 441 positions, where each key reads D's terms j <= k
+    w, kappa = MSeries.from_dict(Q, 2, 40, {(1, 0): 1, (0, 1): 1}), Kappa.parse("1,0;0,1")
+    assert frame_multi(w, kappa) == frame_multi_by_inversion(w, kappa)
